@@ -6,53 +6,19 @@ live here: dimension_subgroup() reads D_n = {g : g - 1 in Delta^n} off the
 augmentation-ideal powers, jennings_series() runs the recursion
 D_n = [D_{n-1}, G] * (D_ceil(n/p))^p on the bare multiplication table.
 Agreement of the two is asserted by callers, not assumed.
+
+The powers of Delta are spanned from the generator images alone.  Since
+gh - 1 = (g - 1)h + (h - 1), Delta is generated as a right ideal by the
+x - 1 with x a generator image, so
+Delta^(n+1) = Delta*Delta^n = sum_x (x - 1)*F_pG*Delta^n = sum_x (x - 1)*Delta^n.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .errors import InputError
 from .enumeration import FiniteGroupTable, Subgroup, subgroup_closure, prime_power
 from .intlinalg import ModpSpan
 from .presentation import Presentation
-
-
-@dataclass(frozen=True)
-class GroupRingElement:
-    """Coefficient vector over a fixed table; modulus None means Z."""
-
-    tbl: FiniteGroupTable
-    coeffs: tuple[int, ...]
-    modulus: int | None = None
-
-    def __post_init__(self):
-        if len(self.coeffs) != self.tbl.order:
-            raise ValueError("coefficient vector length != group order")
-        if self.modulus is not None and any(
-            not 0 <= c < self.modulus for c in self.coeffs
-        ):
-            raise ValueError("coefficients not reduced mod modulus")
-
-    def __add__(self, other: "GroupRingElement") -> "GroupRingElement":
-        self._check_compatible(other)
-        out = [a + b for a, b in zip(self.coeffs, other.coeffs)]
-        if self.modulus is not None:
-            out = [c % self.modulus for c in out]
-        return GroupRingElement(self.tbl, tuple(out), self.modulus)
-
-    def __mul__(self, other: "GroupRingElement") -> "GroupRingElement":
-        self._check_compatible(other)
-        out = gr_multiply(self.tbl, self.coeffs, other.coeffs, self.modulus)
-        return GroupRingElement(self.tbl, tuple(out), self.modulus)
-
-    def _check_compatible(self, other):
-        if self.tbl is not other.tbl or self.modulus != other.modulus:
-            raise ValueError("mixed group rings")
-
-    def augmentation(self) -> int:
-        s = sum(self.coeffs)
-        return s % self.modulus if self.modulus is not None else s
 
 
 def gr_multiply(tbl: FiniteGroupTable, u, v, modulus: int | None = None) -> list[int]:
@@ -99,11 +65,17 @@ def right_translate(tbl: FiniteGroupTable, vec, g: int) -> list[int]:
 def delta_filtration(tbl: FiniteGroupTable, p: int, max_n: int | None = None) -> list[ModpSpan]:
     """Echelonized bases of Delta^1, Delta^2, ... over F_p.
 
+    Delta^1 is spanned by the g - 1.  Delta is generated as a right ideal by
+    the x - 1 for x a generator image, because gh - 1 = (g - 1)h + (h - 1);
+    so Delta^(n+1) = sum_x (x - 1)*F_pG*Delta^n = sum_x (x - 1)*Delta^n is
+    spanned by the (x - 1)*w for w a basis row of Delta^n.
+
     Stops after Delta^n = Delta^(n+1) (from there on the chain is constant:
     Delta^(n+2) = Delta*Delta^(n+1) = Delta*Delta^n = Delta^(n+1)), or after
     max_n steps.  For p-groups the chain reaches 0.
     """
     n = tbl.order
+    gens = list(dict.fromkeys(x for x in tbl.gen_images if x))
     spans: list[ModpSpan] = []
     delta1 = ModpSpan(n, p)
     for g in range(1, n):
@@ -115,9 +87,9 @@ def delta_filtration(tbl: FiniteGroupTable, p: int, max_n: int | None = None) ->
     while max_n is None or len(spans) < max_n:
         prev = spans[-1]
         nxt = ModpSpan(n, p)
-        for g in range(1, n):
+        for x in gens:
             for w in prev.rows:
-                tw = left_translate(tbl, g, w)
+                tw = left_translate(tbl, x, w)
                 nxt.add([a - b for a, b in zip(tw, w)])
                 if nxt.dim == prev.dim:
                     break
@@ -129,13 +101,18 @@ def delta_filtration(tbl: FiniteGroupTable, p: int, max_n: int | None = None) ->
     return spans
 
 
-def delta_power_basis(tbl: FiniteGroupTable, p: int, n: int) -> list[list[int]]:
-    """Echelon basis of Delta^n inside F_p G (deterministic order)."""
+def _delta_power(tbl: FiniteGroupTable, p: int, n: int) -> ModpSpan:
+    """The filtration's own span of Delta^n."""
     if n < 1:
         raise InputError("Delta power index must be >= 1")
     spans = delta_filtration(tbl, p, max_n=n)
     # a shorter list means the chain went constant (or hit 0) before n
-    return [row[:] for row in spans[min(n, len(spans)) - 1].rows]
+    return spans[min(n, len(spans)) - 1]
+
+
+def delta_power_basis(tbl: FiniteGroupTable, p: int, n: int) -> list[list[int]]:
+    """Echelon basis of Delta^n inside F_p G (deterministic order)."""
+    return [row[:] for row in _delta_power(tbl, p, n).rows]
 
 
 def delta_dimension_sequence(tbl: FiniteGroupTable, p: int) -> list[int]:
@@ -153,6 +130,18 @@ def _generators_for(tbl: FiniteGroupTable, members: list[int]) -> tuple[int, ...
     return tuple(gens)
 
 
+def _dimension_members(tbl: FiniteGroupTable, span: ModpSpan, candidates) -> list[int]:
+    """The g among the candidates with g - 1 in the span."""
+    members = []
+    for g in candidates:
+        vec = [0] * tbl.order
+        vec[g] += 1
+        vec[0] -= 1
+        if span.contains(vec):
+            members.append(g)
+    return members
+
+
 def dimension_subgroup(tbl: FiniteGroupTable, p: int, n: int) -> Subgroup:
     """D_n = {g : g - 1 in Delta^n(F_p G)}.  Requires |G| = p^a."""
     pp = prime_power(tbl.order) if tbl.order > 1 else (p, 0)
@@ -162,22 +151,16 @@ def dimension_subgroup(tbl: FiniteGroupTable, p: int, n: int) -> Subgroup:
         )
     if n == 1:
         return subgroup_closure(tbl, tbl.gen_images)
-    basis = delta_power_basis(tbl, p, n)
-    span = ModpSpan(tbl.order, p)
-    for row in basis:
-        span.add(row)
-    members = []
-    for g in range(tbl.order):
-        vec = [0] * tbl.order
-        vec[g] += 1
-        vec[0] -= 1
-        if span.contains(vec):
-            members.append(g)
+    members = _dimension_members(tbl, _delta_power(tbl, p, n), range(tbl.order))
     return Subgroup(tuple(members), _generators_for(tbl, members))
 
 
 def dimension_subgroup_chain(tbl: FiniteGroupTable, p: int) -> list[Subgroup]:
-    """D_1 (= G), D_2, ... down to and including the first trivial term."""
+    """D_1 (= G), D_2, ... down to and including the first trivial term.
+
+    Delta^n lies in Delta^(n-1), so D_n lies in D_(n-1) and only the members
+    of the previous term are tested.
+    """
     pp = prime_power(tbl.order) if tbl.order > 1 else (p, 0)
     if pp is None or pp[0] != p:
         raise InputError(
@@ -192,13 +175,7 @@ def dimension_subgroup_chain(tbl: FiniteGroupTable, p: int) -> list[Subgroup]:
     n = 2
     while True:
         span = spans[min(n, len(spans)) - 1]
-        members = []
-        for g in range(tbl.order):
-            vec = [0] * tbl.order
-            vec[g] += 1
-            vec[0] -= 1
-            if span.contains(vec):
-                members.append(g)
+        members = _dimension_members(tbl, span, chain[-1].members)
         chain.append(Subgroup(tuple(members), _generators_for(tbl, members)))
         if len(members) == 1:
             return chain

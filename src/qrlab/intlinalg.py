@@ -539,15 +539,6 @@ def modp_solve_left(a_rows: Rows, b: Sequence[int], p: int) -> list[int] | None:
     return x
 
 
-def modpk_mat_mul(a: Rows, b: Rows, q: int) -> Rows:
-    out = mat_mul(a, b)
-    return [[x % q for x in row] for row in out]
-
-
-def modpk_identity(n: int) -> Rows:
-    return identity_rows(n)
-
-
 def is_invertible_modp(rows: Rows, p: int) -> bool:
     n = len(rows)
     return n == 0 or (len(rows[0]) == n and modp_rank(rows, p) == n)

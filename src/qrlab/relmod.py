@@ -405,49 +405,3 @@ def bar_h2(tbl: FiniteGroupTable, bound: int = DEFAULT_BAR_BOUND) -> AbelianInva
             "bar complex rank identity fails; H2 would not be finite"
         )
     return AbelianInvariants(0, torsion)
-
-
-def _bar_h2_kernel_route(tbl: FiniteGroupTable) -> AbelianInvariants:
-    """Reference route for small orders: ker d2 as an explicit lattice,
-    d3 rows rewritten in kernel coordinates, then the Smith quotient.
-    Quadratic in group order to the third power; tests only."""
-    n = tbl.order
-    if n == 1:
-        return AbelianInvariants(0, ())
-    m = n - 1
-
-    def c2(g, h):
-        return (g - 1) * m + (h - 1)
-
-    d2_rows = []
-    for g in range(1, n):
-        for h in range(1, n):
-            vec = [0] * m
-            vec[g - 1] += 1
-            vec[h - 1] += 1
-            gh = tbl.mult[g][h]
-            if gh:
-                vec[gh - 1] -= 1
-            d2_rows.append(vec)
-    kernel = lattice_from_rows(m * m, left_kernel(d2_rows, width=m))
-    coords_rows = []
-    for g in range(1, n):
-        for h in range(1, n):
-            for k in range(1, n):
-                vec = [0] * (m * m)
-                for a, b, s in (
-                    (h, k, 1),
-                    (tbl.mult[g][h], k, -1),
-                    (g, tbl.mult[h][k], 1),
-                    (g, h, -1),
-                ):
-                    if a and b:
-                        vec[c2(a, b)] += s
-                coords = kernel.coordinates(vec)
-                if coords is None:
-                    raise AssertionError("d3 row escaped ker d2")
-                coords_rows.append(coords)
-    inv = lattice_quotient(kernel.rank, coords_rows)
-    if inv.free_rank:
-        raise AssertionError("H2 of a finite group came out infinite")
-    return AbelianInvariants(0, inv.torsion)

@@ -10,10 +10,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qrlab.presentation import parse_presentation
-from qrlab.enumeration import is_normal, todd_coxeter, word_image
+from qrlab.enumeration import is_normal, prime_power, todd_coxeter, word_image
 from qrlab.groupring import (
     augmentation,
     delta_dimension_sequence,
+    delta_filtration,
     delta_power_basis,
     dimension_subgroup,
     dimension_subgroup_chain,
@@ -23,6 +24,7 @@ from qrlab.groupring import (
     left_translate,
     right_translate,
 )
+from qrlab.intlinalg import ModpSpan
 
 P_GROUPS = [
     ("gens: a; relators: a^2; prime: 2", 2),
@@ -84,6 +86,72 @@ def test_delta_dims_track_the_power_bases(group, text, p):
     assert all(x > y for x, y in zip(dims, dims[1:]))
     for n, d in enumerate(dims, start=1):
         assert len(delta_power_basis(tbl, p, n)) == d
+
+
+# --- the Delta-power tower against its all-elements spanning set --------
+
+NON_P_GROUPS = [
+    "gens: a, b; relators: a^3, b^2, b*a*b*a; prime: 2",
+    "gens: a, b; relators: a^12, b^2, b*a*b*a; prime: 2",
+]
+
+
+def _all_elements_filtration(tbl, p):
+    """Delta^(n+1) spanned by (g - 1)*w for every g in G and every basis row
+    w of Delta^n, with the same stopping rule as delta_filtration."""
+    n = tbl.order
+    spans = [ModpSpan(n, p)]
+    for g in range(1, n):
+        vec = [0] * n
+        vec[g], vec[0] = 1, -1
+        spans[0].add(vec)
+    while True:
+        prev = spans[-1]
+        nxt = ModpSpan(n, p)
+        for g in range(1, n):
+            for w in prev.rows:
+                nxt.add([a - b for a, b in zip(left_translate(tbl, g, w), w)])
+        spans.append(nxt)
+        if nxt.dim == prev.dim or nxt.dim == 0:
+            return spans
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("text", [t for t, _ in P_GROUPS] + NON_P_GROUPS)
+def test_generator_tower_matches_all_elements_span(group, text, p):
+    _, tbl = group(text)
+    fast = delta_filtration(tbl, p)
+    slow = _all_elements_filtration(tbl, p)
+    assert [s.dim for s in fast] == [s.dim for s in slow]
+    # Delta is nilpotent exactly for p-groups; otherwise the chain stabilises
+    pp = prime_power(tbl.order)
+    assert (fast[-1].dim == 0) == (pp is not None and pp[0] == p)
+    for n, (a, b) in enumerate(zip(fast, slow), start=1):
+        assert a.rows == b.rows, f"level {n}"
+        assert a.pivots == b.pivots, f"level {n}"
+
+
+@pytest.mark.parametrize("text,p,expected", [
+    ("gens: a; relators: a^27; prime: 3", 3, 377),
+    ("gens: a, b; relators: a^4*b^-2, a*b*a*b^-1; prime: 2", 2, 143),
+])
+def test_tower_work_count(group, monkeypatch, text, p, expected):
+    """One elimination per g - 1 for Delta, then one per generator image and
+    basis row of each power that is not the last."""
+    _, tbl = group(text)
+    calls = []
+    add = ModpSpan.add
+
+    def counting_add(self, vec):
+        calls.append(None)
+        return add(self, vec)
+
+    monkeypatch.setattr(ModpSpan, "add", counting_add)
+    spans = delta_filtration(tbl, p)
+    monkeypatch.undo()
+    ngens = len({x for x in tbl.gen_images if x})
+    formula = (tbl.order - 1) + ngens * sum(s.dim for s in spans[:-1])
+    assert len(calls) == formula == expected
 
 
 # --- Fox derivatives ------------------------------------------------------
