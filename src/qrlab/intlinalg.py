@@ -10,7 +10,6 @@ by rows.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 Rows = list[list[int]]
@@ -105,32 +104,20 @@ def det_int(rows: Rows) -> int:
 
 
 def integer_inverse(rows: Rows) -> Rows:
-    """Exact inverse of an integer matrix whose inverse is integral
-    (unimodular input).  Fraction Gauss-Jordan, integrality asserted."""
+    """Exact inverse of a unimodular integer matrix, read off its Smith form.
+
+    U*A*V = I gives A^-1 = V*U.  Raises ValueError when A is not square or
+    its Smith form is not the identity (A is singular or not unimodular).
+    """
     n = len(rows)
-    a = [[Fraction(x) for x in r] + [Fraction(int(i == j)) for j in range(n)]
-         for i, r in enumerate(rows)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if a[i][col] != 0), None)
-        if piv is None:
-            raise ValueError("singular matrix")
-        a[col], a[piv] = a[piv], a[col]
-        d = a[col][col]
-        a[col] = [x / d for x in a[col]]
-        for i in range(n):
-            if i != col and a[i][col]:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[col])]
-    inv = []
-    for i in range(n):
-        row = []
-        for j in range(n, 2 * n):
-            x = a[i][j]
-            if x.denominator != 1:
-                raise ValueError("matrix is not unimodular over Z")
-            row.append(int(x))
-        inv.append(row)
-    return inv
+    if any(len(r) != n for r in rows):
+        raise ValueError("inverse of a non-square matrix")
+    if n == 0:
+        return []
+    D, U, V, _ = smith_normal_form(rows)
+    if D.diagonal() != [1] * n:
+        raise ValueError("matrix is not unimodular over Z")
+    return mat_mul(V.to_rows(), U.to_rows())
 
 
 # ---------------------------------------------------------------------------
@@ -145,13 +132,16 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return a, x0, y0
 
 
-def smith_normal_form(a) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
-    """Return (D, U, V) with U*A*V = D diagonal, d1 | d2 | ..., di >= 0.
+def smith_normal_form(a) -> tuple[IntMatrix, IntMatrix, IntMatrix, IntMatrix]:
+    """Return (D, U, V, Vinv) with U*A*V = D diagonal, d1 | d2 | ..., di >= 0.
 
-    U and V are unimodular (products of elementary row/column operations,
-    determinant sign tracked and the reconstruction U*A*V == D is checked
-    before returning).  Pivot rule: smallest nonzero absolute value in the
-    working submatrix, ties by lowest (row, col).
+    U and V are unimodular products of elementary row/column operations.
+    Vinv = V^-1 is accumulated alongside V: each column operation on V is
+    mirrored by the inverse row operation on Vinv (col_j -= q*col_t becomes
+    Vinv[t] += q*Vinv[j], a column swap becomes a row swap).  Checked before
+    returning: U*A*V == D, V*Vinv == I, and det U = +-1 for up to 64 rows.
+    Pivot rule: smallest nonzero absolute value in the working submatrix,
+    ties by lowest (row, col).
     """
     A = a.to_rows() if isinstance(a, IntMatrix) else [list(r) for r in a]
     m = len(A)
@@ -159,6 +149,7 @@ def smith_normal_form(a) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     M = [r[:] for r in A]
     U = identity_rows(m)
     V = identity_rows(n)
+    Vinv = identity_rows(n)
 
     def row_sub(i, t, q):  # row_i -= q * row_t
         Mi, Mt, Ui, Ut = M[i], M[t], U[i], U[t]
@@ -172,6 +163,16 @@ def smith_normal_form(a) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
             M[i][j] -= q * M[i][t]
         for i in range(n):
             V[i][j] -= q * V[i][t]
+        Vt, Vj = Vinv[t], Vinv[j]
+        for i in range(n):
+            Vt[i] += q * Vj[i]
+
+    def col_swap(j, t):
+        for row in M:
+            row[j], row[t] = row[t], row[j]
+        for row in V:
+            row[j], row[t] = row[t], row[j]
+        Vinv[j], Vinv[t] = Vinv[t], Vinv[j]
 
     t = 0
     while t < min(m, n):
@@ -192,10 +193,7 @@ def smith_normal_form(a) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
             M[bi], M[t] = M[t], M[bi]
             U[bi], U[t] = U[t], U[bi]
         if bj != t:
-            for row in M:
-                row[bj], row[t] = row[t], row[bj]
-            for row in V:
-                row[bj], row[t] = row[t], row[bj]
+            col_swap(bj, t)
         while True:
             dirty = False
             for i in range(t + 1, m):
@@ -230,10 +228,7 @@ def smith_normal_form(a) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
                 M[bi], M[t] = M[t], M[bi]
                 U[bi], U[t] = U[t], U[bi]
             if bj != t:
-                for row in M:
-                    row[bj], row[t] = row[t], row[bj]
-                for row in V:
-                    row[bj], row[t] = row[t], row[bj]
+                col_swap(bj, t)
         if M[t][t] < 0:
             M[t] = [-x for x in M[t]]
             U[t] = [-x for x in U[t]]
@@ -266,16 +261,17 @@ def smith_normal_form(a) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
         raise AssertionError("U*A*V != D after Smith reduction")
     if m <= 64 and abs(det_int(U)) != 1:
         raise AssertionError("U not unimodular")
-    if n <= 64 and abs(det_int(V)) != 1:
-        raise AssertionError("V not unimodular")
-    return IntMatrix.from_rows(D), IntMatrix.from_rows(U), IntMatrix.from_rows(V)
+    if mat_mul(V, Vinv) != identity_rows(n):
+        raise AssertionError("V*Vinv != I after Smith reduction")
+    return (IntMatrix.from_rows(D), IntMatrix.from_rows(U), IntMatrix.from_rows(V),
+            IntMatrix.from_rows(Vinv))
 
 
 def elementary_divisors(rows: Rows) -> list[int]:
     """Nonzero diagonal of the Smith form (with multiplicity, 1s included)."""
     if not rows or not rows[0]:
         return []
-    D, _, _ = smith_normal_form(rows)
+    D, _, _, _ = smith_normal_form(rows)
     return [d for d in D.diagonal() if d]
 
 

@@ -1,19 +1,28 @@
 """Permutation-module recognition mod p and generalized-permutation lifts.
 
-The modules come from coinvariants of the relation lattice at one level of
-the dimension-subgroup chain, carried as explicit matrices over Z/p^k for
-the quotient group Q acting.  Recognition over F_p goes marks-first: the
-orbit-count system over the subgroup classes of Q is solved exactly and
-integrally (it can be singular, so the solver enumerates the solution
-lattice); no admissible solution refutes the module outright.  Candidates
-are then attacked constructively through coset transport: a hom from an
-induced block is determined by one base row, so the hom space per block is
-small enough to enumerate completely in the cases that matter, making a
-failed search a proof rather than a shrug.  Over Z/p^k the same transport
-runs with sign-twisted blocks (p = 2; twists are invisible mod 2), and the
-solution module is obtained by lifting the mod-p kernel one p-adic digit
-at a time.  Nothing is reported certified or refuted without either an
-independently verified witness matrix or an exhausted finite search.
+Level modules.  At each level of the dimension-subgroup chain the
+coinvariants of the relation lattice are tensored with Z/p^k and carried as
+explicit matrices for the quotient group Q = G/D_level.  Only the generator
+images are acted out on the lattice, in the Smith coordinates of the
+coinvariants; V and V^-1 both come out of the Smith reduction, so no matrix
+is inverted.  The rest of Q is filled in along its Cayley graph, and every
+Cayley edge is checked, which proves the matrices are an action of Q that
+agrees with the G-action on the lattice.
+
+Recognition over F_p goes marks-first: the orbit-count system over the
+subgroup classes of Q is solved exactly and integrally (it can be
+singular, so the solver enumerates the solution lattice); no admissible
+solution refutes the module outright.  Candidates are then attacked
+constructively through coset transport: a hom from an induced block is
+determined by one base row, so the hom space per block is small enough to
+enumerate completely in the cases that matter, making a failed search a
+proof rather than a shrug.  Over Z/p^k the same transport runs with
+sign-twisted blocks (p = 2; twists are invisible mod 2), and the solution
+module is obtained by lifting the mod-p kernel one p-adic digit at a time.
+Nothing is reported certified or refuted without either an independently
+verified witness matrix or an exhausted finite search; an unknown result
+names what stopped it (a capped marks system, a budget-limited search, or
+the assignment cap) in its `reason`.
 
 Conventions.  Module elements are row vectors; q acts by y -> y * A[q];
 matrices compose antihomomorphically, A[q1 q2] = A[q2] * A[q1] (q1 q2
@@ -44,7 +53,6 @@ from .groupring import _generators_for, dimension_subgroup_chain
 from .intlinalg import (
     ModpSpan,
     identity_rows,
-    integer_inverse,
     is_invertible_modp,
     mat_mul,
     modp_left_kernel,
@@ -62,6 +70,7 @@ DEFAULT_CERT_BUDGET = 100_000
 DEFAULT_CANDIDATE_CAP = 64
 DEFAULT_ASSIGNMENT_CAP = 64
 EXHAUSTIVE_CAP = 4096
+MARKS_BOX_CAP = 100_000
 
 
 def _mm(a, b, q):
@@ -76,10 +85,12 @@ class LevelModule:
     """Coinvariants at one chain level as a Z/p^k module for Q = G/D_level.
 
     `surviving` lists the Smith coordinates that stay alive after tensoring
-    with the ring; `action[q]` is the matrix of q on those coordinates.
-    Construction verifies invertibility, the composition law on all pairs,
-    that relators act as the identity, and that the matrix assigned to q
-    agrees with the one computed from every preimage of q in G.
+    with the ring; `action[q]` is the matrix of q on those coordinates, and
+    `coset_map[g]` is the element of Q that g in G maps to.  Construction
+    (module_from_coinvariants) verifies that generators of G with the same
+    image in Q act alike, that the generator matrices are invertible mod p,
+    that every Cayley edge of Q satisfies A[q x] = A[x] * A[q], and that
+    relators act as the identity.
     """
 
     level: int
@@ -113,6 +124,37 @@ class LevelModule:
         return out
 
 
+def _action_from_generators(qtbl: FiniteGroupTable, gen_mats, dim: int, ring: int):
+    """Matrices A[q] for all of Q from the matrices of the generator images.
+
+    BFS over the Cayley graph of Q sets A[1] = I and A[q x] = A[x] * A[q]
+    along tree edges; every other edge, with x running over the keys of
+    gen_mats, must satisfy the same equation or PropertyViolation is raised.
+    With every edge checked, A[image of w] is the product of the letter
+    matrices of w for every positive word w in the generators, so q -> A[q]
+    is well defined and A[q1 q2] = A[q2] * A[q1] on all of Q.
+    """
+    gens = sorted(gen_mats)
+    action: list[list[list[int]] | None] = [None] * qtbl.order
+    action[0] = identity_rows(dim)
+    order = [0]
+    for q in order:
+        for x in gens:
+            moved = _mm(gen_mats[x], action[q], ring)
+            target = qtbl.mult[q][x]
+            if action[target] is None:
+                action[target] = moved
+                order.append(target)
+            elif action[target] != moved:
+                raise PropertyViolation(
+                    f"Cayley edge q={q}, x={x} breaks A[qx] = A[x]A[q]: "
+                    f"the generator matrices do not define an action of the quotient"
+                )
+    if len(order) != qtbl.order:
+        raise PropertyViolation("generator images do not reach every element of the quotient")
+    return action
+
+
 def module_from_coinvariants(
     rlat: RelationLattice,
     coin: Coinvariants,
@@ -127,6 +169,15 @@ def module_from_coinvariants(
     which no generalized permutation module has; that is reported as
     TorsionObstruction.  Over F_p (k = 1) the p-torsion coordinates
     survive alongside the free ones.
+
+    Only the distinct generator images x of G are acted out on the lattice:
+    Vinv * M_x * V restricted to the surviving coordinates, reduced mod p^k
+    at once.  The rest of Q is filled in from them by _action_from_generators,
+    whose Cayley-edge check makes q -> A[q] an action of Q.  It agrees with
+    the G-action on the generators, hence on all of G (a finite group is
+    generated by its generators as a monoid), so D_level acts trivially and
+    A is the action of every preimage.  Generator matrices are checked
+    invertible mod p; every A[q] is a product of them.
     """
     if k < 1:
         raise InputError(f"precision must be >= 1, got {k}")
@@ -140,46 +191,36 @@ def module_from_coinvariants(
                 )
             surv.append(i)
     surv.extend(range(len(coin.divisors), coin.rank))
-    qtbl, cmap = quotient_table(rlat.tbl, sub)
+    tbl = rlat.tbl
+    qtbl, cmap = quotient_table(tbl, sub)
     lat = rlat.lattice()
-    V = [list(r) for r in coin.V]
-    Vinv = integer_inverse(V) if V else []
-    full: list[list[list[int]]] = []
-    for g in range(rlat.tbl.order):
-        mg = []
+    v_surv = [[row[j] for j in surv] for row in coin.V]
+    vinv_surv = [list(coin.Vinv[i]) for i in surv]
+    gen_mats: dict[int, list[list[int]]] = {}
+    for x in sorted(set(tbl.gen_images)):
+        mx = []
         for row in rlat.basis:
-            coords = lat.coordinates(rlat.translate(g, row))
+            coords = lat.coordinates(rlat.translate(x, row))
             if coords is None:
                 raise PropertyViolation("group translate left the relation lattice")
-            mg.append(coords)
-        a = mat_mul(Vinv, mat_mul(mg, V)) if V else []
-        full.append([[a[i][j] % ring for j in surv] for i in surv])
-    action: list[list[list[int]] | None] = [None] * qtbl.order
-    for g in range(rlat.tbl.order):
-        q = cmap[g]
-        if action[q] is None:
-            action[q] = full[g]
-        elif action[q] != full[g]:
+            mx.append(coords)
+        a = _mm(vinv_surv, _mm(mx, v_surv, ring), ring)
+        q = cmap[x]
+        if gen_mats.setdefault(q, a) != a:
             raise PropertyViolation(
                 f"action not constant on the coset of q={q}: the kernel acts"
             )
+        if not is_invertible_modp(a, p):
+            raise PropertyViolation(f"action of generator image q={q} is singular mod {p}")
     dim = len(surv)
-    ident = identity_rows(dim)
-    if action[0] != ident:
-        raise PropertyViolation("identity coset does not act as the identity")
-    for q in range(qtbl.order):
-        if not is_invertible_modp(action[q], p):
-            raise PropertyViolation(f"action of q={q} is singular mod {p}")
-    for q1 in range(qtbl.order):
-        for q2 in range(qtbl.order):
-            if _mm(action[q2], action[q1], ring) != action[qtbl.mult[q1][q2]]:
-                raise PropertyViolation("composition law fails on the quotient")
+    action = _action_from_generators(qtbl, gen_mats, dim, ring)
     mod = LevelModule(
         level=level, p=p, k=k, qtbl=qtbl, coset_map=tuple(cmap),
         surviving=tuple(surv),
         action=tuple(tuple(tuple(r) for r in a) for a in action),
         coin=coin,
     )
+    ident = identity_rows(dim)
     for rel in rlat.pres.relators:
         if mod.word_matrix(rel) != ident:
             raise PropertyViolation("a relator acts nontrivially on the coinvariants")
@@ -189,21 +230,23 @@ def module_from_coinvariants(
 def transition_map(hi: LevelModule, lo: LevelModule) -> tuple[tuple[int, ...], ...]:
     """The natural surjection from the level-(n+1) module onto the level-n one.
 
-    In Smith coordinates it is V_hi^-1 V_lo restricted to the surviving
-    coordinates of each side.  Verified: equivariant for every element of
-    the common group, and surjective mod p.  Both failures are hard errors;
-    the map exists whenever the chain is really descending.
+    In Smith coordinates it is Vinv_hi * V_lo restricted to the surviving
+    coordinates of each side.  Verified: equivariant for the image of every
+    generator of G, and surjective mod p.  Equivariance on the generators
+    covers all of G: both sides are actions, so the set of g on which it
+    holds is closed under products, and a finite group is generated by its
+    generators as a monoid.  Both failures are hard errors; the map exists
+    whenever the chain is really descending.
     """
     if (hi.p, hi.k) != (lo.p, lo.k):
         raise InputError("transition between modules over different rings")
     ring = hi.ring
-    Vhi = [list(r) for r in hi.coin.V]
-    Vlo = [list(r) for r in lo.coin.V]
-    t_full = mat_mul(integer_inverse(Vhi), Vlo) if Vhi else []
-    T = [[t_full[i][j] % ring for j in lo.surviving] for i in hi.surviving]
-    for g in range(len(hi.coset_map)):
-        left = _mm(hi.action[hi.coset_map[g]], T, ring)
-        right = _mm(T, lo.action[lo.coset_map[g]], ring)
+    vinv_hi = [list(hi.coin.Vinv[i]) for i in hi.surviving]
+    v_lo = [[row[j] for j in lo.surviving] for row in lo.coin.V]
+    T = _mm(vinv_hi, v_lo, ring)
+    for x_hi, x_lo in sorted(set(zip(hi.qtbl.gen_images, lo.qtbl.gen_images))):
+        left = _mm(hi.action[x_hi], T, ring)
+        right = _mm(T, lo.action[x_lo], ring)
         if left != right:
             raise PropertyViolation("transition between chain levels is not equivariant")
     if modp_rank(T, hi.p) != lo.dim:
@@ -241,6 +284,17 @@ class MarksReport:
     candidates: tuple[tuple[int, ...], ...]
     witness: str | None
     capped: bool
+
+    def capped_reason(self) -> str | None:
+        """Why the candidate list is incomplete, None when it is complete."""
+        if not self.capped:
+            return None
+        if not self.candidates:
+            return (
+                f"capped marks box: the orbit-count solution box has more than "
+                f"{MARKS_BOX_CAP} points and was not enumerated"
+            )
+        return "capped marks candidates: candidates past the cap were not searched"
 
 
 def _fixed_dim(mod: LevelModule, members) -> int:
@@ -340,7 +394,7 @@ def _integral_solutions(table, fix, dim, cap):
     by the module dimension).
     """
     t = len(fix)
-    D, U, V = smith_normal_form([list(r) for r in table])
+    D, U, V, _ = smith_normal_form([list(r) for r in table])
     # table * m = fix  <=>  D z = U fix  with  m = V z   (D = U table V)
     ufix = [sum(U.entries[i][l] * fix[l] for l in range(t)) for i in range(t)]
     diag = list(D.diagonal())
@@ -398,7 +452,7 @@ def _integral_solutions(table, fix, dim, cap):
     total = 1
     for r in ranges:
         total *= max(len(r), 1)
-    if total > 100_000:
+    if total > MARKS_BOX_CAP:
         return [], None, True
     sols = []
     capped = False
@@ -757,14 +811,23 @@ def _search_hom_spaces(mod, blocks, geos, spaces, budget, trials, rng):
 # ---------------------------------------------------------------------------
 # recognition over F_p
 
+_SAMPLED_SEARCH = (
+    "budget-limited search: a hom space was sampled, not exhausted (more than "
+    f"{EXHAUSTIVE_CAP} choices or the trial budget was reached)"
+)
+
+
 @dataclass(frozen=True)
 class RecognitionResult:
+    """`reason` says why the status is unknown, and is None otherwise."""
+
     status: str  # certified | refuted | unknown
     marks: MarksReport
     multiplicities: tuple[int, ...] | None
     certificate: Certificate | None
     trials: int
     refutation: str | None = None
+    reason: str | None = None
 
 
 def perm_recognize_modp(
@@ -777,14 +840,16 @@ def perm_recognize_modp(
     Marks first: no admissible multiplicity vector refutes outright.  Every
     candidate is then searched constructively; when each search space was
     enumerated completely, failure everywhere is again a refutation.  Only
-    a budget-limited partial search reports unknown.
+    a capped marks system or a budget-limited partial search reports
+    unknown, and `reason` names which.
     """
     if mod.k != 1:
         raise InputError("recognition runs on the mod-p module (k = 1)")
     marks = marks_multiplicities(mod, candidate_cap)
     if not marks.candidates:
         if marks.capped:
-            return RecognitionResult("unknown", marks, None, None, 0)
+            return RecognitionResult("unknown", marks, None, None, 0,
+                                     reason=marks.capped_reason())
         return RecognitionResult("refuted", marks, None, None, 0, marks.witness)
     if mod.dim == 0:
         cert = Certificate(mod.p, 1, (), ())
@@ -826,7 +891,8 @@ def perm_recognize_modp(
             "refuted", marks, None, None, trials,
             "every candidate's hom space was searched completely",
         )
-    return RecognitionResult("unknown", marks, None, None, trials)
+    reason = marks.capped_reason() if all_definitive else _SAMPLED_SEARCH
+    return RecognitionResult("unknown", marks, None, None, trials, reason=reason)
 
 
 # ---------------------------------------------------------------------------
@@ -868,10 +934,13 @@ def sign_characters(qtbl: FiniteGroupTable, sub: Subgroup) -> list[tuple[int, ..
 
 @dataclass(frozen=True)
 class LiftResult:
+    """`reason` says why the status is unknown, and is None otherwise."""
+
     status: str  # certified | refuted | unknown | not_attempted
     certificate: Certificate | None
     assignments_tried: int
     refutation: str | None = None
+    reason: str | None = None
 
 
 def gen_perm_lift(
@@ -926,7 +995,11 @@ def gen_perm_lift(
     trials = 0
     for combo in product(*choice_iters):
         if tried >= assignment_cap:
-            return LiftResult("unknown", None, tried)
+            return LiftResult(
+                "unknown", None, tried,
+                reason=f"assignment cap: {assignment_cap} sign assignments "
+                       f"tried, the rest were not searched",
+            )
         tried += 1
         blocks = list(base_blocks)
         for ci, picks in zip(class_order, combo):
@@ -955,7 +1028,7 @@ def gen_perm_lift(
             "refuted", None, tried,
             "every sign assignment's hom space was searched completely",
         )
-    return LiftResult("unknown", None, tried)
+    return LiftResult("unknown", None, tried, reason=_SAMPLED_SEARCH)
 
 
 # ---------------------------------------------------------------------------

@@ -119,13 +119,15 @@ class Coinvariants:
 
     y = x * V diagonalizes: the quotient is  sum_i Z/divisors[i]  on the
     first len(divisors) coordinates (entries 1 contribute nothing) plus
-    Z^(rank - len(divisors)) on the rest.
+    Z^(rank - len(divisors)) on the rest.  Vinv = V^-1 comes from the same
+    Smith reduction and maps Smith coordinates back, x = y * Vinv.
     """
 
     invariants: AbelianInvariants
     rank: int
     divisors: tuple[int, ...]
     V: tuple[tuple[int, ...], ...]
+    Vinv: tuple[tuple[int, ...], ...]
     relation_rows: tuple[tuple[int, ...], ...]
 
 
@@ -149,14 +151,13 @@ def coinvariants(rlat: RelationLattice, sub: Subgroup) -> Coinvariants:
                 raise PropertyViolation("(d-1)-relation left the lattice")
             rel_rows.append(coords)
     if not rel_rows:
-        return Coinvariants(
-            AbelianInvariants(r, ()), r, (), tuple(map(tuple, identity_rows(r))), ()
-        )
-    D, _, V = smith_normal_form(rel_rows)
+        ident = tuple(map(tuple, identity_rows(r)))
+        return Coinvariants(AbelianInvariants(r, ()), r, (), ident, ident, ())
+    D, _, V, Vinv = smith_normal_form(rel_rows)
     divisors = tuple(d for d in D.diagonal() if d)
     torsion = tuple(d for d in divisors if d > 1)
     inv = AbelianInvariants(r - len(divisors), torsion)
-    return Coinvariants(inv, r, divisors, tuple(tuple(row) for row in V.to_rows()),
+    return Coinvariants(inv, r, divisors, V.entries, Vinv.entries,
                         tuple(tuple(row) for row in rel_rows))
 
 
@@ -344,7 +345,7 @@ def _cokernel_invariants_sparse(rows: list[dict[int, int]], ncols: int):
             dense_seen.add(key)
             dense.append(v)
     if dense:
-        D, _, _ = smith_normal_form(dense)
+        D, _, _, _ = smith_normal_form(dense)
         divisors = [d for d in D.diagonal() if d]
     else:
         divisors = []

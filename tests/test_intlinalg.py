@@ -80,11 +80,13 @@ def matrices(max_dim=4, entries=small):
 @given(matrices())
 @settings(deadline=None, max_examples=80)
 def test_smith_factorization(a):
-    d, u, v = smith_normal_form(a)
-    ur, dr, vr = u.to_rows(), d.to_rows(), v.to_rows()
+    d, u, v, vinv = smith_normal_form(a)
+    ur, dr, vr, vir = u.to_rows(), d.to_rows(), v.to_rows(), vinv.to_rows()
     assert mat_mul(mat_mul(ur, a), vr) == dr
     assert abs(det_int(ur)) == 1
     assert abs(det_int(vr)) == 1
+    assert mat_mul(vr, vir) == identity_rows(len(vr))
+    assert mat_mul(vir, vr) == identity_rows(len(vr))
     diag = [dr[i][i] for i in range(min(len(dr), len(dr[0])))]
     for i, row in enumerate(dr):
         for j, x in enumerate(row):

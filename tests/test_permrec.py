@@ -9,22 +9,30 @@ import random
 
 import pytest
 
-from qrlab.errors import InputError
+from qrlab.errors import InputError, PropertyViolation
 from qrlab.intlinalg import (
     AbelianInvariants,
     identity_rows,
     integer_inverse,
     is_invertible_modp,
+    mat_mul,
     modp_rank,
     modp_solve_left,
 )
 from qrlab.presentation import parse_presentation
-from qrlab.enumeration import Subgroup, all_subgroups, subgroup_conjugacy_classes, todd_coxeter
+from qrlab.enumeration import (
+    Subgroup,
+    all_subgroups,
+    quotient_table,
+    subgroup_conjugacy_classes,
+    todd_coxeter,
+)
 from qrlab.groupring import dimension_subgroup_chain
 from qrlab.relmod import Coinvariants, coinvariants, relation_lattice
 from qrlab.permrec import (
     Block,
     LevelModule,
+    _action_from_generators,
     block_matrix,
     equivalence_harness,
     gen_perm_lift,
@@ -33,6 +41,7 @@ from qrlab.permrec import (
     monomial_matrix,
     perm_recognize_modp,
     sign_characters,
+    transition_map,
 )
 
 
@@ -44,8 +53,8 @@ def synthetic_module(qtbl, blocks, p, k):
         for q in range(qtbl.order)
     )
     dim = len(acts[0]) if qtbl.order else 0
-    coin = Coinvariants(AbelianInvariants(dim, ()), dim, (),
-                        tuple(tuple(r) for r in identity_rows(dim)), ())
+    ident = tuple(tuple(r) for r in identity_rows(dim))
+    coin = Coinvariants(AbelianInvariants(dim, ()), dim, (), ident, ident, ())
     return LevelModule(1, p, k, qtbl, tuple(range(qtbl.order)),
                        tuple(range(dim)), acts, coin)
 
@@ -99,6 +108,7 @@ C4 = "gens: a; relators: a^4; prime: 2"
 KLEIN = "gens: a, b; relators: a^2, b^2, a*b*a^-1*b^-1; prime: 2"
 Q16 = "gens: a, b; relators: a^4*b^-2, a*b*a*b^-1; prime: 2"
 M16 = "gens: a, b; relators: a^8, b^2, b*a*b^-1*a^-5; prime: 2"
+Q32 = "gens: a, b; relators: a^8*b^-2, a*b*a*b^-1; prime: 2"
 C3XC3 = "gens: a, b; relators: a^3, b^3, a*b*a^-1*b^-1; prime: 3"
 
 
@@ -264,8 +274,8 @@ def test_jordan_block_is_refuted_by_marks():
     by_elt = [None] * 4
     for i in range(4):
         by_elt[tbl.power(gen, i)] = tuple(tuple(r) for r in acts[i])
-    coin = Coinvariants(AbelianInvariants(3, ()), 3, (),
-                        tuple(tuple(r) for r in identity_rows(3)), ())
+    ident = tuple(tuple(r) for r in identity_rows(3))
+    coin = Coinvariants(AbelianInvariants(3, ()), 3, (), ident, ident, ())
     mod = LevelModule(1, 2, 1, tbl, (0, 1, 2, 3), (0, 1, 2), tuple(by_elt), coin)
     rec = perm_recognize_modp(mod)
     assert rec.status == "refuted"
@@ -318,7 +328,7 @@ def test_sign_twist_is_generalized_but_not_ordinary():
     tbl = table_of("gens: a; relators: a^2; prime: 2")
     k = 6
     ring = 1 << k
-    coin = Coinvariants(AbelianInvariants(1, ()), 1, (), ((1,),), ())
+    coin = Coinvariants(AbelianInvariants(1, ()), 1, (), ((1,),), ((1,),), ())
     twisted = LevelModule(1, 2, k, tbl, (0, 1), (0,),
                           (((1,),), ((ring - 1,),)), coin)
     plain = LevelModule(1, 2, 1, tbl, (0, 1), (0,), (((1,),), ((1,),)), coin)
@@ -420,3 +430,128 @@ def test_harness_on_klein_reports_torsion_when_unguarded(group):
     torsion_levels = [lv for lv in rep.levels if lv.p_torsion]
     assert torsion_levels
     assert all(lv.integral_status == "torsion" for lv in torsion_levels)
+
+
+# --- level-module construction ----------------------------------------------
+
+def all_elements_module(rlat, coin, sub, p, k):
+    """The module built from every element of G, kept as an oracle.
+
+    Per-g matrices go through Lattice.coordinates and a V^-1 taken from a
+    separate inversion of V; the action must be constant on cosets and obey
+    the composition law on all pairs of Q.
+    """
+    ring = p ** k
+    surv = [i for i, d in enumerate(coin.divisors) if d % p == 0]
+    assert k == 1 or not surv
+    surv += list(range(len(coin.divisors), coin.rank))
+    qtbl, cmap = quotient_table(rlat.tbl, sub)
+    lat = rlat.lattice()
+    V = [list(r) for r in coin.V]
+    Vinv = integer_inverse(V)
+    assert Vinv == [list(r) for r in coin.Vinv]
+    action = [None] * qtbl.order
+    for g in range(rlat.tbl.order):
+        mg = [lat.coordinates(rlat.translate(g, row)) for row in rlat.basis]
+        a = mat_mul(Vinv, mat_mul(mg, V))
+        mat = tuple(tuple(a[i][j] % ring for j in surv) for i in surv)
+        assert action[cmap[g]] in (None, mat), "the kernel acts"
+        action[cmap[g]] = mat
+    dim = len(surv)
+    for q1 in range(qtbl.order):
+        for q2 in range(qtbl.order):
+            prod = mat_mul([list(r) for r in action[q2]], [list(r) for r in action[q1]])
+            assert [[x % ring for x in r] for r in prod] == \
+                [list(r) for r in action[qtbl.mult[q1][q2]]], "composition law fails"
+    assert action[0] == tuple(tuple(r) for r in identity_rows(dim))
+    return qtbl, tuple(cmap), tuple(surv), tuple(action)
+
+
+def test_generator_module_matches_all_elements_oracle(corpus):
+    checked = 0
+    for entry in corpus:
+        pres = parse_presentation(entry["text"])
+        tbl = todd_coxeter(pres)
+        rlat = relation_lattice(pres, tbl)
+        for p in entry["primes"]:
+            if not entry["expected"]["qr"][str(p)]:
+                continue
+            for n, sub in enumerate(dimension_subgroup_chain(tbl, p), start=1):
+                coin = coinvariants(rlat, sub)
+                for k in (1, 3):
+                    mod = module_from_coinvariants(rlat, coin, sub, p, k, level=n)
+                    qtbl, cmap, surv, action = all_elements_module(rlat, coin, sub, p, k)
+                    assert mod.qtbl == qtbl, (entry["id"], p, n, k)
+                    assert mod.coset_map == cmap, (entry["id"], p, n, k)
+                    assert mod.surviving == surv, (entry["id"], p, n, k)
+                    assert mod.action == action, (entry["id"], p, n, k)
+                    checked += 1
+    assert checked >= 20
+
+
+def test_cayley_edge_check_rejects_a_non_action():
+    tbl = table_of(C4)
+    x = tbl.gen_images[0]
+    # a 4-cycle permutation matrix is the regular action of C4 ...
+    cycle4 = [[int(j == (i + 1) % 4) for j in range(4)] for i in range(4)]
+    action = _action_from_generators(tbl, {x: cycle4}, 4, 2)
+    assert action[0] == identity_rows(4)
+    assert action[x] == cycle4
+    # ... but a 3-cycle has order 3, so x^4 = 1 is an edge it cannot close
+    cycle3 = [[int(j == (i + 1) % 3) for j in range(3)] for i in range(3)]
+    with pytest.raises(PropertyViolation, match="Cayley edge"):
+        _action_from_generators(tbl, {x: cycle3}, 3, 2)
+
+
+def _coset_sum_modules(lo_v):
+    """Regular F_2[C4] module over a rank-4 lattice with identity Smith
+    coordinates, and a trivial one-dimensional module read off the free
+    Smith coordinate 3 of lo_v (divisors 1, 1, 1 before it)."""
+    tbl = table_of(C4)
+    reps = class_reps(tbl)
+    triv = next(j for j, c in enumerate(reps) if len(c.members) == 1)
+    hi = synthetic_module(tbl, (Block(triv, reps[triv], (1,)),), 2, 1)
+    lo_vinv = integer_inverse(lo_v)
+    coin = Coinvariants(AbelianInvariants(1, ()), 4, (1, 1, 1),
+                        tuple(map(tuple, lo_v)), tuple(map(tuple, lo_vinv)), ())
+    lo = LevelModule(1, 2, 1, tbl, tuple(range(4)), (3,), (((1,),),) * 4, coin)
+    return hi, lo
+
+
+def test_transition_map_rejects_a_non_equivariant_map():
+    # coordinate 3 through the all-ones column is the augmentation: equivariant
+    sums = [[1, 0, 0, 1], [0, 1, 0, 1], [0, 0, 1, 1], [0, 0, 0, 1]]
+    hi, lo = _coset_sum_modules(sums)
+    assert transition_map(hi, lo) == ((1,), (1,), (1,), (1,))
+    # plain projection onto basis vector 3 does not commute with the generator
+    hi, lo = _coset_sum_modules(identity_rows(4))
+    with pytest.raises(PropertyViolation, match="not equivariant"):
+        transition_map(hi, lo)
+
+
+# --- reasons for unknown -----------------------------------------------------
+
+def test_capped_marks_box_names_its_reason():
+    mod = level_module(Q32, 9)
+    rec = perm_recognize_modp(mod)
+    assert rec.status == "unknown"
+    assert rec.refutation is None
+    assert rec.marks.capped and rec.marks.candidates == ()
+    assert "capped marks box" in rec.reason
+
+
+def test_decided_results_carry_no_reason():
+    rec = perm_recognize_modp(level_module(Q8, 2))
+    assert rec.status == "refuted" and rec.reason is None
+    rec = perm_recognize_modp(level_module(Q8, 1))
+    assert rec.status == "certified" and rec.reason is None
+
+
+def test_assignment_cap_names_its_reason():
+    tbl = table_of("gens: a; relators: a^2; prime: 2")
+    coin = Coinvariants(AbelianInvariants(1, ()), 1, (), ((1,),), ((1,),), ())
+    twisted = LevelModule(1, 2, 6, tbl, (0, 1), (0,), (((1,),), ((63,),)), coin)
+    plain = LevelModule(1, 2, 1, tbl, (0, 1), (0,), (((1,),), ((1,),)), coin)
+    lift = gen_perm_lift(twisted, perm_recognize_modp(plain), assignment_cap=0)
+    assert lift.status == "unknown"
+    assert "assignment cap" in lift.reason
