@@ -297,31 +297,36 @@ class MarksReport:
         return "capped marks candidates: candidates past the cap were not searched"
 
 
-def _fixed_dim(mod: LevelModule, members) -> int:
-    if mod.dim == 0:
-        return 0
-    stacked = [[] for _ in range(mod.dim)]
-    for g in members:
-        a = mod.action[g]
-        for i in range(mod.dim):
-            row = list(a[i])
+def _generator_differences(mod: LevelModule, generators) -> list[list[list[int]]]:
+    """A[g] - I for each non-identity generator g of a subgroup."""
+    out = []
+    for g in sorted({g for g in generators if g}):
+        diff = [list(row) for row in mod.action[g]]
+        for i, row in enumerate(diff):
             row[i] -= 1
-            stacked[i].extend(x % mod.p for x in row)
-    return len(modp_left_kernel(stacked, mod.p, width=len(stacked[0])))
+        out.append(diff)
+    return out
 
 
-def _coinv_dim(mod: LevelModule, members) -> int:
-    """dim of M / sum (k-1)M, the K-coinvariants."""
-    if mod.dim == 0:
-        return 0
-    rows = []
-    for g in members:
-        a = mod.action[g]
-        for i in range(mod.dim):
-            row = list(a[i])
-            row[i] -= 1
-            rows.append([x % mod.p for x in row])
-    return mod.dim - modp_rank(rows, mod.p)
+def _fixed_dim(mod: LevelModule, generators) -> int:
+    """dim of M^K: the vectors fixed by the generators of K are fixed by K.
+
+    v(A[g] - I) = 0 for every generator g is one system, v times the
+    side-by-side stack of the A[g] - I, so dim M^K = dim - its rank.
+    """
+    diffs = _generator_differences(mod, generators)
+    stacked = [[x for d in diffs for x in d[i]] for i in range(mod.dim)]
+    return mod.dim - modp_rank(stacked, mod.p)
+
+
+def _coinv_dim(mod: LevelModule, generators) -> int:
+    """dim of M / sum (k-1)M, the K-coinvariants.
+
+    Generators suffice: gh - 1 = (g - 1)h + (h - 1) and sum (k-1)M is
+    stable under K, so the generators' (x-1)M already span it.
+    """
+    diffs = _generator_differences(mod, generators)
+    return mod.dim - modp_rank([row for d in diffs for row in d], mod.p)
 
 
 def _norm_rank(mod: LevelModule, members) -> int:
@@ -487,8 +492,8 @@ def marks_multiplicities(mod: LevelModule, cap: int = DEFAULT_CANDIDATE_CAP) -> 
     subs = all_subgroups(mod.qtbl)
     classes = [cls[0] for cls in subgroup_conjugacy_classes(mod.qtbl, subs)]
     t = len(classes)
-    fix = [_fixed_dim(mod, K.members) for K in classes]
-    codims = [_coinv_dim(mod, K.members) for K in classes]
+    fix = [_fixed_dim(mod, K.generators) for K in classes]
+    codims = [_coinv_dim(mod, K.generators) for K in classes]
     nranks = [_norm_rank(mod, K.members) for K in classes]
     table = [
         [orbits_on_cosets(mod.qtbl, H, K) for H in classes]

@@ -7,6 +7,12 @@ against the kernel of (ZG)^|X| -> IG).  coinvariants() quotients by the
 chain and decides quasirationality at p.  hopf_h2() and bar_h2() compute
 the Schur multiplier by two routes that share no code above the integer
 kernels and must agree.
+
+bar_h2() needs no row beyond T(g,h,x) = d3[g|h|x] for x a generator
+image, and no column beyond the generator block [g|x]: the rest is
+substituted away along a BFS tree of right multiplication by the
+generators, with unit pivots and no fill-in.  The proof is in its
+docstring.
 """
 
 from __future__ import annotations
@@ -269,139 +275,123 @@ def hopf_h2(rlat: RelationLattice) -> AbelianInvariants:
     return AbelianInvariants(0, coin.invariants.torsion)
 
 
-def _cokernel_invariants_sparse(rows: list[dict[int, int]], ncols: int):
-    """(free_rank, torsion, image_rank) of Z^ncols / row span.
+def _bar_d3_cokernel(tbl: FiniteGroupTable, gens: list[int]) -> tuple[int, tuple[int, ...], int]:
+    """(free_rank, torsion, image_rank) of coker d3, as in bar_h2 facts 1-2."""
+    n = tbl.order
+    mult = tbl.mult
+    ngen = len(gens)
+    ncols = (n - 1) * ngen  # generator-block column [g|gens[i]] is (g-1)*ngen + i
 
-    Unit-pivot elimination first: a row with a +-1 entry lets us quotient
-    away one coordinate with no change to the cokernel.  The small residue
-    goes through the dense Smith form.
-    """
-    live: dict[int, dict[int, int]] = {}
-    col_index: dict[int, set[int]] = {c: set() for c in range(ncols)}
+    tree: dict[int, tuple[int, int]] = {0: (0, -1)}  # q -> (parent, generator slot)
+    frontier = [0]
+    for p in frontier:
+        for i, x in enumerate(gens):
+            q = mult[p][x]
+            if q not in tree:
+                tree[q] = (p, i)
+                frontier.append(q)
+    if len(tree) != n:
+        raise AssertionError(
+            f"generator images reach {len(tree)} of {n} elements; "
+            "the bar rows would not span im d3"
+        )
+
+    # cols[g][q]: [g|q] on the generator-block columns modulo the tree
+    # pivots, filled in BFS order so the parent's entry is always ready
+    zero = [0] * ncols
+    cols = [[zero] * n for _ in range(n)]
+    for q in frontier[1:]:
+        p, i = tree[q]
+        for g in range(1, n):
+            if p == 0:
+                v = zero[:]
+                v[(g - 1) * ngen + i] = 1
+            else:  # [g|px] = [g|p] + [gp|x] - [p|x]
+                v = cols[g][p][:]
+                v[(p - 1) * ngen + i] -= 1
+                gp = mult[g][p]
+                if gp:
+                    v[(gp - 1) * ngen + i] += 1
+            cols[g][q] = v
+
+    image = Lattice(ncols)
     seen = set()
-    for row in rows:
-        row = {c: v for c, v in row.items() if v}
-        if not row:
-            continue
-        key = tuple(sorted(row.items()))
-        if key in seen:
-            continue
-        seen.add(key)
-        rid = len(live)
-        live[rid] = dict(row)
-        for c in row:
-            col_index[c].add(rid)
-    eliminated = 0
-    removed_cols: set[int] = set()
-    progress = True
-    while progress:
-        progress = False
-        for c in range(ncols):
-            if c in removed_cols:
-                continue
-            occupants = col_index[c]
-            pivot = None
-            for rid in occupants:
-                v = live[rid][c]
-                if v in (1, -1):
-                    key = (len(live[rid]), rid)
-                    if pivot is None or key < pivot[0]:
-                        pivot = (key, rid, v)
-            if pivot is None:
-                continue
-            _, prid, pval = pivot
-            prow = live[prid]
-            for rid in list(occupants):
-                if rid == prid:
-                    continue
-                row = live[rid]
-                f = row[c] * pval  # row[c]/pval: row -= f*prow zeroes row[c]
-                for cc, vv in prow.items():
-                    nv = row.get(cc, 0) - f * vv
-                    if nv:
-                        row[cc] = nv
-                        col_index[cc].add(rid)
-                    elif cc in row:
-                        del row[cc]
-                        col_index[cc].discard(rid)
-                if not row:
-                    del live[rid]
-            for cc in prow:
-                col_index[cc].discard(prid)
-            del live[prid]
-            removed_cols.add(c)
-            eliminated += 1
-            progress = True
-    remaining_cols = sorted(c for c in range(ncols) if c not in removed_cols)
-    col_pos = {c: i for i, c in enumerate(remaining_cols)}
-    dense = []
-    dense_seen = set()
-    for row in live.values():
-        v = [0] * len(remaining_cols)
-        for c, val in row.items():
-            v[col_pos[c]] = val
-        key = tuple(v)
-        if key not in dense_seen and any(v):
-            dense_seen.add(key)
-            dense.append(v)
-    if dense:
-        D, _, _, _ = smith_normal_form(dense)
+    for g in range(1, n):
+        cg, g_row = cols[g], mult[g]
+        for h in range(1, n):
+            ch, h_row, gh = cg[h], mult[h], g_row[h]
+            for i, x in enumerate(gens):
+                # T(g,h,x) = [h|x] - [gh|x] + [g|hx] - [g|h]
+                row = [a - b for a, b in zip(cg[h_row[x]], ch)]
+                row[(h - 1) * ngen + i] += 1
+                if gh:
+                    row[(gh - 1) * ngen + i] -= 1
+                key = tuple(row)
+                if key not in seen and any(row):
+                    seen.add(key)
+                    image.add(row)
+    divisors = []
+    if image.rank:
+        D, _, _, _ = smith_normal_form(image.basis)
         divisors = [d for d in D.diagonal() if d]
-    else:
-        divisors = []
-    image_rank = eliminated + len(divisors)
-    free_rank = ncols - image_rank
-    torsion = tuple(d for d in divisors if d > 1)
-    return free_rank, torsion, image_rank
+    free_rank = ncols - len(divisors)
+    return free_rank, tuple(d for d in divisors if d > 1), (n - 1) ** 2 - free_rank
+
+
+def _bar_d2_rank(tbl: FiniteGroupTable, gens: list[int]) -> int:
+    """Exact rank of d2 from the generator-block rows d2[g|x] = [x] - [gx] + [g]."""
+    n = tbl.order
+    d2 = Lattice(n - 1)
+    for g in range(1, n):
+        for x in gens:
+            vec = [0] * (n - 1)
+            vec[g - 1] += 1
+            vec[x - 1] += 1
+            gx = tbl.mult[g][x]
+            if gx:
+                vec[gx - 1] -= 1
+            d2.add(vec)
+    return d2.rank
 
 
 def bar_h2(tbl: FiniteGroupTable, bound: int = DEFAULT_BAR_BOUND) -> AbelianInvariants:
     """H2(G,Z) = ker d2 / im d3 of the normalized integral bar complex.
 
-    Since H2 of a finite group is finite, ker d2 / im d3 equals the torsion
-    of coker d3; finiteness is certified by the rank identity
-    free_rank(coker d3) == rank(d2), asserted below.  Independent of the
-    presentation and of everything Fox-derivative shaped.
+    Independent of the presentation and of everything Fox-derivative
+    shaped.  [g|h] with g or h = 1 is zero, d2[g|h] = [h] - [gh] + [g] and
+    T(g,h,k) = d3[g|h|k] = [h|k] - [gh|k] + [g|hk] - [g|h], which vanishes
+    when g, h or k is 1.  X is the distinct non-identity generator images;
+    in the BFS tree of right multiplication by X from 1 every q != 1 is
+    px for its parent p and some x in X.  If the tree misses an element,
+    AssertionError: the argument below needs X to generate G.
+
+    1. Rows: im d3 is spanned by the T(g,h,x), x in X.  d3 d4 [g|h|k|x] = 0
+       gives T(g,h,kx) = T(h,k,x) - T(gh,k,x) + T(g,hk,x) + T(g,h,k), so
+       by induction on the depth of k (T(g,h,1) = 0) every T(g,h,k) is an
+       integer combination of those rows.
+    2. Columns: for a tree edge p -> q = px with p != 1, q has depth >= 2,
+       so q is not in X and q != p, and T(g,p,x) has coefficient exactly
+       +1 on [g|q]; its other entries sit on the generator-block columns
+       [p|x], [gp|x] and on [g|p], of smaller depth.  Ordered by depth
+       these rows are unit-triangular, so substituting
+       [g|q] = [g|p] + [gp|x] - [p|x] removes them with their pivot
+       columns and leaves coker d3 unchanged, with no fill-in outside the
+       (n-1)*|X| generator-block columns.  The other rows, written there,
+       go through Lattice and smith_normal_form.
+    3. Rank identity: im d2 is free, so coker d3 = H2 + Z^rank(d2), and H2
+       is the torsion of coker d3 exactly when free_rank(coker d3) ==
+       rank(d2), which is asserted.  Modulo im d3, which lies in ker d2,
+       every [g|h] is a combination of generator-block columns, so
+       rank(d2) is the exact rank of the rows d2[g|x], x in X.
     """
     n = tbl.order
     if n > bound:
         raise BudgetExceeded(f"bar resolution bound {bound} exceeded (order {n})")
     if n == 1:
         return AbelianInvariants(0, ())
-    m = n - 1  # non-identity elements index 1..n-1; [g] with g=0 is pruned
-
-    def c2(g, h):
-        return (g - 1) * m + (h - 1)
-
-    rows = []
-    mult = tbl.mult
-    for g in range(1, n):
-        for h in range(1, n):
-            gh_row = mult[g]
-            for k in range(1, n):
-                d: dict[int, int] = {}
-                for a, b, s in (
-                    (h, k, 1),
-                    (gh_row[h], k, -1),
-                    (g, mult[h][k], 1),
-                    (g, h, -1),
-                ):
-                    if a and b:
-                        idx = c2(a, b)
-                        d[idx] = d.get(idx, 0) + s
-                rows.append(d)
-    free_rank, torsion, _ = _cokernel_invariants_sparse(rows, m * m)
-    d2 = Lattice(m)
-    for g in range(1, n):
-        for h in range(1, n):
-            vec = [0] * m
-            vec[g - 1] += 1
-            vec[h - 1] += 1
-            gh = mult[g][h]
-            if gh:
-                vec[gh - 1] -= 1
-            d2.add(vec)
-    if free_rank != d2.rank:
+    gens = sorted({x for x in tbl.gen_images if x})
+    free_rank, torsion, _ = _bar_d3_cokernel(tbl, gens)
+    if free_rank != _bar_d2_rank(tbl, gens):
         raise AssertionError(
             "bar complex rank identity fails; H2 would not be finite"
         )

@@ -260,6 +260,29 @@ def test_norm_rank_counts_free_blocks():
         assert modp_rank(norm, 2) == free_count
 
 
+def test_marks_dimensions_from_subgroup_generators():
+    """marks_multiplicities reads dim M^K and dim M/sum(k-1)M from the
+    generators of each class K; every member of K must give the same."""
+    def differences(mod, K):
+        return [[(x - (i == j)) % mod.p for j, x in enumerate(row)]
+                for g in K.members for i, row in enumerate(mod.action[g])]
+
+    rng = random.Random(11)
+    tbl = table_of(D4)
+    reps = class_reps(tbl)
+    synthetic = synthetic_module(tbl, (Block(0, reps[0], (1,)), Block(3, reps[3], (1, 1))), 2, 1)
+    mods = [conjugate_module(synthetic, random_invertible(synthetic.dim, 2, rng))]
+    mods += [level_module(Q16, level) for level in (1, 2, 3)]
+    for mod in mods:
+        rep = marks_multiplicities(mod)
+        for K, fix, codim in zip(rep.classes, rep.fixdims, rep.codims):
+            rows = differences(mod, K)
+            side_by_side = [[x for b in range(0, len(rows), mod.dim) for x in rows[b + i]]
+                            for i in range(mod.dim)]
+            assert fix == mod.dim - modp_rank(side_by_side, mod.p)
+            assert codim == mod.dim - modp_rank(rows, mod.p)
+
+
 # --- refutations ----------------------------------------------------------
 
 def test_jordan_block_is_refuted_by_marks():

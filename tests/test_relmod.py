@@ -5,14 +5,18 @@ relation lattice and once from the normalized bar resolution.  The two
 implementations share no linear algebra path beyond Smith reduction.
 """
 
+import dataclasses
+
 import pytest
 
 from qrlab.enumeration import all_subgroups, subgroup_conjugacy_classes, todd_coxeter
 from qrlab.errors import PropertyViolation
 from qrlab.groupring import right_translate
-from qrlab.intlinalg import p_torsion
+from qrlab.intlinalg import Lattice, p_torsion, smith_normal_form
 from qrlab.presentation import Presentation
 from qrlab.relmod import (
+    _bar_d2_rank,
+    _bar_d3_cokernel,
     bar_h2,
     coinvariants,
     gab_invariants,
@@ -38,11 +42,16 @@ KNOWN = [
     ("gens: a, b; relators: a^8, b^2, b*a*b^-1*a^-5; prime: 2", 2, (2, 4), ()),
 ]
 
-# non-p-groups exercise the two multiplier routes off the main corpus
+# groups off the main corpus, p-groups or not, all of order <= 16
 EXTRA_MULTIPLIERS = [
     ("gens: a; relators: a^6; prime: 2, 3", ()),
-    ("gens: a, b; relators: a^3, b^2, a*b*a*b; prime: 2", ()),
-    ("gens: a, b; relators: a^3, b^3, a*b*a*b; prime: 2", (2,)),
+    ("gens: a, b; relators: a^3, b^2, a*b*a*b; prime: 2", ()),  # S3
+    ("gens: a, b; relators: a^3, b^3, a*b*a*b; prime: 2", (2,)),  # A4
+    ("gens: a, b, c; relators: a^2, b^2, c^2, a*b*a^-1*b^-1, "
+     "a*c*a^-1*c^-1, b*c*b^-1*c^-1; prime: 2", (2, 2, 2)),  # C2^3
+    ("gens: a, b; relators: a^4, b^4, a*b*a^-1*b^-1; prime: 2", (4,)),  # C4 x C4
+    ("gens: a, b; relators: a^2, b^4, a*b*a^-1*b^-1; prime: 2", (2,)),  # C2 x C4
+    ("gens: a, b; relators: a^8, b^2, b*a*b*a; prime: 2", (2,)),  # dihedral, order 16
 ]
 
 
@@ -69,6 +78,122 @@ def test_multiplier_off_corpus(group, lattice, text, h2):
     _, tbl = group(text)
     assert hopf_h2(lattice(text)).torsion == h2
     assert bar_h2(tbl).torsion == h2
+
+
+# --- bar route against the all-triples elimination ------------------------
+
+def _all_triples_cokernel(tbl):
+    """(free_rank, torsion, image_rank) of coker d3 from all (n-1)^3 rows.
+
+    Test-only oracle: every T(g,h,k) on all (n-1)^2 columns, unit-pivot
+    elimination with no column order imposed, then the dense Smith form
+    of the residue.
+    """
+    n, mult = tbl.order, tbl.mult
+    m = n - 1
+    live, col_index = {}, {c: set() for c in range(m * m)}
+    for g in range(1, n):
+        for h in range(1, n):
+            for k in range(1, n):
+                row = {}
+                for a, b, s in ((h, k, 1), (mult[g][h], k, -1),
+                                (g, mult[h][k], 1), (g, h, -1)):
+                    if a and b:
+                        c = (a - 1) * m + (b - 1)
+                        row[c] = row.get(c, 0) + s
+                row = {c: v for c, v in row.items() if v}
+                if row:
+                    rid = len(live)
+                    live[rid] = row
+                    for c in row:
+                        col_index[c].add(rid)
+    eliminated, removed = 0, set()
+    progress = True
+    while progress:
+        progress = False
+        for c in range(m * m):
+            if c in removed:
+                continue
+            units = [(len(live[r]), r) for r in col_index[c] if live[r][c] in (1, -1)]
+            if not units:
+                continue
+            _, prid = min(units)
+            prow = live.pop(prid)
+            for cc in prow:
+                col_index[cc].discard(prid)
+            for rid in list(col_index[c]):
+                row, f = live[rid], live[rid][c] * prow[c]
+                for cc, vv in prow.items():
+                    nv = row.get(cc, 0) - f * vv
+                    if nv:
+                        row[cc] = nv
+                        col_index[cc].add(rid)
+                    else:
+                        row.pop(cc, None)
+                        col_index[cc].discard(rid)
+                if not row:
+                    del live[rid]
+            removed.add(c)
+            eliminated += 1
+            progress = True
+    rest = sorted(set(range(m * m)) - removed)
+    dense = {tuple(row.get(c, 0) for c in rest) for row in live.values()}
+    divisors = []
+    if dense:
+        D, _, _, _ = smith_normal_form(sorted(dense))
+        divisors = [d for d in D.diagonal() if d]
+    image_rank = eliminated + len(divisors)
+    return m * m - image_rank, tuple(d for d in divisors if d > 1), image_rank
+
+
+def _all_pairs_d2_rank(tbl):
+    n = tbl.order
+    d2 = Lattice(n - 1)
+    for g in range(1, n):
+        for h in range(1, n):
+            vec = [0] * (n - 1)
+            vec[g - 1] += 1
+            vec[h - 1] += 1
+            if tbl.mult[g][h]:
+                vec[tbl.mult[g][h] - 1] -= 1
+            d2.add(vec)
+    return d2.rank
+
+
+@pytest.mark.parametrize("text", [t for t, _, _, _ in KNOWN if "a^27" not in t]
+                         + [t for t, _ in EXTRA_MULTIPLIERS])
+def test_bar_route_matches_all_triples_elimination(group, text):
+    _, tbl = group(text)
+    assert tbl.order <= 16
+    if tbl.order == 1:
+        return
+    gens = sorted({x for x in tbl.gen_images if x})
+    assert _bar_d3_cokernel(tbl, gens) == _all_triples_cokernel(tbl)
+    assert _bar_d2_rank(tbl, gens) == _all_pairs_d2_rank(tbl)
+
+
+def test_bar_route_refuses_non_generating_images(group):
+    # one generator of the Klein group reaches 2 of its 4 elements; the
+    # rows T(g,h,x) would no longer span im d3
+    _, tbl = group("gens: a, b; relators: a^2, b^2, a*b*a^-1*b^-1; prime: 2")
+    partial = dataclasses.replace(tbl, gen_images=tbl.gen_images[:1])
+    with pytest.raises(AssertionError, match="reach 2 of 4 elements"):
+        bar_h2(partial)
+
+
+@pytest.mark.parametrize("text,h2", [
+    ("gens: a, b; relators: a^16, b^2, b*a*b*a; prime: 2", (2,)),  # d32
+    ("gens: a, b; relators: a^8*b^-2, a*b*a*b^-1; prime: 2", ()),  # q32
+    ("gens: a, b; relators: a^16, b^2, b*a*b^-1*a^-9; prime: 2", ()),  # m32
+    ("gens: a; relators: a^64; prime: 2", ()),
+    ("gens: a; relators: a^81; prime: 3", ()),
+])
+def test_bar_route_past_order_27_agrees_with_hopf(group, lattice, text, h2):
+    _, tbl = group(text)
+    assert tbl.order > 27
+    bar = bar_h2(tbl, bound=81)
+    assert bar == hopf_h2(lattice(text))
+    assert bar.torsion == h2
 
 
 @pytest.mark.parametrize("text,p,gab,h2", KNOWN)
