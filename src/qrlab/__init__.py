@@ -5,8 +5,9 @@ The pipeline: parse a presentation, enumerate the group, build the relation
 lattice inside the group ring, quotient it level by level along the
 dimension-subgroup tower, decide quasirationality by divisor arithmetic,
 and test each level module for (generalized) permutation structure with
-verified certificates or exact refutations.  Everything runs over exact
-integers; no result is reported without an independent cross-check.
+verified certificates or exact refutations; analyze() runs all of it,
+building each invariant once.  Everything runs over exact integers; no
+result is reported without an independent cross-check.
 """
 
 from .errors import (
@@ -40,6 +41,7 @@ from .relmod import (
     coinvariants,
     gab_invariants,
     hopf_h2,
+    qr_check,
     qr_check_full,
     relation_lattice,
 )
@@ -56,13 +58,16 @@ from .permrec import (
     module_from_coinvariants,
     perm_recognize_modp,
     sign_characters,
+    tower_harness,
     transition_map,
 )
+from .analysis import Analysis, analyze
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AbelianInvariants",
+    "Analysis",
     "BudgetExceeded",
     "Certificate",
     "Coinvariants",
@@ -83,6 +88,7 @@ __all__ = [
     "Subgroup",
     "TorsionObstruction",
     "all_subgroups",
+    "analyze",
     "bar_h2",
     "coinvariants",
     "delta_dimension_sequence",
@@ -97,12 +103,14 @@ __all__ = [
     "module_from_coinvariants",
     "parse_presentation",
     "perm_recognize_modp",
+    "qr_check",
     "qr_check_full",
     "quotient_table",
     "relation_lattice",
     "sign_characters",
     "smith_normal_form",
     "todd_coxeter",
+    "tower_harness",
     "transition_map",
     "__version__",
 ]

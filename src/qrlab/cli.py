@@ -10,19 +10,22 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 
 from . import __version__
+from .analysis import Analysis, analyze
 from .enumeration import DEFAULT_MAX_COSETS, all_subgroups, todd_coxeter
 from .errors import BudgetExceeded, InputError, PropertyViolation
 from .groupring import delta_dimension_sequence
-from .permrec import DEFAULT_PRECISION, HarnessReport, equivalence_harness
+from .permrec import DEFAULT_PRECISION, HarnessReport
 from .presentation import Presentation, parse_presentation
-from .relmod import bar_h2, gab_invariants, hopf_h2, qr_check_full, relation_lattice
+from .relmod import bar_h2
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -109,7 +112,9 @@ def _json_dump(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-def _exit_code_for(exc: Exception) -> int:
+def _exit_code_for(exc: Exception | None) -> int:
+    if exc is None:
+        return EXIT_OK
     if isinstance(exc, BudgetExceeded):
         return EXIT_BUDGET
     if isinstance(exc, PropertyViolation):
@@ -117,98 +122,71 @@ def _exit_code_for(exc: Exception) -> int:
     return EXIT_INPUT
 
 
+def _analysis_dict(rep: Analysis) -> dict:
+    doc: dict = {"input": rep.pres.text(), "primes": list(rep.primes)}
+    if rep.tbl is not None:
+        doc["order"] = rep.tbl.order
+    if rep.rlat is not None:
+        doc["relation_rank"] = rep.rlat.rank
+    if rep.gab is not None:
+        doc["gab"] = _invariants_dict(rep.gab)
+    if rep.h2_hopf is not None:
+        doc["h2"] = {"hopf": _invariants_dict(rep.h2_hopf),
+                     "bar": _invariants_dict(rep.h2_bar)}
+        doc["qr"] = {str(p): _qr_dict(qr) for p, qr in rep.qr.items()}
+        doc["harness"] = {str(p): _harness_dict(h) for p, h in rep.harness.items()}
+    if rep.error is not None:
+        doc["failed_stage"] = rep.failed_stage
+        doc["error"] = str(rep.error)
+    return doc
+
+
+def _options(args) -> dict:
+    return {"max_cosets": args.max_cosets, "precision": args.precision,
+            "max_level": args.max_level}
+
+
 def cmd_check(args) -> int:
     doc: dict = {"schema": 1, "version": __version__, "file": args.path}
-    timing: dict[str, int] = {}
-    code = EXIT_OK
-
-    def clock(stage, fn):
-        t0 = time.monotonic()
-        try:
-            return fn()
-        finally:
-            timing[stage] = int((time.monotonic() - t0) * 1000)
-
-    stage = "parse"
+    t0 = time.monotonic()
     try:
-        pres = clock("parse", lambda: _read_presentation(args.path))
-        doc["input"] = pres.text()
-        primes = tuple(args.prime) if args.prime else pres.primes
-        doc["primes"] = list(primes)
-        stage = "enumerate"
-        tbl = clock("enumerate", lambda: todd_coxeter(pres, args.max_cosets))
-        doc["order"] = tbl.order
-        stage = "lattice"
-        rlat = clock("lattice", lambda: relation_lattice(pres, tbl))
-        doc["relation_rank"] = rlat.rank
-        doc["gab"] = _invariants_dict(gab_invariants(pres))
-        stage = "h2"
-        hop = clock("h2_hopf", lambda: hopf_h2(rlat))
-        bar = clock("h2_bar", lambda: bar_h2(tbl))
-        if (hop.free_rank, hop.torsion) != (bar.free_rank, bar.torsion):
-            raise PropertyViolation(
-                f"H2 routes disagree: {hop} vs {bar}"
-            )
-        doc["h2"] = {"hopf": _invariants_dict(hop), "bar": _invariants_dict(bar)}
-        doc["qr"] = {}
-        doc["harness"] = {}
-        for p in primes:
-            stage = f"qr[{p}]"
-            rep = clock(f"qr_{p}", lambda p=p: qr_check_full(pres, tbl, p))
-            doc["qr"][str(p)] = _qr_dict(rep)
-            if rep.quasirational:
-                stage = f"harness[{p}]"
-                har = clock(
-                    f"harness_{p}",
-                    lambda p=p: equivalence_harness(
-                        pres, tbl, p,
-                        precision=args.precision,
-                        max_level=args.max_level,
-                    ),
-                )
-                doc["harness"][str(p)] = _harness_dict(har)
+        pres, error = _read_presentation(args.path), None
     except Exception as exc:  # noqa: BLE001 - every failure becomes a report
-        doc["failed_stage"] = stage
-        doc["error"] = str(exc)
-        code = _exit_code_for(exc)
+        pres, error = None, exc
+        doc.update(failed_stage="parse", error=str(exc))
+    timing = {"parse": int((time.monotonic() - t0) * 1000)}
+    if pres is not None:
+        rep = analyze(pres, args.prime or pres.primes, **_options(args))
+        timing.update(rep.timing_ms)
+        doc.update(_analysis_dict(rep))
+        error = rep.error
     if args.timing:
         doc["timing_ms"] = timing
     _emit(_json_dump(doc), args.out)
-    return code
+    return _exit_code_for(error)
 
 
-def _corpus_row(corpus_dir: str, entry: dict, prime: int,
-                precision: int, max_cosets: int) -> dict:
-    import os
-
+def _corpus_row(corpus_dir: str, options: dict, entry: dict, prime: int) -> dict:
     t0 = time.monotonic()
     row = {"id": entry["id"], "prime": prime}
     try:
         path = entry["file"]
         if not os.path.isabs(path):
             path = os.path.join(corpus_dir, path)
-        pres = _read_presentation(path)
-        tbl = todd_coxeter(pres, max_cosets)
-        rlat = relation_lattice(pres, tbl)
-        gab = gab_invariants(pres)
-        hop = hopf_h2(rlat)
-        bar = bar_h2(tbl)
-        if (hop.free_rank, hop.torsion) != (bar.free_rank, bar.torsion):
-            raise PropertyViolation(f"H2 routes disagree: {hop} vs {bar}")
-        rep = qr_check_full(pres, tbl, prime)
-        row["order"] = tbl.order
-        row["gab"] = list(gab.torsion)
-        row["h2"] = list(hop.torsion)
-        row["qr"] = rep.quasirational
-        if rep.quasirational:
-            har = equivalence_harness(pres, tbl, prime, precision=precision)
-            row["harness"] = _harness_tag(har)
-        else:
+        rep = analyze(_read_presentation(path), (prime,), **options)
+        if prime in rep.qr:
+            row.update(order=rep.tbl.order, gab=list(rep.gab.torsion),
+                       h2=list(rep.h2_hopf.torsion), qr=rep.qr[prime].quasirational)
+        if prime in rep.harness:
+            row["harness"] = _harness_tag(rep.harness[prime])
+        elif row.get("qr") is False:
             row["harness"] = "-"
-        row["error"] = None
+        error = rep.error
     except Exception as exc:  # noqa: BLE001 - row-level isolation
-        row["error"] = str(exc)
-        row["exit"] = _exit_code_for(exc)
+        error = exc
+    row["error"] = None if error is None else str(error)
+    if error is not None:
+        row["exit"] = _exit_code_for(error)
     row["millis"] = int((time.monotonic() - t0) * 1000)
     return row
 
@@ -238,8 +216,6 @@ def _check_expected(row: dict, expected: dict, prime: int) -> list[str]:
 
 
 def cmd_corpus(args) -> int:
-    import os
-
     try:
         with open(args.path, encoding="utf-8") as fh:
             corpus = json.load(fh)
@@ -259,21 +235,12 @@ def cmd_corpus(args) -> int:
     for entry in entries:
         for prime in entry.get("primes", [2]):
             jobs.append((entry, prime))
+    row_of = functools.partial(_corpus_row, corpus_dir, _options(args))
     if args.jobs > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(
-                _corpus_row,
-                [corpus_dir] * len(jobs),
-                [e for e, _ in jobs],
-                [p for _, p in jobs],
-                [args.precision] * len(jobs),
-                [args.max_cosets] * len(jobs),
-            ))
-        rows = {(r["id"], r["prime"]): r for r in rows}
-        rows = [rows[(e["id"], p)] for e, p in jobs]
+            rows = list(pool.map(row_of, *zip(*jobs)))
     else:
-        rows = [_corpus_row(corpus_dir, e, p, args.precision, args.max_cosets)
-                for e, p in jobs]
+        rows = [row_of(e, p) for e, p in jobs]
     mismatches = 0
     hard_exit = EXIT_OK
     for (entry, prime), row in zip(jobs, rows):
@@ -346,33 +313,40 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    def prime(sp):
         sp.add_argument("--prime", type=int, action="append",
                         help="prime to analyze (repeatable; default: from the file)")
+
+    def common(sp):
         sp.add_argument("--max-cosets", type=int, default=DEFAULT_MAX_COSETS)
+        sp.add_argument("--out", default=None, help="write the report here")
+
+    def pipeline(sp):
+        common(sp)
         sp.add_argument("--precision", type=int, default=DEFAULT_PRECISION,
                         help="p-adic precision k for integral certificates")
         sp.add_argument("--max-level", type=int, default=None,
-                        help="stop the level tower early")
-        sp.add_argument("--format", choices=("json", "csv"), default="json")
-        sp.add_argument("--out", default=None, help="write the report here")
+                        help="stop the harness's level tower early")
         sp.add_argument("--timing", action="store_true",
                         help="include wall-clock timings in the JSON report")
 
     sp = sub.add_parser("check", help="full analysis of one presentation file")
     sp.add_argument("path")
-    common(sp)
+    prime(sp)
+    pipeline(sp)
     sp.set_defaults(fn=cmd_check)
 
     sp = sub.add_parser("corpus", help="run a corpus file and compare expectations")
     sp.add_argument("path")
     sp.add_argument("--jobs", type=int, default=1)
-    common(sp)
+    sp.add_argument("--format", choices=("json", "csv"), default="json")
+    pipeline(sp)
     sp.set_defaults(fn=cmd_corpus)
 
     sp = sub.add_parser("oracle", help="raw oracle outputs for cross-validation")
     sp.add_argument("which", choices=("bar-h2", "delta-dims", "subgroups"))
     sp.add_argument("path")
+    prime(sp)
     common(sp)
     sp.set_defaults(fn=cmd_oracle)
     return ap

@@ -43,13 +43,6 @@ class FiniteGroupTable:
         """g * x * g^-1."""
         return self.mult[self.mult[g][x]][self.inv[g]]
 
-    def element_order(self, x: int) -> int:
-        n, y = 1, x
-        while y != 0:
-            y = self.mult[y][x]
-            n += 1
-        return n
-
     def power(self, x: int, e: int) -> int:
         if e < 0:
             return self.power(self.inv[x], -e)
@@ -96,11 +89,6 @@ def _verify_table(mult, inv, gen_images, element_words, relators):
 
 
 def _canonical_table(mult_raw, identity, gen_imgs_raw, relators, ngens):
-    tbl, _ = _canonical_table_with_map(mult_raw, identity, gen_imgs_raw, relators, ngens)
-    return tbl
-
-
-def _canonical_table_with_map(mult_raw, identity, gen_imgs_raw, relators, ngens):
     """BFS re-index so the identity is 0 and element words are canonical.
     Returns (table, order_of) with order_of[old_index] = new_index."""
     n = len(mult_raw)
@@ -154,7 +142,7 @@ def todd_coxeter(pres: Presentation, max_cosets: int = DEFAULT_MAX_COSETS) -> Fi
     rel_cols = [_word_cols(r) for r in pres.relators]
 
     if ngens == 0:
-        return _canonical_table([[0]], 0, [], pres.relators, 0)
+        return _canonical_table([[0]], 0, [], pres.relators, 0)[0]
 
     table: list[list[int | None]] = [[None] * ncols]
     parent = [0]
@@ -298,7 +286,7 @@ def todd_coxeter(pres: Presentation, max_cosets: int = DEFAULT_MAX_COSETS) -> Fi
             row.append(x)
         mult_raw.append(row)
     gen_imgs_raw = [mult_gen[start][2 * g] for g in range(ngens)]
-    return _canonical_table(mult_raw, start, gen_imgs_raw, pres.relators, ngens)
+    return _canonical_table(mult_raw, start, gen_imgs_raw, pres.relators, ngens)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -498,7 +486,7 @@ def quotient_table(tbl: FiniteGroupTable, normal: Subgroup) -> tuple[FiniteGroup
     mult_raw = [[coset_of[tbl.mult[reps[a]][reps[b]]] for b in range(n)] for a in range(n)]
     gen_imgs_raw = [coset_of[g] for g in tbl.gen_images]
     identity = coset_of[0]
-    qt, order_of = _canonical_table_with_map(
+    qt, order_of = _canonical_table(
         mult_raw, identity, gen_imgs_raw, (), len(tbl.gen_images)
     )
     coset_map = [order_of[coset_of[x]] for x in range(tbl.order)]

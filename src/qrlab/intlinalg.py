@@ -430,9 +430,6 @@ class Lattice:
     def __contains__(self, vec) -> bool:
         return self.coordinates(vec) is not None
 
-    def basis_rows(self) -> Rows:
-        return [r[:] for r in self.basis]
-
     def equals(self, other: "Lattice") -> bool:
         if self.ambient != other.ambient or self.rank != other.rank:
             return False

@@ -49,7 +49,7 @@ from .enumeration import (
     quotient_table,
     subgroup_conjugacy_classes,
 )
-from .groupring import _generators_for, dimension_subgroup_chain
+from .groupring import _generators_for
 from .intlinalg import (
     ModpSpan,
     identity_rows,
@@ -59,11 +59,10 @@ from .intlinalg import (
     modp_rank,
     modp_rref,
     modp_solve_left,
-    p_torsion,
     smith_normal_form,
 )
 from .presentation import Presentation
-from .relmod import Coinvariants, RelationLattice, coinvariants, relation_lattice
+from .relmod import Coinvariants, QRReport, RelationLattice, qr_check_full
 
 DEFAULT_PRECISION = 20
 DEFAULT_CERT_BUDGET = 100_000
@@ -110,9 +109,6 @@ class LevelModule:
     def ring(self) -> int:
         return self.p ** self.k
 
-    def act(self, q: int):
-        return [list(r) for r in self.action[q]]
-
     def word_matrix(self, word) -> list[list[int]]:
         """Matrix of a relator word, letters mapped through gen_images."""
         out = identity_rows(self.dim)
@@ -155,30 +151,23 @@ def _action_from_generators(qtbl: FiniteGroupTable, gen_mats, dim: int, ring: in
     return action
 
 
-def module_from_coinvariants(
-    rlat: RelationLattice,
-    coin: Coinvariants,
-    sub: Subgroup,
-    p: int,
-    k: int,
-    level: int = 0,
-) -> LevelModule:
-    """Tensor the coinvariant quotient with Z/p^k and restrict the action.
+def _level_frame(rlat: RelationLattice, sub: Subgroup):
+    """(qtbl, coset map, lattice coordinates of x * basis per generator image x).
 
-    Over Z/p^k with k > 1 a p-torsion divisor leaves a nonfree summand,
-    which no generalized permutation module has; that is reported as
-    TorsionObstruction.  Over F_p (k = 1) the p-torsion coordinates
-    survive alongside the free ones.
-
-    Only the distinct generator images x of G are acted out on the lattice:
-    Vinv * M_x * V restricted to the surviving coordinates, reduced mod p^k
-    at once.  The rest of Q is filled in from them by _action_from_generators,
-    whose Cayley-edge check makes q -> A[q] an action of Q.  It agrees with
-    the G-action on the generators, hence on all of G (a finite group is
-    generated by its generators as a monoid), so D_level acts trivially and
-    A is the action of every preimage.  Generator matrices are checked
-    invertible mod p; every A[q] is a product of them.
+    This is everything a level module needs that does not depend on the
+    ring, so the mod-p module and its Z/p^k lift share one frame.
     """
+    qtbl, cmap = quotient_table(rlat.tbl, sub)
+    lat = rlat.lattice()
+    coords = {}
+    for x in sorted(set(rlat.tbl.gen_images)):
+        coords[x] = [lat.coordinates(rlat.translate(x, row)) for row in rlat.basis]
+        if None in coords[x]:
+            raise PropertyViolation("group translate left the relation lattice")
+    return qtbl, cmap, coords
+
+
+def _module_on_frame(rlat, coin, frame, p: int, k: int, level: int) -> LevelModule:
     if k < 1:
         raise InputError(f"precision must be >= 1, got {k}")
     ring = p ** k
@@ -191,19 +180,11 @@ def module_from_coinvariants(
                 )
             surv.append(i)
     surv.extend(range(len(coin.divisors), coin.rank))
-    tbl = rlat.tbl
-    qtbl, cmap = quotient_table(tbl, sub)
-    lat = rlat.lattice()
+    qtbl, cmap, coords = frame
     v_surv = [[row[j] for j in surv] for row in coin.V]
     vinv_surv = [list(coin.Vinv[i]) for i in surv]
     gen_mats: dict[int, list[list[int]]] = {}
-    for x in sorted(set(tbl.gen_images)):
-        mx = []
-        for row in rlat.basis:
-            coords = lat.coordinates(rlat.translate(x, row))
-            if coords is None:
-                raise PropertyViolation("group translate left the relation lattice")
-            mx.append(coords)
+    for x, mx in coords.items():
         a = _mm(vinv_surv, _mm(mx, v_surv, ring), ring)
         q = cmap[x]
         if gen_mats.setdefault(q, a) != a:
@@ -225,6 +206,27 @@ def module_from_coinvariants(
         if mod.word_matrix(rel) != ident:
             raise PropertyViolation("a relator acts nontrivially on the coinvariants")
     return mod
+
+
+def module_from_coinvariants(rlat: RelationLattice, coin: Coinvariants, sub: Subgroup,
+                             p: int, k: int, level: int = 0) -> LevelModule:
+    """Tensor the coinvariant quotient with Z/p^k and restrict the action.
+
+    Over Z/p^k with k > 1 a p-torsion divisor leaves a nonfree summand,
+    which no generalized permutation module has; that is reported as
+    TorsionObstruction.  Over F_p (k = 1) the p-torsion coordinates
+    survive alongside the free ones.
+
+    Only the distinct generator images x of G are acted out on the lattice:
+    Vinv * M_x * V restricted to the surviving coordinates, reduced mod p^k
+    at once.  The rest of Q is filled in from them by _action_from_generators,
+    whose Cayley-edge check makes q -> A[q] an action of Q.  It agrees with
+    the G-action on the generators, hence on all of G (a finite group is
+    generated by its generators as a monoid), so D_level acts trivially and
+    A is the action of every preimage.  Generator matrices are checked
+    invertible mod p; every A[q] is a product of them.
+    """
+    return _module_on_frame(rlat, coin, _level_frame(rlat, sub), p, k, level)
 
 
 def transition_map(hi: LevelModule, lo: LevelModule) -> tuple[tuple[int, ...], ...]:
@@ -701,7 +703,7 @@ def _verify_certificate(mod: LevelModule, blocks, phi) -> bool:
         return False
     for q in set(mod.qtbl.gen_images):
         ap = monomial_matrix(mod.qtbl, blocks, q, ring)
-        if _mm(ap, phi, ring) != _mm(phi, mod.act(q), ring):
+        if _mm(ap, phi, ring) != _mm(phi, mod.action[q], ring):
             return False
     return True
 
@@ -1066,15 +1068,9 @@ class HarnessReport:
         return self.unknown_levels / len(self.levels) if self.levels else 0.0
 
 
-def equivalence_harness(
-    pres: Presentation,
-    tbl: FiniteGroupTable,
-    p: int,
-    precision: int = DEFAULT_PRECISION,
-    max_level: int | None = None,
-    budget: int = DEFAULT_CERT_BUDGET,
-    require_qr: bool = True,
-) -> HarnessReport:
+def tower_harness(qr: QRReport, precision: int = DEFAULT_PRECISION,
+                  max_level: int | None = None, budget: int = DEFAULT_CERT_BUDGET,
+                  require_qr: bool = True) -> HarnessReport:
     """Per level: recognize the mod-p module, then certify integrally.
 
     The two sides must agree wherever both reach a verdict: integral
@@ -1082,28 +1078,33 @@ def equivalence_harness(
     permutation module.  A certified side against a refuted side is a
     violation.  The equivalence is a theorem about quasirational input,
     so p-torsion in a level is a hypothesis failure: with require_qr the
-    harness refuses to continue (InputError naming the level), otherwise
-    the level is recorded as a torsion obstruction and the comparison is
-    vacuous there.  Transition maps between consecutive levels are built
-    and verified as equivariant surjections, tying the tower together.
+    harness refuses to start (InputError naming the witness level),
+    otherwise the level is recorded as a torsion obstruction and the
+    comparison is vacuous there.  Transition maps between consecutive
+    levels are built and verified as equivariant surjections, tying the
+    tower together.
+
+    The chain, lattice and level coinvariants come from the QR report.
+    The mod-p module is the reduction of the Z/p^precision one, so both
+    are built on one level frame, the latter only where the former was
+    certified a permutation module.
     """
-    chain = dimension_subgroup_chain(tbl, p)
-    if max_level is not None:
-        chain = chain[:max_level]
-    rlat = relation_lattice(pres, tbl)
+    p, rlat = qr.prime, qr.rlat
+    levels = qr.levels[:max_level]
+    w = qr.witness_level
+    if require_qr and w is not None and w <= len(levels):
+        raise InputError(
+            f"not quasirational at p={p}: level {w} coinvariants have "
+            f"{p}-torsion {qr.levels[w - 1].p_torsion}, the equivalence hypothesis fails"
+        )
     outcomes = []
     mods = []
     violations = 0
     unknown_levels = 0
-    for n, sub in enumerate(chain, start=1):
-        coin = coinvariants(rlat, sub)
-        tors = p_torsion(coin.invariants, p)
-        if tors and require_qr:
-            raise InputError(
-                f"not quasirational at p={p}: level {n} coinvariants have "
-                f"{p}-torsion {tors}, the equivalence hypothesis fails"
-            )
-        mod1 = module_from_coinvariants(rlat, coin, sub, p, 1, level=n)
+    for lv in levels:
+        n, tors = lv.level, lv.p_torsion
+        frame = _level_frame(rlat, lv.subgroup)
+        mod1 = _module_on_frame(rlat, lv.coin, frame, p, 1, n)
         rec = perm_recognize_modp(mod1, budget)
         mults = None
         if rec.multiplicities is not None:
@@ -1119,7 +1120,7 @@ def equivalence_harness(
         elif rec.status == "unknown":
             integral = "unknown"
         else:
-            modk = module_from_coinvariants(rlat, coin, sub, p, precision, level=n)
+            modk = _module_on_frame(rlat, lv.coin, frame, p, precision, n)
             lift = gen_perm_lift(modk, rec, budget=budget)
             integral = lift.status
             if lift.status == "certified" and lift.certificate is not None:
@@ -1152,3 +1153,11 @@ def equivalence_harness(
         unknown_levels=unknown_levels,
         transitions_checked=transitions,
     )
+
+
+def equivalence_harness(pres: Presentation, tbl: FiniteGroupTable, p: int,
+                        precision: int = DEFAULT_PRECISION, max_level: int | None = None,
+                        budget: int = DEFAULT_CERT_BUDGET,
+                        require_qr: bool = True) -> HarnessReport:
+    """tower_harness on the QR report of a freshly built relation lattice."""
+    return tower_harness(qr_check_full(pres, tbl, p), precision, max_level, budget, require_qr)

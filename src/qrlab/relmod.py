@@ -3,10 +3,11 @@
 relation_lattice() embeds R/[R,R] into (ZG)^|X| by Fox derivative rows and
 certifies the embedding three ways (rank law, G-stability, exactness
 against the kernel of (ZG)^|X| -> IG).  coinvariants() quotients by the
-(d-1)-action of a subgroup.  qr_check_full() walks the dimension-subgroup
-chain and decides quasirationality at p.  hopf_h2() and bar_h2() compute
-the Schur multiplier by two routes that share no code above the integer
-kernels and must agree.
+(d-1)-action of a subgroup.  qr_check() walks the dimension-subgroup
+chain and decides quasirationality at p; its report keeps the lattice and
+each level's subgroup and coinvariants for the equivalence harness.
+hopf_h2() and bar_h2() compute the Schur multiplier by two routes that
+share no code above the integer kernels and must agree.
 
 bar_h2() needs no row beyond T(g,h,x) = d3[g|h|x] for x a generator
 image, and no column beyond the generator block [g|x]: the rest is
@@ -17,7 +18,7 @@ docstring.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import PropertyViolation
 from .errors import BudgetExceeded
@@ -134,7 +135,6 @@ class Coinvariants:
     divisors: tuple[int, ...]
     V: tuple[tuple[int, ...], ...]
     Vinv: tuple[tuple[int, ...], ...]
-    relation_rows: tuple[tuple[int, ...], ...]
 
 
 def coinvariants(rlat: RelationLattice, sub: Subgroup) -> Coinvariants:
@@ -158,13 +158,12 @@ def coinvariants(rlat: RelationLattice, sub: Subgroup) -> Coinvariants:
             rel_rows.append(coords)
     if not rel_rows:
         ident = tuple(map(tuple, identity_rows(r)))
-        return Coinvariants(AbelianInvariants(r, ()), r, (), ident, ident, ())
+        return Coinvariants(AbelianInvariants(r, ()), r, (), ident, ident)
     D, _, V, Vinv = smith_normal_form(rel_rows)
     divisors = tuple(d for d in D.diagonal() if d)
     torsion = tuple(d for d in divisors if d > 1)
     inv = AbelianInvariants(r - len(divisors), torsion)
-    return Coinvariants(inv, r, divisors, V.entries, Vinv.entries,
-                        tuple(tuple(row) for row in rel_rows))
+    return Coinvariants(inv, r, divisors, V.entries, Vinv.entries)
 
 
 # ---------------------------------------------------------------------------
@@ -172,11 +171,15 @@ def coinvariants(rlat: RelationLattice, sub: Subgroup) -> Coinvariants:
 
 @dataclass(frozen=True)
 class LevelResult:
+    """One level of the tower; subgroup and coin are kept for the harness."""
+
     level: int
     subgroup_order: int
     quotient_order: int
     invariants: AbelianInvariants
     p_torsion: tuple[int, ...]
+    subgroup: Subgroup = field(compare=False, repr=False)
+    coin: Coinvariants = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -188,9 +191,10 @@ class QRReport:
     cutoff: int
     cutoff_reason: str
     g_coinvariants: AbelianInvariants
+    rlat: RelationLattice = field(compare=False, repr=False)
 
 
-def qr_check_full(pres: Presentation, tbl: FiniteGroupTable, p: int) -> QRReport:
+def qr_check(rlat: RelationLattice, p: int) -> QRReport:
     """Decide quasirationality at p by checking every filtration level.
 
     The chain D_1 >= D_2 >= ... is computed from the Delta powers and
@@ -200,6 +204,7 @@ def qr_check_full(pres: Presentation, tbl: FiniteGroupTable, p: int) -> QRReport
     The level-1 quotient is R/[R,F]; its p-torsion must match the verdict
     (torsion-free R/[R,F] iff quasirational), else PropertyViolation.
     """
+    tbl = rlat.tbl
     chain = dimension_subgroup_chain(tbl, p)
     jchain = jennings_series(tbl, p)
     la = [set(s.members) for s in chain]
@@ -211,14 +216,14 @@ def qr_check_full(pres: Presentation, tbl: FiniteGroupTable, p: int) -> QRReport
         raise PropertyViolation(
             f"dimension subgroups disagree with the Jennings recursion at p={p}"
         )
-    rlat = relation_lattice(pres, tbl)
     levels = []
     witness = None
     for lvl, sub in enumerate(chain, start=1):
         coin = coinvariants(rlat, sub)
         tor = p_torsion(coin.invariants, p)
         levels.append(
-            LevelResult(lvl, sub.order, tbl.order // sub.order, coin.invariants, tor)
+            LevelResult(lvl, sub.order, tbl.order // sub.order, coin.invariants, tor,
+                        sub, coin)
         )
         if tor and witness is None:
             witness = lvl
@@ -242,7 +247,13 @@ def qr_check_full(pres: Presentation, tbl: FiniteGroupTable, p: int) -> QRReport
         cutoff=cutoff,
         cutoff_reason=reason,
         g_coinvariants=levels[0].invariants,
+        rlat=rlat,
     )
+
+
+def qr_check_full(pres: Presentation, tbl: FiniteGroupTable, p: int) -> QRReport:
+    """qr_check on a freshly built relation lattice."""
+    return qr_check(relation_lattice(pres, tbl), p)
 
 
 # ---------------------------------------------------------------------------

@@ -170,7 +170,7 @@ def test_08_equivalence_harness_is_clean_on_the_qr_corpus(corpus):
     tbl = todd_coxeter(parse_presentation("gens: a; relators: a^2; prime: 2"))
     k = 20
     ring = 1 << k
-    coin = Coinvariants(AbelianInvariants(1, ()), 1, (), ((1,),), ((1,),), ())
+    coin = Coinvariants(AbelianInvariants(1, ()), 1, (), ((1,),), ((1,),))
     twisted = LevelModule(1, 2, k, tbl, (0, 1), (0,),
                           (((1,),), ((ring - 1,),)), coin)
     plain = LevelModule(1, 2, 1, tbl, (0, 1), (0,), (((1,),), ((1,),)), coin)
@@ -209,7 +209,7 @@ def _synthetic(qtbl, blocks, p):
     )
     dim = len(acts[0])
     ident = tuple(tuple(r) for r in identity_rows(dim))
-    coin = Coinvariants(AbelianInvariants(dim, ()), dim, (), ident, ident, ())
+    coin = Coinvariants(AbelianInvariants(dim, ()), dim, (), ident, ident)
     return LevelModule(1, p, 1, qtbl, tuple(range(qtbl.order)),
                        tuple(range(dim)), acts, coin)
 
@@ -289,7 +289,7 @@ def test_10_randomized_recognizer_battery():
     for i in range(4):
         by_elt[tbl.power(gen, i)] = tuple(tuple(r) for r in mats[i])
     ident = tuple(tuple(r) for r in identity_rows(3))
-    coin = Coinvariants(AbelianInvariants(3, ()), 3, (), ident, ident, ())
+    coin = Coinvariants(AbelianInvariants(3, ()), 3, (), ident, ident)
     jordan = LevelModule(1, 2, 1, tbl, (0, 1, 2, 3), (0, 1, 2), tuple(by_elt), coin)
     rec = perm_recognize_modp(jordan)
     assert rec.status == "refuted"

@@ -159,6 +159,30 @@ def test_small_corpus_rows(capsys, tmp_path):
     assert all("millis" not in row for row in doc["rows"])
 
 
+def test_corpus_honours_max_level(capsys, tmp_path):
+    (tmp_path / "c4.pres").write_text("gens: a; relators: a^4; prime: 2\n")
+    path = _write_corpus(tmp_path, [
+        {"id": "c4", "file": "c4.pres", "primes": [2], "expected": {"order": 4}},
+    ])
+    code, out, _ = run(capsys, "corpus", path, "--max-level", "1")
+    assert code == 0
+    assert json.loads(out)["rows"][0]["harness"] == "0v0u1l"
+    code, out, _ = run(capsys, "corpus", path)
+    assert code == 0
+    assert json.loads(out)["rows"][0]["harness"] == "0v0u3l"
+
+
+def test_options_a_subcommand_ignores_are_rejected(capsys, q8_file):
+    for argv in (["check", q8_file, "--format", "csv"],
+                 ["oracle", "bar-h2", q8_file, "--timing"],
+                 ["oracle", "bar-h2", q8_file, "--precision", "3"],
+                 ["corpus", "corpus.json", "--prime", "3"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_corpus_injected_fault_exits_1(capsys, tmp_path):
     (tmp_path / "c4.pres").write_text("gens: a; relators: a^4; prime: 2\n")
     path = _write_corpus(tmp_path, [

@@ -54,7 +54,7 @@ def synthetic_module(qtbl, blocks, p, k):
     )
     dim = len(acts[0]) if qtbl.order else 0
     ident = tuple(tuple(r) for r in identity_rows(dim))
-    coin = Coinvariants(AbelianInvariants(dim, ()), dim, (), ident, ident, ())
+    coin = Coinvariants(AbelianInvariants(dim, ()), dim, (), ident, ident)
     return LevelModule(1, p, k, qtbl, tuple(range(qtbl.order)),
                        tuple(range(dim)), acts, coin)
 
@@ -298,7 +298,7 @@ def test_jordan_block_is_refuted_by_marks():
     for i in range(4):
         by_elt[tbl.power(gen, i)] = tuple(tuple(r) for r in acts[i])
     ident = tuple(tuple(r) for r in identity_rows(3))
-    coin = Coinvariants(AbelianInvariants(3, ()), 3, (), ident, ident, ())
+    coin = Coinvariants(AbelianInvariants(3, ()), 3, (), ident, ident)
     mod = LevelModule(1, 2, 1, tbl, (0, 1, 2, 3), (0, 1, 2), tuple(by_elt), coin)
     rec = perm_recognize_modp(mod)
     assert rec.status == "refuted"
@@ -351,7 +351,7 @@ def test_sign_twist_is_generalized_but_not_ordinary():
     tbl = table_of("gens: a; relators: a^2; prime: 2")
     k = 6
     ring = 1 << k
-    coin = Coinvariants(AbelianInvariants(1, ()), 1, (), ((1,),), ((1,),), ())
+    coin = Coinvariants(AbelianInvariants(1, ()), 1, (), ((1,),), ((1,),))
     twisted = LevelModule(1, 2, k, tbl, (0, 1), (0,),
                           (((1,),), ((ring - 1,),)), coin)
     plain = LevelModule(1, 2, 1, tbl, (0, 1), (0,), (((1,),), ((1,),)), coin)
@@ -536,7 +536,7 @@ def _coset_sum_modules(lo_v):
     hi = synthetic_module(tbl, (Block(triv, reps[triv], (1,)),), 2, 1)
     lo_vinv = integer_inverse(lo_v)
     coin = Coinvariants(AbelianInvariants(1, ()), 4, (1, 1, 1),
-                        tuple(map(tuple, lo_v)), tuple(map(tuple, lo_vinv)), ())
+                        tuple(map(tuple, lo_v)), tuple(map(tuple, lo_vinv)))
     lo = LevelModule(1, 2, 1, tbl, tuple(range(4)), (3,), (((1,),),) * 4, coin)
     return hi, lo
 
@@ -572,7 +572,7 @@ def test_decided_results_carry_no_reason():
 
 def test_assignment_cap_names_its_reason():
     tbl = table_of("gens: a; relators: a^2; prime: 2")
-    coin = Coinvariants(AbelianInvariants(1, ()), 1, (), ((1,),), ((1,),), ())
+    coin = Coinvariants(AbelianInvariants(1, ()), 1, (), ((1,),), ((1,),))
     twisted = LevelModule(1, 2, 6, tbl, (0, 1), (0,), (((1,),), ((63,),)), coin)
     plain = LevelModule(1, 2, 1, tbl, (0, 1), (0,), (((1,),), ((1,),)), coin)
     lift = gen_perm_lift(twisted, perm_recognize_modp(plain), assignment_cap=0)
