@@ -5,11 +5,14 @@ subgroup, so a completed table is the regular action and its cosets are the
 group elements.  Tables are re-indexed canonically (BFS from the identity,
 alphabet x0, x0^-1, x1, x1^-1, ..., so element words are shortest, ties
 lexicographic) and verified against the group axioms before being returned.
+Associativity is checked by Light's test: (ab)c = a(bc) for all a, c and b
+running over the generator images and their inverses, n^2 products per
+letter.  The element words make every element a product of letters, so the
+check is complete at every order.
 """
 
 from __future__ import annotations
 
-import random
 from collections import deque
 from dataclasses import dataclass
 
@@ -69,15 +72,16 @@ def _verify_table(mult, inv, gen_images, element_words, relators):
         y = inv[x]
         if mult[x][y] != 0 or mult[y][x] != 0:
             raise AssertionError("inverse law fails")
-    if n <= 64:
-        triples = ((a, b, c) for a in range(n) for b in range(n) for c in range(n))
-    else:
-        rng = random.Random(n * 1000003 + len(gen_images))
-        triples = ((rng.randrange(n), rng.randrange(n), rng.randrange(n))
-                   for _ in range(10**4))
-    for a, b, c in triples:
-        if mult[mult[a][b]][c] != mult[a][mult[b][c]]:
-            raise AssertionError("associativity fails")
+    # Light's test: (ab)c = a(bc) for all a, c and every letter b.  If b and
+    # b' pass, so does bb': (a(bb'))c = ((ab)b')c = (ab)(b'c) = a(b(b'c))
+    # = a((bb')c).  The element words checked below write every element as
+    # a left-bracketed product of letters, so every b passes.
+    letters = sorted(set(gen_images) | {inv[x] for x in gen_images})
+    for b in letters:
+        for a in range(n):
+            row_a, row_ab = mult[a], mult[mult[a][b]]
+            if any(row_ab[c] != row_a[bc] for c, bc in enumerate(mult[b])):
+                raise AssertionError("associativity fails")
     tbl = FiniteGroupTable(n, mult, inv, gen_images, element_words)
     for r in relators:
         if word_image(tbl, r) != 0:

@@ -538,25 +538,52 @@ def is_invertible_modp(rows: Rows, p: int) -> bool:
 
 
 class ModpSpan:
-    """Incremental F_p row space kept in reduced echelon form."""
+    """Incremental F_p row space.
+
+    Inserts keep a plain echelon form: rows with leading entry 1 at
+    ascending pivots, nothing cleared above a pivot.  Reducing a vector
+    against the rows in pivot order is exact on such a form, because the
+    row at pivot c is zero left of c and so leaves every earlier pivot
+    entry alone.  Reading `rows` clears above the pivots once after an
+    insert, so it is the reduced echelon form; `pivots` is the same for
+    both forms.
+    """
 
     def __init__(self, width: int, p: int):
         self.width = width
         self.p = p
-        self.rows: Rows = []
         self.pivots: list[int] = []
+        self._rows: Rows = []
+        self._reduced = True
 
     @property
     def dim(self) -> int:
-        return len(self.rows)
+        return len(self.pivots)
+
+    @property
+    def rows(self) -> Rows:
+        """Reduced echelon basis, ordered by pivot."""
+        if not self._reduced:
+            p, rows = self.p, self._rows
+            # clear above each pivot, bottom row first, so each row used is final
+            for k in range(len(rows) - 1, 0, -1):
+                c = self.pivots[k]
+                below = rows[k][c:]
+                for i in range(k):
+                    row = rows[i]
+                    f = row[c]
+                    if f:
+                        rows[i] = row[:c] + [(x - f * y) % p for x, y in zip(row[c:], below)]
+            self._reduced = True
+        return self._rows
 
     def reduce(self, vec: Sequence[int]) -> list[int]:
         p = self.p
         v = [x % p for x in vec]
-        for row, c in zip(self.rows, self.pivots):
-            if v[c]:
-                f = v[c]
-                v = [(x - f * y) % p for x, y in zip(v, row)]
+        for row, c in zip(self._rows, self.pivots):
+            f = v[c]
+            if f:  # the row is zero left of its pivot
+                v[c:] = [(x - f * y) % p for x, y in zip(v[c:], row[c:])]
         return v
 
     def contains(self, vec: Sequence[int]) -> bool:
@@ -571,11 +598,8 @@ class ModpSpan:
             return False
         inv = pow(v[c], -1, p)
         v = [(x * inv) % p for x in v]
-        for i in range(len(self.rows)):
-            if self.rows[i][c]:
-                f = self.rows[i][c]
-                self.rows[i] = [(x - f * y) % p for x, y in zip(self.rows[i], v)]
-        k = next((i for i, pc in enumerate(self.pivots) if pc > c), len(self.rows))
-        self.rows.insert(k, v)
+        k = next((i for i, pc in enumerate(self.pivots) if pc > c), len(self.pivots))
+        self._rows.insert(k, v)
         self.pivots.insert(k, c)
+        self._reduced = False
         return True

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 
@@ -62,7 +62,7 @@ from .intlinalg import (
     smith_normal_form,
 )
 from .presentation import Presentation
-from .relmod import Coinvariants, QRReport, RelationLattice, qr_check_full
+from .relmod import Coinvariants, LevelResult, QRReport, RelationLattice, qr_check_full
 
 DEFAULT_PRECISION = 20
 DEFAULT_CERT_BUDGET = 100_000
@@ -1068,6 +1068,46 @@ class HarnessReport:
         return self.unknown_levels / len(self.levels) if self.levels else 0.0
 
 
+def _level_outcome(rlat: RelationLattice, lv: LevelResult, p: int, precision: int,
+                   budget: int) -> tuple[LevelOutcome, LevelModule]:
+    """Recognize one level's mod-p module and, if certified, lift it."""
+    n, tors = lv.level, lv.p_torsion
+    frame = _level_frame(rlat, lv.subgroup)
+    mod1 = _module_on_frame(rlat, lv.coin, frame, p, 1, n)
+    rec = perm_recognize_modp(mod1, budget)
+    mults = None
+    if rec.multiplicities is not None:
+        mults = tuple(
+            (rec.marks.classes[j].order, m)
+            for j, m in enumerate(rec.multiplicities) if m
+        )
+    characters_plain = None
+    if tors:
+        integral = "torsion"
+    elif rec.status == "refuted":
+        integral = "not_attempted"
+    elif rec.status == "unknown":
+        integral = "unknown"
+    else:
+        modk = _module_on_frame(rlat, lv.coin, frame, p, precision, n)
+        lift = gen_perm_lift(modk, rec, budget=budget)
+        integral = lift.status
+        if lift.status == "certified" and lift.certificate is not None:
+            characters_plain = all(b.is_plain() for b in lift.certificate.blocks)
+    outcome = LevelOutcome(
+        level=n,
+        quotient_order=mod1.qtbl.order,
+        dim=mod1.dim,
+        p_torsion=tors,
+        modp_status=rec.status,
+        multiplicities=mults,
+        integral_status=integral,
+        characters_plain=characters_plain,
+        trials=rec.trials,
+    )
+    return outcome, mod1
+
+
 def tower_harness(qr: QRReport, precision: int = DEFAULT_PRECISION,
                   max_level: int | None = None, budget: int = DEFAULT_CERT_BUDGET,
                   require_qr: bool = True) -> HarnessReport:
@@ -1088,6 +1128,14 @@ def tower_harness(qr: QRReport, precision: int = DEFAULT_PRECISION,
     The mod-p module is the reduction of the Z/p^precision one, so both
     are built on one level frame, the latter only where the former was
     certified a permutation module.
+
+    Everything a level builds (frame, mod-p module, recognition, lift)
+    depends on D_n alone, so it is built once per distinct D_n; a repeated
+    level repeats that outcome with only `level` changed and counts
+    towards violations and unknown_levels like any other.  The reuse is
+    exact: the random seeds of perm_recognize_modp and gen_perm_lift do
+    not involve the level number.  Transitions are still checked between
+    every pair of consecutive levels.
     """
     p, rlat = qr.prime, qr.rlat
     levels = qr.levels[:max_level]
@@ -1097,49 +1145,24 @@ def tower_harness(qr: QRReport, precision: int = DEFAULT_PRECISION,
             f"not quasirational at p={p}: level {w} coinvariants have "
             f"{p}-torsion {qr.levels[w - 1].p_torsion}, the equivalence hypothesis fails"
         )
+    built: dict[tuple[int, ...], tuple[LevelOutcome, LevelModule]] = {}
     outcomes = []
     mods = []
     violations = 0
     unknown_levels = 0
     for lv in levels:
-        n, tors = lv.level, lv.p_torsion
-        frame = _level_frame(rlat, lv.subgroup)
-        mod1 = _module_on_frame(rlat, lv.coin, frame, p, 1, n)
-        rec = perm_recognize_modp(mod1, budget)
-        mults = None
-        if rec.multiplicities is not None:
-            mults = tuple(
-                (rec.marks.classes[j].order, m)
-                for j, m in enumerate(rec.multiplicities) if m
-            )
-        characters_plain = None
-        if tors:
-            integral = "torsion"
-        elif rec.status == "refuted":
-            integral = "not_attempted"
-        elif rec.status == "unknown":
-            integral = "unknown"
+        if lv.subgroup.members in built:
+            outcome, mod1 = built[lv.subgroup.members]
+            outcome = replace(outcome, level=lv.level)
         else:
-            modk = _module_on_frame(rlat, lv.coin, frame, p, precision, n)
-            lift = gen_perm_lift(modk, rec, budget=budget)
-            integral = lift.status
-            if lift.status == "certified" and lift.certificate is not None:
-                characters_plain = all(b.is_plain() for b in lift.certificate.blocks)
-        if {rec.status, integral} == {"refuted", "certified"}:
+            outcome, mod1 = built[lv.subgroup.members] = _level_outcome(
+                rlat, lv, p, precision, budget)
+        statuses = {outcome.modp_status, outcome.integral_status}
+        if statuses == {"refuted", "certified"}:
             violations += 1
-        if rec.status == "unknown" or integral == "unknown":
+        if "unknown" in statuses:
             unknown_levels += 1
-        outcomes.append(LevelOutcome(
-            level=n,
-            quotient_order=mod1.qtbl.order,
-            dim=mod1.dim,
-            p_torsion=tors,
-            modp_status=rec.status,
-            multiplicities=mults,
-            integral_status=integral,
-            characters_plain=characters_plain,
-            trials=rec.trials,
-        ))
+        outcomes.append(outcome)
         mods.append(mod1)
     transitions = 0
     for lo_mod, hi_mod in zip(mods, mods[1:]):

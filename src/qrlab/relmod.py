@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 from .errors import PropertyViolation
 from .errors import BudgetExceeded
-from .enumeration import FiniteGroupTable, Subgroup
+from .enumeration import FiniteGroupTable, Subgroup, subgroup_closure
 from .groupring import (
     dimension_subgroup_chain,
     fox_rows,
@@ -194,7 +194,8 @@ class QRReport:
     rlat: RelationLattice = field(compare=False, repr=False)
 
 
-def qr_check(rlat: RelationLattice, p: int) -> QRReport:
+def qr_check(rlat: RelationLattice, p: int,
+             g_coin: Coinvariants | None = None) -> QRReport:
     """Decide quasirationality at p by checking every filtration level.
 
     The chain D_1 >= D_2 >= ... is computed from the Delta powers and
@@ -203,6 +204,11 @@ def qr_check(rlat: RelationLattice, p: int) -> QRReport:
     full lattice, torsion-free; so finitely many levels decide all n.
     The level-1 quotient is R/[R,F]; its p-torsion must match the verdict
     (torsion-free R/[R,F] iff quasirational), else PropertyViolation.
+
+    A level's coinvariants depend on D_n alone, so they are built once per
+    distinct D_n and a repeated level shares the Coinvariants object.
+    g_coin, if given, is level 1's, built over D_1 as the chain builds it:
+    subgroup_closure(tbl, tbl.gen_images).
     """
     tbl = rlat.tbl
     chain = dimension_subgroup_chain(tbl, p)
@@ -218,8 +224,11 @@ def qr_check(rlat: RelationLattice, p: int) -> QRReport:
         )
     levels = []
     witness = None
+    coins = {} if g_coin is None else {chain[0].members: g_coin}
     for lvl, sub in enumerate(chain, start=1):
-        coin = coinvariants(rlat, sub)
+        coin = coins.get(sub.members)
+        if coin is None:
+            coin = coins[sub.members] = coinvariants(rlat, sub)
         tor = p_torsion(coin.invariants, p)
         levels.append(
             LevelResult(lvl, sub.order, tbl.order // sub.order, coin.invariants, tor,
@@ -264,15 +273,18 @@ def gab_invariants(pres: Presentation) -> AbelianInvariants:
     return lattice_quotient(pres.ngens, pres.relator_exponent_matrix())
 
 
-def hopf_h2(rlat: RelationLattice) -> AbelianInvariants:
+def hopf_h2(rlat: RelationLattice, g_coin: Coinvariants | None = None) -> AbelianInvariants:
     """H2(G,Z) as the torsion of R/[R,F] (Hopf's formula for finite G).
 
-    Also certifies coker(R/[R,F] -> Z^|X|) = G_ab: the cokernel computed
-    from block augmentations of the lattice basis must match the Smith
-    invariants of the relator exponent matrix.
+    R/[R,F] is the lattice's G-coinvariants: g_coin if given, else built
+    over D_1 = subgroup_closure(tbl, tbl.gen_images).  Also certifies
+    coker(R/[R,F] -> Z^|X|) = G_ab: the cokernel computed from block
+    augmentations of the lattice basis must match the Smith invariants of
+    the relator exponent matrix.
     """
-    full = Subgroup(tuple(range(rlat.tbl.order)), rlat.tbl.gen_images)
-    coin = coinvariants(rlat, full)
+    coin = g_coin
+    if coin is None:
+        coin = coinvariants(rlat, subgroup_closure(rlat.tbl, rlat.tbl.gen_images))
     n = rlat.tbl.order
     aug_rows = []
     for row in rlat.basis:

@@ -74,7 +74,7 @@ def count_calls(monkeypatch) -> Counter:
 
 
 def test_check_builds_each_invariant_once(capsys, monkeypatch, corpus):
-    checked = 0
+    checked = repeated = 0
     for entry in corpus:
         if not all(entry["expected"]["qr"].values()):
             continue
@@ -83,17 +83,22 @@ def test_check_builds_each_invariant_once(capsys, monkeypatch, corpus):
         doc = json.loads(capsys.readouterr().out)
         monkeypatch.undo()
         primes = doc["primes"]
-        levels = sum(len(doc["qr"][str(p)]["levels"]) for p in primes)
-        harness_levels = sum(len(doc["harness"][str(p)]["levels"]) for p in primes)
+        # the chain is nested, so distinct D_n are distinct subgroup orders
+        subgroups = sum(len({lv["subgroup_order"] for lv in doc["qr"][str(p)]["levels"]})
+                        for p in primes)
+        repeated += sum(len(doc["qr"][str(p)]["levels"]) for p in primes) - subgroups
+        harness_subgroups = sum(
+            len({lv["quotient_order"] for lv in doc["harness"][str(p)]["levels"]})
+            for p in primes)
         assert counts == {
             "relation_lattice": 1,
             "dimension_subgroup_chain": len(primes),
             "jennings_series": len(primes),
-            "coinvariants": 1 + levels,
-            "quotient_table": harness_levels,
+            "coinvariants": subgroups - (len(primes) - 1),  # D_1 = G built once
+            "quotient_table": harness_subgroups,
         }, entry["id"]
         checked += 1
-    assert checked == 10
+    assert checked == 10 and repeated > 0
 
 
 def test_analyze_reports_a_failed_stage_instead_of_raising():

@@ -12,6 +12,8 @@ from hypothesis import given, settings, strategies as st
 from qrlab.errors import BudgetExceeded
 from qrlab.presentation import parse_presentation, word_mul
 from qrlab.enumeration import (
+    FiniteGroupTable,
+    _verify_table,
     all_subgroups,
     conjugate_subgroup_members,
     is_normal,
@@ -193,3 +195,18 @@ def test_enumeration_budget():
     pres = parse_presentation("gens: a, b; relators: a^4*b^-2, a*b*a*b^-1; prime: 2")
     with pytest.raises(BudgetExceeded):
         todd_coxeter(pres, max_cosets=3)
+
+
+# An order-5 loop with every element self-inverse: identity and inverse laws
+# hold, but it is not associative.  1 and 2 generate it (3 = 1*2, 4 = 2*1).
+LOOP5 = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1],
+         [4, 3, 1, 2, 0]]
+LOOP5_WORDS = ((), ((0, 1),), ((1, 1),), ((0, 1), (1, 1)), ((1, 1), (0, 1)))
+
+
+def test_light_test_rejects_a_nonassociative_loop():
+    loop = FiniteGroupTable(5, LOOP5, (0, 1, 2, 3, 4), (1, 2), LOOP5_WORDS)
+    assert [word_image(loop, w) for w in LOOP5_WORDS] == [0, 1, 2, 3, 4]
+    assert loop.mult[loop.mult[1][1]][2] != loop.mult[1][loop.mult[1][2]]
+    with pytest.raises(AssertionError, match="associativity fails"):
+        _verify_table(LOOP5, loop.inv, loop.gen_images, LOOP5_WORDS, ())

@@ -183,6 +183,29 @@ def test_modp_span_counts_rank(a, p):
     assert added == modp_rank(a, p)
 
 
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+    st.lists(st.tuples(st.lists(st.integers(0, 6), min_size=n, max_size=n),
+                       st.booleans()), max_size=8),
+    st.lists(st.integers(0, 6), min_size=n, max_size=n))), primes)
+@settings(deadline=None, max_examples=120)
+def test_modp_span_matches_rref_with_interleaved_reads(steps_probe, p):
+    """Reads of `rows` at arbitrary points between inserts; `pivots` and
+    `contains` are checked after every insert, `rows` where read."""
+    steps, probe = steps_probe
+    span = ModpSpan(len(probe), p)
+    inserted = []
+    for vec, read in steps + [(None, True)]:
+        if vec is not None:
+            grows = modp_rank(inserted + [vec], p) > span.dim
+            assert span.add(vec) == grows
+            inserted.append(vec)
+        rref, pivots = modp_rref(inserted, p)
+        assert span.pivots == pivots and span.dim == len(pivots)
+        assert span.contains(probe) == (modp_rank(inserted + [probe], p) == len(pivots))
+        if read:
+            assert span.rows == rref
+
+
 def test_is_invertible_modp():
     assert is_invertible_modp([[1, 1], [0, 1]], 2)
     assert not is_invertible_modp([[1, 1], [1, 1]], 2)

@@ -6,6 +6,7 @@ Refutations are pinned down to the precise marks argument that produced them.
 """
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -28,11 +29,14 @@ from qrlab.enumeration import (
     todd_coxeter,
 )
 from qrlab.groupring import dimension_subgroup_chain
-from qrlab.relmod import Coinvariants, coinvariants, relation_lattice
+from qrlab.relmod import Coinvariants, coinvariants, qr_check, relation_lattice
 from qrlab.permrec import (
+    DEFAULT_CERT_BUDGET,
+    DEFAULT_PRECISION,
     Block,
     LevelModule,
     _action_from_generators,
+    _level_outcome,
     block_matrix,
     equivalence_harness,
     gen_perm_lift,
@@ -41,8 +45,11 @@ from qrlab.permrec import (
     monomial_matrix,
     perm_recognize_modp,
     sign_characters,
+    tower_harness,
     transition_map,
 )
+
+from conftest import CORPUS_DIR
 
 
 def synthetic_module(qtbl, blocks, p, k):
@@ -453,6 +460,29 @@ def test_harness_on_klein_reports_torsion_when_unguarded(group):
     torsion_levels = [lv for lv in rep.levels if lv.p_torsion]
     assert torsion_levels
     assert all(lv.integral_status == "torsion" for lv in torsion_levels)
+
+
+@pytest.mark.parametrize("name,p", [("c27", 3), ("q16", 2)])
+def test_harness_reuse_matches_a_rebuild_of_every_level(lattice, name, p):
+    """tower_harness builds once per distinct D_n; rebuilding every level
+    from fresh coinvariants must give the same outcomes and counts."""
+    qr = qr_check(lattice((CORPUS_DIR / f"{name}.pres").read_text()), p)
+    rep = tower_harness(qr)
+    rebuilt = [
+        _level_outcome(qr.rlat, replace(lv, coin=coinvariants(qr.rlat, lv.subgroup)),
+                       p, DEFAULT_PRECISION, DEFAULT_CERT_BUDGET)[0]
+        for lv in qr.levels
+    ]
+    assert list(rep.levels) == rebuilt
+    statuses = [{o.modp_status, o.integral_status} for o in rebuilt]
+    assert rep.unknown_levels == sum("unknown" in s for s in statuses)
+    assert rep.violations == statuses.count({"refuted", "certified"})
+    assert rep.transitions_checked == len(rebuilt) - 1
+    by_subgroup: dict = {}
+    for lv, out in zip(qr.levels, rep.levels):
+        by_subgroup.setdefault(lv.subgroup.members, set()).add(replace(out, level=0))
+    assert len(by_subgroup) < len(qr.levels), "no repeated D_n: the reuse is untested"
+    assert all(len(outs) == 1 for outs in by_subgroup.values())
 
 
 # --- level-module construction ----------------------------------------------
