@@ -3,9 +3,10 @@
 enumerate -> relation lattice -> G_ab -> H2 by Hopf and by the bar route,
 compared once -> per prime, the QR verdict and on QR input the harness.
 One lattice serves Hopf's formula and every prime, and so do its
-G-coinvariants R/[R,F]: level 1 of every prime's chain is D_1 = G.  Each
-prime builds coinvariants once per distinct dimension subgroup, and the
-harness reads its chain and level coinvariants from the QR report.
+G-coinvariants R/[R,F] (RelationLattice.g_coin): level 1 of every prime's
+chain is D_1 = G.  Each prime builds coinvariants once per distinct
+dimension subgroup, and the harness reads its chain and level
+coinvariants from the QR report.
 """
 
 from __future__ import annotations
@@ -13,12 +14,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from .enumeration import (
-    DEFAULT_MAX_COSETS,
-    FiniteGroupTable,
-    subgroup_closure,
-    todd_coxeter,
-)
+from .enumeration import DEFAULT_MAX_COSETS, FiniteGroupTable, todd_coxeter
 from .errors import PropertyViolation
 from .intlinalg import AbelianInvariants
 from .permrec import DEFAULT_PRECISION, HarnessReport, tower_harness
@@ -27,7 +23,6 @@ from .relmod import (
     QRReport,
     RelationLattice,
     bar_h2,
-    coinvariants,
     gab_invariants,
     hopf_h2,
     qr_check,
@@ -77,17 +72,14 @@ def analyze(pres: Presentation, primes, *, max_cosets: int = DEFAULT_MAX_COSETS,
         rlat = rep.rlat = clock("lattice", lambda: relation_lattice(pres, tbl))
         rep.gab = gab_invariants(pres)
         stage = "h2"
-        # R/[R,F], the G-coinvariants: Hopf's H2 and every prime's level 1
-        g_coin, hop = clock("h2_hopf", lambda: (
-            g := coinvariants(rlat, subgroup_closure(tbl, tbl.gen_images)),
-            hopf_h2(rlat, g)))
+        hop = clock("h2_hopf", lambda: hopf_h2(rlat))
         bar = clock("h2_bar", lambda: bar_h2(tbl))
         if (hop.free_rank, hop.torsion) != (bar.free_rank, bar.torsion):
             raise PropertyViolation(f"H2 routes disagree: {hop} vs {bar}")
         rep.h2_hopf, rep.h2_bar = hop, bar
         for p in rep.primes:
             stage = f"qr[{p}]"
-            qr = rep.qr[p] = clock(f"qr_{p}", lambda: qr_check(rlat, p, g_coin))
+            qr = rep.qr[p] = clock(f"qr_{p}", lambda: qr_check(rlat, p))
             if qr.quasirational:
                 stage = f"harness[{p}]"
                 rep.harness[p] = clock(f"harness_{p}", lambda: tower_harness(

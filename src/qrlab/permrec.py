@@ -1130,12 +1130,13 @@ def tower_harness(qr: QRReport, precision: int = DEFAULT_PRECISION,
     certified a permutation module.
 
     Everything a level builds (frame, mod-p module, recognition, lift)
-    depends on D_n alone, so it is built once per distinct D_n; a repeated
-    level repeats that outcome with only `level` changed and counts
-    towards violations and unknown_levels like any other.  The reuse is
-    exact: the random seeds of perm_recognize_modp and gen_perm_lift do
-    not involve the level number.  Transitions are still checked between
-    every pair of consecutive levels.
+    depends on D_n alone, so it is built once per distinct D_n.  qr_check
+    hands a level whose D_n repeats the one before the same Coinvariants
+    object; such a level repeats the previous outcome with only `level`
+    changed and counts towards violations and unknown_levels like any
+    other.  The reuse is exact: the random seeds of perm_recognize_modp
+    and gen_perm_lift do not involve the level number.  Transitions are
+    still checked between every pair of consecutive levels.
     """
     p, rlat = qr.prime, qr.rlat
     levels = qr.levels[:max_level]
@@ -1145,18 +1146,15 @@ def tower_harness(qr: QRReport, precision: int = DEFAULT_PRECISION,
             f"not quasirational at p={p}: level {w} coinvariants have "
             f"{p}-torsion {qr.levels[w - 1].p_torsion}, the equivalence hypothesis fails"
         )
-    built: dict[tuple[int, ...], tuple[LevelOutcome, LevelModule]] = {}
     outcomes = []
     mods = []
     violations = 0
     unknown_levels = 0
-    for lv in levels:
-        if lv.subgroup.members in built:
-            outcome, mod1 = built[lv.subgroup.members]
-            outcome = replace(outcome, level=lv.level)
+    for i, lv in enumerate(levels):
+        if i and lv.coin is levels[i - 1].coin:
+            outcome, mod1 = replace(outcomes[-1], level=lv.level), mods[-1]
         else:
-            outcome, mod1 = built[lv.subgroup.members] = _level_outcome(
-                rlat, lv, p, precision, budget)
+            outcome, mod1 = _level_outcome(rlat, lv, p, precision, budget)
         statuses = {outcome.modp_status, outcome.integral_status}
         if statuses == {"refuted", "certified"}:
             violations += 1

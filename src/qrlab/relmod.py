@@ -18,6 +18,7 @@ docstring.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 from .errors import PropertyViolation
@@ -67,6 +68,14 @@ class RelationLattice:
 
     def lattice(self) -> Lattice:
         return lattice_from_rows(self.ambient, self.basis)
+
+    @functools.cached_property
+    def g_coin(self) -> Coinvariants:
+        """R/[R,F], the coinvariants over D_1 = G as the chain builds it.
+
+        Built once per lattice: Hopf's H2 and level 1 of every prime read it.
+        """
+        return coinvariants(self, subgroup_closure(self.tbl, self.tbl.gen_images))
 
     def translate(self, g: int, vec) -> list[int]:
         """Diagonal left action of the group element g, block by block."""
@@ -194,8 +203,7 @@ class QRReport:
     rlat: RelationLattice = field(compare=False, repr=False)
 
 
-def qr_check(rlat: RelationLattice, p: int,
-             g_coin: Coinvariants | None = None) -> QRReport:
+def qr_check(rlat: RelationLattice, p: int) -> QRReport:
     """Decide quasirationality at p by checking every filtration level.
 
     The chain D_1 >= D_2 >= ... is computed from the Delta powers and
@@ -206,9 +214,8 @@ def qr_check(rlat: RelationLattice, p: int,
     (torsion-free R/[R,F] iff quasirational), else PropertyViolation.
 
     A level's coinvariants depend on D_n alone, so they are built once per
-    distinct D_n and a repeated level shares the Coinvariants object.
-    g_coin, if given, is level 1's, built over D_1 as the chain builds it:
-    subgroup_closure(tbl, tbl.gen_images).
+    distinct D_n: level 1 takes rlat.g_coin, and a level whose D_n equals
+    the one before (the chain is nested) shares that level's Coinvariants.
     """
     tbl = rlat.tbl
     chain = dimension_subgroup_chain(tbl, p)
@@ -224,11 +231,10 @@ def qr_check(rlat: RelationLattice, p: int,
         )
     levels = []
     witness = None
-    coins = {} if g_coin is None else {chain[0].members: g_coin}
+    coin = rlat.g_coin
     for lvl, sub in enumerate(chain, start=1):
-        coin = coins.get(sub.members)
-        if coin is None:
-            coin = coins[sub.members] = coinvariants(rlat, sub)
+        if lvl > 1 and sub.members != chain[lvl - 2].members:
+            coin = coinvariants(rlat, sub)
         tor = p_torsion(coin.invariants, p)
         levels.append(
             LevelResult(lvl, sub.order, tbl.order // sub.order, coin.invariants, tor,
@@ -273,18 +279,14 @@ def gab_invariants(pres: Presentation) -> AbelianInvariants:
     return lattice_quotient(pres.ngens, pres.relator_exponent_matrix())
 
 
-def hopf_h2(rlat: RelationLattice, g_coin: Coinvariants | None = None) -> AbelianInvariants:
-    """H2(G,Z) as the torsion of R/[R,F] (Hopf's formula for finite G).
+def hopf_h2(rlat: RelationLattice) -> AbelianInvariants:
+    """H2(G,Z) as the torsion of R/[R,F] = rlat.g_coin (Hopf's formula for finite G).
 
-    R/[R,F] is the lattice's G-coinvariants: g_coin if given, else built
-    over D_1 = subgroup_closure(tbl, tbl.gen_images).  Also certifies
-    coker(R/[R,F] -> Z^|X|) = G_ab: the cokernel computed from block
-    augmentations of the lattice basis must match the Smith invariants of
-    the relator exponent matrix.
+    Also certifies coker(R/[R,F] -> Z^|X|) = G_ab: the cokernel computed
+    from block augmentations of the lattice basis must match the Smith
+    invariants of the relator exponent matrix.
     """
-    coin = g_coin
-    if coin is None:
-        coin = coinvariants(rlat, subgroup_closure(rlat.tbl, rlat.tbl.gen_images))
+    coin = rlat.g_coin
     n = rlat.tbl.order
     aug_rows = []
     for row in rlat.basis:

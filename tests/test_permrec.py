@@ -483,6 +483,10 @@ def test_harness_reuse_matches_a_rebuild_of_every_level(lattice, name, p):
         by_subgroup.setdefault(lv.subgroup.members, set()).add(replace(out, level=0))
     assert len(by_subgroup) < len(qr.levels), "no repeated D_n: the reuse is untested"
     assert all(len(outs) == 1 for outs in by_subgroup.values())
+    # qr_check shares one Coinvariants per distinct D_n, level 1's with Hopf's
+    assert qr.levels[0].coin is qr.rlat.g_coin
+    for lo, hi in zip(qr.levels, qr.levels[1:]):
+        assert (lo.coin is hi.coin) == (lo.subgroup.members == hi.subgroup.members)
 
 
 # --- level-module construction ----------------------------------------------
