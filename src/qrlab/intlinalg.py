@@ -364,21 +364,21 @@ class Lattice:
     def rank(self) -> int:
         return len(self.basis)
 
-    def _pivot_of(self, row: list[int]) -> int:
-        for j, x in enumerate(row):
-            if x:
-                return j
-        return -1
-
     def add(self, vec: Sequence[int]) -> bool:
-        """Insert one vector; True iff the spanned lattice grew or changed."""
+        """Insert one vector; True iff the spanned lattice grew or changed.
+
+        Every basis row is zero left of its pivot, and so is v after a
+        reduction step at pivot j; so each step touches columns j on only,
+        and the pivot scan resumes at j + 1.
+        """
         v = [int(x) for x in vec]
         if len(v) != self.ambient:
             raise ValueError("vector length != ambient dimension")
         changed = False
         k = 0
+        j = 0
         while True:
-            j = self._pivot_of(v)
+            j = next((c for c in range(j, self.ambient) if v[c]), -1)
             if j < 0:
                 return changed
             while k < len(self.basis) and self._pivots[k] < j:
@@ -390,26 +390,35 @@ class Lattice:
                 self._pivots.insert(k, j)
                 return True
             b = self.basis[k]
-            if v[j] % b[j] == 0:
-                q = v[j] // b[j]
-                v = [x - q * y for x, y in zip(v, b)]
+            vj, bj = v[j], b[j]
+            if vj % bj == 0:
+                q = vj // bj
+                v[j:] = [x - q * y for x, y in zip(v[j:], b[j:])]
             else:
-                g, s, t = _xgcd(b[j], v[j])
-                nb = [s * x + t * y for x, y in zip(b, v)]
-                nv = [(b[j] // g) * y - (v[j] // g) * x for x, y in zip(b, v)]
-                self.basis[k] = nb
-                v = nv
+                g, s, t = _xgcd(bj, vj)
+                if g < 0:  # keep the pivot positive
+                    g, s, t = -g, -s, -t
+                bq, vq = bj // g, vj // g
+                tail = list(zip(b[j:], v[j:]))
+                b[j:] = [s * x + t * y for x, y in tail]
+                v[j:] = [bq * y - vq * x for x, y in tail]
                 changed = True
+            j += 1
 
     def canonicalize(self) -> None:
-        """Reduce above-pivot entries; basis becomes the Hermite normal form."""
-        for k in range(len(self.basis) - 1, -1, -1):
+        """Reduce above-pivot entries; basis becomes the Hermite normal form.
+
+        Top row first: row k is zero at every earlier pivot, so clearing
+        above pivot k leaves the columns already cleared alone.
+        """
+        for k in range(len(self.basis)):
             j = self._pivots[k]
             b = self.basis[k]
             for i in range(k):
-                q = self.basis[i][j] // b[j]
+                row = self.basis[i]
+                q = row[j] // b[j]
                 if q:
-                    self.basis[i] = [x - q * y for x, y in zip(self.basis[i], b)]
+                    row[j:] = [x - q * y for x, y in zip(row[j:], b[j:])]
 
     def coordinates(self, vec: Sequence[int]) -> list[int] | None:
         """c with sum c_k basis_k == vec, or None if vec is not in the lattice."""
@@ -417,14 +426,13 @@ class Lattice:
         if len(v) != self.ambient:
             raise ValueError("vector length != ambient dimension")
         coeffs = [0] * len(self.basis)
-        for k, b in enumerate(self.basis):
-            j = self._pivots[k]
-            if v[j]:
+        for k, (b, j) in enumerate(zip(self.basis, self._pivots)):
+            if v[j]:  # b is zero left of j: columns before j are left alone
                 if v[j] % b[j]:
                     return None
                 q = v[j] // b[j]
                 coeffs[k] = q
-                v = [x - q * y for x, y in zip(v, b)]
+                v[j:] = [x - q * y for x, y in zip(v[j:], b[j:])]
         return coeffs if not any(v) else None
 
     def __contains__(self, vec) -> bool:

@@ -155,16 +155,12 @@ def _level_frame(rlat: RelationLattice, sub: Subgroup):
     """(qtbl, coset map, lattice coordinates of x * basis per generator image x).
 
     This is everything a level module needs that does not depend on the
-    ring, so the mod-p module and its Z/p^k lift share one frame.
+    ring, so the mod-p module and its Z/p^k lift share one frame.  The
+    coordinates do not depend on the level either: they are the lattice's
+    own gen_coords, solved once when the lattice was certified.
     """
     qtbl, cmap = quotient_table(rlat.tbl, sub)
-    lat = rlat.lattice()
-    coords = {}
-    for x in sorted(set(rlat.tbl.gen_images)):
-        coords[x] = [lat.coordinates(rlat.translate(x, row)) for row in rlat.basis]
-        if None in coords[x]:
-            raise PropertyViolation("group translate left the relation lattice")
-    return qtbl, cmap, coords
+    return qtbl, cmap, rlat.gen_coords
 
 
 def _module_on_frame(rlat, coin, frame, p: int, k: int, level: int) -> LevelModule:

@@ -1,11 +1,17 @@
 """The relation module and what it decides.
 
 relation_lattice() embeds R/[R,R] into (ZG)^|X| by Fox derivative rows and
-certifies the embedding three ways (rank law, G-stability, exactness
-against the kernel of (ZG)^|X| -> IG).  coinvariants() quotients by the
-(d-1)-action of a subgroup.  qr_check() walks the dimension-subgroup
-chain and decides quasirationality at p; its report keeps the lattice and
-each level's subgroup and coinvariants for the equivalence harness.
+certifies the embedding three ways, each from the generator images alone:
+the rank law, stability under the distinct generator images, and
+exactness against the kernel of (ZG)^|X| -> IG, which is the cycle space
+of the right Cayley graph and has the fundamental cycles of a spanning
+tree as a basis.  The lattice keeps what certification solved: one
+cached Lattice and the coordinates of x * basis per generator image x,
+both read-only, which coinvariants() and every level module read.
+coinvariants() quotients by the (d-1)-action of a subgroup.  qr_check()
+walks the dimension-subgroup chain and decides quasirationality at p; its
+report keeps the lattice and each level's subgroup and coinvariants for
+the equivalence harness.
 hopf_h2() and bar_h2() compute the Schur multiplier by two routes that
 share no code above the integer kernels and must agree.
 
@@ -35,7 +41,6 @@ from .intlinalg import (
     Lattice,
     lattice_from_rows,
     lattice_quotient,
-    left_kernel,
     p_torsion,
     smith_normal_form,
     identity_rows,
@@ -51,7 +56,9 @@ class RelationLattice:
 
     Basis rows are the Hermite normal form of the span of all group
     translates of the Fox rows; block i of a vector is the ZG coefficient
-    vector of the i-th partial derivative.
+    vector of the i-th partial derivative.  lattice() and gen_coords are
+    built once per RelationLattice and shared by every reader, so they are
+    read-only: nothing may add to the Lattice or write into the rows.
     """
 
     pres: Presentation
@@ -66,8 +73,30 @@ class RelationLattice:
     def rank(self) -> int:
         return len(self.basis)
 
-    def lattice(self) -> Lattice:
+    @functools.cached_property
+    def _lattice(self) -> Lattice:
         return lattice_from_rows(self.ambient, self.basis)
+
+    def lattice(self) -> Lattice:
+        """The basis as a Lattice, built on first use; read-only."""
+        return self._lattice
+
+    @functools.cached_property
+    def gen_coords(self) -> dict[int, tuple[tuple[int, ...], ...]]:
+        """x -> lattice coordinates of x * basis, per distinct generator image x.
+
+        Row i of gen_coords[x] expresses x * basis[i] in the basis, so it is
+        the matrix of x on the lattice; every level module is read off these.
+        PropertyViolation if a translate leaves the lattice.
+        """
+        lat = self.lattice()
+        coords = {}
+        for x in sorted(set(self.tbl.gen_images)):
+            rows = [lat.coordinates(self.translate(x, row)) for row in self.basis]
+            if None in rows:
+                raise PropertyViolation("relation lattice is not G-stable")
+            coords[x] = tuple(map(tuple, rows))
+        return coords
 
     @functools.cached_property
     def g_coin(self) -> Coinvariants:
@@ -87,10 +116,20 @@ class RelationLattice:
 
 
 def relation_lattice(pres: Presentation, tbl: FiniteGroupTable) -> RelationLattice:
-    """Build and certify the relation lattice.
+    """Build and certify the relation lattice L.
 
-    Certification: rank |G|(|X|-1)+1, stability under every group element,
-    and equality with ker((ZG)^|X| -> IG), the Crowell-Lyndon exactness.
+    Certification, each failure a PropertyViolation:
+    1. Rank law: rank L = |G|(|X|-1)+1 (skipped for a relator-free
+       presentation on generators, whose group is not finite).
+    2. G-stability: x * L lies in L for every distinct generator image x
+       (RelationLattice.gen_coords).  A finite group is generated by the
+       generator images as a monoid, so L is stable under all of G.
+    3. Exactness, L = ker((ZG)^|X| -> IG), e_{i,h} -> h x_i - h.  That map
+       is the boundary map of the right Cayley graph h -> h x_i, so its
+       kernel is the graph's cycle space H_1 (Crowell-Lyndon), and the
+       fundamental cycles of a spanning tree are a Z-basis of it.  Every
+       basis row has zero boundary (L <= ker), and every fundamental cycle
+       of the BFS tree from 1 lies in L (ker <= L).
     """
     n = tbl.order
     ngens = pres.ngens
@@ -110,22 +149,32 @@ def relation_lattice(pres: Presentation, tbl: FiniteGroupTable) -> RelationLatti
                 f"relation lattice rank {lat.rank} != |G|(|X|-1)+1 = {expected}"
             )
     rl = RelationLattice(pres, tbl, tuple(tuple(r) for r in lat.basis))
-    for g in range(n):
-        for row in rl.basis:
-            if rl.translate(g, row) not in lat:
-                raise PropertyViolation("relation lattice is not G-stable")
-    # exactness: the lattice is exactly the kernel of (a_i) -> sum a_i (x_i - 1)
-    aug_map = []
-    for i in range(ngens):
-        img = tbl.gen_images[i]
-        for h in range(n):
-            col = [0] * n
-            col[tbl.mult[h][img]] += 1
-            col[h] -= 1
-            aug_map.append(col)
-    kern = lattice_from_rows(ambient, left_kernel(aug_map, width=n))
-    if not kern.equals(lat):
-        raise PropertyViolation("relation lattice != kernel of the Crowell-Lyndon map")
+    rl.gen_coords  # noqa: B018 - certifies stability, kept for the level modules
+    mult, images = tbl.mult, tbl.gen_images
+    for row in rl.basis:
+        boundary = [0] * n
+        for i, x in enumerate(images):
+            for h, c in enumerate(row[i * n:(i + 1) * n]):
+                if c:
+                    boundary[mult[h][x]] += c
+                    boundary[h] -= c
+        if any(boundary):
+            raise PropertyViolation("a relation lattice row has nonzero Crowell-Lyndon boundary")
+    # path[q]: the tree edges from 1 to q, each edge (i, h) -> h x_i at column i*n + h
+    path: dict[int, list[int]] = {0: [0] * ambient}
+    frontier = [0]
+    for h in frontier:
+        for i, x in enumerate(images):
+            q = mult[h][x]
+            edge = path[h][:]
+            edge[i * n + h] += 1
+            if q not in path:
+                path[q] = edge
+                frontier.append(q)
+            elif [a - b for a, b in zip(edge, path[q])] not in lat:
+                raise PropertyViolation("relation lattice != kernel of the Crowell-Lyndon map")
+    if len(path) != n:
+        raise PropertyViolation(f"generator images reach {len(path)} of {n} elements")
     return rl
 
 

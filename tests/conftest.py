@@ -15,6 +15,9 @@ from qrlab.enumeration import todd_coxeter
 from qrlab.relmod import relation_lattice
 
 CORPUS_DIR = pathlib.Path(__file__).resolve().parent.parent / "src" / "qrlab" / "corpus"
+# order-32 presentations of the benchmark's harness workload; read, never written
+ORDER32_DIR = pathlib.Path(__file__).resolve().parent.parent / "bench" / "inputs"
+ORDER32 = ("q32.pres", "m32.pres")
 
 
 @functools.lru_cache(maxsize=None)

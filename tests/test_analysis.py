@@ -3,6 +3,8 @@
 The golden files in tests/data/check/ are `qrlab check FILE` output (no
 --timing) for the bundled presentations, with the "file" value replaced by
 the file name; every level table, multiplicity and trial count is pinned.
+tests/data/check32/ holds the same for the two order-32 benchmark inputs,
+which the bundled corpus never reaches.
 """
 
 import json
@@ -17,12 +19,16 @@ import qrlab.groupring
 import qrlab.relmod
 from qrlab.analysis import analyze
 from qrlab.cli import main
+from qrlab.enumeration import todd_coxeter
 from qrlab.errors import BudgetExceeded
+from qrlab.intlinalg import Lattice
 from qrlab.presentation import parse_presentation
+from qrlab.relmod import relation_lattice
 
-from conftest import CORPUS_DIR
+from conftest import CORPUS_DIR, ORDER32, ORDER32_DIR
 
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parent / "data" / "check"
+GOLDEN32_DIR = GOLDEN_DIR.parent / "check32"
 BUNDLED = sorted(p.name for p in CORPUS_DIR.glob("*.pres"))
 
 
@@ -37,6 +43,13 @@ def test_check_matches_golden_output(capsys, name):
     code, out = check_output(capsys, CORPUS_DIR / name)
     assert code == 0
     assert out == (GOLDEN_DIR / name.replace(".pres", ".json")).read_text()
+
+
+@pytest.mark.parametrize("name", ORDER32)
+def test_check_matches_golden_output_at_order_32(capsys, name):
+    code, out = check_output(capsys, ORDER32_DIR / name)
+    assert code == 0
+    assert out == (GOLDEN32_DIR / name.replace(".pres", ".json")).read_text()
 
 
 def test_golden_files_cover_the_bundled_corpus():
@@ -99,6 +112,50 @@ def test_check_builds_each_invariant_once(capsys, monkeypatch, corpus):
         }, entry["id"]
         checked += 1
     assert checked == 10 and repeated > 0
+
+
+def count_coordinates(monkeypatch) -> Counter:
+    """Count Lattice.coordinates calls by the qrlab function that asked."""
+    counts: Counter = Counter()
+    orig = Lattice.coordinates
+
+    def wrapper(self, vec):
+        frame = sys._getframe(1)
+        while frame.f_code.co_name in ("__contains__", "<genexpr>", "<listcomp>"):
+            frame = frame.f_back
+        counts[frame.f_code.co_name] += 1
+        return orig(self, vec)
+
+    monkeypatch.setattr(Lattice, "coordinates", wrapper)
+    return counts
+
+
+def test_relation_lattice_solves_for_generator_images_and_cycles_only(monkeypatch, corpus):
+    texts = [e["text"] for e in corpus] + [(ORDER32_DIR / n).read_text() for n in ORDER32]
+    for text in texts:
+        pres = parse_presentation(text)
+        tbl = todd_coxeter(pres)
+        counts = count_coordinates(monkeypatch)
+        rlat = relation_lattice(pres, tbl)
+        monkeypatch.undo()
+        images = len(set(tbl.gen_images))
+        # stability: one solve per generator image and row; exactness: one
+        # per fundamental cycle, and a spanning tree leaves rank of them
+        assert counts == {"gen_coords": images * rlat.rank,
+                          "relation_lattice": rlat.rank}, text
+
+
+def test_analyze_solves_generator_coordinates_once_per_lattice(monkeypatch):
+    pres = parse_presentation((ORDER32_DIR / "q32.pres").read_text())
+    counts = count_coordinates(monkeypatch)
+    rep = analyze(pres, (2,))
+    monkeypatch.undo()
+    assert rep.error is None
+    distinct = {lv.quotient_order for lv in rep.harness[2].levels}
+    assert len(distinct) > 1  # several level frames, one set of coordinates
+    images, rank = len(set(rep.tbl.gen_images)), rep.rlat.rank
+    assert counts["gen_coords"] == images * rank
+    assert set(counts) == {"gen_coords", "relation_lattice", "coinvariants"}
 
 
 def test_analyze_reports_a_failed_stage_instead_of_raising():

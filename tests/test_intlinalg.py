@@ -129,6 +129,30 @@ def test_left_kernel_is_the_whole_kernel(a):
     assert len(ker) == len(a) - rank
 
 
+@given(matrices(), st.lists(small, min_size=4, max_size=4), st.lists(small, min_size=4, max_size=4))
+@settings(deadline=None, max_examples=80)
+def test_lattice_is_the_hermite_form_of_the_row_span(a, comb, probe):
+    n = len(a[0])
+    lat = lattice_from_rows(n, a)
+    pivots = [next(j for j, x in enumerate(r) if x) for r in lat.basis]
+    assert pivots == sorted(set(pivots))
+    for r, j in zip(lat.basis, pivots):
+        assert r[j] > 0
+        assert all(0 <= b[j] < r[j] for b in lat.basis[:pivots.index(j)])
+    # span(a) <= span(basis) with equal minor gcds, so the spans are equal
+    for row in a:
+        c = lat.coordinates(row)
+        assert [sum(ci * b[j] for ci, b in zip(c, lat.basis)) for j in range(n)] == row
+    rank = len(minor_gcd_divisors(a))
+    assert lat.rank == rank
+    assert math.prod(minor_gcd_divisors(a)) == math.prod(minor_gcd_divisors(lat.basis))
+    v = [sum(ci * row[j] for ci, row in zip(comb, a)) for j in range(n)]
+    assert v in lat
+    c = lat.coordinates(probe[:n])
+    if c is not None:
+        assert [sum(ci * b[j] for ci, b in zip(c, lat.basis)) for j in range(n)] == probe[:n]
+
+
 def test_integer_inverse():
     u = [[1, 2], [0, 1]]
     assert mat_mul(u, integer_inverse(u)) == identity_rows(2)

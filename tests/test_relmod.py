@@ -11,9 +11,15 @@ import pytest
 
 from qrlab.enumeration import all_subgroups, subgroup_conjugacy_classes, todd_coxeter
 from qrlab.errors import PropertyViolation
-from qrlab.groupring import right_translate
-from qrlab.intlinalg import Lattice, p_torsion, smith_normal_form
-from qrlab.presentation import Presentation
+from qrlab.groupring import fox_rows, right_translate
+from qrlab.intlinalg import (
+    Lattice,
+    lattice_from_rows,
+    left_kernel,
+    p_torsion,
+    smith_normal_form,
+)
+from qrlab.presentation import Presentation, parse_presentation
 from qrlab.relmod import (
     _bar_d2_rank,
     _bar_d3_cokernel,
@@ -24,6 +30,8 @@ from qrlab.relmod import (
     qr_check_full,
     relation_lattice,
 )
+
+from conftest import CORPUS_DIR, ORDER32, ORDER32_DIR
 
 # (text, prime, G_ab torsion, multiplier torsion)
 KNOWN = [
@@ -229,6 +237,59 @@ def test_lattice_rejects_a_mismatched_table(group):
                         primes=pres.primes)
     with pytest.raises(PropertyViolation):
         relation_lattice(free, tbl)
+
+
+C4 = "gens: a; relators: a^4; prime: 2"
+Q8 = "gens: a, b; relators: a*b*a*b^-1, b*a*b*a^-1; prime: 2"
+Q8_DOUBLED = ("gens: a, b; relators: a*b*a*b^-1*a*b*a*b^-1, "
+              "b*a*b*a^-1*b*a*b*a^-1; prime: 2")
+
+
+@pytest.mark.parametrize("table_text,text,m", [
+    (C4, "gens: a; relators: a^8; prime: 2", 2),
+    (C4, "gens: a; relators: a^12; prime: 2", 3),
+    (Q8, Q8_DOUBLED, 2),
+], ids=["a^8 on C4", "a^12 on C4", "q8 doubled"])
+def test_lattice_rejects_a_stable_span_of_the_right_rank_that_is_not_saturated(
+        group, lattice, table_text, text, m):
+    # d(r^m)/dx = (1 + r + ... + r^(m-1)) dr/dx = m dr/dx in ZG, so each span
+    # is m times the true lattice: right rank, G-stable, finite index > 1.
+    # The rank law and the stability check pass; only exactness can refuse it.
+    _, tbl = group(table_text)
+    pres = parse_presentation(text)
+    true = lattice(table_text)
+    span = lattice_from_rows(true.ambient, (true.translate(g, r)
+                                            for r in fox_rows(pres, tbl)
+                                            for g in range(tbl.order)))
+    assert span.basis == [[m * x for x in r] for r in true.basis]
+    assert all(true.translate(g, r) in span for g in range(tbl.order) for r in span.basis)
+    with pytest.raises(PropertyViolation, match="kernel of the Crowell-Lyndon map"):
+        relation_lattice(pres, tbl)
+
+
+ORACLE_INPUTS = ([CORPUS_DIR / n for n in sorted(p.name for p in CORPUS_DIR.glob("*.pres"))]
+                 + [ORDER32_DIR / n for n in ORDER32])
+
+
+@pytest.mark.parametrize("path", ORACLE_INPUTS, ids=lambda p: p.stem)
+def test_certified_lattice_matches_the_kernel_and_the_all_elements_sweep(lattice, path):
+    # the routes relation_lattice replaced, kept as oracles: the left kernel
+    # of (ZG)^|X| -> IG, and stability tested on every element of G
+    rlat = lattice(path.read_text())
+    tbl, n = rlat.tbl, rlat.tbl.order
+    aug_map = []
+    for x in tbl.gen_images:
+        for h in range(n):
+            col = [0] * n
+            col[tbl.mult[h][x]] += 1
+            col[h] -= 1
+            aug_map.append(col)
+    kern = lattice_from_rows(rlat.ambient, left_kernel(aug_map, width=n))
+    lat = rlat.lattice()
+    assert kern.equals(lat) and kern.basis == [list(r) for r in rlat.basis]
+    for g in range(n):
+        for row in rlat.basis:
+            assert lat.coordinates(rlat.translate(g, row)) is not None
 
 
 @pytest.mark.parametrize("text,p,gab,h2", KNOWN)
