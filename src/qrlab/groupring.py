@@ -11,6 +11,10 @@ The powers of Delta are spanned from the generator images alone.  Since
 gh - 1 = (g - 1)h + (h - 1), Delta is generated as a right ideal by the
 x - 1 with x a generator image, so
 Delta^(n+1) = Delta*Delta^n = sum_x (x - 1)*F_pG*Delta^n = sum_x (x - 1)*Delta^n.
+Each power is a ModpSpan, and the tower never leaves its packed rows
+(intlinalg.FpRows): x*w is a byte permutation of w, x*w - w one slotwise
+subtraction, and g - 1 is tested for membership without unpacking.  The
+reduced echelon form of a power is built only if someone reads it.
 """
 
 from __future__ import annotations
@@ -68,7 +72,9 @@ def delta_filtration(tbl: FiniteGroupTable, p: int, max_n: int | None = None) ->
     Delta^1 is spanned by the g - 1.  Delta is generated as a right ideal by
     the x - 1 for x a generator image, because gh - 1 = (g - 1)h + (h - 1);
     so Delta^(n+1) = sum_x (x - 1)*F_pG*Delta^n = sum_x (x - 1)*Delta^n is
-    spanned by the (x - 1)*w for w a basis row of Delta^n.
+    spanned by the (x - 1)*w for w any basis of Delta^n.  The tower works on
+    packed rows throughout: w runs over Delta^n's packed semi-echelon rows,
+    and x*w is one byte gather by the permutation h -> xh.
 
     Stops after Delta^n = Delta^(n+1) (from there on the chain is constant:
     Delta^(n+2) = Delta*Delta^(n+1) = Delta*Delta^n = Delta^(n+1)), or after
@@ -78,19 +84,18 @@ def delta_filtration(tbl: FiniteGroupTable, p: int, max_n: int | None = None) ->
     gens = list(dict.fromkeys(x for x in tbl.gen_images if x))
     spans: list[ModpSpan] = []
     delta1 = ModpSpan(n, p)
+    lay = delta1.layout
     for g in range(1, n):
-        vec = [0] * n
-        vec[g] = 1
-        vec[0] -= 1
-        delta1.add(vec)
+        delta1.add(lay.sub(lay.unit(g), lay.unit(0)))
     spans.append(delta1)
+    # slot k of x*w holds w's slot x^-1 k
+    shifts = [lay.permutation(tbl.mult[tbl.inv[x]]) for x in gens]
     while max_n is None or len(spans) < max_n:
         prev = spans[-1]
         nxt = ModpSpan(n, p)
-        for x in gens:
-            for w in prev.rows:
-                tw = left_translate(tbl, x, w)
-                nxt.add([a - b for a, b in zip(tw, w)])
+        for shift in shifts:
+            for w in prev.packed:
+                nxt.add(lay.sub(shift(w), w))
                 if nxt.dim == prev.dim:
                     break
             if nxt.dim == prev.dim:
@@ -132,14 +137,8 @@ def _generators_for(tbl: FiniteGroupTable, members: list[int]) -> tuple[int, ...
 
 def _dimension_members(tbl: FiniteGroupTable, span: ModpSpan, candidates) -> list[int]:
     """The g among the candidates with g - 1 in the span."""
-    members = []
-    for g in candidates:
-        vec = [0] * tbl.order
-        vec[g] += 1
-        vec[0] -= 1
-        if span.contains(vec):
-            members.append(g)
-    return members
+    lay = span.layout
+    return [g for g in candidates if span.contains(lay.sub(lay.unit(g), lay.unit(0)))]
 
 
 def dimension_subgroup(tbl: FiniteGroupTable, p: int, n: int) -> Subgroup:

@@ -4,11 +4,16 @@ Everything here is arbitrary-precision (plain Python ints); nothing ever
 rounds.  Matrices are lists of row lists internally, with a small immutable
 IntMatrix wrapper for public return values.  Row-vector convention
 throughout: vectors multiply matrices from the left, lattices are spanned
-by rows.
+by rows.  Mod-p work has one elimination routine, ModpSpan, which keeps
+each row packed into a single int (FpRows); the dense helpers (rank,
+echelon form, kernel, solve) feed it their rows.
 """
 
 from __future__ import annotations
 
+import bisect
+import functools
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -472,36 +477,208 @@ def left_kernel(rows: Rows, width: int | None = None) -> Rows:
 
 
 # ---------------------------------------------------------------------------
-# mod-p (and mod-p^k) routines
+# mod-p routines: one packed-row elimination kernel
+
+class FpRows:
+    """F_p vectors of one width, each packed into a single int.
+
+    Coordinate j sits in slot j, bits [j*bits, (j+1)*bits), little-endian,
+    as a residue in [0, p).  bits is the least multiple of 8 with
+    2^(bits-1) >= p: one byte per slot for p < 128, whole bytes always, so a
+    row converts to bytes slot by slot.  Slotwise addition is one integer
+    addition plus a correction: with the bias 2^(bits-1) - p added, a slot's
+    high bit comes up exactly where the sum reached p, and p is subtracted
+    there.  No slot ever carries into the next.  Over F_2 addition is XOR.
+    """
+
+    def __init__(self, width: int, p: int):
+        self.width = width
+        self.p = p
+        self.nbytes = (p.bit_length() + 8) // 8
+        self.bits = 8 * self.nbytes
+        self.slot_mask = (1 << self.bits) - 1
+        ones = sum(1 << (j * self.bits) for j in range(width))
+        self._pees = p * ones
+        self._bias = ((1 << (self.bits - 1)) - p) * ones
+        self._high = (1 << (self.bits - 1)) * ones
+
+    def pack(self, vec: Sequence[int]) -> int:
+        if len(vec) != self.width:
+            raise ValueError("vector length != span width")
+        p = self.p
+        if self.nbytes == 1:
+            return int.from_bytes(bytes([x % p for x in vec]), "little")
+        return int.from_bytes(b"".join((x % p).to_bytes(self.nbytes, "little") for x in vec),
+                              "little")
+
+    def unpack(self, x: int) -> list[int]:
+        raw = x.to_bytes(self.width * self.nbytes, "little")
+        if self.nbytes == 1:
+            return list(raw)
+        k = self.nbytes
+        return [int.from_bytes(raw[i:i + k], "little") for i in range(0, len(raw), k)]
+
+    def unit(self, j: int) -> int:
+        """The j-th standard basis vector."""
+        return 1 << (j * self.bits)
+
+    def entry(self, x: int, j: int) -> int:
+        return (x >> (j * self.bits)) & self.slot_mask
+
+    def _fold(self, t: int) -> int:
+        """Slotwise t mod p, for slots in [0, 2p)."""
+        return t - (((t + self._bias) & self._high) >> (self.bits - 1)) * self.p
+
+    def add(self, a: int, b: int) -> int:
+        if self.p == 2:
+            return a ^ b
+        return self._fold(a + b)
+
+    def sub(self, a: int, b: int) -> int:
+        if self.p == 2:
+            return a ^ b
+        return self._fold(a + (self._pees - b))  # p - b leaves every slot in [1, p]
+
+    def scale(self, x: int, c: int) -> int:
+        """c * x, by doubling and adding; c in [1, p)."""
+        out = 0
+        while True:
+            if c & 1:
+                out = self.add(out, x) if out else x
+            c >>= 1
+            if not c:
+                return out
+            x = self.add(x, x)
+
+    def cancel(self, v: int, row: int, j: int) -> int:
+        """v - v_j * row, for a row whose slot j holds 1."""
+        p = self.p
+        if p == 2:
+            return v ^ row
+        f = (v >> (j * self.bits)) & self.slot_mask
+        if 2 * f > p:  # v + (p - f) * row
+            return self._fold(v + (row if f == p - 1 else self.scale(row, p - f)))
+        # v + (p - f * row), every slot of the bracket in [1, p]
+        return self._fold(v + (self._pees - (row if f == 1 else self.scale(row, f))))
+
+    def permutation(self, src: Sequence[int]):
+        """The map taking a packed row r to the row whose slot k holds r's slot
+        src[k]; one byte gather, no per-coordinate work."""
+        if self.width < 2:
+            return lambda x: x
+        k = self.nbytes
+        pick = operator.itemgetter(*[s * k + i for s in src for i in range(k)])
+        size = self.width * k
+        return lambda x: int.from_bytes(bytes(pick(x.to_bytes(size, "little"))), "little")
+
+
+@functools.cache
+def fp_rows(width: int, p: int) -> FpRows:
+    """The shared packed layout for one width and prime."""
+    return FpRows(width, p)
+
+
+class ModpSpan:
+    """Incremental F_p row space on packed rows (see FpRows).
+
+    The basis is a semi-echelon form: one packed row per pivot column c,
+    zero left of c and 1 at c, kept in a pivot -> row dict and never
+    cleared above its pivot.  A vector is reduced on its leading slot only,
+    found as the lowest set bit, by the row at that pivot; when the leading
+    slot is not a pivot the vector is outside the span, since every nonzero
+    combination of basis rows leads at a pivot.  add() and contains() take
+    a sequence of ints or a row already packed in this span's layout.
+
+    Readers of the reduced echelon form are few (the tower reads `packed`),
+    so `rows` clears above the pivots and unpacks only when read, once per
+    insert; `pivots` is the same for both forms.
+    """
+
+    def __init__(self, width: int, p: int):
+        self.width = width
+        self.p = p
+        self.layout = fp_rows(width, p)
+        self.pivots: list[int] = []
+        self._by_pivot: dict[int, int] = {}
+        self._rows: Rows | None = []
+
+    @property
+    def dim(self) -> int:
+        return len(self.pivots)
+
+    @property
+    def packed(self) -> list[int]:
+        """The semi-echelon basis as packed rows, in insertion order."""
+        return list(self._by_pivot.values())
+
+    @property
+    def rows(self) -> Rows:
+        """Reduced echelon basis, ordered by pivot."""
+        if self._rows is None:
+            lay, pivots = self.layout, self.pivots
+            done: dict[int, int] = {}
+            # bottom row first, so every row used to clear is already reduced
+            for k in range(len(pivots) - 1, -1, -1):
+                row = self._by_pivot[pivots[k]]
+                for c in pivots[k + 1:]:
+                    if lay.entry(row, c):
+                        row = lay.cancel(row, done[c], c)
+                done[pivots[k]] = row
+            self._rows = [lay.unpack(done[c]) for c in pivots]
+        return self._rows
+
+    def _reduce(self, v: int) -> tuple[int, int]:
+        """(residue, its leading slot), or (0, -1) when v lies in the span.
+
+        Each step clears the leading slot, so the leading slot strictly
+        advances and uses each pivot at most once.
+        """
+        lay, by_pivot, bits = self.layout, self._by_pivot, self.layout.bits
+        for _ in range(len(by_pivot) + 1):
+            if not v:
+                return 0, -1
+            c = ((v & -v).bit_length() - 1) // bits
+            row = by_pivot.get(c)
+            if row is None:
+                return v, c
+            v = lay.cancel(v, row, c)
+        raise AssertionError("F_p reduction failed to clear a leading slot")
+
+    def contains(self, vec: Sequence[int] | int) -> bool:
+        v = vec if isinstance(vec, int) else self.layout.pack(vec)
+        return self._reduce(v)[1] < 0
+
+    def add(self, vec: Sequence[int] | int) -> bool:
+        """Insert one vector; True iff the dimension grew."""
+        lay = self.layout
+        v, c = self._reduce(vec if isinstance(vec, int) else lay.pack(vec))
+        if c < 0:
+            return False
+        lead = lay.entry(v, c)
+        if lead != 1:
+            v = lay.scale(v, pow(lead, -1, self.p))
+        self._by_pivot[c] = v
+        bisect.insort(self.pivots, c)
+        self._rows = None
+        return True
+
+
+def _span_of(rows: Rows, p: int) -> ModpSpan:
+    span = ModpSpan(len(rows[0]) if rows else 0, p)
+    for r in rows:
+        span.add(r)
+    return span
+
 
 def modp_rref(rows: Rows, p: int) -> tuple[Rows, list[int]]:
     """Reduced row echelon form over F_p; returns (rref rows, pivot columns).
     Zero rows are dropped."""
-    a = [[x % p for x in r] for r in rows]
-    ncols = len(a[0]) if a else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(a)) if a[i][c]), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = pow(a[r][c], -1, p)
-        a[r] = [(x * inv) % p for x in a[r]]
-        for i in range(len(a)):
-            if i != r and a[i][c]:
-                f = a[i][c]
-                a[i] = [(x - f * y) % p for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(a):
-            break
-    return a[:r], pivots
+    span = _span_of(rows, p)
+    return span.rows, span.pivots
 
 
 def modp_rank(rows: Rows, p: int) -> int:
-    _, pivots = modp_rref(rows, p)
-    return len(pivots)
+    return _span_of(rows, p).dim
 
 
 def modp_left_kernel(rows: Rows, p: int, width: int | None = None) -> Rows:
@@ -543,71 +720,3 @@ def modp_solve_left(a_rows: Rows, b: Sequence[int], p: int) -> list[int] | None:
 def is_invertible_modp(rows: Rows, p: int) -> bool:
     n = len(rows)
     return n == 0 or (len(rows[0]) == n and modp_rank(rows, p) == n)
-
-
-class ModpSpan:
-    """Incremental F_p row space.
-
-    Inserts keep a plain echelon form: rows with leading entry 1 at
-    ascending pivots, nothing cleared above a pivot.  Reducing a vector
-    against the rows in pivot order is exact on such a form, because the
-    row at pivot c is zero left of c and so leaves every earlier pivot
-    entry alone.  Reading `rows` clears above the pivots once after an
-    insert, so it is the reduced echelon form; `pivots` is the same for
-    both forms.
-    """
-
-    def __init__(self, width: int, p: int):
-        self.width = width
-        self.p = p
-        self.pivots: list[int] = []
-        self._rows: Rows = []
-        self._reduced = True
-
-    @property
-    def dim(self) -> int:
-        return len(self.pivots)
-
-    @property
-    def rows(self) -> Rows:
-        """Reduced echelon basis, ordered by pivot."""
-        if not self._reduced:
-            p, rows = self.p, self._rows
-            # clear above each pivot, bottom row first, so each row used is final
-            for k in range(len(rows) - 1, 0, -1):
-                c = self.pivots[k]
-                below = rows[k][c:]
-                for i in range(k):
-                    row = rows[i]
-                    f = row[c]
-                    if f:
-                        rows[i] = row[:c] + [(x - f * y) % p for x, y in zip(row[c:], below)]
-            self._reduced = True
-        return self._rows
-
-    def reduce(self, vec: Sequence[int]) -> list[int]:
-        p = self.p
-        v = [x % p for x in vec]
-        for row, c in zip(self._rows, self.pivots):
-            f = v[c]
-            if f:  # the row is zero left of its pivot
-                v[c:] = [(x - f * y) % p for x, y in zip(v[c:], row[c:])]
-        return v
-
-    def contains(self, vec: Sequence[int]) -> bool:
-        return not any(self.reduce(vec))
-
-    def add(self, vec: Sequence[int]) -> bool:
-        """Insert one vector; True iff the dimension grew."""
-        p = self.p
-        v = self.reduce(vec)
-        c = next((j for j, x in enumerate(v) if x), None)
-        if c is None:
-            return False
-        inv = pow(v[c], -1, p)
-        v = [(x * inv) % p for x in v]
-        k = next((i for i, pc in enumerate(self.pivots) if pc > c), len(self.pivots))
-        self._rows.insert(k, v)
-        self.pivots.insert(k, c)
-        self._reduced = False
-        return True

@@ -56,9 +56,11 @@ class RelationLattice:
 
     Basis rows are the Hermite normal form of the span of all group
     translates of the Fox rows; block i of a vector is the ZG coefficient
-    vector of the i-th partial derivative.  lattice() and gen_coords are
-    built once per RelationLattice and shared by every reader, so they are
-    read-only: nothing may add to the Lattice or write into the rows.
+    vector of the i-th partial derivative.  lattice() is the Lattice
+    relation_lattice() built and certified, handed over with the basis
+    (rebuilt from the basis only for an instance made by hand); it and
+    gen_coords are shared by every reader, so they are read-only: nothing
+    may add to the Lattice or write into the rows.
     """
 
     pres: Presentation
@@ -78,7 +80,7 @@ class RelationLattice:
         return lattice_from_rows(self.ambient, self.basis)
 
     def lattice(self) -> Lattice:
-        """The basis as a Lattice, built on first use; read-only."""
+        """The basis as a Lattice; read-only."""
         return self._lattice
 
     @functools.cached_property
@@ -149,6 +151,7 @@ def relation_lattice(pres: Presentation, tbl: FiniteGroupTable) -> RelationLatti
                 f"relation lattice rank {lat.rank} != |G|(|X|-1)+1 = {expected}"
             )
     rl = RelationLattice(pres, tbl, tuple(tuple(r) for r in lat.basis))
+    rl.__dict__["_lattice"] = lat  # the cached_property's slot: hand over, no rebuild
     rl.gen_coords  # noqa: B018 - certifies stability, kept for the level modules
     mult, images = tbl.mult, tbl.gen_images
     for row in rl.basis:

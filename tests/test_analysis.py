@@ -16,6 +16,7 @@ import pytest
 
 import qrlab.enumeration
 import qrlab.groupring
+import qrlab.intlinalg
 import qrlab.relmod
 from qrlab.analysis import analyze
 from qrlab.cli import main
@@ -67,12 +68,12 @@ COUNTED = (
 )
 
 
-def count_calls(monkeypatch) -> Counter:
-    """Count calls to each COUNTED function under every qrlab name bound to it."""
+def count_calls(monkeypatch, counted=COUNTED) -> Counter:
+    """Count calls to each counted function under every qrlab name bound to it."""
     counts: Counter = Counter()
     modules = [m for n, m in list(sys.modules.items())
                if m is not None and (n == "qrlab" or n.startswith("qrlab."))]
-    for home, name in COUNTED:
+    for home, name in counted:
         orig = getattr(home, name)
 
         def wrapper(*args, _orig=orig, _name=name, **kwargs):
@@ -156,6 +157,18 @@ def test_analyze_solves_generator_coordinates_once_per_lattice(monkeypatch):
     images, rank = len(set(rep.tbl.gen_images)), rep.rlat.rank
     assert counts["gen_coords"] == images * rank
     assert set(counts) == {"gen_coords", "relation_lattice", "coinvariants"}
+
+
+def test_analyze_never_rebuilds_the_certified_lattice(monkeypatch):
+    """relation_lattice hands over the Lattice it built and canonicalized;
+    no reader rebuilds it from the basis."""
+    pres = parse_presentation((ORDER32_DIR / "q32.pres").read_text())
+    counts = count_calls(monkeypatch, ((qrlab.intlinalg, "lattice_from_rows"),))
+    rep = analyze(pres, (2,))
+    monkeypatch.undo()
+    assert rep.error is None and rep.harness[2].levels
+    assert counts["lattice_from_rows"] == 0
+    assert rep.rlat.lattice().basis == [list(r) for r in rep.rlat.basis]
 
 
 def test_analyze_reports_a_failed_stage_instead_of_raising():

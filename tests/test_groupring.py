@@ -26,6 +26,8 @@ from qrlab.groupring import (
 )
 from qrlab.intlinalg import ModpSpan
 
+from reference import dense_rref
+
 P_GROUPS = [
     ("gens: a; relators: a^2; prime: 2", 2),
     ("gens: a; relators: a^4; prime: 2", 2),
@@ -33,6 +35,7 @@ P_GROUPS = [
     ("gens: a; relators: a^9; prime: 3", 3),
     ("gens: a, b; relators: a^2, b^2, a*b*a^-1*b^-1; prime: 2", 2),
     ("gens: a, b; relators: a^3, b^3, a*b*a^-1*b^-1; prime: 3", 3),
+    ("gens: a; relators: a^25; prime: 5", 5),
     ("gens: a, b; relators: a^4, b^2, b*a*b*a; prime: 2", 2),
     ("gens: a, b; relators: a*b*a*b^-1, b*a*b*a^-1; prime: 2", 2),
     ("gens: a, b; relators: a^4*b^-2, a*b*a*b^-1; prime: 2", 2),
@@ -98,37 +101,37 @@ NON_P_GROUPS = [
 
 def _all_elements_filtration(tbl, p):
     """Delta^(n+1) spanned by (g - 1)*w for every g in G and every basis row
-    w of Delta^n, with the same stopping rule as delta_filtration."""
+    w of Delta^n, with the same stopping rule as delta_filtration.  Each
+    level is (rref rows, pivots) from the dense reference elimination."""
     n = tbl.order
-    spans = [ModpSpan(n, p)]
+    first = []
     for g in range(1, n):
         vec = [0] * n
         vec[g], vec[0] = 1, -1
-        spans[0].add(vec)
+        first.append(vec)
+    levels = [dense_rref(first, p)]
     while True:
-        prev = spans[-1]
-        nxt = ModpSpan(n, p)
-        for g in range(1, n):
-            for w in prev.rows:
-                nxt.add([a - b for a, b in zip(left_translate(tbl, g, w), w)])
-        spans.append(nxt)
-        if nxt.dim == prev.dim or nxt.dim == 0:
-            return spans
+        prev = levels[-1][0]
+        nxt = dense_rref([[a - b for a, b in zip(left_translate(tbl, g, w), w)]
+                          for g in range(1, n) for w in prev], p)
+        levels.append(nxt)
+        if len(nxt[0]) in (len(prev), 0):
+            return levels
 
 
-@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("p", [2, 3, 5])
 @pytest.mark.parametrize("text", [t for t, _ in P_GROUPS] + NON_P_GROUPS)
 def test_generator_tower_matches_all_elements_span(group, text, p):
     _, tbl = group(text)
     fast = delta_filtration(tbl, p)
     slow = _all_elements_filtration(tbl, p)
-    assert [s.dim for s in fast] == [s.dim for s in slow]
+    assert [s.dim for s in fast] == [len(rows) for rows, _ in slow]
     # Delta is nilpotent exactly for p-groups; otherwise the chain stabilises
     pp = prime_power(tbl.order)
     assert (fast[-1].dim == 0) == (pp is not None and pp[0] == p)
-    for n, (a, b) in enumerate(zip(fast, slow), start=1):
-        assert a.rows == b.rows, f"level {n}"
-        assert a.pivots == b.pivots, f"level {n}"
+    for n, (a, (rows, pivots)) in enumerate(zip(fast, slow), start=1):
+        assert a.rows == rows, f"level {n}"
+        assert a.pivots == pivots, f"level {n}"
 
 
 @pytest.mark.parametrize("text,p,expected", [

@@ -2,10 +2,13 @@
 
 Smith forms are checked against the minor-gcd characterization of the
 divisor chain, computed here from scratch so the two routes share no code.
+The packed F_p kernel is checked against reference.dense_rref, a dense
+Gauss-Jordan elimination on lists.
 """
 
 import itertools
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +18,7 @@ from qrlab.intlinalg import (
     ModpSpan,
     det_int,
     elementary_divisors,
+    fp_rows,
     identity_rows,
     integer_inverse,
     is_invertible_modp,
@@ -30,6 +34,8 @@ from qrlab.intlinalg import (
     smith_normal_form,
     transpose,
 )
+
+from reference import dense_rref
 
 
 def naive_det(a):
@@ -170,12 +176,17 @@ def test_transpose_involution():
 primes = st.sampled_from([2, 3, 5])
 
 
+def dense_rank(rows, p):
+    return len(dense_rref(rows, p)[1])
+
+
 @given(matrices(entries=st.integers(0, 6)), primes)
 @settings(deadline=None, max_examples=80)
 def test_modp_rank_kernel_dimension(a, p):
     n = len(a[0])
     r = modp_rank(a, p)
     rows, pivots = modp_rref(a, p)
+    assert (rows, pivots) == dense_rref(a, p)
     assert r == len(rows) == len(pivots)
     assert pivots == sorted(pivots)
     ker = modp_left_kernel(a, p)
@@ -204,7 +215,7 @@ def test_modp_solve_left_detects_inconsistency():
 def test_modp_span_counts_rank(a, p):
     span = ModpSpan(len(a[0]), p)
     added = sum(1 for row in a if span.add(row))
-    assert added == modp_rank(a, p)
+    assert added == dense_rank(a, p)
 
 
 @given(st.integers(1, 6).flatmap(lambda n: st.tuples(
@@ -220,14 +231,66 @@ def test_modp_span_matches_rref_with_interleaved_reads(steps_probe, p):
     inserted = []
     for vec, read in steps + [(None, True)]:
         if vec is not None:
-            grows = modp_rank(inserted + [vec], p) > span.dim
+            grows = dense_rank(inserted + [vec], p) > span.dim
             assert span.add(vec) == grows
             inserted.append(vec)
-        rref, pivots = modp_rref(inserted, p)
+        rref, pivots = dense_rref(inserted, p)
         assert span.pivots == pivots and span.dim == len(pivots)
-        assert span.contains(probe) == (modp_rank(inserted + [probe], p) == len(pivots))
+        assert span.contains(probe) == (dense_rank(inserted + [probe], p) == len(pivots))
         if read:
             assert span.rows == rref
+
+
+# The kernel's edges: packed rows of up to 200 slots run over several 64-bit
+# words at every slot width; 131 and 65537 force two- and three-byte slots;
+# entries come negative and >= p, and hit the boundary residues 0, 1, p - 1.
+# Entries come from a Random seeded by hypothesis: lists this long are slow
+# to draw one hypothesis value at a time.
+KERNEL_PRIMES = [2, 3, 5, 7, 131, 65537]
+
+
+def kernel_vector(rnd, p, n):
+    edges = (1, p - 1, p, p + 1, -1, -p)
+    return [0 if rnd.random() < 0.4 else
+            rnd.choice(edges) if rnd.random() < 0.5 else rnd.randint(-3 * p, 3 * p)
+            for _ in range(n)]
+
+
+@pytest.mark.parametrize("p", KERNEL_PRIMES)
+@given(st.integers(1, 200), st.integers(0, 2**32))
+@settings(deadline=None, max_examples=80)
+def test_packed_rows_are_slotwise_arithmetic(p, n, seed):
+    rnd = random.Random(seed)
+    a, b = kernel_vector(rnd, p, n), kernel_vector(rnd, p, n)
+    c = rnd.randint(1, p - 1)
+    perm = rnd.sample(range(n), n)
+    lay = fp_rows(n, p)
+    pa, pb = lay.pack(a), lay.pack(b)
+    assert lay.unpack(pa) == [x % p for x in a]
+    assert lay.unpack(lay.add(pa, pb)) == [(x + y) % p for x, y in zip(a, b)]
+    assert lay.unpack(lay.sub(pa, pb)) == [(x - y) % p for x, y in zip(a, b)]
+    assert lay.unpack(lay.scale(pa, c)) == [c * x % p for x in a]
+    assert lay.unpack(lay.permutation(perm)(pa)) == [a[k] % p for k in perm]
+    assert [lay.entry(pa, j) for j in range(n)] == [x % p for x in a]
+
+
+@pytest.mark.parametrize("p", KERNEL_PRIMES)
+@given(st.integers(1, 200), st.integers(1, 5), st.integers(0, 2**32))
+@settings(deadline=None, max_examples=80)
+def test_modp_span_matches_the_dense_reference_at_every_width_and_prime(p, n, m, seed):
+    """m drawn rows, then a combination of them, and a probe."""
+    rnd = random.Random(seed)
+    rows = [kernel_vector(rnd, p, n) for _ in range(m)]
+    coeffs = [rnd.randint(-p, p) for _ in rows]
+    rows.append([sum(c * r[j] for c, r in zip(coeffs, rows)) for j in range(n)])
+    probe = kernel_vector(rnd, p, n)
+    rref, pivots = dense_rref(rows, p)
+    span = ModpSpan(n, p)
+    assert sum(1 for r in rows if span.add(r)) == len(pivots)
+    assert span.pivots == pivots and span.rows == rref
+    assert modp_rref(rows, p) == (rref, pivots) and modp_rank(rows, p) == len(pivots)
+    assert span.contains(rows[-1]) and not span.add(rows[-1])
+    assert span.contains(probe) == (dense_rank(rows + [probe], p) == len(pivots))
 
 
 def test_is_invertible_modp():
