@@ -30,10 +30,6 @@ class IntMatrix:
             if any(len(r) != w for r in self.entries):
                 raise ValueError("ragged matrix")
 
-    @classmethod
-    def from_rows(cls, rows: Iterable[Sequence[int]]) -> "IntMatrix":
-        return cls(tuple(tuple(int(x) for x in r) for r in rows))
-
     @property
     def rows(self) -> int:
         return len(self.entries)
@@ -81,33 +77,6 @@ def transpose(a: Rows) -> Rows:
     return [list(col) for col in zip(*a)]
 
 
-def det_int(rows: Rows) -> int:
-    """Bareiss fraction-free determinant."""
-    n = len(rows)
-    if n == 0:
-        return 1
-    if any(len(r) != n for r in rows):
-        raise ValueError("determinant of a non-square matrix")
-    m = [r[:] for r in rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
-
-
 def integer_inverse(rows: Rows) -> Rows:
     """Exact inverse of a unimodular integer matrix, read off its Smith form.
 
@@ -137,40 +106,83 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return a, x0, y0
 
 
+def _smallest_entry(M: Rows, t: int, n: int) -> tuple[int, int] | None:
+    """Position of the smallest nonzero |entry| of M[t:, t:], ties by lowest
+    (row, col); None when that submatrix is zero.  A unit is returned as soon
+    as it is met: no key (|x|, i, j) can beat the first one in row-major
+    order."""
+    best = None
+    for i in range(t, len(M)):
+        Mi = M[i]
+        for j in range(t, n):
+            x = Mi[j]
+            if x:
+                if x == 1 or x == -1:
+                    return i, j
+                key = (abs(x), i, j)
+                if best is None or key < best:
+                    best = key
+    return None if best is None else best[1:]
+
+
 def smith_normal_form(a) -> tuple[IntMatrix, IntMatrix, IntMatrix, IntMatrix]:
     """Return (D, U, V, Vinv) with U*A*V = D diagonal, d1 | d2 | ..., di >= 0.
 
     U and V are unimodular products of elementary row/column operations.
-    Vinv = V^-1 is accumulated alongside V: each column operation on V is
+    Their inverses are accumulated alongside: each column operation on V is
     mirrored by the inverse row operation on Vinv (col_j -= q*col_t becomes
-    Vinv[t] += q*Vinv[j], a column swap becomes a row swap).  Checked before
-    returning: U*A*V == D, V*Vinv == I, and det U = +-1 for up to 64 rows.
+    Vinv[t] += q*Vinv[j], a column swap becomes a row swap), and each row
+    operation on U by the inverse row operation on UinvT, the transpose of
+    U^-1 (row_i -= q*row_t becomes UinvT[t] += q*UinvT[i]).  Checked before
+    returning: U*A*V == D, V*Vinv == I and U*Uinv == I, the last two for
+    every size, so U and V are certified unimodular.
     Pivot rule: smallest nonzero absolute value in the working submatrix,
-    ties by lowest (row, col).
+    ties by lowest (row, col); the scan stops at the first unit.
+    At step t every entry of M outside rows t.. and columns t.. is zero
+    except the settled diagonal, so row operations touch M from column t
+    on and column operations from row t on.  A unit pivot divides every
+    entry, so it needs neither a second elimination round nor the
+    divisibility repair.
     """
     A = a.to_rows() if isinstance(a, IntMatrix) else [list(r) for r in a]
     m = len(A)
     n = len(A[0]) if A else 0
     M = [r[:] for r in A]
     U = identity_rows(m)
+    UinvT = identity_rows(m)
     V = identity_rows(n)
     Vinv = identity_rows(n)
 
-    def row_sub(i, t, q):  # row_i -= q * row_t
-        Mi, Mt, Ui, Ut = M[i], M[t], U[i], U[t]
-        for j in range(n):
+    def row_sub(i, t, q, start):  # row_i -= q * row_t, zero before start
+        Mi, Mt = M[i], M[t]
+        for j in range(start, n):
             Mi[j] -= q * Mt[j]
-        for j in range(m):
-            Ui[j] -= q * Ut[j]
+        Ui = U[i]
+        for j, x in enumerate(U[t]):
+            if x:
+                Ui[j] -= q * x
+        Wt = UinvT[t]
+        for j, x in enumerate(UinvT[i]):
+            if x:
+                Wt[j] += q * x
 
-    def col_sub(j, t, q):  # col_j -= q * col_t
-        for i in range(m):
-            M[i][j] -= q * M[i][t]
-        for i in range(n):
-            V[i][j] -= q * V[i][t]
-        Vt, Vj = Vinv[t], Vinv[j]
-        for i in range(n):
-            Vt[i] += q * Vj[i]
+    def col_sub(j, t, q):  # col_j -= q * col_t, rows above t are zero
+        for i in range(t, m):
+            Mi = M[i]
+            Mi[j] -= q * Mi[t]
+        for Vi in V:
+            x = Vi[t]
+            if x:
+                Vi[j] -= q * x
+        Vt = Vinv[t]
+        for i, x in enumerate(Vinv[j]):
+            if x:
+                Vt[i] += q * x
+
+    def row_swap(i, t):
+        M[i], M[t] = M[t], M[i]
+        U[i], U[t] = U[t], U[i]
+        UinvT[i], UinvT[t] = UinvT[t], UinvT[i]
 
     def col_swap(j, t):
         for row in M:
@@ -181,75 +193,57 @@ def smith_normal_form(a) -> tuple[IntMatrix, IntMatrix, IntMatrix, IntMatrix]:
 
     t = 0
     while t < min(m, n):
-        # deterministic pivot: smallest |entry|, then lowest row, then col
-        best = None
-        for i in range(t, m):
-            Mi = M[i]
-            for j in range(t, n):
-                x = Mi[j]
-                if x:
-                    key = (abs(x), i, j)
-                    if best is None or key < best:
-                        best = key
-        if best is None:
+        at = _smallest_entry(M, t, n)
+        if at is None:
             break
-        _, bi, bj = best
-        if bi != t:
-            M[bi], M[t] = M[t], M[bi]
-            U[bi], U[t] = U[t], U[bi]
-        if bj != t:
-            col_swap(bj, t)
         while True:
+            bi, bj = at
+            if bi != t:
+                row_swap(bi, t)
+            if bj != t:
+                col_swap(bj, t)
+            Mt = M[t]
+            piv = Mt[t]
             dirty = False
             for i in range(t + 1, m):
                 if M[i][t]:
-                    q = M[i][t] // M[t][t]
+                    q = M[i][t] // piv
                     if q:
-                        row_sub(i, t, q)
+                        row_sub(i, t, q, t)
                     if M[i][t]:
                         dirty = True
             for j in range(t + 1, n):
-                if M[t][j]:
-                    q = M[t][j] // M[t][t]
+                if Mt[j]:
+                    q = Mt[j] // piv
                     if q:
                         col_sub(j, t, q)
-                    if M[t][j]:
+                    if Mt[j]:
                         dirty = True
             if not dirty:
                 break
             # a nonzero remainder is strictly smaller than the pivot;
             # re-select inside the submatrix and keep going
-            best = None
-            for i in range(t, m):
-                Mi = M[i]
-                for j in range(t, n):
-                    x = Mi[j]
-                    if x:
-                        key = (abs(x), i, j)
-                        if best is None or key < best:
-                            best = key
-            _, bi, bj = best
-            if bi != t:
-                M[bi], M[t] = M[t], M[bi]
-                U[bi], U[t] = U[t], U[bi]
-            if bj != t:
-                col_swap(bj, t)
+            at = _smallest_entry(M, t, n)
+            if abs(M[at[0]][at[1]]) >= abs(piv):
+                raise AssertionError("Smith elimination left no smaller remainder")
         if M[t][t] < 0:
             M[t] = [-x for x in M[t]]
             U[t] = [-x for x in U[t]]
+            UinvT[t] = [-x for x in UinvT[t]]
         # divisibility repair: fold any non-multiple into row t and redo
         d = M[t][t]
         offender = None
-        for i in range(t + 1, m):
-            Mi = M[i]
-            for j in range(t + 1, n):
-                if Mi[j] % d:
-                    offender = i
+        if d != 1:
+            for i in range(t + 1, m):
+                Mi = M[i]
+                for j in range(t + 1, n):
+                    if Mi[j] % d:
+                        offender = i
+                        break
+                if offender is not None:
                     break
-            if offender is not None:
-                break
         if offender is not None:
-            row_sub(t, offender, -1)  # row_t += row_offender
+            row_sub(t, offender, -1, t)  # row_t += row_offender
             continue
         t += 1
 
@@ -264,12 +258,12 @@ def smith_normal_form(a) -> tuple[IntMatrix, IntMatrix, IntMatrix, IntMatrix]:
             raise AssertionError("Smith divisibility chain broken")
     if mat_mul(mat_mul(U, A), V) != D:
         raise AssertionError("U*A*V != D after Smith reduction")
-    if m <= 64 and abs(det_int(U)) != 1:
-        raise AssertionError("U not unimodular")
+    if mat_mul(U, transpose(UinvT)) != identity_rows(m):
+        raise AssertionError("U*Uinv != I after Smith reduction")
     if mat_mul(V, Vinv) != identity_rows(n):
         raise AssertionError("V*Vinv != I after Smith reduction")
-    return (IntMatrix.from_rows(D), IntMatrix.from_rows(U), IntMatrix.from_rows(V),
-            IntMatrix.from_rows(Vinv))
+    return (IntMatrix(tuple(map(tuple, D))), IntMatrix(tuple(map(tuple, U))),
+            IntMatrix(tuple(map(tuple, V))), IntMatrix(tuple(map(tuple, Vinv))))
 
 
 def elementary_divisors(rows: Rows) -> list[int]:

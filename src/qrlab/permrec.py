@@ -391,10 +391,19 @@ def _integral_solutions(table, fix, dim, cap):
     """All m >= 0 with table * m = fix, by Smith reduction of the system.
 
     Returns (solutions, witness_if_none, capped).  The orbit-count matrix
-    need not be invertible, so the solution set is an affine sublattice;
-    its free directions are enumerated exactly inside the box
-    0 <= m_j <= dim (the trivial-class equation bounds every multiplicity
-    by the module dimension).
+    need not be invertible, so the solution set is an affine sublattice
+    m = base + sum_k c_k dirs[k]; its free coefficients are enumerated
+    exactly inside the box that keeps 0 <= m_j <= dim (the trivial-class
+    equation bounds every multiplicity by the module dimension).  A box of
+    more than MARKS_BOX_CAP points is not entered.
+
+    The box is walked depth first, c_0 outermost, which is the
+    lexicographic order of the coefficient vectors.  Before a prefix
+    c_0 .. c_k is extended, each m_j is bounded by what the remaining
+    directions can still add over their integer ranges, and the prefix is
+    dropped only when some m_j cannot land in [0, dim].  A dropped prefix
+    holds no solution, so the solutions come out in the same order as a
+    walk of every point, and a capped walk stops on the same cap + 1.
     """
     t = len(fix)
     D, U, V, _ = smith_normal_form([list(r) for r in table])
@@ -440,7 +449,8 @@ def _integral_solutions(table, fix, dim, cap):
             acc = trial
         if len(picked) == s:
             break
-    assert len(picked) == s, "kernel directions are dependent"
+    if len(picked) != s:
+        raise AssertionError("kernel directions are dependent")
     sub = [[Fraction(dirs[i][j]) for i in range(s)] for j in picked]
     sub_inv = _fraction_inverse(sub)
     lo: list[Fraction | None] = [None] * s
@@ -457,19 +467,38 @@ def _integral_solutions(table, fix, dim, cap):
         total *= max(len(r), 1)
     if total > MARKS_BOX_CAP:
         return [], None, True
-    sols = []
+    sols: list[tuple[int, ...]] = []
     capped = False
-    for coeffs in product(*ranges):
-        m = list(base)
-        for c, dvec in zip(coeffs, dirs):
-            if c:
-                for j in range(t):
-                    m[j] += c * dvec[j]
-        if all(0 <= x <= dim for x in m):
-            sols.append(tuple(m))
-            if len(sols) > cap:
-                capped = True
-                break
+    if all(ranges):
+        # lo_add[k][j], hi_add[k][j]: the least and the greatest amount that
+        # directions k, k+1, ... can still add to m_j.  c * d is affine in c,
+        # so each term is extreme at an end of c's integer range.
+        lo_add = [[0] * t for _ in range(s + 1)]
+        hi_add = [[0] * t for _ in range(s + 1)]
+        for k in range(s - 1, -1, -1):
+            first, last = ranges[k][0], ranges[k][-1]
+            for j, dj in enumerate(dirs[k]):
+                a, b = first * dj, last * dj
+                lo_add[k][j] = lo_add[k + 1][j] + min(a, b)
+                hi_add[k][j] = hi_add[k + 1][j] + max(a, b)
+
+        def walk(k, m):
+            """Extend the prefix m = base + sum_{i<k} c_i dirs[i] by c_k;
+            True once more than cap solutions are found."""
+            lo, hi, dvec = lo_add[k + 1], hi_add[k + 1], dirs[k]
+            for c in ranges[k]:
+                mc = [x + c * y for x, y in zip(m, dvec)]
+                if any(x + h < 0 or x + l > dim for x, l, h in zip(mc, lo, hi)):
+                    continue
+                if k + 1 == s:
+                    sols.append(tuple(mc))
+                    if len(sols) > cap:
+                        return True
+                elif walk(k + 1, mc):
+                    return True
+            return False
+
+        capped = walk(0, base)
     sols = sorted(set(sols))
     if capped:
         sols = sols[:cap]
@@ -650,7 +679,8 @@ def _liftable_kernel(a: list[list[int]], p: int, k: int) -> list[list[int]]:
         defs = []
         for w in lifts:
             wa = [sum(w[i] * a[i][j] for i in range(d)) for j in range(n)]
-            assert all(x % q == 0 for x in wa), "lift invariant broke"
+            if any(x % q for x in wa):
+                raise AssertionError("lift invariant broke")
             defs.append([(x // q) % p for x in wa])
         proj = []
         for v in defs:
@@ -670,7 +700,8 @@ def _liftable_kernel(a: list[list[int]], p: int, k: int) -> list[list[int]]:
             wa = [sum(w[i] * a[i][j] for i in range(d)) for j in range(n)]
             rhs = [(-(x // q)) % p for x in wa]
             v = modp_solve_left(abar, rhs, p)
-            assert v is not None, "projected defect was not in the image"
+            if v is None:
+                raise AssertionError("projected defect was not in the image")
             w = [wi + q * vi for wi, vi in zip(w, v)]
             new_lifts.append(w)
         lifts = new_lifts
@@ -863,9 +894,9 @@ def perm_recognize_modp(
     )
     all_definitive = not marks.capped
     for cand in marks.candidates:
-        assert sum(m * (mod.qtbl.order // marks.classes[j].order)
-                   for j, m in enumerate(cand)) == mod.dim, \
-            "marks solution violates the dimension equation"
+        if sum(m * (mod.qtbl.order // marks.classes[j].order)
+               for j, m in enumerate(cand)) != mod.dim:
+            raise AssertionError("marks solution violates the dimension equation")
         blocks = []
         for j, m in enumerate(cand):
             H = marks.classes[j]

@@ -1,7 +1,9 @@
 """Exact integer and mod-p linear algebra.
 
 Smith forms are checked against the minor-gcd characterization of the
-divisor chain, computed here from scratch so the two routes share no code.
+divisor chain, computed here from scratch so the two routes share no code,
+and the whole factorization against reference.smallest_entry_snf, the same
+pivot rule without qrlab's shortcuts.
 The packed F_p kernel is checked against reference.dense_rref, a dense
 Gauss-Jordan elimination on lists.
 """
@@ -16,7 +18,6 @@ from hypothesis import given, settings, strategies as st
 from qrlab.intlinalg import (
     AbelianInvariants,
     ModpSpan,
-    det_int,
     elementary_divisors,
     fp_rows,
     identity_rows,
@@ -35,7 +36,7 @@ from qrlab.intlinalg import (
     transpose,
 )
 
-from reference import dense_rref
+from reference import dense_rref, det_int, smallest_entry_snf
 
 
 def naive_det(a):
@@ -106,6 +107,27 @@ def test_smith_factorization(a):
 @settings(deadline=None, max_examples=60)
 def test_divisors_match_minor_gcds(a):
     assert elementary_divisors(a) == minor_gcd_divisors(a)
+
+
+# mostly zeros, nonzero entries mostly +-1: the shape of the level
+# coinvariant systems, where the unit-pivot shortcuts fire
+sparse_entries = st.sampled_from((0,) * 8 + (1, -1) * 3 + (2, -2, 3, -4, 6))
+
+
+@given(st.one_of(matrices(max_dim=7, entries=sparse_entries), matrices(max_dim=5)))
+@settings(deadline=None, max_examples=200)
+def test_smith_matches_full_scan_elimination(a):
+    got = [x.to_rows() for x in smith_normal_form(a)]
+    assert got == list(smallest_entry_snf(a))
+
+
+def test_smith_certifies_u_past_64_rows():
+    # a tall sparse system like the coinvariants of an order-32 group
+    rng = random.Random(70)
+    a = [[rng.choice((0, 0, 0, 0, 1, -1, 2)) for _ in range(9)] for _ in range(70)]
+    d, u, v, vinv = smith_normal_form(a)
+    assert [x.to_rows() for x in (d, u, v, vinv)] == list(smallest_entry_snf(a))
+    assert abs(det_int(u.to_rows())) == 1
 
 
 def test_divisors_frozen_cases():

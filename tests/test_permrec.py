@@ -9,7 +9,9 @@ import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from qrlab import permrec
 from qrlab.errors import InputError, PropertyViolation
 from qrlab.intlinalg import (
     AbelianInvariants,
@@ -50,6 +52,7 @@ from qrlab.permrec import (
 )
 
 from conftest import CORPUS_DIR
+from reference import box_solutions
 
 
 def synthetic_module(qtbl, blocks, p, k):
@@ -350,6 +353,90 @@ def test_d4_level2_unique_candidate_certifies():
     got = tuple((len(mk.classes[j].members), m)
                 for j, m in enumerate(rec.multiplicities) if m)
     assert got == ((2, 1), (2, 1), (4, 1))
+
+
+# --- the marks box walk against the flat enumeration ------------------------
+
+def _solve_both(table, fix, dim, cap, box_cap=permrec.MARKS_BOX_CAP):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(permrec, "MARKS_BOX_CAP", box_cap)
+        got = permrec._integral_solutions(table, fix, dim, cap)
+    assert got == box_solutions(table, fix, dim, cap, box_cap)
+    return got
+
+
+@st.composite
+def marks_systems(draw):
+    """Integer systems table * m = fix of the marks solver's shape.  The
+    table is B*C with an inner size r <= t, so it is often rank-deficient;
+    fix is table * m0 for an admissible m0, or arbitrary (then usually
+    inconsistent or non-integral)."""
+    t = draw(st.integers(1, 4))
+    r = draw(st.integers(1, t))
+    small = st.integers(-1, 2)
+    B = draw(st.lists(st.lists(small, min_size=r, max_size=r), min_size=t, max_size=t))
+    C = draw(st.lists(st.lists(st.integers(0, 2), min_size=t, max_size=t),
+                      min_size=r, max_size=r))
+    table = mat_mul(B, C)
+    dim = draw(st.integers(0, 5))
+    if draw(st.booleans()):
+        m0 = draw(st.lists(st.integers(0, dim), min_size=t, max_size=t))
+        fix = [sum(a * x for a, x in zip(row, m0)) for row in table]
+    else:
+        fix = draw(st.lists(st.integers(-2, 6), min_size=t, max_size=t))
+    return table, fix, dim
+
+
+@given(marks_systems(), st.sampled_from((0, 1, 2, 64)), st.sampled_from((40, 100_000)))
+@settings(deadline=None, max_examples=200)
+def test_box_walk_matches_flat_enumeration(system, cap, box_cap):
+    table, fix, dim = system
+    _solve_both(table, fix, dim, cap, box_cap)
+
+
+@pytest.mark.parametrize("cap", [0, 1, 2, 3, 4])
+def test_box_walk_keeps_the_capped_candidates(cap):
+    # m_1 + m_2 + m_3 = 3 twice over: a plane of 10 solutions, reached
+    # through two free directions, several with some m_j at the bound dim
+    table = [[1, 1, 1], [2, 2, 2], [0, 0, 0]]
+    sols, witness, capped = _solve_both(table, [3, 6, 0], 3, cap)
+    assert witness is None
+    assert capped == (cap < 10)
+    assert len(sols) == min(cap, 10) and len(set(sols)) == len(sols)
+    assert all(sum(m) == 3 for m in sols)
+
+
+def test_box_walk_complete_and_refuting_systems():
+    table = [[1, 1, 1], [2, 2, 2], [0, 0, 0]]
+    sols, witness, capped = _solve_both(table, [3, 6, 0], 3, 64)
+    assert not capped and witness is None
+    assert sols == sorted((a, b, 3 - a - b) for a in range(4) for b in range(4 - a))
+    assert _solve_both(table, [3, 5, 0], 3, 64)[1] == "orbit-count system is inconsistent"
+    assert _solve_both([[2, 0], [0, 1]], [3, 1], 3, 64)[1].startswith(
+        "orbit-count system forces a non-integral multiplicity")
+    assert _solve_both(table, [7, 14, 0], 2, 64)[1] == (
+        "no nonnegative integral multiplicity vector exists")
+
+
+def test_corpus_marks_systems_match_flat_enumeration(monkeypatch, corpus, lattice):
+    """Every marks system the corpus harness solves, against the oracle."""
+    seen = []
+    solve = permrec._integral_solutions
+
+    def record(table, fix, dim, cap):
+        seen.append((table, fix, dim, cap))
+        return solve(table, fix, dim, cap)
+
+    monkeypatch.setattr(permrec, "_integral_solutions", record)
+    for entry in corpus:
+        for p in entry.get("primes", [2]):
+            rep = qr_check(lattice(entry["text"]), p)
+            if rep.quasirational:
+                tower_harness(rep)
+    monkeypatch.undo()
+    assert len(seen) >= 20
+    for table, fix, dim, cap in seen:
+        _solve_both(table, fix, dim, cap)
 
 
 # --- integral lifts --------------------------------------------------------
