@@ -439,7 +439,7 @@ def subgroup_conjugacy_classes(tbl: FiniteGroupTable, subs: list[Subgroup]) -> l
 
 
 # ---------------------------------------------------------------------------
-# cosets, orbits, quotients
+# cosets, quotients
 
 def left_cosets(tbl: FiniteGroupTable, sub: Subgroup) -> tuple[list[int], list[int]]:
     """(coset_of, reps): coset_of[x] = index of x*H among cosets; reps[i] is
@@ -454,28 +454,6 @@ def left_cosets(tbl: FiniteGroupTable, sub: Subgroup) -> tuple[list[int], list[i
         for h in sub.members:
             coset_of[tbl.mult[x][h]] = cid
     return coset_of, reps
-
-
-def orbits_on_cosets(tbl: FiniteGroupTable, sub: Subgroup, acting: Subgroup) -> int:
-    """Number of orbits of `acting` on the left cosets g*sub."""
-    coset_of, reps = left_cosets(tbl, sub)
-    seen = [False] * len(reps)
-    orbits = 0
-    for c in range(len(reps)):
-        if seen[c]:
-            continue
-        orbits += 1
-        stack = [c]
-        seen[c] = True
-        while stack:
-            d = stack.pop()
-            x = reps[d]
-            for q in acting.generators:
-                e = coset_of[tbl.mult[q][x]]
-                if not seen[e]:
-                    seen[e] = True
-                    stack.append(e)
-    return orbits
 
 
 def quotient_table(tbl: FiniteGroupTable, normal: Subgroup) -> tuple[FiniteGroupTable, list[int]]:

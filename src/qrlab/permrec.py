@@ -9,20 +9,22 @@ is inverted.  The rest of Q is filled in along its Cayley graph, and every
 Cayley edge is checked, which proves the matrices are an action of Q that
 agrees with the G-action on the lattice.
 
-Recognition over F_p goes marks-first: the orbit-count system over the
-subgroup classes of Q is solved exactly and integrally (it can be
-singular, so the solver enumerates the solution lattice); no admissible
-solution refutes the module outright.  Candidates are then attacked
-constructively through coset transport: a hom from an induced block is
-determined by one base row, so the hom space per block is small enough to
-enumerate completely in the cases that matter, making a failed search a
-proof rather than a shrug.  Over Z/p^k the same transport runs with
-sign-twisted blocks (p = 2; twists are invisible mod 2), and the solution
-module is obtained by lifting the mod-p kernel one p-adic digit at a time.
-Nothing is reported certified or refuted without either an independently
-verified witness matrix or an exhausted finite search; an unknown result
-names what stopped it (a capped marks system, a budget-limited search, or
-the assignment cap) in its `reason`.
+Recognition over F_p starts from the Brauer quotients: for a p-group Q the
+Brauer quotient of a permutation module F_p[X] at K has dimension |X^K|,
+and Burnside's table of marks is triangular and invertible, so the
+dimensions of the Brauer quotients of the level module fix the one
+multiplicity vector a permutation module could have.  A step of that
+back-substitution that is not integral or not nonnegative refutes the
+module outright.  Otherwise the one candidate is attacked constructively
+through coset transport: a hom from an induced block is determined by one
+base row, so the hom space per block is small enough to enumerate
+completely in the cases that matter, making a failed search a proof rather
+than a shrug.  Over Z/p^k the same transport runs with sign-twisted blocks
+(p = 2; twists are invisible mod 2), and the solution module is obtained by
+lifting the mod-p kernel one p-adic digit at a time.  Nothing is reported
+certified or refuted without either an independently verified witness
+matrix or an exhausted finite search; an unknown result names what stopped
+it (a budget-limited search or the assignment cap) in its `reason`.
 
 Conventions.  Module elements are row vectors; q acts by y -> y * A[q];
 matrices compose antihomomorphically, A[q1 q2] = A[q2] * A[q1] (q1 q2
@@ -33,10 +35,9 @@ xi(rep(c')^-1 g rep(c)).
 
 from __future__ import annotations
 
-import math
+import functools
 import random
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from itertools import combinations_with_replacement, product
 
 from .errors import InputError, PropertyViolation, TorsionObstruction
@@ -45,13 +46,13 @@ from .enumeration import (
     Subgroup,
     all_subgroups,
     left_cosets,
-    orbits_on_cosets,
     quotient_table,
     subgroup_conjugacy_classes,
 )
 from .groupring import _generators_for
 from .intlinalg import (
     ModpSpan,
+    fp_rows,
     identity_rows,
     is_invertible_modp,
     mat_mul,
@@ -59,17 +60,14 @@ from .intlinalg import (
     modp_rank,
     modp_rref,
     modp_solve_left,
-    smith_normal_form,
 )
 from .presentation import Presentation
 from .relmod import Coinvariants, LevelResult, QRReport, RelationLattice, qr_check_full
 
 DEFAULT_PRECISION = 20
 DEFAULT_CERT_BUDGET = 100_000
-DEFAULT_CANDIDATE_CAP = 64
 DEFAULT_ASSIGNMENT_CAP = 64
 EXHAUSTIVE_CAP = 4096
-MARKS_BOX_CAP = 100_000
 
 
 def _mm(a, b, q):
@@ -257,305 +255,146 @@ def transition_map(hi: LevelModule, lo: LevelModule) -> tuple[tuple[int, ...], .
 
 @dataclass(frozen=True)
 class MarksReport:
-    """Linear necessary conditions on the multiplicities, and their solutions.
+    """The Brauer-quotient test and the one multiplicity vector it allows.
 
-    classes[i] is the representative of subgroup class i.  Three exact
-    invariants of the module are matched against what a permutation module
-    with multiplicities m would give:
+    classes[i] is the representative K_i of subgroup class i, classes sorted
+    by order.  For the module M:
 
-      fixdims[i]    = dim M^K           = sum_j m_j * table[i][j]
-      codims[i]     = dim M_K           = same right side (both count orbits)
-      norm_ranks[i] = rank sum_{h in K} = sum_j m_j * norm_table[i][j]
+      fixdims[i]     = dim M^K_i
+      brauer_dims[i] = dim M(K_i) = dim M^K_i - dim sum_{L < K_i} Tr_L^K_i(M^L)
 
-    The last is sharp in a way orbit counts are not: for K = Q it equals
-    the multiplicity of the free block exactly.  candidates holds every
-    nonnegative integral vector surviving all three systems (capped), in
-    lexicographic order; empty with a witness means refuted.
+    For a p-group Q the Brauer quotient of F_p[X] at K has dimension |X^K|
+    (Broue, On Scott modules and p-permutation modules, 1985), so a
+    permutation module with multiplicities m satisfies marks * m =
+    brauer_dims, where marks[i][j] = |(Q/H_j)^K_i| is Burnside's table of
+    marks.  K_i fixes a coset of H_j only if it lies in a conjugate of H_j,
+    so marks[i][j] = 0 for j < i and marks[i][i] = |N(K_i) : K_i|: the
+    table is triangular with a nonzero diagonal and m is unique.
+    candidates is (m,) when back-substitution gives a nonnegative integral
+    vector, and () with a witness otherwise, which refutes M.
     """
 
     classes: tuple[Subgroup, ...]
     fixdims: tuple[int, ...]
-    codims: tuple[int, ...]
-    norm_ranks: tuple[int, ...]
-    table: tuple[tuple[int, ...], ...]
-    norm_table: tuple[tuple[int, ...], ...]
+    brauer_dims: tuple[int, ...]
     candidates: tuple[tuple[int, ...], ...]
     witness: str | None
-    capped: bool
-
-    def capped_reason(self) -> str | None:
-        """Why the candidate list is incomplete, None when it is complete."""
-        if not self.capped:
-            return None
-        if not self.candidates:
-            return (
-                f"capped marks box: the orbit-count solution box has more than "
-                f"{MARKS_BOX_CAP} points and was not enumerated"
-            )
-        return "capped marks candidates: candidates past the cap were not searched"
 
 
-def _generator_differences(mod: LevelModule, generators) -> list[list[list[int]]]:
-    """A[g] - I for each non-identity generator g of a subgroup."""
-    out = []
-    for g in sorted({g for g in generators if g}):
+def _fixed_basis(mod: LevelModule, sub: Subgroup) -> list[list[int]]:
+    """Basis of M^K: the vectors fixed by the generators of K are fixed by K.
+
+    v(A[g] - I) = 0 for every generator g is one system, v times the
+    side-by-side stack of the A[g] - I, so M^K is its left kernel.
+    """
+    diffs = []
+    for g in sorted({g for g in sub.generators if g}):
         diff = [list(row) for row in mod.action[g]]
         for i, row in enumerate(diff):
             row[i] -= 1
-        out.append(diff)
-    return out
-
-
-def _fixed_dim(mod: LevelModule, generators) -> int:
-    """dim of M^K: the vectors fixed by the generators of K are fixed by K.
-
-    v(A[g] - I) = 0 for every generator g is one system, v times the
-    side-by-side stack of the A[g] - I, so dim M^K = dim - its rank.
-    """
-    diffs = _generator_differences(mod, generators)
+        diffs.append(diff)
     stacked = [[x for d in diffs for x in d[i]] for i in range(mod.dim)]
-    return mod.dim - modp_rank(stacked, mod.p)
+    return modp_left_kernel(stacked, mod.p, width=len(diffs) * mod.dim)
 
 
-def _coinv_dim(mod: LevelModule, generators) -> int:
-    """dim of M / sum (k-1)M, the K-coinvariants.
-
-    Generators suffice: gh - 1 = (g - 1)h + (h - 1) and sum (k-1)M is
-    stable under K, so the generators' (x-1)M already span it.
+def _brauer_dim(mod: LevelModule, K: Subgroup, maximal, fixed, packed) -> int:
+    """dim M(K) = dim M^K - dim sum_L Tr_L^K(M^L), L over the maximal
+    subgroups of K.  Every proper subgroup lies in a maximal one and the
+    transfers compose, so the maximal ones give the whole sum.  Each L is
+    normal of index p, so Tr_L^K = sum_{i<p} A[g^i] for any g in K - L.
+    fixed(L) is a basis of M^L and packed(q) the rows of A[q], packed.
     """
-    diffs = _generator_differences(mod, generators)
-    return mod.dim - modp_rank([row for d in diffs for row in d], mod.p)
+    lay = fp_rows(mod.dim, mod.p)
+    span = ModpSpan(mod.dim, mod.p)
+    for L in maximal:
+        in_l = set(L.members)
+        g = next(x for x in K.members if x not in in_l)
+        powers = [0]
+        for _ in range(mod.p - 1):
+            powers.append(mod.qtbl.mult[powers[-1]][g])
+        tr = packed(powers[0])
+        for t in powers[1:]:
+            tr = [lay.add(a, b) for a, b in zip(tr, packed(t))]
+        for v in fixed(L):
+            img = 0
+            for c, row in zip(v, tr):
+                if c:
+                    img = lay.add(img, row if c == 1 else lay.scale(row, c))
+            span.add(img)
+    return len(fixed(K)) - span.dim
 
 
-def _norm_rank(mod: LevelModule, members) -> int:
-    """rank mod p of the subgroup norm sum_{k in K} A[k] acting on M."""
-    if mod.dim == 0:
-        return 0
-    nu = [[0] * mod.dim for _ in range(mod.dim)]
-    for g in members:
-        a = mod.action[g]
-        for i in range(mod.dim):
-            row = nu[i]
-            arow = a[i]
-            for j in range(mod.dim):
-                row[j] = (row[j] + arow[j]) % mod.p
-    return modp_rank(nu, mod.p)
+def _solve_marks(marks, brauer, classes) -> tuple[tuple[int, ...] | None, str | None]:
+    """The m with marks * m = brauer by back-substitution from the top
+    class, or (None, the first step that is not integral or not >= 0)."""
+    t = len(brauer)
+    m = [0] * t
+    for i in range(t - 1, -1, -1):
+        row = marks[i]
+        if not row[i] or any(row[:i]):
+            raise AssertionError("table of marks is not triangular in the class order")
+        rest = brauer[i] - sum(row[j] * m[j] for j in range(i + 1, t))
+        q, r = divmod(rest, row[i])
+        order = classes[i].order
+        if r:
+            return None, (
+                f"Brauer quotients force a non-integral multiplicity {rest}/{row[i]} "
+                f"for the subgroup class {i} (order {order})"
+            )
+        if q < 0:
+            return None, (
+                f"Brauer quotients force a negative multiplicity {q} "
+                f"for the subgroup class {i} (order {order})"
+            )
+        m[i] = q
+    return tuple(m), None
 
 
-def _block_norm_rank(qtbl: FiniteGroupTable, acting_members, block_sub: Subgroup, p: int) -> int:
-    """rank mod p of the norm of the acting subgroup on F_p[Q/H]."""
-    coset_of, reps = left_cosets(qtbl, block_sub)
-    n = len(reps)
-    mat = [[0] * n for _ in range(n)]
-    for c, r in enumerate(reps):
-        for h in acting_members:
-            mat[c][coset_of[qtbl.mult[h][r]]] += 1
-    return modp_rank(mat, p)
+def marks_multiplicities(mod: LevelModule) -> MarksReport:
+    """The only multiplicity vector a permutation module could have.
 
-
-def _fraction_rank(rows: list[list[Fraction]]) -> int:
-    a = [r[:] for r in rows]
-    rank = 0
-    ncols = len(a[0]) if a else 0
-    for c in range(ncols):
-        piv = next((i for i in range(rank, len(a)) if a[i][c]), None)
-        if piv is None:
-            continue
-        a[rank], a[piv] = a[piv], a[rank]
-        inv = 1 / a[rank][c]
-        a[rank] = [x * inv for x in a[rank]]
-        for i in range(len(a)):
-            if i != rank and a[i][c]:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[rank])]
-        rank += 1
-    return rank
-
-
-def _fraction_inverse(rows: list[list[Fraction]]) -> list[list[Fraction]]:
-    n = len(rows)
-    a = [r[:] + [Fraction(int(i == j)) for j in range(n)] for i, r in enumerate(rows)]
-    for c in range(n):
-        piv = next(i for i in range(c, n) if a[i][c])
-        a[c], a[piv] = a[piv], a[c]
-        inv = 1 / a[c][c]
-        a[c] = [x * inv for x in a[c]]
-        for i in range(n):
-            if i != c and a[i][c]:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
-    return [r[n:] for r in a]
-
-
-def _integral_solutions(table, fix, dim, cap):
-    """All m >= 0 with table * m = fix, by Smith reduction of the system.
-
-    Returns (solutions, witness_if_none, capped).  The orbit-count matrix
-    need not be invertible, so the solution set is an affine sublattice
-    m = base + sum_k c_k dirs[k]; its free coefficients are enumerated
-    exactly inside the box that keeps 0 <= m_j <= dim (the trivial-class
-    equation bounds every multiplicity by the module dimension).  A box of
-    more than MARKS_BOX_CAP points is not entered.
-
-    The box is walked depth first, c_0 outermost, which is the
-    lexicographic order of the coefficient vectors.  Before a prefix
-    c_0 .. c_k is extended, each m_j is bounded by what the remaining
-    directions can still add over their integer ranges, and the prefix is
-    dropped only when some m_j cannot land in [0, dim].  A dropped prefix
-    holds no solution, so the solutions come out in the same order as a
-    walk of every point, and a capped walk stops on the same cap + 1.
+    dim M(K) is computed for every subgroup class K and the triangular
+    marks system is solved exactly (see MarksReport).  An empty candidate
+    list is a proof that M is no permutation module; the one candidate is
+    only necessary and still needs the constructive certificate.  The
+    Brauer-quotient count holds for p-groups only, so another |Q| raises
+    InputError.
     """
-    t = len(fix)
-    D, U, V, _ = smith_normal_form([list(r) for r in table])
-    # table * m = fix  <=>  D z = U fix  with  m = V z   (D = U table V)
-    ufix = [sum(U.entries[i][l] * fix[l] for l in range(t)) for i in range(t)]
-    diag = list(D.diagonal())
-    z0 = [0] * t
-    free: list[int] = []
-    for i in range(t):
-        d = diag[i] if i < len(diag) else 0
-        if d == 0:
-            if ufix[i] != 0:
-                return [], "orbit-count system is inconsistent", False
-            free.append(i)
-        else:
-            if ufix[i] % d:
-                return [], (
-                    f"orbit-count system forces a non-integral multiplicity "
-                    f"({ufix[i]}/{d})"
-                ), False
-            z0[i] = ufix[i] // d
-    vrows = V.to_rows()
-
-    def to_m(z):
-        return [sum(vrows[j][i] * z[i] for i in range(t)) for j in range(t)]
-
-    base = to_m(z0)
-    if not free:
-        m = base
-        if all(0 <= x <= dim for x in m):
-            return [tuple(m)], None, False
-        return [], f"unique multiplicity vector {tuple(m)} is not admissible", False
-    # kernel directions: columns of V at the free positions; independent,
-    # so s of the t rows are invertible and bound the coefficients exactly
-    dirs = [[vrows[j][i] for j in range(t)] for i in free]
-    s = len(dirs)
-    picked: list[int] = []
-    acc: list[list[Fraction]] = []
-    for j in range(t):
-        trial = acc + [[Fraction(dirs[i][j]) for i in range(s)]]
-        if _fraction_rank(trial) > len(acc):
-            picked.append(j)
-            acc = trial
-        if len(picked) == s:
-            break
-    if len(picked) != s:
-        raise AssertionError("kernel directions are dependent")
-    sub = [[Fraction(dirs[i][j]) for i in range(s)] for j in picked]
-    sub_inv = _fraction_inverse(sub)
-    lo: list[Fraction | None] = [None] * s
-    hi: list[Fraction | None] = [None] * s
-    for corner in product(*[(0, dim)] * s):
-        delta = [Fraction(corner[a] - base[picked[a]]) for a in range(s)]
-        c = [sum(sub_inv[i][a] * delta[a] for a in range(s)) for i in range(s)]
-        for i in range(s):
-            lo[i] = c[i] if lo[i] is None or c[i] < lo[i] else lo[i]
-            hi[i] = c[i] if hi[i] is None or c[i] > hi[i] else hi[i]
-    ranges = [range(math.ceil(lo[i]), math.floor(hi[i]) + 1) for i in range(s)]
-    total = 1
-    for r in ranges:
-        total *= max(len(r), 1)
-    if total > MARKS_BOX_CAP:
-        return [], None, True
-    sols: list[tuple[int, ...]] = []
-    capped = False
-    if all(ranges):
-        # lo_add[k][j], hi_add[k][j]: the least and the greatest amount that
-        # directions k, k+1, ... can still add to m_j.  c * d is affine in c,
-        # so each term is extreme at an end of c's integer range.
-        lo_add = [[0] * t for _ in range(s + 1)]
-        hi_add = [[0] * t for _ in range(s + 1)]
-        for k in range(s - 1, -1, -1):
-            first, last = ranges[k][0], ranges[k][-1]
-            for j, dj in enumerate(dirs[k]):
-                a, b = first * dj, last * dj
-                lo_add[k][j] = lo_add[k + 1][j] + min(a, b)
-                hi_add[k][j] = hi_add[k + 1][j] + max(a, b)
-
-        def walk(k, m):
-            """Extend the prefix m = base + sum_{i<k} c_i dirs[i] by c_k;
-            True once more than cap solutions are found."""
-            lo, hi, dvec = lo_add[k + 1], hi_add[k + 1], dirs[k]
-            for c in ranges[k]:
-                mc = [x + c * y for x, y in zip(m, dvec)]
-                if any(x + h < 0 or x + l > dim for x, l, h in zip(mc, lo, hi)):
-                    continue
-                if k + 1 == s:
-                    sols.append(tuple(mc))
-                    if len(sols) > cap:
-                        return True
-                elif walk(k + 1, mc):
-                    return True
-            return False
-
-        capped = walk(0, base)
-    sols = sorted(set(sols))
-    if capped:
-        sols = sols[:cap]
-    if not sols and not capped:
-        return [], "no nonnegative integral multiplicity vector exists", False
-    return sols, None, capped
-
-
-def marks_multiplicities(mod: LevelModule, cap: int = DEFAULT_CANDIDATE_CAP) -> MarksReport:
-    """Solve the linear necessary conditions for candidate multiplicities.
-
-    dim M^K = sum_H m_H * #orbits(K, Q/H) is forced for any permutation
-    module, as is the matching coinvariant dimension and the norm-rank
-    system (norms act blockwise, so their ranks add over summands).  An
-    empty candidate list is a proof of non-existence; candidates that
-    survive are only necessary and still need the constructive certificate.
-    """
+    n = mod.qtbl.order
+    while n % mod.p == 0:
+        n //= mod.p
+    if n != 1:
+        raise InputError(
+            f"the Brauer quotient test needs a {mod.p}-group, |Q| = {mod.qtbl.order}"
+        )
     subs = all_subgroups(mod.qtbl)
     classes = [cls[0] for cls in subgroup_conjugacy_classes(mod.qtbl, subs)]
-    t = len(classes)
-    fix = [_fixed_dim(mod, K.generators) for K in classes]
-    codims = [_coinv_dim(mod, K.generators) for K in classes]
-    nranks = [_norm_rank(mod, K.members) for K in classes]
-    table = [
-        [orbits_on_cosets(mod.qtbl, H, K) for H in classes]
-        for K in classes
-    ]
-    ntable = [
-        [_block_norm_rank(mod.qtbl, K.members, H, mod.p) for H in classes]
-        for K in classes
-    ]
-    if codims != fix:
-        return MarksReport(
-            classes=tuple(classes), fixdims=tuple(fix), codims=tuple(codims),
-            norm_ranks=tuple(nranks), table=tuple(tuple(r) for r in table),
-            norm_table=tuple(tuple(r) for r in ntable), candidates=(),
-            witness="invariant and coinvariant dimensions disagree",
-            capped=False,
+    lay = fp_rows(mod.dim, mod.p)
+    packed = functools.cache(lambda q: [lay.pack(row) for row in mod.action[q]])
+    # all_subgroups lists each subgroup once, so this caches by members
+    fixed = functools.cache(lambda sub: _fixed_basis(mod, sub))
+    brauer = []
+    for K in classes:
+        in_k = set(K.members)
+        maximal = [L for L in subs
+                   if L.order * mod.p == K.order and in_k.issuperset(L.members)]
+        brauer.append(_brauer_dim(mod, K, maximal, fixed, packed))
+    cosets = [left_cosets(mod.qtbl, H) for H in classes]
+    marks = [
+        tuple(
+            sum(all(coset_of[mod.qtbl.mult[g][r]] == c for g in K.generators)
+                for c, r in enumerate(reps))
+            for coset_of, reps in cosets
         )
-    sols, witness, capped = _integral_solutions(table, fix, mod.dim, cap)
-    kept = [
-        m for m in sols
-        if all(sum(m[j] * ntable[i][j] for j in range(t)) == nranks[i]
-               for i in range(t))
+        for K in classes
     ]
-    if sols and not kept and not capped and witness is None:
-        witness = "subgroup norm ranks rule out every multiplicity vector"
+    m, witness = _solve_marks(marks, brauer, classes)
     return MarksReport(
         classes=tuple(classes),
-        fixdims=tuple(fix),
-        codims=tuple(codims),
-        norm_ranks=tuple(nranks),
-        table=tuple(tuple(r) for r in table),
-        norm_table=tuple(tuple(r) for r in ntable),
-        candidates=tuple(kept),
+        fixdims=tuple(len(fixed(K)) for K in classes),
+        brauer_dims=tuple(brauer),
+        candidates=() if m is None else (m,),
         witness=witness,
-        capped=capped,
     )
 
 
@@ -864,69 +703,48 @@ class RecognitionResult:
     reason: str | None = None
 
 
-def perm_recognize_modp(
-    mod: LevelModule,
-    budget: int = DEFAULT_CERT_BUDGET,
-    candidate_cap: int = DEFAULT_CANDIDATE_CAP,
-) -> RecognitionResult:
+def perm_recognize_modp(mod: LevelModule, budget: int = DEFAULT_CERT_BUDGET) -> RecognitionResult:
     """Decide whether the mod-p module is a permutation module for Q.
 
-    Marks first: no admissible multiplicity vector refutes outright.  Every
-    candidate is then searched constructively; when each search space was
-    enumerated completely, failure everywhere is again a refutation.  Only
-    a capped marks system or a budget-limited partial search reports
-    unknown, and `reason` names which.
+    The Brauer quotients either refute outright or leave one multiplicity
+    vector (marks_multiplicities).  Its blocks are then searched for
+    constructively; a failed search that enumerated the hom spaces
+    completely is again a refutation.  Only a budget-limited partial search
+    reports unknown, and `reason` says so.
     """
     if mod.k != 1:
         raise InputError("recognition runs on the mod-p module (k = 1)")
-    marks = marks_multiplicities(mod, candidate_cap)
+    marks = marks_multiplicities(mod)
     if not marks.candidates:
-        if marks.capped:
-            return RecognitionResult("unknown", marks, None, None, 0,
-                                     reason=marks.capped_reason())
         return RecognitionResult("refuted", marks, None, None, 0, marks.witness)
+    (cand,) = marks.candidates
     if mod.dim == 0:
-        cert = Certificate(mod.p, 1, (), ())
-        return RecognitionResult("certified", marks, marks.candidates[0], cert, 0)
-    trials = 0
+        return RecognitionResult("certified", marks, cand, Certificate(mod.p, 1, (), ()), 0)
     rng = random.Random(
         0x5EED ^ (mod.p * 0x9E3779B1) ^ (mod.dim << 16) ^ (mod.qtbl.order << 4)
     )
-    all_definitive = not marks.capped
-    for cand in marks.candidates:
-        if sum(m * (mod.qtbl.order // marks.classes[j].order)
-               for j, m in enumerate(cand)) != mod.dim:
-            raise AssertionError("marks solution violates the dimension equation")
-        blocks = []
-        for j, m in enumerate(cand):
-            H = marks.classes[j]
-            blocks.extend(Block(j, H, (1,) * H.order) for _ in range(m))
-        blocks = tuple(blocks)
-        geos = [_CosetGeometry(mod.qtbl, b.sub) for b in blocks]
-        spaces = []
-        for b, geo in zip(blocks, geos):
-            B, cols = _block_transport(mod, geo, b.xi, mod.p)
-            kernel = modp_left_kernel(cols, mod.p,
-                                      width=len(cols[0]) if cols else 0)
-            spaces.append((kernel, B))
-        phi, trials, definitive = _search_hom_spaces(
-            mod, blocks, geos, spaces, budget, trials, rng
-        )
-        if phi is not None:
-            if not _verify_certificate(mod, blocks, phi):
-                raise PropertyViolation(
-                    "assembled certificate failed independent verification"
-                )
-            cert = Certificate(mod.p, 1, blocks, tuple(tuple(r) for r in phi))
-            return RecognitionResult("certified", marks, cand, cert, trials)
-        all_definitive = all_definitive and definitive
-    if all_definitive:
+    blocks = tuple(
+        Block(j, marks.classes[j], (1,) * marks.classes[j].order)
+        for j, m in enumerate(cand) for _ in range(m)
+    )
+    geos = [_CosetGeometry(mod.qtbl, b.sub) for b in blocks]
+    spaces = []
+    for b, geo in zip(blocks, geos):
+        B, cols = _block_transport(mod, geo, b.xi, mod.p)
+        kernel = modp_left_kernel(cols, mod.p, width=len(cols[0]) if cols else 0)
+        spaces.append((kernel, B))
+    phi, trials, definitive = _search_hom_spaces(mod, blocks, geos, spaces, budget, 0, rng)
+    if phi is not None:
+        if not _verify_certificate(mod, blocks, phi):
+            raise PropertyViolation("assembled certificate failed independent verification")
+        cert = Certificate(mod.p, 1, blocks, tuple(tuple(r) for r in phi))
+        return RecognitionResult("certified", marks, cand, cert, trials)
+    if definitive:
         return RecognitionResult(
             "refuted", marks, None, None, trials,
-            "every candidate's hom space was searched completely",
+            "the candidate's hom space was searched completely",
         )
-    reason = marks.capped_reason() if all_definitive else _SAMPLED_SEARCH
-    return RecognitionResult("unknown", marks, None, None, trials, reason=reason)
+    return RecognitionResult("unknown", marks, None, None, trials, reason=_SAMPLED_SEARCH)
 
 
 # ---------------------------------------------------------------------------

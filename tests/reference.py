@@ -4,10 +4,6 @@ They share no code with qrlab, so a test that compares qrlab against them
 is not checking a kernel against itself.
 """
 
-import itertools
-import math
-from fractions import Fraction
-
 
 def dense_rref(rows, p):
     """Reference F_p elimination: dense Gauss-Jordan on lists, column by
@@ -129,82 +125,15 @@ def smallest_entry_snf(a):
     return M, U, V, Vinv
 
 
-def _fraction_rref_rank(rows):
-    a = [list(r) for r in rows]
-    rank = 0
-    for c in range(len(a[0]) if a else 0):
-        piv = next((i for i in range(rank, len(a)) if a[i][c]), None)
-        if piv is None:
-            continue
-        a[rank], a[piv] = a[piv], a[rank]
-        a[rank] = [x / a[rank][c] for x in a[rank]]
-        for i in range(len(a)):
-            if i != rank and a[i][c]:
-                a[i] = [x - a[i][c] * y for x, y in zip(a[i], a[rank])]
-        rank += 1
-    return rank, a
-
-
-def box_solutions(table, fix, dim, cap, box_cap):
-    """Reference marks solver: Smith-reduce table * m = fix with
-    smallest_entry_snf, bound the free coefficients by the corners of the
-    box 0 <= m_j <= dim on s independent rows, then test every point of the
-    coefficient box in itertools.product order.  Same return value as
-    qrlab's permrec._integral_solutions."""
-    t = len(fix)
-    D, U, V, _ = smallest_entry_snf([list(r) for r in table])
-    ufix = [sum(U[i][k] * fix[k] for k in range(t)) for i in range(t)]
-    z0 = [0] * t
-    free = []
-    for i in range(t):
-        d = D[i][i] if i < len(D[0]) else 0
-        if d == 0:
-            if ufix[i]:
-                return [], "orbit-count system is inconsistent", False
-            free.append(i)
-        elif ufix[i] % d:
-            return [], (f"orbit-count system forces a non-integral multiplicity "
-                        f"({ufix[i]}/{d})"), False
-        else:
-            z0[i] = ufix[i] // d
-    base = [sum(V[j][i] * z0[i] for i in range(t)) for j in range(t)]
-    if not free:
-        if all(0 <= x <= dim for x in base):
-            return [tuple(base)], None, False
-        return [], f"unique multiplicity vector {tuple(base)} is not admissible", False
-    dirs = [[V[j][i] for j in range(t)] for i in free]
-    s = len(dirs)
-    picked = []
-    for j in range(t):
-        trial = [[Fraction(dirs[i][k]) for i in range(s)] for k in picked + [j]]
-        if _fraction_rref_rank(trial)[0] == len(picked) + 1:
-            picked.append(j)
-    picked = picked[:s]
-    aug = [[Fraction(dirs[i][j]) for i in range(s)] + [Fraction(int(a == b)) for b in range(s)]
-           for a, j in enumerate(picked)]
-    sub_inv = [r[s:] for r in _fraction_rref_rank(aug)[1]]
-    coeffs_at = [
-        [sum(sub_inv[i][a] * (corner[a] - base[picked[a]]) for a in range(s))
-         for i in range(s)]
-        for corner in itertools.product((0, dim), repeat=s)
-    ]
-    ranges = [range(math.ceil(min(c[i] for c in coeffs_at)),
-                    math.floor(max(c[i] for c in coeffs_at)) + 1) for i in range(s)]
-    if math.prod(max(len(r), 1) for r in ranges) > box_cap:
-        return [], None, True
-    sols = []
-    capped = False
-    for coeffs in itertools.product(*ranges):
-        m = [b + sum(c * dvec[j] for c, dvec in zip(coeffs, dirs))
-             for j, b in enumerate(base)]
-        if all(0 <= x <= dim for x in m):
-            sols.append(tuple(m))
-            if len(sols) > cap:
-                capped = True
-                break
-    sols = sorted(set(sols))
-    if capped:
-        sols = sols[:cap]
-    if not sols and not capped:
-        return [], "no nonnegative integral multiplicity vector exists", False
-    return sols, None, capped
+def orbits_on_cosets(tbl, sub, acting):
+    """Reference orbit count: the number of orbits of `acting` on the left
+    cosets g*sub, each coset kept as a frozenset of group elements and
+    moved by left multiplication by every member of `acting`."""
+    cosets = {frozenset(tbl.mult[g][h] for h in sub.members) for g in range(tbl.order)}
+    orbits = 0
+    while cosets:
+        seed = cosets.pop()
+        orbit = {frozenset(tbl.mult[a][x] for x in seed) for a in acting.members}
+        cosets -= orbit
+        orbits += 1
+    return orbits

@@ -18,7 +18,6 @@ from qrlab.enumeration import (
     conjugate_subgroup_members,
     is_normal,
     left_cosets,
-    orbits_on_cosets,
     prime_power,
     quotient_table,
     subgroup_closure,
@@ -26,6 +25,8 @@ from qrlab.enumeration import (
     todd_coxeter,
     word_image,
 )
+
+from reference import orbits_on_cosets
 
 ORDERS = [
     ("gens: a; relators: a; prime: 2", 1),

@@ -9,9 +9,7 @@ import random
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from qrlab import permrec
 from qrlab.errors import InputError, PropertyViolation
 from qrlab.intlinalg import (
     AbelianInvariants,
@@ -51,8 +49,8 @@ from qrlab.permrec import (
     transition_map,
 )
 
-from conftest import CORPUS_DIR
-from reference import box_solutions
+from conftest import CORPUS_DIR, ORDER32, ORDER32_DIR
+from reference import orbits_on_cosets
 
 
 def synthetic_module(qtbl, blocks, p, k):
@@ -120,6 +118,9 @@ Q16 = "gens: a, b; relators: a^4*b^-2, a*b*a*b^-1; prime: 2"
 M16 = "gens: a, b; relators: a^8, b^2, b*a*b^-1*a^-5; prime: 2"
 Q32 = "gens: a, b; relators: a^8*b^-2, a*b*a*b^-1; prime: 2"
 C3XC3 = "gens: a, b; relators: a^3, b^3, a*b*a^-1*b^-1; prime: 3"
+C9 = "gens: a; relators: a^9; prime: 3"
+Q64 = "gens: a, b; relators: a^16*b^-2, a*b*a*b^-1; prime: 2"
+S3 = "gens: a, b; relators: a^3, b^2, a*b*a*b; prime: 2"
 
 
 def table_of(text):
@@ -252,7 +253,7 @@ def test_randomized_battery():
 
 def test_norm_rank_counts_free_blocks():
     """rank of the subgroup norm acting on the module equals the number of
-    free summands; the filter inside the recognizer leans on this."""
+    free summands; the free-block pinning of the hom search leans on this."""
     rng = random.Random(7)
     tbl = table_of(D4)
     reps = class_reps(tbl)
@@ -271,8 +272,8 @@ def test_norm_rank_counts_free_blocks():
 
 
 def test_marks_dimensions_from_subgroup_generators():
-    """marks_multiplicities reads dim M^K and dim M/sum(k-1)M from the
-    generators of each class K; every member of K must give the same."""
+    """marks_multiplicities reads dim M^K from the generators of each class
+    K; every member of K must give the same."""
     def differences(mod, K):
         return [[(x - (i == j)) % mod.p for j, x in enumerate(row)]
                 for g in K.members for i, row in enumerate(mod.action[g])]
@@ -285,12 +286,11 @@ def test_marks_dimensions_from_subgroup_generators():
     mods += [level_module(Q16, level) for level in (1, 2, 3)]
     for mod in mods:
         rep = marks_multiplicities(mod)
-        for K, fix, codim in zip(rep.classes, rep.fixdims, rep.codims):
+        for K, fix in zip(rep.classes, rep.fixdims):
             rows = differences(mod, K)
             side_by_side = [[x for b in range(0, len(rows), mod.dim) for x in rows[b + i]]
                             for i in range(mod.dim)]
             assert fix == mod.dim - modp_rank(side_by_side, mod.p)
-            assert codim == mod.dim - modp_rank(rows, mod.p)
 
 
 # --- refutations ----------------------------------------------------------
@@ -316,14 +316,14 @@ def test_jordan_block_is_refuted_by_marks():
     assert rec.marks.candidates == ()
 
 
-# level, frozen witness fragment keyed by the marks argument that fires
+# level, frozen witness fragment: the first back-substitution step that fails
 REFUTED_LEVELS = [
-    (Q16, 5, "subgroup norm ranks"),
-    (M16, 5, "invariant and coinvariant dimensions"),
-    (Q8, 2, "invariant and coinvariant dimensions"),
-    (Q8, 3, "subgroup norm ranks"),
-    (KLEIN, 2, "invariant and coinvariant dimensions"),
-    (C3XC3, 2, "invariant and coinvariant dimensions"),
+    (Q16, 5, "non-integral multiplicity 1/2"),
+    (M16, 5, "non-integral multiplicity 1/2"),
+    (Q8, 2, "negative multiplicity -1"),
+    (Q8, 3, "non-integral multiplicity 1/2"),
+    (KLEIN, 2, "non-integral multiplicity 1/2"),
+    (C3XC3, 2, "non-integral multiplicity 1/3"),
 ]
 
 
@@ -331,7 +331,7 @@ REFUTED_LEVELS = [
 def test_relation_levels_refuted_with_pinned_witness(text, level, fragment):
     mod = level_module(text, level)
     rec = perm_recognize_modp(mod)
-    assert rec.status == "refuted"
+    assert rec.status == "refuted" and rec.trials == 0
     assert fragment in rec.marks.witness
 
 
@@ -339,9 +339,9 @@ def test_q16_level5_marks_detail():
     mod = level_module(Q16, 5)
     mk = marks_multiplicities(mod)
     assert mod.dim == 17
-    assert mk.fixdims == mk.codims == (17, 9, 5, 5, 5, 3, 3, 3, 2)
-    assert mk.norm_ranks == (17, 8, 4, 4, 4, 2, 1, 1, 0)
-    assert mk.candidates == () and not mk.capped
+    assert mk.fixdims == (17, 9, 5, 5, 5, 3, 3, 3, 2)
+    assert mk.brauer_dims == (17, 1, 1, 1, 1, 1, 0, 0, 0)
+    assert mk.candidates == ()
 
 
 def test_d4_level2_unique_candidate_certifies():
@@ -355,88 +355,72 @@ def test_d4_level2_unique_candidate_certifies():
     assert got == ((2, 1), (2, 1), (4, 1))
 
 
-# --- the marks box walk against the flat enumeration ------------------------
+# --- Brauer quotients against direct counts ----------------------------------
 
-def _solve_both(table, fix, dim, cap, box_cap=permrec.MARKS_BOX_CAP):
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(permrec, "MARKS_BOX_CAP", box_cap)
-        got = permrec._integral_solutions(table, fix, dim, cap)
-    assert got == box_solutions(table, fix, dim, cap, box_cap)
-    return got
-
-
-@st.composite
-def marks_systems(draw):
-    """Integer systems table * m = fix of the marks solver's shape.  The
-    table is B*C with an inner size r <= t, so it is often rank-deficient;
-    fix is table * m0 for an admissible m0, or arbitrary (then usually
-    inconsistent or non-integral)."""
-    t = draw(st.integers(1, 4))
-    r = draw(st.integers(1, t))
-    small = st.integers(-1, 2)
-    B = draw(st.lists(st.lists(small, min_size=r, max_size=r), min_size=t, max_size=t))
-    C = draw(st.lists(st.lists(st.integers(0, 2), min_size=t, max_size=t),
-                      min_size=r, max_size=r))
-    table = mat_mul(B, C)
-    dim = draw(st.integers(0, 5))
-    if draw(st.booleans()):
-        m0 = draw(st.lists(st.integers(0, dim), min_size=t, max_size=t))
-        fix = [sum(a * x for a, x in zip(row, m0)) for row in table]
-    else:
-        fix = draw(st.lists(st.integers(-2, 6), min_size=t, max_size=t))
-    return table, fix, dim
+def fixed_coset_count(tbl, blocks, K):
+    """|X^K| for X the disjoint union of the blocks' coset spaces Q/H, each
+    coset a set of elements, fixed when every member of K maps it to itself."""
+    count = 0
+    for b in blocks:
+        cosets = {frozenset(tbl.mult[g][h] for h in b.sub.members) for g in range(tbl.order)}
+        count += sum(all(frozenset(tbl.mult[k][x] for x in c) == c for k in K.members)
+                     for c in cosets)
+    return count
 
 
-@given(marks_systems(), st.sampled_from((0, 1, 2, 64)), st.sampled_from((40, 100_000)))
-@settings(deadline=None, max_examples=200)
-def test_box_walk_matches_flat_enumeration(system, cap, box_cap):
-    table, fix, dim = system
-    _solve_both(table, fix, dim, cap, box_cap)
+@pytest.mark.parametrize("text,p", [(D4, 2), (Q8, 2), (C4, 2), (KLEIN, 2),
+                                    (C3XC3, 3), (C9, 3), (Q16, 2), (M16, 2)])
+def test_brauer_dims_count_fixed_cosets(text, p):
+    rng = random.Random(f"brauer {text} {p}")
+    tbl = table_of(text)
+    reps = class_reps(tbl)
+    for _ in range(4):
+        blocks = []
+        for _ in range(rng.randrange(1, 4)):
+            j = rng.randrange(len(reps))
+            if sum(tbl.order // b.sub.order for b in blocks) + tbl.order // reps[j].order <= 20:
+                blocks.append(Block(j, reps[j], (1,) * reps[j].order))
+        mod = synthetic_module(tbl, tuple(blocks), p, 1)
+        mk = marks_multiplicities(conjugate_module(mod, random_invertible(mod.dim, p, rng)))
+        assert mk.classes == tuple(reps)
+        assert mk.brauer_dims == tuple(fixed_coset_count(tbl, blocks, K) for K in reps)
+        assert mk.candidates == (tuple(sum(b.class_index == j for b in blocks)
+                                       for j in range(len(reps))),)
+        assert mk.witness is None
 
 
-@pytest.mark.parametrize("cap", [0, 1, 2, 3, 4])
-def test_box_walk_keeps_the_capped_candidates(cap):
-    # m_1 + m_2 + m_3 = 3 twice over: a plane of 10 solutions, reached
-    # through two free directions, several with some m_j at the bound dim
-    table = [[1, 1, 1], [2, 2, 2], [0, 0, 0]]
-    sols, witness, capped = _solve_both(table, [3, 6, 0], 3, cap)
-    assert witness is None
-    assert capped == (cap < 10)
-    assert len(sols) == min(cap, 10) and len(set(sols)) == len(sols)
-    assert all(sum(m) == 3 for m in sols)
+def test_marks_refuses_a_group_that_is_not_a_p_group():
+    tbl = table_of(S3)
+    assert tbl.order == 6
+    ident = tuple(tuple(r) for r in identity_rows(1))
+    coin = Coinvariants(AbelianInvariants(1, ()), 1, (), ident, ident)
+    trivial = LevelModule(1, 2, 1, tbl, tuple(range(6)), (0,), (ident,) * 6, coin)
+    with pytest.raises(InputError, match="2-group"):
+        marks_multiplicities(trivial)
 
 
-def test_box_walk_complete_and_refuting_systems():
-    table = [[1, 1, 1], [2, 2, 2], [0, 0, 0]]
-    sols, witness, capped = _solve_both(table, [3, 6, 0], 3, 64)
-    assert not capped and witness is None
-    assert sols == sorted((a, b, 3 - a - b) for a in range(4) for b in range(4 - a))
-    assert _solve_both(table, [3, 5, 0], 3, 64)[1] == "orbit-count system is inconsistent"
-    assert _solve_both([[2, 0], [0, 1]], [3, 1], 3, 64)[1].startswith(
-        "orbit-count system forces a non-integral multiplicity")
-    assert _solve_both(table, [7, 14, 0], 2, 64)[1] == (
-        "no nonnegative integral multiplicity vector exists")
-
-
-def test_corpus_marks_systems_match_flat_enumeration(monkeypatch, corpus, lattice):
-    """Every marks system the corpus harness solves, against the oracle."""
-    seen = []
-    solve = permrec._integral_solutions
-
-    def record(table, fix, dim, cap):
-        seen.append((table, fix, dim, cap))
-        return solve(table, fix, dim, cap)
-
-    monkeypatch.setattr(permrec, "_integral_solutions", record)
-    for entry in corpus:
-        for p in entry.get("primes", [2]):
-            rep = qr_check(lattice(entry["text"]), p)
-            if rep.quasirational:
-                tower_harness(rep)
-    monkeypatch.undo()
-    assert len(seen) >= 20
-    for table, fix, dim, cap in seen:
-        _solve_both(table, fix, dim, cap)
+def test_certified_multiplicities_satisfy_the_orbit_counts(corpus, lattice):
+    """dim M^K = sum_H m_H * #orbits(K, Q/H) for every permutation module:
+    the orbit-count system the Brauer vector replaced, checked with the
+    reference orbit count on every certified level of the corpus and of
+    the order-32 inputs."""
+    inputs = [(e["text"], p) for e in corpus for p in e["primes"]
+              if e["expected"]["qr"][str(p)]]
+    inputs += [((ORDER32_DIR / name).read_text(), 2) for name in ORDER32]
+    checked = 0
+    for text, p in inputs:
+        qr = qr_check(lattice(text), p)
+        for lv in {id(lv.coin): lv for lv in qr.levels}.values():
+            mod = module_from_coinvariants(qr.rlat, lv.coin, lv.subgroup, p, 1, lv.level)
+            rec = perm_recognize_modp(mod)
+            if rec.status != "certified":
+                continue
+            classes = rec.marks.classes
+            for K, fix in zip(classes, rec.marks.fixdims):
+                assert fix == sum(m * orbits_on_cosets(mod.qtbl, H, K)
+                                  for H, m in zip(classes, rec.multiplicities))
+            checked += 1
+    assert checked >= 20
 
 
 # --- integral lifts --------------------------------------------------------
@@ -490,12 +474,12 @@ def test_plain_integral_lift():
 
 
 def test_regular_module_lifts_at_an_odd_prime():
-    # C4 acting on its own regular lattice mod 3^4: coprime order, so the
-    # permutation basis lifts as-is and no twist is available at p = 3
-    tbl = table_of(C4)
+    # C9 acting on its own regular lattice mod 3^4: no twist is available
+    # at p = 3, so the lift must keep the plain permutation basis
+    tbl = table_of(C9)
     reps = class_reps(tbl)
     triv = next(j for j, c in enumerate(reps) if len(c.members) == 1)
-    blocks = (Block(triv, reps[triv], (1,) * 4),)
+    blocks = (Block(triv, reps[triv], (1,)),)
     rec = perm_recognize_modp(synthetic_module(tbl, blocks, 3, 1))
     assert rec.status == "certified"
     got = tuple((len(reps[j].members), m)
@@ -675,13 +659,16 @@ def test_transition_map_rejects_a_non_equivariant_map():
 
 # --- reasons for unknown -----------------------------------------------------
 
-def test_capped_marks_box_names_its_reason():
-    mod = level_module(Q32, 9)
-    rec = perm_recognize_modp(mod)
-    assert rec.status == "unknown"
-    assert rec.refutation is None
-    assert rec.marks.capped and rec.marks.candidates == ()
-    assert "capped marks box" in rec.reason
+def test_q32_top_level_is_refuted_by_brauer_quotients():
+    rec = perm_recognize_modp(level_module(Q32, 9))
+    assert rec.status == "refuted" and rec.trials == 0
+    assert rec.reason is None and rec.marks.candidates == ()
+    assert "non-integral multiplicity 1/2" in rec.refutation
+
+
+def test_q64_tower_has_no_unknown_level(lattice):
+    rep = tower_harness(qr_check(lattice(Q64), 2))
+    assert rep.unknown_levels == 0 and rep.violations == 0
 
 
 def test_decided_results_carry_no_reason():
