@@ -2,12 +2,14 @@
 
 Level modules.  At each level of the dimension-subgroup chain the
 coinvariants of the relation lattice are tensored with Z/p^k and carried as
-explicit matrices for the quotient group Q = G/D_level.  Only the generator
-images are acted out on the lattice, in the Smith coordinates of the
-coinvariants; V and V^-1 both come out of the Smith reduction, so no matrix
-is inverted.  The rest of Q is filled in along its Cayley graph, and every
-Cayley edge is checked, which proves the matrices are an action of Q that
-agrees with the G-action on the lattice.
+a module for the quotient group Q = G/D_level.  The module is its letter
+matrices: the generator images of G are acted out on the lattice, in the
+Smith coordinates of the coinvariants (V and V^-1 both come out of the
+Smith reduction, so no matrix is inverted), and the matrix of any other
+element of Q is built on demand along a word for it.  A certificate of
+three checks (_certify_letters) proves that the letters define an action
+of Q; it agrees with the G-action on the lattice because the letters are
+that action on the generators.
 
 Recognition over F_p starts from the Brauer quotients: for a p-group Q the
 Brauer quotient of a permutation module F_p[X] at K has dimension |X^K|,
@@ -37,7 +39,7 @@ from __future__ import annotations
 
 import functools
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from itertools import combinations_with_replacement, product
 
 from .errors import InputError, PropertyViolation, TorsionObstruction
@@ -61,7 +63,7 @@ from .intlinalg import (
     modp_rref,
     modp_solve_left,
 )
-from .presentation import Presentation
+from .presentation import Presentation, Word
 from .relmod import Coinvariants, LevelResult, QRReport, RelationLattice, qr_check_full
 
 DEFAULT_PRECISION = 20
@@ -69,35 +71,57 @@ DEFAULT_CERT_BUDGET = 100_000
 DEFAULT_ASSIGNMENT_CAP = 64
 EXHAUSTIVE_CAP = 4096
 
+Matrix = tuple[tuple[int, ...], ...]
 
-def _mm(a, b, q):
-    return [[x % q for x in row] for row in mat_mul(a, b)]
+
+def _mm(a, b, q) -> Matrix:
+    return tuple([tuple([x % q for x in row]) for row in mat_mul(a, b)])
+
+
+def _identity(dim: int) -> Matrix:
+    return tuple(map(tuple, identity_rows(dim)))
 
 
 # ---------------------------------------------------------------------------
 # level modules
+
+def _letter(qtbl: FiniteGroupTable, g: int, s: int) -> int:
+    """The element of Q that the letter (g, s) of a word maps to."""
+    x = qtbl.gen_images[g]
+    return x if s > 0 else qtbl.inv[x]
+
+
+def _word_matrix(qtbl: FiniteGroupTable, letters, word: Word, dim: int, ring: int) -> Matrix:
+    """Matrix of a word, A[w l] = A[l] * A[w] letter by letter."""
+    out = _identity(dim)
+    for g, s in word:
+        out = _mm(letters[_letter(qtbl, g, s)], out, ring)
+    return out
+
 
 @dataclass(frozen=True)
 class LevelModule:
     """Coinvariants at one chain level as a Z/p^k module for Q = G/D_level.
 
     `surviving` lists the Smith coordinates that stay alive after tensoring
-    with the ring; `action[q]` is the matrix of q on those coordinates, and
-    `coset_map[g]` is the element of Q that g in G maps to.  Construction
-    (module_from_coinvariants) verifies that generators of G with the same
-    image in Q act alike, that the generator matrices are invertible mod p,
-    that every Cayley edge of Q satisfies A[q x] = A[x] * A[q], and that
-    relators act as the identity.
+    with the ring.  `letters[x]` is the matrix of x on those coordinates,
+    for every generator image x of Q and its inverse; they carry the whole
+    module.  act(q) builds A[q] for any q along the canonical word
+    qtbl.element_words[q], one product per letter, and keeps every element
+    it passes in `built`, so each element of Q costs at most one product.
+    module_from_coinvariants certifies that the letters define an action
+    of Q (_certify_letters); a module made by hand is taken as given.
     """
 
     level: int
     p: int
     k: int
     qtbl: FiniteGroupTable
-    coset_map: tuple[int, ...]
     surviving: tuple[int, ...]
-    action: tuple[tuple[tuple[int, ...], ...], ...]
+    letters: dict[int, Matrix]
     coin: Coinvariants
+    built: dict[int, Matrix] = field(default_factory=dict, init=False, repr=False,
+                                     compare=False)
 
     @property
     def dim(self) -> int:
@@ -107,61 +131,68 @@ class LevelModule:
     def ring(self) -> int:
         return self.p ** self.k
 
-    def word_matrix(self, word) -> list[list[int]]:
-        """Matrix of a relator word, letters mapped through gen_images."""
-        out = identity_rows(self.dim)
-        for g, s in word:
-            q = self.qtbl.gen_images[g]
-            if s < 0:
-                q = self.qtbl.inv[q]
-            out = _mm(self.action[q], out, self.ring)
-        return out
+    def act(self, q: int) -> Matrix:
+        """A[q], built on first use and memoized."""
+        built = self.built
+        if q not in built:
+            x = 0
+            a = built.setdefault(0, _identity(self.dim))
+            for g, s in self.qtbl.element_words[q]:
+                step = _letter(self.qtbl, g, s)
+                x = self.qtbl.mult[x][step]
+                if x not in built:
+                    built[x] = _mm(self.letters[step], a, self.ring)
+                a = built[x]
+        return built[q]
 
 
-def _action_from_generators(qtbl: FiniteGroupTable, gen_mats, dim: int, ring: int):
-    """Matrices A[q] for all of Q from the matrices of the generator images.
+def _certify_letters(qtbl: FiniteGroupTable, gen_mats, relators, kernel_words,
+                     dim: int, ring: int) -> dict[int, Matrix]:
+    """The letter matrices of an action of Q, each failure a PropertyViolation.
 
-    BFS over the Cayley graph of Q sets A[1] = I and A[q x] = A[x] * A[q]
-    along tree edges; every other edge, with x running over the keys of
-    gen_mats, must satisfy the same equation or PropertyViolation is raised.
-    With every edge checked, A[image of w] is the product of the letter
-    matrices of w for every positive word w in the generators, so q -> A[q]
-    is well defined and A[q1 q2] = A[q2] * A[q1] on all of Q.
+    gen_mats[x] is the matrix of the generator image x of Q.  The letters
+    are A[x] and A[x^-1] = A[x]^(|x|-1), |x| the order of x in Q, and:
+
+      (a) A[x]^|x| = I for every x.  So A[x] is invertible with inverse
+          A[x^-1], and the letters define a homomorphism from the free
+          group F on the presentation's generators into GL(dim, Z/ring).
+      (b) Every relator of G acts as I: the homomorphism factors through
+          G = F/<<relators>>.
+      (c) Every word in kernel_words acts as I.  These are the G-words of
+          the generators of D_level, so the homomorphism kills D_level and
+          factors through Q = G/D_level.
+
+    Together they make q -> A[q] a well-defined action of Q, computed by
+    any word for q; nothing else is needed, because D_level is generated
+    by its generators as a subgroup and the homomorphism is one of groups.
     """
-    gens = sorted(gen_mats)
-    action: list[list[list[int]] | None] = [None] * qtbl.order
-    action[0] = identity_rows(dim)
-    order = [0]
-    for q in order:
-        for x in gens:
-            moved = _mm(gen_mats[x], action[q], ring)
-            target = qtbl.mult[q][x]
-            if action[target] is None:
-                action[target] = moved
-                order.append(target)
-            elif action[target] != moved:
-                raise PropertyViolation(
-                    f"Cayley edge q={q}, x={x} breaks A[qx] = A[x]A[q]: "
-                    f"the generator matrices do not define an action of the quotient"
-                )
-    if len(order) != qtbl.order:
-        raise PropertyViolation("generator images do not reach every element of the quotient")
-    return action
+    ident = _identity(dim)
+    letters = dict(gen_mats)
+    for x, a in sorted(gen_mats.items()):
+        inverse, y = ident, x
+        while y:  # y = x^(i+1) while inverse = A[x]^i
+            inverse, y = _mm(a, inverse, ring), qtbl.mult[y][x]
+        if _mm(a, inverse, ring) != ident:
+            raise PropertyViolation(
+                f"generator image q={x}: its matrix to the power of its order "
+                f"in the quotient is not the identity"
+            )
+        if letters.setdefault(qtbl.inv[x], inverse) != inverse:
+            raise PropertyViolation(f"the matrices of q={x} and of its inverse are not inverse")
+    for rel in relators:
+        if _word_matrix(qtbl, letters, rel, dim, ring) != ident:
+            raise PropertyViolation("a relator acts nontrivially on the coinvariants")
+    for w in kernel_words:
+        if _word_matrix(qtbl, letters, w, dim, ring) != ident:
+            raise PropertyViolation(
+                "a generator of the dimension subgroup acts nontrivially: "
+                "the letter matrices do not factor through the quotient"
+            )
+    return letters
 
 
-def _level_frame(rlat: RelationLattice, sub: Subgroup):
-    """(qtbl, coset map, lattice coordinates of x * basis per generator image x).
-
-    This is everything a level module needs that does not depend on the
-    ring, so the mod-p module and its Z/p^k lift share one frame.  The
-    coordinates do not depend on the level either: they are the lattice's
-    own gen_coords, solved once when the lattice was certified.
-    """
-    qtbl, cmap = quotient_table(rlat.tbl, sub)
-    return qtbl, cmap, rlat.gen_coords
-
-
-def _module_on_frame(rlat, coin, frame, p: int, k: int, level: int) -> LevelModule:
+def _level_module(rlat: RelationLattice, coin: Coinvariants, sub: Subgroup,
+                  qtbl: FiniteGroupTable, p: int, k: int, level: int) -> LevelModule:
     if k < 1:
         raise InputError(f"precision must be >= 1, got {k}")
     ring = p ** k
@@ -174,32 +205,21 @@ def _module_on_frame(rlat, coin, frame, p: int, k: int, level: int) -> LevelModu
                 )
             surv.append(i)
     surv.extend(range(len(coin.divisors), coin.rank))
-    qtbl, cmap, coords = frame
     v_surv = [[row[j] for j in surv] for row in coin.V]
     vinv_surv = [list(coin.Vinv[i]) for i in surv]
-    gen_mats: dict[int, list[list[int]]] = {}
-    for x, mx in coords.items():
+    in_q = dict(zip(rlat.tbl.gen_images, qtbl.gen_images))
+    gen_mats: dict[int, Matrix] = {}
+    for x, mx in rlat.gen_coords.items():
         a = _mm(vinv_surv, _mm(mx, v_surv, ring), ring)
-        q = cmap[x]
-        if gen_mats.setdefault(q, a) != a:
+        if gen_mats.setdefault(in_q[x], a) != a:
             raise PropertyViolation(
-                f"action not constant on the coset of q={q}: the kernel acts"
+                f"action not constant on the coset of q={in_q[x]}: the kernel acts"
             )
-        if not is_invertible_modp(a, p):
-            raise PropertyViolation(f"action of generator image q={q} is singular mod {p}")
-    dim = len(surv)
-    action = _action_from_generators(qtbl, gen_mats, dim, ring)
-    mod = LevelModule(
-        level=level, p=p, k=k, qtbl=qtbl, coset_map=tuple(cmap),
-        surviving=tuple(surv),
-        action=tuple(tuple(tuple(r) for r in a) for a in action),
-        coin=coin,
-    )
-    ident = identity_rows(dim)
-    for rel in rlat.pres.relators:
-        if mod.word_matrix(rel) != ident:
-            raise PropertyViolation("a relator acts nontrivially on the coinvariants")
-    return mod
+    kernel_words = [rlat.tbl.element_words[d] for d in sub.generators]
+    letters = _certify_letters(qtbl, gen_mats, rlat.pres.relators, kernel_words,
+                               len(surv), ring)
+    return LevelModule(level=level, p=p, k=k, qtbl=qtbl, surviving=tuple(surv),
+                       letters=letters, coin=coin)
 
 
 def module_from_coinvariants(rlat: RelationLattice, coin: Coinvariants, sub: Subgroup,
@@ -213,14 +233,11 @@ def module_from_coinvariants(rlat: RelationLattice, coin: Coinvariants, sub: Sub
 
     Only the distinct generator images x of G are acted out on the lattice:
     Vinv * M_x * V restricted to the surviving coordinates, reduced mod p^k
-    at once.  The rest of Q is filled in from them by _action_from_generators,
-    whose Cayley-edge check makes q -> A[q] an action of Q.  It agrees with
-    the G-action on the generators, hence on all of G (a finite group is
-    generated by its generators as a monoid), so D_level acts trivially and
-    A is the action of every preimage.  Generator matrices are checked
-    invertible mod p; every A[q] is a product of them.
+    at once.  Generators of G with the same image in Q must act alike, and
+    _certify_letters proves that the letters define an action of Q.  It
+    agrees with the G-action on the generators, hence on all of G.
     """
-    return _module_on_frame(rlat, coin, _level_frame(rlat, sub), p, k, level)
+    return _level_module(rlat, coin, sub, quotient_table(rlat.tbl, sub)[0], p, k, level)
 
 
 def transition_map(hi: LevelModule, lo: LevelModule) -> tuple[tuple[int, ...], ...]:
@@ -241,13 +258,13 @@ def transition_map(hi: LevelModule, lo: LevelModule) -> tuple[tuple[int, ...], .
     v_lo = [[row[j] for j in lo.surviving] for row in lo.coin.V]
     T = _mm(vinv_hi, v_lo, ring)
     for x_hi, x_lo in sorted(set(zip(hi.qtbl.gen_images, lo.qtbl.gen_images))):
-        left = _mm(hi.action[x_hi], T, ring)
-        right = _mm(T, lo.action[x_lo], ring)
+        left = _mm(hi.letters[x_hi], T, ring)
+        right = _mm(T, lo.letters[x_lo], ring)
         if left != right:
             raise PropertyViolation("transition between chain levels is not equivariant")
     if modp_rank(T, hi.p) != lo.dim:
         raise PropertyViolation("transition between chain levels is not surjective")
-    return tuple(tuple(r) for r in T)
+    return T
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +306,7 @@ def _fixed_basis(mod: LevelModule, sub: Subgroup) -> list[list[int]]:
     """
     diffs = []
     for g in sorted({g for g in sub.generators if g}):
-        diff = [list(row) for row in mod.action[g]]
+        diff = [list(row) for row in mod.act(g)]
         for i, row in enumerate(diff):
             row[i] -= 1
         diffs.append(diff)
@@ -370,7 +387,7 @@ def marks_multiplicities(mod: LevelModule) -> MarksReport:
     subs = all_subgroups(mod.qtbl)
     classes = [cls[0] for cls in subgroup_conjugacy_classes(mod.qtbl, subs)]
     lay = fp_rows(mod.dim, mod.p)
-    packed = functools.cache(lambda q: [lay.pack(row) for row in mod.action[q]])
+    packed = functools.cache(lambda q: [lay.pack(row) for row in mod.act(q)])
     # all_subgroups lists each subgroup once, so this caches by members
     fixed = functools.cache(lambda sub: _fixed_basis(mod, sub))
     brauer = []
@@ -459,23 +476,22 @@ def monomial_matrix(qtbl, blocks, q, ring):
     return out
 
 
-def _block_transport(mod: LevelModule, geo: _CosetGeometry, xi, ring: int):
+def _block_transport(mod: LevelModule, geo: _CosetGeometry, xi):
     """Hom equations for one induced block, by transporting the base row.
 
     A hom W from the block satisfies, for every generator g and coset c,
-    xi(h) W[g?c] = W[c] * A[g]  over Z/ring.  BFS from the base coset
+    xi(h) W[g?c] = W[c] * A[g]  over mod.ring.  BFS from the base coset
     expresses every row as w * B[c] in the unknown base row w; non-tree
     edges stack the closure constraints w * cols = 0.  Returns (B, cols)
     with cols given as dim rows, one column block per closure edge.
     """
-    d = mod.dim
+    d, ring = mod.dim, mod.ring
     qgens = sorted(set(mod.qtbl.gen_images)) if mod.qtbl.order > 1 else []
     base = geo.coset_of[0]
     B: list[list[list[int]] | None] = [None] * geo.size
     B[base] = identity_rows(d)
     order = [base]
     cols: list[list[int]] = [[] for _ in range(d)]
-    aring = {g: [[x % ring for x in row] for row in mod.action[g]] for g in qgens}
     qi = 0
     while qi < len(order):
         c = order[qi]
@@ -484,7 +500,7 @@ def _block_transport(mod: LevelModule, geo: _CosetGeometry, xi, ring: int):
             c2, h = geo.step(g, c)
             sign = xi[geo.member_pos[h]]
             # xi values are +-1, so 1/sign = sign
-            moved = [[(sign * x) % ring for x in row] for row in _mm(B[c], aring[g], ring)]
+            moved = [[(sign * x) % ring for x in row] for row in _mm(B[c], mod.letters[g], ring)]
             if B[c2] is None:
                 B[c2] = moved
                 order.append(c2)
@@ -569,7 +585,7 @@ def _verify_certificate(mod: LevelModule, blocks, phi) -> bool:
         return False
     for q in set(mod.qtbl.gen_images):
         ap = monomial_matrix(mod.qtbl, blocks, q, ring)
-        if _mm(ap, phi, ring) != _mm(phi, mod.action[q], ring):
+        if _mm(ap, phi, ring) != _mm(phi, mod.letters[q], ring):
             return False
     return True
 
@@ -596,14 +612,8 @@ def _search_hom_spaces(mod, blocks, geos, spaces, budget, trials, rng):
         return None, trials, True
     pinned: dict[int, list[int]] = {}
     if free_idx:
-        nu = [[0] * d for _ in range(d)]
-        for q in range(mod.qtbl.order):
-            a = mod.action[q]
-            for i in range(d):
-                row = nu[i]
-                arow = a[i]
-                for j in range(d):
-                    row[j] = (row[j] + arow[j]) % p
+        acts = [mod.act(q) for q in range(mod.qtbl.order)]
+        nu = [[sum(col) % p for col in zip(*(a[i] for a in acts))] for i in range(d)]
         span = ModpSpan(d, p)
         chosen = []
         for y in range(d):
@@ -615,9 +625,7 @@ def _search_hom_spaces(mod, blocks, geos, spaces, budget, trials, rng):
             # the full norm has smaller rank than the free multiplicity asks
             return None, trials, True
         for i, y in zip(free_idx, chosen):
-            w = [0] * d
-            w[y] = 1
-            pinned[i] = w
+            pinned[i] = [int(j == y) for j in range(d)]
 
     def assemble(rows_by_block):
         phi = []
@@ -659,10 +667,7 @@ def _search_hom_spaces(mod, blocks, geos, spaces, budget, trials, rng):
         if trials >= budget:
             break
         trials += 1
-        rows = dict(pinned)
-        for i in free_idx:
-            if i not in rows:
-                rows[i] = [rng.randrange(ring) for _ in range(d)]
+        rows = dict(pinned)  # every free block is pinned
         for i in rest_idx:
             kernel = spaces[i][0]
             if attempt == 0:
@@ -679,6 +684,27 @@ def _search_hom_spaces(mod, blocks, geos, spaces, budget, trials, rng):
         if is_invertible_modp(phi, p):
             return phi, trials, False
     return None, trials, False
+
+
+def _certify_blocks(mod: LevelModule, blocks, budget, trials, rng):
+    """Search the hom spaces from the blocks for an isomorphism onto mod.
+
+    Per block the hom equations come from coset transport, and their
+    solutions over Z/p^k from the digit-by-digit kernel lift (at k = 1 the
+    plain mod-p left kernel).  A found matrix is verified independently.
+    Returns (Certificate or None, trials, definitive) as _search_hom_spaces.
+    """
+    geos = [_CosetGeometry(mod.qtbl, b.sub) for b in blocks]
+    spaces = []
+    for b, geo in zip(blocks, geos):
+        B, cols = _block_transport(mod, geo, b.xi)
+        spaces.append((_liftable_kernel(cols, mod.p, mod.k), B))
+    phi, trials, definitive = _search_hom_spaces(mod, blocks, geos, spaces, budget, trials, rng)
+    if phi is None:
+        return None, trials, definitive
+    if not _verify_certificate(mod, blocks, phi):
+        raise PropertyViolation("assembled certificate failed independent verification")
+    return Certificate(mod.p, mod.k, blocks, tuple(map(tuple, phi))), trials, definitive
 
 
 # ---------------------------------------------------------------------------
@@ -727,17 +753,8 @@ def perm_recognize_modp(mod: LevelModule, budget: int = DEFAULT_CERT_BUDGET) -> 
         Block(j, marks.classes[j], (1,) * marks.classes[j].order)
         for j, m in enumerate(cand) for _ in range(m)
     )
-    geos = [_CosetGeometry(mod.qtbl, b.sub) for b in blocks]
-    spaces = []
-    for b, geo in zip(blocks, geos):
-        B, cols = _block_transport(mod, geo, b.xi, mod.p)
-        kernel = modp_left_kernel(cols, mod.p, width=len(cols[0]) if cols else 0)
-        spaces.append((kernel, B))
-    phi, trials, definitive = _search_hom_spaces(mod, blocks, geos, spaces, budget, 0, rng)
-    if phi is not None:
-        if not _verify_certificate(mod, blocks, phi):
-            raise PropertyViolation("assembled certificate failed independent verification")
-        cert = Certificate(mod.p, 1, blocks, tuple(tuple(r) for r in phi))
+    cert, trials, definitive = _certify_blocks(mod, blocks, budget, 0, rng)
+    if cert is not None:
         return RecognitionResult("certified", marks, cand, cert, trials)
     if definitive:
         return RecognitionResult(
@@ -817,23 +834,16 @@ def gen_perm_lift(
         return LiftResult("not_attempted", None, 0)
     if mod.k == 1:
         return LiftResult("certified", modp.certificate, 1)
-    p, k, ring = mod.p, mod.k, mod.ring
+    p, k = mod.p, mod.k
     base_blocks = modp.certificate.blocks
     if mod.dim == 0:
         return LiftResult("certified", Certificate(p, k, (), ()), 1)
     per_class: dict[int, list[int]] = {}
     for i, b in enumerate(base_blocks):
         per_class.setdefault(b.class_index, []).append(i)
-    if p == 2:
-        char_lists = {
-            ci: sign_characters(mod.qtbl, base_blocks[idxs[0]].sub)
-            for ci, idxs in per_class.items()
-        }
-    else:
-        char_lists = {
-            ci: [(1,) * base_blocks[idxs[0]].sub.order]
-            for ci, idxs in per_class.items()
-        }
+    subs = {b.class_index: b.sub for b in base_blocks}
+    char_lists = {ci: sign_characters(mod.qtbl, sub) if p == 2 else [(1,) * sub.order]
+                  for ci, sub in subs.items()}
     class_order = sorted(per_class)
     choice_iters = [
         combinations_with_replacement(range(len(char_lists[ci])), len(per_class[ci]))
@@ -857,22 +867,8 @@ def gen_perm_lift(
         for ci, picks in zip(class_order, combo):
             for bi, chi in zip(per_class[ci], picks):
                 blocks[bi] = Block(ci, blocks[bi].sub, char_lists[ci][chi])
-        blocks = tuple(blocks)
-        geos = [_CosetGeometry(mod.qtbl, b.sub) for b in blocks]
-        spaces = []
-        for b, geo in zip(blocks, geos):
-            B, cols = _block_transport(mod, geo, b.xi, ring)
-            kernel = _liftable_kernel(cols, p, k)
-            spaces.append((kernel, B))
-        phi, trials, definitive = _search_hom_spaces(
-            mod, blocks, geos, spaces, budget, trials, rng
-        )
-        if phi is not None:
-            if not _verify_certificate(mod, blocks, phi):
-                raise PropertyViolation(
-                    "integral certificate failed independent verification"
-                )
-            cert = Certificate(p, k, blocks, tuple(tuple(r) for r in phi))
+        cert, trials, definitive = _certify_blocks(mod, tuple(blocks), budget, trials, rng)
+        if cert is not None:
             return LiftResult("certified", cert, tried)
         all_definitive = all_definitive and definitive
     if all_definitive:
@@ -916,9 +912,9 @@ class HarnessReport:
 def _level_outcome(rlat: RelationLattice, lv: LevelResult, p: int, precision: int,
                    budget: int) -> tuple[LevelOutcome, LevelModule]:
     """Recognize one level's mod-p module and, if certified, lift it."""
-    n, tors = lv.level, lv.p_torsion
-    frame = _level_frame(rlat, lv.subgroup)
-    mod1 = _module_on_frame(rlat, lv.coin, frame, p, 1, n)
+    n, tors, sub = lv.level, lv.p_torsion, lv.subgroup
+    qtbl = quotient_table(rlat.tbl, sub)[0]
+    mod1 = _level_module(rlat, lv.coin, sub, qtbl, p, 1, n)
     rec = perm_recognize_modp(mod1, budget)
     mults = None
     if rec.multiplicities is not None:
@@ -934,7 +930,7 @@ def _level_outcome(rlat: RelationLattice, lv: LevelResult, p: int, precision: in
     elif rec.status == "unknown":
         integral = "unknown"
     else:
-        modk = _module_on_frame(rlat, lv.coin, frame, p, precision, n)
+        modk = _level_module(rlat, lv.coin, sub, qtbl, p, precision, n)
         lift = gen_perm_lift(modk, rec, budget=budget)
         integral = lift.status
         if lift.status == "certified" and lift.certificate is not None:
@@ -971,10 +967,10 @@ def tower_harness(qr: QRReport, precision: int = DEFAULT_PRECISION,
 
     The chain, lattice and level coinvariants come from the QR report.
     The mod-p module is the reduction of the Z/p^precision one, so both
-    are built on one level frame, the latter only where the former was
+    are built on one quotient table, the latter only where the former was
     certified a permutation module.
 
-    Everything a level builds (frame, mod-p module, recognition, lift)
+    Everything a level builds (quotient, mod-p module, recognition, lift)
     depends on D_n alone, so it is built once per distinct D_n.  qr_check
     hands a level whose D_n repeats the one before the same Coinvariants
     object; such a level repeats the previous outcome with only `level`

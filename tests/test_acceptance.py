@@ -115,6 +115,9 @@ def test_04_cyclic_prime_power_presentations_are_qr(corpus):
 
 
 def test_05_levelwise_torsion_iff_multiplier_torsion(corpus):
+    """On the bundled corpus some level has p-torsion exactly when H2(G)
+    does.  This holds for these groups, not in general: level n's torsion
+    is H2(D_n), which can be nonzero while H2(G) = 0."""
     discrepancies = []
     for entry in corpus:
         pres = parse_presentation(entry["text"])
@@ -171,9 +174,8 @@ def test_08_equivalence_harness_is_clean_on_the_qr_corpus(corpus):
     k = 20
     ring = 1 << k
     coin = Coinvariants(AbelianInvariants(1, ()), 1, (), ((1,),), ((1,),))
-    twisted = LevelModule(1, 2, k, tbl, (0, 1), (0,),
-                          (((1,),), ((ring - 1,),)), coin)
-    plain = LevelModule(1, 2, 1, tbl, (0, 1), (0,), (((1,),), ((1,),)), coin)
+    twisted = LevelModule(1, 2, k, tbl, (0,), {1: ((ring - 1,),)}, coin)
+    plain = LevelModule(1, 2, 1, tbl, (0,), {1: ((1,),)}, coin)
     rec = perm_recognize_modp(plain)
     assert rec.status == "certified"
     lift = gen_perm_lift(twisted, rec)
@@ -202,33 +204,30 @@ def test_09_rank_and_cokernel_laws_exact(corpus):
         assert list(entry["expected"]["gab"]) == list(gab.torsion), entry["id"]
 
 
-def _synthetic(qtbl, blocks, p):
-    acts = tuple(
-        tuple(tuple(r) for r in monomial_matrix(qtbl, blocks, q, p))
-        for q in range(qtbl.order)
-    )
-    dim = len(acts[0])
+def _module(qtbl, p, dim, matrix_of):
+    """A module over the identity Smith coordinates, given by matrix_of(x)
+    on every generator image x of Q and its inverse."""
     ident = tuple(tuple(r) for r in identity_rows(dim))
     coin = Coinvariants(AbelianInvariants(dim, ()), dim, (), ident, ident)
-    return LevelModule(1, p, 1, qtbl, tuple(range(qtbl.order)),
-                       tuple(range(dim)), acts, coin)
+    letters = {x: tuple(tuple(r) for r in matrix_of(x))
+               for g in qtbl.gen_images for x in (g, qtbl.inv[g])}
+    return LevelModule(1, p, 1, qtbl, tuple(range(dim)), letters, coin)
+
+
+def _synthetic(qtbl, blocks, p):
+    dim = sum(qtbl.order // b.sub.order for b in blocks)
+    return _module(qtbl, p, dim, lambda x: monomial_matrix(qtbl, blocks, x, p))
 
 
 def _conjugate(mod, mat):
-    from qrlab.intlinalg import modp_solve_left
+    """The same module in the basis mat: A'[x] = mat^-1 A[x] mat on every letter."""
+    from qrlab.intlinalg import mat_mul, modp_solve_left
 
     dim, p = mod.dim, mod.p
     inv = [modp_solve_left(mat, [int(i == j) for j in range(dim)], p)
            for i in range(dim)]
-    acts = []
-    for q in range(mod.qtbl.order):
-        a = mod.action[q]
-        tmp = [[sum(inv[i][x] * a[x][j] for x in range(dim)) % p
-                for j in range(dim)] for i in range(dim)]
-        acts.append(tuple(tuple(sum(tmp[i][x] * mat[x][j] for x in range(dim)) % p
-                                for j in range(dim)) for i in range(dim)))
-    return LevelModule(mod.level, mod.p, mod.k, mod.qtbl, mod.coset_map,
-                       mod.surviving, tuple(acts), mod.coin)
+    return _module(mod.qtbl, p, dim, lambda x: [
+        [v % p for v in row] for row in mat_mul(mat_mul(inv, mod.letters[x]), mat)])
 
 
 def test_10_randomized_recognizer_battery():
@@ -276,21 +275,13 @@ def test_10_randomized_recognizer_battery():
                      for j, m in enumerate(rec.multiplicities) for _ in range(m))
         assert got == sorted(want), trial
 
-    # and the classical counterexample: a unipotent Jordan block of size 3
+    # and the classical counterexample: a unipotent Jordan block of size 3,
+    # of order 4 mod 2, so that its inverse is its cube
     tbl, reps, _ = pool[0]
     j3 = ((1, 1, 0), (0, 1, 1), (0, 0, 1))
-    mats = [identity_rows(3)]
-    for _ in range(3):
-        prev = mats[-1]
-        mats.append([[sum(prev[i][x] * j3[x][j] for x in range(3)) % 2
-                      for j in range(3)] for i in range(3)])
+    cube = ((1, 1, 1), (0, 1, 1), (0, 0, 1))
     gen = tbl.gen_images[0]
-    by_elt = [None] * 4
-    for i in range(4):
-        by_elt[tbl.power(gen, i)] = tuple(tuple(r) for r in mats[i])
-    ident = tuple(tuple(r) for r in identity_rows(3))
-    coin = Coinvariants(AbelianInvariants(3, ()), 3, (), ident, ident)
-    jordan = LevelModule(1, 2, 1, tbl, (0, 1, 2, 3), (0, 1, 2), tuple(by_elt), coin)
+    jordan = _module(tbl, 2, 3, lambda x: j3 if x == gen else cube)
     rec = perm_recognize_modp(jordan)
     assert rec.status == "refuted"
     assert rec.marks.candidates == ()

@@ -4,7 +4,8 @@ The golden files in tests/data/check/ are `qrlab check FILE` output (no
 --timing) for the bundled presentations, with the "file" value replaced by
 the file name; every level table, multiplicity and trial count is pinned.
 tests/data/check32/ holds the same for the two order-32 benchmark inputs,
-which the bundled corpus never reaches.
+which the bundled corpus never reaches, and for tests/data/nqr32.pres, an
+order-32 group with H2(G) = 0 that is not quasirational at 2.
 """
 
 import json
@@ -30,6 +31,7 @@ from conftest import CORPUS_DIR, ORDER32, ORDER32_DIR
 
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parent / "data" / "check"
 GOLDEN32_DIR = GOLDEN_DIR.parent / "check32"
+NQR32 = GOLDEN_DIR.parent / "nqr32.pres"
 BUNDLED = sorted(p.name for p in CORPUS_DIR.glob("*.pres"))
 
 
@@ -51,6 +53,18 @@ def test_check_matches_golden_output_at_order_32(capsys, name):
     code, out = check_output(capsys, ORDER32_DIR / name)
     assert code == 0
     assert out == (GOLDEN32_DIR / name.replace(".pres", ".json")).read_text()
+
+
+def test_check_reports_a_group_with_trivial_multiplier_as_not_quasirational(capsys):
+    """Level 2 carries H2(D_2) = Z/2 while H2(G) = 0: check exits 0 with the
+    witness level, instead of failing a consistency check that assumed
+    torsion-free R/[R,F] meant quasirational."""
+    code, out = check_output(capsys, NQR32)
+    assert code == 0
+    assert out == (GOLDEN32_DIR / "nqr32.json").read_text()
+    doc = json.loads(out)
+    assert doc["h2"]["hopf"]["torsion"] == [] and doc["harness"] == {}
+    assert doc["qr"]["2"]["quasirational"] is False and doc["qr"]["2"]["witness_level"] == 2
 
 
 def test_golden_files_cover_the_bundled_corpus():

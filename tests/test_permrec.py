@@ -30,12 +30,13 @@ from qrlab.enumeration import (
 )
 from qrlab.groupring import dimension_subgroup_chain
 from qrlab.relmod import Coinvariants, coinvariants, qr_check, relation_lattice
+from qrlab import permrec
 from qrlab.permrec import (
     DEFAULT_CERT_BUDGET,
     DEFAULT_PRECISION,
     Block,
     LevelModule,
-    _action_from_generators,
+    _certify_letters,
     _level_outcome,
     block_matrix,
     equivalence_harness,
@@ -53,18 +54,27 @@ from conftest import CORPUS_DIR, ORDER32, ORDER32_DIR
 from reference import orbits_on_cosets
 
 
+def frozen(mat):
+    return tuple(tuple(r) for r in mat)
+
+
+def letter_matrices(qtbl, matrix_of):
+    """matrix_of(x) for every generator image x of Q and its inverse."""
+    return {x: frozen(matrix_of(x)) for g in qtbl.gen_images for x in (g, qtbl.inv[g])}
+
+
+def hand_module(qtbl, p, k, dim, letters):
+    """A module over the identity Smith coordinates."""
+    ident = frozen(identity_rows(dim))
+    coin = Coinvariants(AbelianInvariants(dim, ()), dim, (), ident, ident)
+    return LevelModule(1, p, k, qtbl, tuple(range(dim)), letters, coin)
+
+
 def synthetic_module(qtbl, blocks, p, k):
     """The monomial module itself, in its defining coordinates."""
-    ring = p ** k
-    acts = tuple(
-        tuple(tuple(r) for r in monomial_matrix(qtbl, blocks, q, ring))
-        for q in range(qtbl.order)
-    )
-    dim = len(acts[0]) if qtbl.order else 0
-    ident = tuple(tuple(r) for r in identity_rows(dim))
-    coin = Coinvariants(AbelianInvariants(dim, ()), dim, (), ident, ident)
-    return LevelModule(1, p, k, qtbl, tuple(range(qtbl.order)),
-                       tuple(range(dim)), acts, coin)
+    dim = sum(qtbl.order // b.sub.order for b in blocks)
+    letters = letter_matrices(qtbl, lambda x: monomial_matrix(qtbl, blocks, x, p ** k))
+    return hand_module(qtbl, p, k, dim, letters)
 
 
 def modp_inverse(mat, p):
@@ -84,19 +94,17 @@ def random_invertible(dim, p, rng):
             return mat
 
 
+def change_basis(mod, mat, inv, ring):
+    """Same module in other coordinates: A'[x] = P^-1 A[x] P on every letter."""
+    return replace(mod, letters={
+        x: frozen([[v % ring for v in row] for row in mat_mul(mat_mul(inv, a), mat)])
+        for x, a in mod.letters.items()
+    })
+
+
 def conjugate_module(mod, mat):
-    """Same module in scrambled coordinates: A'[q] = P^-1 A[q] P."""
-    inv = modp_inverse(mat, mod.p)
-    acts = []
-    for q in range(mod.qtbl.order):
-        a = mod.action[q]
-        dim = mod.dim
-        tmp = [[sum(inv[i][x] * a[x][j] for x in range(dim)) % mod.p
-                for j in range(dim)] for i in range(dim)]
-        acts.append(tuple(tuple(sum(tmp[i][x] * mat[x][j] for x in range(dim)) % mod.p
-                                for j in range(dim)) for i in range(dim)))
-    return LevelModule(mod.level, mod.p, mod.k, mod.qtbl, mod.coset_map,
-                       mod.surviving, tuple(acts), mod.coin)
+    """Same module in scrambled coordinates, over F_p."""
+    return change_basis(mod, mat, modp_inverse(mat, mod.p), mod.p)
 
 
 def level_module(text, level, k=1):
@@ -264,7 +272,7 @@ def test_norm_rank_counts_free_blocks():
         scrambled = conjugate_module(mod, random_invertible(mod.dim, 2, rng))
         norm = [[0] * mod.dim for _ in range(mod.dim)]
         for q in range(tbl.order):
-            a = scrambled.action[q]
+            a = scrambled.act(q)
             for i in range(mod.dim):
                 for j in range(mod.dim):
                     norm[i][j] = (norm[i][j] + a[i][j]) % 2
@@ -276,7 +284,7 @@ def test_marks_dimensions_from_subgroup_generators():
     K; every member of K must give the same."""
     def differences(mod, K):
         return [[(x - (i == j)) % mod.p for j, x in enumerate(row)]
-                for g in K.members for i, row in enumerate(mod.action[g])]
+                for g in K.members for i, row in enumerate(mod.act(g))]
 
     rng = random.Random(11)
     tbl = table_of(D4)
@@ -298,18 +306,9 @@ def test_marks_dimensions_from_subgroup_generators():
 def test_jordan_block_is_refuted_by_marks():
     tbl = table_of(C4)
     j3 = ((1, 1, 0), (0, 1, 1), (0, 0, 1))
-    acts = [identity_rows(3)]
-    for _ in range(3):
-        prev = acts[-1]
-        acts.append([[sum(prev[i][x] * j3[x][j] for x in range(3)) % 2
-                      for j in range(3)] for i in range(3)])
+    j3_cubed = ((1, 1, 1), (0, 1, 1), (0, 0, 1))  # mod 2, the inverse of j3
     gen = tbl.gen_images[0]
-    by_elt = [None] * 4
-    for i in range(4):
-        by_elt[tbl.power(gen, i)] = tuple(tuple(r) for r in acts[i])
-    ident = tuple(tuple(r) for r in identity_rows(3))
-    coin = Coinvariants(AbelianInvariants(3, ()), 3, (), ident, ident)
-    mod = LevelModule(1, 2, 1, tbl, (0, 1, 2, 3), (0, 1, 2), tuple(by_elt), coin)
+    mod = hand_module(tbl, 2, 1, 3, {gen: j3, tbl.inv[gen]: j3_cubed})
     rec = perm_recognize_modp(mod)
     assert rec.status == "refuted"
     assert rec.trials == 0
@@ -392,9 +391,7 @@ def test_brauer_dims_count_fixed_cosets(text, p):
 def test_marks_refuses_a_group_that_is_not_a_p_group():
     tbl = table_of(S3)
     assert tbl.order == 6
-    ident = tuple(tuple(r) for r in identity_rows(1))
-    coin = Coinvariants(AbelianInvariants(1, ()), 1, (), ident, ident)
-    trivial = LevelModule(1, 2, 1, tbl, tuple(range(6)), (0,), (ident,) * 6, coin)
+    trivial = hand_module(tbl, 2, 1, 1, letter_matrices(tbl, lambda x: identity_rows(1)))
     with pytest.raises(InputError, match="2-group"):
         marks_multiplicities(trivial)
 
@@ -429,10 +426,8 @@ def test_sign_twist_is_generalized_but_not_ordinary():
     tbl = table_of("gens: a; relators: a^2; prime: 2")
     k = 6
     ring = 1 << k
-    coin = Coinvariants(AbelianInvariants(1, ()), 1, (), ((1,),), ((1,),))
-    twisted = LevelModule(1, 2, k, tbl, (0, 1), (0,),
-                          (((1,),), ((ring - 1,),)), coin)
-    plain = LevelModule(1, 2, 1, tbl, (0, 1), (0,), (((1,),), ((1,),)), coin)
+    twisted = hand_module(tbl, 2, k, 1, {1: ((ring - 1,),)})
+    plain = hand_module(tbl, 2, 1, 1, {1: ((1,),)})
     rec = perm_recognize_modp(plain)
     assert rec.status == "certified"
     lift = gen_perm_lift(twisted, rec)
@@ -440,7 +435,7 @@ def test_sign_twist_is_generalized_but_not_ordinary():
     assert any(not b.is_plain() for b in lift.certificate.blocks)
     # ordinary is impossible: a rank-one permutation action is trivial,
     # but a acts by -1 != 1 mod 2^k
-    assert twisted.action[1] != twisted.action[0]
+    assert twisted.act(1) != twisted.act(0)
 
 
 def test_plain_integral_lift():
@@ -452,20 +447,10 @@ def test_plain_integral_lift():
     u = [[1, 3, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0], [0, 5, 1, 0, 2, 0],
          [0, 0, 0, 1, 0, 0], [0, 0, 0, 7, 1, 0], [1, 0, 0, 0, 0, 1]]
     ring = 1 << k
-    uinv = [[x % ring for x in row] for row in integer_inverse(u)]
-    acts = []
-    for q in range(tbl.order):
-        a = mod.action[q]
-        dim = mod.dim
-        tmp = [[sum(uinv[i][x] * a[x][j] for x in range(dim)) % ring
-                for j in range(dim)] for i in range(dim)]
-        acts.append(tuple(tuple(sum(tmp[i][x] * u[x][j] for x in range(dim)) % ring
-                                for j in range(dim)) for i in range(dim)))
-    scrambled = LevelModule(1, 2, k, tbl, mod.coset_map, mod.surviving,
-                            tuple(acts), mod.coin)
-    onebar = LevelModule(1, 2, 1, tbl, mod.coset_map, mod.surviving,
-                         tuple(tuple(tuple(x % 2 for x in row) for row in a)
-                               for a in acts), mod.coin)
+    scrambled = change_basis(mod, u, integer_inverse(u), ring)
+    onebar = replace(scrambled, k=1, letters={
+        x: frozen([[v % 2 for v in row] for row in a]) for x, a in scrambled.letters.items()
+    })
     rec = perm_recognize_modp(onebar)
     assert rec.status == "certified"
     lift = gen_perm_lift(scrambled, rec)
@@ -592,7 +577,7 @@ def all_elements_module(rlat, coin, sub, p, k):
             assert [[x % ring for x in r] for r in prod] == \
                 [list(r) for r in action[qtbl.mult[q1][q2]]], "composition law fails"
     assert action[0] == tuple(tuple(r) for r in identity_rows(dim))
-    return qtbl, tuple(cmap), tuple(surv), tuple(action)
+    return qtbl, tuple(surv), tuple(action)
 
 
 def test_generator_module_matches_all_elements_oracle(corpus):
@@ -608,27 +593,85 @@ def test_generator_module_matches_all_elements_oracle(corpus):
                 coin = coinvariants(rlat, sub)
                 for k in (1, 3):
                     mod = module_from_coinvariants(rlat, coin, sub, p, k, level=n)
-                    qtbl, cmap, surv, action = all_elements_module(rlat, coin, sub, p, k)
+                    qtbl, surv, action = all_elements_module(rlat, coin, sub, p, k)
                     assert mod.qtbl == qtbl, (entry["id"], p, n, k)
-                    assert mod.coset_map == cmap, (entry["id"], p, n, k)
                     assert mod.surviving == surv, (entry["id"], p, n, k)
-                    assert mod.action == action, (entry["id"], p, n, k)
+                    assert tuple(map(mod.act, range(qtbl.order))) == action, \
+                        (entry["id"], p, n, k)
                     checked += 1
     assert checked >= 20
 
 
-def test_cayley_edge_check_rejects_a_non_action():
-    tbl = table_of(C4)
+def test_certificate_accepts_the_regular_action_of_c4():
+    pres = parse_presentation(C4)
+    tbl = todd_coxeter(pres)
     x = tbl.gen_images[0]
-    # a 4-cycle permutation matrix is the regular action of C4 ...
-    cycle4 = [[int(j == (i + 1) % 4) for j in range(4)] for i in range(4)]
-    action = _action_from_generators(tbl, {x: cycle4}, 4, 2)
-    assert action[0] == identity_rows(4)
-    assert action[x] == cycle4
-    # ... but a 3-cycle has order 3, so x^4 = 1 is an edge it cannot close
+    cycle4 = frozen([[int(j == (i + 1) % 4) for j in range(4)] for i in range(4)])
+    letters = _certify_letters(tbl, {x: cycle4}, pres.relators, (), 4, 2)
+    assert letters[x] == cycle4
+    # the inverse letter is the cube, the inverse permutation
+    assert letters[tbl.inv[x]] == tuple(zip(*cycle4))
+
+
+def test_certificate_check_a_rejects_a_letter_of_the_wrong_order():
+    # a 3-cycle has order 3, so it cannot be the image of an element of order 4
+    pres = parse_presentation(C4)
+    tbl = todd_coxeter(pres)
     cycle3 = [[int(j == (i + 1) % 3) for j in range(3)] for i in range(3)]
-    with pytest.raises(PropertyViolation, match="Cayley edge"):
-        _action_from_generators(tbl, {x: cycle3}, 3, 2)
+    with pytest.raises(PropertyViolation, match="power of its order"):
+        _certify_letters(tbl, {tbl.gen_images[0]: cycle3}, pres.relators, (), 3, 2)
+
+
+def test_certificate_check_b_rejects_a_relator_that_acts():
+    # two transpositions of S3 are involutions, so they pass (a), but they
+    # do not commute: the Klein group's commutator relator acts
+    pres = parse_presentation(KLEIN)
+    tbl = todd_coxeter(pres)
+    swaps = ([[0, 1, 0], [1, 0, 0], [0, 0, 1]], [[1, 0, 0], [0, 0, 1], [0, 1, 0]])
+    gen_mats = {tbl.gen_images[g]: frozen(m) for g, m in enumerate(swaps)}
+    with pytest.raises(PropertyViolation, match="relator acts nontrivially"):
+        _certify_letters(tbl, gen_mats, pres.relators, (), 3, 2)
+    _certify_letters(tbl, gen_mats, (), (), 3, 2)
+
+
+HEISENBERG = ("gens: a, b; relators: a^3, b^3, a*a*b*a^-1*b^-1*a^-1*b*a*b^-1*a^-1, "
+              "b*a*b*a^-1*b^-1*a*b^-1*a^-1; prime: 3")
+
+
+def test_certificate_check_c_rejects_letters_that_do_not_factor_through_q():
+    """The unipotent matrices of the Heisenberg group mod 3 satisfy its
+    relators and have order 3, but offered for Q = G/D_2 = C3 x C3 they
+    leave the commutator that generates D_2 acting nontrivially."""
+    pres = parse_presentation(HEISENBERG)
+    tbl = todd_coxeter(pres)
+    d2 = dimension_subgroup_chain(tbl, 3)[1]
+    qtbl = quotient_table(tbl, d2)[0]
+    assert (tbl.order, d2.order, qtbl.order) == (27, 3, 9)
+    unipotent = ([[1, 1, 0], [0, 1, 0], [0, 0, 1]], [[1, 0, 0], [0, 1, 1], [0, 0, 1]])
+    gen_mats = {qtbl.gen_images[g]: frozen(m) for g, m in enumerate(unipotent)}
+    _certify_letters(qtbl, gen_mats, pres.relators, (), 3, 3)
+    kernel_words = [tbl.element_words[d] for d in d2.generators]
+    with pytest.raises(PropertyViolation, match="dimension subgroup acts nontrivially"):
+        _certify_letters(qtbl, gen_mats, pres.relators, kernel_words, 3, 3)
+
+
+def test_q32_top_module_builds_fewer_elements_than_its_quotient(lattice, monkeypatch):
+    """Level modules build A[q] only for the elements their readers ask for:
+    q32's level-9 module over F_2 (Q = G, order 32) is refuted by its
+    Brauer quotients, which read a few subgroup generators and powers."""
+    build = permrec._level_module
+    modules = []
+
+    def recording(*args):
+        modules.append(build(*args))
+        return modules[-1]
+
+    monkeypatch.setattr(permrec, "_level_module", recording)
+    rep = tower_harness(qr_check(lattice(Q32), 2))
+    assert rep.levels[-1].level == 9 and rep.levels[-1].modp_status == "refuted"
+    (top,) = [m for m in modules if m.level == 9 and m.k == 1]
+    assert top.qtbl.order == 32
+    assert len(top.built) < 32
 
 
 def _coset_sum_modules(lo_v):
@@ -642,7 +685,7 @@ def _coset_sum_modules(lo_v):
     lo_vinv = integer_inverse(lo_v)
     coin = Coinvariants(AbelianInvariants(1, ()), 4, (1, 1, 1),
                         tuple(map(tuple, lo_v)), tuple(map(tuple, lo_vinv)))
-    lo = LevelModule(1, 2, 1, tbl, tuple(range(4)), (3,), (((1,),),) * 4, coin)
+    lo = LevelModule(1, 2, 1, tbl, (3,), letter_matrices(tbl, lambda x: ((1,),)), coin)
     return hi, lo
 
 
@@ -680,9 +723,8 @@ def test_decided_results_carry_no_reason():
 
 def test_assignment_cap_names_its_reason():
     tbl = table_of("gens: a; relators: a^2; prime: 2")
-    coin = Coinvariants(AbelianInvariants(1, ()), 1, (), ((1,),), ((1,),))
-    twisted = LevelModule(1, 2, 6, tbl, (0, 1), (0,), (((1,),), ((63,),)), coin)
-    plain = LevelModule(1, 2, 1, tbl, (0, 1), (0,), (((1,),), ((1,),)), coin)
+    twisted = hand_module(tbl, 2, 6, 1, {1: ((63,),)})
+    plain = hand_module(tbl, 2, 1, 1, {1: ((1,),)})
     lift = gen_perm_lift(twisted, perm_recognize_modp(plain), assignment_cap=0)
     assert lift.status == "unknown"
     assert "assignment cap" in lift.reason

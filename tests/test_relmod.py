@@ -359,13 +359,38 @@ def test_qr_verdicts(group, text, p, verdict):
 
 @pytest.mark.parametrize("text,p,gab,h2", KNOWN)
 def test_levelwise_torsion_iff_multiplier_torsion(group, text, p, gab, h2):
-    """Some level carries p-torsion exactly when the multiplier does."""
+    """On these groups some level carries p-torsion exactly when the
+    multiplier does.  That is not a theorem: level n's torsion is H2(D_n),
+    and H2(G) = 0 does not force H2(D_n) = 0 (see the test below)."""
     pres, tbl = group(text)
     rep = qr_check_full(pres, tbl, p)
     some_level = any(lv.p_torsion != () for lv in rep.levels)
     multiplier = p_torsion(rep.g_coinvariants, p) != ()
     assert some_level == multiplier
     assert rep.quasirational == (not some_level)
+
+
+# Balanced presentations, so H2(G) = 0 (Epstein, 1961), whose D_2 has a
+# multiplier Z/2: (order, |D_2|) per presentation.
+TRIVIAL_MULTIPLIER_NOT_QR = [
+    ("gens: a, b; relators: b*a^-1*a^-1*b*a^-1*b^-1*a^-1*b, a*b^-1*a^-1*b^-1; prime: 2",
+     32, 8),
+    ("gens: a, b; relators: a^-1*b^-1*a^-1*a^-1*a^-1*b, "
+     "b*a*b*b*a*b*a^-1*a^-1*a^-1*a^-1*a^-1*a^-1; prime: 2", 64, 16),
+]
+
+
+@pytest.mark.parametrize("text,order,d2_order", TRIVIAL_MULTIPLIER_NOT_QR)
+def test_trivial_multiplier_does_not_make_a_group_quasirational(group, text, order, d2_order):
+    """Level n's torsion is H2(D_n) (Shapiro), so a group whose own
+    multiplier vanishes is still not quasirational when a dimension
+    subgroup's multiplier has p-torsion; qr_check says so and does not fail."""
+    pres, tbl = group(text)
+    rep = qr_check_full(pres, tbl, 2)
+    assert tbl.order == order
+    assert p_torsion(rep.g_coinvariants, 2) == ()
+    assert not rep.quasirational and rep.witness_level == 2
+    assert (rep.levels[1].subgroup_order, rep.levels[1].p_torsion) == (d2_order, (2,))
 
 
 def test_report_shape(group):
