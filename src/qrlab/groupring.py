@@ -25,25 +25,6 @@ from .intlinalg import ModpSpan
 from .presentation import Presentation
 
 
-def gr_multiply(tbl: FiniteGroupTable, u, v, modulus: int | None = None) -> list[int]:
-    """Convolution product in the group ring (dense, O(|G|^2))."""
-    out = [0] * tbl.order
-    mult = tbl.mult
-    for g, a in enumerate(u):
-        if a:
-            row = mult[g]
-            for h, b in enumerate(v):
-                if b:
-                    out[row[h]] += a * b
-    if modulus is not None:
-        out = [c % modulus for c in out]
-    return out
-
-
-def augmentation(vec) -> int:
-    return sum(vec)
-
-
 def left_translate(tbl: FiniteGroupTable, g: int, vec) -> list[int]:
     """g * v: coefficient of h moves to g*h."""
     out = [0] * tbl.order
@@ -106,20 +87,6 @@ def delta_filtration(tbl: FiniteGroupTable, p: int, max_n: int | None = None) ->
     return spans
 
 
-def _delta_power(tbl: FiniteGroupTable, p: int, n: int) -> ModpSpan:
-    """The filtration's own span of Delta^n."""
-    if n < 1:
-        raise InputError("Delta power index must be >= 1")
-    spans = delta_filtration(tbl, p, max_n=n)
-    # a shorter list means the chain went constant (or hit 0) before n
-    return spans[min(n, len(spans)) - 1]
-
-
-def delta_power_basis(tbl: FiniteGroupTable, p: int, n: int) -> list[list[int]]:
-    """Echelon basis of Delta^n inside F_p G (deterministic order)."""
-    return [row[:] for row in _delta_power(tbl, p, n).rows]
-
-
 def delta_dimension_sequence(tbl: FiniteGroupTable, p: int) -> list[int]:
     """dims of Delta^1, Delta^2, ... down to 0 or to the stable value."""
     return [s.dim for s in delta_filtration(tbl, p)]
@@ -148,9 +115,13 @@ def dimension_subgroup(tbl: FiniteGroupTable, p: int, n: int) -> Subgroup:
         raise InputError(
             f"dimension subgroups over F_{p} need a {p}-group; order is {tbl.order}"
         )
+    if n < 1:
+        raise InputError("Delta power index must be >= 1")
     if n == 1:
         return subgroup_closure(tbl, tbl.gen_images)
-    members = _dimension_members(tbl, _delta_power(tbl, p, n), range(tbl.order))
+    spans = delta_filtration(tbl, p, max_n=n)
+    # a shorter list means the chain went constant (or hit 0) before n
+    members = _dimension_members(tbl, spans[-1], range(tbl.order))
     return Subgroup(tuple(members), _generators_for(tbl, members))
 
 

@@ -5,8 +5,8 @@ rounds.  Matrices are lists of row lists internally, with a small immutable
 IntMatrix wrapper for public return values.  Row-vector convention
 throughout: vectors multiply matrices from the left, lattices are spanned
 by rows.  Mod-p work has one elimination routine, ModpSpan, which keeps
-each row packed into a single int (FpRows); the dense helpers (rank,
-echelon form, kernel, solve) feed it their rows.
+each row packed into a single int (FpRows); rank and invertibility feed it
+their rows, and the left kernel is one span of the packed rows [A | I].
 """
 
 from __future__ import annotations
@@ -657,58 +657,46 @@ class ModpSpan:
         return True
 
 
-def _span_of(rows: Rows, p: int) -> ModpSpan:
+def modp_rank(rows: Rows, p: int) -> int:
     span = ModpSpan(len(rows[0]) if rows else 0, p)
     for r in rows:
         span.add(r)
-    return span
-
-
-def modp_rref(rows: Rows, p: int) -> tuple[Rows, list[int]]:
-    """Reduced row echelon form over F_p; returns (rref rows, pivot columns).
-    Zero rows are dropped."""
-    span = _span_of(rows, p)
-    return span.rows, span.pivots
-
-
-def modp_rank(rows: Rows, p: int) -> int:
-    return _span_of(rows, p).dim
+    return span.dim
 
 
 def modp_left_kernel(rows: Rows, p: int, width: int | None = None) -> Rows:
-    """Basis of {x : x * A = 0 mod p}, A given as m rows of length n."""
+    """Reduced echelon basis of {x : x * A = 0 mod p}, A given as m rows
+    of length n.
+
+    One elimination on [A | I]: row i is packed as A_i with e_i OR-ed in
+    at slot n + i.  A basis row leading at a slot >= n has zero A-part, so
+    its identity part (v >> n*bits) is a kernel vector.  Certified: every
+    row entered (dim == m) and x * A = 0 for every returned x, one packed
+    accumulation per row; the rows leading in the A-part number rank(A), so
+    by rank-nullity the rest are a whole kernel basis.
+    """
     m = len(rows)
     n = width if width is not None else (len(rows[0]) if rows else 0)
-    aug = []
-    for i, r in enumerate(rows):
-        e = [0] * m
-        e[i] = 1
-        aug.append([x % p for x in r] + e)
-    # echelonize prioritizing the A-columns
-    red, pivots = modp_rref(aug, p)
-    out = [row[n:] for row in red if not any(row[:n])]
-    # rows of rref that vanished entirely never appear; recover them:
-    # rank-nullity says we need m - rank(A) kernel rows
-    want = m - modp_rank(rows, p)
-    if len(out) != want:
-        raise AssertionError("kernel dimension mismatch")
-    return out
-
-
-def modp_solve_left(a_rows: Rows, b: Sequence[int], p: int) -> list[int] | None:
-    """One x with x * A = b (mod p), or None.  A is m rows of length n."""
-    m = len(a_rows)
-    if m == 0:
-        return [] if not any(x % p for x in b) else None
-    at = transpose(a_rows)  # n x m, solve At * x^T = b^T
-    aug = [[x % p for x in row] + [b[i] % p] for i, row in enumerate(at)]
-    red, pivots = modp_rref(aug, p)
-    x = [0] * m
-    for row, c in zip(red, pivots):
-        if c == m:
-            return None  # pivot in the constants column: inconsistent
-        x[c] = row[m]
-    return x
+    lay = fp_rows(n, p)
+    packed = [lay.pack(r) for r in rows]
+    shift = n * lay.bits
+    span = ModpSpan(n + m, p)
+    for i, a in enumerate(packed):
+        span.add(a | 1 << (shift + i * lay.bits))
+    if span.dim != m:
+        raise AssertionError("a row of [A | I] did not enter the span")
+    kernel = ModpSpan(m, p)
+    for v in span.packed:
+        if not v & ((1 << shift) - 1):
+            kernel.add(v >> shift)
+    for x in kernel.rows:
+        acc = 0
+        for c, a in zip(x, packed):
+            if c:
+                acc = lay.add(acc, lay.scale(a, c))
+        if acc:
+            raise AssertionError("kernel row does not annihilate A")
+    return kernel.rows
 
 
 def is_invertible_modp(rows: Rows, p: int) -> bool:

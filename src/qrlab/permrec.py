@@ -60,8 +60,6 @@ from .intlinalg import (
     mat_mul,
     modp_left_kernel,
     modp_rank,
-    modp_rref,
-    modp_solve_left,
 )
 from .presentation import Presentation, Word
 from .relmod import Coinvariants, LevelResult, QRReport, RelationLattice, qr_check_full
@@ -514,51 +512,48 @@ def _block_transport(mod: LevelModule, geo: _CosetGeometry, xi):
 
 
 def _liftable_kernel(a: list[list[int]], p: int, k: int) -> list[list[int]]:
-    """Rows w with w * a = 0 over Z/p^k, lifting the mod-p kernel digit by
-    digit.  The returned integer lifts have linearly independent mod-p
-    reductions spanning the reduction of the full solution module, so every
-    solution's reduction is an F_p combination of theirs; exhausting those
-    combinations is a complete search.
+    """Rows w with w * a = 0 over Z/p^k whose mod-p reductions are
+    independent and span the reductions of every solution, so exhausting
+    their F_p combinations is a complete search.
+
+    One kernel per p-adic digit.  The lifts w_i solve w_i * a = 0 mod q,
+    with defects e_i = (w_i * a) / q.  Every solution mod q is
+    sum c_i w_i + p t with t a solution mod q/p, and the defects of those
+    t span M: the rows of abar and the defects of every earlier digit's
+    lifts.  A basis of M is kept with a realizer t_m for each row m (e_j
+    for row j of abar), times p per digit.  So sum c_i w_i + p sum b_m t_m
+    solves mod q*p exactly when c * E + b * M = 0 mod p: the left kernel
+    of E stacked on M, c coordinates first.  In its reduced echelon form
+    the rows with c != 0 come first, with independent c-parts, and give
+    the next lifts.
     """
     d = len(a)
     if d == 0:
         return []
     n = len(a[0])
-    lifts = [list(v) for v in modp_left_kernel(a, p, width=n)]
-    if not lifts or k == 1:
-        return lifts
-    abar = [[x % p for x in row] for row in a]
-    im_rref, im_piv = modp_rref(abar, p)
+    lifts = modp_left_kernel(a, p, width=n)
+    m_span = ModpSpan(n, p)
+    fixes = [(row, [int(i == j) for i in range(d)]) for j, row in enumerate(a) if m_span.add(row)]
     q = p
     for _ in range(1, k):
-        defs = []
+        if not lifts:
+            break
+        defects = []
         for w in lifts:
             wa = [sum(w[i] * a[i][j] for i in range(d)) for j in range(n)]
             if any(x % q for x in wa):
                 raise AssertionError("lift invariant broke")
-            defs.append([(x // q) % p for x in wa])
-        proj = []
-        for v in defs:
-            v = v[:]
-            for row, c in zip(im_rref, im_piv):
-                if v[c]:
-                    f = v[c]
-                    v = [(x - f * y) % p for x, y in zip(v, row)]
-            proj.append(v)
-        combos = modp_left_kernel(proj, p, width=n)
-        if not combos:
-            return []
+            defects.append([x // q for x in wa])
+        r = len(lifts)
         new_lifts = []
-        for comb in combos:
-            w = [sum(comb[i] * lifts[i][t] for i in range(len(lifts)))
-                 for t in range(d)]
-            wa = [sum(w[i] * a[i][j] for i in range(d)) for j in range(n)]
-            rhs = [(-(x // q)) % p for x in wa]
-            v = modp_solve_left(abar, rhs, p)
-            if v is None:
-                raise AssertionError("projected defect was not in the image")
-            w = [wi + q * vi for wi, vi in zip(w, v)]
-            new_lifts.append(w)
+        for row in modp_left_kernel(defects + [m for m, _ in fixes], p, width=n):
+            if not any(row[:r]):
+                break
+            new_lifts.append([sum(row[i] * lifts[i][t] for i in range(r))
+                              + p * sum(b * f[t] for b, (_, f) in zip(row[r:], fixes))
+                              for t in range(d)])
+        fixes = [(m, [p * x for x in f]) for m, f in fixes]
+        fixes += [(e, w) for e, w in zip(defects, lifts) if m_span.add(e)]
         lifts = new_lifts
         q *= p
     return lifts

@@ -34,15 +34,6 @@ def free_reduce(letters: Iterable[Letter]) -> Word:
     return tuple(out)
 
 
-def word_inverse(w: Word) -> Word:
-    return tuple((g, -s) for g, s in reversed(w))
-
-
-def word_mul(u: Word, v: Word) -> Word:
-    """Concatenate and reduce.  Reduction only happens at the seam."""
-    return free_reduce(tuple(u) + tuple(v))
-
-
 def exponent_vector(w: Word, ngens: int) -> tuple[int, ...]:
     """Image of w in the free abelianization Z^ngens."""
     e = [0] * ngens

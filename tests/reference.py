@@ -31,6 +31,38 @@ def dense_rref(rows, p):
     return a[:r], pivots
 
 
+def dense_left_kernel(rows, p):
+    """Reference F_p left kernel: dense_rref of [A | I]; the rows whose
+    A-part vanished carry the kernel in their identity part, already in
+    reduced echelon form."""
+    m = len(rows)
+    n = len(rows[0]) if rows else 0
+    aug = [list(r) + [int(i == j) for j in range(m)] for i, r in enumerate(rows)]
+    return [row[n:] for row in dense_rref(aug, p)[0] if not any(row[:n])]
+
+
+def dense_inverse(rows, p):
+    """Reference inverse mod p: dense_rref of [A | I] is [I | A^-1]."""
+    n = len(rows)
+    aug = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(rows)]
+    red, pivots = dense_rref(aug, p)
+    if pivots != list(range(n)):
+        raise ValueError("matrix is singular mod p")
+    return [row[n:] for row in red]
+
+
+def gr_multiply(tbl, u, v):
+    """Convolution product in the group ring ZG (dense, O(|G|^2))."""
+    out = [0] * tbl.order
+    for g, a in enumerate(u):
+        if a:
+            row = tbl.mult[g]
+            for h, b in enumerate(v):
+                if b:
+                    out[row[h]] += a * b
+    return out
+
+
 def det_int(rows):
     """Bareiss fraction-free determinant."""
     n = len(rows)

@@ -33,6 +33,8 @@ from qrlab.permrec import (
     perm_recognize_modp,
 )
 
+from reference import dense_inverse
+
 QUATERNION = "gens: a, b; relators: a*b*a*b^-1, b*a*b*a^-1; prime: 2"
 TWO_RELATOR_16 = "gens: a, b; relators: a^4*b^-2, a*b*a*b^-1; prime: 2"
 
@@ -221,11 +223,10 @@ def _synthetic(qtbl, blocks, p):
 
 def _conjugate(mod, mat):
     """The same module in the basis mat: A'[x] = mat^-1 A[x] mat on every letter."""
-    from qrlab.intlinalg import mat_mul, modp_solve_left
+    from qrlab.intlinalg import mat_mul
 
     dim, p = mod.dim, mod.p
-    inv = [modp_solve_left(mat, [int(i == j) for j in range(dim)], p)
-           for i in range(dim)]
+    inv = dense_inverse(mat, p)
     return _module(mod.qtbl, p, dim, lambda x: [
         [v % p for v in row] for row in mat_mul(mat_mul(inv, mod.letters[x]), mat)])
 

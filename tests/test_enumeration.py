@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qrlab.errors import BudgetExceeded
-from qrlab.presentation import parse_presentation, word_mul
+from qrlab.presentation import free_reduce, parse_presentation
 from qrlab.enumeration import (
     FiniteGroupTable,
     _verify_table,
@@ -70,7 +70,7 @@ words = st.lists(letters, max_size=10).map(tuple)
 def test_word_image_is_a_homomorphism(u, v):
     pres = parse_presentation("gens: a, b; relators: a^4*b^-2, a*b*a*b^-1; prime: 2")
     tbl = todd_coxeter(pres)
-    assert word_image(tbl, word_mul(u, v)) == tbl.mult[word_image(tbl, u)][word_image(tbl, v)]
+    assert word_image(tbl, free_reduce(u + v)) == tbl.mult[word_image(tbl, u)][word_image(tbl, v)]
 
 
 def test_relators_die_in_the_quotient(group):

@@ -5,12 +5,14 @@ divisor chain, computed here from scratch so the two routes share no code,
 and the whole factorization against reference.smallest_entry_snf, the same
 pivot rule without qrlab's shortcuts.
 The packed F_p kernel is checked against reference.dense_rref, a dense
-Gauss-Jordan elimination on lists.
+Gauss-Jordan elimination on lists, and the left kernel against
+reference.dense_left_kernel, the same elimination on [A | I].
 """
 
 import itertools
 import math
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -29,14 +31,12 @@ from qrlab.intlinalg import (
     mat_mul,
     modp_left_kernel,
     modp_rank,
-    modp_rref,
-    modp_solve_left,
     p_torsion,
     smith_normal_form,
     transpose,
 )
 
-from reference import dense_rref, det_int, smallest_entry_snf
+from reference import dense_left_kernel, dense_rref, det_int, smallest_entry_snf
 
 
 def naive_det(a):
@@ -207,29 +207,23 @@ def dense_rank(rows, p):
 def test_modp_rank_kernel_dimension(a, p):
     n = len(a[0])
     r = modp_rank(a, p)
-    rows, pivots = modp_rref(a, p)
-    assert (rows, pivots) == dense_rref(a, p)
-    assert r == len(rows) == len(pivots)
-    assert pivots == sorted(pivots)
+    assert r == dense_rank(a, p)
     ker = modp_left_kernel(a, p)
+    assert ker == dense_left_kernel(a, p)
     assert len(ker) == len(a) - r
     for row in ker:
         assert all(sum(row[i] * a[i][j] for i in range(len(a))) % p == 0
                    for j in range(n))
 
 
-@given(matrices(entries=st.integers(0, 6)), primes, st.data())
-@settings(deadline=None, max_examples=60)
-def test_modp_solve_left_round_trip(a, p, data):
-    x = data.draw(st.lists(st.integers(0, p - 1), min_size=len(a), max_size=len(a)))
-    rhs = [sum(x[i] * a[i][j] for i in range(len(a))) % p for j in range(len(a[0]))]
-    y = modp_solve_left(a, rhs, p)
-    assert y is not None
-    assert [sum(y[i] * a[i][j] for i in range(len(a))) % p for j in range(len(a[0]))] == rhs
-
-
-def test_modp_solve_left_detects_inconsistency():
-    assert modp_solve_left([[2, 0]], [1, 1], 2) is None
+@given(matrices(entries=st.integers(0, 6)), primes)
+@settings(deadline=None, max_examples=40)
+def test_modp_left_kernel_is_one_elimination(a, p):
+    """Each row of [A | I] enters the one span once, and each kernel row
+    the width-m span that puts the kernel in echelon form once."""
+    with mock.patch.object(ModpSpan, "add", autospec=True, side_effect=ModpSpan.add) as add:
+        ker = modp_left_kernel(a, p)
+    assert add.call_count == len(a) + len(ker)
 
 
 @given(matrices(entries=st.integers(0, 4)), primes)
@@ -310,7 +304,8 @@ def test_modp_span_matches_the_dense_reference_at_every_width_and_prime(p, n, m,
     span = ModpSpan(n, p)
     assert sum(1 for r in rows if span.add(r)) == len(pivots)
     assert span.pivots == pivots and span.rows == rref
-    assert modp_rref(rows, p) == (rref, pivots) and modp_rank(rows, p) == len(pivots)
+    assert modp_rank(rows, p) == len(pivots)
+    assert modp_left_kernel(rows, p) == dense_left_kernel(rows, p)
     assert span.contains(rows[-1]) and not span.add(rows[-1])
     assert span.contains(probe) == (dense_rank(rows + [probe], p) == len(pivots))
 

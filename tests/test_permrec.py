@@ -5,10 +5,12 @@ of basis and fed back to the recognizer; the recovered multiset must match.
 Refutations are pinned down to the precise marks argument that produced them.
 """
 
+import itertools
 import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qrlab.errors import InputError, PropertyViolation
 from qrlab.intlinalg import (
@@ -18,7 +20,6 @@ from qrlab.intlinalg import (
     is_invertible_modp,
     mat_mul,
     modp_rank,
-    modp_solve_left,
 )
 from qrlab.presentation import parse_presentation
 from qrlab.enumeration import (
@@ -51,7 +52,7 @@ from qrlab.permrec import (
 )
 
 from conftest import CORPUS_DIR, ORDER32, ORDER32_DIR
-from reference import orbits_on_cosets
+from reference import dense_inverse, dense_rref, orbits_on_cosets
 
 
 def frozen(mat):
@@ -77,16 +78,6 @@ def synthetic_module(qtbl, blocks, p, k):
     return hand_module(qtbl, p, k, dim, letters)
 
 
-def modp_inverse(mat, p):
-    n = len(mat)
-    rows = []
-    for i in range(n):
-        e = [0] * n
-        e[i] = 1
-        rows.append(modp_solve_left(mat, e, p))
-    return rows
-
-
 def random_invertible(dim, p, rng):
     while True:
         mat = [[rng.randrange(p) for _ in range(dim)] for _ in range(dim)]
@@ -104,7 +95,7 @@ def change_basis(mod, mat, inv, ring):
 
 def conjugate_module(mod, mat):
     """Same module in scrambled coordinates, over F_p."""
-    return change_basis(mod, mat, modp_inverse(mat, mod.p), mod.p)
+    return change_basis(mod, mat, dense_inverse(mat, mod.p), mod.p)
 
 
 def level_module(text, level, k=1):
@@ -484,6 +475,29 @@ def test_recognizer_rejects_higher_precision_input():
         perm_recognize_modp(mod)
 
 
+@pytest.mark.parametrize("p,k", [(2, 2), (2, 3), (3, 2), (3, 3)])
+@given(st.data())
+@settings(deadline=None, max_examples=15)
+def test_liftable_kernel_against_brute_force(p, k, data):
+    """Every solution over Z/p^k, enumerated, reduces into the span of the
+    returned lifts.  Entries are units times a p-power, so kernels that lift
+    only in part are common."""
+    q = p ** k
+    entry = st.builds(lambda e, u: p ** e * u % q, st.integers(0, k), st.integers(1, q - 1))
+    d, n = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 4))
+    a = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=d, max_size=d))
+
+    def solves(w):
+        return all(sum(x * row[j] for x, row in zip(w, a)) % q == 0 for j in range(n))
+
+    lifts = permrec._liftable_kernel(a, p, k)
+    assert all(solves(w) for w in lifts)
+    reduced = [[x % p for x in w] for w in lifts]
+    assert len(dense_rref(reduced, p)[0]) == len(lifts)
+    every = {tuple(x % p for x in w) for w in itertools.product(range(q), repeat=d) if solves(w)}
+    assert dense_rref(reduced, p) == dense_rref(sorted(every), p)
+
+
 # --- end-to-end harness ----------------------------------------------------
 
 def test_harness_on_quaternion(group):
@@ -507,6 +521,18 @@ def test_harness_rejects_non_qr_input(group):
     pres, tbl = group(KLEIN)
     with pytest.raises(InputError, match="not quasirational"):
         equivalence_harness(pres, tbl, 2, precision=6)
+
+
+def test_harness_on_d16_lifts_every_level_when_unguarded(group):
+    # D16 is not QR (level 1 has 2-torsion), but levels 2-4 are torsion-free
+    # permutation modules mod 2.  Their hom spaces over Z/8 contain
+    # solutions whose lift needs a correction from an earlier digit's lifts;
+    # a lift that lost them refuted all three levels integrally.
+    pres, tbl = group("gens: a, b; relators: a^8, b^2, b*a*b*a; prime: 2")
+    rep = equivalence_harness(pres, tbl, 2, precision=3, require_qr=False)
+    assert rep.violations == 0
+    assert [lv.integral_status for lv in rep.levels] == [
+        "torsion", "certified", "certified", "certified", "not_attempted"]
 
 
 def test_harness_on_klein_reports_torsion_when_unguarded(group):

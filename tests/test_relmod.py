@@ -13,7 +13,6 @@ from qrlab.enumeration import all_subgroups, subgroup_conjugacy_classes, todd_co
 from qrlab.errors import PropertyViolation
 from qrlab.groupring import fox_rows, right_translate
 from qrlab.intlinalg import (
-    Lattice,
     lattice_from_rows,
     left_kernel,
     p_torsion,
@@ -21,8 +20,8 @@ from qrlab.intlinalg import (
 )
 from qrlab.presentation import Presentation, parse_presentation
 from qrlab.relmod import (
-    _bar_d2_rank,
     _bar_d3_cokernel,
+    _bar_gab,
     bar_h2,
     coinvariants,
     gab_invariants,
@@ -91,7 +90,7 @@ def test_multiplier_off_corpus(group, lattice, text, h2):
 # --- bar route against the all-triples elimination ------------------------
 
 def _all_triples_cokernel(tbl):
-    """(free_rank, torsion, image_rank) of coker d3 from all (n-1)^3 rows.
+    """(free_rank, torsion) of coker d3 from all (n-1)^3 rows.
 
     Test-only oracle: every T(g,h,k) on all (n-1)^2 columns, unit-pivot
     elimination with no column order imposed, then the dense Smith form
@@ -150,34 +149,20 @@ def _all_triples_cokernel(tbl):
     if dense:
         D, _, _, _ = smith_normal_form(sorted(dense))
         divisors = [d for d in D.diagonal() if d]
-    image_rank = eliminated + len(divisors)
-    return m * m - image_rank, tuple(d for d in divisors if d > 1), image_rank
-
-
-def _all_pairs_d2_rank(tbl):
-    n = tbl.order
-    d2 = Lattice(n - 1)
-    for g in range(1, n):
-        for h in range(1, n):
-            vec = [0] * (n - 1)
-            vec[g - 1] += 1
-            vec[h - 1] += 1
-            if tbl.mult[g][h]:
-                vec[tbl.mult[g][h] - 1] -= 1
-            d2.add(vec)
-    return d2.rank
+    return m * m - eliminated - len(divisors), tuple(d for d in divisors if d > 1)
 
 
 @pytest.mark.parametrize("text", [t for t, _, _, _ in KNOWN if "a^27" not in t]
                          + [t for t, _ in EXTRA_MULTIPLIERS])
 def test_bar_route_matches_all_triples_elimination(group, text):
-    _, tbl = group(text)
+    pres, tbl = group(text)
     assert tbl.order <= 16
     if tbl.order == 1:
         return
     gens = sorted({x for x in tbl.gen_images if x})
     assert _bar_d3_cokernel(tbl, gens) == _all_triples_cokernel(tbl)
-    assert _bar_d2_rank(tbl, gens) == _all_pairs_d2_rank(tbl)
+    # a third route to G_ab, from the bar complex's d2 alone
+    assert _bar_gab(tbl, gens) == gab_invariants(pres)
 
 
 def test_bar_route_refuses_non_generating_images(group):
