@@ -57,7 +57,8 @@ def delta_filtration(tbl: FiniteGroupTable, p: int, max_n: int | None = None) ->
     packed rows throughout: w runs over Delta^n's packed semi-echelon rows,
     and x*w is one byte gather by the permutation h -> xh.
 
-    Stops after Delta^n = Delta^(n+1) (from there on the chain is constant:
+    Stops at the first zero span (Delta^1 itself for the trivial group),
+    after Delta^n = Delta^(n+1) (from there on the chain is constant:
     Delta^(n+2) = Delta*Delta^(n+1) = Delta*Delta^n = Delta^(n+1)), or after
     max_n steps.  For p-groups the chain reaches 0.
     """
@@ -71,7 +72,7 @@ def delta_filtration(tbl: FiniteGroupTable, p: int, max_n: int | None = None) ->
     spans.append(delta1)
     # slot k of x*w holds w's slot x^-1 k
     shifts = [lay.permutation(tbl.mult[tbl.inv[x]]) for x in gens]
-    while max_n is None or len(spans) < max_n:
+    while spans[-1].dim and (max_n is None or len(spans) < max_n):
         prev = spans[-1]
         nxt = ModpSpan(n, p)
         for shift in shifts:
@@ -82,7 +83,7 @@ def delta_filtration(tbl: FiniteGroupTable, p: int, max_n: int | None = None) ->
             if nxt.dim == prev.dim:
                 break
         spans.append(nxt)
-        if nxt.dim == prev.dim or nxt.dim == 0:
+        if nxt.dim == prev.dim:
             break
     return spans
 

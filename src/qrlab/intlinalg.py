@@ -1,12 +1,12 @@
 """Exact integer and mod-p linear algebra.
 
 Everything here is arbitrary-precision (plain Python ints); nothing ever
-rounds.  Matrices are lists of row lists internally, with a small immutable
-IntMatrix wrapper for public return values.  Row-vector convention
-throughout: vectors multiply matrices from the left, lattices are spanned
-by rows.  Mod-p work has one elimination routine, ModpSpan, which keeps
-each row packed into a single int (FpRows); rank and invertibility feed it
-their rows, and the left kernel is one span of the packed rows [A | I].
+rounds.  Matrices are lists of row lists internally; the Smith form returns
+its transforms as tuples of row tuples.  Row-vector convention throughout:
+vectors multiply matrices from the left, lattices are spanned by rows.
+Mod-p work has one elimination routine, ModpSpan, which keeps each row
+packed into a single int (FpRows); rank and invertibility feed it their
+rows, and the left kernel is one span of the packed rows [A | I].
 """
 
 from __future__ import annotations
@@ -18,35 +18,6 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 Rows = list[list[int]]
-
-
-@dataclass(frozen=True)
-class IntMatrix:
-    entries: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        if self.entries:
-            w = len(self.entries[0])
-            if any(len(r) != w for r in self.entries):
-                raise ValueError("ragged matrix")
-
-    @property
-    def rows(self) -> int:
-        return len(self.entries)
-
-    @property
-    def cols(self) -> int:
-        return len(self.entries[0]) if self.entries else 0
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.entries[i][j]
-
-    def to_rows(self) -> Rows:
-        return [list(r) for r in self.entries]
-
-    def diagonal(self) -> list[int]:
-        return [self.entries[i][i] for i in range(min(self.rows, self.cols))]
 
 
 def identity_rows(n: int) -> Rows:
@@ -71,12 +42,6 @@ def mat_mul(a: Rows, b: Rows) -> Rows:
     return out
 
 
-def transpose(a: Rows) -> Rows:
-    if not a:
-        return []
-    return [list(col) for col in zip(*a)]
-
-
 def integer_inverse(rows: Rows) -> Rows:
     """Exact inverse of a unimodular integer matrix, read off its Smith form.
 
@@ -88,10 +53,10 @@ def integer_inverse(rows: Rows) -> Rows:
         raise ValueError("inverse of a non-square matrix")
     if n == 0:
         return []
-    D, U, V, _ = smith_normal_form(rows)
-    if D.diagonal() != [1] * n:
+    diag, U, V, _ = smith_normal_form(rows)
+    if diag != (1,) * n:
         raise ValueError("matrix is not unimodular over Z")
-    return mat_mul(V.to_rows(), U.to_rows())
+    return mat_mul(V, U)
 
 
 # ---------------------------------------------------------------------------
@@ -125,31 +90,40 @@ def _smallest_entry(M: Rows, t: int, n: int) -> tuple[int, int] | None:
     return None if best is None else best[1:]
 
 
-def smith_normal_form(a) -> tuple[IntMatrix, IntMatrix, IntMatrix, IntMatrix]:
-    """Return (D, U, V, Vinv) with U*A*V = D diagonal, d1 | d2 | ..., di >= 0.
+def smith_normal_form(a) -> tuple[tuple[int, ...], tuple, tuple, tuple]:
+    """Return (diag, U, V, Vinv) with U*A*V = D diagonal, d1 | d2 | ..., di >= 0.
 
-    U and V are unimodular products of elementary row/column operations.
-    Their inverses are accumulated alongside: each column operation on V is
-    mirrored by the inverse row operation on Vinv (col_j -= q*col_t becomes
-    Vinv[t] += q*Vinv[j], a column swap becomes a row swap), and each row
-    operation on U by the inverse row operation on UinvT, the transpose of
-    U^-1 (row_i -= q*row_t becomes UinvT[t] += q*UinvT[i]).  Checked before
-    returning: U*A*V == D, V*Vinv == I and U*Uinv == I, the last two for
-    every size, so U and V are certified unimodular.
+    diag is the diagonal of D, of length min(m, n); U, V and Vinv are
+    tuples of row tuples.  Every caller reads the same statement:
+    Z^n / rowspan(A) = sum_j Z/d_j + Z^(n-r) in the coordinates y = x*V,
+    with r the number of nonzero d_j.  Three checks before returning
+    prove it:
+      (a) in A*V, column j is divisible by d_j for j < r, and every
+          column from r on is zero, so rowspan(A)*V <= rowspan(D);
+      (b) U[:r]*A equals the rows d_i*Vinv[i], i < r, so rowspan(D)*Vinv
+          <= rowspan(A), the reverse inclusion;
+      (c) V*Vinv = I, so V is unimodular and Vinv is its inverse.
+    They cost m*n^2 + r*m*n + n^3 cells.  The rows of U past the rank are
+    returned but not certified.  For a unimodular square A, r = m = n and
+    (b) with (c) gives the whole product U*A*V = I.
+    V^-1 is accumulated alongside V: each column operation on V is
+    mirrored by the inverse row operation on Vinv (col_j -= q*col_t
+    becomes Vinv[t] += q*Vinv[j], a column swap becomes a row swap).
     Pivot rule: smallest nonzero absolute value in the working submatrix,
     ties by lowest (row, col); the scan stops at the first unit.
     At step t every entry of M outside rows t.. and columns t.. is zero
     except the settled diagonal, so row operations touch M from column t
     on and column operations from row t on.  A unit pivot divides every
     entry, so it needs neither a second elimination round nor the
-    divisibility repair.
+    divisibility repair.  Raises ValueError on a ragged matrix.
     """
-    A = a.to_rows() if isinstance(a, IntMatrix) else [list(r) for r in a]
+    A = [list(r) for r in a]
     m = len(A)
     n = len(A[0]) if A else 0
+    if any(len(r) != n for r in A):
+        raise ValueError("ragged matrix")
     M = [r[:] for r in A]
     U = identity_rows(m)
-    UinvT = identity_rows(m)
     V = identity_rows(n)
     Vinv = identity_rows(n)
 
@@ -161,10 +135,6 @@ def smith_normal_form(a) -> tuple[IntMatrix, IntMatrix, IntMatrix, IntMatrix]:
         for j, x in enumerate(U[t]):
             if x:
                 Ui[j] -= q * x
-        Wt = UinvT[t]
-        for j, x in enumerate(UinvT[i]):
-            if x:
-                Wt[j] += q * x
 
     def col_sub(j, t, q):  # col_j -= q * col_t, rows above t are zero
         for i in range(t, m):
@@ -182,7 +152,6 @@ def smith_normal_form(a) -> tuple[IntMatrix, IntMatrix, IntMatrix, IntMatrix]:
     def row_swap(i, t):
         M[i], M[t] = M[t], M[i]
         U[i], U[t] = U[t], U[i]
-        UinvT[i], UinvT[t] = UinvT[t], UinvT[i]
 
     def col_swap(j, t):
         for row in M:
@@ -229,7 +198,6 @@ def smith_normal_form(a) -> tuple[IntMatrix, IntMatrix, IntMatrix, IntMatrix]:
         if M[t][t] < 0:
             M[t] = [-x for x in M[t]]
             U[t] = [-x for x in U[t]]
-            UinvT[t] = [-x for x in UinvT[t]]
         # divisibility repair: fold any non-multiple into row t and redo
         d = M[t][t]
         offender = None
@@ -247,31 +215,30 @@ def smith_normal_form(a) -> tuple[IntMatrix, IntMatrix, IntMatrix, IntMatrix]:
             continue
         t += 1
 
-    D = [[M[i][j] if i == j else 0 for j in range(n)] for i in range(m)]
-    if M != D:
+    if any(x for i, row in enumerate(M) for j, x in enumerate(row) if i != j):
         raise AssertionError("Smith reduction left off-diagonal residue")
-    diag = [D[i][i] for i in range(min(m, n))]
+    diag = tuple(M[i][i] for i in range(min(m, n)))
     for i in range(len(diag) - 1):
         if diag[i + 1] and diag[i] == 0:
             raise AssertionError("zero divisor precedes nonzero in Smith chain")
         if diag[i] and diag[i + 1] % diag[i]:
             raise AssertionError("Smith divisibility chain broken")
-    if mat_mul(mat_mul(U, A), V) != D:
-        raise AssertionError("U*A*V != D after Smith reduction")
-    if mat_mul(U, transpose(UinvT)) != identity_rows(m):
-        raise AssertionError("U*Uinv != I after Smith reduction")
+    r = sum(1 for d in diag if d)
+    for row in mat_mul(A, V):
+        if any(row[j] % diag[j] for j in range(r)) or any(row[r:]):
+            raise AssertionError("A*V is not in the row span of D")
+    if mat_mul(U[:r], A) != [[diag[i] * x for x in Vinv[i]] for i in range(r)]:
+        raise AssertionError("U*A != D*Vinv on the first r rows")
     if mat_mul(V, Vinv) != identity_rows(n):
         raise AssertionError("V*Vinv != I after Smith reduction")
-    return (IntMatrix(tuple(map(tuple, D))), IntMatrix(tuple(map(tuple, U))),
-            IntMatrix(tuple(map(tuple, V))), IntMatrix(tuple(map(tuple, Vinv))))
+    return diag, tuple(map(tuple, U)), tuple(map(tuple, V)), tuple(map(tuple, Vinv))
 
 
 def elementary_divisors(rows: Rows) -> list[int]:
     """Nonzero diagonal of the Smith form (with multiplicity, 1s included)."""
     if not rows or not rows[0]:
         return []
-    D, _, _, _ = smith_normal_form(rows)
-    return [d for d in D.diagonal() if d]
+    return [d for d in smith_normal_form(rows)[0] if d]
 
 
 # ---------------------------------------------------------------------------
@@ -304,9 +271,6 @@ class AbelianInvariants:
         for d in self.torsion:
             n *= d
         return n
-
-    def is_torsion_free(self) -> bool:
-        return not self.torsion
 
     def __str__(self) -> str:
         parts = []

@@ -899,10 +899,6 @@ class HarnessReport:
     unknown_levels: int
     transitions_checked: int
 
-    @property
-    def unknown_rate(self) -> float:
-        return self.unknown_levels / len(self.levels) if self.levels else 0.0
-
 
 def _level_outcome(rlat: RelationLattice, lv: LevelResult, p: int, precision: int,
                    budget: int) -> tuple[LevelOutcome, LevelModule]:

@@ -39,6 +39,7 @@ from .groupring import (
 from .intlinalg import (
     AbelianInvariants,
     Lattice,
+    elementary_divisors,
     lattice_from_rows,
     lattice_quotient,
     p_torsion,
@@ -220,11 +221,11 @@ def coinvariants(rlat: RelationLattice, sub: Subgroup) -> Coinvariants:
     if not rel_rows:
         ident = tuple(map(tuple, identity_rows(r)))
         return Coinvariants(AbelianInvariants(r, ()), r, (), ident, ident)
-    D, _, V, Vinv = smith_normal_form(rel_rows)
-    divisors = tuple(d for d in D.diagonal() if d)
+    diag, _, V, Vinv = smith_normal_form(rel_rows)
+    divisors = tuple(d for d in diag if d)
     torsion = tuple(d for d in divisors if d > 1)
     inv = AbelianInvariants(r - len(divisors), torsion)
-    return Coinvariants(inv, r, divisors, V.entries, Vinv.entries)
+    return Coinvariants(inv, r, divisors, V, Vinv)
 
 
 # ---------------------------------------------------------------------------
@@ -403,10 +404,7 @@ def _bar_d3_cokernel(tbl: FiniteGroupTable, gens: list[int]) -> tuple[int, tuple
                 if key not in seen and any(row):
                     seen.add(key)
                     image.add(row)
-    divisors = []
-    if image.rank:
-        D, _, _, _ = smith_normal_form(image.basis)
-        divisors = [d for d in D.diagonal() if d]
+    divisors = elementary_divisors(image.basis)
     free_rank = ncols - len(divisors)
     return free_rank, tuple(d for d in divisors if d > 1)
 

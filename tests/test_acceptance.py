@@ -170,7 +170,6 @@ def test_08_equivalence_harness_is_clean_on_the_qr_corpus(corpus):
             rep = equivalence_harness(pres, tbl, p)
             assert rep.violations == 0, entry["id"]
             assert rep.unknown_levels == 0, entry["id"]
-            assert rep.unknown_rate == 0.0, entry["id"]
     # the sign-twist module: certified generalized, provably not ordinary
     tbl = todd_coxeter(parse_presentation("gens: a; relators: a^2; prime: 2"))
     k = 20

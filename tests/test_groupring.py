@@ -276,5 +276,5 @@ def test_binomial_expansion_in_a_cyclic_ring(group):
 def test_trivial_group_has_zero_augmentation_ideal(group):
     _, tbl = group("gens: a; relators: a; prime: 2")
     assert tbl.order == 1
-    assert set(delta_dimension_sequence(tbl, 2)) == {0}
+    assert delta_dimension_sequence(tbl, 2) == [0]
     assert [dimension_subgroup(tbl, 2, n).members for n in (1, 2, 3)] == [(0,)] * 3

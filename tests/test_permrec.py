@@ -505,7 +505,6 @@ def test_harness_on_quaternion(group):
     rep = equivalence_harness(pres, tbl, 2, precision=8)
     assert rep.violations == 0
     assert rep.unknown_levels == 0
-    assert rep.unknown_rate == 0.0
     assert rep.transitions_checked == len(rep.levels) - 1
     assert [lv.level for lv in rep.levels] == [1, 2, 3]
     first = rep.levels[0]

@@ -147,8 +147,8 @@ def _all_triples_cokernel(tbl):
     dense = {tuple(row.get(c, 0) for c in rest) for row in live.values()}
     divisors = []
     if dense:
-        D, _, _, _ = smith_normal_form(sorted(dense))
-        divisors = [d for d in D.diagonal() if d]
+        diag, _, _, _ = smith_normal_form(sorted(dense))
+        divisors = [d for d in diag if d]
     return m * m - eliminated - len(divisors), tuple(d for d in divisors if d > 1)
 
 

@@ -1,9 +1,10 @@
-"""No dead helpers: every module-level function or class of qrlab is used.
+"""No dead helpers: every module-level function or class of qrlab is used,
+and so is every method or property of its classes, dunders aside.
 
 A name counts as used when code in src/qrlab (outside __init__, whose
 exports alone keep nothing alive) or a file under bench/ refers to it: as
 a name, an attribute, or a whole string (bench/ traces functions by name).
-Two names are kept for the tests alone, as oracles.
+Three names are kept for the tests alone, as oracles.
 """
 
 import ast
@@ -12,8 +13,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 ORACLES = {
-    "left_kernel",  # integer left kernel, checks the relation lattice
-    "dimension_subgroup",  # D_n one level at a time, against the chain
+    "intlinalg.left_kernel",  # integer left kernel, checks the relation lattice
+    "groupring.dimension_subgroup",  # D_n one level at a time, against the chain
+    "intlinalg.Lattice.equals",  # span equality, checks the relation lattice
 }
 
 
@@ -27,7 +29,8 @@ def _referenced(tree):
             yield node.value
 
 
-def test_every_module_level_definition_is_referenced():
+def _definitions_and_uses():
+    """Qualified name -> bare name of each definition, and every used name."""
     defined, used = {}, set()
     for path in sorted((ROOT / "src" / "qrlab").glob("*.py")):
         if path.name == "__init__.py":
@@ -35,10 +38,26 @@ def test_every_module_level_definition_is_referenced():
         tree = ast.parse(path.read_text())
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                defined[node.name] = path.stem
+                defined[f"{path.stem}.{node.name}"] = node.name
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("__"):
+                        defined[f"{path.stem}.{node.name}.{item.name}"] = item.name
         used.update(_referenced(tree))
     for path in sorted((ROOT / "bench").rglob("*.py")):
         used.update(_referenced(ast.parse(path.read_text())))
-    dead = sorted(f"{mod}.{name}" for name, mod in defined.items()
-                  if name not in used and name not in ORACLES)
-    assert dead == []
+    return defined, used
+
+
+def _dead(depth):
+    defined, used = _definitions_and_uses()
+    return sorted(q for q, name in defined.items()
+                  if q.count(".") == depth and name not in used and q not in ORACLES)
+
+
+def test_every_module_level_definition_is_referenced():
+    assert _dead(1) == []
+
+
+def test_every_method_and_property_is_referenced():
+    assert _dead(2) == []
