@@ -7,12 +7,16 @@ vectors multiply matrices from the left, lattices are spanned by rows.
 Mod-p work has one elimination routine, ModpSpan, which keeps each row
 packed into a single int (FpRows); rank and invertibility feed it their
 rows, and the left kernel is one span of the packed rows [A | I].
+Packed rows work over any Z/m, and FpRows.mul multiplies matrices kept
+as packed rows; the level modules use it over every ring Z/p^k.  Dense
+mat_mul is for the integer work (the Smith certificate, V^-1 * M * V).
 """
 
 from __future__ import annotations
 
 import bisect
 import functools
+import itertools
 import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -438,35 +442,38 @@ def left_kernel(rows: Rows, width: int | None = None) -> Rows:
 # mod-p routines: one packed-row elimination kernel
 
 class FpRows:
-    """F_p vectors of one width, each packed into a single int.
+    """Vectors over Z/m of one width, each packed into a single int.
 
-    Coordinate j sits in slot j, bits [j*bits, (j+1)*bits), little-endian,
-    as a residue in [0, p).  bits is the least multiple of 8 with
-    2^(bits-1) >= p: one byte per slot for p < 128, whole bytes always, so a
-    row converts to bytes slot by slot.  Slotwise addition is one integer
-    addition plus a correction: with the bias 2^(bits-1) - p added, a slot's
-    high bit comes up exactly where the sum reached p, and p is subtracted
-    there.  No slot ever carries into the next.  Over F_2 addition is XOR.
+    Any modulus m >= 2 works: F_p rows for the mod-p eliminations, and
+    Z/p^k rows for level modules over every ring.  Coordinate j sits in
+    slot j, bits [j*bits, (j+1)*bits), little-endian, as a residue in
+    [0, m).  bits is the least multiple of 8 with 2^(bits-1) >= m: one
+    byte per slot for m < 128, whole bytes always, so a row converts to
+    bytes slot by slot.  Slotwise addition is one integer addition plus a
+    correction: with the bias 2^(bits-1) - m added, a slot's high bit comes
+    up exactly where the sum reached m, and m is subtracted there.  No slot
+    ever carries into the next.  Over F_2 addition is XOR.  Nothing here
+    divides, so only ModpSpan, which scales its pivots to 1, needs m prime.
     """
 
-    def __init__(self, width: int, p: int):
+    def __init__(self, width: int, modulus: int):
         self.width = width
-        self.p = p
-        self.nbytes = (p.bit_length() + 8) // 8
+        self.modulus = modulus
+        self.nbytes = (modulus.bit_length() + 8) // 8
         self.bits = 8 * self.nbytes
         self.slot_mask = (1 << self.bits) - 1
         ones = sum(1 << (j * self.bits) for j in range(width))
-        self._pees = p * ones
-        self._bias = ((1 << (self.bits - 1)) - p) * ones
+        self._ms = modulus * ones
+        self._bias = ((1 << (self.bits - 1)) - modulus) * ones
         self._high = (1 << (self.bits - 1)) * ones
 
     def pack(self, vec: Sequence[int]) -> int:
         if len(vec) != self.width:
             raise ValueError("vector length != span width")
-        p = self.p
+        m = self.modulus
         if self.nbytes == 1:
-            return int.from_bytes(bytes([x % p for x in vec]), "little")
-        return int.from_bytes(b"".join((x % p).to_bytes(self.nbytes, "little") for x in vec),
+            return int.from_bytes(bytes([x % m for x in vec]), "little")
+        return int.from_bytes(b"".join((x % m).to_bytes(self.nbytes, "little") for x in vec),
                               "little")
 
     def unpack(self, x: int) -> list[int]:
@@ -484,21 +491,21 @@ class FpRows:
         return (x >> (j * self.bits)) & self.slot_mask
 
     def _fold(self, t: int) -> int:
-        """Slotwise t mod p, for slots in [0, 2p)."""
-        return t - (((t + self._bias) & self._high) >> (self.bits - 1)) * self.p
+        """Slotwise t mod m, for slots in [0, 2m)."""
+        return t - (((t + self._bias) & self._high) >> (self.bits - 1)) * self.modulus
 
     def add(self, a: int, b: int) -> int:
-        if self.p == 2:
+        if self.modulus == 2:
             return a ^ b
         return self._fold(a + b)
 
     def sub(self, a: int, b: int) -> int:
-        if self.p == 2:
+        if self.modulus == 2:
             return a ^ b
-        return self._fold(a + (self._pees - b))  # p - b leaves every slot in [1, p]
+        return self._fold(a + (self._ms - b))  # m - b leaves every slot in [1, m]
 
     def scale(self, x: int, c: int) -> int:
-        """c * x, by doubling and adding; c in [1, p)."""
+        """c * x, by doubling and adding; c in [1, m)."""
         out = 0
         while True:
             if c & 1:
@@ -510,14 +517,44 @@ class FpRows:
 
     def cancel(self, v: int, row: int, j: int) -> int:
         """v - v_j * row, for a row whose slot j holds 1."""
-        p = self.p
-        if p == 2:
+        m = self.modulus
+        if m == 2:
             return v ^ row
         f = (v >> (j * self.bits)) & self.slot_mask
-        if 2 * f > p:  # v + (p - f) * row
-            return self._fold(v + (row if f == p - 1 else self.scale(row, p - f)))
-        # v + (p - f * row), every slot of the bracket in [1, p]
-        return self._fold(v + (self._pees - (row if f == 1 else self.scale(row, f))))
+        if 2 * f > m:  # v + (m - f) * row
+            return self._fold(v + (row if f == m - 1 else self.scale(row, m - f)))
+        # v + (m - f * row), every slot of the bracket in [1, m]
+        return self._fold(v + (self._ms - (row if f == 1 else self.scale(row, f))))
+
+    def mul(self, a: Iterable[int], b: Sequence[int]) -> tuple[int, ...]:
+        """The packed rows of A*B, as a tuple: row i is sum_j a_ij * B_j.
+
+        b is the len(b) rows of B in this layout, so the width is B's
+        column count; a's rows are packed at the same modulus with width
+        len(b).  Over F_2 a row is the XOR of the rows of B its ones pick.
+        Otherwise the rows of B are spread once into slots wide enough for
+        len(b) * (m - 1)^2, each row of A*B is one multiply-add over them
+        with no carry between slots, and is reduced mod m as it is packed.
+        """
+        inner = len(b)
+        if self.modulus == 2:
+            return tuple([functools.reduce(operator.xor,
+                                           itertools.compress(b, x.to_bytes(inner, "little")), 0)
+                          for x in a])
+        nb, wide = self.nbytes, (inner * (self.modulus - 1) ** 2).bit_length() // 8 + 1
+        spread = []
+        for row in b:
+            raw, out = row.to_bytes(self.width * nb, "little"), bytearray(self.width * wide)
+            for t in range(nb):
+                out[t::wide] = raw[t::nb]
+            spread.append(int.from_bytes(out, "little"))
+        src = fp_rows(inner, self.modulus)
+        rows = []
+        for x in a:
+            raw = sum(map(operator.mul, src.unpack(x), spread)).to_bytes(self.width * wide, "little")
+            rows.append(self.pack([int.from_bytes(raw[i:i + wide], "little")
+                                   for i in range(0, len(raw), wide)]))
+        return tuple(rows)
 
     def permutation(self, src: Sequence[int]):
         """The map taking a packed row r to the row whose slot k holds r's slot
@@ -531,9 +568,9 @@ class FpRows:
 
 
 @functools.cache
-def fp_rows(width: int, p: int) -> FpRows:
-    """The shared packed layout for one width and prime."""
-    return FpRows(width, p)
+def fp_rows(width: int, modulus: int) -> FpRows:
+    """The shared packed layout for one width and modulus."""
+    return FpRows(width, modulus)
 
 
 class ModpSpan:
@@ -628,9 +665,11 @@ def modp_rank(rows: Rows, p: int) -> int:
     return span.dim
 
 
-def modp_left_kernel(rows: Rows, p: int, width: int | None = None) -> Rows:
+def modp_left_kernel(rows: Sequence[Sequence[int] | int], p: int,
+                     width: int | None = None) -> Rows:
     """Reduced echelon basis of {x : x * A = 0 mod p}, A given as m rows
-    of length n.
+    of length n, each a sequence of ints or a row already packed in the
+    layout fp_rows(n, p) (then width must be given), as ModpSpan.add takes.
 
     One elimination on [A | I]: row i is packed as A_i with e_i OR-ed in
     at slot n + i.  A basis row leading at a slot >= n has zero A-part, so
@@ -642,7 +681,7 @@ def modp_left_kernel(rows: Rows, p: int, width: int | None = None) -> Rows:
     m = len(rows)
     n = width if width is not None else (len(rows[0]) if rows else 0)
     lay = fp_rows(n, p)
-    packed = [lay.pack(r) for r in rows]
+    packed = [r if isinstance(r, int) else lay.pack(r) for r in rows]
     shift = n * lay.bits
     span = ModpSpan(n + m, p)
     for i, a in enumerate(packed):

@@ -30,8 +30,13 @@ it (a budget-limited search or the assignment cap) in its `reason`.
 
 Conventions.  Module elements are row vectors; q acts by y -> y * A[q];
 matrices compose antihomomorphically, A[q1 q2] = A[q2] * A[q1] (q1 q2
-meaning qtbl.mult[q1][q2]).  Permutation blocks are left cosets of H in Q
-with g * (cH) = (gc)H, and sign characters twist block entries by
+meaning qtbl.mult[q1][q2]).  Every matrix of a level module is kept as
+its rows, each packed into one int over Z/p^k in the layout
+LevelModule.layout (intlinalg.FpRows, the same code at every k), and
+multiplied with FpRows.mul.  Dense integer products appear only where
+the Smith coordinates come in: V^-1 * M * V for a letter and the
+transition map, each packed once.  Permutation blocks are left cosets of
+H in Q with g * (cH) = (gc)H, and sign characters twist block entries by
 xi(rep(c')^-1 g rep(c)).
 """
 
@@ -40,7 +45,7 @@ from __future__ import annotations
 import functools
 import random
 from dataclasses import dataclass, field, replace
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement, groupby, product
 
 from .errors import InputError, PropertyViolation, TorsionObstruction
 from .enumeration import (
@@ -53,9 +58,9 @@ from .enumeration import (
 )
 from .groupring import _generators_for
 from .intlinalg import (
+    FpRows,
     ModpSpan,
     fp_rows,
-    identity_rows,
     is_invertible_modp,
     mat_mul,
     modp_left_kernel,
@@ -69,15 +74,11 @@ DEFAULT_CERT_BUDGET = 100_000
 DEFAULT_ASSIGNMENT_CAP = 64
 EXHAUSTIVE_CAP = 4096
 
-Matrix = tuple[tuple[int, ...], ...]
+Packed = tuple[int, ...]  # a matrix as its rows, packed in one FpRows layout
 
 
-def _mm(a, b, q) -> Matrix:
-    return tuple([tuple([x % q for x in row]) for row in mat_mul(a, b)])
-
-
-def _identity(dim: int) -> Matrix:
-    return tuple(map(tuple, identity_rows(dim)))
+def _identity(lay: FpRows) -> Packed:
+    return tuple(map(lay.unit, range(lay.width)))
 
 
 # ---------------------------------------------------------------------------
@@ -89,11 +90,17 @@ def _letter(qtbl: FiniteGroupTable, g: int, s: int) -> int:
     return x if s > 0 else qtbl.inv[x]
 
 
-def _word_matrix(qtbl: FiniteGroupTable, letters, word: Word, dim: int, ring: int) -> Matrix:
-    """Matrix of a word, A[w l] = A[l] * A[w] letter by letter."""
-    out = _identity(dim)
-    for g, s in word:
-        out = _mm(letters[_letter(qtbl, g, s)], out, ring)
+def _word_matrix(qtbl: FiniteGroupTable, powers, word: Word, lay: FpRows) -> Packed:
+    """Matrix of a word, A[w l] = A[l] * A[w], one product per run x^e.
+
+    powers[x][i] = A[x]^i for i < |x|, x a generator image.  A run of one
+    generator, image x, with exponent sum e acts as A[x]^(e mod |x|), so a
+    run of x^-1 letters reads a power |x| - e as well.
+    """
+    out = _identity(lay)
+    for g, run in groupby(word, key=lambda letter: letter[0]):
+        power = powers[qtbl.gen_images[g]]
+        out = lay.mul(power[sum(s for _, s in run) % len(power)], out)
     return out
 
 
@@ -102,13 +109,15 @@ class LevelModule:
     """Coinvariants at one chain level as a Z/p^k module for Q = G/D_level.
 
     `surviving` lists the Smith coordinates that stay alive after tensoring
-    with the ring.  `letters[x]` is the matrix of x on those coordinates,
-    for every generator image x of Q and its inverse; they carry the whole
-    module.  act(q) builds A[q] for any q along the canonical word
-    qtbl.element_words[q], one product per letter, and keeps every element
-    it passes in `built`, so each element of Q costs at most one product.
-    module_from_coinvariants certifies that the letters define an action
-    of Q (_certify_letters); a module made by hand is taken as given.
+    with the ring.  Every matrix of the module is its rows packed in
+    `layout`, fp_rows(dim, p^k), at every k.  `letters[x]` is the matrix of
+    x on the surviving coordinates, for every generator image x of Q and
+    its inverse; they carry the whole module.  act(q) builds A[q] for any q
+    along the canonical word qtbl.element_words[q], one packed product per
+    letter, and keeps every element it passes in `built`, so each element
+    of Q costs at most one product.  module_from_coinvariants certifies
+    that the letters define an action of Q (_certify_letters); a module
+    made by hand is taken as given.
     """
 
     level: int
@@ -116,9 +125,9 @@ class LevelModule:
     k: int
     qtbl: FiniteGroupTable
     surviving: tuple[int, ...]
-    letters: dict[int, Matrix]
+    letters: dict[int, Packed]
     coin: Coinvariants
-    built: dict[int, Matrix] = field(default_factory=dict, init=False, repr=False,
+    built: dict[int, Packed] = field(default_factory=dict, init=False, repr=False,
                                      compare=False)
 
     @property
@@ -129,27 +138,33 @@ class LevelModule:
     def ring(self) -> int:
         return self.p ** self.k
 
-    def act(self, q: int) -> Matrix:
-        """A[q], built on first use and memoized."""
+    @property
+    def layout(self) -> FpRows:
+        return fp_rows(self.dim, self.ring)
+
+    def act(self, q: int) -> Packed:
+        """A[q] as packed rows, built on first use and memoized."""
         built = self.built
         if q not in built:
+            lay = self.layout
             x = 0
-            a = built.setdefault(0, _identity(self.dim))
+            a = built.setdefault(0, _identity(lay))
             for g, s in self.qtbl.element_words[q]:
                 step = _letter(self.qtbl, g, s)
                 x = self.qtbl.mult[x][step]
                 if x not in built:
-                    built[x] = _mm(self.letters[step], a, self.ring)
+                    built[x] = lay.mul(self.letters[step], a)
                 a = built[x]
         return built[q]
 
 
 def _certify_letters(qtbl: FiniteGroupTable, gen_mats, relators, kernel_words,
-                     dim: int, ring: int) -> dict[int, Matrix]:
+                     dim: int, ring: int) -> dict[int, Packed]:
     """The letter matrices of an action of Q, each failure a PropertyViolation.
 
-    gen_mats[x] is the matrix of the generator image x of Q.  The letters
-    are A[x] and A[x^-1] = A[x]^(|x|-1), |x| the order of x in Q, and:
+    gen_mats[x] is the matrix of the generator image x of Q, as rows packed
+    in fp_rows(dim, ring).  The letters are A[x] and A[x^-1] = A[x]^(|x|-1),
+    |x| the order of x in Q, and:
 
       (a) A[x]^|x| = I for every x.  So A[x] is invertible with inverse
           A[x^-1], and the letters define a homomorphism from the free
@@ -163,25 +178,31 @@ def _certify_letters(qtbl: FiniteGroupTable, gen_mats, relators, kernel_words,
     Together they make q -> A[q] a well-defined action of Q, computed by
     any word for q; nothing else is needed, because D_level is generated
     by its generators as a subgroup and the homomorphism is one of groups.
+    (a) walks the powers A[x]^i, i < |x|, and (b) and (c) reuse them: each
+    run x^e of a word costs one product (_word_matrix).
     """
-    ident = _identity(dim)
+    lay = fp_rows(dim, ring)
+    ident = _identity(lay)
     letters = dict(gen_mats)
+    powers = {}
     for x, a in sorted(gen_mats.items()):
-        inverse, y = ident, x
-        while y:  # y = x^(i+1) while inverse = A[x]^i
-            inverse, y = _mm(a, inverse, ring), qtbl.mult[y][x]
-        if _mm(a, inverse, ring) != ident:
+        walk, y = [ident], x
+        while y:  # y = x^(i+1) while walk[-1] = A[x]^i
+            walk.append(lay.mul(a, walk[-1]))
+            y = qtbl.mult[y][x]
+        if lay.mul(a, walk[-1]) != ident:
             raise PropertyViolation(
                 f"generator image q={x}: its matrix to the power of its order "
                 f"in the quotient is not the identity"
             )
-        if letters.setdefault(qtbl.inv[x], inverse) != inverse:
+        if letters.setdefault(qtbl.inv[x], walk[-1]) != walk[-1]:
             raise PropertyViolation(f"the matrices of q={x} and of its inverse are not inverse")
+        powers[x] = walk
     for rel in relators:
-        if _word_matrix(qtbl, letters, rel, dim, ring) != ident:
+        if _word_matrix(qtbl, powers, rel, lay) != ident:
             raise PropertyViolation("a relator acts nontrivially on the coinvariants")
     for w in kernel_words:
-        if _word_matrix(qtbl, letters, w, dim, ring) != ident:
+        if _word_matrix(qtbl, powers, w, lay) != ident:
             raise PropertyViolation(
                 "a generator of the dimension subgroup acts nontrivially: "
                 "the letter matrices do not factor through the quotient"
@@ -205,10 +226,12 @@ def _level_module(rlat: RelationLattice, coin: Coinvariants, sub: Subgroup,
     surv.extend(range(len(coin.divisors), coin.rank))
     v_surv = [[row[j] for j in surv] for row in coin.V]
     vinv_surv = [list(coin.Vinv[i]) for i in surv]
+    lay = fp_rows(len(surv), ring)
     in_q = dict(zip(rlat.tbl.gen_images, qtbl.gen_images))
-    gen_mats: dict[int, Matrix] = {}
+    gen_mats: dict[int, Packed] = {}
     for x, mx in rlat.gen_coords.items():
-        a = _mm(vinv_surv, _mm(mx, v_surv, ring), ring)
+        mv = [[y % ring for y in row] for row in mat_mul(mx, v_surv)]
+        a = tuple(map(lay.pack, mat_mul(vinv_surv, mv)))
         if gen_mats.setdefault(in_q[x], a) != a:
             raise PropertyViolation(
                 f"action not constant on the coset of q={in_q[x]}: the kernel acts"
@@ -230,37 +253,37 @@ def module_from_coinvariants(rlat: RelationLattice, coin: Coinvariants, sub: Sub
     survive alongside the free ones.
 
     Only the distinct generator images x of G are acted out on the lattice:
-    Vinv * M_x * V restricted to the surviving coordinates, reduced mod p^k
-    at once.  Generators of G with the same image in Q must act alike, and
-    _certify_letters proves that the letters define an action of Q.  It
-    agrees with the G-action on the generators, hence on all of G.
+    Vinv * M_x * V restricted to the surviving coordinates, a dense integer
+    product packed mod p^k once.  Generators of G with the same image in Q
+    must act alike, and _certify_letters proves that the letters define an
+    action of Q.  It agrees with the G-action on the generators, hence on
+    all of G.
     """
     return _level_module(rlat, coin, sub, quotient_table(rlat.tbl, sub)[0], p, k, level)
 
 
-def transition_map(hi: LevelModule, lo: LevelModule) -> tuple[tuple[int, ...], ...]:
+def transition_map(hi: LevelModule, lo: LevelModule) -> Packed:
     """The natural surjection from the level-(n+1) module onto the level-n one.
 
     In Smith coordinates it is Vinv_hi * V_lo restricted to the surviving
-    coordinates of each side.  Verified: equivariant for the image of every
-    generator of G, and surjective mod p.  Equivariance on the generators
-    covers all of G: both sides are actions, so the set of g on which it
-    holds is closed under products, and a finite group is generated by its
-    generators as a monoid.  Both failures are hard errors; the map exists
-    whenever the chain is really descending.
+    coordinates of each side; it is returned as rows packed in lo.layout.
+    Verified: equivariant for the image of every generator of G, and
+    surjective mod p.  Equivariance on the generators covers all of G: both
+    sides are actions, so the set of g on which it holds is closed under
+    products, and a finite group is generated by its generators as a
+    monoid.  Both failures are hard errors; the map exists whenever the
+    chain is really descending.
     """
     if (hi.p, hi.k) != (lo.p, lo.k):
         raise InputError("transition between modules over different rings")
-    ring = hi.ring
+    lay = lo.layout
     vinv_hi = [list(hi.coin.Vinv[i]) for i in hi.surviving]
     v_lo = [[row[j] for j in lo.surviving] for row in lo.coin.V]
-    T = _mm(vinv_hi, v_lo, ring)
+    T = tuple(map(lay.pack, mat_mul(vinv_hi, v_lo)))
     for x_hi, x_lo in sorted(set(zip(hi.qtbl.gen_images, lo.qtbl.gen_images))):
-        left = _mm(hi.letters[x_hi], T, ring)
-        right = _mm(T, lo.letters[x_lo], ring)
-        if left != right:
+        if lay.mul(hi.letters[x_hi], T) != lay.mul(T, lo.letters[x_lo]):
             raise PropertyViolation("transition between chain levels is not equivariant")
-    if modp_rank(T, hi.p) != lo.dim:
+    if modp_rank(list(map(lay.unpack, T)), hi.p) != lo.dim:
         raise PropertyViolation("transition between chain levels is not surjective")
     return T
 
@@ -300,26 +323,26 @@ def _fixed_basis(mod: LevelModule, sub: Subgroup) -> list[list[int]]:
     """Basis of M^K: the vectors fixed by the generators of K are fixed by K.
 
     v(A[g] - I) = 0 for every generator g is one system, v times the
-    side-by-side stack of the A[g] - I, so M^K is its left kernel.
+    side-by-side stack of the A[g] - I, so M^K is its left kernel.  Row i
+    of the stack is the packed rows A[g]_i - e_i, each shifted past the
+    blocks before it.
     """
-    diffs = []
-    for g in sorted({g for g in sub.generators if g}):
-        diff = [list(row) for row in mod.act(g)]
-        for i, row in enumerate(diff):
-            row[i] -= 1
-        diffs.append(diff)
-    stacked = [[x for d in diffs for x in d[i]] for i in range(mod.dim)]
+    lay = mod.layout
+    diffs = [mod.act(g) for g in sorted({g for g in sub.generators if g})]
+    block = mod.dim * lay.bits
+    stacked = [sum(lay.sub(a[i], lay.unit(i)) << (b * block) for b, a in enumerate(diffs))
+               for i in range(mod.dim)]
     return modp_left_kernel(stacked, mod.p, width=len(diffs) * mod.dim)
 
 
-def _brauer_dim(mod: LevelModule, K: Subgroup, maximal, fixed, packed) -> int:
+def _brauer_dim(mod: LevelModule, K: Subgroup, maximal, fixed) -> int:
     """dim M(K) = dim M^K - dim sum_L Tr_L^K(M^L), L over the maximal
     subgroups of K.  Every proper subgroup lies in a maximal one and the
     transfers compose, so the maximal ones give the whole sum.  Each L is
     normal of index p, so Tr_L^K = sum_{i<p} A[g^i] for any g in K - L.
-    fixed(L) is a basis of M^L and packed(q) the rows of A[q], packed.
+    fixed(L) is a basis of M^L.
     """
-    lay = fp_rows(mod.dim, mod.p)
+    lay = mod.layout
     span = ModpSpan(mod.dim, mod.p)
     for L in maximal:
         in_l = set(L.members)
@@ -327,14 +350,10 @@ def _brauer_dim(mod: LevelModule, K: Subgroup, maximal, fixed, packed) -> int:
         powers = [0]
         for _ in range(mod.p - 1):
             powers.append(mod.qtbl.mult[powers[-1]][g])
-        tr = packed(powers[0])
+        tr = mod.act(powers[0])
         for t in powers[1:]:
-            tr = [lay.add(a, b) for a, b in zip(tr, packed(t))]
-        for v in fixed(L):
-            img = 0
-            for c, row in zip(v, tr):
-                if c:
-                    img = lay.add(img, row if c == 1 else lay.scale(row, c))
+            tr = [lay.add(a, b) for a, b in zip(tr, mod.act(t))]
+        for img in lay.mul([lay.pack(v) for v in fixed(L)], tr):
             span.add(img)
     return len(fixed(K)) - span.dim
 
@@ -373,8 +392,11 @@ def marks_multiplicities(mod: LevelModule) -> MarksReport:
     list is a proof that M is no permutation module; the one candidate is
     only necessary and still needs the constructive certificate.  The
     Brauer-quotient count holds for p-groups only, so another |Q| raises
-    InputError.
+    InputError, as does a module over Z/p^k with k > 1: the quotients are
+    read over F_p, on the module's packed rows.
     """
+    if mod.k != 1:
+        raise InputError("the Brauer quotient test runs on the mod-p module (k = 1)")
     n = mod.qtbl.order
     while n % mod.p == 0:
         n //= mod.p
@@ -384,8 +406,6 @@ def marks_multiplicities(mod: LevelModule) -> MarksReport:
         )
     subs = all_subgroups(mod.qtbl)
     classes = [cls[0] for cls in subgroup_conjugacy_classes(mod.qtbl, subs)]
-    lay = fp_rows(mod.dim, mod.p)
-    packed = functools.cache(lambda q: [lay.pack(row) for row in mod.act(q)])
     # all_subgroups lists each subgroup once, so this caches by members
     fixed = functools.cache(lambda sub: _fixed_basis(mod, sub))
     brauer = []
@@ -393,7 +413,7 @@ def marks_multiplicities(mod: LevelModule) -> MarksReport:
         in_k = set(K.members)
         maximal = [L for L in subs
                    if L.order * mod.p == K.order and in_k.issuperset(L.members)]
-        brauer.append(_brauer_dim(mod, K, maximal, fixed, packed))
+        brauer.append(_brauer_dim(mod, K, maximal, fixed))
     cosets = [left_cosets(mod.qtbl, H) for H in classes]
     marks = [
         tuple(
@@ -480,35 +500,38 @@ def _block_transport(mod: LevelModule, geo: _CosetGeometry, xi):
     A hom W from the block satisfies, for every generator g and coset c,
     xi(h) W[g?c] = W[c] * A[g]  over mod.ring.  BFS from the base coset
     expresses every row as w * B[c] in the unknown base row w; non-tree
-    edges stack the closure constraints w * cols = 0.  Returns (B, cols)
-    with cols given as dim rows, one column block per closure edge.
+    edges stack the closure constraints w * cols = 0.  Returns (B, cols):
+    each B[c] as rows packed in mod.layout, and cols as dim rows of ints,
+    one column block per closure edge, unpacked once for _liftable_kernel.
     """
-    d, ring = mod.dim, mod.ring
+    lay = mod.layout
     qgens = sorted(set(mod.qtbl.gen_images)) if mod.qtbl.order > 1 else []
     base = geo.coset_of[0]
-    B: list[list[list[int]] | None] = [None] * geo.size
-    B[base] = identity_rows(d)
+    B: list[Packed | None] = [None] * geo.size
+    B[base] = _identity(lay)
     order = [base]
-    cols: list[list[int]] = [[] for _ in range(d)]
+    cols = [0] * mod.dim
+    edges = 0
     qi = 0
     while qi < len(order):
         c = order[qi]
         qi += 1
         for g in qgens:
             c2, h = geo.step(g, c)
-            sign = xi[geo.member_pos[h]]
-            # xi values are +-1, so 1/sign = sign
-            moved = [[(sign * x) % ring for x in row] for row in _mm(B[c], mod.letters[g], ring)]
+            moved = lay.mul(B[c], mod.letters[g])
+            if xi[geo.member_pos[h]] == -1:  # xi values are +-1, so 1/sign = sign
+                moved = tuple([lay.sub(0, row) for row in moved])
             if B[c2] is None:
                 B[c2] = moved
                 order.append(c2)
             else:
-                for i in range(d):
-                    for j in range(d):
-                        cols[i].append((moved[i][j] - B[c2][i][j]) % ring)
+                shift = edges * mod.dim * lay.bits
+                cols = [col | lay.sub(a, b) << shift for col, a, b in zip(cols, moved, B[c2])]
+                edges += 1
     if any(b is None for b in B):
         raise AssertionError("generators do not reach every coset")
-    return B, cols
+    stacked = fp_rows(edges * mod.dim, mod.ring)  # one block of dim slots per edge
+    return B, [stacked.unpack(col) for col in cols]
 
 
 def _liftable_kernel(a: list[list[int]], p: int, k: int) -> list[list[int]]:
@@ -575,12 +598,15 @@ class Certificate:
 
 
 def _verify_certificate(mod: LevelModule, blocks, phi) -> bool:
-    ring = mod.ring
+    """phi is invertible mod p and intertwines the blocks with the module,
+    A'[q] * phi = phi * A[q] on every generator image q, on packed rows."""
     if len(phi) != mod.dim or not is_invertible_modp(phi, mod.p):
         return False
+    lay = mod.layout
+    packed = list(map(lay.pack, phi))
     for q in set(mod.qtbl.gen_images):
-        ap = monomial_matrix(mod.qtbl, blocks, q, ring)
-        if _mm(ap, phi, ring) != _mm(phi, mod.letters[q], ring):
+        ap = map(lay.pack, monomial_matrix(mod.qtbl, blocks, q, mod.ring))
+        if lay.mul(ap, packed) != lay.mul(packed, mod.letters[q]):
             return False
     return True
 
@@ -601,18 +627,20 @@ def _search_hom_spaces(mod, blocks, geos, spaces, budget, trials, rng):
     ring = mod.ring
     p = mod.p
     d = mod.dim
+    lay = mod.layout
     free_idx = [i for i, b in enumerate(blocks) if b.sub.order == 1]
     rest_idx = [i for i, b in enumerate(blocks) if b.sub.order > 1]
     if any(len(spaces[i][0]) == 0 for i in rest_idx):
         return None, trials, True
     pinned: dict[int, list[int]] = {}
     if free_idx:
-        acts = [mod.act(q) for q in range(mod.qtbl.order)]
-        nu = [[sum(col) % p for col in zip(*(a[i] for a in acts))] for i in range(d)]
+        nu = [0] * d
+        for q in range(mod.qtbl.order):
+            nu = list(map(lay.add, nu, mod.act(q)))
         span = ModpSpan(d, p)
         chosen = []
         for y in range(d):
-            if span.add(nu[y]):
+            if span.add(lay.unpack(nu[y])):
                 chosen.append(y)
                 if len(chosen) == len(free_idx):
                     break
@@ -625,12 +653,8 @@ def _search_hom_spaces(mod, blocks, geos, spaces, budget, trials, rng):
     def assemble(rows_by_block):
         phi = []
         for bi, ((_, B), geo) in enumerate(zip(spaces, geos)):
-            w = rows_by_block[bi]
-            for c in range(geo.size):
-                phi.append([
-                    sum(w[i] * B[c][i][j] for i in range(d)) % ring
-                    for j in range(d)
-                ])
+            w = [lay.pack(rows_by_block[bi])]
+            phi.extend(lay.unpack(lay.mul(w, B[c])[0]) for c in range(geo.size))
         return phi
 
     total = 1

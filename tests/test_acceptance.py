@@ -11,7 +11,13 @@ import time
 
 import pytest
 
-from qrlab.intlinalg import AbelianInvariants, identity_rows, is_invertible_modp, p_torsion
+from qrlab.intlinalg import (
+    AbelianInvariants,
+    fp_rows,
+    identity_rows,
+    is_invertible_modp,
+    p_torsion,
+)
 from qrlab.presentation import parse_presentation
 from qrlab.enumeration import all_subgroups, subgroup_conjugacy_classes, todd_coxeter
 from qrlab.groupring import delta_dimension_sequence, dimension_subgroup, jennings_series
@@ -175,8 +181,9 @@ def test_08_equivalence_harness_is_clean_on_the_qr_corpus(corpus):
     k = 20
     ring = 1 << k
     coin = Coinvariants(AbelianInvariants(1, ()), 1, (), ((1,),), ((1,),))
-    twisted = LevelModule(1, 2, k, tbl, (0,), {1: ((ring - 1,),)}, coin)
-    plain = LevelModule(1, 2, 1, tbl, (0,), {1: ((1,),)}, coin)
+    # one-dimensional: the packed row of the 1x1 matrix (x) is x
+    twisted = LevelModule(1, 2, k, tbl, (0,), {1: (ring - 1,)}, coin)
+    plain = LevelModule(1, 2, 1, tbl, (0,), {1: (1,)}, coin)
     rec = perm_recognize_modp(plain)
     assert rec.status == "certified"
     lift = gen_perm_lift(twisted, rec)
@@ -207,10 +214,11 @@ def test_09_rank_and_cokernel_laws_exact(corpus):
 
 def _module(qtbl, p, dim, matrix_of):
     """A module over the identity Smith coordinates, given by matrix_of(x)
-    on every generator image x of Q and its inverse."""
+    on every generator image x of Q and its inverse, packed over F_p."""
     ident = tuple(tuple(r) for r in identity_rows(dim))
     coin = Coinvariants(AbelianInvariants(dim, ()), dim, (), ident, ident)
-    letters = {x: tuple(tuple(r) for r in matrix_of(x))
+    lay = fp_rows(dim, p)
+    letters = {x: tuple(map(lay.pack, matrix_of(x)))
                for g in qtbl.gen_images for x in (g, qtbl.inv[g])}
     return LevelModule(1, p, 1, qtbl, tuple(range(dim)), letters, coin)
 
@@ -226,8 +234,8 @@ def _conjugate(mod, mat):
 
     dim, p = mod.dim, mod.p
     inv = dense_inverse(mat, p)
-    return _module(mod.qtbl, p, dim, lambda x: [
-        [v % p for v in row] for row in mat_mul(mat_mul(inv, mod.letters[x]), mat)])
+    return _module(mod.qtbl, p, dim, lambda x: mat_mul(
+        mat_mul(inv, list(map(mod.layout.unpack, mod.letters[x]))), mat))
 
 
 def test_10_randomized_recognizer_battery():

@@ -6,7 +6,9 @@ and the whole factorization against reference.smallest_entry_snf, the same
 pivot rule without qrlab's shortcuts.
 The packed F_p kernel is checked against reference.dense_rref, a dense
 Gauss-Jordan elimination on lists, and the left kernel against
-reference.dense_left_kernel, the same elimination on [A | I].
+reference.dense_left_kernel, the same elimination on [A | I].  Packed rows
+over composite moduli and their product are checked against plain integer
+arithmetic and mat_mul.
 """
 
 import itertools
@@ -335,6 +337,62 @@ def test_modp_span_matches_the_dense_reference_at_every_width_and_prime(p, n, m,
     assert modp_left_kernel(rows, p) == dense_left_kernel(rows, p)
     assert span.contains(rows[-1]) and not span.add(rows[-1])
     assert span.contains(probe) == (dense_rank(rows + [probe], p) == len(pivots))
+
+
+# Packed rows over Z/m for any m: level modules keep every matrix as packed
+# rows over Z/p^k, up to the harness's precision 20, so the slotwise
+# arithmetic and the product kernel run at prime powers too.
+COMPOSITE_MODULI = [4, 9, 2**20, 3**20]
+PRODUCT_MODULI = [2, 3, *COMPOSITE_MODULI]
+
+
+@pytest.mark.parametrize("m", COMPOSITE_MODULI)
+@given(st.integers(0, 60), st.integers(0, 2**32))
+@settings(deadline=None, max_examples=60)
+def test_packed_rows_are_slotwise_arithmetic_at_a_composite_modulus(m, n, seed):
+    rnd = random.Random(seed)
+    a, b = kernel_vector(rnd, m, n), kernel_vector(rnd, m, n)
+    c = rnd.randint(1, m - 1)
+    lay = fp_rows(n, m)
+    pa, pb = lay.pack(a), lay.pack(b)
+    assert lay.unpack(pa) == [x % m for x in a]
+    assert lay.unpack(lay.add(pa, pb)) == [(x + y) % m for x, y in zip(a, b)]
+    assert lay.unpack(lay.sub(pa, pb)) == [(x - y) % m for x, y in zip(a, b)]
+    assert lay.unpack(lay.sub(0, pa)) == [-x % m for x in a]
+    assert lay.unpack(lay.scale(pa, c)) == [c * x % m for x in a]
+
+
+def dense_product_mod(a, b, m, cols):
+    """A*B mod m by mat_mul; with no rows in b mat_mul cannot see the width."""
+    return [[x % m for x in row] for row in mat_mul(a, b)] if b else [[0] * cols for _ in a]
+
+
+@pytest.mark.parametrize("m", PRODUCT_MODULI)
+@given(st.data())
+@settings(deadline=None, max_examples=60)
+def test_packed_product_is_the_dense_product_mod_m(m, data):
+    """Rectangular and empty shapes, entries at the residue edges."""
+    rows, inner, cols = (data.draw(st.integers(0, 6)) for _ in range(3))
+    entry = st.one_of(st.sampled_from([0, 1, m - 1, m, -1]), st.integers(-2 * m, 2 * m))
+    a = data.draw(st.lists(st.lists(entry, min_size=inner, max_size=inner),
+                           min_size=rows, max_size=rows))
+    b = data.draw(st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                           min_size=inner, max_size=inner))
+    lay = fp_rows(cols, m)
+    got = lay.mul([fp_rows(inner, m).pack(r) for r in a], [lay.pack(r) for r in b])
+    assert [lay.unpack(x) for x in got] == dense_product_mod(a, b, m, cols)
+
+
+@pytest.mark.parametrize("m", PRODUCT_MODULI)
+@pytest.mark.parametrize("inner", [1, 7, 64, 129])
+def test_packed_product_sums_the_largest_entries_without_carry(m, inner):
+    """Every entry m - 1: each slot of the product sums inner * (m - 1)^2,
+    the most the widened slots must hold."""
+    a = [[m - 1] * inner for _ in range(2)]
+    b = [[m - 1] * 3 for _ in range(inner)]
+    lay = fp_rows(3, m)
+    got = lay.mul([fp_rows(inner, m).pack(r) for r in a], [lay.pack(r) for r in b])
+    assert [lay.unpack(x) for x in got] == dense_product_mod(a, b, m, 3) == [[inner % m] * 3] * 2
 
 
 def test_is_invertible_modp():

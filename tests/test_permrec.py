@@ -10,11 +10,13 @@ import random
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
 from qrlab.errors import InputError, PropertyViolation
 from qrlab.intlinalg import (
     AbelianInvariants,
+    FpRows,
+    fp_rows,
     identity_rows,
     integer_inverse,
     is_invertible_modp,
@@ -59,13 +61,23 @@ def frozen(mat):
     return tuple(tuple(r) for r in mat)
 
 
-def letter_matrices(qtbl, matrix_of):
-    """matrix_of(x) for every generator image x of Q and its inverse."""
-    return {x: frozen(matrix_of(x)) for g in qtbl.gen_images for x in (g, qtbl.inv[g])}
+def packed(mat, ring):
+    """A square matrix as the packed rows a LevelModule holds."""
+    return tuple(map(fp_rows(len(mat), ring).pack, mat))
+
+
+def dense(mod, rows):
+    """The packed rows of a matrix of mod, unpacked."""
+    return frozen(map(mod.layout.unpack, rows))
+
+
+def letter_matrices(qtbl, matrix_of, ring):
+    """matrix_of(x), packed, for every generator image x of Q and its inverse."""
+    return {x: packed(matrix_of(x), ring) for g in qtbl.gen_images for x in (g, qtbl.inv[g])}
 
 
 def hand_module(qtbl, p, k, dim, letters):
-    """A module over the identity Smith coordinates."""
+    """A module over the identity Smith coordinates, letters packed over Z/p^k."""
     ident = frozen(identity_rows(dim))
     coin = Coinvariants(AbelianInvariants(dim, ()), dim, (), ident, ident)
     return LevelModule(1, p, k, qtbl, tuple(range(dim)), letters, coin)
@@ -74,7 +86,7 @@ def hand_module(qtbl, p, k, dim, letters):
 def synthetic_module(qtbl, blocks, p, k):
     """The monomial module itself, in its defining coordinates."""
     dim = sum(qtbl.order // b.sub.order for b in blocks)
-    letters = letter_matrices(qtbl, lambda x: monomial_matrix(qtbl, blocks, x, p ** k))
+    letters = letter_matrices(qtbl, lambda x: monomial_matrix(qtbl, blocks, x, p ** k), p ** k)
     return hand_module(qtbl, p, k, dim, letters)
 
 
@@ -88,7 +100,7 @@ def random_invertible(dim, p, rng):
 def change_basis(mod, mat, inv, ring):
     """Same module in other coordinates: A'[x] = P^-1 A[x] P on every letter."""
     return replace(mod, letters={
-        x: frozen([[v % ring for v in row] for row in mat_mul(mat_mul(inv, a), mat)])
+        x: packed(mat_mul(mat_mul(inv, dense(mod, a)), mat), ring)
         for x, a in mod.letters.items()
     })
 
@@ -263,7 +275,7 @@ def test_norm_rank_counts_free_blocks():
         scrambled = conjugate_module(mod, random_invertible(mod.dim, 2, rng))
         norm = [[0] * mod.dim for _ in range(mod.dim)]
         for q in range(tbl.order):
-            a = scrambled.act(q)
+            a = dense(scrambled, scrambled.act(q))
             for i in range(mod.dim):
                 for j in range(mod.dim):
                     norm[i][j] = (norm[i][j] + a[i][j]) % 2
@@ -275,7 +287,7 @@ def test_marks_dimensions_from_subgroup_generators():
     K; every member of K must give the same."""
     def differences(mod, K):
         return [[(x - (i == j)) % mod.p for j, x in enumerate(row)]
-                for g in K.members for i, row in enumerate(mod.act(g))]
+                for g in K.members for i, row in enumerate(dense(mod, mod.act(g)))]
 
     rng = random.Random(11)
     tbl = table_of(D4)
@@ -299,7 +311,7 @@ def test_jordan_block_is_refuted_by_marks():
     j3 = ((1, 1, 0), (0, 1, 1), (0, 0, 1))
     j3_cubed = ((1, 1, 1), (0, 1, 1), (0, 0, 1))  # mod 2, the inverse of j3
     gen = tbl.gen_images[0]
-    mod = hand_module(tbl, 2, 1, 3, {gen: j3, tbl.inv[gen]: j3_cubed})
+    mod = hand_module(tbl, 2, 1, 3, {gen: packed(j3, 2), tbl.inv[gen]: packed(j3_cubed, 2)})
     rec = perm_recognize_modp(mod)
     assert rec.status == "refuted"
     assert rec.trials == 0
@@ -382,7 +394,7 @@ def test_brauer_dims_count_fixed_cosets(text, p):
 def test_marks_refuses_a_group_that_is_not_a_p_group():
     tbl = table_of(S3)
     assert tbl.order == 6
-    trivial = hand_module(tbl, 2, 1, 1, letter_matrices(tbl, lambda x: identity_rows(1)))
+    trivial = hand_module(tbl, 2, 1, 1, letter_matrices(tbl, lambda x: identity_rows(1), 2))
     with pytest.raises(InputError, match="2-group"):
         marks_multiplicities(trivial)
 
@@ -417,8 +429,9 @@ def test_sign_twist_is_generalized_but_not_ordinary():
     tbl = table_of("gens: a; relators: a^2; prime: 2")
     k = 6
     ring = 1 << k
-    twisted = hand_module(tbl, 2, k, 1, {1: ((ring - 1,),)})
-    plain = hand_module(tbl, 2, 1, 1, {1: ((1,),)})
+    # one-dimensional: the packed row of the 1x1 matrix (x) is x
+    twisted = hand_module(tbl, 2, k, 1, {1: (ring - 1,)})
+    plain = hand_module(tbl, 2, 1, 1, {1: (1,)})
     rec = perm_recognize_modp(plain)
     assert rec.status == "certified"
     lift = gen_perm_lift(twisted, rec)
@@ -440,7 +453,7 @@ def test_plain_integral_lift():
     ring = 1 << k
     scrambled = change_basis(mod, u, integer_inverse(u), ring)
     onebar = replace(scrambled, k=1, letters={
-        x: frozen([[v % 2 for v in row] for row in a]) for x, a in scrambled.letters.items()
+        x: packed(dense(scrambled, a), 2) for x, a in scrambled.letters.items()
     })
     rec = perm_recognize_modp(onebar)
     assert rec.status == "certified"
@@ -475,9 +488,12 @@ def test_recognizer_rejects_higher_precision_input():
         perm_recognize_modp(mod)
 
 
+# A failure is reported unshrunk: shrinking a failed kernel lift here took
+# over a minute per parametrization.
 @pytest.mark.parametrize("p,k", [(2, 2), (2, 3), (3, 2), (3, 3)])
 @given(st.data())
-@settings(deadline=None, max_examples=15)
+@settings(deadline=None, max_examples=15,
+          phases=[phase for phase in Phase if phase is not Phase.shrink])
 def test_liftable_kernel_against_brute_force(p, k, data):
     """Every solution over Z/p^k, enumerated, reduces into the span of the
     returned lifts.  Entries are units times a p-power, so kernels that lift
@@ -621,7 +637,7 @@ def test_generator_module_matches_all_elements_oracle(corpus):
                     qtbl, surv, action = all_elements_module(rlat, coin, sub, p, k)
                     assert mod.qtbl == qtbl, (entry["id"], p, n, k)
                     assert mod.surviving == surv, (entry["id"], p, n, k)
-                    assert tuple(map(mod.act, range(qtbl.order))) == action, \
+                    assert tuple(dense(mod, mod.act(q)) for q in range(qtbl.order)) == action, \
                         (entry["id"], p, n, k)
                     checked += 1
     assert checked >= 20
@@ -631,11 +647,11 @@ def test_certificate_accepts_the_regular_action_of_c4():
     pres = parse_presentation(C4)
     tbl = todd_coxeter(pres)
     x = tbl.gen_images[0]
-    cycle4 = frozen([[int(j == (i + 1) % 4) for j in range(4)] for i in range(4)])
-    letters = _certify_letters(tbl, {x: cycle4}, pres.relators, (), 4, 2)
-    assert letters[x] == cycle4
+    cycle4 = [[int(j == (i + 1) % 4) for j in range(4)] for i in range(4)]
+    letters = _certify_letters(tbl, {x: packed(cycle4, 2)}, pres.relators, (), 4, 2)
+    assert letters[x] == packed(cycle4, 2)
     # the inverse letter is the cube, the inverse permutation
-    assert letters[tbl.inv[x]] == tuple(zip(*cycle4))
+    assert letters[tbl.inv[x]] == packed(list(zip(*cycle4)), 2)
 
 
 def test_certificate_check_a_rejects_a_letter_of_the_wrong_order():
@@ -644,7 +660,7 @@ def test_certificate_check_a_rejects_a_letter_of_the_wrong_order():
     tbl = todd_coxeter(pres)
     cycle3 = [[int(j == (i + 1) % 3) for j in range(3)] for i in range(3)]
     with pytest.raises(PropertyViolation, match="power of its order"):
-        _certify_letters(tbl, {tbl.gen_images[0]: cycle3}, pres.relators, (), 3, 2)
+        _certify_letters(tbl, {tbl.gen_images[0]: packed(cycle3, 2)}, pres.relators, (), 3, 2)
 
 
 def test_certificate_check_b_rejects_a_relator_that_acts():
@@ -653,7 +669,7 @@ def test_certificate_check_b_rejects_a_relator_that_acts():
     pres = parse_presentation(KLEIN)
     tbl = todd_coxeter(pres)
     swaps = ([[0, 1, 0], [1, 0, 0], [0, 0, 1]], [[1, 0, 0], [0, 0, 1], [0, 1, 0]])
-    gen_mats = {tbl.gen_images[g]: frozen(m) for g, m in enumerate(swaps)}
+    gen_mats = {tbl.gen_images[g]: packed(m, 2) for g, m in enumerate(swaps)}
     with pytest.raises(PropertyViolation, match="relator acts nontrivially"):
         _certify_letters(tbl, gen_mats, pres.relators, (), 3, 2)
     _certify_letters(tbl, gen_mats, (), (), 3, 2)
@@ -673,7 +689,7 @@ def test_certificate_check_c_rejects_letters_that_do_not_factor_through_q():
     qtbl = quotient_table(tbl, d2)[0]
     assert (tbl.order, d2.order, qtbl.order) == (27, 3, 9)
     unipotent = ([[1, 1, 0], [0, 1, 0], [0, 0, 1]], [[1, 0, 0], [0, 1, 1], [0, 0, 1]])
-    gen_mats = {qtbl.gen_images[g]: frozen(m) for g, m in enumerate(unipotent)}
+    gen_mats = {qtbl.gen_images[g]: packed(m, 3) for g, m in enumerate(unipotent)}
     _certify_letters(qtbl, gen_mats, pres.relators, (), 3, 3)
     kernel_words = [tbl.element_words[d] for d in d2.generators]
     with pytest.raises(PropertyViolation, match="dimension subgroup acts nontrivially"):
@@ -699,6 +715,53 @@ def test_q32_top_module_builds_fewer_elements_than_its_quotient(lattice, monkeyp
     assert len(top.built) < 32
 
 
+def count_products(monkeypatch):
+    """A list that gets one entry per packed matrix product from now on."""
+    products = []
+    multiply = FpRows.mul
+
+    def counting(lay, a, b):
+        products.append(1)
+        return multiply(lay, a, b)
+
+    monkeypatch.setattr(FpRows, "mul", counting)
+    return products
+
+
+# relator costs in the presentation's order: a^8*b^-2, a*b*a*b^-1 and a^64
+@pytest.mark.parametrize("text,relator_costs,total", [
+    (Q32, (2, 4), 225),
+    ("gens: a; relators: a^64; prime: 2", (1,), 482),
+])
+def test_words_cost_one_product_per_run(lattice, monkeypatch, text, relator_costs, total):
+    """_certify_letters keeps the powers A[x]^i, i < |x|, that check (a)
+    walks, so each run x^e of a relator or kernel word is one product:
+    A[x]^(e mod |x|).  Letter by letter, q32's a^8*b^-2 cost 10 products
+    and c64's a^64 cost 64, on every level.  The total pins every product
+    of the harness: letters, words, act, Brauer traces, transport,
+    certificates and transitions."""
+    pres = parse_presentation(text)
+    qr = qr_check(lattice(text), 2)
+    products = count_products(monkeypatch)
+    costs = []
+    word_matrix = permrec._word_matrix
+
+    def recording(qtbl, powers, word, lay):
+        before = len(products)
+        out = word_matrix(qtbl, powers, word, lay)
+        costs.append((word, len(products) - before))
+        return out
+
+    monkeypatch.setattr(permrec, "_word_matrix", recording)
+    tower_harness(qr)
+    assert costs
+    for word, cost in costs:
+        assert cost == len([g for g, _ in itertools.groupby(word, key=lambda x: x[0])])
+    relator_cost = dict(zip(pres.relators, relator_costs))
+    assert {(w, c) for w, c in costs if w in relator_cost} == set(relator_cost.items())
+    assert len(products) == total
+
+
 def _coset_sum_modules(lo_v):
     """Regular F_2[C4] module over a rank-4 lattice with identity Smith
     coordinates, and a trivial one-dimensional module read off the free
@@ -710,7 +773,7 @@ def _coset_sum_modules(lo_v):
     lo_vinv = integer_inverse(lo_v)
     coin = Coinvariants(AbelianInvariants(1, ()), 4, (1, 1, 1),
                         tuple(map(tuple, lo_v)), tuple(map(tuple, lo_vinv)))
-    lo = LevelModule(1, 2, 1, tbl, (3,), letter_matrices(tbl, lambda x: ((1,),)), coin)
+    lo = LevelModule(1, 2, 1, tbl, (3,), letter_matrices(tbl, lambda x: ((1,),), 2), coin)
     return hi, lo
 
 
@@ -718,7 +781,7 @@ def test_transition_map_rejects_a_non_equivariant_map():
     # coordinate 3 through the all-ones column is the augmentation: equivariant
     sums = [[1, 0, 0, 1], [0, 1, 0, 1], [0, 0, 1, 1], [0, 0, 0, 1]]
     hi, lo = _coset_sum_modules(sums)
-    assert transition_map(hi, lo) == ((1,), (1,), (1,), (1,))
+    assert transition_map(hi, lo) == (1, 1, 1, 1)  # packed rows, the 4x1 all-ones column
     # plain projection onto basis vector 3 does not commute with the generator
     hi, lo = _coset_sum_modules(identity_rows(4))
     with pytest.raises(PropertyViolation, match="not equivariant"):
@@ -748,8 +811,8 @@ def test_decided_results_carry_no_reason():
 
 def test_assignment_cap_names_its_reason():
     tbl = table_of("gens: a; relators: a^2; prime: 2")
-    twisted = hand_module(tbl, 2, 6, 1, {1: ((63,),)})
-    plain = hand_module(tbl, 2, 1, 1, {1: ((1,),)})
+    twisted = hand_module(tbl, 2, 6, 1, {1: (63,)})
+    plain = hand_module(tbl, 2, 1, 1, {1: (1,)})
     lift = gen_perm_lift(twisted, perm_recognize_modp(plain), assignment_cap=0)
     assert lift.status == "unknown"
     assert "assignment cap" in lift.reason
