@@ -93,6 +93,13 @@ def delta_dimension_sequence(tbl: FiniteGroupTable, p: int) -> list[int]:
     return [s.dim for s in delta_filtration(tbl, p)]
 
 
+def require_p_group(order: int, p: int, message: str) -> None:
+    """Raise InputError(message) unless order is a power of p (1 included)."""
+    pp = prime_power(order)
+    if order > 1 and (pp is None or pp[0] != p):
+        raise InputError(message)
+
+
 def _generators_for(tbl: FiniteGroupTable, members: list[int]) -> tuple[int, ...]:
     gens: list[int] = []
     have = {0}
@@ -111,11 +118,8 @@ def _dimension_members(tbl: FiniteGroupTable, span: ModpSpan, candidates) -> lis
 
 def dimension_subgroup(tbl: FiniteGroupTable, p: int, n: int) -> Subgroup:
     """D_n = {g : g - 1 in Delta^n(F_p G)}.  Requires |G| = p^a."""
-    pp = prime_power(tbl.order) if tbl.order > 1 else (p, 0)
-    if pp is None or pp[0] != p:
-        raise InputError(
-            f"dimension subgroups over F_{p} need a {p}-group; order is {tbl.order}"
-        )
+    require_p_group(tbl.order, p,
+                    f"dimension subgroups over F_{p} need a {p}-group; order is {tbl.order}")
     if n < 1:
         raise InputError("Delta power index must be >= 1")
     if n == 1:
@@ -132,11 +136,8 @@ def dimension_subgroup_chain(tbl: FiniteGroupTable, p: int) -> list[Subgroup]:
     Delta^n lies in Delta^(n-1), so D_n lies in D_(n-1) and only the members
     of the previous term are tested.
     """
-    pp = prime_power(tbl.order) if tbl.order > 1 else (p, 0)
-    if pp is None or pp[0] != p:
-        raise InputError(
-            f"dimension subgroups over F_{p} need a {p}-group; order is {tbl.order}"
-        )
+    require_p_group(tbl.order, p,
+                    f"dimension subgroups over F_{p} need a {p}-group; order is {tbl.order}")
     chain = [subgroup_closure(tbl, tbl.gen_images)]
     if tbl.order == 1:
         return chain
@@ -155,11 +156,8 @@ def dimension_subgroup_chain(tbl: FiniteGroupTable, p: int) -> list[Subgroup]:
 
 def jennings_series(tbl: FiniteGroupTable, p: int) -> list[Subgroup]:
     """Independent oracle for the same chain, from the Jennings recursion."""
-    pp = prime_power(tbl.order) if tbl.order > 1 else (p, 0)
-    if pp is None or pp[0] != p:
-        raise InputError(
-            f"Jennings series over F_{p} needs a {p}-group; order is {tbl.order}"
-        )
+    require_p_group(tbl.order, p,
+                    f"Jennings series over F_{p} needs a {p}-group; order is {tbl.order}")
     full = subgroup_closure(tbl, tbl.gen_images)
     chain = [full]
     if tbl.order == 1:

@@ -18,12 +18,14 @@ dimensions of the Brauer quotients of the level module fix the one
 multiplicity vector a permutation module could have.  A step of that
 back-substitution that is not integral or not nonnegative refutes the
 module outright.  Otherwise the one candidate is attacked constructively
-through coset transport: a hom from an induced block is determined by one
-base row, so the hom space per block is small enough to enumerate
-completely in the cases that matter, making a failed search a proof rather
-than a shrug.  Over Z/p^k the same transport runs with sign-twisted blocks
-(p = 2; twists are invisible mod 2), and the solution module is obtained by
-lifting the mod-p kernel one p-adic digit at a time.  Nothing is reported
+through Frobenius reciprocity: a hom from the induced block Ind_H^Q xi is
+fixed by the image w of the coset H, any w with w * A[h] = xi(h) * w on H,
+and sends the coset rH to w * A[r].  So the hom space per block is one
+left kernel (LevelModule.hom_basis; with xi = 1 it is M^H, which the marks
+test reads too), small enough to enumerate completely in the cases that
+matter, making a failed search a proof rather than a shrug.  Over Z/p^k
+the same kernel is taken with sign-twisted blocks (p = 2; twists are
+invisible mod 2), lifted one p-adic digit at a time.  Nothing is reported
 certified or refuted without either an independently verified witness
 matrix or an exhausted finite search; an unknown result names what stopped
 it (a budget-limited search or the assignment cap) in its `reason`.
@@ -42,7 +44,6 @@ xi(rep(c')^-1 g rep(c)).
 
 from __future__ import annotations
 
-import functools
 import random
 from dataclasses import dataclass, field, replace
 from itertools import combinations_with_replacement, groupby, product
@@ -56,7 +57,7 @@ from .enumeration import (
     quotient_table,
     subgroup_conjugacy_classes,
 )
-from .groupring import _generators_for
+from .groupring import _generators_for, require_p_group
 from .intlinalg import (
     FpRows,
     ModpSpan,
@@ -115,9 +116,9 @@ class LevelModule:
     its inverse; they carry the whole module.  act(q) builds A[q] for any q
     along the canonical word qtbl.element_words[q], one packed product per
     letter, and keeps every element it passes in `built`, so each element
-    of Q costs at most one product.  module_from_coinvariants certifies
-    that the letters define an action of Q (_certify_letters); a module
-    made by hand is taken as given.
+    of Q costs at most one product.  hom_basis keeps its kernels in
+    `homs`.  module_from_coinvariants certifies that the letters define an
+    action of Q (_certify_letters); a module made by hand is taken as given.
     """
 
     level: int
@@ -129,6 +130,8 @@ class LevelModule:
     coin: Coinvariants
     built: dict[int, Packed] = field(default_factory=dict, init=False, repr=False,
                                      compare=False)
+    homs: dict[tuple, list[list[int]]] = field(default_factory=dict, init=False,
+                                               repr=False, compare=False)
 
     @property
     def dim(self) -> int:
@@ -156,6 +159,34 @@ class LevelModule:
                     built[x] = lay.mul(self.letters[step], a)
                 a = built[x]
         return built[q]
+
+    def hom_basis(self, sub: Subgroup, xi: tuple[int, ...]) -> list[list[int]]:
+        """Hom(Ind_H^Q xi, M) by Frobenius reciprocity, memoized per (H, xi).
+
+        A hom is fixed by the image w of the coset H, any w with
+        w * A[h] = xi(h) * w for h in H, and sends rH to w * A[r].  On a
+        short-word generating set of H (_generators_for) that is one system:
+        w times the side-by-side stack of the A[h] - xi(h) I, packed, is 0.
+        Its solutions come as _liftable_kernel gives them (at k = 1, as
+        modp_left_kernel's reduced echelon basis of the packed stack).  xi
+        is aligned with sub.members; all 1 gives M^H.
+        """
+        key = (sub.members, xi)
+        if key not in self.homs:
+            lay, dim = self.layout, self.dim
+            sign = dict(zip(sub.members, xi))
+            gens = _generators_for(self.qtbl, sub.members)
+            stacked = [sum(lay.sub(self.act(h)[i], lay.unit(i) * (sign[h] % self.ring))
+                           << (b * dim * lay.bits) for b, h in enumerate(gens))
+                       for i in range(dim)]
+            width = len(gens) * dim
+            if self.k == 1:
+                self.homs[key] = modp_left_kernel(stacked, self.p, width=width)
+            else:
+                wide = fp_rows(width, self.ring)
+                self.homs[key] = _liftable_kernel(list(map(wide.unpack, stacked)),
+                                                  self.p, self.k)
+        return self.homs[key]
 
 
 def _certify_letters(qtbl: FiniteGroupTable, gen_mats, relators, kernel_words,
@@ -319,28 +350,16 @@ class MarksReport:
     witness: str | None
 
 
-def _fixed_basis(mod: LevelModule, sub: Subgroup) -> list[list[int]]:
-    """Basis of M^K: the vectors fixed by the generators of K are fixed by K.
-
-    v(A[g] - I) = 0 for every generator g is one system, v times the
-    side-by-side stack of the A[g] - I, so M^K is its left kernel.  Row i
-    of the stack is the packed rows A[g]_i - e_i, each shifted past the
-    blocks before it.
-    """
-    lay = mod.layout
-    diffs = [mod.act(g) for g in sorted({g for g in sub.generators if g})]
-    block = mod.dim * lay.bits
-    stacked = [sum(lay.sub(a[i], lay.unit(i)) << (b * block) for b, a in enumerate(diffs))
-               for i in range(mod.dim)]
-    return modp_left_kernel(stacked, mod.p, width=len(diffs) * mod.dim)
+def _fixed(mod: LevelModule, sub: Subgroup) -> list[list[int]]:
+    """A basis of M^H, the hom space from the plain block Ind_H^Q 1."""
+    return mod.hom_basis(sub, (1,) * sub.order)
 
 
-def _brauer_dim(mod: LevelModule, K: Subgroup, maximal, fixed) -> int:
+def _brauer_dim(mod: LevelModule, K: Subgroup, maximal) -> int:
     """dim M(K) = dim M^K - dim sum_L Tr_L^K(M^L), L over the maximal
     subgroups of K.  Every proper subgroup lies in a maximal one and the
     transfers compose, so the maximal ones give the whole sum.  Each L is
     normal of index p, so Tr_L^K = sum_{i<p} A[g^i] for any g in K - L.
-    fixed(L) is a basis of M^L.
     """
     lay = mod.layout
     span = ModpSpan(mod.dim, mod.p)
@@ -353,9 +372,9 @@ def _brauer_dim(mod: LevelModule, K: Subgroup, maximal, fixed) -> int:
         tr = mod.act(powers[0])
         for t in powers[1:]:
             tr = [lay.add(a, b) for a, b in zip(tr, mod.act(t))]
-        for img in lay.mul([lay.pack(v) for v in fixed(L)], tr):
+        for img in lay.mul([lay.pack(v) for v in _fixed(mod, L)], tr):
             span.add(img)
-    return len(fixed(K)) - span.dim
+    return len(_fixed(mod, K)) - span.dim
 
 
 def _solve_marks(marks, brauer, classes) -> tuple[tuple[int, ...] | None, str | None]:
@@ -397,23 +416,16 @@ def marks_multiplicities(mod: LevelModule) -> MarksReport:
     """
     if mod.k != 1:
         raise InputError("the Brauer quotient test runs on the mod-p module (k = 1)")
-    n = mod.qtbl.order
-    while n % mod.p == 0:
-        n //= mod.p
-    if n != 1:
-        raise InputError(
-            f"the Brauer quotient test needs a {mod.p}-group, |Q| = {mod.qtbl.order}"
-        )
+    require_p_group(mod.qtbl.order, mod.p,
+                    f"the Brauer quotient test needs a {mod.p}-group, |Q| = {mod.qtbl.order}")
     subs = all_subgroups(mod.qtbl)
     classes = [cls[0] for cls in subgroup_conjugacy_classes(mod.qtbl, subs)]
-    # all_subgroups lists each subgroup once, so this caches by members
-    fixed = functools.cache(lambda sub: _fixed_basis(mod, sub))
     brauer = []
     for K in classes:
         in_k = set(K.members)
         maximal = [L for L in subs
                    if L.order * mod.p == K.order and in_k.issuperset(L.members)]
-        brauer.append(_brauer_dim(mod, K, maximal, fixed))
+        brauer.append(_brauer_dim(mod, K, maximal))
     cosets = [left_cosets(mod.qtbl, H) for H in classes]
     marks = [
         tuple(
@@ -426,7 +438,7 @@ def marks_multiplicities(mod: LevelModule) -> MarksReport:
     m, witness = _solve_marks(marks, brauer, classes)
     return MarksReport(
         classes=tuple(classes),
-        fixdims=tuple(len(fixed(K)) for K in classes),
+        fixdims=tuple(len(_fixed(mod, K)) for K in classes),
         brauer_dims=tuple(brauer),
         candidates=() if m is None else (m,),
         witness=witness,
@@ -434,7 +446,7 @@ def marks_multiplicities(mod: LevelModule) -> MarksReport:
 
 
 # ---------------------------------------------------------------------------
-# monomial blocks and the transport solver
+# monomial blocks and the digit-by-digit kernel
 
 @dataclass(frozen=True)
 class Block:
@@ -449,35 +461,19 @@ class Block:
         return all(v == 1 for v in self.xi)
 
 
-class _CosetGeometry:
-    """Left cosets of H in Q with the generator action factored as
-    g * rep(c) = rep(c') * h, h in H."""
-
-    def __init__(self, qtbl: FiniteGroupTable, sub: Subgroup):
-        self.qtbl = qtbl
-        self.sub = sub
-        coset_of, reps = left_cosets(qtbl, sub)
-        self.coset_of = coset_of
-        self.reps = reps
-        self.size = len(reps)
-        self.member_pos = {m: i for i, m in enumerate(sub.members)}
-
-    def step(self, g: int, c: int) -> tuple[int, int]:
-        img = self.qtbl.mult[g][self.reps[c]]
-        c2 = self.coset_of[img]
-        h = self.qtbl.mult[self.qtbl.inv[self.reps[c2]]][img]
-        if h not in self.member_pos:
-            raise AssertionError("coset factorization left the subgroup")
-        return c2, h
-
-
 def block_matrix(qtbl: FiniteGroupTable, block: Block, q: int, ring: int):
-    """Matrix of q on the block over Z/ring (signed permutation matrix)."""
-    geo = _CosetGeometry(qtbl, block.sub)
-    out = [[0] * geo.size for _ in range(geo.size)]
-    for c in range(geo.size):
-        c2, h = geo.step(q, c)
-        out[c][c2] = block.xi[geo.member_pos[h]] % ring
+    """Matrix of q on the block over Z/ring (signed permutation matrix):
+    q * rep(c) = rep(c') * h with h in H puts xi(h) at (c, c')."""
+    coset_of, reps = left_cosets(qtbl, block.sub)
+    sign = dict(zip(block.sub.members, block.xi))
+    out = [[0] * len(reps) for _ in reps]
+    for c, r in enumerate(reps):
+        img = qtbl.mult[q][r]
+        c2 = coset_of[img]
+        h = qtbl.mult[qtbl.inv[reps[c2]]][img]
+        if h not in sign:
+            raise AssertionError("coset factorization left the subgroup")
+        out[c][c2] = sign[h] % ring
     return out
 
 
@@ -492,46 +488,6 @@ def monomial_matrix(qtbl, blocks, q, ring):
             out[off + i][off:off + len(m)] = row
         off += len(m)
     return out
-
-
-def _block_transport(mod: LevelModule, geo: _CosetGeometry, xi):
-    """Hom equations for one induced block, by transporting the base row.
-
-    A hom W from the block satisfies, for every generator g and coset c,
-    xi(h) W[g?c] = W[c] * A[g]  over mod.ring.  BFS from the base coset
-    expresses every row as w * B[c] in the unknown base row w; non-tree
-    edges stack the closure constraints w * cols = 0.  Returns (B, cols):
-    each B[c] as rows packed in mod.layout, and cols as dim rows of ints,
-    one column block per closure edge, unpacked once for _liftable_kernel.
-    """
-    lay = mod.layout
-    qgens = sorted(set(mod.qtbl.gen_images)) if mod.qtbl.order > 1 else []
-    base = geo.coset_of[0]
-    B: list[Packed | None] = [None] * geo.size
-    B[base] = _identity(lay)
-    order = [base]
-    cols = [0] * mod.dim
-    edges = 0
-    qi = 0
-    while qi < len(order):
-        c = order[qi]
-        qi += 1
-        for g in qgens:
-            c2, h = geo.step(g, c)
-            moved = lay.mul(B[c], mod.letters[g])
-            if xi[geo.member_pos[h]] == -1:  # xi values are +-1, so 1/sign = sign
-                moved = tuple([lay.sub(0, row) for row in moved])
-            if B[c2] is None:
-                B[c2] = moved
-                order.append(c2)
-            else:
-                shift = edges * mod.dim * lay.bits
-                cols = [col | lay.sub(a, b) << shift for col, a, b in zip(cols, moved, B[c2])]
-                edges += 1
-    if any(b is None for b in B):
-        raise AssertionError("generators do not reach every coset")
-    stacked = fp_rows(edges * mod.dim, mod.ring)  # one block of dim slots per edge
-    return B, [stacked.unpack(col) for col in cols]
 
 
 def _liftable_kernel(a: list[list[int]], p: int, k: int) -> list[list[int]]:
@@ -611,18 +567,21 @@ def _verify_certificate(mod: LevelModule, blocks, phi) -> bool:
     return True
 
 
-def _search_hom_spaces(mod, blocks, geos, spaces, budget, trials, rng):
-    """Find base rows making the assembled matrix invertible mod p.
+def _search_hom_spaces(mod, blocks, spaces, budget, trials, rng):
+    """Find hom images w making the assembled matrix invertible mod p.
 
-    spaces[b] = (solution basis, transport B) per block.  Free blocks
-    (trivial subgroup) are pinned first: any base row m with nonzero norm
-    image generates a split free summand (the group ring is self-injective
-    with simple socle), so rows with independent images under the full
-    norm can be fixed without losing generality, and Krull-Schmidt reduces
-    the candidate to the remaining blocks.  When the joint choice space of
-    those is small it is enumerated completely and exhaustion is
-    definitive; otherwise a structured pass and random coefficient draws
-    run under the budget.  Returns (phi_or_None, trials, definitive).
+    spaces[b] = mod.hom_basis of block b.  By Frobenius reciprocity a hom
+    from block b is one w in that space, and it sends the coset of rep r
+    to w * A[r]; those rows, coset by coset, make the block's rows of the
+    assembled matrix.  Free blocks (trivial subgroup) are pinned first:
+    any w with nonzero norm image generates a split free summand (the
+    group ring is self-injective with simple socle), so rows with
+    independent images under the full norm can be fixed without losing
+    generality, and Krull-Schmidt reduces the candidate to the remaining
+    blocks.  When the joint choice space of those is small it is
+    enumerated completely and exhaustion is definitive; otherwise a
+    structured pass and random coefficient draws run under the budget.
+    Returns (phi_or_None, trials, definitive).
     """
     ring = mod.ring
     p = mod.p
@@ -630,9 +589,9 @@ def _search_hom_spaces(mod, blocks, geos, spaces, budget, trials, rng):
     lay = mod.layout
     free_idx = [i for i, b in enumerate(blocks) if b.sub.order == 1]
     rest_idx = [i for i, b in enumerate(blocks) if b.sub.order > 1]
-    if any(len(spaces[i][0]) == 0 for i in rest_idx):
+    if any(len(spaces[i]) == 0 for i in rest_idx):
         return None, trials, True
-    pinned: dict[int, list[int]] = {}
+    rows: dict[int, int] = {}  # block -> its w, packed
     if free_idx:
         nu = [0] * d
         for q in range(mod.qtbl.order):
@@ -647,36 +606,30 @@ def _search_hom_spaces(mod, blocks, geos, spaces, budget, trials, rng):
         if len(chosen) < len(free_idx):
             # the full norm has smaller rank than the free multiplicity asks
             return None, trials, True
-        for i, y in zip(free_idx, chosen):
-            pinned[i] = [int(j == y) for j in range(d)]
+        rows.update(zip(free_idx, map(lay.unit, chosen)))
+    reps = [left_cosets(mod.qtbl, b.sub)[1] for b in blocks]
 
-    def assemble(rows_by_block):
-        phi = []
-        for bi, ((_, B), geo) in enumerate(zip(spaces, geos)):
-            w = [lay.pack(rows_by_block[bi])]
-            phi.extend(lay.unpack(lay.mul(w, B[c])[0]) for c in range(geo.size))
-        return phi
+    def assemble(combo):
+        """phi with w = sum c * basis row on each non-free block, c in combo."""
+        for i, coeffs in zip(rest_idx, combo):
+            rows[i] = lay.pack([sum(c * vec[j] for c, vec in zip(coeffs, spaces[i]))
+                                for j in range(d)])
+        return [lay.unpack(lay.mul([rows[bi]], mod.act(r))[0])
+                for bi, block_reps in enumerate(reps) for r in block_reps]
 
     total = 1
     for i in rest_idx:
-        total *= p ** len(spaces[i][0]) - 1
+        total *= p ** len(spaces[i]) - 1
         if total > EXHAUSTIVE_CAP:
             break
     if total <= EXHAUSTIVE_CAP and trials + total <= budget:
         nonzero_coeffs = [
-            [c for c in product(range(p), repeat=len(spaces[i][0])) if any(c)]
+            [c for c in product(range(p), repeat=len(spaces[i])) if any(c)]
             for i in rest_idx
         ]
         for combo in product(*nonzero_coeffs):
             trials += 1
-            rows = dict(pinned)
-            for i, coeffs in zip(rest_idx, combo):
-                kernel = spaces[i][0]
-                rows[i] = [
-                    sum(c * vec[j] for c, vec in zip(coeffs, kernel)) % ring
-                    for j in range(d)
-                ]
-            phi = assemble(rows)
+            phi = assemble(combo)
             if is_invertible_modp(phi, p):
                 return phi, trials, False
         return None, trials, True
@@ -686,20 +639,16 @@ def _search_hom_spaces(mod, blocks, geos, spaces, budget, trials, rng):
         if trials >= budget:
             break
         trials += 1
-        rows = dict(pinned)  # every free block is pinned
+        combo = []
         for i in rest_idx:
-            kernel = spaces[i][0]
             if attempt == 0:
-                rows[i] = list(kernel[0])
+                coeffs = [1] + [0] * (len(spaces[i]) - 1)
             else:
-                coeffs = [rng.randrange(ring) for _ in kernel]
+                coeffs = [rng.randrange(ring) for _ in spaces[i]]
                 if not any(c % p for c in coeffs):
                     coeffs[0] = 1
-                rows[i] = [
-                    sum(c * vec[j] for c, vec in zip(coeffs, kernel)) % ring
-                    for j in range(d)
-                ]
-        phi = assemble(rows)
+            combo.append(coeffs)
+        phi = assemble(combo)
         if is_invertible_modp(phi, p):
             return phi, trials, False
     return None, trials, False
@@ -708,17 +657,14 @@ def _search_hom_spaces(mod, blocks, geos, spaces, budget, trials, rng):
 def _certify_blocks(mod: LevelModule, blocks, budget, trials, rng):
     """Search the hom spaces from the blocks for an isomorphism onto mod.
 
-    Per block the hom equations come from coset transport, and their
-    solutions over Z/p^k from the digit-by-digit kernel lift (at k = 1 the
-    plain mod-p left kernel).  A found matrix is verified independently.
-    Returns (Certificate or None, trials, definitive) as _search_hom_spaces.
+    By Frobenius reciprocity the hom space of a block Ind_H^Q xi is
+    mod.hom_basis(H, xi), the w with w * A[h] = xi(h) * w on H: the mod-p
+    kernel at k = 1, shared with the marks test, and the digit-by-digit
+    lift over Z/p^k.  A found matrix is verified independently.  Returns
+    (Certificate or None, trials, definitive) as _search_hom_spaces.
     """
-    geos = [_CosetGeometry(mod.qtbl, b.sub) for b in blocks]
-    spaces = []
-    for b, geo in zip(blocks, geos):
-        B, cols = _block_transport(mod, geo, b.xi)
-        spaces.append((_liftable_kernel(cols, mod.p, mod.k), B))
-    phi, trials, definitive = _search_hom_spaces(mod, blocks, geos, spaces, budget, trials, rng)
+    spaces = [mod.hom_basis(b.sub, b.xi) for b in blocks]
+    phi, trials, definitive = _search_hom_spaces(mod, blocks, spaces, budget, trials, rng)
     if phi is None:
         return None, trials, definitive
     if not _verify_certificate(mod, blocks, phi):
@@ -843,11 +789,13 @@ def gen_perm_lift(
     sign-twisted block is the plain block, and mod-p decompositions of
     p-group permutation modules are unique), so only the sign characters
     vary: all of them for p = 2, the trivial one otherwise.  For each
-    assignment the hom equation is solved directly over Z/p^k by coset
-    transport plus digit-by-digit kernel lifting; invertibility is then a
-    finite search over mod-p reductions.  If every assignment's search was
-    exhaustive and failed, the module provably has no generalized
-    permutation form and the result is refuted.
+    assignment the hom space of each block Ind_H^Q xi is solved directly
+    over Z/p^k by Frobenius reciprocity: the w with w * A[h] = xi(h) * w
+    on H, one kernel lifted digit by digit (LevelModule.hom_basis, kept
+    across assignments); invertibility is then a finite search over mod-p
+    reductions.  If every assignment's search was exhaustive and failed,
+    the module provably has no generalized permutation form and the
+    result is refuted.
     """
     if modp.status != "certified" or modp.certificate is None:
         return LiftResult("not_attempted", None, 0)
@@ -980,7 +928,8 @@ def tower_harness(qr: QRReport, precision: int = DEFAULT_PRECISION,
     levels are built and verified as equivariant surjections, tying the
     tower together.
 
-    The chain, lattice and level coinvariants come from the QR report.
+    The chain, lattice and level coinvariants come from the QR report;
+    max_level, when given, keeps its first levels and must be >= 1.
     The mod-p module is the reduction of the Z/p^precision one, so both
     are built on one quotient table, the latter only where the former was
     certified a permutation module.
@@ -994,6 +943,8 @@ def tower_harness(qr: QRReport, precision: int = DEFAULT_PRECISION,
     and gen_perm_lift do not involve the level number.  Transitions are
     still checked between every pair of consecutive levels.
     """
+    if max_level is not None and max_level < 1:
+        raise InputError(f"max_level must be >= 1, got {max_level}")
     p, rlat = qr.prime, qr.rlat
     levels = qr.levels[:max_level]
     w = qr.witness_level

@@ -122,6 +122,17 @@ def test_check_rejects_non_p_group_tower(capsys, tmp_path):
     assert doc["order"] == 6  # partial results still present
 
 
+@pytest.mark.parametrize("max_level", ["-1", "0"])
+def test_check_rejects_a_max_level_below_one(capsys, q8_file, max_level):
+    # a harness over no level, or over all but the last, is no harness
+    code, out, _ = run(capsys, "check", q8_file, "--max-level", max_level)
+    assert code == 2
+    doc = json.loads(out)
+    assert doc["failed_stage"] == "harness[2]"
+    assert f"max_level must be >= 1, got {max_level}" in doc["error"]
+    assert doc["harness"] == {} and doc["qr"]["2"]["quasirational"] is True
+
+
 def _write_corpus(tmp_path, entries):
     doc = {"schema": 1, "entries": entries}
     f = tmp_path / "corpus.json"

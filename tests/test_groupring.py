@@ -9,6 +9,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qrlab.errors import InputError
 from qrlab.presentation import parse_presentation
 from qrlab.enumeration import is_normal, prime_power, todd_coxeter, word_image
 from qrlab.groupring import (
@@ -278,3 +279,26 @@ def test_trivial_group_has_zero_augmentation_ideal(group):
     assert tbl.order == 1
     assert delta_dimension_sequence(tbl, 2) == [0]
     assert [dimension_subgroup(tbl, 2, n).members for n in (1, 2, 3)] == [(0,)] * 3
+
+
+@pytest.mark.parametrize("text,p", [("gens: a, b; relators: a^3, b^2, a*b*a*b; prime: 2", 2),
+                                    ("gens: a; relators: a^4; prime: 2", 3)])
+def test_p_group_guards_name_the_order(group, text, p):
+    """Each filtration refuses a group that is not a p-group, order 6 or a
+    2-group at p = 3, with its own message; the trivial group is a p-group
+    for every p."""
+    _, tbl = group(text)
+    n = tbl.order
+    for fn, message in [
+        (lambda: dimension_subgroup(tbl, p, 2),
+         f"dimension subgroups over F_{p} need a {p}-group; order is {n}"),
+        (lambda: dimension_subgroup_chain(tbl, p),
+         f"dimension subgroups over F_{p} need a {p}-group; order is {n}"),
+        (lambda: jennings_series(tbl, p),
+         f"Jennings series over F_{p} needs a {p}-group; order is {n}"),
+    ]:
+        with pytest.raises(InputError) as err:
+            fn()
+        assert str(err.value) == message
+    _, trivial = group("gens: a; relators: a; prime: 2")
+    assert len(jennings_series(trivial, p)) == len(dimension_subgroup_chain(trivial, p)) == 1

@@ -514,6 +514,96 @@ def test_liftable_kernel_against_brute_force(p, k, data):
     assert dense_rref(reduced, p) == dense_rref(sorted(every), p)
 
 
+def inverse_mod(mat, p, k):
+    """The inverse over Z/p^k of a matrix invertible mod p, by Newton steps
+    X -> X (2I - A X), each doubling the p-adic precision."""
+    q, n = p ** k, len(mat)
+    x = dense_inverse(mat, p)
+    for _ in range(k.bit_length()):
+        ax = mat_mul(mat, x)
+        x = [[v % q for v in row]
+             for row in mat_mul(x, [[2 * (i == j) - ax[i][j] for j in range(n)] for i in range(n)])]
+    assert [[v % q for v in row] for row in mat_mul(mat, x)] == identity_rows(n)
+    return x
+
+
+def scramble(mod, rng):
+    """The module in coordinates changed by a random matrix over Z/p^k that
+    is invertible mod p."""
+    while True:
+        u = [[rng.randrange(mod.ring) for _ in range(mod.dim)] for _ in range(mod.dim)]
+        if is_invertible_modp(u, mod.p):
+            return change_basis(mod, u, inverse_mod(u, mod.p, mod.k), mod.ring)
+
+
+def reduction(mod):
+    """The module over F_p."""
+    return replace(mod, k=1, letters={x: packed(dense(mod, a), mod.p)
+                                      for x, a in mod.letters.items()})
+
+
+def random_twisted_blocks(tbl, rng, max_dim):
+    """One to three blocks on random subgroup classes, each with a random
+    sign character, of total dimension at most max_dim."""
+    reps = class_reps(tbl)
+    blocks = []
+    for _ in range(rng.randrange(1, 4)):
+        j = rng.randrange(len(reps))
+        if sum(tbl.order // b.sub.order for b in blocks) + tbl.order // reps[j].order <= max_dim:
+            blocks.append(Block(j, reps[j], rng.choice(sign_characters(tbl, reps[j]))))
+    return tuple(blocks) or (Block(len(reps) - 1, reps[-1], (1,) * tbl.order),)
+
+
+@pytest.mark.parametrize("text", [C4, KLEIN, D4, Q8])
+def test_scrambled_twisted_blocks_lift_over_z8(text):
+    """A sum of blocks with random sign characters, scrambled over Z/8, is a
+    generalized permutation module: recognized mod 2, then certified over
+    Z/8 by gen_perm_lift, which has to find the characters."""
+    rng = random.Random(f"twisted {text}")
+    tbl = table_of(text)
+    twisted = 0
+    for _ in range(6):
+        blocks = random_twisted_blocks(tbl, rng, 12)
+        twisted += not all(b.is_plain() for b in blocks)
+        mod = scramble(synthetic_module(tbl, blocks, 2, 3), rng)
+        rec = perm_recognize_modp(reduction(mod))
+        assert rec.status == "certified", blocks
+        lift = gen_perm_lift(mod, rec)
+        assert lift.status == "certified", (blocks, lift)
+    assert twisted >= 2
+
+
+@pytest.mark.parametrize("text,p,k", [(C4, 2, 1), (C4, 2, 2), (C4, 2, 3), (KLEIN, 2, 2),
+                                      (KLEIN, 2, 3), (D4, 2, 3), (Q8, 2, 3),
+                                      ("gens: a; relators: a^3; prime: 3", 3, 1)])
+def test_hom_basis_against_brute_force(text, p, k):
+    """For every subgroup H and sign character xi, on scrambled twisted
+    modules of dimension at most 3: each row of hom_basis satisfies
+    w * A[h] = xi(h) * w on all of H, and the rows' reductions mod p are
+    independent and span the reductions of every solution, enumerated."""
+    rng = random.Random(f"hom basis {text} {k}")
+    tbl = table_of(text)
+    ring = p ** k
+    subs = all_subgroups(tbl)
+    for _ in range(3):
+        mod = scramble(synthetic_module(tbl, random_twisted_blocks(tbl, rng, 3), p, k), rng)
+        act = {h: dense(mod, mod.act(h)) for h in range(tbl.order)}
+        vectors = list(itertools.product(range(ring), repeat=mod.dim))
+
+        def solves(w, sub, xi):
+            return all(sum(w[i] * act[h][i][j] for i in range(mod.dim)) % ring == s * w[j] % ring
+                       for h, s in zip(sub.members, xi) for j in range(mod.dim))
+
+        for sub in subs:
+            for xi in sign_characters(tbl, sub) if p == 2 else [(1,) * sub.order]:
+                rows = mod.hom_basis(sub, xi)
+                assert all(solves(w, sub, xi) for w in rows)
+                reduced = [[x % p for x in w] for w in rows]
+                assert len(dense_rref(reduced, p)[0]) == len(rows)
+                every = [w for w in vectors if solves(w, sub, xi)]
+                assert dense_rref(reduced, p) == dense_rref(every, p)
+
+
 # --- end-to-end harness ----------------------------------------------------
 
 def test_harness_on_quaternion(group):
@@ -728,17 +818,19 @@ def count_products(monkeypatch):
     return products
 
 
-# relator costs in the presentation's order: a^8*b^-2, a*b*a*b^-1 and a^64
+# relator costs in the presentation's order: a^8*b^-2, a*b*a*b^-1; a^64;
+# a^16*b^-2, a*b*a*b^-1
 @pytest.mark.parametrize("text,relator_costs,total", [
     (Q32, (2, 4), 225),
-    ("gens: a; relators: a^64; prime: 2", (1,), 482),
+    ("gens: a; relators: a^64; prime: 2", (1,), 476),
+    (Q64, (2, 4), 371),
 ])
 def test_words_cost_one_product_per_run(lattice, monkeypatch, text, relator_costs, total):
     """_certify_letters keeps the powers A[x]^i, i < |x|, that check (a)
     walks, so each run x^e of a relator or kernel word is one product:
     A[x]^(e mod |x|).  Letter by letter, q32's a^8*b^-2 cost 10 products
     and c64's a^64 cost 64, on every level.  The total pins every product
-    of the harness: letters, words, act, Brauer traces, transport,
+    of the harness: letters, words, act, Brauer traces, hom bases,
     certificates and transitions."""
     pres = parse_presentation(text)
     qr = qr_check(lattice(text), 2)
