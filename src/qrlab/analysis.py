@@ -3,9 +3,9 @@
 enumerate -> relation lattice -> G_ab -> H2 by Hopf and by the bar route,
 compared once -> per prime, the QR verdict and on QR input the harness.
 One lattice serves Hopf's formula and every prime, and so do its
-G-coinvariants R/[R,F] (RelationLattice.g_coin): level 1 of every prime's
-chain is D_1 = G.  Each prime builds coinvariants once per distinct
-dimension subgroup, and the harness reads its chain and level
+G-coinvariants R/[R,F] (RelationLattice.g_coin), which level 1 of every
+prime's walk must match.  Each prime takes one coinvariants step per
+distinct dimension subgroup, and the harness reads its chain and level
 coinvariants from the QR report.
 """
 
@@ -55,8 +55,8 @@ class Analysis:
 
 def analyze(pres: Presentation, primes, *, max_cosets: int = DEFAULT_MAX_COSETS,
             precision: int = DEFAULT_PRECISION, max_level: int | None = None) -> Analysis:
-    """Run the pipeline at each prime; never raises for a failing stage."""
-    rep = Analysis(pres, tuple(primes))
+    """Run the pipeline at each distinct prime; never raises for a failing stage."""
+    rep = Analysis(pres, tuple(dict.fromkeys(primes)))
 
     def clock(key, fn):
         t0 = time.monotonic()

@@ -24,7 +24,7 @@ from .enumeration import DEFAULT_MAX_COSETS, all_subgroups, todd_coxeter
 from .errors import BudgetExceeded, InputError, PropertyViolation
 from .groupring import delta_dimension_sequence
 from .permrec import DEFAULT_PRECISION, HarnessReport
-from .presentation import Presentation, parse_presentation
+from .presentation import Presentation, is_prime, parse_presentation
 from .relmod import bar_h2
 
 EXIT_OK = 0
@@ -40,6 +40,12 @@ def _read_presentation(path: str) -> Presentation:
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc.strerror}") from exc
     return parse_presentation(text)
+
+
+def _prime(text: str) -> int:
+    if not is_prime(p := int(text)):
+        raise argparse.ArgumentTypeError(f"{p} is not prime")
+    return p
 
 
 def _invariants_dict(inv) -> dict:
@@ -314,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     def prime(sp):
-        sp.add_argument("--prime", type=int, action="append",
+        sp.add_argument("--prime", type=_prime, action="append",
                         help="prime to analyze (repeatable; default: from the file)")
 
     def common(sp):

@@ -46,6 +46,11 @@ class FiniteGroupTable:
         """g * x * g^-1."""
         return self.mult[self.mult[g][x]][self.inv[g]]
 
+    def letter(self, g: int, s: int) -> int:
+        """The element that the letter (g, s) of a word maps to."""
+        x = self.gen_images[g]
+        return x if s > 0 else self.inv[x]
+
     def power(self, x: int, e: int) -> int:
         if e < 0:
             return self.power(self.inv[x], -e)
@@ -59,8 +64,7 @@ def word_image(tbl: FiniteGroupTable, w: Word) -> int:
     """Image of a word under the presentation homomorphism."""
     x = 0
     for g, s in w:
-        img = tbl.gen_images[g]
-        x = tbl.mult[x][img if s > 0 else tbl.inv[img]]
+        x = tbl.mult[x][tbl.letter(g, s)]
     return x
 
 

@@ -9,7 +9,7 @@ packed into a single int (FpRows); rank and invertibility feed it their
 rows, and the left kernel is one span of the packed rows [A | I].
 Packed rows work over any Z/m, and FpRows.mul multiplies matrices kept
 as packed rows; the level modules use it over every ring Z/p^k.  Dense
-mat_mul is for the integer work (the Smith certificate, V^-1 * M * V).
+mat_mul is for the integer work (the Smith certificate, the tower walk).
 """
 
 from __future__ import annotations

@@ -1,15 +1,12 @@
 """Permutation-module recognition mod p and generalized-permutation lifts.
 
-Level modules.  At each level of the dimension-subgroup chain the
-coinvariants of the relation lattice are tensored with Z/p^k and carried as
-a module for the quotient group Q = G/D_level.  The module is its letter
-matrices: the generator images of G are acted out on the lattice, in the
-Smith coordinates of the coinvariants (V and V^-1 both come out of the
-Smith reduction, so no matrix is inverted), and the matrix of any other
-element of Q is built on demand along a word for it.  A certificate of
-three checks (_certify_letters) proves that the letters define an action
-of Q; it agrees with the G-action on the lattice because the letters are
-that action on the generators.
+Level modules.  Each level of the tower (relmod.Coinvariants) is tensored
+with Z/p^k and carried as a module for the quotient group Q = G/D_level.
+The module is its letter matrices, the level's integer letters mod p^k,
+and the matrix of any other element of Q is built on demand along a word
+for it.  A certificate of three checks (_certify_letters) proves that the
+letters define an action of Q; it agrees with the G-action on the lattice
+because the letters are that action on the generators.
 
 Recognition over F_p starts from the Brauer quotients: for a p-group Q the
 Brauer quotient of a permutation module F_p[X] at K has dimension |X^K|,
@@ -35,11 +32,9 @@ matrices compose antihomomorphically, A[q1 q2] = A[q2] * A[q1] (q1 q2
 meaning qtbl.mult[q1][q2]).  Every matrix of a level module is kept as
 its rows, each packed into one int over Z/p^k in the layout
 LevelModule.layout (intlinalg.FpRows, the same code at every k), and
-multiplied with FpRows.mul.  Dense integer products appear only where
-the Smith coordinates come in: V^-1 * M * V for a letter and the
-transition map, each packed once.  Permutation blocks are left cosets of
-H in Q with g * (cH) = (gc)H, and sign characters twist block entries by
-xi(rep(c')^-1 g rep(c)).
+multiplied with FpRows.mul; no integer product is taken here.
+Permutation blocks are left cosets of H in Q with g * (cH) = (gc)H, and
+sign characters twist block entries by xi(rep(c')^-1 g rep(c)).
 """
 
 from __future__ import annotations
@@ -63,7 +58,6 @@ from .intlinalg import (
     ModpSpan,
     fp_rows,
     is_invertible_modp,
-    mat_mul,
     modp_left_kernel,
     modp_rank,
 )
@@ -85,12 +79,6 @@ def _identity(lay: FpRows) -> Packed:
 # ---------------------------------------------------------------------------
 # level modules
 
-def _letter(qtbl: FiniteGroupTable, g: int, s: int) -> int:
-    """The element of Q that the letter (g, s) of a word maps to."""
-    x = qtbl.gen_images[g]
-    return x if s > 0 else qtbl.inv[x]
-
-
 def _word_matrix(qtbl: FiniteGroupTable, powers, word: Word, lay: FpRows) -> Packed:
     """Matrix of a word, A[w l] = A[l] * A[w], one product per run x^e.
 
@@ -107,13 +95,13 @@ def _word_matrix(qtbl: FiniteGroupTable, powers, word: Word, lay: FpRows) -> Pac
 
 @dataclass(frozen=True)
 class LevelModule:
-    """Coinvariants at one chain level as a Z/p^k module for Q = G/D_level.
+    """The level `coin` of the tower as a Z/p^k module for Q = G/D_level.
 
-    `surviving` lists the Smith coordinates that stay alive after tensoring
-    with the ring.  Every matrix of the module is its rows packed in
-    `layout`, fp_rows(dim, p^k), at every k.  `letters[x]` is the matrix of
-    x on the surviving coordinates, for every generator image x of Q and
-    its inverse; they carry the whole module.  act(q) builds A[q] for any q
+    `surviving` lists its coordinates that stay alive after tensoring with
+    the ring.  Every matrix of the module is its rows packed in `layout`,
+    fp_rows(dim, p^k), at every k.  `letters[x]` is the matrix of x on the
+    surviving coordinates, for every generator image x of Q and its
+    inverse; they carry the whole module.  act(q) builds A[q] for any q
     along the canonical word qtbl.element_words[q], one packed product per
     letter, and keeps every element it passes in `built`, so each element
     of Q costs at most one product.  hom_basis keeps its kernels in
@@ -153,7 +141,7 @@ class LevelModule:
             x = 0
             a = built.setdefault(0, _identity(lay))
             for g, s in self.qtbl.element_words[q]:
-                step = _letter(self.qtbl, g, s)
+                step = self.qtbl.letter(g, s)
                 x = self.qtbl.mult[x][step]
                 if x not in built:
                     built[x] = lay.mul(self.letters[step], a)
@@ -246,23 +234,17 @@ def _level_module(rlat: RelationLattice, coin: Coinvariants, sub: Subgroup,
     if k < 1:
         raise InputError(f"precision must be >= 1, got {k}")
     ring = p ** k
-    surv: list[int] = []
-    for i, d in enumerate(coin.divisors):
-        if d % p == 0:
-            if k > 1:
-                raise TorsionObstruction(
-                    f"coinvariants have p-torsion Z/{d}; no free Z/{p}^{k} form"
-                )
-            surv.append(i)
-    surv.extend(range(len(coin.divisors), coin.rank))
-    v_surv = [[row[j] for j in surv] for row in coin.V]
-    vinv_surv = [list(coin.Vinv[i]) for i in surv]
+    torsion = [d for d in coin.divisors if d and d % p == 0]
+    if torsion and k > 1:
+        raise TorsionObstruction(
+            f"coinvariants have p-torsion Z/{torsion[0]}; no free Z/{p}^{k} form"
+        )
+    surv = [i for i, d in enumerate(coin.divisors) if d % p == 0]
     lay = fp_rows(len(surv), ring)
     in_q = dict(zip(rlat.tbl.gen_images, qtbl.gen_images))
     gen_mats: dict[int, Packed] = {}
-    for x, mx in rlat.gen_coords.items():
-        mv = [[y % ring for y in row] for row in mat_mul(mx, v_surv)]
-        a = tuple(map(lay.pack, mat_mul(vinv_surv, mv)))
+    for x in sorted(in_q):
+        a = tuple(lay.pack([coin.letters[x][i][j] for j in surv]) for i in surv)
         if gen_mats.setdefault(in_q[x], a) != a:
             raise PropertyViolation(
                 f"action not constant on the coset of q={in_q[x]}: the kernel acts"
@@ -276,19 +258,17 @@ def _level_module(rlat: RelationLattice, coin: Coinvariants, sub: Subgroup,
 
 def module_from_coinvariants(rlat: RelationLattice, coin: Coinvariants, sub: Subgroup,
                              p: int, k: int, level: int = 0) -> LevelModule:
-    """Tensor the coinvariant quotient with Z/p^k and restrict the action.
+    """Tensor the level `coin` of the subgroup sub with Z/p^k.
 
     Over Z/p^k with k > 1 a p-torsion divisor leaves a nonfree summand,
     which no generalized permutation module has; that is reported as
     TorsionObstruction.  Over F_p (k = 1) the p-torsion coordinates
     survive alongside the free ones.
 
-    Only the distinct generator images x of G are acted out on the lattice:
-    Vinv * M_x * V restricted to the surviving coordinates, a dense integer
-    product packed mod p^k once.  Generators of G with the same image in Q
-    must act alike, and _certify_letters proves that the letters define an
-    action of Q.  It agrees with the G-action on the generators, hence on
-    all of G.
+    The level's letters of the generator images of G are packed mod p^k
+    on the surviving coordinates; images alike in Q must act alike.
+    _certify_letters proves that they define an action of Q, which is the
+    G-action on the generators, hence on all of G.
     """
     return _level_module(rlat, coin, sub, quotient_table(rlat.tbl, sub)[0], p, k, level)
 
@@ -296,21 +276,25 @@ def module_from_coinvariants(rlat: RelationLattice, coin: Coinvariants, sub: Sub
 def transition_map(hi: LevelModule, lo: LevelModule) -> Packed:
     """The natural surjection from the level-(n+1) module onto the level-n one.
 
-    In Smith coordinates it is Vinv_hi * V_lo restricted to the surviving
-    coordinates of each side; it is returned as rows packed in lo.layout.
-    Verified: equivariant for the image of every generator of G, and
-    surjective mod p.  Equivariance on the generators covers all of G: both
-    sides are actions, so the set of g on which it holds is closed under
-    products, and a finite group is generated by its generators as a
-    monoid.  Both failures are hard errors; the map exists whenever the
-    chain is really descending.
+    It is lo.coin.down, the quotient map of the walk step from hi's level
+    to lo's, or the identity when both share a level, on the surviving
+    coordinates of each side, as rows packed in lo.layout; any other pair
+    is an InputError.  Verified: equivariant for the image of every
+    generator of G, and surjective mod p.  Equivariance on the generators
+    covers all of G: both sides are actions, so the set of g on which it
+    holds is closed under products, and a finite group is generated by its
+    generators as a monoid.  Both failures are hard errors; the map exists
+    whenever the chain is really descending.
     """
     if (hi.p, hi.k) != (lo.p, lo.k):
         raise InputError("transition between modules over different rings")
     lay = lo.layout
-    vinv_hi = [list(hi.coin.Vinv[i]) for i in hi.surviving]
-    v_lo = [[row[j] for j in lo.surviving] for row in lo.coin.V]
-    T = tuple(map(lay.pack, mat_mul(vinv_hi, v_lo)))
+    if lo.coin is hi.coin:
+        T = _identity(lay)
+    elif lo.coin.parent is hi.coin:
+        T = tuple(lay.pack([lo.coin.down[i][j] for j in lo.surviving]) for i in hi.surviving)
+    else:
+        raise InputError("transition between levels that are not adjacent")
     for x_hi, x_lo in sorted(set(zip(hi.qtbl.gen_images, lo.qtbl.gen_images))):
         if lay.mul(hi.letters[x_hi], T) != lay.mul(T, lo.letters[x_lo]):
             raise PropertyViolation("transition between chain levels is not equivariant")
@@ -935,13 +919,12 @@ def tower_harness(qr: QRReport, precision: int = DEFAULT_PRECISION,
     certified a permutation module.
 
     Everything a level builds (quotient, mod-p module, recognition, lift)
-    depends on D_n alone, so it is built once per distinct D_n.  qr_check
-    hands a level whose D_n repeats the one before the same Coinvariants
-    object; such a level repeats the previous outcome with only `level`
-    changed and counts towards violations and unknown_levels like any
-    other.  The reuse is exact: the random seeds of perm_recognize_modp
-    and gen_perm_lift do not involve the level number.  Transitions are
-    still checked between every pair of consecutive levels.
+    depends on D_n alone, and qr_check hands a level whose D_n repeats the
+    one before the same Coinvariants object.  Such a level repeats the
+    previous outcome with only `level` changed, exactly (the random seeds
+    do not involve the level number), and counts towards violations and
+    unknown_levels like any other.  Transitions are still checked between
+    every pair of consecutive levels.
     """
     if max_level is not None and max_level < 1:
         raise InputError(f"max_level must be >= 1, got {max_level}")

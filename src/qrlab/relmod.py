@@ -6,12 +6,12 @@ the rank law, stability under the distinct generator images, and
 exactness against the kernel of (ZG)^|X| -> IG, which is the cycle space
 of the right Cayley graph and has the fundamental cycles of a spanning
 tree as a basis.  The lattice keeps what certification solved: one
-cached Lattice and the coordinates of x * basis per generator image x,
-both read-only, which coinvariants() and every level module read.
-coinvariants() quotients by the (d-1)-action of a subgroup.  qr_check()
-walks the dimension-subgroup chain and decides quasirationality at p; its
-report keeps the lattice and each level's subgroup and coinvariants for
-the equivalence harness.
+cached Lattice and the coordinates of x * basis for each generator image
+x and its inverse, read-only.  It is the level of D = 1 of the tower;
+coinvariants() takes one Smith step from a level to its quotient by the
+(d-1)-action of a larger normal subgroup.  qr_check() walks the chain up
+from the lattice and decides quasirationality at p; its report keeps the
+lattice and each level's subgroup and coinvariants for the harness.
 hopf_h2() and bar_h2() compute the Schur multiplier by two routes that
 share no code above the integer kernels and must agree.
 
@@ -42,13 +42,14 @@ from .intlinalg import (
     elementary_divisors,
     lattice_from_rows,
     lattice_quotient,
+    mat_mul,
     p_torsion,
     smith_normal_form,
-    identity_rows,
 )
 from .presentation import Presentation
 
 DEFAULT_BAR_BOUND = 32
+Matrix = tuple[tuple[int, ...], ...]  # a matrix as its rows
 
 
 @dataclass(frozen=True)
@@ -85,16 +86,22 @@ class RelationLattice:
         return self._lattice
 
     @functools.cached_property
-    def gen_coords(self) -> dict[int, tuple[tuple[int, ...], ...]]:
-        """x -> lattice coordinates of x * basis, per distinct generator image x.
+    def level(self) -> Coinvariants:
+        """The lattice as the level of D = 1: all free, letters gen_coords, no parent."""
+        return Coinvariants(AbelianInvariants(self.rank, ()), (0,) * self.rank, (),
+                            self.gen_coords, self.tbl)
+
+    @functools.cached_property
+    def gen_coords(self) -> dict[int, Matrix]:
+        """x -> lattice coordinates of x * basis, per generator image x and its inverse.
 
         Row i of gen_coords[x] expresses x * basis[i] in the basis, so it is
-        the matrix of x on the lattice; every level module is read off these.
-        PropertyViolation if a translate leaves the lattice.
+        the matrix of x on the lattice; every level of the tower is read
+        off these.  PropertyViolation if a translate leaves the lattice.
         """
         lat = self.lattice()
         coords = {}
-        for x in sorted(set(self.tbl.gen_images)):
+        for x in sorted({y for x in self.tbl.gen_images for y in (x, self.tbl.inv[x])}):
             rows = [lat.coordinates(self.translate(x, row)) for row in self.basis]
             if None in rows:
                 raise PropertyViolation("relation lattice is not G-stable")
@@ -103,9 +110,9 @@ class RelationLattice:
 
     @functools.cached_property
     def g_coin(self) -> Coinvariants:
-        """R/[R,F], the coinvariants over D_1 = G as the chain builds it.
+        """R/[R,F], the coinvariants over D_1 = G, one step from the lattice.
 
-        Built once per lattice: Hopf's H2 and level 1 of every prime read it.
+        Built once per lattice for Hopf's H2; level 1 of every walk must match.
         """
         return coinvariants(self, subgroup_closure(self.tbl, self.tbl.gen_images))
 
@@ -184,48 +191,61 @@ def relation_lattice(pres: Presentation, tbl: FiniteGroupTable) -> RelationLatti
 
 @dataclass(frozen=True)
 class Coinvariants:
-    """Z^rank / L in Smith coordinates, L spanned by the (d-1)-relations.
+    """One level of the tower: the lattice modulo the (d-1)-action of D.
 
-    y = x * V diagonalizes: the quotient is  sum_i Z/divisors[i]  on the
-    first len(divisors) coordinates (entries 1 contribute nothing) plus
-    Z^(rank - len(divisors)) on the rest.  Vinv = V^-1 comes from the same
-    Smith reduction and maps Smith coordinates back, x = y * Vinv.
+    It is sum_j Z/divisors[j] (0 meaning Z, no divisor 1).  letters[x], for
+    x in G's table tbl a generator image or its inverse, has row
+    i = x * (coordinate i), column j reduced mod divisors[j].  down is the
+    quotient map y -> y * down from the parent, the level of a smaller D;
+    the lattice's own level (RelationLattice.level) has neither.
     """
 
     invariants: AbelianInvariants
-    rank: int
     divisors: tuple[int, ...]
-    V: tuple[tuple[int, ...], ...]
-    Vinv: tuple[tuple[int, ...], ...]
+    down: Matrix
+    letters: dict[int, Matrix]
+    tbl: FiniteGroupTable | None = field(default=None, repr=False, compare=False)
+    parent: Coinvariants | None = field(default=None, repr=False, compare=False)
 
 
-def coinvariants(rlat: RelationLattice, sub: Subgroup) -> Coinvariants:
-    """Quotient of the relation lattice by the span of (d-1)*v, d in sub.
+def _reduced(rows, divisors) -> Matrix:
+    return tuple(tuple(x % d if d else x for x, d in zip(row, divisors)) for row in rows)
 
-    Subgroup generators suffice: (de-1)v = (d-1)(ev) + (e-1)v and the
-    lattice is G-stable, so the generator relations already span.
+
+def _along(level: Coinvariants, word) -> Matrix:
+    """A[w] = A[l_k] * ... * A[l_1] on the level's letters, w = l_1 ... l_k."""
+    mats = [level.letters[level.tbl.letter(g, s)] for g, s in word]
+    return functools.reduce(lambda out, a: _reduced(mat_mul(a, out), level.divisors), mats)
+
+
+def coinvariants(rlat: RelationLattice | Coinvariants, sub: Subgroup) -> Coinvariants:
+    """The level of D = sub, one Smith step from the level rlat above it.
+
+    rlat is the relation lattice (its level of D = 1) or the level of a
+    normal subgroup inside sub; level n is level n+1 modulo D_n.  The
+    relations are rlat's divisor rows d_j * e_j and the rows of A[d] - I,
+    A[d] along the word of d, for the generators d of sub, which suffice:
+    (de-1)v = (d-1)(ev) + (e-1)v and every level is G-stable.  Of y = x * V
+    from their Smith form the level keeps the coordinates whose divisor is
+    not 1: down is V on them, and the letters are V^-1 * A[x] * V there.
     """
-    lat = rlat.lattice()
-    r = rlat.rank
-    rel_rows: list[list[int]] = []
+    above = rlat.level if isinstance(rlat, RelationLattice) else rlat
+    width = len(above.divisors)
+    rows = [[d * (i == j) for i in range(width)] for j, d in enumerate(above.divisors) if d]
     for d in sub.generators:
-        if d == 0:
-            continue
-        for row in rlat.basis:
-            moved = rlat.translate(d, row)
-            vec = [a - b for a, b in zip(moved, row)]
-            coords = lat.coordinates(vec)
-            if coords is None:
-                raise PropertyViolation("(d-1)-relation left the lattice")
-            rel_rows.append(coords)
-    if not rel_rows:
-        ident = tuple(map(tuple, identity_rows(r)))
-        return Coinvariants(AbelianInvariants(r, ()), r, (), ident, ident)
-    diag, _, V, Vinv = smith_normal_form(rel_rows)
-    divisors = tuple(d for d in diag if d)
-    torsion = tuple(d for d in divisors if d > 1)
-    inv = AbelianInvariants(r - len(divisors), torsion)
-    return Coinvariants(inv, r, divisors, V, Vinv)
+        if d:
+            a = _along(above, above.tbl.element_words[d])
+            rows += ([x - (i == j) for i, x in enumerate(row)] for j, row in enumerate(a))
+    diag, _, V, Vinv = smith_normal_form(rows or [[0] * width])
+    diag += (0,) * (width - len(diag))
+    kept = [j for j, d in enumerate(diag) if d != 1]
+    divisors = tuple(diag[j] for j in kept)
+    down = tuple(tuple(row[j] for j in kept) for row in V)
+    up = [Vinv[j] for j in kept]
+    letters = {x: _reduced(mat_mul(up, mat_mul(a, down)), divisors)
+               for x, a in above.letters.items()}
+    inv = AbelianInvariants(divisors.count(0), tuple(d for d in divisors if d))
+    return Coinvariants(inv, divisors, down, letters, above.tbl, above)
 
 
 # ---------------------------------------------------------------------------
@@ -269,35 +289,27 @@ def qr_check(rlat: RelationLattice, p: int) -> QRReport:
     no H2(D_n) has p-torsion, a property of G alone.  Level 1 is R/[R,F],
     whose torsion is H2(G) (Hopf), but H2(G) = 0 does not force H2(D_n) = 0.
 
-    A level's coinvariants depend on D_n alone, so they are built once per
-    distinct D_n: level 1 takes rlat.g_coin, and a level whose D_n equals
-    the one before (the chain is nested) shares that level's Coinvariants.
+    Level n is one coinvariants() step from level n+1, walking up from the
+    lattice (D = 1); where D_n = D_(n+1) the two share one object.  Level 1
+    must have the invariants of rlat.g_coin, the step from the lattice.
     """
     tbl = rlat.tbl
     chain = dimension_subgroup_chain(tbl, p)
-    jchain = jennings_series(tbl, p)
-    la = [set(s.members) for s in chain]
-    lb = [set(s.members) for s in jchain]
-    depth = max(len(la), len(lb))
-    la += [{0}] * (depth - len(la))
-    lb += [{0}] * (depth - len(lb))
-    if la != lb:
+    if [s.members for s in chain] != [s.members for s in jennings_series(tbl, p)]:
         raise PropertyViolation(
             f"dimension subgroups disagree with the Jennings recursion at p={p}"
         )
-    levels = []
-    witness = None
-    coin = rlat.g_coin
-    for lvl, sub in enumerate(chain, start=1):
-        if lvl > 1 and sub.members != chain[lvl - 2].members:
-            coin = coinvariants(rlat, sub)
-        tor = p_torsion(coin.invariants, p)
-        levels.append(
-            LevelResult(lvl, sub.order, tbl.order // sub.order, coin.invariants, tor,
-                        sub, coin)
-        )
-        if tor and witness is None:
-            witness = lvl
+    coins, level, members = [], rlat.level, (0,)
+    for sub in reversed(chain):
+        if sub.members != members:
+            level, members = coinvariants(level, sub), sub.members
+        coins.insert(0, level)
+    if coins[0].invariants != rlat.g_coin.invariants:
+        raise PropertyViolation("level 1 of the walk disagrees with R/[R,F] from the lattice")
+    levels = tuple(LevelResult(lvl, sub.order, tbl.order // sub.order, coin.invariants,
+                               p_torsion(coin.invariants, p), sub, coin)
+                   for lvl, (sub, coin) in enumerate(zip(chain, coins), start=1))
+    witness = next((lv.level for lv in levels if lv.p_torsion), None)
     cutoff = len(chain)
     reason = (
         f"D_{cutoff} is trivial, so for n >= {cutoff} the level-n module is the "
@@ -307,7 +319,7 @@ def qr_check(rlat: RelationLattice, p: int) -> QRReport:
         prime=p,
         quasirational=witness is None,
         witness_level=witness,
-        levels=tuple(levels),
+        levels=levels,
         cutoff=cutoff,
         cutoff_reason=reason,
         g_coinvariants=levels[0].invariants,
@@ -335,7 +347,6 @@ def hopf_h2(rlat: RelationLattice) -> AbelianInvariants:
     from block augmentations of the lattice basis must match the Smith
     invariants of the relator exponent matrix.
     """
-    coin = rlat.g_coin
     n = rlat.tbl.order
     aug_rows = []
     for row in rlat.basis:
@@ -346,7 +357,7 @@ def hopf_h2(rlat: RelationLattice) -> AbelianInvariants:
         raise PropertyViolation(
             f"cokernel law fails: lattice route {coker} != abelianization {gab}"
         )
-    return AbelianInvariants(0, coin.invariants.torsion)
+    return AbelianInvariants(0, rlat.g_coin.invariants.torsion)
 
 
 def _bar_d3_cokernel(tbl: FiniteGroupTable, gens: list[int]) -> tuple[int, tuple[int, ...]]:

@@ -111,6 +111,25 @@ def test_check_prime_override(capsys, tmp_path):
     assert doc["primes"] == [3]
 
 
+@pytest.mark.parametrize("command", [["check"], ["oracle", "delta-dims"]])
+@pytest.mark.parametrize("value", ["4", "1", "0", "-2"])
+def test_prime_option_must_be_prime(capsys, q8_file, command, value):
+    # refused before any stage runs, as the file grammar refuses "prime: 4"
+    with pytest.raises(SystemExit) as exc:
+        main([*command, q8_file, "--prime", value])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"{value} is not prime" in captured.err
+
+
+def test_check_runs_a_repeated_prime_once(capsys, q8_file):
+    code, out, _ = run(capsys, "check", q8_file, "--prime", "2", "--prime", "2")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["primes"] == [2] and list(doc["qr"]) == ["2"]
+    assert json.loads(run(capsys, "check", q8_file)[1]) == doc
+
+
 def test_check_rejects_non_p_group_tower(capsys, tmp_path):
     f = tmp_path / "c6.pres"
     f.write_text("gens: a; relators: a^6; prime: 2, 3\n")

@@ -53,7 +53,7 @@ from qrlab.permrec import (
     transition_map,
 )
 
-from conftest import CORPUS_DIR, ORDER32, ORDER32_DIR
+from conftest import CORPUS_DIR, ORDER32, ORDER32_DIR, walk_inputs
 from reference import dense_inverse, dense_rref, orbits_on_cosets
 
 
@@ -77,9 +77,8 @@ def letter_matrices(qtbl, matrix_of, ring):
 
 
 def hand_module(qtbl, p, k, dim, letters):
-    """A module over the identity Smith coordinates, letters packed over Z/p^k."""
-    ident = frozen(identity_rows(dim))
-    coin = Coinvariants(AbelianInvariants(dim, ()), dim, (), ident, ident)
+    """A module over a free level with no parent, letters packed over Z/p^k."""
+    coin = Coinvariants(AbelianInvariants(dim, ()), (0,) * dim, frozen(identity_rows(dim)), {})
     return LevelModule(1, p, k, qtbl, tuple(range(dim)), letters, coin)
 
 
@@ -670,67 +669,61 @@ def test_harness_reuse_matches_a_rebuild_of_every_level(lattice, name, p):
         by_subgroup.setdefault(lv.subgroup.members, set()).add(replace(out, level=0))
     assert len(by_subgroup) < len(qr.levels), "no repeated D_n: the reuse is untested"
     assert all(len(outs) == 1 for outs in by_subgroup.values())
-    # qr_check shares one Coinvariants per distinct D_n, level 1's with Hopf's
-    assert qr.levels[0].coin is qr.rlat.g_coin
+    # qr_check shares one level per distinct D_n; level 1 agrees with Hopf's
+    assert qr.levels[0].coin.invariants == qr.rlat.g_coin.invariants
     for lo, hi in zip(qr.levels, qr.levels[1:]):
         assert (lo.coin is hi.coin) == (lo.subgroup.members == hi.subgroup.members)
 
 
 # --- level-module construction ----------------------------------------------
 
-def all_elements_module(rlat, coin, sub, p, k):
-    """The module built from every element of G, kept as an oracle.
-
-    Per-g matrices go through Lattice.coordinates and a V^-1 taken from a
-    separate inversion of V; the action must be constant on cosets and obey
-    the composition law on all pairs of Q.
-    """
-    ring = p ** k
-    surv = [i for i, d in enumerate(coin.divisors) if d % p == 0]
-    assert k == 1 or not surv
-    surv += list(range(len(coin.divisors), coin.rank))
-    qtbl, cmap = quotient_table(rlat.tbl, sub)
-    lat = rlat.lattice()
-    V = [list(r) for r in coin.V]
-    Vinv = integer_inverse(V)
-    assert Vinv == [list(r) for r in coin.Vinv]
-    action = [None] * qtbl.order
-    for g in range(rlat.tbl.order):
-        mg = [lat.coordinates(rlat.translate(g, row)) for row in rlat.basis]
-        a = mat_mul(Vinv, mat_mul(mg, V))
-        mat = tuple(tuple(a[i][j] % ring for j in surv) for i in surv)
-        assert action[cmap[g]] in (None, mat), "the kernel acts"
-        action[cmap[g]] = mat
-    dim = len(surv)
-    for q1 in range(qtbl.order):
-        for q2 in range(qtbl.order):
-            prod = mat_mul([list(r) for r in action[q2]], [list(r) for r in action[q1]])
-            assert [[x % ring for x in r] for r in prod] == \
-                [list(r) for r in action[qtbl.mult[q1][q2]]], "composition law fails"
-    assert action[0] == tuple(tuple(r) for r in identity_rows(dim))
-    return qtbl, tuple(surv), tuple(action)
+def word_product(letters, divisors, tbl, word, start, left):
+    """start times A[w] = A[l_k] * ... * A[l_1] for w = l_1 ... l_k, by dense
+    products one letter at a time: A[w] * start with left, start * A[w]
+    without, each column reduced mod the divisors."""
+    out = [list(r) for r in start]
+    for g, s in (word if left else reversed(word)):
+        x = tbl.gen_images[g]
+        a = letters[x if s > 0 else tbl.inv[x]]
+        out = [[v % d if d else v for v, d in zip(r, divisors)]
+               for r in (mat_mul(a, out) if left else mat_mul(out, a))]
+    return out
 
 
-def test_generator_module_matches_all_elements_oracle(corpus):
-    checked = 0
-    for entry in corpus:
-        pres = parse_presentation(entry["text"])
-        tbl = todd_coxeter(pres)
-        rlat = relation_lattice(pres, tbl)
-        for p in entry["primes"]:
-            if not entry["expected"]["qr"][str(p)]:
-                continue
-            for n, sub in enumerate(dimension_subgroup_chain(tbl, p), start=1):
-                coin = coinvariants(rlat, sub)
-                for k in (1, 3):
-                    mod = module_from_coinvariants(rlat, coin, sub, p, k, level=n)
-                    qtbl, surv, action = all_elements_module(rlat, coin, sub, p, k)
-                    assert mod.qtbl == qtbl, (entry["id"], p, n, k)
-                    assert mod.surviving == surv, (entry["id"], p, n, k)
-                    assert tuple(dense(mod, mod.act(q)) for q in range(qtbl.order)) == action, \
-                        (entry["id"], p, n, k)
-                    checked += 1
-    assert checked >= 20
+def test_every_walk_step_intertwines_and_every_level_module_acts_by_its_letters(lattice):
+    """Oracle for the tower walk, with A[g] taken along the word of g:
+    down is a G-map from the parent, A_parent[g] * down = down * A_level[g]
+    column by column mod the level's divisors, for every g in G and every
+    step.  On the quasirational corpus, each level module's A[q] is its
+    level's A[g] on the surviving coordinates mod p^k, for every g in the
+    coset q: constant on cosets, and an action of Q."""
+    steps = modules = 0
+    for _, text, p in walk_inputs():
+        rlat = lattice(text)
+        tbl = rlat.tbl
+        qr = qr_check(rlat, p)
+        levels = {id(lv.coin): lv for lv in qr.levels}.values()
+        for coin in [rlat.g_coin] + [lv.coin for lv in levels if lv.coin is not rlat.level]:
+            parent = coin.parent
+            for g, word in enumerate(tbl.element_words):
+                assert (word_product(parent.letters, coin.divisors, tbl, word, coin.down, True)
+                        == word_product(coin.letters, coin.divisors, tbl, word, coin.down,
+                                        False)), (text, p, g)
+            steps += 1
+        for lv in levels if qr.quasirational and tbl.order <= 27 else ():
+            qtbl, cmap = quotient_table(tbl, lv.subgroup)
+            for k in (1, 3)[:1 if lv.p_torsion else 2]:
+                mod = module_from_coinvariants(rlat, lv.coin, lv.subgroup, p, k, lv.level)
+                assert mod.qtbl == qtbl
+                width = len(lv.coin.divisors)
+                for g, word in enumerate(tbl.element_words):
+                    a = word_product(lv.coin.letters, lv.coin.divisors, tbl, word,
+                                     identity_rows(width), True)
+                    assert dense(mod, mod.act(cmap[g])) == tuple(
+                        tuple(a[i][j] % mod.ring for j in mod.surviving)
+                        for i in mod.surviving), (text, p, lv.level, k, g)
+                modules += 1
+    assert steps >= 54 and modules >= 60
 
 
 def test_certificate_accepts_the_regular_action_of_c4():
@@ -855,17 +848,16 @@ def test_words_cost_one_product_per_run(lattice, monkeypatch, text, relator_cost
 
 
 def _coset_sum_modules(lo_v):
-    """Regular F_2[C4] module over a rank-4 lattice with identity Smith
-    coordinates, and a trivial one-dimensional module read off the free
-    Smith coordinate 3 of lo_v (divisors 1, 1, 1 before it)."""
+    """Regular F_2[C4] module over a free rank-4 level, and a trivial
+    one-dimensional module one step below it, whose quotient map is the
+    column 3 of lo_v (divisors 1, 1, 1 on the columns before it)."""
     tbl = table_of(C4)
     reps = class_reps(tbl)
     triv = next(j for j, c in enumerate(reps) if len(c.members) == 1)
     hi = synthetic_module(tbl, (Block(triv, reps[triv], (1,)),), 2, 1)
-    lo_vinv = integer_inverse(lo_v)
-    coin = Coinvariants(AbelianInvariants(1, ()), 4, (1, 1, 1),
-                        tuple(map(tuple, lo_v)), tuple(map(tuple, lo_vinv)))
-    lo = LevelModule(1, 2, 1, tbl, (3,), letter_matrices(tbl, lambda x: ((1,),), 2), coin)
+    coin = Coinvariants(AbelianInvariants(1, ()), (0,), tuple((row[3],) for row in lo_v),
+                        {}, tbl, hi.coin)
+    lo = LevelModule(1, 2, 1, tbl, (0,), letter_matrices(tbl, lambda x: ((1,),), 2), coin)
     return hi, lo
 
 
@@ -874,6 +866,11 @@ def test_transition_map_rejects_a_non_equivariant_map():
     sums = [[1, 0, 0, 1], [0, 1, 0, 1], [0, 0, 1, 1], [0, 0, 0, 1]]
     hi, lo = _coset_sum_modules(sums)
     assert transition_map(hi, lo) == (1, 1, 1, 1)  # packed rows, the 4x1 all-ones column
+    # a level that is not one step below hi has no transition from it
+    with pytest.raises(InputError, match="not adjacent"):
+        transition_map(hi, replace(lo, coin=replace(lo.coin, parent=None)))
+    with pytest.raises(InputError, match="not adjacent"):
+        transition_map(lo, hi)
     # plain projection onto basis vector 3 does not commute with the generator
     hi, lo = _coset_sum_modules(identity_rows(4))
     with pytest.raises(PropertyViolation, match="not equivariant"):

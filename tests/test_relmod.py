@@ -13,6 +13,7 @@ from qrlab.enumeration import all_subgroups, subgroup_conjugacy_classes, todd_co
 from qrlab.errors import PropertyViolation
 from qrlab.groupring import fox_rows, right_translate
 from qrlab.intlinalg import (
+    AbelianInvariants,
     lattice_from_rows,
     left_kernel,
     p_torsion,
@@ -26,11 +27,12 @@ from qrlab.relmod import (
     coinvariants,
     gab_invariants,
     hopf_h2,
+    qr_check,
     qr_check_full,
     relation_lattice,
 )
 
-from conftest import CORPUS_DIR, ORDER32, ORDER32_DIR
+from conftest import CORPUS_DIR, ORDER32, ORDER32_DIR, walk_inputs
 
 # (text, prime, G_ab torsion, multiplier torsion)
 KNOWN = [
@@ -313,6 +315,28 @@ def test_coinvariant_rank_law_over_all_subgroups(group, lattice, text):
         coin = coinvariants(rlat, sub)
         index = tbl.order // len(sub.members)
         assert coin.invariants.free_rank == index * (pres.ngens - 1) + 1
+
+
+def lattice_route(rlat, sub):
+    """The level invariants from the full lattice, the route the tower walk
+    replaced, kept as an oracle: every basis row translated by each
+    generator d of sub, minus itself, in lattice coordinates, then the
+    Smith form of those rows."""
+    lat = rlat.lattice()
+    rows = [lat.coordinates([a - b for a, b in zip(rlat.translate(d, row), row)])
+            for d in sub.generators if d for row in rlat.basis]
+    diag = [d for d in smith_normal_form(rows)[0] if d] if rows else []
+    return AbelianInvariants(rlat.rank - len(diag), tuple(d for d in diag if d > 1))
+
+
+@pytest.mark.parametrize("text,p", [(t, p) for _, t, p in walk_inputs()],
+                         ids=[i for i, _, _ in walk_inputs()])
+def test_every_walk_level_matches_the_lattice_route(lattice, text, p):
+    rlat = lattice(text)
+    qr = qr_check(rlat, p)
+    for lv in qr.levels:
+        assert lv.invariants == lv.coin.invariants == lattice_route(rlat, lv.subgroup), lv.level
+    assert rlat.g_coin.invariants == qr.levels[0].invariants
 
 
 # --- torsion criterion ----------------------------------------------------
