@@ -48,6 +48,12 @@ def _prime(text: str) -> int:
     return p
 
 
+def _positive(text: str) -> int:
+    if (n := int(text)) < 1:
+        raise argparse.ArgumentTypeError(f"{n} is not a positive integer")
+    return n
+
+
 def _invariants_dict(inv) -> dict:
     return {
         "free_rank": inv.free_rank,
@@ -324,14 +330,14 @@ def build_parser() -> argparse.ArgumentParser:
                         help="prime to analyze (repeatable; default: from the file)")
 
     def common(sp):
-        sp.add_argument("--max-cosets", type=int, default=DEFAULT_MAX_COSETS)
+        sp.add_argument("--max-cosets", type=_positive, default=DEFAULT_MAX_COSETS)
         sp.add_argument("--out", default=None, help="write the report here")
 
     def pipeline(sp):
         common(sp)
-        sp.add_argument("--precision", type=int, default=DEFAULT_PRECISION,
+        sp.add_argument("--precision", type=_positive, default=DEFAULT_PRECISION,
                         help="p-adic precision k for integral certificates")
-        sp.add_argument("--max-level", type=int, default=None,
+        sp.add_argument("--max-level", type=_positive, default=None,
                         help="stop the harness's level tower early")
         sp.add_argument("--timing", action="store_true",
                         help="include wall-clock timings in the JSON report")
@@ -344,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("corpus", help="run a corpus file and compare expectations")
     sp.add_argument("path")
-    sp.add_argument("--jobs", type=int, default=1)
+    sp.add_argument("--jobs", type=_positive, default=1)
     sp.add_argument("--format", choices=("json", "csv"), default="json")
     pipeline(sp)
     sp.set_defaults(fn=cmd_corpus)

@@ -25,16 +25,6 @@ from .intlinalg import ModpSpan
 from .presentation import Presentation
 
 
-def left_translate(tbl: FiniteGroupTable, g: int, vec) -> list[int]:
-    """g * v: coefficient of h moves to g*h."""
-    out = [0] * tbl.order
-    row = tbl.mult[g]
-    for h, c in enumerate(vec):
-        if c:
-            out[row[h]] = c
-    return out
-
-
 def right_translate(tbl: FiniteGroupTable, vec, g: int) -> list[int]:
     """v * g: coefficient of h moves to h*g."""
     out = [0] * tbl.order

@@ -34,13 +34,13 @@ def mat_mul(a: Rows, b: Rows) -> Rows:
     if not a or not b:
         return [[0] * (len(b[0]) if b else 0) for _ in a]
     cols = len(b[0])
+    nonzero_cols = [[j for j, y in enumerate(bk) if y] for bk in b]
     out = []
     for row in a:
         acc = [0] * cols
-        for k, x in enumerate(row):
+        for x, bk, js in zip(row, b, nonzero_cols):
             if x:
-                bk = b[k]
-                for j in range(cols):
+                for j in js:
                     acc[j] += x * bk[j]
         out.append(acc)
     return out
@@ -409,14 +409,6 @@ class Lattice:
         if self.ambient != other.ambient or self.rank != other.rank:
             return False
         return all(r in other for r in self.basis) and all(r in self for r in other.basis)
-
-
-def lattice_from_rows(ambient: int, rows: Iterable[Sequence[int]]) -> Lattice:
-    lat = Lattice(ambient)
-    for r in rows:
-        lat.add(r)
-    lat.canonicalize()
-    return lat
 
 
 def left_kernel(rows: Rows, width: int | None = None) -> Rows:

@@ -1,13 +1,13 @@
 """The relation module and what it decides.
 
-relation_lattice() embeds R/[R,R] into (ZG)^|X| by Fox derivative rows and
-certifies the embedding three ways, each from the generator images alone:
-the rank law, stability under the distinct generator images, and
-exactness against the kernel of (ZG)^|X| -> IG, which is the cycle space
-of the right Cayley graph and has the fundamental cycles of a spanning
-tree as a basis.  The lattice keeps what certification solved: one
-cached Lattice and the coordinates of x * basis for each generator image
-x and its inverse, read-only.  It is the level of D = 1 of the tower;
+relation_lattice() builds R/[R,R] as the cycle lattice of the right
+Cayley graph of (G, X).  By Crowell-Lyndon, 0 -> R_ab -> (ZG)^|X| -> IG
+-> 0 is exact and (ZG)^|X| -> IG is the graph's boundary map, so R_ab
+depends only on the table and the generator images.  The basis and the
+letters are read off the BFS spanning tree from 1: one fundamental cycle
+per chord (non-tree edge), and a cycle's coordinates are its chord
+entries.  The relators' Fox rows only certify that the table is the
+group they present.  The lattice is the level of D = 1 of the tower;
 coinvariants() takes one Smith step from a level to its quotient by the
 (d-1)-action of a larger normal subgroup.  qr_check() walks the chain up
 from the lattice and decides quasirationality at p; its report keeps the
@@ -30,17 +30,11 @@ from dataclasses import dataclass, field
 from .errors import PropertyViolation
 from .errors import BudgetExceeded
 from .enumeration import FiniteGroupTable, Subgroup, subgroup_closure
-from .groupring import (
-    dimension_subgroup_chain,
-    fox_rows,
-    jennings_series,
-    left_translate,
-)
+from .groupring import dimension_subgroup_chain, fox_rows, jennings_series
 from .intlinalg import (
     AbelianInvariants,
     Lattice,
     elementary_divisors,
-    lattice_from_rows,
     lattice_quotient,
     mat_mul,
     p_torsion,
@@ -54,59 +48,31 @@ Matrix = tuple[tuple[int, ...], ...]  # a matrix as its rows
 
 @dataclass(frozen=True)
 class RelationLattice:
-    """R/[R,R] as a G-stable integer lattice in Z^(|X|*|G|).
+    """R/[R,R] as the cycle lattice of the right Cayley graph, in Z^(|X|*|G|).
 
-    Basis rows are the Hermite normal form of the span of all group
-    translates of the Fox rows; block i of a vector is the ZG coefficient
-    vector of the i-th partial derivative.  lattice() is the Lattice
-    relation_lattice() built and certified, handed over with the basis
-    (rebuilt from the basis only for an instance made by hand); it and
-    gen_coords are shared by every reader, so they are read-only: nothing
-    may add to the Lattice or write into the rows.
+    Column i*|G| + h is the edge h -> h x_i, so block i of a vector is the
+    ZG coefficient vector of the i-th partial derivative.  basis[c] is the
+    fundamental cycle of chord c of the BFS tree from 1.  gen_coords[x],
+    for x a generator image or its inverse, is the matrix of x on the
+    lattice: its row c is the chord entries of x * basis[c], which are the
+    coordinates of that cycle.  Every level of the tower is read off them.
+    Both are shared by every reader, so they are read-only.
     """
 
     pres: Presentation
     tbl: FiniteGroupTable
-    basis: tuple[tuple[int, ...], ...]
-
-    @property
-    def ambient(self) -> int:
-        return self.pres.ngens * self.tbl.order
+    basis: Matrix
+    gen_coords: dict[int, Matrix] = field(repr=False, compare=False)
 
     @property
     def rank(self) -> int:
         return len(self.basis)
 
     @functools.cached_property
-    def _lattice(self) -> Lattice:
-        return lattice_from_rows(self.ambient, self.basis)
-
-    def lattice(self) -> Lattice:
-        """The basis as a Lattice; read-only."""
-        return self._lattice
-
-    @functools.cached_property
     def level(self) -> Coinvariants:
         """The lattice as the level of D = 1: all free, letters gen_coords, no parent."""
         return Coinvariants(AbelianInvariants(self.rank, ()), (0,) * self.rank, (),
                             self.gen_coords, self.tbl)
-
-    @functools.cached_property
-    def gen_coords(self) -> dict[int, Matrix]:
-        """x -> lattice coordinates of x * basis, per generator image x and its inverse.
-
-        Row i of gen_coords[x] expresses x * basis[i] in the basis, so it is
-        the matrix of x on the lattice; every level of the tower is read
-        off these.  PropertyViolation if a translate leaves the lattice.
-        """
-        lat = self.lattice()
-        coords = {}
-        for x in sorted({y for x in self.tbl.gen_images for y in (x, self.tbl.inv[x])}):
-            rows = [lat.coordinates(self.translate(x, row)) for row in self.basis]
-            if None in rows:
-                raise PropertyViolation("relation lattice is not G-stable")
-            coords[x] = tuple(map(tuple, rows))
-        return coords
 
     @functools.cached_property
     def g_coin(self) -> Coinvariants:
@@ -116,77 +82,83 @@ class RelationLattice:
         """
         return coinvariants(self, subgroup_closure(self.tbl, self.tbl.gen_images))
 
-    def translate(self, g: int, vec) -> list[int]:
-        """Diagonal left action of the group element g, block by block."""
-        n = self.tbl.order
-        out: list[int] = []
-        for i in range(self.pres.ngens):
-            out.extend(left_translate(self.tbl, g, vec[i * n:(i + 1) * n]))
-        return out
-
 
 def relation_lattice(pres: Presentation, tbl: FiniteGroupTable) -> RelationLattice:
-    """Build and certify the relation lattice L.
+    """The cycle lattice of the right Cayley graph, certified to be R/[R,R].
 
-    Certification, each failure a PropertyViolation:
-    1. Rank law: rank L = |G|(|X|-1)+1 (skipped for a relator-free
-       presentation on generators, whose group is not finite).
-    2. G-stability: x * L lies in L for every distinct generator image x
-       (RelationLattice.gen_coords).  A finite group is generated by the
-       generator images as a monoid, so L is stable under all of G.
-    3. Exactness, L = ker((ZG)^|X| -> IG), e_{i,h} -> h x_i - h.  That map
-       is the boundary map of the right Cayley graph h -> h x_i, so its
-       kernel is the graph's cycle space H_1 (Crowell-Lyndon), and the
-       fundamental cycles of a spanning tree are a Z-basis of it.  Every
-       basis row has zero boundary (L <= ker), and every fundamental cycle
-       of the BFS tree from 1 lies in L (ker <= L).
+    The BFS tree from 1 along the edges h -> h x_i has |G| - 1 edges, so
+    r = |X||G| - |G| + 1 edges are chords: the rank law.  Chord (i, h)
+    with h x_i = q gives the cycle e_(i,h) + path(h) - path(q).  A cycle
+    on tree edges alone is 0, so every cycle z is sum_c z_c * cycle_c: its
+    coordinates are its chord entries.  Left translation,
+    (x z)[j, x h] = z[j, h], commutes with the boundary, which gives the
+    letters gen_coords with no solve.
+
+    Certificate that the span of the translates g * fox(r) is this cycle
+    lattice, a PropertyViolation where (a) or (c) fails:
+    (a) the generator images reach all of G, so the tree spans the graph;
+    (b) every Fox row has zero boundary (fox_rows raises otherwise), and so
+        has each translate: the span lies in the cycle lattice;
+    (c) the chord entries of the translates span Z^r, i.e. their echelon
+        form reaches r rows with every pivot 1.  Chord entries are
+        coordinates on the cycle lattice, so the span is all of it.
     """
-    n = tbl.order
-    ngens = pres.ngens
-    ambient = ngens * n
-    lat = Lattice(ambient)
-    base_rows = fox_rows(pres, tbl)
-    scratch = RelationLattice(pres, tbl, ())
-    for row in base_rows:
-        for g in range(n):
-            lat.add(scratch.translate(g, row))
-    lat.canonicalize()
-
-    expected = n * (ngens - 1) + 1
-    if pres.relators or ngens == 0:
-        if lat.rank != expected:
-            raise PropertyViolation(
-                f"relation lattice rank {lat.rank} != |G|(|X|-1)+1 = {expected}"
-            )
-    rl = RelationLattice(pres, tbl, tuple(tuple(r) for r in lat.basis))
-    rl.__dict__["_lattice"] = lat  # the cached_property's slot: hand over, no rebuild
-    rl.gen_coords  # noqa: B018 - certifies stability, kept for the level modules
-    mult, images = tbl.mult, tbl.gen_images
-    for row in rl.basis:
-        boundary = [0] * n
-        for i, x in enumerate(images):
-            for h, c in enumerate(row[i * n:(i + 1) * n]):
-                if c:
-                    boundary[mult[h][x]] += c
-                    boundary[h] -= c
-        if any(boundary):
-            raise PropertyViolation("a relation lattice row has nonzero Crowell-Lyndon boundary")
-    # path[q]: the tree edges from 1 to q, each edge (i, h) -> h x_i at column i*n + h
-    path: dict[int, list[int]] = {0: [0] * ambient}
+    n, mult, images = tbl.order, tbl.mult, tbl.gen_images
+    width = len(images) * n
+    up = {0: None}  # q -> (block start, source) of the tree edge into q
+    depth = [0] * n
+    chord_at = [-1] * width  # column -> chord, -1 on tree edges
+    cycles = []  # a cycle as its nonzeros (block start, h, +-1)
     frontier = [0]
     for h in frontier:
         for i, x in enumerate(images):
             q = mult[h][x]
-            edge = path[h][:]
-            edge[i * n + h] += 1
-            if q not in path:
-                path[q] = edge
+            if q not in up:
+                up[q] = (i * n, h)
+                depth[q] = depth[h] + 1
                 frontier.append(q)
-            elif [a - b for a, b in zip(edge, path[q])] not in lat:
-                raise PropertyViolation("relation lattice != kernel of the Crowell-Lyndon map")
-    if len(path) != n:
-        raise PropertyViolation(f"generator images reach {len(path)} of {n} elements")
-    return rl
+                continue
+            chord_at[i * n + h] = len(cycles)
+            cycle, a, b = [(i * n, h, 1)], h, q
+            while a != b:  # path(h) - path(q) up to their last common vertex
+                if depth[a] >= depth[b]:
+                    cycle.append((*up[a], 1))
+                    a = up[a][1]
+                else:
+                    cycle.append((*up[b], -1))
+                    b = up[b][1]
+            cycles.append(cycle)
+    if len(up) != n:
+        raise PropertyViolation(f"generator images reach {len(up)} of {n} elements")
+    rank = len(cycles)
+
+    def chord_entries(nonzeros, g) -> list[int]:
+        """The chord entries of g * z, for z given by its nonzeros."""
+        out, row = [0] * rank, mult[g]
+        for start, h, c in nonzeros:
+            k = chord_at[start + row[h]]
+            if k >= 0:
+                out[k] = c
+        return out
+
+    fox = [[(j - j % n, j % n, c) for j, c in enumerate(row) if c] for row in fox_rows(pres, tbl)]
+    translates = (chord_entries(nonzeros, g) for nonzeros in fox for g in range(n))
+    span = Lattice(rank)
+    while span.rank < rank or any(span.basis[k][k] != 1 for k in range(rank)):
+        vec = next(translates, None)
+        if vec is None:
+            raise PropertyViolation("relation lattice != kernel of the Crowell-Lyndon map")
+        span.add(vec)
+
+    basis = []
+    for cycle in cycles:
+        row = [0] * width
+        for start, h, c in cycle:
+            row[start + h] = c
+        basis.append(tuple(row))
+    letters = sorted({y for x in images for y in (x, tbl.inv[x])})
+    gen_coords = {x: tuple(tuple(chord_entries(cycle, x)) for cycle in cycles) for x in letters}
+    return RelationLattice(pres, tbl, tuple(basis), gen_coords)
 
 
 @dataclass(frozen=True)

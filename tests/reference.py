@@ -1,8 +1,12 @@
-"""Reference algorithms for the tests, standard library only.
+"""Reference algorithms for the tests.
 
-They share no code with qrlab, so a test that compares qrlab against them
-is not checking a kernel against itself.
+They use the standard library only and share no code with qrlab, so a
+test that compares qrlab against them is not checking a kernel against
+itself.  The one exception is lattice_from_rows, which wraps qrlab's
+Lattice as the Hermite form that the tests solve in.
 """
+
+from qrlab.intlinalg import Lattice
 
 
 def dense_rref(rows, p):
@@ -49,6 +53,25 @@ def dense_inverse(rows, p):
     if pivots != list(range(n)):
         raise ValueError("matrix is singular mod p")
     return [row[n:] for row in red]
+
+
+def left_translate(tbl, g, vec):
+    """g * v in ZG: the coefficient of h moves to g*h."""
+    out = [0] * tbl.order
+    row = tbl.mult[g]
+    for h, c in enumerate(vec):
+        if c:
+            out[row[h]] = c
+    return out
+
+
+def lattice_from_rows(ambient, rows):
+    """The Hermite form of the span of rows, as a qrlab Lattice."""
+    lat = Lattice(ambient)
+    for r in rows:
+        lat.add(r)
+    lat.canonicalize()
+    return lat
 
 
 def gr_multiply(tbl, u, v):

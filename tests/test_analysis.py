@@ -17,7 +17,6 @@ import pytest
 
 import qrlab.enumeration
 import qrlab.groupring
-import qrlab.intlinalg
 import qrlab.relmod
 from qrlab.analysis import analyze
 from qrlab.cli import main
@@ -145,46 +144,38 @@ def count_coordinates(monkeypatch) -> Counter:
     return counts
 
 
-def test_relation_lattice_solves_for_generator_images_and_cycles_only(monkeypatch, corpus):
-    texts = [e["text"] for e in corpus] + [(ORDER32_DIR / n).read_text() for n in ORDER32]
+def test_relation_lattice_solves_nothing(monkeypatch, corpus):
+    """Coordinates on the cycle lattice are chord entries, read off: no
+    solve, and the one Lattice built (the certificate's) has the lattice's
+    rank as its width, not |X|*|G|."""
+    widths = []
+
+    class Recorded(Lattice):
+        def __init__(self, ambient):
+            widths.append(ambient)
+            super().__init__(ambient)
+
+    paths = [ORDER32_DIR / n for n in ORDER32] + [NQR32]
+    texts = [e["text"] for e in corpus] + [path.read_text() for path in paths]
     for text in texts:
         pres = parse_presentation(text)
         tbl = todd_coxeter(pres)
         counts = count_coordinates(monkeypatch)
+        monkeypatch.setattr(qrlab.relmod, "Lattice", Recorded)
+        widths.clear()
         rlat = relation_lattice(pres, tbl)
         monkeypatch.undo()
-        letters = len(set(tbl.gen_images) | {tbl.inv[x] for x in tbl.gen_images})
-        # stability: one solve per generator image or inverse and row;
-        # exactness: one per fundamental cycle, and a spanning tree leaves
-        # rank of them
-        assert counts == {"gen_coords": letters * rlat.rank,
-                          "relation_lattice": rlat.rank}, text
+        assert counts == {} and widths == [rlat.rank], text
 
 
-def test_analyze_solves_generator_coordinates_once_per_lattice(monkeypatch):
+def test_analyze_solves_nothing(monkeypatch):
     pres = parse_presentation((ORDER32_DIR / "q32.pres").read_text())
     counts = count_coordinates(monkeypatch)
     rep = analyze(pres, (2,))
     monkeypatch.undo()
     assert rep.error is None
-    distinct = {lv.quotient_order for lv in rep.harness[2].levels}
-    assert len(distinct) > 1  # several level frames, one set of coordinates
-    letters = set(rep.tbl.gen_images) | {rep.tbl.inv[x] for x in rep.tbl.gen_images}
-    assert counts["gen_coords"] == len(letters) * rep.rlat.rank
-    # the tower walk solves nothing on the lattice: its steps read the letters
-    assert set(counts) == {"gen_coords", "relation_lattice"}
-
-
-def test_analyze_never_rebuilds_the_certified_lattice(monkeypatch):
-    """relation_lattice hands over the Lattice it built and canonicalized;
-    no reader rebuilds it from the basis."""
-    pres = parse_presentation((ORDER32_DIR / "q32.pres").read_text())
-    counts = count_calls(monkeypatch, ((qrlab.intlinalg, "lattice_from_rows"),))
-    rep = analyze(pres, (2,))
-    monkeypatch.undo()
-    assert rep.error is None and rep.harness[2].levels
-    assert counts["lattice_from_rows"] == 0
-    assert rep.rlat.lattice().basis == [list(r) for r in rep.rlat.basis]
+    assert len({lv.quotient_order for lv in rep.harness[2].levels}) > 1
+    assert counts == {}
 
 
 def test_analyze_reports_a_failed_stage_instead_of_raising():

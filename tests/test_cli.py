@@ -10,7 +10,9 @@ import json
 
 import pytest
 
+from qrlab.analysis import analyze
 from qrlab.cli import main
+from qrlab.presentation import parse_presentation
 
 Q8 = "gens: a, b; relators: a*b*a*b^-1, b*a*b*a^-1; prime: 2\n"
 KLEIN = "gens: a, b; relators: a^2, b^2, a*b*a^-1*b^-1; prime: 2\n"
@@ -122,6 +124,26 @@ def test_prime_option_must_be_prime(capsys, q8_file, command, value):
     assert captured.out == "" and f"{value} is not prime" in captured.err
 
 
+@pytest.mark.parametrize("text", [KLEIN, Q8], ids=["klein", "q8"])
+@pytest.mark.parametrize("command,option,value", [
+    ("check", "--precision", "0"),
+    ("check", "--precision", "-3"),
+    ("check", "--max-level", "0"),
+    ("check", "--max-cosets", "0"),
+    ("corpus", "--jobs", "0"),
+])
+def test_numeric_options_must_be_positive(capsys, tmp_path, text, command, option, value):
+    # a usage error before any stage runs, on a non-quasirational input and
+    # a quasirational one alike
+    f = tmp_path / "g.pres"
+    f.write_text(text)
+    with pytest.raises(SystemExit) as exc:
+        main([command, str(f), option, value])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"{value} is not a positive integer" in captured.err
+
+
 def test_check_runs_a_repeated_prime_once(capsys, q8_file):
     code, out, _ = run(capsys, "check", q8_file, "--prime", "2", "--prime", "2")
     assert code == 0
@@ -143,13 +165,16 @@ def test_check_rejects_non_p_group_tower(capsys, tmp_path):
 
 @pytest.mark.parametrize("max_level", ["-1", "0"])
 def test_check_rejects_a_max_level_below_one(capsys, q8_file, max_level):
-    # a harness over no level, or over all but the last, is no harness
-    code, out, _ = run(capsys, "check", q8_file, "--max-level", max_level)
-    assert code == 2
-    doc = json.loads(out)
-    assert doc["failed_stage"] == "harness[2]"
-    assert f"max_level must be >= 1, got {max_level}" in doc["error"]
-    assert doc["harness"] == {} and doc["qr"]["2"]["quasirational"] is True
+    # a harness over no level, or over all but the last, is no harness: the
+    # command line refuses it as a usage error, analyze as a failed stage
+    with pytest.raises(SystemExit) as exc:
+        main(["check", q8_file, "--max-level", max_level])
+    assert exc.value.code == 2
+    assert f"{max_level} is not a positive integer" in capsys.readouterr().err
+    rep = analyze(parse_presentation(Q8), (2,), max_level=int(max_level))
+    assert rep.failed_stage == "harness[2]"
+    assert f"max_level must be >= 1, got {max_level}" in str(rep.error)
+    assert rep.harness == {} and rep.qr[2].quasirational is True
 
 
 def _write_corpus(tmp_path, entries):

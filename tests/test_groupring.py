@@ -19,12 +19,11 @@ from qrlab.groupring import (
     dimension_subgroup_chain,
     fox_rows,
     jennings_series,
-    left_translate,
     right_translate,
 )
 from qrlab.intlinalg import ModpSpan
 
-from reference import dense_rref, gr_multiply
+from reference import dense_rref, gr_multiply, left_translate
 
 P_GROUPS = [
     ("gens: a; relators: a^2; prime: 2", 2),

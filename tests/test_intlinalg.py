@@ -28,7 +28,6 @@ from qrlab.intlinalg import (
     identity_rows,
     integer_inverse,
     is_invertible_modp,
-    lattice_from_rows,
     lattice_quotient,
     left_kernel,
     mat_mul,
@@ -38,7 +37,13 @@ from qrlab.intlinalg import (
     smith_normal_form,
 )
 
-from reference import dense_left_kernel, dense_rref, det_int, smallest_entry_snf
+from reference import (
+    dense_left_kernel,
+    dense_rref,
+    det_int,
+    lattice_from_rows,
+    smallest_entry_snf,
+)
 
 
 def naive_det(a):

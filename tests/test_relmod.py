@@ -14,8 +14,8 @@ from qrlab.errors import PropertyViolation
 from qrlab.groupring import fox_rows, right_translate
 from qrlab.intlinalg import (
     AbelianInvariants,
-    lattice_from_rows,
     left_kernel,
+    mat_mul,
     p_torsion,
     smith_normal_form,
 )
@@ -32,7 +32,8 @@ from qrlab.relmod import (
     relation_lattice,
 )
 
-from conftest import CORPUS_DIR, ORDER32, ORDER32_DIR, walk_inputs
+from conftest import CORPUS_DIR, NQR32, ORDER32, ORDER32_DIR, walk_inputs
+from reference import lattice_from_rows, left_translate
 
 # (text, prime, G_ab torsion, multiplier torsion)
 KNOWN = [
@@ -245,17 +246,28 @@ def test_lattice_rejects_a_stable_span_of_the_right_rank_that_is_not_saturated(
     _, tbl = group(table_text)
     pres = parse_presentation(text)
     true = lattice(table_text)
-    span = lattice_from_rows(true.ambient, (true.translate(g, r)
-                                            for r in fox_rows(pres, tbl)
-                                            for g in range(tbl.order)))
-    assert span.basis == [[m * x for x in r] for r in true.basis]
-    assert all(true.translate(g, r) in span for g in range(tbl.order) for r in span.basis)
+    ambient = pres.ngens * tbl.order
+    span = lattice_from_rows(ambient, (translate(tbl, g, r)
+                                       for r in fox_rows(pres, tbl)
+                                       for g in range(tbl.order)))
+    assert span.equals(lattice_from_rows(ambient, ([m * x for x in r] for r in true.basis)))
+    assert all(translate(tbl, g, r) in span for g in range(tbl.order) for r in span.basis)
     with pytest.raises(PropertyViolation, match="kernel of the Crowell-Lyndon map"):
         relation_lattice(pres, tbl)
 
 
+def translate(tbl, g, vec):
+    """g * vec in (ZG)^|X|, block by block."""
+    n = tbl.order
+    return [c for i in range(0, len(vec), n) for c in left_translate(tbl, g, vec[i:i + n])]
+
+
+def hermite(rlat):
+    return lattice_from_rows(rlat.pres.ngens * rlat.tbl.order, rlat.basis)
+
+
 ORACLE_INPUTS = ([CORPUS_DIR / n for n in sorted(p.name for p in CORPUS_DIR.glob("*.pres"))]
-                 + [ORDER32_DIR / n for n in ORDER32])
+                 + [ORDER32_DIR / n for n in ORDER32] + [NQR32])
 
 
 @pytest.mark.parametrize("path", ORACLE_INPUTS, ids=lambda p: p.stem)
@@ -271,12 +283,27 @@ def test_certified_lattice_matches_the_kernel_and_the_all_elements_sweep(lattice
             col[tbl.mult[h][x]] += 1
             col[h] -= 1
             aug_map.append(col)
-    kern = lattice_from_rows(rlat.ambient, left_kernel(aug_map, width=n))
-    lat = rlat.lattice()
-    assert kern.equals(lat) and kern.basis == [list(r) for r in rlat.basis]
+    kern = lattice_from_rows(rlat.pres.ngens * n, left_kernel(aug_map, width=n))
+    lat = hermite(rlat)
+    assert kern.equals(lat)
     for g in range(n):
         for row in rlat.basis:
-            assert lat.coordinates(rlat.translate(g, row)) is not None
+            assert lat.coordinates(translate(tbl, g, row)) is not None
+
+
+@pytest.mark.parametrize("path", ORACLE_INPUTS, ids=lambda p: p.stem)
+def test_letters_are_the_coordinates_solved_in_the_hermite_lattice(lattice, path):
+    # the route the chord entries replaced, kept as an oracle: x * basis
+    # solved in the Hermite lattice of the basis, for each generator image
+    # x and its inverse, must be the letter of x in the Hermite frame
+    rlat = lattice(path.read_text())
+    tbl = rlat.tbl
+    assert set(rlat.gen_coords) == set(tbl.gen_images) | {tbl.inv[x] for x in tbl.gen_images}
+    lat = hermite(rlat)
+    frame = [lat.coordinates(row) for row in rlat.basis]
+    for x, letter in rlat.gen_coords.items():
+        solved = [lat.coordinates(translate(tbl, x, row)) for row in rlat.basis]
+        assert solved == mat_mul(letter, frame), x
 
 
 @pytest.mark.parametrize("text,p,gab,h2", KNOWN)
@@ -322,8 +349,8 @@ def lattice_route(rlat, sub):
     replaced, kept as an oracle: every basis row translated by each
     generator d of sub, minus itself, in lattice coordinates, then the
     Smith form of those rows."""
-    lat = rlat.lattice()
-    rows = [lat.coordinates([a - b for a, b in zip(rlat.translate(d, row), row)])
+    lat = hermite(rlat)
+    rows = [lat.coordinates([a - b for a, b in zip(translate(rlat.tbl, d, row), row)])
             for d in sub.generators if d for row in rlat.basis]
     diag = [d for d in smith_normal_form(rows)[0] if d] if rows else []
     return AbelianInvariants(rlat.rank - len(diag), tuple(d for d in diag if d > 1))
