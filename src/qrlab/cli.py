@@ -113,11 +113,14 @@ def _harness_tag(rep: HarnessReport) -> str:
 
 
 def _emit(payload: str, out: str | None) -> None:
-    if out:
+    if not out:
+        sys.stdout.write(payload)
+        return
+    try:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(payload)
-    else:
-        sys.stdout.write(payload)
+    except OSError as exc:
+        raise InputError(f"cannot write {out}: {exc.strerror}") from exc
 
 
 def _json_dump(doc: dict) -> str:
@@ -227,22 +230,34 @@ def _check_expected(row: dict, expected: dict, prime: int) -> list[str]:
     return bad
 
 
-def cmd_corpus(args) -> int:
+def _read_corpus(path: str) -> list[dict]:
+    """The manifest's entries, checked before any row runs."""
     try:
-        with open(args.path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8") as fh:
             corpus = json.load(fh)
     except OSError as exc:
-        sys.stderr.write(f"cannot read {args.path}: {exc.strerror}\n")
-        return EXIT_INPUT
+        raise InputError(f"cannot read {path}: {exc.strerror}") from exc
     except json.JSONDecodeError as exc:
-        sys.stderr.write(f"bad corpus file: {exc}\n")
-        return EXIT_INPUT
-    corpus_dir = os.path.dirname(os.path.abspath(args.path))
-    entries = corpus.get("entries", [])
+        raise InputError(f"bad corpus file: {exc}") from exc
+    entries = corpus.get("entries", []) if isinstance(corpus, dict) else None
+    if not isinstance(entries, list):
+        raise InputError("bad corpus file: not an object with a list of entries")
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict) or "id" not in entry or "file" not in entry:
+            raise InputError(f"bad corpus file: entry {i} needs an id and a file")
+        primes = entry.get("primes", [2])
+        if not isinstance(primes, list) or not all(isinstance(p, int) and is_prime(p)
+                                                   for p in primes):
+            raise InputError(f"bad corpus file: entry {entry['id']!r} has primes {primes!r}")
     ids = [e["id"] for e in entries]
     if len(ids) != len(set(ids)):
-        sys.stderr.write("duplicate entry ids in corpus\n")
-        return EXIT_INPUT
+        raise InputError("duplicate entry ids in corpus")
+    return entries
+
+
+def cmd_corpus(args) -> int:
+    entries = _read_corpus(args.path)
+    corpus_dir = os.path.dirname(os.path.abspath(args.path))
     jobs = []
     for entry in entries:
         for prime in entry.get("primes", [2]):
@@ -366,7 +381,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except InputError as exc:  # an unreadable corpus file or an unwritable --out
+        sys.stderr.write(f"{exc}\n")
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

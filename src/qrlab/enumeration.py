@@ -1,14 +1,16 @@
 """Coset enumeration and finite group tables.
 
-todd_coxeter() runs an HLT-style enumeration of the cosets of the trivial
-subgroup, so a completed table is the regular action and its cosets are the
-group elements.  Tables are re-indexed canonically (BFS from the identity,
-alphabet x0, x0^-1, x1, x1^-1, ..., so element words are shortest, ties
-lexicographic) and verified against the group axioms before being returned.
-Associativity is checked by Light's test: (ab)c = a(bc) for all a, c and b
-running over the generator images and their inverses, n^2 products per
-letter.  The element words make every element a product of letters, so the
-check is complete at every order.
+One constructor builds every table from the right action of the letters x0,
+x0^-1, x1, x1^-1, ... on the elements: the regular action for todd_coxeter()
+(HLT enumeration of the cosets of the trivial subgroup), the action on the
+cosets of a normal subgroup for quotient_table().  A BFS from the identity,
+letters in that order, numbers the elements (element words shortest, ties
+lexicographic) and makes each its tree parent times one letter, so each
+product is one lookup along the tree.  Every table is verified against the
+group axioms before it is returned; associativity by Light's test, (ab)c =
+a(bc) for all a, c and b running over the generator images and their
+inverses, n^2 products per letter, complete at every order because the
+element words make every element a product of letters.
 """
 
 from __future__ import annotations
@@ -96,45 +98,41 @@ def _verify_table(mult, inv, gen_images, element_words, relators):
     return tbl
 
 
-def _canonical_table(mult_raw, identity, gen_imgs_raw, relators, ngens):
-    """BFS re-index so the identity is 0 and element words are canonical.
-    Returns (table, order_of) with order_of[old_index] = new_index."""
-    n = len(mult_raw)
-    inv_raw = [None] * n
-    for x in range(n):
-        for y in range(n):
-            if mult_raw[x][y] == identity:
-                inv_raw[x] = y
-                break
-        if inv_raw[x] is None:
-            raise AssertionError("row without inverse")
-    alphabet = []
-    for g in range(ngens):
-        img = gen_imgs_raw[g]
-        alphabet.append(((g, 1), img))
-        alphabet.append(((g, -1), inv_raw[img]))
-    order_of = {identity: 0}
-    words: list[Word] = [()]
-    queue = deque([identity])
-    seq = [identity]
-    while queue:
-        x = queue.popleft()
-        wx = words[order_of[x]]
-        for letter, img in alphabet:
-            y = mult_raw[x][img]
-            if y not in order_of:
+def _canonical_table(action, ngens, relators):
+    """The verified table of the group whose letters act on the elements.
+
+    action[x][c] is x times letter c (column 2g for x_g, 2g + 1 for its
+    inverse) and element 0 is the identity.  One BFS from 0, columns in
+    order, numbers the elements canonically and records each one's tree
+    edge (parent, column); then a * b = (a * parent(b)) * letter, one lookup
+    per entry.  Returns (table, order_of) with order_of[old] = new index.
+    """
+    n = len(action)
+    order_of = [0] + [-1] * (n - 1)
+    seq, words = [0], [()]
+    tree = []  # (parent, column) of elements 1, 2, ... in the new numbering
+    for i, x in enumerate(seq):  # seq grows while it is walked: a BFS
+        for c, y in enumerate(action[x]):
+            if order_of[y] < 0:
                 order_of[y] = len(seq)
                 seq.append(y)
-                words.append(wx + (letter,))
-                queue.append(y)
+                tree.append((i, c))
+                words.append(words[i] + ((c >> 1, -1 if c & 1 else 1),))
     if len(seq) != n:
         raise AssertionError("generators do not generate the whole table")
-    mult = tuple(
-        tuple(order_of[mult_raw[seq[a]][seq[b]]] for b in range(n)) for a in range(n)
-    )
-    inv = tuple(order_of[inv_raw[seq[a]]] for a in range(n))
-    gen_images = tuple(order_of[g] for g in gen_imgs_raw)
-    return _verify_table(mult, inv, gen_images, tuple(words), relators), order_of
+    act = [[order_of[y] for y in action[x]] for x in seq]
+    mult, inv = [], []
+    for a in range(n):
+        row = [a]
+        for i, c in tree:
+            row.append(act[row[i]][c])
+        try:
+            inv.append(row.index(0))
+        except ValueError:
+            raise AssertionError("row without inverse") from None
+        mult.append(tuple(row))
+    gen_images = tuple(act[0][2 * g] for g in range(ngens))
+    return _verify_table(tuple(mult), tuple(inv), gen_images, tuple(words), relators), order_of
 
 
 def todd_coxeter(pres: Presentation, max_cosets: int = DEFAULT_MAX_COSETS) -> FiniteGroupTable:
@@ -143,14 +141,12 @@ def todd_coxeter(pres: Presentation, max_cosets: int = DEFAULT_MAX_COSETS) -> Fi
     HLT strategy: scan-and-fill every relator at every live coset, then fill
     the row.  Coincidences are processed to completion through a union-find
     queue.  When the table hits max_cosets it is compacted once if enough
-    rows are dead, otherwise the budget error propagates.
+    rows are dead, otherwise the budget error propagates.  The completed
+    coset table is the letter action that _canonical_table reads.
     """
     ngens = pres.ngens
     ncols = 2 * ngens
     rel_cols = [_word_cols(r) for r in pres.relators]
-
-    if ngens == 0:
-        return _canonical_table([[0]], 0, [], pres.relators, 0)[0]
 
     table: list[list[int | None]] = [[None] * ncols]
     parent = [0]
@@ -261,40 +257,15 @@ def todd_coxeter(pres: Presentation, max_cosets: int = DEFAULT_MAX_COSETS) -> Fi
         alpha += 1
 
     live = [i for i in range(len(table)) if parent[i] == i]
+    if live[0] != 0:
+        raise AssertionError("the identity coset was merged away")
     idx = {old: new for new, old in enumerate(live)}
-    mult_gen = []  # row per live coset: action of each generator image
+    action = []  # row per live coset: where each letter sends it
     for old in live:
         if any(table[old][c] is None for c in range(ncols)):
             raise AssertionError("incomplete row survived enumeration")
-        mult_gen.append([idx[rep(table[old][c])] for c in range(ncols)])
-    n = len(live)
-    # regular action: element of coset k is the word tracing 0 -> k; build the
-    # full multiplication table by replaying those traces from every coset
-    start = idx[rep(0)]
-    # BFS words in the column alphabet
-    word_cols: list[list[int] | None] = [None] * n
-    word_cols[start] = []
-    bfs = deque([start])
-    while bfs:
-        x = bfs.popleft()
-        for c in range(ncols):
-            y = mult_gen[x][c]
-            if word_cols[y] is None:
-                word_cols[y] = word_cols[x] + [c]
-                bfs.append(y)
-    if any(w is None for w in word_cols):
-        raise AssertionError("coset graph not connected")
-    mult_raw = []
-    for a in range(n):
-        row = []
-        for b in range(n):
-            x = a
-            for c in word_cols[b]:
-                x = mult_gen[x][c]
-            row.append(x)
-        mult_raw.append(row)
-    gen_imgs_raw = [mult_gen[start][2 * g] for g in range(ngens)]
-    return _canonical_table(mult_raw, start, gen_imgs_raw, pres.relators, ngens)[0]
+        action.append([idx[rep(table[old][c])] for c in range(ncols)])
+    return _canonical_table(action, ngens, pres.relators)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -463,18 +434,17 @@ def left_cosets(tbl: FiniteGroupTable, sub: Subgroup) -> tuple[list[int], list[i
 def quotient_table(tbl: FiniteGroupTable, normal: Subgroup) -> tuple[FiniteGroupTable, list[int]]:
     """(table of G/N, coset map x -> index in the quotient table).
 
+    Built from the letters' action on the cosets, rN -> r*letter*N.
     Raises InputError if the subgroup is not normal.
     """
     if not is_normal(tbl, normal):
         raise InputError("quotient by a non-normal subgroup")
     coset_of, reps = left_cosets(tbl, normal)
-    n = len(reps)
-    mult_raw = [[coset_of[tbl.mult[reps[a]][reps[b]]] for b in range(n)] for a in range(n)]
-    gen_imgs_raw = [coset_of[g] for g in tbl.gen_images]
-    identity = coset_of[0]
-    qt, order_of = _canonical_table(
-        mult_raw, identity, gen_imgs_raw, (), len(tbl.gen_images)
-    )
+    if reps[0] != 0:
+        raise AssertionError("the identity coset is not listed first")
+    letters = [y for x in tbl.gen_images for y in (x, tbl.inv[x])]
+    action = [[coset_of[tbl.mult[r][y]] for y in letters] for r in reps]
+    qt, order_of = _canonical_table(action, len(tbl.gen_images), ())
     coset_map = [order_of[coset_of[x]] for x in range(tbl.order)]
     for x in range(tbl.order):
         for g, img in enumerate(tbl.gen_images):

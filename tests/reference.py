@@ -192,3 +192,46 @@ def orbits_on_cosets(tbl, sub, acting):
         cosets -= orbit
         orbits += 1
     return orbits
+
+
+def word_replay_table(action):
+    """Reference group table from a letter action, by replaying words.
+
+    action[x][c] is x times letter c (columns x0, x0^-1, x1, x1^-1, ...) and
+    element 0 is the identity.  A BFS from 0 gives every element a word;
+    a*b is b's word replayed from a, letter by letter.  A second BFS over
+    that table, letters in column order, re-indexes it, and each inverse is
+    found by scanning its row for the identity.  Returns (mult, inv,
+    gen_images, element_words, order_of), numbered canonically, with
+    order_of[old] = new."""
+    n, ncols = len(action), len(action[0])
+    cols = {0: []}
+    queue = [0]
+    for x in queue:
+        for c in range(ncols):
+            y = action[x][c]
+            if y not in cols:
+                cols[y] = cols[x] + [c]
+                queue.append(y)
+    raw = []
+    for a in range(n):
+        row = []
+        for b in range(n):
+            x = a
+            for c in cols[b]:
+                x = action[x][c]
+            row.append(x)
+        raw.append(row)
+    letters = [((c // 2, 1 if c % 2 == 0 else -1), action[0][c]) for c in range(ncols)]
+    seq, words = [0], {0: ()}
+    for x in seq:
+        for letter, img in letters:
+            y = raw[x][img]
+            if y not in words:
+                words[y] = words[x] + (letter,)
+                seq.append(y)
+    order_of = [seq.index(x) for x in range(n)]
+    mult = tuple(tuple(order_of[raw[a][b]] for b in seq) for a in seq)
+    inv = tuple(row.index(0) for row in mult)
+    gen_images = tuple(order_of[img] for _, img in letters[::2])
+    return mult, inv, gen_images, tuple(words[x] for x in seq), order_of

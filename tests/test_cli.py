@@ -259,6 +259,35 @@ def test_corpus_duplicate_ids_exit_2(capsys, tmp_path):
     assert code == 2
 
 
+C4_ENTRY = {"id": "c4", "file": "c4.pres", "primes": [2]}
+
+
+@pytest.mark.parametrize("manifest,message", [
+    ([C4_ENTRY], "not an object"),
+    ({"entries": [{"file": "c4.pres", "primes": [2]}]}, "entry 0 needs an id and a file"),
+    ({"entries": [dict(C4_ENTRY, primes=[4])]}, "'c4' has primes [4]"),
+], ids=["top-level-list", "entry-without-id", "non-prime"])
+def test_corpus_refuses_a_malformed_manifest_before_any_row(capsys, tmp_path, manifest,
+                                                            message):
+    (tmp_path / "c4.pres").write_text("gens: a; relators: a^4; prime: 2\n")
+    f = tmp_path / "corpus.json"
+    f.write_text(json.dumps(manifest))
+    code, out, err = run(capsys, "corpus", str(f))
+    assert (code, out) == (2, "")
+    assert err.startswith("bad corpus file: ") and message in err
+
+
+@pytest.mark.parametrize("command", ["check", "corpus", "oracle"])
+def test_out_to_an_unwritable_path_exits_2(capsys, tmp_path, q8_file, command):
+    target = tmp_path / "missing" / "report.json"
+    argv = {"check": ["check", q8_file],
+            "corpus": ["corpus", _write_corpus(tmp_path, [])],
+            "oracle": ["oracle", "subgroups", q8_file]}[command]
+    code, out, err = run(capsys, *argv, "--out", str(target))
+    assert (code, out) == (2, "")
+    assert err == f"cannot write {target}: No such file or directory\n"
+
+
 def test_corpus_entry_error_is_a_row_not_a_crash(capsys, tmp_path):
     (tmp_path / "bad.pres").write_text("gens: a; relators: c; prime: 2\n")
     path = _write_corpus(tmp_path, [

@@ -1,18 +1,23 @@
 """Coset enumeration and the subgroup machinery.
 
 The subgroup lister is checked against a brute-force oracle that tests every
-divisor-sized subset for closure; feasible up to order 16.
+divisor-sized subset for closure; feasible up to order 16.  Group and
+quotient tables are checked against the word replay reference, which finds
+every product by replaying the second factor's word from the first.
 """
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qrlab.errors import BudgetExceeded
-from qrlab.presentation import free_reduce, parse_presentation
+from qrlab.groupring import jennings_series
+from qrlab.presentation import Presentation, free_reduce, parse_presentation
 from qrlab.enumeration import (
     FiniteGroupTable,
+    _canonical_table,
     _verify_table,
     all_subgroups,
     conjugate_subgroup_members,
@@ -26,7 +31,8 @@ from qrlab.enumeration import (
     word_image,
 )
 
-from reference import orbits_on_cosets
+from conftest import CORPUS_DIR, NQR32, ORDER32_DIR
+from reference import orbits_on_cosets, word_replay_table
 
 ORDERS = [
     ("gens: a; relators: a; prime: 2", 1),
@@ -211,3 +217,70 @@ def test_light_test_rejects_a_nonassociative_loop():
     assert loop.mult[loop.mult[1][1]][2] != loop.mult[1][loop.mult[1][2]]
     with pytest.raises(AssertionError, match="associativity fails"):
         _verify_table(LOOP5, loop.inv, loop.gen_images, LOOP5_WORDS, ())
+
+
+# every corpus file, the benchmark's inputs (q32, m32, c64, c81), nqr32, q128
+REPLAY_INPUTS = (
+    [(f.name, f.read_text()) for f in sorted(CORPUS_DIR.glob("*.pres"))]
+    + [(f.name, f.read_text()) for f in sorted(ORDER32_DIR.glob("*.pres")) + [NQR32]]
+    + [("q128", "gens: a, b; relators: a^32*b^-2, a*b*a*b^-1; prime: 2")]
+)
+
+
+def _shuffled(action, seed):
+    """The same action with the elements renumbered at random, 0 kept."""
+    rest = list(range(1, len(action)))
+    random.Random(seed).shuffle(rest)
+    new = [0] + rest
+    out = [None] * len(action)
+    for x, row in enumerate(action):
+        out[new[x]] = [new[y] for y in row]
+    return out
+
+
+def _fields(tbl):
+    return tbl.mult, tbl.inv, tbl.gen_images, tbl.element_words
+
+
+def _letter_action(tbl):
+    letters = [y for x in tbl.gen_images for y in (x, tbl.inv[x])]
+    return letters, [[tbl.mult[x][y] for y in letters] for x in range(tbl.order)]
+
+
+@pytest.mark.parametrize("name,text", REPLAY_INPUTS, ids=[n for n, _ in REPLAY_INPUTS])
+def test_tables_match_the_word_replay_reference(group, name, text):
+    pres, tbl = group(text)
+    action = _shuffled(_letter_action(tbl)[1], name)
+    ref = word_replay_table(action)
+    assert _fields(tbl) == ref[:4]
+    got, order_of = _canonical_table(action, pres.ngens, pres.relators)
+    assert (_fields(got), order_of) == (ref[:4], ref[4])
+
+
+@pytest.mark.parametrize("name,text", REPLAY_INPUTS, ids=[n for n, _ in REPLAY_INPUTS])
+def test_jennings_quotient_tables_match_the_word_replay_reference(group, name, text):
+    pres, tbl = group(text)
+    letters, _ = _letter_action(tbl)
+    for p in pres.primes:
+        for sub in {s.members: s for s in jennings_series(tbl, p)}.values():
+            qt, coset_map = quotient_table(tbl, sub)
+            least = [min(tbl.mult[x][h] for h in sub.members) for x in range(tbl.order)]
+            reps = sorted(set(least))
+            coset = [reps.index(r) for r in least]
+            ref = word_replay_table([[coset[tbl.mult[r][y]] for y in letters] for r in reps])
+            assert _fields(qt) == ref[:4]
+            assert coset_map == [ref[4][c] for c in coset]
+
+
+def test_zero_generators_give_the_trivial_table():
+    tbl = todd_coxeter(Presentation((), (), (2,)))
+    assert _fields(tbl) == (((0,),), (0,), (), ((),))
+
+
+def test_canonical_table_rejects_an_action_that_is_not_a_group():
+    # both letters fix every element: 1 and 2 are never reached
+    with pytest.raises(AssertionError, match="do not generate the whole table"):
+        _canonical_table([[0, 0], [1, 1], [2, 2]], 1, ())
+    # every letter sends everything to 1: row 1 never reaches the identity
+    with pytest.raises(AssertionError, match="row without inverse"):
+        _canonical_table([[1, 1], [1, 1]], 1, ())
