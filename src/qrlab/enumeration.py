@@ -8,9 +8,9 @@ letters in that order, numbers the elements (element words shortest, ties
 lexicographic) and makes each its tree parent times one letter, so each
 product is one lookup along the tree.  Every table is verified against the
 group axioms before it is returned; associativity by Light's test, (ab)c =
-a(bc) for all a, c and b running over the generator images and their
-inverses, n^2 products per letter, complete at every order because the
-element words make every element a product of letters.
+a(bc) for all a, c and b running over the generator images, n^2 products
+per image, complete at every order because the element words make every
+element a product of letters, and so of generator images.
 """
 
 from __future__ import annotations
@@ -78,12 +78,15 @@ def _verify_table(mult, inv, gen_images, element_words, relators):
         y = inv[x]
         if mult[x][y] != 0 or mult[y][x] != 0:
             raise AssertionError("inverse law fails")
-    # Light's test: (ab)c = a(bc) for all a, c and every letter b.  If b and
-    # b' pass, so does bb': (a(bb'))c = ((ab)b')c = (ab)(b'c) = a(b(b'c))
-    # = a((bb')c).  The element words checked below write every element as
-    # a left-bracketed product of letters, so every b passes.
-    letters = sorted(set(gen_images) | {inv[x] for x in gen_images})
-    for b in letters:
+    # Light's test: (ab)c = a(bc) for all a, c and every generator image b.
+    # If b and b' pass, so does bb': (a(bb'))c = ((ab)b')c = (ab)(b'c) =
+    # a(b(b'c)) = a((bb')c).  If x passes, (ax)x^-1 = a(xx^-1) = a, so right
+    # multiplication by x is a permutation whose inverse is right
+    # multiplication by x^-1, a power of the former: a letter x^-1 in a
+    # left-bracketed product is a run of letters x.  The element words
+    # checked below write every element as a left-bracketed product of
+    # letters, hence of generator images, so every b passes.
+    for b in sorted(set(gen_images)):
         for a in range(n):
             row_a, row_ab = mult[a], mult[mult[a][b]]
             if any(row_ab[c] != row_a[bc] for c, bc in enumerate(mult[b])):

@@ -311,7 +311,7 @@ class MarksReport:
     """The Brauer-quotient test and the one multiplicity vector it allows.
 
     classes[i] is the representative K_i of subgroup class i, classes sorted
-    by order.  For the module M:
+    by order, and maximal[i] lists its subgroups of index p.  For the module M:
 
       fixdims[i]     = dim M^K_i
       brauer_dims[i] = dim M(K_i) = dim M^K_i - dim sum_{L < K_i} Tr_L^K_i(M^L)
@@ -320,14 +320,18 @@ class MarksReport:
     (Broue, On Scott modules and p-permutation modules, 1985), so a
     permutation module with multiplicities m satisfies marks * m =
     brauer_dims, where marks[i][j] = |(Q/H_j)^K_i| is Burnside's table of
-    marks.  K_i fixes a coset of H_j only if it lies in a conjugate of H_j,
-    so marks[i][j] = 0 for j < i and marks[i][i] = |N(K_i) : K_i|: the
-    table is triangular with a nonzero diagonal and m is unique.
+    marks.  K fixes gH iff K <= gHg^-1; the g giving one conjugate of H_j
+    form a coset of N(H_j), of order |Q|/|C_j| for C_j the class of H_j,
+    and |H_j| of them give each coset gH, so marks[i][j] is the class count
+    |Q| / (|H_j| |C_j|) * #{H in C_j : K_i <= H}.  It is 0 for j < i, and
+    marks[i][i] = |N(K_i) : K_i|: the table is triangular with a nonzero
+    diagonal and m is unique (_solve_marks raises otherwise).
     candidates is (m,) when back-substitution gives a nonnegative integral
     vector, and () with a witness otherwise, which refutes M.
     """
 
     classes: tuple[Subgroup, ...]
+    maximal: tuple[tuple[Subgroup, ...], ...]
     fixdims: tuple[int, ...]
     brauer_dims: tuple[int, ...]
     candidates: tuple[tuple[int, ...], ...]
@@ -403,25 +407,20 @@ def marks_multiplicities(mod: LevelModule) -> MarksReport:
     require_p_group(mod.qtbl.order, mod.p,
                     f"the Brauer quotient test needs a {mod.p}-group, |Q| = {mod.qtbl.order}")
     subs = all_subgroups(mod.qtbl)
-    classes = [cls[0] for cls in subgroup_conjugacy_classes(mod.qtbl, subs)]
-    brauer = []
-    for K in classes:
-        in_k = set(K.members)
-        maximal = [L for L in subs
-                   if L.order * mod.p == K.order and in_k.issuperset(L.members)]
-        brauer.append(_brauer_dim(mod, K, maximal))
-    cosets = [left_cosets(mod.qtbl, H) for H in classes]
-    marks = [
-        tuple(
-            sum(all(coset_of[mod.qtbl.mult[g][r]] == c for g in K.generators)
-                for c, r in enumerate(reps))
-            for coset_of, reps in cosets
-        )
-        for K in classes
-    ]
+    conj = subgroup_conjugacy_classes(mod.qtbl, subs)
+    classes = [cls[0] for cls in conj]
+    conj_sets = [[set(H.members) for H in cls] for cls in conj]
+    maximal = [tuple(L for L in subs if L.order * mod.p == K.order
+                     and sets[0].issuperset(L.generators))
+               for K, sets in zip(classes, conj_sets)]
+    brauer = [_brauer_dim(mod, K, below) for K, below in zip(classes, maximal)]
+    marks = [tuple(mod.qtbl.order // (cls[0].order * len(cls))
+                   * sum(h.issuperset(K.generators) for h in sets)
+                   for cls, sets in zip(conj, conj_sets)) for K in classes]
     m, witness = _solve_marks(marks, brauer, classes)
     return MarksReport(
         classes=tuple(classes),
+        maximal=tuple(maximal),
         fixdims=tuple(len(_fixed(mod, K)) for K in classes),
         brauer_dims=tuple(brauer),
         candidates=() if m is None else (m,),
@@ -716,38 +715,20 @@ def perm_recognize_modp(mod: LevelModule, budget: int = DEFAULT_CERT_BUDGET) -> 
 # ---------------------------------------------------------------------------
 # sign characters and the integral certificate
 
-def sign_characters(qtbl: FiniteGroupTable, sub: Subgroup) -> list[tuple[int, ...]]:
+def sign_characters(sub: Subgroup, subgroups) -> list[tuple[int, ...]]:
     """All homomorphisms H -> {1,-1}, trivial first, then by value tuple.
 
-    Determined by values on a greedy generating set; each assignment is
-    propagated through the multiplication table and kept only if globally
-    multiplicative.
+    A nontrivial one is fixed by its kernel L, of index 2, and every
+    index-2 L is normal with H/L = {1,-1}: so they are the xi_L, 1 on L and
+    -1 off it, for L over the index-2 subgroups of H in `subgroups`.  Those
+    of a p-group are among its maximal subgroups (MarksReport.maximal), and
+    for odd p there are none.
     """
-    members = list(sub.members)
-    gens = _generators_for(qtbl, members)
-    chars = []
-    for signs in product((1, -1), repeat=len(gens)):
-        val = {0: 1}
-        frontier = [0]
-        ok = True
-        while frontier and ok:
-            x = frontier.pop()
-            for g, s in zip(gens, signs):
-                y = qtbl.mult[x][g]
-                v = val[x] * s
-                if y in val:
-                    if val[y] != v:
-                        ok = False
-                        break
-                else:
-                    val[y] = v
-                    frontier.append(y)
-        if not ok or len(val) != len(members):
-            continue
-        if all(val[qtbl.mult[a][b]] == val[a] * val[b]
-               for a in members for b in members):
-            chars.append(tuple(val[m] for m in members))
-    return sorted(set(chars), key=lambda c: (c != (1,) * len(members), c))
+    inside = set(sub.members)
+    kernels = [set(L.members) for L in subgroups
+               if 2 * L.order == sub.order and inside.issuperset(L.members)]
+    return [(1,) * sub.order] + sorted(tuple(1 if x in kernel else -1 for x in sub.members)
+                                       for kernel in kernels)
 
 
 @dataclass(frozen=True)
@@ -792,9 +773,8 @@ def gen_perm_lift(
     per_class: dict[int, list[int]] = {}
     for i, b in enumerate(base_blocks):
         per_class.setdefault(b.class_index, []).append(i)
-    subs = {b.class_index: b.sub for b in base_blocks}
-    char_lists = {ci: sign_characters(mod.qtbl, sub) if p == 2 else [(1,) * sub.order]
-                  for ci, sub in subs.items()}
+    char_lists = {b.class_index: sign_characters(b.sub, modp.marks.maximal[b.class_index])
+                  for b in base_blocks}
     class_order = sorted(per_class)
     choice_iters = [
         combinations_with_replacement(range(len(char_lists[ci])), len(per_class[ci]))

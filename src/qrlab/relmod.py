@@ -51,22 +51,23 @@ class RelationLattice:
     """R/[R,R] as the cycle lattice of the right Cayley graph, in Z^(|X|*|G|).
 
     Column i*|G| + h is the edge h -> h x_i, so block i of a vector is the
-    ZG coefficient vector of the i-th partial derivative.  basis[c] is the
-    fundamental cycle of chord c of the BFS tree from 1.  gen_coords[x],
-    for x a generator image or its inverse, is the matrix of x on the
-    lattice: its row c is the chord entries of x * basis[c], which are the
-    coordinates of that cycle.  Every level of the tower is read off them.
-    Both are shared by every reader, so they are read-only.
+    ZG coefficient vector of the i-th partial derivative.  cycles[c] is the
+    fundamental cycle of chord c of the BFS tree from 1, as its nonzeros
+    (block start i*|G|, h, +-1), one per edge.  gen_coords[x], for x a
+    generator image or its inverse, is the matrix of x on the lattice: its
+    row c is the chord entries of x * cycles[c], which are the coordinates
+    of that cycle.  Every level of the tower is read off them.  Both are
+    shared by every reader, so they are read-only.
     """
 
     pres: Presentation
     tbl: FiniteGroupTable
-    basis: Matrix
+    cycles: tuple[tuple[tuple[int, int, int], ...], ...]
     gen_coords: dict[int, Matrix] = field(repr=False, compare=False)
 
     @property
     def rank(self) -> int:
-        return len(self.basis)
+        return len(self.cycles)
 
     @functools.cached_property
     def level(self) -> Coinvariants:
@@ -150,15 +151,9 @@ def relation_lattice(pres: Presentation, tbl: FiniteGroupTable) -> RelationLatti
             raise PropertyViolation("relation lattice != kernel of the Crowell-Lyndon map")
         span.add(vec)
 
-    basis = []
-    for cycle in cycles:
-        row = [0] * width
-        for start, h, c in cycle:
-            row[start + h] = c
-        basis.append(tuple(row))
     letters = sorted({y for x in images for y in (x, tbl.inv[x])})
     gen_coords = {x: tuple(tuple(chord_entries(cycle, x)) for cycle in cycles) for x in letters}
-    return RelationLattice(pres, tbl, tuple(basis), gen_coords)
+    return RelationLattice(pres, tbl, tuple(map(tuple, cycles)), gen_coords)
 
 
 @dataclass(frozen=True)
@@ -316,13 +311,16 @@ def hopf_h2(rlat: RelationLattice) -> AbelianInvariants:
     """H2(G,Z) as the torsion of R/[R,F] = rlat.g_coin (Hopf's formula for finite G).
 
     Also certifies coker(R/[R,F] -> Z^|X|) = G_ab: the cokernel computed
-    from block augmentations of the lattice basis must match the Smith
+    from block augmentations of the lattice's cycles must match the Smith
     invariants of the relator exponent matrix.
     """
     n = rlat.tbl.order
     aug_rows = []
-    for row in rlat.basis:
-        aug_rows.append([sum(row[i * n:(i + 1) * n]) for i in range(rlat.pres.ngens)])
+    for cycle in rlat.cycles:
+        row = [0] * rlat.pres.ngens
+        for start, _, c in cycle:
+            row[start // n] += c
+        aug_rows.append(row)
     coker = lattice_quotient(rlat.pres.ngens, aug_rows)
     gab = gab_invariants(rlat.pres)
     if coker != gab:

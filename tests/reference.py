@@ -6,6 +6,8 @@ itself.  The one exception is lattice_from_rows, which wraps qrlab's
 Lattice as the Hermite form that the tests solve in.
 """
 
+import itertools
+
 from qrlab.intlinalg import Lattice
 
 
@@ -72,6 +74,19 @@ def lattice_from_rows(ambient, rows):
         lat.add(r)
     lat.canonicalize()
     return lat
+
+
+def cycle_basis(rlat):
+    """The relation lattice's basis as dense rows of Z^(|X|*|G|): each of
+    rlat.cycles, its nonzeros (block start, h, +-1), written out."""
+    width = rlat.pres.ngens * rlat.tbl.order
+    rows = []
+    for cycle in rlat.cycles:
+        row = [0] * width
+        for start, h, c in cycle:
+            row[start + h] = c
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 def gr_multiply(tbl, u, v):
@@ -192,6 +207,51 @@ def orbits_on_cosets(tbl, sub, acting):
         cosets -= orbit
         orbits += 1
     return orbits
+
+
+def coset_marks(tbl, classes):
+    """Reference table of marks by walking cosets: entry [i][j] is the
+    number of left cosets g*H_j, each kept as a frozenset of elements,
+    that left multiplication by every member of K_i maps to themselves;
+    K_i and H_j run over classes."""
+    cosets = [{frozenset(tbl.mult[g][h] for h in H.members) for g in range(tbl.order)}
+              for H in classes]
+    return [tuple(sum(all(frozenset(tbl.mult[k][x] for x in c) == c for k in K.members)
+                      for c in of_h)
+                  for of_h in cosets)
+            for K in classes]
+
+
+def searched_sign_characters(tbl, sub):
+    """Reference homomorphisms sub -> {1,-1} by search: a greedy generating
+    set of d members, each of the 2^d sign assignments on it propagated
+    through the table by BFS and kept only if multiplicative on every pair
+    of members.  Value tuples aligned with sub.members, trivial first, then
+    sorted."""
+    members = list(sub.members)
+    gens, reached = [], {0}
+    for x in members:
+        if x not in reached:
+            gens.append(x)
+            frontier = list(reached)
+            for y in frontier:
+                for g in gens:
+                    z = tbl.mult[y][g]
+                    if z not in reached:
+                        reached.add(z)
+                        frontier.append(z)
+    chars = set()
+    for signs in itertools.product((1, -1), repeat=len(gens)):
+        val, frontier = {0: 1}, [0]
+        for x in frontier:
+            for g, s in zip(gens, signs):
+                y = tbl.mult[x][g]
+                if y not in val:
+                    val[y] = val[x] * s
+                    frontier.append(y)
+        if all(val[tbl.mult[a][b]] == val[a] * val[b] for a in members for b in members):
+            chars.add(tuple(val[m] for m in members))
+    return sorted(chars, key=lambda c: (c != (1,) * len(members), c))
 
 
 def word_replay_table(action):

@@ -219,6 +219,24 @@ def test_light_test_rejects_a_nonassociative_loop():
         _verify_table(LOOP5, loop.inv, loop.gen_images, LOOP5_WORDS, ())
 
 
+# An order-6 loop whose generator 2 is not self-inverse (its inverse is 4),
+# so Light's test on the generator images alone meets a letter x^-1 that it
+# never tests directly.  1 and 2 generate it (3 = 1*2, 5 = 1*2^-1).
+LOOP6 = ((0, 1, 2, 3, 4, 5), (1, 0, 3, 2, 5, 4), (2, 3, 4, 5, 0, 1), (3, 2, 5, 4, 1, 0),
+         (4, 5, 0, 1, 3, 2), (5, 4, 1, 0, 2, 3))
+LOOP6_INV = (0, 1, 4, 5, 2, 3)
+LOOP6_WORDS = ((), ((0, 1),), ((1, 1),), ((0, 1), (1, 1)), ((1, -1),), ((0, 1), (1, -1)))
+
+
+def test_light_test_rejects_a_loop_with_a_generator_that_is_not_self_inverse():
+    loop = FiniteGroupTable(6, LOOP6, LOOP6_INV, (1, 2), LOOP6_WORDS)
+    assert [word_image(loop, w) for w in LOOP6_WORDS] == list(range(6))
+    assert all(LOOP6[x][LOOP6_INV[x]] == LOOP6[LOOP6_INV[x]][x] == 0 for x in range(6))
+    assert LOOP6_INV[2] == 4
+    with pytest.raises(AssertionError, match="associativity fails"):
+        _verify_table(LOOP6, LOOP6_INV, (1, 2), LOOP6_WORDS, ())
+
+
 # every corpus file, the benchmark's inputs (q32, m32, c64, c81), nqr32, q128
 REPLAY_INPUTS = (
     [(f.name, f.read_text()) for f in sorted(CORPUS_DIR.glob("*.pres"))]

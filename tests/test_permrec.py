@@ -54,7 +54,13 @@ from qrlab.permrec import (
 )
 
 from conftest import CORPUS_DIR, ORDER32, ORDER32_DIR, walk_inputs
-from reference import dense_inverse, dense_rref, orbits_on_cosets
+from reference import (
+    coset_marks,
+    dense_inverse,
+    dense_rref,
+    orbits_on_cosets,
+    searched_sign_characters,
+)
 
 
 def frozen(mat):
@@ -131,6 +137,7 @@ C3XC3 = "gens: a, b; relators: a^3, b^3, a*b*a^-1*b^-1; prime: 3"
 C9 = "gens: a; relators: a^9; prime: 3"
 Q64 = "gens: a, b; relators: a^16*b^-2, a*b*a*b^-1; prime: 2"
 S3 = "gens: a, b; relators: a^3, b^2, a*b*a*b; prime: 2"
+A4 = "gens: a, b; relators: a^2, b^3, a*b*a*b*a*b; prime: 2"
 
 
 def table_of(text):
@@ -161,7 +168,7 @@ def test_block_matrix_anticomposition():
 def test_monomial_matrix_signs_square_away():
     tbl = table_of(C4)
     full = Subgroup(tuple(range(4)), (tbl.gen_images[0],))
-    chars = sign_characters(tbl, full)
+    chars = sign_characters(full, all_subgroups(tbl))
     twisted = next(x for x in chars if any(v != 1 for v in x))
     ring = 8
     block = Block(0, full, twisted)
@@ -177,8 +184,9 @@ def test_monomial_matrix_signs_square_away():
 def test_sign_characters_are_characters():
     for text in (C4, KLEIN, Q8):
         tbl = table_of(text)
-        for sub in all_subgroups(tbl):
-            chars = sign_characters(tbl, sub)
+        subs = all_subgroups(tbl)
+        for sub in subs:
+            chars = sign_characters(sub, subs)
             members = list(sub.members)
             pos = {g: i for i, g in enumerate(members)}
             assert chars[0] == (1,) * len(members)
@@ -193,10 +201,10 @@ def test_sign_characters_are_characters():
 def test_sign_character_counts():
     tbl = table_of(KLEIN)
     full = next(s for s in all_subgroups(tbl) if len(s.members) == 4)
-    assert len(sign_characters(tbl, full)) == 4
+    assert len(sign_characters(full, all_subgroups(tbl))) == 4
     tbl = table_of(C4)
     full = next(s for s in all_subgroups(tbl) if len(s.members) == 4)
-    assert len(sign_characters(tbl, full)) == 2
+    assert len(sign_characters(full, all_subgroups(tbl))) == 2
 
 
 # --- recognizer on synthetic input ----------------------------------------
@@ -390,6 +398,48 @@ def test_brauer_dims_count_fixed_cosets(text, p):
         assert mk.witness is None
 
 
+def test_marks_table_is_the_coset_walk(corpus, group, monkeypatch):
+    """The table of marks counted over the subgroup classes equals the
+    reference walk over the cosets, on the quotient by every level of the
+    Jennings chain of the corpus, q32, m32, q64, c64 and c81."""
+    inputs = [(e["text"], p) for e in corpus for p in e["primes"]]
+    inputs += [((ORDER32_DIR / name).read_text(), 2) for name in ORDER32 + ("c64.pres",)]
+    inputs += [(Q64, 2), ((ORDER32_DIR / "c81.pres").read_text(), 3)]
+    tables = []
+    solve = permrec._solve_marks
+    monkeypatch.setattr(permrec, "_solve_marks",
+                        lambda marks, *rest: tables.append(marks) or solve(marks, *rest))
+    checked = 0
+    for text, p in inputs:
+        _, tbl = group(text)
+        for sub in {s.members: s for s in dimension_subgroup_chain(tbl, p)}.values():
+            qtbl = quotient_table(tbl, sub)[0]
+            trivial = letter_matrices(qtbl, lambda x: identity_rows(1), p)
+            rep = marks_multiplicities(hand_module(qtbl, p, 1, 1, trivial))
+            assert tables[-1] == coset_marks(qtbl, rep.classes), (text, qtbl.order)
+            checked += 1
+    assert checked >= 60
+
+
+def test_solve_marks_raises_on_a_table_that_is_not_triangular():
+    """The class-count table is only solvable in the class order; a table
+    that is not triangular there is raised, not asserted."""
+    classes = (Subgroup((0,), ()), Subgroup((0, 1), (1,)))
+    for marks in ([(2, 0), (1, 1)], [(2, 1), (0, 0)]):
+        with pytest.raises(AssertionError, match="not triangular"):
+            permrec._solve_marks(marks, [2, 1], classes)
+
+
+@pytest.mark.parametrize("text", [C4, KLEIN, Q8, D4, S3, A4, C3XC3])
+def test_sign_characters_from_index_2_subgroups_match_the_search(text):
+    """One character per index-2 subgroup, trivial first, equals the
+    reference search over sign assignments on every subgroup."""
+    tbl = table_of(text)
+    subs = all_subgroups(tbl)
+    for sub in subs:
+        assert sign_characters(sub, subs) == searched_sign_characters(tbl, sub), sub
+
+
 def test_marks_refuses_a_group_that_is_not_a_p_group():
     tbl = table_of(S3)
     assert tbl.order == 6
@@ -544,12 +594,13 @@ def reduction(mod):
 def random_twisted_blocks(tbl, rng, max_dim):
     """One to three blocks on random subgroup classes, each with a random
     sign character, of total dimension at most max_dim."""
+    subs = all_subgroups(tbl)
     reps = class_reps(tbl)
     blocks = []
     for _ in range(rng.randrange(1, 4)):
         j = rng.randrange(len(reps))
         if sum(tbl.order // b.sub.order for b in blocks) + tbl.order // reps[j].order <= max_dim:
-            blocks.append(Block(j, reps[j], rng.choice(sign_characters(tbl, reps[j]))))
+            blocks.append(Block(j, reps[j], rng.choice(sign_characters(reps[j], subs))))
     return tuple(blocks) or (Block(len(reps) - 1, reps[-1], (1,) * tbl.order),)
 
 
@@ -594,7 +645,7 @@ def test_hom_basis_against_brute_force(text, p, k):
                        for h, s in zip(sub.members, xi) for j in range(mod.dim))
 
         for sub in subs:
-            for xi in sign_characters(tbl, sub) if p == 2 else [(1,) * sub.order]:
+            for xi in sign_characters(sub, subs) if p == 2 else [(1,) * sub.order]:
                 rows = mod.hom_basis(sub, xi)
                 assert all(solves(w, sub, xi) for w in rows)
                 reduced = [[x % p for x in w] for w in rows]

@@ -33,7 +33,7 @@ from qrlab.relmod import (
 )
 
 from conftest import CORPUS_DIR, NQR32, ORDER32, ORDER32_DIR, walk_inputs
-from reference import lattice_from_rows, left_translate
+from reference import cycle_basis, lattice_from_rows, left_translate
 
 # (text, prime, G_ab torsion, multiplier torsion)
 KNOWN = [
@@ -196,7 +196,7 @@ def test_bar_route_past_order_27_agrees_with_hopf(group, lattice, text, h2):
 def test_rank_law(group, lattice, text, p, gab, h2):
     pres, tbl = group(text)
     rlat = lattice(text)
-    assert len(rlat.basis) == tbl.order * (pres.ngens - 1) + 1
+    assert rlat.rank == tbl.order * (pres.ngens - 1) + 1
 
 
 def test_cyclic_lattice_is_the_fixed_norm_line(group, lattice):
@@ -204,9 +204,9 @@ def test_cyclic_lattice_is_the_fixed_norm_line(group, lattice):
     # translation action of G fixes it
     _, tbl = group("gens: a; relators: a^4; prime: 2")
     rlat = lattice("gens: a; relators: a^4; prime: 2")
-    assert rlat.basis == ((1, 1, 1, 1),)
+    assert cycle_basis(rlat) == ((1, 1, 1, 1),)
     for g in range(tbl.order):
-        assert right_translate(tbl, list(rlat.basis[0]), g) == [1, 1, 1, 1]
+        assert right_translate(tbl, list(cycle_basis(rlat)[0]), g) == [1, 1, 1, 1]
 
 
 def test_free_presentation_has_zero_lattice():
@@ -214,7 +214,7 @@ def test_free_presentation_has_zero_lattice():
     free = Presentation(generator_names=(), relators=(), primes=(2,))
     tbl = todd_coxeter(free)
     assert tbl.order == 1
-    assert relation_lattice(free, tbl).basis == ()
+    assert relation_lattice(free, tbl).cycles == ()
 
 
 def test_lattice_rejects_a_mismatched_table(group):
@@ -250,7 +250,8 @@ def test_lattice_rejects_a_stable_span_of_the_right_rank_that_is_not_saturated(
     span = lattice_from_rows(ambient, (translate(tbl, g, r)
                                        for r in fox_rows(pres, tbl)
                                        for g in range(tbl.order)))
-    assert span.equals(lattice_from_rows(ambient, ([m * x for x in r] for r in true.basis)))
+    assert span.equals(lattice_from_rows(ambient, ([m * x for x in r]
+                                                   for r in cycle_basis(true))))
     assert all(translate(tbl, g, r) in span for g in range(tbl.order) for r in span.basis)
     with pytest.raises(PropertyViolation, match="kernel of the Crowell-Lyndon map"):
         relation_lattice(pres, tbl)
@@ -263,7 +264,7 @@ def translate(tbl, g, vec):
 
 
 def hermite(rlat):
-    return lattice_from_rows(rlat.pres.ngens * rlat.tbl.order, rlat.basis)
+    return lattice_from_rows(rlat.pres.ngens * rlat.tbl.order, cycle_basis(rlat))
 
 
 ORACLE_INPUTS = ([CORPUS_DIR / n for n in sorted(p.name for p in CORPUS_DIR.glob("*.pres"))]
@@ -287,7 +288,7 @@ def test_certified_lattice_matches_the_kernel_and_the_all_elements_sweep(lattice
     lat = hermite(rlat)
     assert kern.equals(lat)
     for g in range(n):
-        for row in rlat.basis:
+        for row in cycle_basis(rlat):
             assert lat.coordinates(translate(tbl, g, row)) is not None
 
 
@@ -300,9 +301,9 @@ def test_letters_are_the_coordinates_solved_in_the_hermite_lattice(lattice, path
     tbl = rlat.tbl
     assert set(rlat.gen_coords) == set(tbl.gen_images) | {tbl.inv[x] for x in tbl.gen_images}
     lat = hermite(rlat)
-    frame = [lat.coordinates(row) for row in rlat.basis]
+    frame = [lat.coordinates(row) for row in cycle_basis(rlat)]
     for x, letter in rlat.gen_coords.items():
-        solved = [lat.coordinates(translate(tbl, x, row)) for row in rlat.basis]
+        solved = [lat.coordinates(translate(tbl, x, row)) for row in cycle_basis(rlat)]
         assert solved == mat_mul(letter, frame), x
 
 
@@ -324,7 +325,7 @@ def test_coinvariants_of_trivial_subgroup_is_free(group, lattice):
     triv = next(s for s in all_subgroups(tbl) if len(s.members) == 1)
     coin = coinvariants(rlat, triv)
     assert coin.invariants.torsion == ()
-    assert coin.invariants.free_rank == len(rlat.basis)
+    assert coin.invariants.free_rank == rlat.rank
 
 
 @pytest.mark.parametrize("text", [
@@ -351,7 +352,7 @@ def lattice_route(rlat, sub):
     Smith form of those rows."""
     lat = hermite(rlat)
     rows = [lat.coordinates([a - b for a, b in zip(translate(rlat.tbl, d, row), row)])
-            for d in sub.generators if d for row in rlat.basis]
+            for d in sub.generators if d for row in cycle_basis(rlat)]
     diag = [d for d in smith_normal_form(rows)[0] if d] if rows else []
     return AbelianInvariants(rlat.rank - len(diag), tuple(d for d in diag if d > 1))
 
@@ -427,6 +428,17 @@ def test_trivial_multiplier_does_not_make_a_group_quasirational(group, text, ord
     assert p_torsion(rep.g_coinvariants, 2) == ()
     assert not rep.quasirational and rep.witness_level == 2
     assert (rep.levels[1].subgroup_order, rep.levels[1].p_torsion) == (d2_order, (2,))
+
+
+def test_order_243_with_trivial_multiplier_is_not_quasirational_at_3(lattice):
+    """The same at p = 3 and order 243, from a balanced presentation: H2(G)
+    = 0 by Hopf, and level 2 carries the 3-torsion (3, 3, 3)."""
+    rlat = lattice((NQR32.parent / "nqr243.pres").read_text())
+    assert rlat.tbl.order == 243
+    assert hopf_h2(rlat) == AbelianInvariants(0, ())
+    rep = qr_check(rlat, 3)
+    assert not rep.quasirational and rep.witness_level == 2
+    assert rep.levels[1].p_torsion == (3, 3, 3)
 
 
 def test_report_shape(group):
