@@ -311,12 +311,16 @@ def is_normal(tbl: FiniteGroupTable, sub: Subgroup) -> bool:
     return all(tbl.conj(g, x) in mem for g in tbl.gen_images for x in sub.members)
 
 
-def _normalizer_members(tbl: FiniteGroupTable, members: frozenset[int]) -> list[int]:
-    out = []
-    for g in range(tbl.order):
-        if all(tbl.conj(g, x) in members for x in members):
-            out.append(g)
-    return out
+def _normalizer_members(tbl: FiniteGroupTable, sub: Subgroup, members: frozenset[int]) -> list[int]:
+    """The g with g*sub*g^-1 = sub, members being sub's member set.
+
+    Tested on sub's generators: conjugation by g is an automorphism, so it
+    maps sub = <generators> onto a subgroup of the same order, which lies in
+    sub iff each conjugated generator does.  The trivial subgroup has no
+    generators, and every g normalizes it.
+    """
+    return [g for g in range(tbl.order)
+            if all(tbl.conj(g, x) in members for x in sub.generators)]
 
 
 def prime_power(n: int) -> tuple[int, int] | None:
@@ -356,7 +360,7 @@ def all_subgroups(tbl: FiniteGroupTable, bound: int = DEFAULT_SUBGROUP_BOUND) ->
             nxt: dict[frozenset[int], Subgroup] = {}
             for h in layer:
                 hset = frozenset(h.members)
-                for g in _normalizer_members(tbl, hset):
+                for g in _normalizer_members(tbl, h, hset):
                     if g in hset or tbl.power(g, p) not in hset:
                         continue
                     members = set()
@@ -398,15 +402,21 @@ def subgroup_conjugacy_classes(tbl: FiniteGroupTable, subs: list[Subgroup]) -> l
     """Partition into conjugacy classes; each class sorted, rep = class[0]
     (minimal member tuple).  Classes sorted by (order, rep members)."""
     by_members = {frozenset(s.members): s for s in subs}
+    gens = sorted(set(tbl.gen_images))
     seen: set[frozenset[int]] = set()
     classes = []
     for s in sorted(subs, key=lambda s: (s.order, s.members)):
         key = frozenset(s.members)
         if key in seen:
             continue
-        cls = set()
-        for g in range(tbl.order):
-            cls.add(conjugate_subgroup_members(tbl, key, g))
+        # the orbit under the generator images, which generate G as a monoid
+        cls, frontier = {key}, [key]
+        for c in frontier:
+            for x in gens:
+                d = conjugate_subgroup_members(tbl, c, x)
+                if d not in cls:
+                    cls.add(d)
+                    frontier.append(d)
         seen |= cls
         group = sorted((by_members[c] for c in cls if c in by_members),
                        key=lambda s: s.members)

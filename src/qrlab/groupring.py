@@ -2,8 +2,8 @@
 
 Elements of ZG or (Z/m)G are coefficient vectors indexed by the table's
 canonical element order.  Two independent routes to the same filtration
-live here: dimension_subgroup() reads D_n = {g : g - 1 in Delta^n} off the
-augmentation-ideal powers, jennings_series() runs the recursion
+live here: dimension_subgroup_chain() reads D_n = {g : g - 1 in Delta^n}
+off the augmentation-ideal powers, jennings_series() runs the recursion
 D_n = [D_{n-1}, G] * (D_ceil(n/p))^p on the bare multiplication table.
 Agreement of the two is asserted by callers, not assumed.
 
@@ -15,11 +15,22 @@ Each power is a ModpSpan, and the tower never leaves its packed rows
 (intlinalg.FpRows): x*w is a byte permutation of w, x*w - w one slotwise
 subtraction, and g - 1 is tested for membership without unpacking.  The
 reduced echelon form of a power is built only if someone reads it.
+
+The chain takes the powers one at a time and stops at the first trivial
+D_n, long before Delta^N = 0 on a cyclic group.  Each D_n is read off
+D_(n-1): its generators are tested first, and where they all pass the term
+repeats as the same object; otherwise D_(n-1) is walked one coset of the
+part found so far at a time.  Jennings' theorem then predicts every power's
+dimension from the chain (the Hilbert series of the graded group algebra),
+and each power the chain built must have it.
 """
 
 from __future__ import annotations
 
-from .errors import InputError
+from collections.abc import Iterator
+from itertools import islice
+
+from .errors import InputError, PropertyViolation
 from .enumeration import FiniteGroupTable, Subgroup, subgroup_closure, prime_power
 from .intlinalg import ModpSpan
 from .presentation import Presentation
@@ -37,8 +48,8 @@ def right_translate(tbl: FiniteGroupTable, vec, g: int) -> list[int]:
 # ---------------------------------------------------------------------------
 # augmentation filtration
 
-def delta_filtration(tbl: FiniteGroupTable, p: int, max_n: int | None = None) -> list[ModpSpan]:
-    """Echelonized bases of Delta^1, Delta^2, ... over F_p.
+def _delta_powers(tbl: FiniteGroupTable, p: int) -> Iterator[ModpSpan]:
+    """Delta^1, Delta^2, ... over F_p, each power built only when asked for.
 
     Delta^1 is spanned by the g - 1.  Delta is generated as a right ideal by
     the x - 1 for x a generator image, because gh - 1 = (g - 1)h + (h - 1);
@@ -47,23 +58,21 @@ def delta_filtration(tbl: FiniteGroupTable, p: int, max_n: int | None = None) ->
     packed rows throughout: w runs over Delta^n's packed semi-echelon rows,
     and x*w is one byte gather by the permutation h -> xh.
 
-    Stops at the first zero span (Delta^1 itself for the trivial group),
-    after Delta^n = Delta^(n+1) (from there on the chain is constant:
-    Delta^(n+2) = Delta*Delta^(n+1) = Delta*Delta^n = Delta^(n+1)), or after
-    max_n steps.  For p-groups the chain reaches 0.
+    Ends after the first zero span (Delta^1 itself for the trivial group),
+    or after Delta^(n+1) = Delta^n (from there on the chain is constant:
+    Delta^(n+2) = Delta*Delta^(n+1) = Delta*Delta^n = Delta^(n+1)).  For
+    p-groups the chain reaches 0.
     """
     n = tbl.order
     gens = list(dict.fromkeys(x for x in tbl.gen_images if x))
-    spans: list[ModpSpan] = []
-    delta1 = ModpSpan(n, p)
-    lay = delta1.layout
+    prev = ModpSpan(n, p)
+    lay = prev.layout
     for g in range(1, n):
-        delta1.add(lay.sub(lay.unit(g), lay.unit(0)))
-    spans.append(delta1)
+        prev.add(lay.sub(lay.unit(g), lay.unit(0)))
+    yield prev
     # slot k of x*w holds w's slot x^-1 k
     shifts = [lay.permutation(tbl.mult[tbl.inv[x]]) for x in gens]
-    while spans[-1].dim and (max_n is None or len(spans) < max_n):
-        prev = spans[-1]
+    while prev.dim:
         nxt = ModpSpan(n, p)
         for shift in shifts:
             for w in prev.packed:
@@ -72,10 +81,16 @@ def delta_filtration(tbl: FiniteGroupTable, p: int, max_n: int | None = None) ->
                     break
             if nxt.dim == prev.dim:
                 break
-        spans.append(nxt)
+        yield nxt
         if nxt.dim == prev.dim:
-            break
-    return spans
+            return
+        prev = nxt
+
+
+def delta_filtration(tbl: FiniteGroupTable, p: int, max_n: int | None = None) -> list[ModpSpan]:
+    """Echelonized bases of Delta^1, Delta^2, ... over F_p (see _delta_powers
+    for the step and the stopping rule), at most max_n of them."""
+    return list(islice(_delta_powers(tbl, p), max_n))
 
 
 def delta_dimension_sequence(tbl: FiniteGroupTable, p: int) -> list[int]:
@@ -120,51 +135,141 @@ def dimension_subgroup(tbl: FiniteGroupTable, p: int, n: int) -> Subgroup:
     return Subgroup(tuple(members), _generators_for(tbl, members))
 
 
+def _next_dimension_subgroup(tbl: FiniteGroupTable, span: ModpSpan, prev: Subgroup) -> Subgroup:
+    """{g in prev : g - 1 in span}, for span = Delta^n and prev = D_(n-1).
+
+    These g form a subgroup: gh - 1 = (g - 1)h + (h - 1).  When every
+    generator of prev passes, the answer is prev itself.  Otherwise prev is
+    walked in member order against the subgroup H found so far: a passing g
+    joins H (its closure is grown at once), and a failing g rules out g*H,
+    since gh in D_n would put g = gh*h^-1 in D_n.  The g that join H are the
+    members of the answer not in the closure of those before them, so they
+    are its greedy generators in member order, as _generators_for picks them.
+    """
+    lay = span.layout
+    one = lay.unit(0)
+
+    def passes(g: int) -> bool:
+        return span.contains(lay.sub(lay.unit(g), one))
+
+    if all(passes(g) for g in prev.generators):
+        return prev
+    mult = tbl.mult
+    inside, gens, failed, out = {0}, [], [], set()
+    for g in prev.members:
+        if g in inside or g in out:
+            continue
+        if not passes(g):
+            failed.append(g)
+            out.update(mult[g][h] for h in inside)
+            continue
+        gens.append(g)
+        frontier = list(inside)  # H grows to <H, g>: close under the gens so far
+        new = []
+        for x in frontier:
+            for y in gens:
+                z = mult[x][y]
+                if z not in inside:
+                    inside.add(z)
+                    new.append(z)
+                    frontier.append(z)
+        out.update(mult[f][h] for f in failed for h in new)
+    return Subgroup(tuple(sorted(inside)), tuple(gens))
+
+
+def _jennings_delta_dims(chain: list[Subgroup], p: int) -> list[int]:
+    """dim Delta^1, dim Delta^2, ... (down to 0) as Jennings' theorem
+    predicts them from the dimension subgroups: the graded algebra of F_pG
+    has Hilbert series prod_k ((1 - t^(pk)) / (1 - t^k))^(e_k), with
+    e_k = log_p |D_k : D_(k+1)|, and dim Delta^n is the sum of its
+    coefficients of degree >= n."""
+    series = [1]
+    for k, (hi, lo) in enumerate(zip(chain, chain[1:]), start=1):
+        index = hi.order // lo.order
+        while index > 1:
+            index //= p
+            # times 1 + t^k + ... + t^((p-1)k)
+            grown = [0] * (len(series) + (p - 1) * k)
+            for j in range(p):
+                for d, c in enumerate(series):
+                    grown[d + j * k] += c
+            series = grown
+    tails, acc = [], 0
+    for c in reversed(series[1:]):
+        acc += c
+        tails.append(acc)
+    return tails[::-1] + [0]
+
+
 def dimension_subgroup_chain(tbl: FiniteGroupTable, p: int) -> list[Subgroup]:
     """D_1 (= G), D_2, ... down to and including the first trivial term.
 
-    Delta^n lies in Delta^(n-1), so D_n lies in D_(n-1) and only the members
-    of the previous term are tested.
+    The Delta powers are built one at a time, and the tower stops at the
+    first n with D_n = 1 (on C_(p^k) that is n = p^(k-1) + 1, not |G|).
+    Delta^n lies in Delta^(n-1), so D_n lies in D_(n-1): each term is read
+    off the one before by _next_dimension_subgroup, which tests the
+    generators of D_(n-1) first and returns that very object when they
+    all pass.
+
+    Two checks raise PropertyViolation: a power that does not shrink
+    before D_n = 1 (Delta is nilpotent on a p-group), and a power whose
+    dimension is not the one Jennings' Hilbert series predicts from the
+    chain just read (_jennings_delta_dims).
     """
     require_p_group(tbl.order, p,
                     f"dimension subgroups over F_{p} need a {p}-group; order is {tbl.order}")
     chain = [subgroup_closure(tbl, tbl.gen_images)]
     if tbl.order == 1:
         return chain
-    spans = delta_filtration(tbl, p)
-    if spans[-1].dim != 0:
-        raise AssertionError("augmentation filtration of a p-group did not reach 0")
-    n = 2
-    while True:
-        span = spans[min(n, len(spans)) - 1]
-        members = _dimension_members(tbl, span, chain[-1].members)
-        chain.append(Subgroup(tuple(members), _generators_for(tbl, members)))
-        if len(members) == 1:
-            return chain
-        n += 1
+    powers = _delta_powers(tbl, p)
+    dims = [next(powers).dim]
+    for span in powers:
+        if span.dim >= dims[-1]:
+            raise PropertyViolation(
+                f"Delta^{len(dims) + 1} does not shrink at p={p} before D_n = 1")
+        dims.append(span.dim)
+        chain.append(_next_dimension_subgroup(tbl, span, chain[-1]))
+        if chain[-1].order == 1:
+            break
+    predicted = _jennings_delta_dims(chain, p)
+    # dims[0] = |G| - 1 against |G : D_last| - 1: a chain that stopped
+    # short of 1 fails here too
+    if dims != predicted[:len(dims)]:
+        raise PropertyViolation(
+            f"Delta power dimensions {dims} at p={p} are not the Jennings "
+            f"Hilbert series' {predicted[:len(dims)]}")
+    return chain
 
 
 def jennings_series(tbl: FiniteGroupTable, p: int) -> list[Subgroup]:
-    """Independent oracle for the same chain, from the Jennings recursion."""
+    """Independent oracle for the same chain, from the Jennings recursion.
+
+    A term is built once per distinct pair (D_(n-1), D_ceil(n/p)); a
+    repeated pair reuses the term built for it.
+    """
     require_p_group(tbl.order, p,
                     f"Jennings series over F_{p} needs a {p}-group; order is {tbl.order}")
     full = subgroup_closure(tbl, tbl.gen_images)
     chain = [full]
     if tbl.order == 1:
         return chain
+    built: dict[tuple[tuple[int, ...], tuple[int, ...]], Subgroup] = {}
     guard = 0
     while chain[-1].order > 1:
         n = len(chain) + 1
         prev = chain[-1]
         frac = chain[(n + p - 1) // p - 1]  # D_ceil(n/p)
-        gens = set()
-        for d in prev.members:
-            for g in range(tbl.order):
-                gens.add(tbl.mult[tbl.mult[tbl.mult[d][g]][tbl.inv[d]]][tbl.inv[g]])
-        for d in frac.members:
-            gens.add(tbl.power(d, p))
-        gens.discard(0)
-        chain.append(subgroup_closure(tbl, tuple(sorted(gens))))
+        key = (prev.members, frac.members)
+        if key not in built:
+            gens = set()
+            for d in prev.members:
+                for g in range(tbl.order):
+                    gens.add(tbl.mult[tbl.mult[tbl.mult[d][g]][tbl.inv[d]]][tbl.inv[g]])
+            for d in frac.members:
+                gens.add(tbl.power(d, p))
+            gens.discard(0)
+            built[key] = subgroup_closure(tbl, tuple(sorted(gens)))
+        chain.append(built[key])
         guard += 1
         if guard > 2 * tbl.order + 4:
             raise AssertionError("Jennings recursion did not terminate")

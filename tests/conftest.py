@@ -21,6 +21,20 @@ ORDER32 = ("q32.pres", "m32.pres")
 NQR32 = pathlib.Path(__file__).resolve().parent / "data" / "nqr32.pres"
 C9XC9 = "gens: a, b; relators: a^9, b^9, a*b*a^-1*b^-1; prime: 3"
 
+P_GROUPS = [
+    ("gens: a; relators: a^2; prime: 2", 2),
+    ("gens: a; relators: a^4; prime: 2", 2),
+    ("gens: a; relators: a^8; prime: 2", 2),
+    ("gens: a; relators: a^9; prime: 3", 3),
+    ("gens: a, b; relators: a^2, b^2, a*b*a^-1*b^-1; prime: 2", 2),
+    ("gens: a, b; relators: a^3, b^3, a*b*a^-1*b^-1; prime: 3", 3),
+    ("gens: a; relators: a^25; prime: 5", 5),
+    ("gens: a, b; relators: a^4, b^2, b*a*b*a; prime: 2", 2),
+    ("gens: a, b; relators: a*b*a*b^-1, b*a*b*a^-1; prime: 2", 2),
+    ("gens: a, b; relators: a^4*b^-2, a*b*a*b^-1; prime: 2", 2),
+    ("gens: a, b; relators: a^8, b^2, b*a*b^-1*a^-5; prime: 2", 2),
+]
+
 
 @functools.lru_cache(maxsize=None)
 def _group(text):
@@ -53,6 +67,16 @@ def walk_inputs():
     out += [(path.stem, path.read_text(), 2)
              for path in [NQR32] + [ORDER32_DIR / n for n in ORDER32]]
     return out + [("c9xc9", C9XC9, 3)]
+
+
+def ladder_inputs():
+    """(id, text) for the dimension-subgroup and subgroup-lattice oracles:
+    P_GROUPS, every corpus entry, the benchmark's inputs (read, never
+    written), nqr32 and nqr243; each is run at the primes its text lists."""
+    out = [(f"p_groups{i}", text) for i, (text, _) in enumerate(P_GROUPS)]
+    out += [(e["id"], e["text"]) for e in _corpus()]
+    paths = sorted(ORDER32_DIR.glob("*.pres")) + [NQR32, NQR32.parent / "nqr243.pres"]
+    return out + [(path.stem, path.read_text()) for path in paths]
 
 
 @pytest.fixture(scope="session")

@@ -2,12 +2,15 @@
 
 They use the standard library only and share no code with qrlab, so a
 test that compares qrlab against them is not checking a kernel against
-itself.  The one exception is lattice_from_rows, which wraps qrlab's
-Lattice as the Hermite form that the tests solve in.
+itself.  The exceptions are lattice_from_rows, which wraps qrlab's
+Lattice as the Hermite form that the tests solve in, and
+full_depth_dimension_chain, which reads qrlab's delta_filtration (itself
+checked against dense_rref in tests/test_groupring.py).
 """
 
 import itertools
 
+from qrlab.groupring import delta_filtration
 from qrlab.intlinalg import Lattice
 
 
@@ -295,3 +298,71 @@ def word_replay_table(action):
     inv = tuple(row.index(0) for row in mult)
     gen_images = tuple(order_of[img] for _, img in letters[::2])
     return mult, inv, gen_images, tuple(words[x] for x in seq), order_of
+
+
+def _closure(tbl, gens):
+    """Members of <gens>, by BFS under right multiplication from 1."""
+    members, frontier = {0}, [0]
+    for x in frontier:
+        for g in gens:
+            y = tbl.mult[x][g]
+            if y not in members:
+                members.add(y)
+                frontier.append(y)
+    return members
+
+
+def full_depth_dimension_chain(tbl, p):
+    """Reference D_1, D_2, ... down to the first trivial term, each as
+    (members, generators): the whole filtration Delta^1, ..., Delta^N = 0
+    first, then every member g of D_(n-1) tested for g - 1 in Delta^n.
+    D_1 is generated by the sorted distinct generator images; every later
+    term by its greedy generators, each member in order that the ones
+    before it do not generate."""
+    spans = delta_filtration(tbl, p)
+    if spans[-1].dim != 0:
+        raise ValueError("augmentation filtration of a p-group did not reach 0")
+    chain = [(tuple(sorted(_closure(tbl, set(tbl.gen_images)))),
+              tuple(sorted(set(tbl.gen_images))))]
+    n = 2
+    while len(chain[-1][0]) > 1:
+        span = spans[min(n, len(spans)) - 1]
+        members = []
+        for g in chain[-1][0]:
+            vec = [0] * tbl.order
+            vec[g] += 1
+            vec[0] += p - 1
+            if span.contains(vec):
+                members.append(g)
+        gens, have = [], {0}
+        for x in members:
+            if x not in have:
+                gens.append(x)
+                have = _closure(tbl, gens)
+        chain.append((tuple(members), tuple(gens)))
+        n += 1
+    return chain
+
+
+def all_elements_normalizer(tbl, members):
+    """Reference normalizer: the g with g*x*g^-1 in members for every x in
+    members."""
+    mset = set(members)
+    return [g for g in range(tbl.order)
+            if all(tbl.mult[tbl.mult[g][x]][tbl.inv[g]] in mset for x in members)]
+
+
+def all_elements_conjugacy_classes(tbl, subs):
+    """Reference classes of subgroups: each class is the set of conjugates
+    of its least member tuple by every g in G, as sorted member tuples;
+    classes in (order, least member tuple) order."""
+    left = {s.members for s in subs}
+    classes = []
+    for members in sorted(left, key=lambda m: (len(m), m)):
+        if members not in left:
+            continue
+        cls = {tuple(sorted(tbl.mult[tbl.mult[g][x]][tbl.inv[g]] for x in members))
+               for g in range(tbl.order)}
+        left -= cls
+        classes.append(sorted(cls))
+    return classes

@@ -18,6 +18,7 @@ from qrlab.presentation import Presentation, free_reduce, parse_presentation
 from qrlab.enumeration import (
     FiniteGroupTable,
     _canonical_table,
+    _normalizer_members,
     _verify_table,
     all_subgroups,
     conjugate_subgroup_members,
@@ -31,8 +32,13 @@ from qrlab.enumeration import (
     word_image,
 )
 
-from conftest import CORPUS_DIR, NQR32, ORDER32_DIR
-from reference import orbits_on_cosets, word_replay_table
+from conftest import CORPUS_DIR, NQR32, ORDER32_DIR, ladder_inputs
+from reference import (
+    all_elements_conjugacy_classes,
+    all_elements_normalizer,
+    orbits_on_cosets,
+    word_replay_table,
+)
 
 ORDERS = [
     ("gens: a; relators: a; prime: 2", 1),
@@ -150,6 +156,22 @@ def test_conjugacy_classes_partition(group):
         conjugates = {conjugate_subgroup_members(tbl, rep.members, g)
                       for g in range(tbl.order)}
         assert conjugates == {frozenset(s.members) for s in cls}
+
+
+LADDER = ladder_inputs()
+
+
+@pytest.mark.parametrize("name,text", LADDER, ids=[n for n, _ in LADDER])
+def test_orbit_classes_and_generator_normalizers_match_all_elements(group, name, text):
+    """Classes as orbits under the generator images, and normalizers tested
+    on a subgroup's generators, against conjugation by every element."""
+    _, tbl = group(text)
+    subs = all_subgroups(tbl)
+    classes = subgroup_conjugacy_classes(tbl, subs)
+    assert [[s.members for s in c] for c in classes] == all_elements_conjugacy_classes(tbl, subs)
+    for sub in subs:
+        assert (_normalizer_members(tbl, sub, frozenset(sub.members))
+                == all_elements_normalizer(tbl, sub.members))
 
 
 def test_left_cosets_partition(group):

@@ -9,10 +9,12 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qrlab.errors import InputError
+from qrlab import groupring
+from qrlab.errors import InputError, PropertyViolation
 from qrlab.presentation import parse_presentation
 from qrlab.enumeration import is_normal, prime_power, todd_coxeter, word_image
 from qrlab.groupring import (
+    _jennings_delta_dims,
     delta_dimension_sequence,
     delta_filtration,
     dimension_subgroup,
@@ -23,21 +25,8 @@ from qrlab.groupring import (
 )
 from qrlab.intlinalg import ModpSpan
 
-from reference import dense_rref, gr_multiply, left_translate
-
-P_GROUPS = [
-    ("gens: a; relators: a^2; prime: 2", 2),
-    ("gens: a; relators: a^4; prime: 2", 2),
-    ("gens: a; relators: a^8; prime: 2", 2),
-    ("gens: a; relators: a^9; prime: 3", 3),
-    ("gens: a, b; relators: a^2, b^2, a*b*a^-1*b^-1; prime: 2", 2),
-    ("gens: a, b; relators: a^3, b^3, a*b*a^-1*b^-1; prime: 3", 3),
-    ("gens: a; relators: a^25; prime: 5", 5),
-    ("gens: a, b; relators: a^4, b^2, b*a*b*a; prime: 2", 2),
-    ("gens: a, b; relators: a*b*a*b^-1, b*a*b*a^-1; prime: 2", 2),
-    ("gens: a, b; relators: a^4*b^-2, a*b*a*b^-1; prime: 2", 2),
-    ("gens: a, b; relators: a^8, b^2, b*a*b^-1*a^-5; prime: 2", 2),
-]
+from conftest import P_GROUPS, ladder_inputs
+from reference import dense_rref, full_depth_dimension_chain, gr_multiply, left_translate
 
 FROZEN_DELTA_DIMS = {
     "gens: a; relators: a^4; prime: 2": [3, 2, 1, 0],
@@ -85,6 +74,98 @@ def test_delta_dims_track_the_power_bases(group, text, p):
     assert dims[-1] == 0
     assert all(x > y for x, y in zip(dims, dims[1:]))
     assert [len(span.rows) for span in delta_filtration(tbl, p)] == dims
+
+
+# --- the lazy chain against the full-depth reference --------------------
+
+LADDER = ladder_inputs()
+
+
+@pytest.mark.parametrize("name,text", LADDER, ids=[n for n, _ in LADDER])
+def test_chain_matches_the_full_depth_reference(group, name, text):
+    """Members and generators of every D_n as the whole filtration and a
+    test of every member of D_(n-1) give them; a repeated term is the very
+    object before it; and Jennings' Hilbert series, read off the chain,
+    predicts the dimension of every power, also those the chain never
+    builds."""
+    pres, tbl = group(text)
+    for p in pres.primes:
+        chain = dimension_subgroup_chain(tbl, p)
+        assert [(s.members, s.generators) for s in chain] == full_depth_dimension_chain(tbl, p)
+        for hi, lo in zip(chain, chain[1:]):
+            assert (hi is lo) == (hi.members == lo.members)
+        assert _jennings_delta_dims(chain, p) == delta_dimension_sequence(tbl, p)
+
+
+@pytest.mark.parametrize("text,powers", [("gens: a; relators: a^64; prime: 2", 33),
+                                         ("gens: a; relators: a^81; prime: 3", 28)])
+def test_chain_builds_powers_only_until_the_trivial_term(group, monkeypatch, text, powers):
+    """C_(p^k) has D_n = 1 from n = p^(k-1) + 1 on, so the chain builds that
+    many powers of Delta, not the |G| of the whole filtration."""
+    pres, tbl = group(text)
+    p = pres.primes[0]
+    assert len(delta_filtration(tbl, p)) == tbl.order
+    built = []
+
+    class CountingSpan(ModpSpan):
+        def __init__(self, width, p):
+            built.append(None)
+            super().__init__(width, p)
+
+    monkeypatch.setattr(groupring, "ModpSpan", CountingSpan)
+    assert len(dimension_subgroup_chain(tbl, p)) == len(built) == powers
+
+
+def _tamper_powers(monkeypatch, change):
+    """Make the chain read change(n, Delta^n) in place of each Delta^n."""
+    powers = groupring._delta_powers
+
+    def tampered(tbl, p):
+        for n, span in enumerate(powers(tbl, p), start=1):
+            yield change(n, span)
+
+    monkeypatch.setattr(groupring, "_delta_powers", tampered)
+
+
+@pytest.mark.parametrize("text", [
+    "gens: a; relators: a^4; prime: 2",
+    "gens: a; relators: a^9; prime: 3",
+    "gens: a, b; relators: a*b*a*b^-1, b*a*b*a^-1; prime: 2",
+    "gens: a, b; relators: a^4*b^-2, a*b*a*b^-1; prime: 2",
+])
+def test_chain_refuses_a_power_off_the_hilbert_series(group, monkeypatch, text):
+    """One row dropped from the last power the chain reads leaves every D_n
+    as it was (that power still gives D_n = 1) and the powers still shrink;
+    only the dimension check sees it."""
+    pres, tbl = group(text)
+    p = pres.primes[0]
+    last = len(dimension_subgroup_chain(tbl, p))
+    assert delta_dimension_sequence(tbl, p)[last - 1] > 0
+
+    def drop_a_row(n, span):
+        if n != last:
+            return span
+        short = ModpSpan(span.width, span.p)
+        for w in span.packed[:-1]:
+            short.add(w)
+        return short
+
+    _tamper_powers(monkeypatch, drop_a_row)
+    with pytest.raises(PropertyViolation, match="Hilbert series"):
+        dimension_subgroup_chain(tbl, p)
+
+
+def test_chain_refuses_a_power_that_does_not_shrink(group, monkeypatch):
+    _, tbl = group("gens: a; relators: a^4; prime: 2")
+    first = []
+
+    def repeat_delta1(n, span):
+        first.append(span)
+        return first[0]
+
+    _tamper_powers(monkeypatch, repeat_delta1)
+    with pytest.raises(PropertyViolation, match="does not shrink"):
+        dimension_subgroup_chain(tbl, 2)
 
 
 # --- the Delta-power tower against its all-elements spanning set --------
