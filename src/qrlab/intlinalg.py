@@ -697,3 +697,109 @@ def modp_left_kernel(rows: Sequence[Sequence[int] | int], p: int,
 def is_invertible_modp(rows: Rows, p: int) -> bool:
     n = len(rows)
     return n == 0 or (len(rows[0]) == n and modp_rank(rows, p) == n)
+
+
+# ---------------------------------------------------------------------------
+# Z/p^k: unit pivots and the local Smith form
+
+def _first_unit(lay: FpRows, v: int, p: int) -> int:
+    """The lowest slot of v holding a unit of Z/p^k, or -1."""
+    bits, mask = lay.bits, lay.slot_mask
+    while v:
+        c = ((v & -v).bit_length() - 1) // bits
+        if lay.entry(v, c) % p:
+            return c
+        v &= ~(mask << (c * bits))
+    return -1
+
+
+def unit_pivot_rows(rows: Iterable[int], lay: FpRows, p: int) -> tuple[dict[int, int], list[int]]:
+    """Gauss-Jordan elimination over Z/p^k (k >= 1, p^k = lay.modulus) with
+    unit pivots only, on rows packed in lay.
+
+    Returns (pivots, residues).  pivots[c] is a row of the span with 1 at
+    slot c and 0 at every other pivot slot.  residues are the nonzero rows
+    left with no unit: each is 0 at every pivot slot and divisible by p.
+    So Z/p^k^width / span is (the non-pivot slots) / span(residues), and
+    the span is a free direct summand exactly when residues is empty.
+
+    A row is reduced at every pivot, then takes the lowest slot holding a
+    unit as its pivot; the earlier pivot rows are cleared there.  A row
+    cleared at a later pivot c' had a nonzero entry there and is zero left
+    of its own pivot, so its pivot lies left of c': every pivot row stays
+    zero left of its pivot.  Modulo p the pivot rows are then the reduced
+    echelon basis of the mod-p span, so the pivot columns are the F_p
+    pivot columns (ModpSpan's) at every k, and the rows reduce mod p to
+    the k = 1 result.  Reducing at every pivot reads the pivot slots once:
+    cancelling at c leaves every other pivot slot alone.
+    """
+    m = lay.modulus
+    pivots: dict[int, int] = {}
+
+    def reduce(v: int) -> int:
+        vals = lay.unpack(v)
+        for c, row in pivots.items():
+            if vals[c]:
+                v = lay.cancel(v, row, c)
+        return v
+
+    residues = []
+    for v in rows:
+        v = reduce(v)
+        c = _first_unit(lay, v, p)
+        if c < 0:
+            if v:
+                residues.append(v)
+            continue
+        lead = lay.entry(v, c)
+        if lead != 1:
+            v = lay.scale(v, pow(lead, -1, m))
+        for b, row in pivots.items():
+            if lay.entry(row, c):
+                pivots[b] = lay.cancel(row, v, c)
+        pivots[c] = v
+    return pivots, [v for v in map(reduce, residues) if v]
+
+
+def local_smith_exponents(rows: Iterable[int], width: int, p: int,
+                          n: int) -> tuple[int, tuple[int, ...]]:
+    """Z^width / span(rows), tensored with Z/p^n, as (z, exponents): it is
+    (Z/p^n)^z + sum_e Z/p^e over the exponents, each in [1, n), ascending.
+    rows are packed in fp_rows(width, p^n).
+
+    The Smith form over the local ring Z/p^n, one unit-pivot elimination
+    per p-adic digit.  Round v works over Z/p^(n-v): its pivots are Smith
+    entries p^v, and its residues, restricted to the non-pivot slots, are
+    p times a matrix over Z/p^(n-v-1) whose Smith form, times p, is theirs.
+    The slots left when no residue remains (at the latest in round n - 1,
+    over F_p, where every nonzero entry is a unit) are entries p^n = 0.
+    When the torsion of the integer quotient is a p-group of exponent below
+    p^n, z is its free rank and the exponents are its cyclic factors.
+    """
+    exps: list[int] = []
+    for v in range(n):
+        lay = fp_rows(width, p ** (n - v))
+        pivots, residues = unit_pivot_rows(rows, lay, p)
+        if v:
+            exps += [v] * len(pivots)
+        keep = [j for j in range(width) if j not in pivots]
+        width = len(keep)
+        if not residues:
+            break
+        nxt = fp_rows(width, p ** (n - v - 1))
+        rows = [nxt.pack([vals[j] // p for j in keep]) for vals in map(lay.unpack, residues)]
+    return width, tuple(exps)
+
+
+def combine_primary(free_rank: int, parts: Iterable[Sequence[int]]) -> AbelianInvariants:
+    """The invariants Z^free_rank + the sum of the cyclic groups of prime
+    power order in parts (one ascending list per prime), with the p-parts
+    merged into a divisibility chain: the i-th largest factor of every
+    prime multiply into the i-th largest invariant."""
+    lists = [sorted(part, reverse=True) for part in parts if part]
+    size = max(map(len, lists), default=0)
+    chain = [1] * size
+    for part in lists:
+        for i, q in enumerate(part):
+            chain[i] *= q
+    return AbelianInvariants(free_rank, tuple(reversed(chain)))

@@ -60,6 +60,7 @@ from .intlinalg import (
     is_invertible_modp,
     modp_left_kernel,
     modp_rank,
+    p_torsion,
 )
 from .presentation import Presentation, Word
 from .relmod import Coinvariants, LevelResult, QRReport, RelationLattice, qr_check_full
@@ -97,11 +98,13 @@ def _word_matrix(qtbl: FiniteGroupTable, powers, word: Word, lay: FpRows) -> Pac
 class LevelModule:
     """The level `coin` of the tower as a Z/p^k module for Q = G/D_level.
 
-    `surviving` lists its coordinates that stay alive after tensoring with
-    the ring.  Every matrix of the module is its rows packed in `layout`,
-    fp_rows(dim, p^k), at every k.  `letters[x]` is the matrix of x on the
-    surviving coordinates, for every generator image x of Q and its
-    inverse; they carry the whole module.  act(q) builds A[q] for any q
+    `surviving` lists the lattice columns that are its coordinates, those
+    off the F_p pivots of the level's relation rows, and `down` is the
+    quotient map from the lattice, one row per lattice column
+    (Coinvariants.over).  Every matrix of the module is its rows packed in
+    `layout`, fp_rows(dim, p^k), at every k.  `letters[x]` is the matrix of
+    x, for every generator image x of Q and its inverse; they carry the
+    whole module.  act(q) builds A[q] for any q
     along the canonical word qtbl.element_words[q], one packed product per
     letter, and keeps every element it passes in `built`, so each element
     of Q costs at most one product.  hom_basis keeps its kernels in
@@ -116,6 +119,7 @@ class LevelModule:
     surviving: tuple[int, ...]
     letters: dict[int, Packed]
     coin: Coinvariants
+    down: Packed = field(default=(), repr=False, compare=False)
     built: dict[int, Packed] = field(default_factory=dict, init=False, repr=False,
                                      compare=False)
     homs: dict[tuple, list[list[int]]] = field(default_factory=dict, init=False,
@@ -233,42 +237,40 @@ def _level_module(rlat: RelationLattice, coin: Coinvariants, sub: Subgroup,
                   qtbl: FiniteGroupTable, p: int, k: int, level: int) -> LevelModule:
     if k < 1:
         raise InputError(f"precision must be >= 1, got {k}")
-    ring = p ** k
-    torsion = [d for d in coin.divisors if d and d % p == 0]
+    torsion = p_torsion(coin.invariants, p)
     if torsion and k > 1:
         raise TorsionObstruction(
             f"coinvariants have p-torsion Z/{torsion[0]}; no free Z/{p}^{k} form"
         )
-    surv = [i for i, d in enumerate(coin.divisors) if d % p == 0]
-    lay = fp_rows(len(surv), ring)
+    coords, down, level_letters = coin.over(p, k)
     in_q = dict(zip(rlat.tbl.gen_images, qtbl.gen_images))
     gen_mats: dict[int, Packed] = {}
     for x in sorted(in_q):
-        a = tuple(lay.pack([coin.letters[x][i][j] for j in surv]) for i in surv)
+        a = level_letters[x]
         if gen_mats.setdefault(in_q[x], a) != a:
             raise PropertyViolation(
                 f"action not constant on the coset of q={in_q[x]}: the kernel acts"
             )
     kernel_words = [rlat.tbl.element_words[d] for d in sub.generators]
     letters = _certify_letters(qtbl, gen_mats, rlat.pres.relators, kernel_words,
-                               len(surv), ring)
-    return LevelModule(level=level, p=p, k=k, qtbl=qtbl, surviving=tuple(surv),
-                       letters=letters, coin=coin)
+                               len(coords), p ** k)
+    return LevelModule(level=level, p=p, k=k, qtbl=qtbl, surviving=coords,
+                       letters=letters, coin=coin, down=down)
 
 
 def module_from_coinvariants(rlat: RelationLattice, coin: Coinvariants, sub: Subgroup,
                              p: int, k: int, level: int = 0) -> LevelModule:
     """Tensor the level `coin` of the subgroup sub with Z/p^k.
 
-    Over Z/p^k with k > 1 a p-torsion divisor leaves a nonfree summand,
-    which no generalized permutation module has; that is reported as
-    TorsionObstruction.  Over F_p (k = 1) the p-torsion coordinates
-    survive alongside the free ones.
+    Over Z/p^k with k > 1 a p-torsion summand stays nonfree, which no
+    generalized permutation module has; that is reported as
+    TorsionObstruction.  Over F_p (k = 1) the p-torsion survives alongside
+    the free part, one coordinate per cyclic factor.
 
-    The level's letters of the generator images of G are packed mod p^k
-    on the surviving coordinates; images alike in Q must act alike.
-    _certify_letters proves that they define an action of Q, which is the
-    G-action on the generators, hence on all of G.
+    The level's letters of the generator images of G come from one
+    unit-pivot elimination over Z/p^k (Coinvariants.over); images alike in
+    Q must act alike.  _certify_letters proves that they define an action
+    of Q, which is the G-action on the generators, hence on all of G.
     """
     return _level_module(rlat, coin, sub, quotient_table(rlat.tbl, sub)[0], p, k, level)
 
@@ -276,25 +278,26 @@ def module_from_coinvariants(rlat: RelationLattice, coin: Coinvariants, sub: Sub
 def transition_map(hi: LevelModule, lo: LevelModule) -> Packed:
     """The natural surjection from the level-(n+1) module onto the level-n one.
 
-    It is lo.coin.down, the quotient map of the walk step from hi's level
-    to lo's, or the identity when both share a level, on the surviving
-    coordinates of each side, as rows packed in lo.layout; any other pair
-    is an InputError.  Verified: equivariant for the image of every
-    generator of G, and surjective mod p.  Equivariance on the generators
-    covers all of G: both sides are actions, so the set of g on which it
-    holds is closed under products, and a finite group is generated by its
-    generators as a monoid.  Both failures are hard errors; the map exists
-    whenever the chain is really descending.
+    Both are quotients of the lattice, and hi's coordinates are lattice
+    columns, so the map is lo.down on hi's coordinates: lattice column j
+    goes to lo.down[j].  Rows packed in lo.layout.  It exists when hi's
+    subgroup lies in lo's; any other pair is an InputError.  A module and
+    itself give the identity with no check.  Otherwise verified:
+    equivariant for the image of every generator of G, and surjective mod
+    p.  Equivariance on the generators covers all of G: both sides are
+    actions, so the set of g on which it holds is closed under products,
+    and a finite group is generated by its generators as a monoid.  Both
+    failures are hard errors; the map exists whenever the chain is really
+    descending.
     """
+    lay = lo.layout
+    if hi is lo:
+        return _identity(lay)
     if (hi.p, hi.k) != (lo.p, lo.k):
         raise InputError("transition between modules over different rings")
-    lay = lo.layout
-    if lo.coin is hi.coin:
-        T = _identity(lay)
-    elif lo.coin.parent is hi.coin:
-        T = tuple(lay.pack([lo.coin.down[i][j] for j in lo.surviving]) for i in hi.surviving)
-    else:
-        raise InputError("transition between levels that are not adjacent")
+    if not set(hi.coin.sub.members) <= set(lo.coin.sub.members):
+        raise InputError("transition from a level whose subgroup is not inside the target's")
+    T = tuple(lo.down[j] for j in hi.surviving)
     for x_hi, x_lo in sorted(set(zip(hi.qtbl.gen_images, lo.qtbl.gen_images))):
         if lay.mul(hi.letters[x_hi], T) != lay.mul(T, lo.letters[x_lo]):
             raise PropertyViolation("transition between chain levels is not equivariant")

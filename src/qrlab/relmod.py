@@ -25,6 +25,7 @@ docstring.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass, field
 
 from .errors import PropertyViolation
@@ -34,16 +35,22 @@ from .groupring import dimension_subgroup_chain, fox_rows, jennings_series
 from .intlinalg import (
     AbelianInvariants,
     Lattice,
+    ModpSpan,
+    combine_primary,
     elementary_divisors,
+    fp_rows,
     lattice_quotient,
-    mat_mul,
+    local_smith_exponents,
     p_torsion,
-    smith_normal_form,
+    unit_pivot_rows,
 )
-from .presentation import Presentation
+from .presentation import Presentation, is_prime
 
 DEFAULT_BAR_BOUND = 32
-Matrix = tuple[tuple[int, ...], ...]  # a matrix as its rows
+
+
+Sparse = tuple[tuple[tuple[int, int], ...], ...]  # a matrix as its rows' (column, entry) nonzeros
+Packed = tuple[int, ...]  # a matrix as its rows, packed in one FpRows layout
 
 
 @dataclass(frozen=True)
@@ -53,34 +60,56 @@ class RelationLattice:
     Column i*|G| + h is the edge h -> h x_i, so block i of a vector is the
     ZG coefficient vector of the i-th partial derivative.  cycles[c] is the
     fundamental cycle of chord c of the BFS tree from 1, as its nonzeros
-    (block start i*|G|, h, +-1), one per edge.  gen_coords[x], for x a
-    generator image or its inverse, is the matrix of x on the lattice: its
-    row c is the chord entries of x * cycles[c], which are the coordinates
-    of that cycle.  Every level of the tower is read off them.  Both are
-    shared by every reader, so they are read-only.
+    (block start i*|G|, h, +-1), one per edge, and chord_at[column] is the
+    chord on that edge, -1 on a tree edge.  act(g) is the matrix of g on the
+    lattice: its row c is the chord entries of g * cycles[c], which are the
+    coordinates of that cycle.  Every level of the tower is read off them.
+    All of it is shared by every reader, so it is read-only.
     """
 
     pres: Presentation
     tbl: FiniteGroupTable
     cycles: tuple[tuple[tuple[int, int, int], ...], ...]
-    gen_coords: dict[int, Matrix] = field(repr=False, compare=False)
+    chord_at: tuple[int, ...] = field(repr=False, compare=False)
+    _acts: dict[int, Sparse] = field(default_factory=dict, init=False, repr=False,
+                                     compare=False)
 
     @property
     def rank(self) -> int:
         return len(self.cycles)
 
-    @functools.cached_property
-    def level(self) -> Coinvariants:
-        """The lattice as the level of D = 1: all free, letters gen_coords, no parent."""
-        return Coinvariants(AbelianInvariants(self.rank, ()), (0,) * self.rank, (),
-                            self.gen_coords, self.tbl)
+    def act(self, g: int) -> Sparse:
+        """A[g] as sparse rows, built on first use and memoized per g.
+
+        Left translation, (g z)[j, g h] = z[j, h], is a bijection on the
+        edges and keeps signs, and a cycle uses an edge at most once, so
+        every entry of A[g] is +-1 or 0.
+        """
+        if g not in self._acts:
+            row, chord_at = self.tbl.mult[g], self.chord_at
+            self._acts[g] = tuple(
+                tuple((k, c) for start, h, c in cycle if (k := chord_at[start + row[h]]) >= 0)
+                for cycle in self.cycles)
+        return self._acts[g]
+
+    def relation_rows(self, sub: Subgroup, modulus: int) -> list[int]:
+        """The nonzero rows of A[d] - I, d over sub's generators, packed in
+        fp_rows(rank, modulus).  They span the (d - 1)-action of sub:
+        (de - 1)v = (d - 1)(ev) + (e - 1)v."""
+        lay = fp_rows(self.rank, modulus)
+        rows = []
+        for d in sub.generators:
+            if d:
+                for c, nonzeros in enumerate(self.act(d)):
+                    a = sum((e % modulus) << (k * lay.bits) for k, e in nonzeros)
+                    if (v := lay.sub(a, lay.unit(c))):
+                        rows.append(v)
+        return rows
 
     @functools.cached_property
     def g_coin(self) -> Coinvariants:
-        """R/[R,F], the coinvariants over D_1 = G, one step from the lattice.
-
-        Built once per lattice for Hopf's H2; level 1 of every walk must match.
-        """
+        """R/[R,F], the level of D_1 = G: its torsion is Hopf's H2(G), and
+        it is level 1 of every prime's walk."""
         return coinvariants(self, subgroup_closure(self.tbl, self.tbl.gen_images))
 
 
@@ -93,7 +122,7 @@ def relation_lattice(pres: Presentation, tbl: FiniteGroupTable) -> RelationLatti
     on tree edges alone is 0, so every cycle z is sum_c z_c * cycle_c: its
     coordinates are its chord entries.  Left translation,
     (x z)[j, x h] = z[j, h], commutes with the boundary, which gives the
-    letters gen_coords with no solve.
+    matrix of every element (RelationLattice.act) with no solve.
 
     Certificate that the span of the translates g * fox(r) is this cycle
     lattice, a PropertyViolation where (a) or (c) fails:
@@ -150,69 +179,125 @@ def relation_lattice(pres: Presentation, tbl: FiniteGroupTable) -> RelationLatti
         if vec is None:
             raise PropertyViolation("relation lattice != kernel of the Crowell-Lyndon map")
         span.add(vec)
-
-    letters = sorted({y for x in images for y in (x, tbl.inv[x])})
-    gen_coords = {x: tuple(tuple(chord_entries(cycle, x)) for cycle in cycles) for x in letters}
-    return RelationLattice(pres, tbl, tuple(map(tuple, cycles)), gen_coords)
+    return RelationLattice(pres, tbl, tuple(map(tuple, cycles)), tuple(chord_at))
 
 
 @dataclass(frozen=True)
 class Coinvariants:
-    """One level of the tower: the lattice modulo the (d-1)-action of D.
+    """One level of the tower: the lattice modulo the (d-1)-action of D = sub.
 
-    It is sum_j Z/divisors[j] (0 meaning Z, no divisor 1).  letters[x], for
-    x in G's table tbl a generator image or its inverse, has row
-    i = x * (coordinate i), column j reduced mod divisors[j].  down is the
-    quotient map y -> y * down from the parent, the level of a smaller D;
-    the lattice's own level (RelationLattice.level) has neither.
+    It is Z^f + H2(D, Z) with f = (|X|-1)|G:D| + 1 (Gaschutz; the torsion
+    by Shapiro's lemma, see qr_check), so `invariants` is read one prime at
+    a time (coinvariants()).  spans[q] is the F_q span of the relation rows
+    for each prime q dividing |D|; over(p, k) is the level over Z/p^k as
+    the harness reads it.  rlat is None only on a level made by hand.
     """
 
     invariants: AbelianInvariants
-    divisors: tuple[int, ...]
-    down: Matrix
-    letters: dict[int, Matrix]
-    tbl: FiniteGroupTable | None = field(default=None, repr=False, compare=False)
-    parent: Coinvariants | None = field(default=None, repr=False, compare=False)
+    sub: Subgroup
+    rlat: RelationLattice | None = field(default=None, repr=False, compare=False)
+    spans: dict[int, ModpSpan] = field(default_factory=dict, repr=False, compare=False)
+
+    def over(self, p: int, k: int) -> tuple[tuple[int, ...], Packed, dict[int, Packed]]:
+        """(coords, down, letters): the level tensored with Z/p^k, from one
+        unit-pivot elimination of the relation rows over Z/p^k
+        (unit_pivot_rows; over F_p, of the F_p span's basis).
+
+        Pivot row c is e_c + b_c, so e_c = -b_c on the level: the F_p pivot
+        columns are eliminated, and the other lattice columns, coords, are
+        the coordinates.  They span the level mod p, hence over Z/p^k
+        (Nakayama), freely when no residue is left.  down is the quotient
+        map from the lattice, one row per lattice column packed in
+        fp_rows(len(coords), p^k): e_j at coords[j], -b_c at a pivot c.
+        letters[x], for x a generator image, is A[x] on coords, then down.
+        A residue over Z/p^k is p-torsion: callers refuse a level with
+        p-torsion above k = 1 first, so one here is a PropertyViolation.
+        """
+        rlat, ring = self.rlat, p ** k
+        lay = fp_rows(rlat.rank, ring)
+        rows = (self.spans[p].packed if k == 1 and p in self.spans
+                else rlat.relation_rows(self.sub, ring))
+        pivots, residues = unit_pivot_rows(rows, lay, p)
+        if residues:
+            raise PropertyViolation(
+                f"the level of a subgroup of order {self.sub.order} has p-torsion "
+                f"over Z/{p}^{k} that its invariants {self.invariants} do not show")
+        coords = tuple(j for j in range(rlat.rank) if j not in pivots)
+        out = fp_rows(len(coords), ring)
+        down = [0] * rlat.rank
+        for i, j in enumerate(coords):
+            down[j] = out.unit(i)
+        for c, row in pivots.items():
+            vals = lay.unpack(row)
+            down[c] = out.pack([-vals[j] for j in coords])
+        letters = {}
+        for x in sorted(set(rlat.tbl.gen_images)):
+            a = rlat.act(x)
+            rows = []
+            for j in coords:
+                acc = 0
+                for col, e in a[j]:
+                    acc = out.add(acc, down[col]) if e > 0 else out.sub(acc, down[col])
+                rows.append(acc)
+            letters[x] = tuple(rows)
+        return coords, tuple(down), letters
 
 
-def _reduced(rows, divisors) -> Matrix:
-    return tuple(tuple(x % d if d else x for x, d in zip(row, divisors)) for row in rows)
+def _primes_dividing(n: int) -> list[int]:
+    return [q for q in range(2, n + 1) if n % q == 0 and is_prime(q)]
 
 
-def _along(level: Coinvariants, word) -> Matrix:
-    """A[w] = A[l_k] * ... * A[l_1] on the level's letters, w = l_1 ... l_k."""
-    mats = [level.letters[level.tbl.letter(g, s)] for g, s in word]
-    return functools.reduce(lambda out, a: _reduced(mat_mul(a, out), level.divisors), mats)
+def coinvariants(rlat: RelationLattice, sub: Subgroup) -> Coinvariants:
+    """The level of D = sub: the lattice modulo the rows of A[d] - I, d over
+    sub's generators (RelationLattice.relation_rows), read p-locally with
+    no integer Smith form.
 
-
-def coinvariants(rlat: RelationLattice | Coinvariants, sub: Subgroup) -> Coinvariants:
-    """The level of D = sub, one Smith step from the level rlat above it.
-
-    rlat is the relation lattice (its level of D = 1) or the level of a
-    normal subgroup inside sub; level n is level n+1 modulo D_n.  The
-    relations are rlat's divisor rows d_j * e_j and the rows of A[d] - I,
-    A[d] along the word of d, for the generators d of sub, which suffice:
-    (de-1)v = (d-1)(ev) + (e-1)v and every level is G-stable.  Of y = x * V
-    from their Smith form the level keeps the coordinates whose divisor is
-    not 1: down is V on them, and the letters are V^-1 * A[x] * V there.
+    The level is Z^f + T with f = (|X|-1)|G:D| + 1 and T = H2(D, Z), which
+    |D| annihilates.  By right exactness the level tensored with F_q is
+    F_q^r modulo the rows mod q, so for each prime q dividing |D| one F_q
+    rank gives t_q = r - rank - f, the number of cyclic factors of T's
+    q-part.  Where t_q > 0, the local Smith form over Z/q^N with q^N > |D|
+    (local_smith_exponents) gives their orders.  Certificate, each failure
+    a PropertyViolation, never an assert:
+    (a) for ell, the least prime not dividing |G|, the F_ell rank leaves
+        exactly f: Gaschutz's free rank, with no ell-torsion;
+    (b) no F_q rank leaves fewer than f;
+    (c) the local Smith form leaves exactly f summands Z/q^N and t_q
+        cyclic ones.
     """
-    above = rlat.level if isinstance(rlat, RelationLattice) else rlat
-    width = len(above.divisors)
-    rows = [[d * (i == j) for i in range(width)] for j, d in enumerate(above.divisors) if d]
-    for d in sub.generators:
-        if d:
-            a = _along(above, above.tbl.element_words[d])
-            rows += ([x - (i == j) for i, x in enumerate(row)] for j, row in enumerate(a))
-    diag, _, V, Vinv = smith_normal_form(rows or [[0] * width])
-    diag += (0,) * (width - len(diag))
-    kept = [j for j, d in enumerate(diag) if d != 1]
-    divisors = tuple(diag[j] for j in kept)
-    down = tuple(tuple(row[j] for j in kept) for row in V)
-    up = [Vinv[j] for j in kept]
-    letters = {x: _reduced(mat_mul(up, mat_mul(a, down)), divisors)
-               for x, a in above.letters.items()}
-    inv = AbelianInvariants(divisors.count(0), tuple(d for d in divisors if d))
-    return Coinvariants(inv, divisors, down, letters, above.tbl, above)
+    tbl, r = rlat.tbl, rlat.rank
+    free = (rlat.pres.ngens - 1) * (tbl.order // sub.order) + 1
+
+    def span_mod(q: int) -> ModpSpan:
+        span = ModpSpan(r, q)
+        for v in rlat.relation_rows(sub, q):
+            span.add(v)
+        return span
+
+    ell = next(q for q in itertools.count(2) if is_prime(q) and tbl.order % q)
+    if (dim := r - span_mod(ell).dim) != free:
+        raise PropertyViolation(
+            f"the level of a subgroup of order {sub.order} has F_{ell} dimension "
+            f"{dim}, not Gaschutz's free rank {free}")
+    spans, parts = {}, []
+    for q in _primes_dividing(sub.order):
+        span = spans[q] = span_mod(q)
+        t = r - span.dim - free
+        if t < 0:
+            raise PropertyViolation(
+                f"the level of a subgroup of order {sub.order} has F_{q} dimension "
+                f"{r - span.dim}, below Gaschutz's free rank {free}")
+        if t:
+            n = 1
+            while q ** n <= sub.order:
+                n += 1
+            z, exps = local_smith_exponents(rlat.relation_rows(sub, q ** n), r, q, n)
+            if (z, len(exps)) != (free, t):
+                raise PropertyViolation(
+                    f"the local Smith form over Z/{q}^{n} of a level leaves {z} free and "
+                    f"{len(exps)} cyclic summands, not {free} and {t}")
+            parts.append([q ** e for e in exps])
+    return Coinvariants(combine_primary(free, parts), sub, rlat, spans)
 
 
 # ---------------------------------------------------------------------------
@@ -256,9 +341,9 @@ def qr_check(rlat: RelationLattice, p: int) -> QRReport:
     no H2(D_n) has p-torsion, a property of G alone.  Level 1 is R/[R,F],
     whose torsion is H2(G) (Hopf), but H2(G) = 0 does not force H2(D_n) = 0.
 
-    Level n is one coinvariants() step from level n+1, walking up from the
-    lattice (D = 1); where D_n = D_(n+1) the two share one object.  Level 1
-    must have the invariants of rlat.g_coin, the step from the lattice.
+    Each distinct D_n is one coinvariants() call on the lattice, and a
+    level whose D_n repeats the one before shares its object.  Level 1 is
+    rlat.g_coin, the R/[R,F] that hopf_h2 reads.
     """
     tbl = rlat.tbl
     chain = dimension_subgroup_chain(tbl, p)
@@ -266,13 +351,9 @@ def qr_check(rlat: RelationLattice, p: int) -> QRReport:
         raise PropertyViolation(
             f"dimension subgroups disagree with the Jennings recursion at p={p}"
         )
-    coins, level, members = [], rlat.level, (0,)
-    for sub in reversed(chain):
-        if sub.members != members:
-            level, members = coinvariants(level, sub), sub.members
-        coins.insert(0, level)
-    if coins[0].invariants != rlat.g_coin.invariants:
-        raise PropertyViolation("level 1 of the walk disagrees with R/[R,F] from the lattice")
+    coins = [rlat.g_coin]
+    for prev, sub in zip(chain, chain[1:]):
+        coins.append(coins[-1] if sub.members == prev.members else coinvariants(rlat, sub))
     levels = tuple(LevelResult(lvl, sub.order, tbl.order // sub.order, coin.invariants,
                                p_torsion(coin.invariants, p), sub, coin)
                    for lvl, (sub, coin) in enumerate(zip(chain, coins), start=1))
@@ -310,22 +391,29 @@ def gab_invariants(pres: Presentation) -> AbelianInvariants:
 def hopf_h2(rlat: RelationLattice) -> AbelianInvariants:
     """H2(G,Z) as the torsion of R/[R,F] = rlat.g_coin (Hopf's formula for finite G).
 
-    Also certifies coker(R/[R,F] -> Z^|X|) = G_ab: the cokernel computed
-    from block augmentations of the lattice's cycles must match the Smith
-    invariants of the relator exponent matrix.
+    Also certifies coker(R/[R,F] -> Z^|X|) = G_ab: the block augmentations
+    of the lattice's cycles must span the very lattice of relator exponent
+    vectors.  A cycle is a Schreier generator of R and its augmentation is
+    its exponent sum, so both span the image of R in Z^|X|.  The two
+    Hermite normal forms, unique per lattice, must be equal: no Smith form
+    and no solve.
     """
     n = rlat.tbl.order
-    aug_rows = []
+    aug = Lattice(rlat.pres.ngens)
     for cycle in rlat.cycles:
         row = [0] * rlat.pres.ngens
         for start, _, c in cycle:
             row[start // n] += c
-        aug_rows.append(row)
-    coker = lattice_quotient(rlat.pres.ngens, aug_rows)
-    gab = gab_invariants(rlat.pres)
-    if coker != gab:
+        aug.add(row)
+    rel = Lattice(rlat.pres.ngens)
+    for row in rlat.pres.relator_exponent_matrix():
+        rel.add(row)
+    aug.canonicalize()
+    rel.canonicalize()
+    if aug.basis != rel.basis:
         raise PropertyViolation(
-            f"cokernel law fails: lattice route {coker} != abelianization {gab}"
+            "cokernel law fails: the cycles' augmentations do not span the "
+            "relator exponent lattice"
         )
     return AbelianInvariants(0, rlat.g_coin.invariants.torsion)
 

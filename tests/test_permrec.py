@@ -40,6 +40,7 @@ from qrlab.permrec import (
     Block,
     LevelModule,
     _certify_letters,
+    _identity,
     _level_outcome,
     block_matrix,
     equivalence_harness,
@@ -83,9 +84,11 @@ def letter_matrices(qtbl, matrix_of, ring):
 
 
 def hand_module(qtbl, p, k, dim, letters):
-    """A module over a free level with no parent, letters packed over Z/p^k."""
-    coin = Coinvariants(AbelianInvariants(dim, ()), (0,) * dim, frozen(identity_rows(dim)), {})
-    return LevelModule(1, p, k, qtbl, tuple(range(dim)), letters, coin)
+    """A module over a free level of the trivial subgroup, whose lattice is
+    its own coordinates, letters packed over Z/p^k."""
+    coin = Coinvariants(AbelianInvariants(dim, ()), Subgroup((0,), ()))
+    return LevelModule(1, p, k, qtbl, tuple(range(dim)), letters, coin,
+                       _identity(fp_rows(dim, p ** k)))
 
 
 def synthetic_module(qtbl, blocks, p, k):
@@ -728,53 +731,68 @@ def test_harness_reuse_matches_a_rebuild_of_every_level(lattice, name, p):
 
 # --- level-module construction ----------------------------------------------
 
-def word_product(letters, divisors, tbl, word, start, left):
-    """start times A[w] = A[l_k] * ... * A[l_1] for w = l_1 ... l_k, by dense
-    products one letter at a time: A[w] * start with left, start * A[w]
-    without, each column reduced mod the divisors."""
-    out = [list(r) for r in start]
-    for g, s in (word if left else reversed(word)):
-        x = tbl.gen_images[g]
-        a = letters[x if s > 0 else tbl.inv[x]]
-        out = [[v % d if d else v for v, d in zip(r, divisors)]
-               for r in (mat_mul(a, out) if left else mat_mul(out, a))]
+def dense_act(rlat, g):
+    """The lattice matrix act(g), its sparse rows written out."""
+    out = [[0] * rlat.rank for _ in range(rlat.rank)]
+    for row, nonzeros in zip(out, rlat.act(g)):
+        for k, c in nonzeros:
+            row[k] = c
     return out
 
 
-def test_every_walk_step_intertwines_and_every_level_module_acts_by_its_letters(lattice):
-    """Oracle for the tower walk, with A[g] taken along the word of g:
-    down is a G-map from the parent, A_parent[g] * down = down * A_level[g]
-    column by column mod the level's divisors, for every g in G and every
-    step.  On the quasirational corpus, each level module's A[q] is its
-    level's A[g] on the surviving coordinates mod p^k, for every g in the
-    coset q: constant on cosets, and an action of Q."""
-    steps = modules = 0
+def mod_ring(rows, ring):
+    return [[x % ring for x in row] for row in rows]
+
+
+def test_every_level_down_map_is_the_quotient_and_every_level_module_acts_by_its_letters(
+        lattice):
+    """Oracle for the p-local levels, by dense integer products.  Over F_p
+    and, on levels with no p-torsion, over Z/p^3: down, the quotient map
+    from the lattice, kills A[d] - I for every generator d of D_n, is the
+    identity on the coordinates, and intertwines A[x] with the level's
+    letter of x; its width is the level's free rank plus its p-torsion
+    count over F_p, the free rank above.  A surjection killing the
+    relations onto a module of the quotient's size is the quotient map.
+    On the quasirational corpus, each level module's A[q] is the letters'
+    word product along the word of every g in the coset q: constant on
+    cosets, and an action of Q."""
+    levels_checked = modules = 0
     for _, text, p in walk_inputs():
         rlat = lattice(text)
         tbl = rlat.tbl
         qr = qr_check(rlat, p)
         levels = {id(lv.coin): lv for lv in qr.levels}.values()
-        for coin in [rlat.g_coin] + [lv.coin for lv in levels if lv.coin is not rlat.level]:
-            parent = coin.parent
-            for g, word in enumerate(tbl.element_words):
-                assert (word_product(parent.letters, coin.divisors, tbl, word, coin.down, True)
-                        == word_product(coin.letters, coin.divisors, tbl, word, coin.down,
-                                        False)), (text, p, g)
-            steps += 1
-        for lv in levels if qr.quasirational and tbl.order <= 27 else ():
-            qtbl, cmap = quotient_table(tbl, lv.subgroup)
+        for lv in levels:
             for k in (1, 3)[:1 if lv.p_torsion else 2]:
+                ring = p ** k
+                coords, down, letters = lv.coin.over(p, k)
+                lay = fp_rows(len(coords), ring)
+                dn = [lay.unpack(row) for row in down]
+                assert len(coords) == lv.invariants.free_rank + (len(lv.p_torsion) if k == 1 else 0)
+                assert [dn[j] for j in coords] == identity_rows(len(coords))
+                for d in lv.subgroup.generators:
+                    rel = [[a - (i == j) for j, a in enumerate(row)]
+                           for i, row in enumerate(dense_act(rlat, d))]
+                    assert not any(map(any, mod_ring(mat_mul(rel, dn), ring))), (text, d)
+                for x in set(tbl.gen_images):
+                    level_x = [lay.unpack(row) for row in letters[x]]
+                    assert (mod_ring(mat_mul(dense_act(rlat, x), dn), ring)
+                            == mod_ring(mat_mul(dn, level_x), ring)), (text, p, lv.level, x)
+                levels_checked += 1
+            if not qr.quasirational or tbl.order > 27:
+                continue
+            qtbl, cmap = quotient_table(tbl, lv.subgroup)
+            for k in (1, 3):
                 mod = module_from_coinvariants(rlat, lv.coin, lv.subgroup, p, k, lv.level)
                 assert mod.qtbl == qtbl
-                width = len(lv.coin.divisors)
                 for g, word in enumerate(tbl.element_words):
-                    a = word_product(lv.coin.letters, lv.coin.divisors, tbl, word,
-                                     identity_rows(width), True)
-                    assert dense(mod, mod.act(cmap[g])) == tuple(
-                        tuple(a[i][j] % mod.ring for j in mod.surviving)
-                        for i in mod.surviving), (text, p, lv.level, k, g)
+                    a = identity_rows(mod.dim)
+                    for step in word:
+                        x = tbl.letter(*step)
+                        a = mod_ring(mat_mul(dense(mod, mod.letters[cmap[x]]), a), mod.ring)
+                    assert dense(mod, mod.act(cmap[g])) == frozen(a), (text, p, lv.level, k, g)
                 modules += 1
-    assert steps >= 54 and modules >= 60
+    assert levels_checked >= 100 and modules >= 60
 
 
 def test_certificate_accepts_the_regular_action_of_c4():
@@ -865,9 +883,9 @@ def count_products(monkeypatch):
 # relator costs in the presentation's order: a^8*b^-2, a*b*a*b^-1; a^64;
 # a^16*b^-2, a*b*a*b^-1
 @pytest.mark.parametrize("text,relator_costs,total", [
-    (Q32, (2, 4), 225),
-    ("gens: a; relators: a^64; prime: 2", (1,), 476),
-    (Q64, (2, 4), 371),
+    (Q32, (2, 4), 209),
+    ("gens: a; relators: a^64; prime: 2", (1,), 424),
+    (Q64, (2, 4), 327),
 ])
 def test_words_cost_one_product_per_run(lattice, monkeypatch, text, relator_costs, total):
     """_certify_letters keeps the powers A[x]^i, i < |x|, that check (a)
@@ -875,7 +893,8 @@ def test_words_cost_one_product_per_run(lattice, monkeypatch, text, relator_cost
     A[x]^(e mod |x|).  Letter by letter, q32's a^8*b^-2 cost 10 products
     and c64's a^64 cost 64, on every level.  The total pins every product
     of the harness: letters, words, act, Brauer traces, hom bases,
-    certificates and transitions."""
+    certificates and transitions.  A transition between a level and
+    itself takes none: 16 of q32's products, 52 of c64's, 44 of q64's."""
     pres = parse_presentation(text)
     qr = qr_check(lattice(text), 2)
     products = count_products(monkeypatch)
@@ -899,16 +918,16 @@ def test_words_cost_one_product_per_run(lattice, monkeypatch, text, relator_cost
 
 
 def _coset_sum_modules(lo_v):
-    """Regular F_2[C4] module over a free rank-4 level, and a trivial
-    one-dimensional module one step below it, whose quotient map is the
-    column 3 of lo_v (divisors 1, 1, 1 on the columns before it)."""
+    """Regular F_2[C4] module over a free rank-4 level of the trivial
+    subgroup, and a trivial one-dimensional module over the level of all
+    of C4, whose quotient map from the rank-4 lattice is column 3 of lo_v."""
     tbl = table_of(C4)
     reps = class_reps(tbl)
     triv = next(j for j, c in enumerate(reps) if len(c.members) == 1)
     hi = synthetic_module(tbl, (Block(triv, reps[triv], (1,)),), 2, 1)
-    coin = Coinvariants(AbelianInvariants(1, ()), (0,), tuple((row[3],) for row in lo_v),
-                        {}, tbl, hi.coin)
-    lo = LevelModule(1, 2, 1, tbl, (0,), letter_matrices(tbl, lambda x: ((1,),), 2), coin)
+    coin = Coinvariants(AbelianInvariants(1, ()), reps[-1])
+    lo = LevelModule(1, 2, 1, tbl, (0,), letter_matrices(tbl, lambda x: ((1,),), 2), coin,
+                     tuple(row[3] for row in lo_v))
     return hi, lo
 
 
@@ -916,16 +935,29 @@ def test_transition_map_rejects_a_non_equivariant_map():
     # coordinate 3 through the all-ones column is the augmentation: equivariant
     sums = [[1, 0, 0, 1], [0, 1, 0, 1], [0, 0, 1, 1], [0, 0, 0, 1]]
     hi, lo = _coset_sum_modules(sums)
+    assert lo.coin.sub.order == 4
     assert transition_map(hi, lo) == (1, 1, 1, 1)  # packed rows, the 4x1 all-ones column
-    # a level that is not one step below hi has no transition from it
-    with pytest.raises(InputError, match="not adjacent"):
-        transition_map(hi, replace(lo, coin=replace(lo.coin, parent=None)))
-    with pytest.raises(InputError, match="not adjacent"):
+    # no transition from a level whose subgroup is not inside the target's
+    with pytest.raises(InputError, match="not inside"):
         transition_map(lo, hi)
+    with pytest.raises(InputError, match="not inside"):
+        transition_map(replace(hi, coin=lo.coin), replace(lo, coin=hi.coin))
     # plain projection onto basis vector 3 does not commute with the generator
     hi, lo = _coset_sum_modules(identity_rows(4))
     with pytest.raises(PropertyViolation, match="not equivariant"):
         transition_map(hi, lo)
+
+
+def test_transition_from_a_module_to_itself_is_the_identity_with_no_product(monkeypatch):
+    hi, _ = _coset_sum_modules(identity_rows(4))
+
+    def no_product(*args):
+        raise AssertionError("a product was taken")
+
+    monkeypatch.setattr(FpRows, "mul", no_product)
+    assert transition_map(hi, hi) == (1, 1 << 8, 1 << 16, 1 << 24)  # packed identity rows
+    with pytest.raises(AssertionError, match="product"):
+        transition_map(hi, replace(hi))
 
 
 # --- reasons for unknown -----------------------------------------------------

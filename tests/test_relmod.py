@@ -293,18 +293,22 @@ def test_certified_lattice_matches_the_kernel_and_the_all_elements_sweep(lattice
 
 
 @pytest.mark.parametrize("path", ORACLE_INPUTS, ids=lambda p: p.stem)
-def test_letters_are_the_coordinates_solved_in_the_hermite_lattice(lattice, path):
-    # the route the chord entries replaced, kept as an oracle: x * basis
-    # solved in the Hermite lattice of the basis, for each generator image
-    # x and its inverse, must be the letter of x in the Hermite frame
+def test_element_matrices_are_the_coordinates_solved_in_the_hermite_lattice(lattice, path):
+    # the route the chord entries replaced, kept as an oracle: g * basis
+    # solved in the Hermite lattice of the basis, for every element g, must
+    # be the matrix act(g) in the Hermite frame, and act(g) is memoized
     rlat = lattice(path.read_text())
     tbl = rlat.tbl
-    assert set(rlat.gen_coords) == set(tbl.gen_images) | {tbl.inv[x] for x in tbl.gen_images}
     lat = hermite(rlat)
     frame = [lat.coordinates(row) for row in cycle_basis(rlat)]
-    for x, letter in rlat.gen_coords.items():
-        solved = [lat.coordinates(translate(tbl, x, row)) for row in cycle_basis(rlat)]
-        assert solved == mat_mul(letter, frame), x
+    for g in range(tbl.order):
+        dense = [[0] * rlat.rank for _ in range(rlat.rank)]
+        for row, nonzeros in zip(dense, rlat.act(g)):
+            for k, c in nonzeros:
+                row[k] = c
+        solved = [lat.coordinates(translate(tbl, g, row)) for row in cycle_basis(rlat)]
+        assert solved == mat_mul(dense, frame), g
+        assert rlat.act(g) is rlat.act(g)
 
 
 @pytest.mark.parametrize("text,p,gab,h2", KNOWN)
