@@ -241,11 +241,39 @@ def dimension_subgroup_chain(tbl: FiniteGroupTable, p: int) -> list[Subgroup]:
     return chain
 
 
-def jennings_series(tbl: FiniteGroupTable, p: int) -> list[Subgroup]:
-    """Independent oracle for the same chain, from the Jennings recursion.
+def _normal_closure(tbl: FiniteGroupTable, gens) -> list[int]:
+    """Generators of the normal closure of gens.  A subgroup is normal when it
+    holds x h x^-1 for each of its generators h and each generator image x
+    (conjugation by x^-1 is a power of that by x), so each conjugate of a
+    generator that falls outside joins the generators, and the subgroup is
+    closed again."""
+    images = sorted(set(tbl.gen_images))
+    members, have, pending = {0}, [], list(gens)
+    while pending:
+        g = pending.pop()
+        if g in members:
+            continue
+        have.append(g)
+        frontier = list(members)
+        for x in frontier:
+            for h in have:
+                y = tbl.mult[x][h]
+                if y not in members:
+                    members.add(y)
+                    frontier.append(y)
+        pending.extend(tbl.conj(x, g) for x in images)
+    return have
 
-    A term is built once per distinct pair (D_(n-1), D_ceil(n/p)); a
-    repeated pair reuses the term built for it.
+
+def jennings_series(tbl: FiniteGroupTable, p: int) -> list[Subgroup]:
+    """Independent oracle for the same chain, from the Jennings recursion
+    D_n = [D_(n-1), G] * (D_ceil(n/p))^p.
+
+    [N, G], for N = <A> normal and G = <X>, is the normal closure of the
+    [a, x], a in A, x in X: so the commutator term is grown from the
+    generators of D_(n-1) and the generator images alone.  The p-th powers
+    run over every member of D_ceil(n/p).  A term is built once per
+    distinct pair (D_(n-1), D_ceil(n/p)); a repeated pair reuses it.
     """
     require_p_group(tbl.order, p,
                     f"Jennings series over F_{p} needs a {p}-group; order is {tbl.order}")
@@ -253,6 +281,7 @@ def jennings_series(tbl: FiniteGroupTable, p: int) -> list[Subgroup]:
     chain = [full]
     if tbl.order == 1:
         return chain
+    images = sorted(set(tbl.gen_images))
     built: dict[tuple[tuple[int, ...], tuple[int, ...]], Subgroup] = {}
     guard = 0
     while chain[-1].order > 1:
@@ -261,14 +290,11 @@ def jennings_series(tbl: FiniteGroupTable, p: int) -> list[Subgroup]:
         frac = chain[(n + p - 1) // p - 1]  # D_ceil(n/p)
         key = (prev.members, frac.members)
         if key not in built:
-            gens = set()
-            for d in prev.members:
-                for g in range(tbl.order):
-                    gens.add(tbl.mult[tbl.mult[tbl.mult[d][g]][tbl.inv[d]]][tbl.inv[g]])
-            for d in frac.members:
-                gens.add(tbl.power(d, p))
+            gens = set(_normal_closure(tbl, [tbl.mult[tbl.conj(d, x)][tbl.inv[x]]
+                                             for d in prev.generators for x in images]))
+            gens.update(tbl.power(d, p) for d in frac.members)
             gens.discard(0)
-            built[key] = subgroup_closure(tbl, tuple(sorted(gens)))
+            built[key] = subgroup_closure(tbl, gens)
         chain.append(built[key])
         guard += 1
         if guard > 2 * tbl.order + 4:

@@ -3,15 +3,18 @@
 They use the standard library only and share no code with qrlab, so a
 test that compares qrlab against them is not checking a kernel against
 itself.  The exceptions are lattice_from_rows, which wraps qrlab's
-Lattice as the Hermite form that the tests solve in, and
+Lattice as the Hermite form that the tests solve in;
 full_depth_dimension_chain, which reads qrlab's delta_filtration (itself
-checked against dense_rref in tests/test_groupring.py).
+checked against dense_rref in tests/test_groupring.py); and the integer
+tower walk (integer_walk), which takes qrlab's certified Smith form
+(itself checked against smallest_entry_snf in tests/test_intlinalg.py).
 """
 
+import functools
 import itertools
 
 from qrlab.groupring import delta_filtration
-from qrlab.intlinalg import Lattice
+from qrlab.intlinalg import AbelianInvariants, Lattice, mat_mul, smith_normal_form
 
 
 def dense_rref(rows, p):
@@ -366,3 +369,87 @@ def all_elements_conjugacy_classes(tbl, subs):
         left -= cls
         classes.append(sorted(cls))
     return classes
+
+
+def conjugation_jennings_series(tbl, p):
+    """Reference Jennings recursion D_n = [D_(n-1), G] * (D_ceil(n/p))^p,
+    the commutator term from every [d, g] = d g d^-1 g^-1 with d in
+    D_(n-1) and g in G, the powers from every member of D_ceil(n/p).
+    Member tuples, D_1 = G first, down to the trivial term."""
+    chain = [tuple(sorted(_closure(tbl, set(tbl.gen_images))))]
+    while len(chain[-1]) > 1:
+        n = len(chain) + 1
+        gens = {tbl.mult[tbl.mult[tbl.mult[d][g]][tbl.inv[d]]][tbl.inv[g]]
+                for d in chain[-1] for g in range(tbl.order)}
+        gens.update(tbl.power(d, p) for d in chain[(n + p - 1) // p - 1])
+        chain.append(tuple(sorted(_closure(tbl, gens))))
+    return chain
+
+
+def lattice_letter_matrices(rlat):
+    """The dense integer matrix of each generator image and its inverse on
+    the relation lattice: row c is the chord entries of x * cycles[c]."""
+    tbl, r = rlat.tbl, rlat.rank
+    out = {}
+    for x in {y for g in tbl.gen_images for y in (g, tbl.inv[g])}:
+        rows = []
+        for cycle in rlat.cycles:
+            row = [0] * r
+            for start, h, c in cycle:
+                k = rlat.chord_at[start + tbl.mult[x][h]]
+                if k >= 0:
+                    row[k] = c
+            rows.append(row)
+        out[x] = rows
+    return out
+
+
+def _integer_step(tbl, above, sub):
+    """One step of the integer walk: the level (divisors, letters) above,
+    modulo its divisor rows d_j e_j and the rows of A[d] - I, A[d] along
+    the word of d, for d over sub's generators; one Smith form.  Of y = x*V
+    the level keeps the coordinates whose divisor is not 1, with letters
+    V^-1 A[x] V there."""
+    divisors, letters = above
+
+    def reduced(rows, divs):
+        return [[x % d if d else x for x, d in zip(row, divs)] for row in rows]
+
+    width = len(divisors)
+    rows = [[d * (i == j) for i in range(width)] for j, d in enumerate(divisors) if d]
+    for d in sub.generators:
+        if d:
+            mats = [letters[tbl.letter(g, s)] for g, s in tbl.element_words[d]]
+            a = functools.reduce(lambda out, m: reduced(mat_mul(m, out), divisors), mats)
+            rows += ([x - (i == j) for i, x in enumerate(row)] for j, row in enumerate(a))
+    diag, _, V, Vinv = smith_normal_form(rows or [[0] * width])
+    diag += (0,) * (width - len(diag))
+    kept = [j for j, d in enumerate(diag) if d != 1]
+    new_divisors = [diag[j] for j in kept]
+    down = [[row[j] for j in kept] for row in V]
+    up = [list(Vinv[j]) for j in kept]
+    new_letters = {x: reduced(mat_mul(up, mat_mul(a, down)), new_divisors)
+                   for x, a in letters.items()}
+    inv = AbelianInvariants(new_divisors.count(0), tuple(d for d in new_divisors if d))
+    return inv, (new_divisors, new_letters)
+
+
+def integer_walk(rlat, chain):
+    """Reference level invariants for a descending chain of normal
+    subgroups ending at 1: the integer walk up from the relation lattice,
+    level n one Smith step from level n+1, a repeated subgroup sharing its
+    level.  Returns AbelianInvariants aligned with chain."""
+    level = ([0] * rlat.rank, lattice_letter_matrices(rlat))
+    inv, members, out = AbelianInvariants(rlat.rank, ()), (0,), []
+    for sub in reversed(chain):
+        if sub.members != members:
+            inv, level = _integer_step(rlat.tbl, level, sub)
+            members = sub.members
+        out.append(inv)
+    return out[::-1]
+
+
+def integer_g_coin(rlat, full):
+    """Reference R/[R,F]: one integer Smith step from the lattice to the
+    subgroup full, all of G."""
+    return _integer_step(rlat.tbl, ([0] * rlat.rank, lattice_letter_matrices(rlat)), full)[0]

@@ -26,7 +26,13 @@ from qrlab.groupring import (
 from qrlab.intlinalg import ModpSpan
 
 from conftest import P_GROUPS, ladder_inputs
-from reference import dense_rref, full_depth_dimension_chain, gr_multiply, left_translate
+from reference import (
+    conjugation_jennings_series,
+    dense_rref,
+    full_depth_dimension_chain,
+    gr_multiply,
+    left_translate,
+)
 
 FROZEN_DELTA_DIMS = {
     "gens: a; relators: a^4; prime: 2": [3, 2, 1, 0],
@@ -95,6 +101,17 @@ def test_chain_matches_the_full_depth_reference(group, name, text):
         for hi, lo in zip(chain, chain[1:]):
             assert (hi is lo) == (hi.members == lo.members)
         assert _jennings_delta_dims(chain, p) == delta_dimension_sequence(tbl, p)
+
+
+@pytest.mark.parametrize("name,text", LADDER, ids=[n for n, _ in LADDER])
+def test_jennings_series_matches_the_all_conjugations_recursion(group, name, text):
+    """The commutator term grown from the generators of D_(n-1) and the
+    generator images gives the members that every [d, g], d in D_(n-1) and
+    g in G, give."""
+    pres, tbl = group(text)
+    for p in pres.primes:
+        assert [s.members for s in jennings_series(tbl, p)] == \
+            conjugation_jennings_series(tbl, p)
 
 
 @pytest.mark.parametrize("text,powers", [("gens: a; relators: a^64; prime: 2", 33),

@@ -6,14 +6,17 @@ implementations share no linear algebra path beyond Smith reduction.
 """
 
 import dataclasses
+import sys
 
 import pytest
 
+from qrlab import intlinalg, relmod
 from qrlab.enumeration import all_subgroups, subgroup_conjugacy_classes, todd_coxeter
 from qrlab.errors import PropertyViolation
-from qrlab.groupring import fox_rows, right_translate
+from qrlab.groupring import dimension_subgroup_chain, fox_rows, right_translate
 from qrlab.intlinalg import (
     AbelianInvariants,
+    ModpSpan,
     left_kernel,
     mat_mul,
     p_torsion,
@@ -21,6 +24,7 @@ from qrlab.intlinalg import (
 )
 from qrlab.presentation import Presentation, parse_presentation
 from qrlab.relmod import (
+    RelationLattice,
     _bar_d3_cokernel,
     _bar_gab,
     bar_h2,
@@ -32,8 +36,14 @@ from qrlab.relmod import (
     relation_lattice,
 )
 
-from conftest import CORPUS_DIR, NQR32, ORDER32, ORDER32_DIR, walk_inputs
-from reference import cycle_basis, lattice_from_rows, left_translate
+from conftest import C9XC9, CORPUS_DIR, NQR32, ORDER32, ORDER32_DIR, ladder_inputs, walk_inputs
+from reference import (
+    cycle_basis,
+    integer_g_coin,
+    integer_walk,
+    lattice_from_rows,
+    left_translate,
+)
 
 # (text, prime, G_ab torsion, multiplier torsion)
 KNOWN = [
@@ -369,6 +379,103 @@ def test_every_walk_level_matches_the_lattice_route(lattice, text, p):
     for lv in qr.levels:
         assert lv.invariants == lv.coin.invariants == lattice_route(rlat, lv.subgroup), lv.level
     assert rlat.g_coin.invariants == qr.levels[0].invariants
+
+
+LADDER = ladder_inputs()
+
+
+@pytest.mark.parametrize("name,text", LADDER, ids=[n for n, _ in LADDER])
+def test_every_level_matches_the_integer_reference_walk(lattice, name, text):
+    """The p-local levels against the integer walk they replaced, at every
+    prime: each level's invariants, and R/[R,F]'s."""
+    rlat = lattice(text)
+    for p in rlat.pres.primes:
+        qr = qr_check(rlat, p)
+        chain = [lv.subgroup for lv in qr.levels]
+        assert [lv.invariants for lv in qr.levels] == integer_walk(rlat, chain), p
+        assert qr.levels[0].coin is rlat.g_coin
+    assert rlat.g_coin.invariants == integer_g_coin(rlat, rlat.g_coin.sub)
+
+
+def test_qr_check_and_hopf_h2_take_no_smith_form(monkeypatch):
+    """No integer Smith form on the verdict path: counted under every qrlab
+    name bound to it, on a fresh q32 lattice at p = 2."""
+    text = (ORDER32_DIR / "q32.pres").read_text()
+    pres = parse_presentation(text)
+    rlat = relation_lattice(pres, todd_coxeter(pres))
+    calls = []
+    orig = intlinalg.smith_normal_form
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return orig(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if mod is not None and (name == "qrlab" or name.startswith("qrlab.")):
+            for attr, value in list(vars(mod).items()):
+                if value is orig:
+                    monkeypatch.setattr(mod, attr, counting)
+    assert qr_check(rlat, 2).quasirational
+    assert hopf_h2(rlat) == AbelianInvariants(0, ())
+    assert calls == []
+    assert gab_invariants(pres).torsion == (2, 2) and len(calls) == 1  # the count works
+
+
+def _d2(text, p):
+    """A fresh lattice and its D_2 at p."""
+    pres = parse_presentation(text)
+    tbl = todd_coxeter(pres)
+    return relation_lattice(pres, tbl), dimension_subgroup_chain(tbl, p)[1]
+
+
+def test_gaschutz_certificate_refuses_a_level_missing_a_generators_rows(monkeypatch):
+    """Dropping the rows of A[d] - I of one generator d of D_n leaves the
+    level of a smaller subgroup, whose F_ell rank leaves more than f_n:
+    raised, not asserted (this also runs under python -O)."""
+    rlat, d2 = _d2(C9XC9, 3)
+    assert len(d2.generators) > 1
+    coinvariants(rlat, d2)
+    orig = RelationLattice.relation_rows
+
+    def dropped(self, sub, modulus):
+        return orig(self, dataclasses.replace(sub, generators=sub.generators[1:]), modulus)
+
+    monkeypatch.setattr(RelationLattice, "relation_rows", dropped)
+    with pytest.raises(PropertyViolation, match="F_2 dimension .* not Gaschutz's free rank"):
+        coinvariants(rlat, d2)
+
+
+def test_gaschutz_certificate_refuses_an_fp_rank_above_r_minus_f(monkeypatch):
+    """One extra relation row mod p only: the F_ell rank still leaves f_n,
+    and the F_p rank leaves less than f_n."""
+    rlat, d2 = _d2((ORDER32_DIR / "q32.pres").read_text(), 2)
+    orig = RelationLattice.relation_rows
+
+    def extra(self, sub, modulus):
+        rows = orig(self, sub, modulus)
+        if modulus == 2:
+            span = ModpSpan(self.rank, 2)
+            for v in rows:
+                span.add(v)
+            rows.append(span.layout.unit(next(j for j in range(self.rank)
+                                              if j not in span.pivots)))
+        return rows
+
+    monkeypatch.setattr(RelationLattice, "relation_rows", extra)
+    with pytest.raises(PropertyViolation, match="F_2 dimension .* below Gaschutz's"):
+        coinvariants(rlat, d2)
+
+
+def test_gaschutz_certificate_refuses_a_local_free_count_off_f(monkeypatch):
+    """A torsion level whose local Smith form leaves one summand Z/p^N too
+    many disagrees with f_n and with its F_p rank."""
+    rlat, d2 = _d2(NQR32.read_text(), 2)
+    assert coinvariants(rlat, d2).invariants == AbelianInvariants(5, (2,))
+    orig = relmod.local_smith_exponents
+    monkeypatch.setattr(relmod, "local_smith_exponents",
+                        lambda *args: (lambda z, exps: (z + 1, exps[1:]))(*orig(*args)))
+    with pytest.raises(PropertyViolation, match="local Smith form"):
+        coinvariants(rlat, d2)
 
 
 # --- torsion criterion ----------------------------------------------------
