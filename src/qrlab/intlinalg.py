@@ -604,11 +604,14 @@ class ModpSpan:
         if self._rows is None:
             lay, pivots = self.layout, self.pivots
             done: dict[int, int] = {}
-            # bottom row first, so every row used to clear is already reduced
+            # bottom row first, so every row used to clear is already reduced:
+            # zero at every pivot but its own, so clearing at c leaves the
+            # other pivot slots alone, and one unpack reads them all
             for k in range(len(pivots) - 1, -1, -1):
                 row = self._by_pivot[pivots[k]]
+                vals = lay.unpack(row)
                 for c in pivots[k + 1:]:
-                    if lay.entry(row, c):
+                    if vals[c]:
                         row = lay.cancel(row, done[c], c)
                 done[pivots[k]] = row
             self._rows = [lay.unpack(done[c]) for c in pivots]
@@ -713,7 +716,8 @@ def _first_unit(lay: FpRows, v: int, p: int) -> int:
     return -1
 
 
-def unit_pivot_rows(rows: Iterable[int], lay: FpRows, p: int) -> tuple[dict[int, int], list[int]]:
+def unit_pivot_rows(rows: Iterable[int], lay: FpRows, p: int,
+                    rank: int | None = None) -> tuple[dict[int, int], list[int]]:
     """Gauss-Jordan elimination over Z/p^k (k >= 1, p^k = lay.modulus) with
     unit pivots only, on rows packed in lay.
 
@@ -722,16 +726,20 @@ def unit_pivot_rows(rows: Iterable[int], lay: FpRows, p: int) -> tuple[dict[int,
     left with no unit: each is 0 at every pivot slot and divisible by p.
     So Z/p^k^width / span is (the non-pivot slots) / span(residues), and
     the span is a free direct summand exactly when residues is empty.
+    With rank given, the rows stop once that many pivots are found, and
+    residues is empty: for a caller that knows the span is a free summand
+    of that rank, the rows so far already span it (the quotient by them is
+    spanned by the width - rank other slots and maps onto a free module of
+    that rank, so the map is onto between finite sets of one size).
 
     A row is reduced at every pivot, then takes the lowest slot holding a
-    unit as its pivot; the earlier pivot rows are cleared there.  A row
-    cleared at a later pivot c' had a nonzero entry there and is zero left
-    of its own pivot, so its pivot lies left of c': every pivot row stays
-    zero left of its pivot.  Modulo p the pivot rows are then the reduced
-    echelon basis of the mod-p span, so the pivot columns are the F_p
-    pivot columns (ModpSpan's) at every k, and the rows reduce mod p to
-    the k = 1 result.  Reducing at every pivot reads the pivot slots once:
-    cancelling at c leaves every other pivot slot alone.
+    unit as its pivot; the earlier pivot rows are cleared there.  Modulo p
+    a pivot row is zero left of its pivot (the slot was the lowest nonzero
+    one mod p, and a row cleared at a later pivot c' was nonzero there mod
+    p), so the pivot columns are the leading columns of the mod-p span,
+    ModpSpan's pivots, at every k, and the rows reduce mod p to its
+    reduced echelon form.  Reducing at every pivot reads the pivot slots
+    once: cancelling at c leaves every other pivot slot alone.
     """
     m = lay.modulus
     pivots: dict[int, int] = {}
@@ -745,6 +753,8 @@ def unit_pivot_rows(rows: Iterable[int], lay: FpRows, p: int) -> tuple[dict[int,
 
     residues = []
     for v in rows:
+        if len(pivots) == rank:
+            return pivots, []
         v = reduce(v)
         c = _first_unit(lay, v, p)
         if c < 0:

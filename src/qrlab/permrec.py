@@ -43,7 +43,7 @@ import random
 from dataclasses import dataclass, field, replace
 from itertools import combinations_with_replacement, groupby, product
 
-from .errors import InputError, PropertyViolation, TorsionObstruction
+from .errors import InputError, PropertyViolation
 from .enumeration import (
     FiniteGroupTable,
     Subgroup,
@@ -60,7 +60,6 @@ from .intlinalg import (
     is_invertible_modp,
     modp_left_kernel,
     modp_rank,
-    p_torsion,
 )
 from .presentation import Presentation, Word
 from .relmod import Coinvariants, LevelResult, QRReport, RelationLattice, qr_check_full
@@ -237,11 +236,6 @@ def _level_module(rlat: RelationLattice, coin: Coinvariants, sub: Subgroup,
                   qtbl: FiniteGroupTable, p: int, k: int, level: int) -> LevelModule:
     if k < 1:
         raise InputError(f"precision must be >= 1, got {k}")
-    torsion = p_torsion(coin.invariants, p)
-    if torsion and k > 1:
-        raise TorsionObstruction(
-            f"coinvariants have p-torsion Z/{torsion[0]}; no free Z/{p}^{k} form"
-        )
     coords, down, level_letters = coin.over(p, k)
     in_q = dict(zip(rlat.tbl.gen_images, qtbl.gen_images))
     gen_mats: dict[int, Packed] = {}

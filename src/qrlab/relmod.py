@@ -28,8 +28,7 @@ import functools
 import itertools
 from dataclasses import dataclass, field
 
-from .errors import PropertyViolation
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, PropertyViolation, TorsionObstruction
 from .enumeration import FiniteGroupTable, Subgroup, subgroup_closure
 from .groupring import dimension_subgroup_chain, fox_rows, jennings_series
 from .intlinalg import (
@@ -198,49 +197,69 @@ class Coinvariants:
     rlat: RelationLattice | None = field(default=None, repr=False, compare=False)
     spans: dict[int, ModpSpan] = field(default_factory=dict, repr=False, compare=False)
 
-    def over(self, p: int, k: int) -> tuple[tuple[int, ...], Packed, dict[int, Packed]]:
-        """(coords, down, letters): the level tensored with Z/p^k, from one
-        unit-pivot elimination of the relation rows over Z/p^k
-        (unit_pivot_rows; over F_p, of the F_p span's basis).
+    def span(self, q: int) -> ModpSpan:
+        """The F_q span of the level's relation rows, built once per q."""
+        if q not in self.spans:
+            self.spans[q] = _span(self.rlat, self.sub, q)
+        return self.spans[q]
 
-        Pivot row c is e_c + b_c, so e_c = -b_c on the level: the F_p pivot
-        columns are eliminated, and the other lattice columns, coords, are
-        the coordinates.  They span the level mod p, hence over Z/p^k
-        (Nakayama), freely when no residue is left.  down is the quotient
-        map from the lattice, one row per lattice column packed in
-        fp_rows(len(coords), p^k): e_j at coords[j], -b_c at a pivot c.
-        letters[x], for x a generator image, is A[x] on coords, then down.
-        A residue over Z/p^k is p-torsion: callers refuse a level with
-        p-torsion above k = 1 first, so one here is a PropertyViolation.
+    def over(self, p: int, k: int) -> tuple[tuple[int, ...], Packed, dict[int, Packed]]:
+        """(coords, down, letters): the level tensored with Z/p^k.
+
+        Over F_p it is read off the reduced echelon rows of the F_p span.
+        Over Z/p^k, k > 1, a level with p-torsion has no free form
+        (TorsionObstruction); one without is a free summand of rank
+        r - f, and one unit-pivot elimination of the relation rows mod p^k
+        (unit_pivot_rows), stopped at that many pivots, has the F_p pivot
+        columns and reduces mod p to those rows.  Pivot row c is e_c + b_c,
+        so e_c = -b_c on the level: the F_p pivot columns are eliminated,
+        and the other lattice columns, coords, are the coordinates.  down
+        is the quotient map from the lattice, one row per lattice column
+        packed in fp_rows(len(coords), p^k): e_j at coords[j], -b_c at a
+        pivot c.  letters[x], for x a generator image, is A[x] on coords,
+        then down.
         """
-        rlat, ring = self.rlat, p ** k
-        lay = fp_rows(rlat.rank, ring)
-        rows = (self.spans[p].packed if k == 1 and p in self.spans
-                else rlat.relation_rows(self.sub, ring))
-        pivots, residues = unit_pivot_rows(rows, lay, p)
-        if residues:
-            raise PropertyViolation(
-                f"the level of a subgroup of order {self.sub.order} has p-torsion "
-                f"over Z/{p}^{k} that its invariants {self.invariants} do not show")
-        coords = tuple(j for j in range(rlat.rank) if j not in pivots)
+        rlat, ring, r = self.rlat, p ** k, self.rlat.rank
+        if k == 1:
+            span = self.span(p)
+            reduced = dict(zip(span.pivots, span.rows))
+        else:
+            torsion = p_torsion(self.invariants, p)
+            if torsion:
+                raise TorsionObstruction(
+                    f"coinvariants have p-torsion Z/{torsion[0]}; no free Z/{p}^{k} form"
+                )
+            lay, rank = fp_rows(r, ring), r - self.invariants.free_rank
+            pivots, _ = unit_pivot_rows(rlat.relation_rows(self.sub, ring), lay, p, rank)
+            if len(pivots) != rank:
+                raise PropertyViolation(
+                    f"the relation rows over Z/{p}^{k} reach {len(pivots)} unit pivots, "
+                    f"not the {rank} of a free level")
+            reduced = {c: lay.unpack(row) for c, row in pivots.items()}
+        coords = tuple(j for j in range(r) if j not in reduced)
         out = fp_rows(len(coords), ring)
-        down = [0] * rlat.rank
+        down = [0] * r
         for i, j in enumerate(coords):
             down[j] = out.unit(i)
-        for c, row in pivots.items():
-            vals = lay.unpack(row)
+        for c, vals in reduced.items():
             down[c] = out.pack([-vals[j] for j in coords])
         letters = {}
         for x in sorted(set(rlat.tbl.gen_images)):
-            a = rlat.act(x)
             rows = []
-            for j in coords:
+            for nonzeros in map(rlat.act(x).__getitem__, coords):
                 acc = 0
-                for col, e in a[j]:
+                for col, e in nonzeros:
                     acc = out.add(acc, down[col]) if e > 0 else out.sub(acc, down[col])
                 rows.append(acc)
             letters[x] = tuple(rows)
         return coords, tuple(down), letters
+
+
+def _span(rlat: RelationLattice, sub: Subgroup, q: int) -> ModpSpan:
+    span = ModpSpan(rlat.rank, q)
+    for v in rlat.relation_rows(sub, q):
+        span.add(v)
+    return span
 
 
 def _primes_dividing(n: int) -> list[int]:
@@ -267,21 +286,14 @@ def coinvariants(rlat: RelationLattice, sub: Subgroup) -> Coinvariants:
     """
     tbl, r = rlat.tbl, rlat.rank
     free = (rlat.pres.ngens - 1) * (tbl.order // sub.order) + 1
-
-    def span_mod(q: int) -> ModpSpan:
-        span = ModpSpan(r, q)
-        for v in rlat.relation_rows(sub, q):
-            span.add(v)
-        return span
-
     ell = next(q for q in itertools.count(2) if is_prime(q) and tbl.order % q)
-    if (dim := r - span_mod(ell).dim) != free:
+    if (dim := r - _span(rlat, sub, ell).dim) != free:
         raise PropertyViolation(
             f"the level of a subgroup of order {sub.order} has F_{ell} dimension "
             f"{dim}, not Gaschutz's free rank {free}")
     spans, parts = {}, []
     for q in _primes_dividing(sub.order):
-        span = spans[q] = span_mod(q)
+        span = spans[q] = _span(rlat, sub, q)
         t = r - span.dim - free
         if t < 0:
             raise PropertyViolation(
