@@ -3,10 +3,10 @@
 enumerate -> relation lattice -> G_ab -> H2 by Hopf and by the bar route,
 compared once -> per prime, the QR verdict and on QR input the harness.
 One lattice serves Hopf's formula and every prime, and so do its
-G-coinvariants R/[R,F] (RelationLattice.g_coin), which level 1 of every
-prime's walk must match.  Each prime takes one coinvariants step per
-distinct dimension subgroup, and the harness reads its chain and level
-coinvariants from the QR report.
+G-coinvariants R/[R,F] (RelationLattice.g_coin), which are level 1 of
+every prime's tower.  Each prime reads one p-local level off the lattice
+per other distinct dimension subgroup, and the harness reads its chain
+and levels from the QR report.
 """
 
 from __future__ import annotations

@@ -8,8 +8,11 @@ Mod-p work has one elimination routine, ModpSpan, which keeps each row
 packed into a single int (FpRows); rank and invertibility feed it their
 rows, and the left kernel is one span of the packed rows [A | I].
 Packed rows work over any Z/m, and FpRows.mul multiplies matrices kept
-as packed rows; the level modules use it over every ring Z/p^k.  Dense
-mat_mul is for the integer work (the Smith certificate, the tower walk).
+as packed rows; the level modules use it over every ring Z/p^k.  Over
+Z/p^k, unit_pivot_rows eliminates with unit pivots only, and
+local_smith_exponents iterates it into the Smith form over the local ring.
+Dense mat_mul is for the integer work (the Smith certificate, integer
+inverses).
 """
 
 from __future__ import annotations

@@ -2,8 +2,10 @@
 
 Level modules.  Each level of the tower (relmod.Coinvariants) is tensored
 with Z/p^k and carried as a module for the quotient group Q = G/D_level.
-The module is its letter matrices, the level's integer letters mod p^k,
-and the matrix of any other element of Q is built on demand along a word
+The module is its letter matrices, from one unit-pivot elimination of the
+level's relation rows over Z/p^k (Coinvariants.over): the F_p pivot
+columns of the lattice are eliminated and the others are its coordinates.
+The matrix of any other element of Q is built on demand along a word
 for it.  A certificate of three checks (_certify_letters) proves that the
 letters define an action of Q; it agrees with the G-action on the lattice
 because the letters are that action on the generators.
@@ -900,8 +902,9 @@ def tower_harness(qr: QRReport, precision: int = DEFAULT_PRECISION,
     one before the same Coinvariants object.  Such a level repeats the
     previous outcome with only `level` changed, exactly (the random seeds
     do not involve the level number), and counts towards violations and
-    unknown_levels like any other.  Transitions are still checked between
-    every pair of consecutive levels.
+    unknown_levels like any other.  It shares the previous module too, so
+    its transition is the identity with no product (transition_map);
+    every pair of consecutive levels still counts in transitions_checked.
     """
     if max_level is not None and max_level < 1:
         raise InputError(f"max_level must be >= 1, got {max_level}")

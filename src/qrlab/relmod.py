@@ -4,16 +4,24 @@ relation_lattice() builds R/[R,R] as the cycle lattice of the right
 Cayley graph of (G, X).  By Crowell-Lyndon, 0 -> R_ab -> (ZG)^|X| -> IG
 -> 0 is exact and (ZG)^|X| -> IG is the graph's boundary map, so R_ab
 depends only on the table and the generator images.  The basis and the
-letters are read off the BFS spanning tree from 1: one fundamental cycle
-per chord (non-tree edge), and a cycle's coordinates are its chord
-entries.  The relators' Fox rows only certify that the table is the
-group they present.  The lattice is the level of D = 1 of the tower;
-coinvariants() takes one Smith step from a level to its quotient by the
-(d-1)-action of a larger normal subgroup.  qr_check() walks the chain up
-from the lattice and decides quasirationality at p; its report keeps the
-lattice and each level's subgroup and coinvariants for the harness.
-hopf_h2() and bar_h2() compute the Schur multiplier by two routes that
-share no code above the integer kernels and must agree.
+matrices of the elements are read off the BFS spanning tree from 1: one
+fundamental cycle per chord (non-tree edge), and a cycle's coordinates are
+its chord entries.  The relators' Fox rows only certify that the table is
+the group they present.
+
+Level n of the tower is the lattice modulo the (d-1)-action of D_n.  By
+Gaschutz it is Z^f + H2(D_n, Z), f = (|X|-1)|G:D_n| + 1, and |D_n|
+annihilates the torsion, so coinvariants() reads a level one prime at a
+time with no integer Smith form: one F_p rank of the rows of A[d] - I,
+d over D_n's generators, counts the cyclic factors of its p-torsion, a
+local Smith form over Z/p^N gives their orders where there are any, and
+an F_ell rank for a prime ell not dividing |G| checks f.  qr_check()
+decides quasirationality at p from one such level per distinct D_n; its
+report keeps the lattice and each level's subgroup and coinvariants for
+the harness, which takes each level over Z/p^k from one unit-pivot
+elimination (Coinvariants.over).  hopf_h2() and bar_h2() compute the
+Schur multiplier by two routes that share no code above the integer
+kernels and must agree.
 
 bar_h2() needs no row beyond T(g,h,x) = d3[g|h|x] for x a generator
 image, and no column beyond the generator block [g|x]: the rest is
@@ -108,7 +116,7 @@ class RelationLattice:
     @functools.cached_property
     def g_coin(self) -> Coinvariants:
         """R/[R,F], the level of D_1 = G: its torsion is Hopf's H2(G), and
-        it is level 1 of every prime's walk."""
+        it is level 1 of every prime's tower."""
         return coinvariants(self, subgroup_closure(self.tbl, self.tbl.gen_images))
 
 
@@ -187,9 +195,12 @@ class Coinvariants:
 
     It is Z^f + H2(D, Z) with f = (|X|-1)|G:D| + 1 (Gaschutz; the torsion
     by Shapiro's lemma, see qr_check), so `invariants` is read one prime at
-    a time (coinvariants()).  spans[q] is the F_q span of the relation rows
-    for each prime q dividing |D|; over(p, k) is the level over Z/p^k as
-    the harness reads it.  rlat is None only on a level made by hand.
+    a time (coinvariants()), with no integer Smith form and no integer
+    letters.  spans keeps the F_q span of the relation rows per prime q
+    (span(q)); coinvariants() fills the q dividing |D|.  over(p, k) is the
+    level over Z/p^k as the harness reads it: coordinates, quotient map
+    from the lattice and letters.  rlat is None only on a level made by
+    hand.
     """
 
     invariants: AbelianInvariants

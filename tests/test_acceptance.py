@@ -14,12 +14,11 @@ import pytest
 from qrlab.intlinalg import (
     AbelianInvariants,
     fp_rows,
-    identity_rows,
     is_invertible_modp,
     p_torsion,
 )
 from qrlab.presentation import parse_presentation
-from qrlab.enumeration import all_subgroups, subgroup_conjugacy_classes, todd_coxeter
+from qrlab.enumeration import Subgroup, all_subgroups, subgroup_conjugacy_classes, todd_coxeter
 from qrlab.groupring import delta_dimension_sequence, dimension_subgroup, jennings_series
 from qrlab.relmod import (
     Coinvariants,
@@ -180,7 +179,7 @@ def test_08_equivalence_harness_is_clean_on_the_qr_corpus(corpus):
     tbl = todd_coxeter(parse_presentation("gens: a; relators: a^2; prime: 2"))
     k = 20
     ring = 1 << k
-    coin = Coinvariants(AbelianInvariants(1, ()), (0,), ((1,),), {})
+    coin = Coinvariants(AbelianInvariants(1, ()), Subgroup((0,), ()))
     # one-dimensional: the packed row of the 1x1 matrix (x) is x
     twisted = LevelModule(1, 2, k, tbl, (0,), {1: (ring - 1,)}, coin)
     plain = LevelModule(1, 2, 1, tbl, (0,), {1: (1,)}, coin)
@@ -213,10 +212,10 @@ def test_09_rank_and_cokernel_laws_exact(corpus):
 
 
 def _module(qtbl, p, dim, matrix_of):
-    """A module over a free level with no parent, given by matrix_of(x)
-    on every generator image x of Q and its inverse, packed over F_p."""
-    ident = tuple(tuple(r) for r in identity_rows(dim))
-    coin = Coinvariants(AbelianInvariants(dim, ()), (0,) * dim, ident, {})
+    """A module over a free level of the trivial subgroup, given by
+    matrix_of(x) on every generator image x of Q and its inverse, packed
+    over F_p."""
+    coin = Coinvariants(AbelianInvariants(dim, ()), Subgroup((0,), ()))
     lay = fp_rows(dim, p)
     letters = {x: tuple(map(lay.pack, matrix_of(x)))
                for g in qtbl.gen_images for x in (g, qtbl.inv[g])}
