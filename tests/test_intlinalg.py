@@ -23,6 +23,7 @@ from qrlab import intlinalg
 from qrlab.intlinalg import (
     AbelianInvariants,
     ModpSpan,
+    combine_primary,
     elementary_divisors,
     fp_rows,
     identity_rows,
@@ -30,6 +31,7 @@ from qrlab.intlinalg import (
     is_invertible_modp,
     lattice_quotient,
     left_kernel,
+    local_smith_exponents,
     mat_mul,
     modp_left_kernel,
     modp_rank,
@@ -445,3 +447,30 @@ def test_invariants_order_and_str():
     assert inv.order == 8
     assert "2" in str(inv) and "4" in str(inv)
     assert str(AbelianInvariants(0, ())) == "0"
+
+
+@pytest.mark.parametrize("p,n", [(2, 4), (3, 3), (5, 2)])
+def test_local_smith_exponents_are_the_p_parts_of_the_integer_smith_form(p, n):
+    """Over Z/p^n each integer Smith entry d becomes Z/p^min(v_p(d), n),
+    and a zero entry (or a missing one past the rows) Z/p^n."""
+    rng = random.Random(100 * p + n)
+    for _ in range(60):
+        m, w = rng.randint(1, 6), rng.randint(1, 6)
+        rows = [[rng.choice((0, 0, 1, -1, 3, p, -p, 2 * p, p * p)) for _ in range(w)]
+                for _ in range(m)]
+        diag = list(smith_normal_form(rows)[0]) + [0] * (w - min(m, w))
+        vals = []
+        for d in diag:
+            v = 0
+            while d and d % p ** (v + 1) == 0 and v < n:
+                v += 1
+            vals.append(n if d == 0 else v)
+        lay = fp_rows(w, p ** n)
+        z, exps = local_smith_exponents([lay.pack(r) for r in rows], w, p, n)
+        assert (z, exps) == (vals.count(n), tuple(sorted(v for v in vals if 0 < v < n))), rows
+
+
+def test_combine_primary_merges_the_primes_into_a_divisibility_chain():
+    assert combine_primary(3, [[2, 4], [3]]) == AbelianInvariants(3, (2, 12))
+    assert combine_primary(0, [[2, 2, 8], [], [9, 27]]) == AbelianInvariants(0, (2, 18, 216))
+    assert combine_primary(1, []) == AbelianInvariants(1, ())
