@@ -64,14 +64,19 @@ from .intlinalg import (
     modp_rank,
 )
 from .presentation import Presentation, Word
-from .relmod import Coinvariants, LevelResult, QRReport, RelationLattice, qr_check_full
+from .relmod import (
+    Coinvariants,
+    LevelResult,
+    Packed,
+    QRReport,
+    RelationLattice,
+    qr_check_full,
+)
 
 DEFAULT_PRECISION = 20
 DEFAULT_CERT_BUDGET = 100_000
 DEFAULT_ASSIGNMENT_CAP = 64
 EXHAUSTIVE_CAP = 4096
-
-Packed = tuple[int, ...]  # a matrix as its rows, packed in one FpRows layout
 
 
 def _identity(lay: FpRows) -> Packed:
