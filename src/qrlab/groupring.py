@@ -1,38 +1,35 @@
 """Group ring arithmetic, the augmentation filtration, and its subgroups.
 
 Elements of ZG or (Z/m)G are coefficient vectors indexed by the table's
-canonical element order.  Two independent routes to the same filtration
-live here: dimension_subgroup_chain() reads D_n = {g : g - 1 in Delta^n}
-off the augmentation-ideal powers, jennings_series() runs the recursion
-D_n = [D_{n-1}, G] * (D_ceil(n/p))^p on the bare multiplication table.
-Agreement of the two is asserted by callers, not assumed.
+canonical element order.  The dimension subgroups
+D_n = {g : g - 1 in Delta^n} come from the Jennings recursion
+D_n = [D_(n-1), G] * (D_ceil(n/p))^p (jennings_series), run on the bare
+multiplication table, and dimension_subgroup_chain() proves that chain
+right with one F_p basis of Delta adapted to every power at once
+(Jennings' basis theorem): products of (g - 1) over elements g picked
+along the chain, each with a weight, such that the products of weight
+>= n span Delta^n for every n.  The certificate never builds a power of
+Delta; see _certify_jennings_chain.
 
-The powers of Delta are spanned from the generator images alone.  Since
-gh - 1 = (g - 1)h + (h - 1), Delta is generated as a right ideal by the
-x - 1 with x a generator image, so
+The powers of Delta themselves stay as the oracle (delta_filtration,
+dimension_subgroup, `oracle delta-dims`).  Since gh - 1 = (g - 1)h + (h - 1),
+Delta is generated as a right ideal by the x - 1 with x a generator
+image, so
 Delta^(n+1) = Delta*Delta^n = sum_x (x - 1)*F_pG*Delta^n = sum_x (x - 1)*Delta^n.
 Each power is a ModpSpan, and the tower never leaves its packed rows
 (intlinalg.FpRows): x*w is a byte permutation of w, x*w - w one slotwise
 subtraction, and g - 1 is tested for membership without unpacking.  The
 reduced echelon form of a power is built only if someone reads it.
-
-The chain takes the powers one at a time and stops at the first trivial
-D_n, long before Delta^N = 0 on a cyclic group.  Each D_n is read off
-D_(n-1): its generators are tested first, and where they all pass the term
-repeats as the same object; otherwise D_(n-1) is walked one coset of the
-part found so far at a time.  Jennings' theorem then predicts every power's
-dimension from the chain (the Hilbert series of the graded group algebra),
-and each power the chain built must have it.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
-from itertools import islice
+from itertools import accumulate, islice
 
 from .errors import InputError, PropertyViolation
 from .enumeration import FiniteGroupTable, Subgroup, subgroup_closure, prime_power
-from .intlinalg import ModpSpan
+from .intlinalg import ModpSpan, fp_rows
 from .presentation import Presentation
 
 
@@ -64,7 +61,7 @@ def _delta_powers(tbl: FiniteGroupTable, p: int) -> Iterator[ModpSpan]:
     p-groups the chain reaches 0.
     """
     n = tbl.order
-    gens = list(dict.fromkeys(x for x in tbl.gen_images if x))
+    gens = _generator_images(tbl)
     prev = ModpSpan(n, p)
     lay = prev.layout
     for g in range(1, n):
@@ -135,23 +132,32 @@ def dimension_subgroup(tbl: FiniteGroupTable, p: int, n: int) -> Subgroup:
     return Subgroup(tuple(members), _generators_for(tbl, members))
 
 
-def _next_dimension_subgroup(tbl: FiniteGroupTable, span: ModpSpan, prev: Subgroup) -> Subgroup:
-    """{g in prev : g - 1 in span}, for span = Delta^n and prev = D_(n-1).
+def _grow(mult, inside: set[int], gens) -> list[int]:
+    """Close the set inside under right multiplication by gens, in place,
+    so that it becomes inside*<gens>; returns the members added."""
+    new, frontier = [], list(inside)
+    for x in frontier:
+        for y in gens:
+            z = mult[x][y]
+            if z not in inside:
+                inside.add(z)
+                new.append(z)
+                frontier.append(z)
+    return new
 
-    These g form a subgroup: gh - 1 = (g - 1)h + (h - 1).  When every
-    generator of prev passes, the answer is prev itself.  Otherwise prev is
-    walked in member order against the subgroup H found so far: a passing g
-    joins H (its closure is grown at once), and a failing g rules out g*H,
-    since gh in D_n would put g = gh*h^-1 in D_n.  The g that join H are the
-    members of the answer not in the closure of those before them, so they
-    are its greedy generators in member order, as _generators_for picks them.
+
+def _next_dimension_subgroup(tbl: FiniteGroupTable, passes, prev: Subgroup) -> Subgroup:
+    """{g in prev : passes(g)}, for passes the membership test of D_n and
+    prev = D_(n-1), so that these g form a subgroup.
+
+    When every generator of prev passes, the
+    answer is prev itself.  Otherwise prev is walked in member order
+    against the subgroup H found so far: a passing g joins H (its closure
+    is grown at once), and a failing g rules out g*H, since gh in D_n would
+    put g = gh*h^-1 in D_n.  The g that join H are the members of the
+    answer not in the closure of those before them, so they are its greedy
+    generators in member order, as _generators_for picks them.
     """
-    lay = span.layout
-    one = lay.unit(0)
-
-    def passes(g: int) -> bool:
-        return span.contains(lay.sub(lay.unit(g), one))
-
     if all(passes(g) for g in prev.generators):
         return prev
     mult = tbl.mult
@@ -164,80 +170,182 @@ def _next_dimension_subgroup(tbl: FiniteGroupTable, span: ModpSpan, prev: Subgro
             out.update(mult[g][h] for h in inside)
             continue
         gens.append(g)
-        frontier = list(inside)  # H grows to <H, g>: close under the gens so far
-        new = []
-        for x in frontier:
-            for y in gens:
-                z = mult[x][y]
-                if z not in inside:
-                    inside.add(z)
-                    new.append(z)
-                    frontier.append(z)
+        new = _grow(mult, inside, gens)
         out.update(mult[f][h] for f in failed for h in new)
     return Subgroup(tuple(sorted(inside)), tuple(gens))
 
 
-def _jennings_delta_dims(chain: list[Subgroup], p: int) -> list[int]:
-    """dim Delta^1, dim Delta^2, ... (down to 0) as Jennings' theorem
-    predicts them from the dimension subgroups: the graded algebra of F_pG
-    has Hilbert series prod_k ((1 - t^(pk)) / (1 - t^k))^(e_k), with
-    e_k = log_p |D_k : D_(k+1)|, and dim Delta^n is the sum of its
-    coefficients of degree >= n."""
-    series = [1]
-    for k, (hi, lo) in enumerate(zip(chain, chain[1:]), start=1):
-        index = hi.order // lo.order
-        while index > 1:
-            index //= p
-            # times 1 + t^k + ... + t^((p-1)k)
-            grown = [0] * (len(series) + (p - 1) * k)
-            for j in range(p):
-                for d, c in enumerate(series):
-                    grown[d + j * k] += c
-            series = grown
-    tails, acc = [], 0
-    for c in reversed(series[1:]):
-        acc += c
-        tails.append(acc)
-    return tails[::-1] + [0]
+def _whole_group(tbl: FiniteGroupTable) -> Subgroup:
+    """G as generated by its sorted distinct generator images, as
+    subgroup_closure(tbl, tbl.gen_images) gives it: every table element has
+    a checked word in the generators (enumeration._verify_table), so the
+    closure is every element."""
+    return Subgroup(tuple(range(tbl.order)), tuple(sorted(set(tbl.gen_images))))
+
+
+def _generator_images(tbl: FiniteGroupTable) -> list[int]:
+    """The distinct nontrivial generator images, in generator order."""
+    return list(dict.fromkeys(x for x in tbl.gen_images if x))
+
+
+def _jennings_picks(tbl: FiniteGroupTable, p: int,
+                    terms: list[tuple[int, ...]]) -> list[tuple[int, int]]:
+    """Check (a) on the member tuples J_1, J_2, ... of a candidate chain,
+    and return its picks as (level k, g_(k,j)).
+
+    J_1 must be G and the last term the first trivial one.  The picks of
+    level k are chosen greedily in J_k's member order, each outside
+    J_(k+1)<picks before it>; they must extend J_(k+1) to exactly J_k, with
+    |J_k : J_(k+1)| = p^(number of picks).  Each failure is a
+    PropertyViolation.
+    """
+    if len(terms[0]) != tbl.order:
+        raise PropertyViolation(f"Jennings certificate (a) at p={p}: the chain does not start at G")
+    if terms[-1] != (0,) or any(len(t) == 1 for t in terms[:-1]):
+        raise PropertyViolation(f"Jennings certificate (a) at p={p}: the chain does not end "
+                                f"at its first trivial term")
+    picks = []
+    for k, (hi, lo) in enumerate(zip(terms, terms[1:]), start=1):
+        if hi == lo:
+            continue
+        inside, mine = set(lo), []
+        for g in hi:
+            if g not in inside:
+                mine.append(g)
+                _grow(tbl.mult, inside, mine)
+        if inside != set(hi) or len(hi) != len(lo) * p ** len(mine):
+            raise PropertyViolation(
+                f"Jennings certificate (a) at p={p}: term {k} is not term {k + 1} "
+                f"extended by its {len(mine)} picks with index p^{len(mine)}")
+        picks += [(k, g) for g in mine]
+    return picks
+
+
+def _certify_jennings_chain(tbl: FiniteGroupTable, p: int,
+                            terms: list[tuple[int, ...]]) -> list[int]:
+    """Prove that the member tuples J_1, J_2, ... are the dimension
+    subgroups D_1, D_2, ...; returns the certified dim Delta^1,
+    dim Delta^2, ..., down to 0.
+
+    The picks g_(k,j) of _jennings_picks, in level order g_1, ..., g_a,
+    give |G| = p^a products P_alpha = (g_1 - 1)^alpha_1 ... (g_a - 1)^alpha_a,
+    0 <= alpha_i < p, of weight w(alpha) = sum k_i*alpha_i; each is the one
+    before it times (g_i - 1), one right translation and one subtraction of
+    a packed row.  They go into one ModpSpan in order of decreasing weight,
+    and each pivot records its product's weight, so
+    W_n = span{P_alpha : w(alpha) >= n} is spanned by the rows of weight
+    >= n.  Checks, each a PropertyViolation:
+
+    (a) the chain and its picks (_jennings_picks);
+    (b) the |G| - 1 nontrivial products are independent;
+    (c) for each generator image x, (x - 1)*P_alpha reduces only on rows of
+        weight >= w(alpha) + 1;
+    (d) for each degree m >= 1, the coefficients on the weight-(m+1) rows
+        collected in (c) over w(alpha) = m have rank dim W_(m+1)/W_(m+2).
+
+    Proof.  (b) gives W_1 = Delta.  By (c) each W_m is a left ideal with
+    Delta*W_m = sum_x (x - 1)*W_m inside W_(m+1); by (d)
+    W_(m+1) <= Delta*W_m + W_(m+2) <= Delta*W_m + W_(m+3) <= ..., so
+    W_(m+1) = Delta*W_m and W_n = Delta^n for every n.  Each g_(k,j) - 1
+    is a weight-k product, so g_(k,j) lies in D_k, and from the bottom up
+    J_k = J_(k+1)<picks> lies in D_k.  Down from D_1 = G = J_1: given
+    D_k = J_k, g -> g - 1 is a homomorphism from J_k to
+    Delta^k/Delta^(k+1) with kernel D_(k+1) meeting J_k.  The g_(k,j) - 1
+    span its image and by (b) are independent modulo W_(k+1), so the
+    image has order p^(number of picks) = |J_k : J_(k+1)|, and the kernel,
+    which holds J_(k+1), is J_(k+1) = D_(k+1).  So the chain is certified
+    whatever the recursion that proposed it.
+
+    The normal words e_alpha = g_1^alpha_1 ... g_a^alpha_a are the |G|
+    elements; the span's slot of e_alpha is |G| - 1 - (the mixed-radix
+    index of alpha).  Then P_alpha leads at the slot of e_alpha with
+    coefficient 1 and (b)'s inserts take no elimination step, and on a
+    cyclic group each (x - 1)*P_alpha is one product.
+    """
+    picks = _jennings_picks(tbl, p, terms)
+    n, mult, inv = tbl.order, tbl.mult, tbl.inv
+    elts, weights = [0], [0]
+    for k, g in picks:
+        for j in range((p - 1) * len(elts)):
+            elts.append(mult[elts[j]][g])
+            weights.append(weights[j] + k)
+    if len(set(elts)) != n:
+        raise PropertyViolation(
+            f"Jennings certificate (b) at p={p}: the picks do not give |G| distinct normal words")
+    at = elts[::-1]  # the element at each slot
+    slot = [0] * n
+    for s, e in enumerate(at):
+        slot[e] = s
+    lay = fp_rows(n, p)
+    rows = [lay.unit(slot[0])]
+    for _, g in picks:
+        # slot s of v*g holds v's slot at at[s]*g^-1
+        right = lay.permutation([slot[mult[e][inv[g]]] for e in at])
+        for j in range((p - 1) * len(rows)):
+            rows.append(lay.sub(right(rows[j]), rows[j]))
+    order = sorted(range(1, n), key=weights.__getitem__, reverse=True)
+    span = ModpSpan(n, p)
+    for i in order:
+        span.add(rows[i])
+    if span.dim != n - 1:
+        raise PropertyViolation(
+            f"Jennings certificate (b) at p={p}: the products are not independent")
+    weight_at = {}
+    for i, row in zip(order, span.packed):
+        weight_at[((row & -row).bit_length() - 1) // lay.bits] = weights[i]
+    top = max(weights)
+    count = [0] * (top + 2)
+    column = {}
+    for c in span.pivots:
+        column[c] = count[weight_at[c]]
+        count[weight_at[c]] += 1
+    images: dict[int, ModpSpan] = {}  # m -> images of (x - 1)*W_m in W_(m+1)/W_(m+2)
+    for x in _generator_images(tbl):
+        # slot s of x*v holds v's slot at x^-1*at[s]
+        left = lay.permutation([slot[mult[inv[x]][e]] for e in at])
+        for i in range(1, n):
+            w = weights[i]
+            coords = span.coordinates(lay.sub(left(rows[i]), rows[i]))
+            part = 0
+            for c, f in coords.items():
+                if weight_at[c] <= w:
+                    raise PropertyViolation(
+                        f"Jennings certificate (c) at p={p}: (x - 1)*P has a term of "
+                        f"weight {weight_at[c]} for P of weight {w}")
+                if weight_at[c] == w + 1:
+                    part |= f << (column[c] * lay.bits)
+            if part:
+                if w not in images:
+                    images[w] = ModpSpan(count[w + 1], p)
+                images[w].add(part)
+    for m in range(1, top):
+        got = images[m].dim if m in images else 0
+        if got != count[m + 1]:
+            raise PropertyViolation(
+                f"Jennings certificate (d) at p={p}: the (x - 1)*P of weight {m} "
+                f"span {got} of the {count[m + 1]} dimensions of weight {m + 1}")
+    return list(accumulate(reversed(count[1:])))[::-1]
 
 
 def dimension_subgroup_chain(tbl: FiniteGroupTable, p: int) -> list[Subgroup]:
     """D_1 (= G), D_2, ... down to and including the first trivial term.
 
-    The Delta powers are built one at a time, and the tower stops at the
-    first n with D_n = 1 (on C_(p^k) that is n = p^(k-1) + 1, not |G|).
-    Delta^n lies in Delta^(n-1), so D_n lies in D_(n-1): each term is read
-    off the one before by _next_dimension_subgroup, which tests the
-    generators of D_(n-1) first and returns that very object when they
-    all pass.
-
-    Two checks raise PropertyViolation: a power that does not shrink
-    before D_n = 1 (Delta is nilpotent on a p-group), and a power whose
-    dimension is not the one Jennings' Hilbert series predicts from the
-    chain just read (_jennings_delta_dims).
+    jennings_series proposes the chain and _certify_jennings_chain proves
+    it right from one Jennings-adapted basis of Delta, with no power of
+    Delta built; a chain it cannot prove raises PropertyViolation.
+    D_1 is generated by the sorted distinct generator images.  Each later
+    term is read off the one before by _next_dimension_subgroup, testing
+    membership in the certified term: it keeps the greedy generators in
+    member order, and a term that repeats is the very object before it.
     """
     require_p_group(tbl.order, p,
                     f"dimension subgroups over F_{p} need a {p}-group; order is {tbl.order}")
-    chain = [subgroup_closure(tbl, tbl.gen_images)]
-    if tbl.order == 1:
-        return chain
-    powers = _delta_powers(tbl, p)
-    dims = [next(powers).dim]
-    for span in powers:
-        if span.dim >= dims[-1]:
-            raise PropertyViolation(
-                f"Delta^{len(dims) + 1} does not shrink at p={p} before D_n = 1")
-        dims.append(span.dim)
-        chain.append(_next_dimension_subgroup(tbl, span, chain[-1]))
-        if chain[-1].order == 1:
-            break
-    predicted = _jennings_delta_dims(chain, p)
-    # dims[0] = |G| - 1 against |G : D_last| - 1: a chain that stopped
-    # short of 1 fails here too
-    if dims != predicted[:len(dims)]:
-        raise PropertyViolation(
-            f"Delta power dimensions {dims} at p={p} are not the Jennings "
-            f"Hilbert series' {predicted[:len(dims)]}")
+    chain = [_whole_group(tbl)]
+    terms = [s.members for s in jennings_series(tbl, p)]
+    _certify_jennings_chain(tbl, p, terms)
+    members = {t: set(t) for t in terms}
+    for t in terms[1:]:
+        chain.append(_next_dimension_subgroup(tbl, members[t].__contains__, chain[-1]))
     return chain
 
 
@@ -277,8 +385,7 @@ def jennings_series(tbl: FiniteGroupTable, p: int) -> list[Subgroup]:
     """
     require_p_group(tbl.order, p,
                     f"Jennings series over F_{p} needs a {p}-group; order is {tbl.order}")
-    full = subgroup_closure(tbl, tbl.gen_images)
-    chain = [full]
+    chain = [_whole_group(tbl)]
     if tbl.order == 1:
         return chain
     images = sorted(set(tbl.gen_images))

@@ -620,11 +620,12 @@ class ModpSpan:
             self._rows = [lay.unpack(done[c]) for c in pivots]
         return self._rows
 
-    def _reduce(self, v: int) -> tuple[int, int]:
+    def _reduce(self, v: int, coeffs: dict[int, int] | None = None) -> tuple[int, int]:
         """(residue, its leading slot), or (0, -1) when v lies in the span.
 
         Each step clears the leading slot, so the leading slot strictly
-        advances and uses each pivot at most once.
+        advances and uses each pivot at most once.  coeffs, when given,
+        collects the multiple of each basis row taken off, by pivot.
         """
         lay, by_pivot, bits = self.layout, self._by_pivot, self.layout.bits
         for _ in range(len(by_pivot) + 1):
@@ -634,12 +635,21 @@ class ModpSpan:
             row = by_pivot.get(c)
             if row is None:
                 return v, c
+            if coeffs is not None:
+                coeffs[c] = lay.entry(v, c)
             v = lay.cancel(v, row, c)
         raise AssertionError("F_p reduction failed to clear a leading slot")
 
     def contains(self, vec: Sequence[int] | int) -> bool:
         v = vec if isinstance(vec, int) else self.layout.pack(vec)
         return self._reduce(v)[1] < 0
+
+    def coordinates(self, vec: Sequence[int] | int) -> dict[int, int] | None:
+        """vec as a combination of the semi-echelon rows, {pivot: coefficient},
+        or None when vec lies outside the span."""
+        coeffs: dict[int, int] = {}
+        v = vec if isinstance(vec, int) else self.layout.pack(vec)
+        return coeffs if self._reduce(v, coeffs)[1] < 0 else None
 
     def add(self, vec: Sequence[int] | int) -> bool:
         """Insert one vector; True iff the dimension grew."""

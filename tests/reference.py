@@ -347,6 +347,30 @@ def full_depth_dimension_chain(tbl, p):
     return chain
 
 
+def jennings_delta_dims(chain, p):
+    """dim Delta^1, dim Delta^2, ... (down to 0) as Jennings' theorem
+    predicts them from the dimension subgroups: the graded algebra of F_pG
+    has Hilbert series prod_k ((1 - t^(pk)) / (1 - t^k))^(e_k), with
+    e_k = log_p |D_k : D_(k+1)|, and dim Delta^n is the sum of its
+    coefficients of degree >= n."""
+    series = [1]
+    for k, (hi, lo) in enumerate(zip(chain, chain[1:]), start=1):
+        index = hi.order // lo.order
+        while index > 1:
+            index //= p
+            # times 1 + t^k + ... + t^((p-1)k)
+            grown = [0] * (len(series) + (p - 1) * k)
+            for j in range(p):
+                for d, c in enumerate(series):
+                    grown[d + j * k] += c
+            series = grown
+    tails, acc = [], 0
+    for c in reversed(series[1:]):
+        acc += c
+        tails.append(acc)
+    return tails[::-1] + [0]
+
+
 def all_elements_normalizer(tbl, members):
     """Reference normalizer: the g with g*x*g^-1 in members for every x in
     members."""

@@ -10,6 +10,7 @@ import json
 
 import pytest
 
+import qrlab.analysis
 from qrlab.analysis import analyze
 from qrlab.cli import main
 from qrlab.presentation import parse_presentation
@@ -97,6 +98,20 @@ def test_check_budget_exits_3(capsys, q8_file):
     code, out, _ = run(capsys, "check", q8_file, "--max-cosets", "3")
     assert code == 3
     assert json.loads(out)["failed_stage"] == "enumerate"
+
+
+def test_check_internal_certificate_failure_exits_1(capsys, monkeypatch, q8_file):
+    """An internal certificate that raises AssertionError (here the Smith
+    divisibility check inside the bar route) is a violation, not bad input."""
+    def broken(tbl):
+        raise AssertionError("Smith divisibility chain broken")
+
+    monkeypatch.setattr(qrlab.analysis, "bar_h2", broken)
+    code, out, _ = run(capsys, "check", q8_file)
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["failed_stage"] == "h2"
+    assert doc["error"] == "Smith divisibility chain broken"
 
 
 def test_check_prime_override(capsys, tmp_path):

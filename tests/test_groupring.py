@@ -1,7 +1,9 @@
 """Group-ring arithmetic, Fox derivatives, and the mod-p filtration.
 
 The two filtration routes (direct membership in powers of the augmentation
-ideal vs the commutator-and-power recursion) are compared level by level.
+ideal vs the commutator-and-power recursion) are compared level by level,
+and the certificate that proves the recursion's chain is shown to refuse
+tampered chains.
 """
 
 from math import comb
@@ -14,7 +16,6 @@ from qrlab.errors import InputError, PropertyViolation
 from qrlab.presentation import parse_presentation
 from qrlab.enumeration import is_normal, prime_power, todd_coxeter, word_image
 from qrlab.groupring import (
-    _jennings_delta_dims,
     delta_dimension_sequence,
     delta_filtration,
     dimension_subgroup,
@@ -25,12 +26,13 @@ from qrlab.groupring import (
 )
 from qrlab.intlinalg import ModpSpan
 
-from conftest import P_GROUPS, ladder_inputs
+from conftest import ORDER32_DIR, P_GROUPS, ladder_inputs
 from reference import (
     conjugation_jennings_series,
     dense_rref,
     full_depth_dimension_chain,
     gr_multiply,
+    jennings_delta_dims as _jennings_delta_dims,
     left_translate,
 )
 
@@ -114,74 +116,131 @@ def test_jennings_series_matches_the_all_conjugations_recursion(group, name, tex
             conjugation_jennings_series(tbl, p)
 
 
-@pytest.mark.parametrize("text,powers", [("gens: a; relators: a^64; prime: 2", 33),
-                                         ("gens: a; relators: a^81; prime: 3", 28)])
-def test_chain_builds_powers_only_until_the_trivial_term(group, monkeypatch, text, powers):
-    """C_(p^k) has D_n = 1 from n = p^(k-1) + 1 on, so the chain builds that
-    many powers of Delta, not the |G| of the whole filtration."""
+def _certified_dims(monkeypatch, tbl, p):
+    """The Delta dimensions that the chain's certificate proved, once per
+    certificate run."""
+    certify, proved = groupring._certify_jennings_chain, []
+
+    def keep(*args):
+        proved.append(certify(*args))
+        return proved[-1]
+
+    monkeypatch.setattr(groupring, "_certify_jennings_chain", keep)
+    dimension_subgroup_chain(tbl, p)
+    monkeypatch.undo()
+    return proved
+
+
+@pytest.mark.parametrize("name,text", LADDER, ids=[n for n, _ in LADDER])
+def test_certified_dims_are_the_delta_tower(group, monkeypatch, name, text):
+    """The dimensions the Jennings-adapted basis proves for Delta^1,
+    Delta^2, ... are those of the tower built one power at a time."""
     pres, tbl = group(text)
-    p = pres.primes[0]
-    assert len(delta_filtration(tbl, p)) == tbl.order
-    built = []
+    for p in pres.primes:
+        assert _certified_dims(monkeypatch, tbl, p) == [delta_dimension_sequence(tbl, p)]
+
+
+@pytest.mark.parametrize("text", ["gens: a; relators: a^64; prime: 2",
+                                  "gens: a; relators: a^81; prime: 3"], ids=["c64", "c81"])
+def test_chain_certifies_from_one_span(group, monkeypatch, text):
+    """One full-width span holds the |G| - 1 products, one insert each, and
+    (c) makes one reduction per generator image and nontrivial product; no
+    power of Delta is built."""
+    pres, tbl = group(text)
+    p, n = pres.primes[0], tbl.order
+    spans, reductions = [], []
 
     class CountingSpan(ModpSpan):
         def __init__(self, width, p):
-            built.append(None)
             super().__init__(width, p)
+            self.adds = 0
+            spans.append(self)
+
+        def add(self, vec):
+            self.adds += 1
+            return super().add(vec)
+
+        def coordinates(self, vec):
+            reductions.append(self)
+            return super().coordinates(vec)
+
+    def no_tower(*args):
+        raise AssertionError("a power of Delta was built")
 
     monkeypatch.setattr(groupring, "ModpSpan", CountingSpan)
-    assert len(dimension_subgroup_chain(tbl, p)) == len(built) == powers
+    monkeypatch.setattr(groupring, "_delta_powers", no_tower)
+    dimension_subgroup_chain(tbl, p)
+    (full,) = [s for s in spans if s.width == n]
+    assert full.dim == full.adds == n - 1
+    ngens = len({x for x in tbl.gen_images if x})
+    assert len(reductions) == ngens * (n - 1) and all(s is full for s in reductions)
 
 
-def _tamper_powers(monkeypatch, change):
-    """Make the chain read change(n, Delta^n) in place of each Delta^n."""
-    powers = groupring._delta_powers
-
-    def tampered(tbl, p):
-        for n, span in enumerate(powers(tbl, p), start=1):
-            yield change(n, span)
-
-    monkeypatch.setattr(groupring, "_delta_powers", tampered)
+def _tamper_series(monkeypatch, change):
+    """Make the chain read change(J) in place of the Jennings series J."""
+    series = groupring.jennings_series
+    monkeypatch.setattr(groupring, "jennings_series", lambda tbl, p: change(series(tbl, p)))
 
 
-@pytest.mark.parametrize("text", [
-    "gens: a; relators: a^4; prime: 2",
-    "gens: a; relators: a^9; prime: 3",
-    "gens: a, b; relators: a*b*a*b^-1, b*a*b*a^-1; prime: 2",
-    "gens: a, b; relators: a^4*b^-2, a*b*a*b^-1; prime: 2",
+C8 = "gens: a; relators: a^8; prime: 2"  # D = C8, C4, C2, C2, 1
+Q32 = (ORDER32_DIR / "q32.pres").read_text()
+C3XC3 = "gens: a, b; relators: a^3, b^3, a*b*a^-1*b^-1; prime: 3"  # D = G, 1
+
+
+@pytest.mark.parametrize("text,change,check", [
+    # a term replaced by the one above it
+    pytest.param(C8, lambda j: j[:1] + j[:1] + j[2:], "a", id="c8-d2-above"),  # C8, C8, C2, ...
+    pytest.param(C8, lambda j: j[:2] + j[1:2] + j[3:], "c", id="c8-d3-above"),  # (a - 1)^2 at 3
+    # a term replaced by the one below it
+    pytest.param(C8, lambda j: j[:1] + j[2:3] + j[2:], "a", id="c8-d2-below"),  # C8, C2, ...
+    pytest.param(Q32, lambda j: j[:3] + j[4:5] + j[4:], "c", id="q32-d4-below"),
+    # the chain shifted by one
+    pytest.param(C8, lambda j: j[1:], "a", id="c8-shifted-up"),  # starts below G
+    pytest.param("gens: a; relators: a^9; prime: 3", lambda j: j[:1] + j, "c",
+                 id="c9-shifted-down"),
+    pytest.param(C3XC3, lambda j: j[:1] + j, "d", id="c3xc3-shifted-down"),  # G, G, 1
+    # a chain that does not end at 1
+    pytest.param(C8, lambda j: j[:-1], "a", id="c8-no-trivial-term"),
+    pytest.param(C8, lambda j: j + j[-1:], "a", id="c8-trivial-term-twice"),
 ])
-def test_chain_refuses_a_power_off_the_hilbert_series(group, monkeypatch, text):
-    """One row dropped from the last power the chain reads leaves every D_n
-    as it was (that power still gives D_n = 1) and the powers still shrink;
-    only the dimension check sees it."""
+def test_chain_refuses_a_tampered_jennings_series(group, monkeypatch, text, change, check):
+    """Each tampered chain is refused, by the check named: (a) the chain and
+    its picks, (c) a product that (x - 1) does not push up one weight, (d)
+    a weight layer that the layer below does not span.  C3 x C3 shifted
+    passes (a), (b) and (c), since every weight doubles, and only (d) sees
+    it."""
     pres, tbl = group(text)
-    p = pres.primes[0]
-    last = len(dimension_subgroup_chain(tbl, p))
-    assert delta_dimension_sequence(tbl, p)[last - 1] > 0
-
-    def drop_a_row(n, span):
-        if n != last:
-            return span
-        short = ModpSpan(span.width, span.p)
-        for w in span.packed[:-1]:
-            short.add(w)
-        return short
-
-    _tamper_powers(monkeypatch, drop_a_row)
-    with pytest.raises(PropertyViolation, match="Hilbert series"):
-        dimension_subgroup_chain(tbl, p)
+    _tamper_series(monkeypatch, change)
+    with pytest.raises(PropertyViolation, match=rf"Jennings certificate \({check}\)"):
+        dimension_subgroup_chain(tbl, pres.primes[0])
 
 
-def test_chain_refuses_a_power_that_does_not_shrink(group, monkeypatch):
-    _, tbl = group("gens: a; relators: a^4; prime: 2")
-    first = []
+@pytest.mark.parametrize("text", [C8, C3XC3, Q32], ids=["c8", "c3xc3", "q32"])
+def test_chain_refuses_a_dropped_product(group, monkeypatch, text):
+    """The first product never reaches the full-width span: (b)."""
+    pres, tbl = group(text)
 
-    def repeat_delta1(n, span):
-        first.append(span)
-        return first[0]
+    class DroppingSpan(ModpSpan):
+        def add(self, vec):
+            if self.width == tbl.order and not hasattr(self, "dropped"):
+                self.dropped = vec
+                return True
+            return super().add(vec)
 
-    _tamper_powers(monkeypatch, repeat_delta1)
-    with pytest.raises(PropertyViolation, match="does not shrink"):
+    monkeypatch.setattr(groupring, "ModpSpan", DroppingSpan)
+    with pytest.raises(PropertyViolation, match=r"Jennings certificate \(b\)"):
+        dimension_subgroup_chain(tbl, pres.primes[0])
+
+
+def test_chain_refuses_a_generator_left_out_of_the_certificate(group, monkeypatch):
+    """With a left out of the generator images that (c) and (d) run over,
+    on C4 x C2, (c) still holds, but weight 2 is spanned by a^2 - 1 and
+    (a - 1)(b - 1), and (b - 1)*W_1 reaches only the second ((b - 1)^2 = 0):
+    (d) refuses."""
+    pres, tbl = group("gens: a, b; relators: a^4, b^2, a*b*a^-1*b^-1; prime: 2")
+    images = groupring._generator_images
+    monkeypatch.setattr(groupring, "_generator_images", lambda t: images(t)[1:])
+    with pytest.raises(PropertyViolation, match=r"Jennings certificate \(d\)"):
         dimension_subgroup_chain(tbl, 2)
 
 
