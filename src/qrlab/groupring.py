@@ -2,14 +2,17 @@
 
 Elements of ZG or (Z/m)G are coefficient vectors indexed by the table's
 canonical element order.  The dimension subgroups
-D_n = {g : g - 1 in Delta^n} come from the Jennings recursion
+D_n = {g : g - 1 in Delta^n} are proposed by the Jennings recursion
 D_n = [D_(n-1), G] * (D_ceil(n/p))^p (jennings_series), run on the bare
-multiplication table, and dimension_subgroup_chain() proves that chain
-right with one F_p basis of Delta adapted to every power at once
-(Jennings' basis theorem): products of (g - 1) over elements g picked
-along the chain, each with a weight, such that the products of weight
->= n span Delta^n for every n.  The certificate never builds a power of
-Delta; see _certify_jennings_chain.
+multiplication table, and dimension_subgroup_chain() returns that very
+series once it is proved right with one F_p basis of Delta adapted to
+every power at once (Jennings' basis theorem): products of (g - 1) over
+elements g picked along the chain, each with a weight, such that the
+products of weight >= n span Delta^n for every n.  The certificate never
+builds a power of Delta; see _certify_jennings_chain.  Every subgroup here
+is a closure under right multiplication (enumeration.grow), G is
+subgroup_closure(tbl, tbl.gen_images), and every other term carries its
+greedy generators in member order (enumeration.greedy_generators).
 
 The powers of Delta themselves stay as the oracle (delta_filtration,
 dimension_subgroup, `oracle delta-dims`).  Since gh - 1 = (g - 1)h + (h - 1),
@@ -28,7 +31,14 @@ from collections.abc import Iterator
 from itertools import accumulate, islice
 
 from .errors import InputError, PropertyViolation
-from .enumeration import FiniteGroupTable, Subgroup, subgroup_closure, prime_power
+from .enumeration import (
+    FiniteGroupTable,
+    Subgroup,
+    greedy_generators,
+    grow,
+    prime_power,
+    subgroup_closure,
+)
 from .intlinalg import ModpSpan, fp_rows
 from .presentation import Presentation
 
@@ -102,16 +112,6 @@ def require_p_group(order: int, p: int, message: str) -> None:
         raise InputError(message)
 
 
-def _generators_for(tbl: FiniteGroupTable, members: list[int]) -> tuple[int, ...]:
-    gens: list[int] = []
-    have = {0}
-    for x in members:
-        if x not in have:
-            gens.append(x)
-            have = set(subgroup_closure(tbl, tuple(gens)).members)
-    return tuple(gens)
-
-
 def _dimension_members(tbl: FiniteGroupTable, span: ModpSpan, candidates) -> list[int]:
     """The g among the candidates with g - 1 in the span."""
     lay = span.layout
@@ -129,58 +129,7 @@ def dimension_subgroup(tbl: FiniteGroupTable, p: int, n: int) -> Subgroup:
     spans = delta_filtration(tbl, p, max_n=n)
     # a shorter list means the chain went constant (or hit 0) before n
     members = _dimension_members(tbl, spans[-1], range(tbl.order))
-    return Subgroup(tuple(members), _generators_for(tbl, members))
-
-
-def _grow(mult, inside: set[int], gens) -> list[int]:
-    """Close the set inside under right multiplication by gens, in place,
-    so that it becomes inside*<gens>; returns the members added."""
-    new, frontier = [], list(inside)
-    for x in frontier:
-        for y in gens:
-            z = mult[x][y]
-            if z not in inside:
-                inside.add(z)
-                new.append(z)
-                frontier.append(z)
-    return new
-
-
-def _next_dimension_subgroup(tbl: FiniteGroupTable, passes, prev: Subgroup) -> Subgroup:
-    """{g in prev : passes(g)}, for passes the membership test of D_n and
-    prev = D_(n-1), so that these g form a subgroup.
-
-    When every generator of prev passes, the
-    answer is prev itself.  Otherwise prev is walked in member order
-    against the subgroup H found so far: a passing g joins H (its closure
-    is grown at once), and a failing g rules out g*H, since gh in D_n would
-    put g = gh*h^-1 in D_n.  The g that join H are the members of the
-    answer not in the closure of those before them, so they are its greedy
-    generators in member order, as _generators_for picks them.
-    """
-    if all(passes(g) for g in prev.generators):
-        return prev
-    mult = tbl.mult
-    inside, gens, failed, out = {0}, [], [], set()
-    for g in prev.members:
-        if g in inside or g in out:
-            continue
-        if not passes(g):
-            failed.append(g)
-            out.update(mult[g][h] for h in inside)
-            continue
-        gens.append(g)
-        new = _grow(mult, inside, gens)
-        out.update(mult[f][h] for f in failed for h in new)
-    return Subgroup(tuple(sorted(inside)), tuple(gens))
-
-
-def _whole_group(tbl: FiniteGroupTable) -> Subgroup:
-    """G as generated by its sorted distinct generator images, as
-    subgroup_closure(tbl, tbl.gen_images) gives it: every table element has
-    a checked word in the generators (enumeration._verify_table), so the
-    closure is every element."""
-    return Subgroup(tuple(range(tbl.order)), tuple(sorted(set(tbl.gen_images))))
+    return Subgroup(tuple(members), greedy_generators(tbl.mult, members, {0}))
 
 
 def _generator_images(tbl: FiniteGroupTable) -> list[int]:
@@ -208,11 +157,8 @@ def _jennings_picks(tbl: FiniteGroupTable, p: int,
     for k, (hi, lo) in enumerate(zip(terms, terms[1:]), start=1):
         if hi == lo:
             continue
-        inside, mine = set(lo), []
-        for g in hi:
-            if g not in inside:
-                mine.append(g)
-                _grow(tbl.mult, inside, mine)
+        inside = set(lo)
+        mine = greedy_generators(tbl.mult, hi, inside)
         if inside != set(hi) or len(hi) != len(lo) * p ** len(mine):
             raise PropertyViolation(
                 f"Jennings certificate (a) at p={p}: term {k} is not term {k + 1} "
@@ -330,65 +276,53 @@ def _certify_jennings_chain(tbl: FiniteGroupTable, p: int,
 def dimension_subgroup_chain(tbl: FiniteGroupTable, p: int) -> list[Subgroup]:
     """D_1 (= G), D_2, ... down to and including the first trivial term.
 
-    jennings_series proposes the chain and _certify_jennings_chain proves
-    it right from one Jennings-adapted basis of Delta, with no power of
-    Delta built; a chain it cannot prove raises PropertyViolation.
-    D_1 is generated by the sorted distinct generator images.  Each later
-    term is read off the one before by _next_dimension_subgroup, testing
-    membership in the certified term: it keeps the greedy generators in
-    member order, and a term that repeats is the very object before it.
+    The chain is jennings_series itself, returned once
+    _certify_jennings_chain has proved it from one Jennings-adapted basis
+    of Delta, with no power of Delta built; a chain it cannot prove raises
+    PropertyViolation.
     """
     require_p_group(tbl.order, p,
                     f"dimension subgroups over F_{p} need a {p}-group; order is {tbl.order}")
-    chain = [_whole_group(tbl)]
-    terms = [s.members for s in jennings_series(tbl, p)]
-    _certify_jennings_chain(tbl, p, terms)
-    members = {t: set(t) for t in terms}
-    for t in terms[1:]:
-        chain.append(_next_dimension_subgroup(tbl, members[t].__contains__, chain[-1]))
+    chain = jennings_series(tbl, p)
+    _certify_jennings_chain(tbl, p, [s.members for s in chain])
     return chain
 
 
-def _normal_closure(tbl: FiniteGroupTable, gens) -> list[int]:
-    """Generators of the normal closure of gens.  A subgroup is normal when it
-    holds x h x^-1 for each of its generators h and each generator image x
-    (conjugation by x^-1 is a power of that by x), so each conjugate of a
-    generator that falls outside joins the generators, and the subgroup is
-    closed again."""
-    images = sorted(set(tbl.gen_images))
+def _normal_closure(tbl: FiniteGroupTable, images, gens) -> set[int]:
+    """The members of the normal closure of gens in G = <images>.  A
+    subgroup is normal when it holds x h x^-1 for each of its generators h
+    and each x in images (conjugation by x^-1 is a power of that by x), so
+    each conjugate of a generator that falls outside joins the generators,
+    and the subgroup is grown again."""
     members, have, pending = {0}, [], list(gens)
     while pending:
         g = pending.pop()
         if g in members:
             continue
         have.append(g)
-        frontier = list(members)
-        for x in frontier:
-            for h in have:
-                y = tbl.mult[x][h]
-                if y not in members:
-                    members.add(y)
-                    frontier.append(y)
+        grow(tbl.mult, members, have)
         pending.extend(tbl.conj(x, g) for x in images)
-    return have
+    return members
 
 
 def jennings_series(tbl: FiniteGroupTable, p: int) -> list[Subgroup]:
-    """Independent oracle for the same chain, from the Jennings recursion
-    D_n = [D_(n-1), G] * (D_ceil(n/p))^p.
+    """The chain that dimension_subgroup_chain certifies, proposed by the
+    Jennings recursion D_n = [D_(n-1), G] * (D_ceil(n/p))^p.
 
     [N, G], for N = <A> normal and G = <X>, is the normal closure of the
     [a, x], a in A, x in X: so the commutator term is grown from the
-    generators of D_(n-1) and the generator images alone.  The p-th powers
-    run over every member of D_ceil(n/p).  A term is built once per
-    distinct pair (D_(n-1), D_ceil(n/p)); a repeated pair reuses it.
+    generators of D_(n-1) and the generator images alone.  It is normal, so
+    growing it under right multiplication by the p-th powers of the members
+    of D_ceil(n/p) gives the term.  A term is built once per distinct pair
+    (D_(n-1), D_ceil(n/p)); a repeated pair reuses it.  A term equal to the
+    one before is that very object; any other is its sorted members with
+    their greedy generators.
     """
     require_p_group(tbl.order, p,
                     f"Jennings series over F_{p} needs a {p}-group; order is {tbl.order}")
-    chain = [_whole_group(tbl)]
-    if tbl.order == 1:
-        return chain
-    images = sorted(set(tbl.gen_images))
+    chain = [subgroup_closure(tbl, tbl.gen_images)]
+    images = chain[0].generators
+    mult, inv = tbl.mult, tbl.inv
     built: dict[tuple[tuple[int, ...], tuple[int, ...]], Subgroup] = {}
     guard = 0
     while chain[-1].order > 1:
@@ -397,11 +331,12 @@ def jennings_series(tbl: FiniteGroupTable, p: int) -> list[Subgroup]:
         frac = chain[(n + p - 1) // p - 1]  # D_ceil(n/p)
         key = (prev.members, frac.members)
         if key not in built:
-            gens = set(_normal_closure(tbl, [tbl.mult[tbl.conj(d, x)][tbl.inv[x]]
-                                             for d in prev.generators for x in images]))
-            gens.update(tbl.power(d, p) for d in frac.members)
-            gens.discard(0)
-            built[key] = subgroup_closure(tbl, gens)
+            inside = _normal_closure(tbl, images, [mult[tbl.conj(d, x)][inv[x]]
+                                                   for d in prev.generators for x in images])
+            grow(mult, inside, {tbl.power(d, p) for d in frac.members})
+            members = tuple(sorted(inside))
+            built[key] = prev if members == prev.members else Subgroup(
+                members, greedy_generators(mult, members, {0}))
         chain.append(built[key])
         guard += 1
         if guard > 2 * tbl.order + 4:

@@ -50,11 +50,12 @@ from .enumeration import (
     FiniteGroupTable,
     Subgroup,
     all_subgroups,
+    greedy_generators,
     left_cosets,
     quotient_table,
     subgroup_conjugacy_classes,
 )
-from .groupring import _generators_for, require_p_group
+from .groupring import require_p_group
 from .intlinalg import (
     FpRows,
     ModpSpan,
@@ -162,9 +163,10 @@ class LevelModule:
         """Hom(Ind_H^Q xi, M) by Frobenius reciprocity, memoized per (H, xi).
 
         A hom is fixed by the image w of the coset H, any w with
-        w * A[h] = xi(h) * w for h in H, and sends rH to w * A[r].  On a
-        short-word generating set of H (_generators_for) that is one system:
-        w times the side-by-side stack of the A[h] - xi(h) I, packed, is 0.
+        w * A[h] = xi(h) * w for h in H, and sends rH to w * A[r].  On H's
+        greedy generators in member order (enumeration.greedy_generators),
+        that is one system: w times the side-by-side stack of the
+        A[h] - xi(h) I, packed, is 0.
         Its solutions come as _liftable_kernel gives them (at k = 1, as
         modp_left_kernel's reduced echelon basis of the packed stack).  xi
         is aligned with sub.members; all 1 gives M^H.
@@ -173,7 +175,7 @@ class LevelModule:
         if key not in self.homs:
             lay, dim = self.layout, self.dim
             sign = dict(zip(sub.members, xi))
-            gens = _generators_for(self.qtbl, sub.members)
+            gens = greedy_generators(self.qtbl.mult, sub.members, {0})
             stacked = [sum(lay.sub(self.act(h)[i], lay.unit(i) * (sign[h] % self.ring))
                            << (b * dim * lay.bits) for b, h in enumerate(gens))
                        for i in range(dim)]
@@ -554,7 +556,7 @@ def _verify_certificate(mod: LevelModule, blocks, phi) -> bool:
     return True
 
 
-def _search_hom_spaces(mod, blocks, spaces, budget, trials, rng):
+def _search_hom_spaces(mod, blocks, spaces, trials, rng):
     """Find hom images w making the assembled matrix invertible mod p.
 
     spaces[b] = mod.hom_basis of block b.  By Frobenius reciprocity a hom
@@ -567,7 +569,8 @@ def _search_hom_spaces(mod, blocks, spaces, budget, trials, rng):
     generality, and Krull-Schmidt reduces the candidate to the remaining
     blocks.  When the joint choice space of those is small it is
     enumerated completely and exhaustion is definitive; otherwise a
-    structured pass and random coefficient draws run under the budget.
+    structured pass and random coefficient draws run under
+    DEFAULT_CERT_BUDGET trials.
     Returns (phi_or_None, trials, definitive).
     """
     ring = mod.ring
@@ -609,7 +612,7 @@ def _search_hom_spaces(mod, blocks, spaces, budget, trials, rng):
         total *= p ** len(spaces[i]) - 1
         if total > EXHAUSTIVE_CAP:
             break
-    if total <= EXHAUSTIVE_CAP and trials + total <= budget:
+    if total <= EXHAUSTIVE_CAP and trials + total <= DEFAULT_CERT_BUDGET:
         nonzero_coeffs = [
             [c for c in product(range(p), repeat=len(spaces[i])) if any(c)]
             for i in rest_idx
@@ -621,9 +624,9 @@ def _search_hom_spaces(mod, blocks, spaces, budget, trials, rng):
                 return phi, trials, False
         return None, trials, True
     # structured pass, then random draws
-    attempts = min(64, max(1, budget - trials))
+    attempts = min(64, max(1, DEFAULT_CERT_BUDGET - trials))
     for attempt in range(attempts):
-        if trials >= budget:
+        if trials >= DEFAULT_CERT_BUDGET:
             break
         trials += 1
         combo = []
@@ -641,7 +644,7 @@ def _search_hom_spaces(mod, blocks, spaces, budget, trials, rng):
     return None, trials, False
 
 
-def _certify_blocks(mod: LevelModule, blocks, budget, trials, rng):
+def _certify_blocks(mod: LevelModule, blocks, trials, rng):
     """Search the hom spaces from the blocks for an isomorphism onto mod.
 
     By Frobenius reciprocity the hom space of a block Ind_H^Q xi is
@@ -651,7 +654,7 @@ def _certify_blocks(mod: LevelModule, blocks, budget, trials, rng):
     (Certificate or None, trials, definitive) as _search_hom_spaces.
     """
     spaces = [mod.hom_basis(b.sub, b.xi) for b in blocks]
-    phi, trials, definitive = _search_hom_spaces(mod, blocks, spaces, budget, trials, rng)
+    phi, trials, definitive = _search_hom_spaces(mod, blocks, spaces, trials, rng)
     if phi is None:
         return None, trials, definitive
     if not _verify_certificate(mod, blocks, phi):
@@ -681,7 +684,7 @@ class RecognitionResult:
     reason: str | None = None
 
 
-def perm_recognize_modp(mod: LevelModule, budget: int = DEFAULT_CERT_BUDGET) -> RecognitionResult:
+def perm_recognize_modp(mod: LevelModule) -> RecognitionResult:
     """Decide whether the mod-p module is a permutation module for Q.
 
     The Brauer quotients either refute outright or leave one multiplicity
@@ -705,7 +708,7 @@ def perm_recognize_modp(mod: LevelModule, budget: int = DEFAULT_CERT_BUDGET) -> 
         Block(j, marks.classes[j], (1,) * marks.classes[j].order)
         for j, m in enumerate(cand) for _ in range(m)
     )
-    cert, trials, definitive = _certify_blocks(mod, blocks, budget, 0, rng)
+    cert, trials, definitive = _certify_blocks(mod, blocks, 0, rng)
     if cert is not None:
         return RecognitionResult("certified", marks, cand, cert, trials)
     if definitive:
@@ -750,7 +753,6 @@ def gen_perm_lift(
     mod: LevelModule,
     modp: RecognitionResult,
     assignment_cap: int = DEFAULT_ASSIGNMENT_CAP,
-    budget: int = DEFAULT_CERT_BUDGET,
 ) -> LiftResult:
     """Certify the module over Z/p^k as a generalized permutation module.
 
@@ -802,7 +804,7 @@ def gen_perm_lift(
         for ci, picks in zip(class_order, combo):
             for bi, chi in zip(per_class[ci], picks):
                 blocks[bi] = Block(ci, blocks[bi].sub, char_lists[ci][chi])
-        cert, trials, definitive = _certify_blocks(mod, tuple(blocks), budget, trials, rng)
+        cert, trials, definitive = _certify_blocks(mod, tuple(blocks), trials, rng)
         if cert is not None:
             return LiftResult("certified", cert, tried)
         all_definitive = all_definitive and definitive
@@ -840,13 +842,13 @@ class HarnessReport:
     transitions_checked: int
 
 
-def _level_outcome(rlat: RelationLattice, lv: LevelResult, p: int, precision: int,
-                   budget: int) -> tuple[LevelOutcome, LevelModule]:
+def _level_outcome(rlat: RelationLattice, lv: LevelResult, p: int,
+                   precision: int) -> tuple[LevelOutcome, LevelModule]:
     """Recognize one level's mod-p module and, if certified, lift it."""
     n, tors, sub = lv.level, lv.p_torsion, lv.subgroup
     qtbl = quotient_table(rlat.tbl, sub)[0]
     mod1 = _level_module(rlat, lv.coin, sub, qtbl, p, 1, n)
-    rec = perm_recognize_modp(mod1, budget)
+    rec = perm_recognize_modp(mod1)
     mults = None
     if rec.multiplicities is not None:
         mults = tuple(
@@ -862,7 +864,7 @@ def _level_outcome(rlat: RelationLattice, lv: LevelResult, p: int, precision: in
         integral = "unknown"
     else:
         modk = _level_module(rlat, lv.coin, sub, qtbl, p, precision, n)
-        lift = gen_perm_lift(modk, rec, budget=budget)
+        lift = gen_perm_lift(modk, rec)
         integral = lift.status
         if lift.status == "certified" and lift.certificate is not None:
             characters_plain = all(b.is_plain() for b in lift.certificate.blocks)
@@ -881,8 +883,7 @@ def _level_outcome(rlat: RelationLattice, lv: LevelResult, p: int, precision: in
 
 
 def tower_harness(qr: QRReport, precision: int = DEFAULT_PRECISION,
-                  max_level: int | None = None, budget: int = DEFAULT_CERT_BUDGET,
-                  require_qr: bool = True) -> HarnessReport:
+                  max_level: int | None = None, require_qr: bool = True) -> HarnessReport:
     """Per level: recognize the mod-p module, then certify integrally.
 
     The two sides must agree wherever both reach a verdict: integral
@@ -929,7 +930,7 @@ def tower_harness(qr: QRReport, precision: int = DEFAULT_PRECISION,
         if i and lv.coin is levels[i - 1].coin:
             outcome, mod1 = replace(outcomes[-1], level=lv.level), mods[-1]
         else:
-            outcome, mod1 = _level_outcome(rlat, lv, p, precision, budget)
+            outcome, mod1 = _level_outcome(rlat, lv, p, precision)
         statuses = {outcome.modp_status, outcome.integral_status}
         if statuses == {"refuted", "certified"}:
             violations += 1
@@ -953,7 +954,6 @@ def tower_harness(qr: QRReport, precision: int = DEFAULT_PRECISION,
 
 def equivalence_harness(pres: Presentation, tbl: FiniteGroupTable, p: int,
                         precision: int = DEFAULT_PRECISION, max_level: int | None = None,
-                        budget: int = DEFAULT_CERT_BUDGET,
                         require_qr: bool = True) -> HarnessReport:
     """tower_harness on the QR report of a freshly built relation lattice."""
-    return tower_harness(qr_check_full(pres, tbl, p), precision, max_level, budget, require_qr)
+    return tower_harness(qr_check_full(pres, tbl, p), precision, max_level, require_qr)

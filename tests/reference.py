@@ -315,6 +315,19 @@ def _closure(tbl, gens):
     return members
 
 
+def generators_for(tbl, members):
+    """Greedy generators of the subgroup with these members, in member order:
+    each member that the subgroup generated by those before it does not
+    hold, with one full closure, under each pick and its inverse, per
+    pick."""
+    gens, have = [], {0}
+    for x in members:
+        if x not in have:
+            gens.append(x)
+            have = _closure(tbl, gens + [tbl.inv[g] for g in gens])
+    return tuple(gens)
+
+
 def full_depth_dimension_chain(tbl, p):
     """Reference D_1, D_2, ... down to the first trivial term, each as
     (members, generators): the whole filtration Delta^1, ..., Delta^N = 0
@@ -337,12 +350,7 @@ def full_depth_dimension_chain(tbl, p):
             vec[0] += p - 1
             if span.contains(vec):
                 members.append(g)
-        gens, have = [], {0}
-        for x in members:
-            if x not in have:
-                gens.append(x)
-                have = _closure(tbl, gens)
-        chain.append((tuple(members), tuple(gens)))
+        chain.append((tuple(members), generators_for(tbl, members)))
         n += 1
     return chain
 

@@ -22,6 +22,7 @@ from qrlab.enumeration import (
     _verify_table,
     all_subgroups,
     conjugate_subgroup_members,
+    greedy_generators,
     is_normal,
     left_cosets,
     prime_power,
@@ -36,6 +37,7 @@ from conftest import CORPUS_DIR, NQR32, ORDER32_DIR, ladder_inputs
 from reference import (
     all_elements_conjugacy_classes,
     all_elements_normalizer,
+    generators_for,
     orbits_on_cosets,
     word_replay_table,
 )
@@ -172,6 +174,19 @@ def test_orbit_classes_and_generator_normalizers_match_all_elements(group, name,
     for sub in subs:
         assert (_normalizer_members(tbl, sub, frozenset(sub.members))
                 == all_elements_normalizer(tbl, sub.members))
+
+
+@pytest.mark.parametrize("name,text", LADDER, ids=[n for n, _ in LADDER])
+def test_greedy_generators_match_one_closure_per_pick(group, name, text):
+    """On every subgroup of every quotient along the Jennings chains (the
+    generating sets that LevelModule.hom_basis stacks), the closure grown
+    pick by pick picks the generators that a full closure per pick does."""
+    pres, tbl = group(text)
+    for p in pres.primes:
+        for sub in {s.members: s for s in jennings_series(tbl, p)}.values():
+            qt = quotient_table(tbl, sub)[0]
+            for h in all_subgroups(qt):
+                assert greedy_generators(qt.mult, h.members, {0}) == generators_for(qt, h.members)
 
 
 def test_left_cosets_partition(group):

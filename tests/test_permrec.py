@@ -35,7 +35,6 @@ from qrlab.groupring import dimension_subgroup_chain
 from qrlab.relmod import Coinvariants, coinvariants, qr_check, relation_lattice
 from qrlab import permrec
 from qrlab.permrec import (
-    DEFAULT_CERT_BUDGET,
     DEFAULT_PRECISION,
     Block,
     LevelModule,
@@ -710,7 +709,7 @@ def test_harness_reuse_matches_a_rebuild_of_every_level(lattice, name, p):
     rep = tower_harness(qr)
     rebuilt = [
         _level_outcome(qr.rlat, replace(lv, coin=coinvariants(qr.rlat, lv.subgroup)),
-                       p, DEFAULT_PRECISION, DEFAULT_CERT_BUDGET)[0]
+                       p, DEFAULT_PRECISION)[0]
         for lv in qr.levels
     ]
     assert list(rep.levels) == rebuilt
