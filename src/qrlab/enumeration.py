@@ -384,14 +384,17 @@ def all_subgroups(tbl: FiniteGroupTable, bound: int = DEFAULT_SUBGROUP_BOUND) ->
             nxt: dict[frozenset[int], Subgroup] = {}
             for h in layer:
                 hset = frozenset(h.members)
+                # <h, g'> = <h, g> for every g' in <h, g> - h: skip those
+                covered = set(hset)
                 for g in _normalizer_members(tbl, h, hset):
-                    if g in hset or tbl.power(g, p) not in hset:
+                    if g in covered or tbl.power(g, p) not in hset:
                         continue
                     members = set()
                     coset = list(h.members)
                     for _ in range(p):
                         members.update(coset)
                         coset = [tbl.mult[x][g] for x in coset]
+                    covered |= members
                     key = frozenset(members)
                     if key in nxt or len(members) != p * h.order:
                         if len(members) != p * h.order:

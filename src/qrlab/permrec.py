@@ -16,18 +16,21 @@ and Burnside's table of marks is triangular and invertible, so the
 dimensions of the Brauer quotients of the level module fix the one
 multiplicity vector a permutation module could have.  A step of that
 back-substitution that is not integral or not nonnegative refutes the
-module outright.  Otherwise the one candidate is attacked constructively
-through Frobenius reciprocity: a hom from the induced block Ind_H^Q xi is
-fixed by the image w of the coset H, any w with w * A[h] = xi(h) * w on H,
-and sends the coset rH to w * A[r].  So the hom space per block is one
-left kernel (LevelModule.hom_basis; with xi = 1 it is M^H, which the marks
-test reads too), small enough to enumerate completely in the cases that
-matter, making a failed search a proof rather than a shrug.  Over Z/p^k
-the same kernel is taken with sign-twisted blocks (p = 2; twists are
-invisible mod 2), lifted one p-adic digit at a time.  Nothing is reported
-certified or refuted without either an independently verified witness
-matrix or an exhausted finite search; an unknown result names what stopped
-it (a budget-limited search or the assignment cap) in its `reason`.
+module outright, and no class below that step is read: the
+back-substitution runs from the top class down and builds each Brauer
+quotient only when it reaches its class.  Otherwise the one candidate is
+attacked constructively through Frobenius reciprocity: a hom from the
+induced block Ind_H^Q xi is fixed by the image w of the coset H, any w
+with w * A[h] = xi(h) * w on H, and sends the coset rH to w * A[r].  So
+the hom space per block is one left kernel (LevelModule.hom_basis; with
+xi = 1 it is M^H, which the marks test reads too), small enough to
+enumerate completely in the cases that matter, making a failed search a
+proof rather than a shrug.  Over Z/p^k the same kernel is taken with
+sign-twisted blocks (p = 2; twists are invisible mod 2), lifted one p-adic
+digit at a time.  Nothing is reported certified or refuted without either
+an independently verified witness matrix or an exhausted finite search; an
+unknown result names what stopped it (a budget-limited search or the
+assignment cap) in its `reason`.
 
 Conventions.  Module elements are row vectors; q acts by y -> y * A[q];
 matrices compose antihomomorphically, A[q1 q2] = A[q2] * A[q1] (q1 q2
@@ -319,7 +322,6 @@ class MarksReport:
     classes[i] is the representative K_i of subgroup class i, classes sorted
     by order, and maximal[i] lists its subgroups of index p.  For the module M:
 
-      fixdims[i]     = dim M^K_i
       brauer_dims[i] = dim M(K_i) = dim M^K_i - dim sum_{L < K_i} Tr_L^K_i(M^L)
 
     For a p-group Q the Brauer quotient of F_p[X] at K has dimension |X^K|
@@ -333,13 +335,15 @@ class MarksReport:
     marks[i][i] = |N(K_i) : K_i|: the table is triangular with a nonzero
     diagonal and m is unique (_solve_marks raises otherwise).
     candidates is (m,) when back-substitution gives a nonnegative integral
-    vector, and () with a witness otherwise, which refutes M.
+    vector, and () with a witness otherwise, which refutes M.  The
+    back-substitution runs from the top class down and reads brauer_dims[i]
+    only when it reaches class i: a refuted M has brauer_dims[i] = None for
+    every class i below the witness step, a certified one has them all.
     """
 
     classes: tuple[Subgroup, ...]
     maximal: tuple[tuple[Subgroup, ...], ...]
-    fixdims: tuple[int, ...]
-    brauer_dims: tuple[int, ...]
+    brauer_dims: tuple[int | None, ...]
     candidates: tuple[tuple[int, ...], ...]
     witness: str | None
 
@@ -373,14 +377,15 @@ def _brauer_dim(mod: LevelModule, K: Subgroup, maximal) -> int:
 
 def _solve_marks(marks, brauer, classes) -> tuple[tuple[int, ...] | None, str | None]:
     """The m with marks * m = brauer by back-substitution from the top
-    class, or (None, the first step that is not integral or not >= 0)."""
-    t = len(brauer)
+    class, or (None, the first step that is not integral or not >= 0).
+    brauer(i) is called once, when the step reaches class i."""
+    t = len(classes)
     m = [0] * t
     for i in range(t - 1, -1, -1):
         row = marks[i]
         if not row[i] or any(row[:i]):
             raise AssertionError("table of marks is not triangular in the class order")
-        rest = brauer[i] - sum(row[j] * m[j] for j in range(i + 1, t))
+        rest = brauer(i) - sum(row[j] * m[j] for j in range(i + 1, t))
         q, r = divmod(rest, row[i])
         order = classes[i].order
         if r:
@@ -400,13 +405,17 @@ def _solve_marks(marks, brauer, classes) -> tuple[tuple[int, ...] | None, str | 
 def marks_multiplicities(mod: LevelModule) -> MarksReport:
     """The only multiplicity vector a permutation module could have.
 
-    dim M(K) is computed for every subgroup class K and the triangular
-    marks system is solved exactly (see MarksReport).  An empty candidate
-    list is a proof that M is no permutation module; the one candidate is
-    only necessary and still needs the constructive certificate.  The
-    Brauer-quotient count holds for p-groups only, so another |Q| raises
-    InputError, as does a module over Z/p^k with k > 1: the quotients are
-    read over F_p, on the module's packed rows.
+    The triangular marks system is solved exactly from the top class down
+    (see MarksReport), and dim M(K) is computed for a class K only when the
+    back-substitution reaches it.  So a refutation stops at its witness
+    step and reads no class below it: the small subgroups, whose fixed
+    spaces are the widest and dearest.  A certified candidate reads every
+    class.  An empty candidate list is a proof that M is no permutation
+    module; the one candidate is only necessary and still needs the
+    constructive certificate.  The Brauer-quotient count holds for p-groups
+    only, so another |Q| raises InputError, as does a module over Z/p^k
+    with k > 1: the quotients are read over F_p, on the module's packed
+    rows.
     """
     if mod.k != 1:
         raise InputError("the Brauer quotient test runs on the mod-p module (k = 1)")
@@ -419,15 +428,19 @@ def marks_multiplicities(mod: LevelModule) -> MarksReport:
     maximal = [tuple(L for L in subs if L.order * mod.p == K.order
                      and sets[0].issuperset(L.generators))
                for K, sets in zip(classes, conj_sets)]
-    brauer = [_brauer_dim(mod, K, below) for K, below in zip(classes, maximal)]
     marks = [tuple(mod.qtbl.order // (cls[0].order * len(cls))
                    * sum(h.issuperset(K.generators) for h in sets)
                    for cls, sets in zip(conj, conj_sets)) for K in classes]
-    m, witness = _solve_marks(marks, brauer, classes)
+    brauer: list[int | None] = [None] * len(classes)
+
+    def brauer_dim(i: int) -> int:
+        brauer[i] = _brauer_dim(mod, classes[i], maximal[i])
+        return brauer[i]
+
+    m, witness = _solve_marks(marks, brauer_dim, classes)
     return MarksReport(
         classes=tuple(classes),
         maximal=tuple(maximal),
-        fixdims=tuple(len(_fixed(mod, K)) for K in classes),
         brauer_dims=tuple(brauer),
         candidates=() if m is None else (m,),
         witness=witness,

@@ -7,14 +7,19 @@ Lattice as the Hermite form that the tests solve in;
 full_depth_dimension_chain, which reads qrlab's delta_filtration (itself
 checked against dense_rref in tests/test_groupring.py); and the integer
 tower walk (integer_walk), which takes qrlab's certified Smith form
-(itself checked against smallest_entry_snf in tests/test_intlinalg.py).
+(itself checked against smallest_entry_snf in tests/test_intlinalg.py);
+and eager_marks, which runs qrlab's subgroup classes and Brauer quotients
+(checked against direct counts in tests/test_permrec.py) on every class
+before its own back-substitution.
 """
 
 import functools
 import itertools
 
+from qrlab.enumeration import all_subgroups, subgroup_conjugacy_classes
 from qrlab.groupring import delta_filtration
 from qrlab.intlinalg import AbelianInvariants, Lattice, mat_mul, smith_normal_form
+from qrlab.permrec import _brauer_dim
 
 
 def dense_rref(rows, p):
@@ -228,6 +233,32 @@ def coset_marks(tbl, classes):
             for K in classes]
 
 
+def eager_marks(mod):
+    """Reference marks test, every Brauer quotient first: dim M(K) by
+    qrlab's _brauer_dim for every subgroup class K, the table of marks by
+    coset_marks, then back-substitution from the top class down to the
+    first step that is not integral or not nonnegative.  Returns
+    (brauer dims, candidates, witness) as MarksReport words them."""
+    tbl, p = mod.qtbl, mod.p
+    subs = all_subgroups(tbl)
+    classes = [cls[0] for cls in subgroup_conjugacy_classes(tbl, subs)]
+    dims = tuple(_brauer_dim(mod, K, [L for L in subs if L.order * p == K.order
+                                      and set(L.members) <= set(K.members)])
+                 for K in classes)
+    marks = coset_marks(tbl, classes)
+    m = [0] * len(classes)
+    for i in reversed(range(len(classes))):
+        rest = dims[i] - sum(marks[i][j] * m[j] for j in range(i + 1, len(classes)))
+        q, r = divmod(rest, marks[i][i])
+        if r or q < 0:
+            force = (f"non-integral multiplicity {rest}/{marks[i][i]}" if r
+                     else f"negative multiplicity {q}")
+            return dims, (), (f"Brauer quotients force a {force} for the subgroup "
+                              f"class {i} (order {classes[i].order})")
+        m[i] = q
+    return dims, (tuple(m),), None
+
+
 def searched_sign_characters(tbl, sub):
     """Reference homomorphisms sub -> {1,-1} by search: a greedy generating
     set of d members, each of the 2^d sign assignments on it propagated
@@ -385,6 +416,36 @@ def all_elements_normalizer(tbl, members):
     mset = set(members)
     return [g for g in range(tbl.order)
             if all(tbl.mult[tbl.mult[g][x]][tbl.inv[g]] in mset for x in members)]
+
+
+def cyclic_extension_subgroups(tbl, p):
+    """Reference subgroups of a p-group by cyclic extension, layer by layer,
+    with no element skipped: <h, g> for every h of a layer and every g in
+    the all-elements normalizer of h, outside h, with g^p in h; the first
+    (h, g) to give a member set keeps it, with generators h's plus g.
+    (members, generators) pairs sorted by (order, members)."""
+    found = {(0,): ()}
+    layer = [((0,), ())]
+    while len(layer[0][0]) < tbl.order:
+        nxt = {}
+        for members, gens in layer:
+            hset = set(members)
+            for g in all_elements_normalizer(tbl, members):
+                gp = 0
+                for _ in range(p):
+                    gp = tbl.mult[gp][g]
+                if g in hset or gp not in hset:
+                    continue
+                grown = set()
+                coset = list(members)
+                for _ in range(p):
+                    grown.update(coset)
+                    coset = [tbl.mult[x][g] for x in coset]
+                key = tuple(sorted(grown))
+                nxt.setdefault(key, gens + (g,))
+        found.update(nxt)
+        layer = list(nxt.items())
+    return sorted(found.items(), key=lambda s: (len(s[0]), s[0]))
 
 
 def all_elements_conjugacy_classes(tbl, subs):

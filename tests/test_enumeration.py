@@ -37,6 +37,7 @@ from conftest import CORPUS_DIR, NQR32, ORDER32_DIR, ladder_inputs
 from reference import (
     all_elements_conjugacy_classes,
     all_elements_normalizer,
+    cyclic_extension_subgroups,
     generators_for,
     orbits_on_cosets,
     word_replay_table,
@@ -187,6 +188,19 @@ def test_greedy_generators_match_one_closure_per_pick(group, name, text):
             qt = quotient_table(tbl, sub)[0]
             for h in all_subgroups(qt):
                 assert greedy_generators(qt.mult, h.members, {0}) == generators_for(qt, h.members)
+
+
+@pytest.mark.parametrize("name,text", LADDER, ids=[n for n, _ in LADDER])
+def test_subgroup_walk_matches_the_unskipped_cyclic_extensions(group, name, text):
+    """all_subgroups skips the normalizer elements inside an extension of
+    the same h already built; on every quotient along the Jennings chains
+    it gives the members and generators of the walk that tries them all."""
+    pres, tbl = group(text)
+    for p in pres.primes:
+        for sub in {s.members: s for s in jennings_series(tbl, p)}.values():
+            qt = quotient_table(tbl, sub)[0]
+            assert [(h.members, h.generators) for h in all_subgroups(qt)] == \
+                cyclic_extension_subgroups(qt, p)
 
 
 def test_left_cosets_partition(group):

@@ -53,11 +53,12 @@ from qrlab.permrec import (
     transition_map,
 )
 
-from conftest import CORPUS_DIR, ORDER32, ORDER32_DIR, walk_inputs
+from conftest import CORPUS_DIR, ORDER32, ORDER32_DIR, ladder_inputs, walk_inputs
 from reference import (
     coset_marks,
     dense_inverse,
     dense_rref,
+    eager_marks,
     orbits_on_cosets,
     searched_sign_characters,
 )
@@ -305,12 +306,11 @@ def test_marks_dimensions_from_subgroup_generators():
     mods = [conjugate_module(synthetic, random_invertible(synthetic.dim, 2, rng))]
     mods += [level_module(Q16, level) for level in (1, 2, 3)]
     for mod in mods:
-        rep = marks_multiplicities(mod)
-        for K, fix in zip(rep.classes, rep.fixdims):
+        for K in marks_multiplicities(mod).classes:
             rows = differences(mod, K)
             side_by_side = [[x for b in range(0, len(rows), mod.dim) for x in rows[b + i]]
                             for i in range(mod.dim)]
-            assert fix == mod.dim - modp_rank(side_by_side, mod.p)
+            assert len(permrec._fixed(mod, K)) == mod.dim - modp_rank(side_by_side, mod.p)
 
 
 # --- refutations ----------------------------------------------------------
@@ -347,12 +347,49 @@ def test_relation_levels_refuted_with_pinned_witness(text, level, fragment):
 
 
 def test_q16_level5_marks_detail():
+    """The witness step is class 5: the classes below it are never read,
+    and the eager reference reads them all."""
     mod = level_module(Q16, 5)
     mk = marks_multiplicities(mod)
     assert mod.dim == 17
-    assert mk.fixdims == (17, 9, 5, 5, 5, 3, 3, 3, 2)
-    assert mk.brauer_dims == (17, 1, 1, 1, 1, 1, 0, 0, 0)
+    assert mk.brauer_dims == (None,) * 5 + (1, 0, 0, 0)
     assert mk.candidates == ()
+    assert eager_marks(mod) == ((17, 1, 1, 1, 1, 1, 0, 0, 0), (), mk.witness)
+    assert tuple(len(permrec._fixed(mod, K)) for K in mk.classes) == (17, 9, 5, 5, 5, 3, 3, 3, 2)
+
+
+def test_refuted_marks_read_the_brauer_quotients_down_to_the_witness_only(monkeypatch):
+    """q16's level 5 is refuted at class 5 of 9: _brauer_dim runs for the
+    classes from the top down to 5, once each, and for no class below."""
+    mod = level_module(Q16, 5)
+    read = []
+    brauer_dim = permrec._brauer_dim
+    monkeypatch.setattr(permrec, "_brauer_dim",
+                        lambda mod, K, maximal: read.append(K) or brauer_dim(mod, K, maximal))
+    mk = marks_multiplicities(mod)
+    assert "class 5 " in mk.witness
+    assert [mk.classes.index(K) for K in read] == [8, 7, 6, 5]
+
+
+LADDER = ladder_inputs()
+
+
+@pytest.mark.parametrize("name,text", LADDER, ids=[n for n, _ in LADDER])
+def test_lazy_marks_match_the_eager_reference(lattice, name, text):
+    """On every distinct level of every ladder input at each of its primes,
+    torsion levels included: the same candidates and witness as every
+    Brauer quotient first (eager_marks), and every quotient read is the
+    eager one."""
+    pres = parse_presentation(text)
+    for p in pres.primes:
+        qr = qr_check(lattice(text), p)
+        for lv in {id(lv.coin): lv for lv in qr.levels}.values():
+            mod = module_from_coinvariants(qr.rlat, lv.coin, lv.subgroup, p, 1, lv.level)
+            mk = marks_multiplicities(mod)
+            dims, candidates, witness = eager_marks(mod)
+            assert (mk.candidates, mk.witness) == (candidates, witness)
+            assert len(mk.brauer_dims) == len(dims)
+            assert all(got in (None, want) for got, want in zip(mk.brauer_dims, dims))
 
 
 def test_d4_level2_unique_candidate_certifies():
@@ -429,7 +466,7 @@ def test_solve_marks_raises_on_a_table_that_is_not_triangular():
     classes = (Subgroup((0,), ()), Subgroup((0, 1), (1,)))
     for marks in ([(2, 0), (1, 1)], [(2, 1), (0, 0)]):
         with pytest.raises(AssertionError, match="not triangular"):
-            permrec._solve_marks(marks, [2, 1], classes)
+            permrec._solve_marks(marks, [2, 1].__getitem__, classes)
 
 
 @pytest.mark.parametrize("text", [C4, KLEIN, Q8, D4, S3, A4, C3XC3])
@@ -467,9 +504,10 @@ def test_certified_multiplicities_satisfy_the_orbit_counts(corpus, lattice):
             if rec.status != "certified":
                 continue
             classes = rec.marks.classes
-            for K, fix in zip(classes, rec.marks.fixdims):
-                assert fix == sum(m * orbits_on_cosets(mod.qtbl, H, K)
-                                  for H, m in zip(classes, rec.multiplicities))
+            for K in classes:
+                assert len(permrec._fixed(mod, K)) == sum(
+                    m * orbits_on_cosets(mod.qtbl, H, K)
+                    for H, m in zip(classes, rec.multiplicities))
             checked += 1
     assert checked >= 20
 
@@ -882,9 +920,9 @@ def count_products(monkeypatch):
 # relator costs in the presentation's order: a^8*b^-2, a*b*a*b^-1; a^64;
 # a^16*b^-2, a*b*a*b^-1
 @pytest.mark.parametrize("text,relator_costs,total", [
-    (Q32, (2, 4), 209),
+    (Q32, (2, 4), 189),
     ("gens: a; relators: a^64; prime: 2", (1,), 424),
-    (Q64, (2, 4), 327),
+    (Q64, (2, 4), 286),
 ])
 def test_words_cost_one_product_per_run(lattice, monkeypatch, text, relator_costs, total):
     """_certify_letters keeps the powers A[x]^i, i < |x|, that check (a)
@@ -893,7 +931,10 @@ def test_words_cost_one_product_per_run(lattice, monkeypatch, text, relator_cost
     and c64's a^64 cost 64, on every level.  The total pins every product
     of the harness: letters, words, act, Brauer traces, hom bases,
     certificates and transitions.  A transition between a level and
-    itself takes none: 16 of q32's products, 52 of c64's, 44 of q64's."""
+    itself takes none: 16 of q32's products, 52 of c64's, 44 of q64's.
+    The Brauer traces and hom bases below a refuted level's witness step
+    are not built (marks_multiplicities): 20 of q32's products and 41 of
+    q64's; every level of c64 is certified and reads every class."""
     pres = parse_presentation(text)
     qr = qr_check(lattice(text), 2)
     products = count_products(monkeypatch)
