@@ -269,16 +269,6 @@ class AbelianInvariants:
                 raise ValueError("torsion entries must form a divisibility chain")
             prev = d
 
-    @property
-    def order(self) -> int | None:
-        """Group order, None if infinite."""
-        if self.free_rank:
-            return None
-        n = 1
-        for d in self.torsion:
-            n *= d
-        return n
-
     def __str__(self) -> str:
         parts = []
         if self.free_rank:

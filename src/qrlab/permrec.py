@@ -19,18 +19,20 @@ back-substitution that is not integral or not nonnegative refutes the
 module outright, and no class below that step is read: the
 back-substitution runs from the top class down and builds each Brauer
 quotient only when it reaches its class.  Otherwise the one candidate is
-attacked constructively through Frobenius reciprocity: a hom from the
+decided constructively through Frobenius reciprocity: a hom from the
 induced block Ind_H^Q xi is fixed by the image w of the coset H, any w
 with w * A[h] = xi(h) * w on H, and sends the coset rH to w * A[r].  So
 the hom space per block is one left kernel (LevelModule.hom_basis; with
-xi = 1 it is M^H, which the marks test reads too), small enough to
-enumerate completely in the cases that matter, making a failed search a
-proof rather than a shrug.  Over Z/p^k the same kernel is taken with
-sign-twisted blocks (p = 2; twists are invisible mod 2), lifted one p-adic
-digit at a time.  Nothing is reported certified or refuted without either
-an independently verified witness matrix or an exhausted finite search; an
-unknown result names what stopped it (a budget-limited search or the
-assignment cap) in its `reason`.
+xi = 1 it is M^H, which the marks test reads too).  The socle criterion
+(_socle_certificate) picks the w: such a hom is an isomorphism iff the
+images w * Tr_H of the blocks' orbit sums are independent mod p, and
+picking them greedily class by class, in increasing order, succeeds
+exactly when the module is the candidate.  Over Z/p^k the same kernels
+are taken with sign-twisted blocks (p = 2; twists are invisible mod 2),
+lifted one p-adic digit at a time, and the same greedy pass picks the
+characters, trivial first.  Every module is decided, with no search and
+no budget: certified by an independently verified matrix, or refuted by
+a marks step or by a class whose traces fall short.
 
 Conventions.  Module elements are row vectors; q acts by y -> y * A[q];
 matrices compose antihomomorphically, A[q1 q2] = A[q2] * A[q1] (q1 q2
@@ -44,9 +46,8 @@ sign characters twist block entries by xi(rep(c')^-1 g rep(c)).
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field, replace
-from itertools import combinations_with_replacement, groupby, product
+from itertools import groupby
 
 from .errors import InputError, PropertyViolation
 from .enumeration import (
@@ -78,9 +79,6 @@ from .relmod import (
 )
 
 DEFAULT_PRECISION = 20
-DEFAULT_CERT_BUDGET = 100_000
-DEFAULT_ASSIGNMENT_CAP = 64
-EXHAUSTIVE_CAP = 4096
 
 
 def _identity(lay: FpRows) -> Packed:
@@ -494,8 +492,8 @@ def monomial_matrix(qtbl, blocks, q, ring):
 
 def _liftable_kernel(a: list[list[int]], p: int, k: int) -> list[list[int]]:
     """Rows w with w * a = 0 over Z/p^k whose mod-p reductions are
-    independent and span the reductions of every solution, so exhausting
-    their F_p combinations is a complete search.
+    independent and span the reductions of every solution, all that the
+    socle criterion reads of a hom space.
 
     One kernel per p-adic digit.  The lifts w_i solve w_i * a = 0 mod q,
     with defects e_i = (w_i * a) / q.  Every solution mod q is
@@ -541,7 +539,7 @@ def _liftable_kernel(a: list[list[int]], p: int, k: int) -> list[list[int]]:
 
 
 # ---------------------------------------------------------------------------
-# certificates and the search over hom spaces
+# certificates by the socle criterion
 
 @dataclass(frozen=True)
 class Certificate:
@@ -569,142 +567,105 @@ def _verify_certificate(mod: LevelModule, blocks, phi) -> bool:
     return True
 
 
-def _search_hom_spaces(mod, blocks, spaces, trials, rng):
-    """Find hom images w making the assembled matrix invertible mod p.
+def _socle_certificate(mod: LevelModule, marks: MarksReport, mults: tuple[int, ...]):
+    """(Certificate, None): an isomorphism onto mod from the blocks mults
+    asks for; or (None, the refutation), naming the class that falls short.
 
-    spaces[b] = mod.hom_basis of block b.  By Frobenius reciprocity a hom
-    from block b is one w in that space, and it sends the coset of rep r
-    to w * A[r]; those rows, coset by coset, make the block's rows of the
-    assembled matrix.  Free blocks (trivial subgroup) are pinned first:
-    any w with nonzero norm image generates a split free summand (the
-    group ring is self-injective with simple socle), so rows with
-    independent images under the full norm can be fixed without losing
-    generality, and Krull-Schmidt reduces the candidate to the remaining
-    blocks.  When the joint choice space of those is small it is
-    enumerated completely and exhaustion is definitive; otherwise a
-    structured pass and random coefficient draws run under
-    DEFAULT_CERT_BUDGET trials.
-    Returns (phi_or_None, trials, definitive).
+    Class j gets mults[j] blocks Ind_H^Q xi, H = marks.classes[j], xi from
+    sign_characters(H), trivial first, one per value mod p^k (the trivial
+    one alone at k = 1 and at odd p).  Block b's hom is a row w_b of
+    mod.hom_basis(H, xi) and sends the coset rH to w_b * A[r]; those rows
+    are phi, verified independently.  The w_b are picked by the socle
+    criterion, which decides the candidate exactly:
+
+    (1) Injectivity is decided on the socle.  Q is a p-group, so over F_p
+        every nonzero submodule of P = sum_b Ind_{H_b}^Q, ker phi among
+        them, has a nonzero Q-fixed vector.  P^Q is spanned by the orbit sums
+        sigma_b, one per block, and phi(sigma_b) = w_b * Tr_b, Tr_b the
+        sum of A[r] over the coset reps r of H_b (the full norm for
+        H_b = 1).  The marks give sum_j m_j |Q:H_j| = dim M, so phi is an
+        isomorphism iff the traces w_b * Tr_b are independent mod p.
+    (2) Over Z/p^k, phi is an isomorphism iff phi mod p is one.  Mod 2 a
+        twisted block is the plain block, so (1) applies to the reduced
+        traces.
+    (3) Greedy in increasing class order is complete.  If M mod p is F_p[X]
+        with the marks multiplicities, Tr_K^Q(M^K) is spanned by the
+        sigma_b with H_b <=_Q K: the trace of the K-orbit sum of x in X is
+        [Q_x : K n Q_x] * sigma, sigma the Q-orbit sum of x, nonzero mod p
+        iff Q_x <= K.  The classes are sorted by order, so H_b <=_Q H puts
+        H_b's class before H's or at it.  By induction the picks of the
+        earlier classes span their sigma_b, and the traces of class H add
+        exactly its own m_H sigma_b: any maximal choice of rows with
+        independent traces takes m_H there.  Over
+        Z/p^k, if M = sum_b Ind_{H_b} xi_b (a block on a conjugate of H is
+        one on H), its w_b give class H m_H traces independent over the
+        earlier picks, each among the reduced traces V_xi of one
+        character's homs, which the reduced hom-basis rows span
+        (_liftable_kernel).  Taking each xi in turn extends a basis of the
+        V_xi before it, so the pass reaches m_H; trivial first, it takes
+        the most plain blocks it can and reads a twisted hom space only
+        when the trivial character falls short.
+    A shortfall refutes M, and is a rank count any rank computation can
+    recheck.  Tr_H is packed adds, each hom basis meets it in one product,
+    and only the picked rows are assembled into phi.
     """
-    ring = mod.ring
-    p = mod.p
-    d = mod.dim
-    lay = mod.layout
-    free_idx = [i for i, b in enumerate(blocks) if b.sub.order == 1]
-    rest_idx = [i for i, b in enumerate(blocks) if b.sub.order > 1]
-    if any(len(spaces[i]) == 0 for i in rest_idx):
-        return None, trials, True
-    rows: dict[int, int] = {}  # block -> its w, packed
-    if free_idx:
-        nu = [0] * d
-        for q in range(mod.qtbl.order):
-            nu = list(map(lay.add, nu, mod.act(q)))
-        span = ModpSpan(d, p)
-        chosen = []
-        for y in range(d):
-            if span.add(lay.unpack(nu[y])):
-                chosen.append(y)
-                if len(chosen) == len(free_idx):
-                    break
-        if len(chosen) < len(free_idx):
-            # the full norm has smaller rank than the free multiplicity asks
-            return None, trials, True
-        rows.update(zip(free_idx, map(lay.unit, chosen)))
-    reps = [left_cosets(mod.qtbl, b.sub)[1] for b in blocks]
-
-    def assemble(combo):
-        """phi with w = sum c * basis row on each non-free block, c in combo."""
-        for i, coeffs in zip(rest_idx, combo):
-            rows[i] = lay.pack([sum(c * vec[j] for c, vec in zip(coeffs, spaces[i]))
-                                for j in range(d)])
-        return [lay.unpack(lay.mul([rows[bi]], mod.act(r))[0])
-                for bi, block_reps in enumerate(reps) for r in block_reps]
-
-    total = 1
-    for i in rest_idx:
-        total *= p ** len(spaces[i]) - 1
-        if total > EXHAUSTIVE_CAP:
-            break
-    if total <= EXHAUSTIVE_CAP and trials + total <= DEFAULT_CERT_BUDGET:
-        nonzero_coeffs = [
-            [c for c in product(range(p), repeat=len(spaces[i])) if any(c)]
-            for i in rest_idx
-        ]
-        for combo in product(*nonzero_coeffs):
-            trials += 1
-            phi = assemble(combo)
-            if is_invertible_modp(phi, p):
-                return phi, trials, False
-        return None, trials, True
-    # structured pass, then random draws
-    attempts = min(64, max(1, DEFAULT_CERT_BUDGET - trials))
-    for attempt in range(attempts):
-        if trials >= DEFAULT_CERT_BUDGET:
-            break
-        trials += 1
-        combo = []
-        for i in rest_idx:
-            if attempt == 0:
-                coeffs = [1] + [0] * (len(spaces[i]) - 1)
-            else:
-                coeffs = [rng.randrange(ring) for _ in spaces[i]]
-                if not any(c % p for c in coeffs):
-                    coeffs[0] = 1
-            combo.append(coeffs)
-        phi = assemble(combo)
-        if is_invertible_modp(phi, p):
-            return phi, trials, False
-    return None, trials, False
-
-
-def _certify_blocks(mod: LevelModule, blocks, trials, rng):
-    """Search the hom spaces from the blocks for an isomorphism onto mod.
-
-    By Frobenius reciprocity the hom space of a block Ind_H^Q xi is
-    mod.hom_basis(H, xi), the w with w * A[h] = xi(h) * w on H: the mod-p
-    kernel at k = 1, shared with the marks test, and the digit-by-digit
-    lift over Z/p^k.  A found matrix is verified independently.  Returns
-    (Certificate or None, trials, definitive) as _search_hom_spaces.
-    """
-    spaces = [mod.hom_basis(b.sub, b.xi) for b in blocks]
-    phi, trials, definitive = _search_hom_spaces(mod, blocks, spaces, trials, rng)
-    if phi is None:
-        return None, trials, definitive
+    lay, ring = mod.layout, mod.ring
+    span = ModpSpan(mod.dim, mod.p)
+    blocks, picks = [], []
+    for j, (sub, m) in enumerate(zip(marks.classes, mults)):
+        if not m:
+            continue
+        reps = left_cosets(mod.qtbl, sub)[1]
+        trace = mod.act(reps[0])
+        for r in reps[1:]:
+            trace = tuple(map(lay.add, trace, mod.act(r)))
+        chars: dict[tuple[int, ...], tuple[int, ...]] = {}
+        for xi in sign_characters(sub, marks.maximal[j]):
+            chars.setdefault(tuple(v % ring for v in xi), xi)
+        got = 0
+        for xi in chars.values():
+            basis = [lay.pack(w) for w in mod.hom_basis(sub, xi)]
+            for w, image in zip(basis, lay.mul(basis, trace)):
+                if got < m and span.add(image if mod.k == 1 else lay.unpack(image)):
+                    blocks.append(Block(j, sub, xi))
+                    picks.append((w, reps))
+                    got += 1
+            if got == m:
+                break
+        if got < m:
+            return None, (
+                f"the traces of the hom spaces of subgroup class {j} (order {sub.order}) "
+                f"add rank {got} to the classes before it, short of its multiplicity {m}"
+            )
+    phi = [lay.unpack(lay.mul([w], mod.act(r))[0]) for w, reps in picks for r in reps]
     if not _verify_certificate(mod, blocks, phi):
         raise PropertyViolation("assembled certificate failed independent verification")
-    return Certificate(mod.p, mod.k, blocks, tuple(map(tuple, phi))), trials, definitive
+    return Certificate(mod.p, mod.k, tuple(blocks), tuple(map(tuple, phi))), None
 
 
 # ---------------------------------------------------------------------------
 # recognition over F_p
 
-_SAMPLED_SEARCH = (
-    "budget-limited search: a hom space was sampled, not exhausted (more than "
-    f"{EXHAUSTIVE_CAP} choices or the trial budget was reached)"
-)
-
-
 @dataclass(frozen=True)
 class RecognitionResult:
-    """`reason` says why the status is unknown, and is None otherwise."""
+    """`trials` is 1 when a certificate was assembled and 0 otherwise."""
 
-    status: str  # certified | refuted | unknown
+    status: str  # certified | refuted
     marks: MarksReport
     multiplicities: tuple[int, ...] | None
     certificate: Certificate | None
     trials: int
     refutation: str | None = None
-    reason: str | None = None
 
 
 def perm_recognize_modp(mod: LevelModule) -> RecognitionResult:
     """Decide whether the mod-p module is a permutation module for Q.
 
     The Brauer quotients either refute outright or leave one multiplicity
-    vector (marks_multiplicities).  Its blocks are then searched for
-    constructively; a failed search that enumerated the hom spaces
-    completely is again a refutation.  Only a budget-limited partial search
-    reports unknown, and `reason` says so.
+    vector (marks_multiplicities).  The socle criterion then either
+    assembles a verified isomorphism from its blocks or names the class
+    whose traces fall short, which refutes too (_socle_certificate).  No
+    search and no budget: every module is decided.
     """
     if mod.k != 1:
         raise InputError("recognition runs on the mod-p module (k = 1)")
@@ -712,24 +673,10 @@ def perm_recognize_modp(mod: LevelModule) -> RecognitionResult:
     if not marks.candidates:
         return RecognitionResult("refuted", marks, None, None, 0, marks.witness)
     (cand,) = marks.candidates
-    if mod.dim == 0:
-        return RecognitionResult("certified", marks, cand, Certificate(mod.p, 1, (), ()), 0)
-    rng = random.Random(
-        0x5EED ^ (mod.p * 0x9E3779B1) ^ (mod.dim << 16) ^ (mod.qtbl.order << 4)
-    )
-    blocks = tuple(
-        Block(j, marks.classes[j], (1,) * marks.classes[j].order)
-        for j, m in enumerate(cand) for _ in range(m)
-    )
-    cert, trials, definitive = _certify_blocks(mod, blocks, 0, rng)
-    if cert is not None:
-        return RecognitionResult("certified", marks, cand, cert, trials)
-    if definitive:
-        return RecognitionResult(
-            "refuted", marks, None, None, trials,
-            "the candidate's hom space was searched completely",
-        )
-    return RecognitionResult("unknown", marks, None, None, trials, reason=_SAMPLED_SEARCH)
+    cert, refutation = _socle_certificate(mod, marks, cand)
+    if cert is None:
+        return RecognitionResult("refuted", marks, None, None, 0, refutation)
+    return RecognitionResult("certified", marks, cand, cert, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -753,80 +700,34 @@ def sign_characters(sub: Subgroup, subgroups) -> list[tuple[int, ...]]:
 
 @dataclass(frozen=True)
 class LiftResult:
-    """`reason` says why the status is unknown, and is None otherwise."""
+    """`assignments_tried` is 1 when the lift ran and 0 otherwise."""
 
-    status: str  # certified | refuted | unknown | not_attempted
+    status: str  # certified | refuted | not_attempted
     certificate: Certificate | None
     assignments_tried: int
     refutation: str | None = None
-    reason: str | None = None
 
 
-def gen_perm_lift(
-    mod: LevelModule,
-    modp: RecognitionResult,
-    assignment_cap: int = DEFAULT_ASSIGNMENT_CAP,
-) -> LiftResult:
+def gen_perm_lift(mod: LevelModule, modp: RecognitionResult) -> LiftResult:
     """Certify the module over Z/p^k as a generalized permutation module.
 
-    The block multiset is forced by the mod-p certificate (reduction of a
-    sign-twisted block is the plain block, and mod-p decompositions of
+    The blocks' subgroups are forced by the mod-p certificate (reduction
+    of a sign-twisted block is the plain block, and mod-p decompositions of
     p-group permutation modules are unique), so only the sign characters
-    vary: all of them for p = 2, the trivial one otherwise.  For each
-    assignment the hom space of each block Ind_H^Q xi is solved directly
-    over Z/p^k by Frobenius reciprocity: the w with w * A[h] = xi(h) * w
-    on H, one kernel lifted digit by digit (LevelModule.hom_basis, kept
-    across assignments); invertibility is then a finite search over mod-p
-    reductions.  If every assignment's search was exhaustive and failed,
-    the module provably has no generalized permutation form and the
-    result is refuted.
+    vary: all of them for p = 2, the trivial one otherwise.  The hom space
+    of each block Ind_H^Q xi is solved directly over Z/p^k by Frobenius
+    reciprocity, one kernel lifted digit by digit (LevelModule.hom_basis),
+    and the socle criterion picks the characters and the rows class by
+    class, trivial character first (_socle_certificate).  A class that
+    falls short proves that the module has no generalized permutation form
+    and the result is refuted.  Not attempted unless modp is certified.
     """
-    if modp.status != "certified" or modp.certificate is None:
+    if modp.status != "certified":
         return LiftResult("not_attempted", None, 0)
-    if mod.k == 1:
-        return LiftResult("certified", modp.certificate, 1)
-    p, k = mod.p, mod.k
-    base_blocks = modp.certificate.blocks
-    if mod.dim == 0:
-        return LiftResult("certified", Certificate(p, k, (), ()), 1)
-    per_class: dict[int, list[int]] = {}
-    for i, b in enumerate(base_blocks):
-        per_class.setdefault(b.class_index, []).append(i)
-    char_lists = {b.class_index: sign_characters(b.sub, modp.marks.maximal[b.class_index])
-                  for b in base_blocks}
-    class_order = sorted(per_class)
-    choice_iters = [
-        combinations_with_replacement(range(len(char_lists[ci])), len(per_class[ci]))
-        for ci in class_order
-    ]
-    rng = random.Random(
-        0xF1A7 ^ (p * 0x9E3779B1) ^ (mod.dim << 16) ^ (k << 2)
-    )
-    tried = 0
-    all_definitive = True
-    trials = 0
-    for combo in product(*choice_iters):
-        if tried >= assignment_cap:
-            return LiftResult(
-                "unknown", None, tried,
-                reason=f"assignment cap: {assignment_cap} sign assignments "
-                       f"tried, the rest were not searched",
-            )
-        tried += 1
-        blocks = list(base_blocks)
-        for ci, picks in zip(class_order, combo):
-            for bi, chi in zip(per_class[ci], picks):
-                blocks[bi] = Block(ci, blocks[bi].sub, char_lists[ci][chi])
-        cert, trials, definitive = _certify_blocks(mod, tuple(blocks), trials, rng)
-        if cert is not None:
-            return LiftResult("certified", cert, tried)
-        all_definitive = all_definitive and definitive
-    if all_definitive:
-        return LiftResult(
-            "refuted", None, tried,
-            "every sign assignment's hom space was searched completely",
-        )
-    return LiftResult("unknown", None, tried, reason=_SAMPLED_SEARCH)
+    cert, refutation = _socle_certificate(mod, modp.marks, modp.multiplicities)
+    if cert is None:
+        return LiftResult("refuted", None, 1, refutation)
+    return LiftResult("certified", cert, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -847,6 +748,9 @@ class LevelOutcome:
 
 @dataclass(frozen=True)
 class HarnessReport:
+    """unknown_levels is always 0, since every level is decided; the
+    field stays because the JSON report and its readers carry it."""
+
     prime: int
     precision: int
     levels: tuple[LevelOutcome, ...]
@@ -873,13 +777,11 @@ def _level_outcome(rlat: RelationLattice, lv: LevelResult, p: int,
         integral = "torsion"
     elif rec.status == "refuted":
         integral = "not_attempted"
-    elif rec.status == "unknown":
-        integral = "unknown"
     else:
         modk = _level_module(rlat, lv.coin, sub, qtbl, p, precision, n)
         lift = gen_perm_lift(modk, rec)
         integral = lift.status
-        if lift.status == "certified" and lift.certificate is not None:
+        if lift.certificate is not None:
             characters_plain = all(b.is_plain() for b in lift.certificate.blocks)
     outcome = LevelOutcome(
         level=n,
@@ -919,9 +821,8 @@ def tower_harness(qr: QRReport, precision: int = DEFAULT_PRECISION,
     Everything a level builds (quotient, mod-p module, recognition, lift)
     depends on D_n alone, and qr_check hands a level whose D_n repeats the
     one before the same Coinvariants object.  Such a level repeats the
-    previous outcome with only `level` changed, exactly (the random seeds
-    do not involve the level number), and counts towards violations and
-    unknown_levels like any other.  It shares the previous module too, so
+    previous outcome with only `level` changed and counts towards
+    violations like any other.  It shares the previous module too, so
     its transition is the identity with no product (transition_map);
     every pair of consecutive levels still counts in transitions_checked.
     """
@@ -938,7 +839,6 @@ def tower_harness(qr: QRReport, precision: int = DEFAULT_PRECISION,
     outcomes = []
     mods = []
     violations = 0
-    unknown_levels = 0
     for i, lv in enumerate(levels):
         if i and lv.coin is levels[i - 1].coin:
             outcome, mod1 = replace(outcomes[-1], level=lv.level), mods[-1]
@@ -947,8 +847,6 @@ def tower_harness(qr: QRReport, precision: int = DEFAULT_PRECISION,
         statuses = {outcome.modp_status, outcome.integral_status}
         if statuses == {"refuted", "certified"}:
             violations += 1
-        if "unknown" in statuses:
-            unknown_levels += 1
         outcomes.append(outcome)
         mods.append(mod1)
     transitions = 0
@@ -960,7 +858,7 @@ def tower_harness(qr: QRReport, precision: int = DEFAULT_PRECISION,
         precision=precision,
         levels=tuple(outcomes),
         violations=violations,
-        unknown_levels=unknown_levels,
+        unknown_levels=0,
         transitions_checked=transitions,
     )
 

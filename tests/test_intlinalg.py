@@ -442,9 +442,8 @@ def test_p_torsion_extracts_p_parts():
         AbelianInvariants(0, (4, 6))  # not a divisibility chain
 
 
-def test_invariants_order_and_str():
+def test_invariants_str():
     inv = AbelianInvariants(0, (2, 4))
-    assert inv.order == 8
     assert "2" in str(inv) and "4" in str(inv)
     assert str(AbelianInvariants(0, ())) == "0"
 
