@@ -132,8 +132,8 @@ def _exit_code_for(exc: Exception | None) -> int:
         return EXIT_OK
     if isinstance(exc, BudgetExceeded):
         return EXIT_BUDGET
-    # the internal certificates (Smith, kernel, Fox identity, table checks,
-    # bar rank identity) raise AssertionError: a violation, not bad input
+    # the internal certificates (Smith, kernel, Fox identity, table checks)
+    # raise AssertionError: a violation, not bad input
     if isinstance(exc, (PropertyViolation, AssertionError)):
         return EXIT_VIOLATION
     return EXIT_INPUT

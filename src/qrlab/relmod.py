@@ -26,7 +26,11 @@ kernels and must agree.
 bar_h2() needs no row beyond T(g,h,x) = d3[g|h|x] for x a generator
 image, and no column beyond the generator block [g|x]: the rest is
 substituted away along a BFS tree of right multiplication by the
-generators, with unit pivots and no fill-in.  The proof is in its
+generators, with unit pivots and no fill-in.  It too reads one prime at a
+time with no integer Smith form: the rows lie in ker d2, saturated of
+rank m = (|G|-1)(|X|-1), and |G| kills H2, so an F_q rank that reaches m
+proves no q-torsion and stops reading rows there, and a local Smith form
+over Z/p^N orders the torsion where one falls short.  The proof is in its
 docstring.
 """
 
@@ -34,6 +38,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 
 from .errors import BudgetExceeded, PropertyViolation, TorsionObstruction
@@ -44,7 +49,6 @@ from .intlinalg import (
     Lattice,
     ModpSpan,
     combine_primary,
-    elementary_divisors,
     fp_rows,
     lattice_quotient,
     local_smith_exponents,
@@ -438,85 +442,42 @@ def hopf_h2(rlat: RelationLattice) -> AbelianInvariants:
     return AbelianInvariants(0, rlat.g_coin.invariants.torsion)
 
 
-def _bar_d3_cokernel(tbl: FiniteGroupTable, gens: list[int]) -> tuple[int, tuple[int, ...]]:
-    """(free_rank, torsion) of coker d3, as in bar_h2 facts 1-2."""
-    n = tbl.order
-    mult = tbl.mult
-    ngen = len(gens)
-    ncols = (n - 1) * ngen  # generator-block column [g|gens[i]] is (g-1)*ngen + i
+def _fp_rank(rows: Iterable[Sequence[int] | int], width: int, q: int, stop: int) -> int:
+    """The F_q rank of rows, read only until it reaches stop."""
+    span, rows = ModpSpan(width, q), iter(rows)
+    while span.dim < stop and (v := next(rows, None)) is not None:
+        span.add(v)
+    return span.dim
 
-    tree: dict[int, tuple[int, int]] = {0: (0, -1)}  # q -> (parent, generator slot)
-    frontier = [0]
-    for p in frontier:
-        for i, x in enumerate(gens):
-            q = mult[p][x]
-            if q not in tree:
-                tree[q] = (p, i)
-                frontier.append(q)
-    if len(tree) != n:
-        raise AssertionError(
-            f"generator images reach {len(tree)} of {n} elements; "
-            "the bar rows would not span im d3"
-        )
 
-    # cols[g][q]: [g|q] on the generator-block columns modulo the tree
-    # pivots, filled in BFS order so the parent's entry is always ready
-    zero = [0] * ncols
-    cols = [[zero] * n for _ in range(n)]
-    for q in frontier[1:]:
-        p, i = tree[q]
-        for g in range(1, n):
-            if p == 0:
-                v = zero[:]
-                v[(g - 1) * ngen + i] = 1
-            else:  # [g|px] = [g|p] + [gp|x] - [p|x]
-                v = cols[g][p][:]
-                v[(p - 1) * ngen + i] -= 1
-                gp = mult[g][p]
-                if gp:
-                    v[(gp - 1) * ngen + i] += 1
-            cols[g][q] = v
-
-    image = Lattice(ncols)
+def _bar_rows(tbl: FiniteGroupTable, gens: list[int], tree: dict[int, tuple[int, int]],
+              modulus: int) -> Iterator[int]:
+    """The distinct nonzero rows T(g,h,x) of bar_h2 facts 1-2 on the
+    generator-block columns, [g|gens[i]] at (g-1)*|X| + i, packed in
+    fp_rows((n-1)*|X|, modulus).  For each g in turn, cg[q] is [g|q] modulo
+    the tree pivots, filled in the tree's BFS order from g's table row."""
+    n, mult, k = tbl.order, tbl.mult, len(gens)
+    lay = fp_rows((n - 1) * k, modulus)
+    col = [[0] * k] + [[lay.unit((g - 1) * k + i) for i in range(k)] for g in range(1, n)]
     seen = set()
     for g in range(1, n):
-        cg, g_row = cols[g], mult[g]
+        g_row, cg = mult[g], [0] * n
+        for q, (p, i) in itertools.islice(tree.items(), 1, None):
+            # [g|px] = [g|p] + [gp|x] - [p|x], and [g|x] itself when p = 1
+            cg[q] = lay.sub(lay.add(cg[p], col[g_row[p]][i]), col[p][i]) if p else col[g][i]
         for h in range(1, n):
-            ch, h_row, gh = cg[h], mult[h], g_row[h]
+            h_row = mult[h]
             for i, x in enumerate(gens):
                 # T(g,h,x) = [h|x] - [gh|x] + [g|hx] - [g|h]
-                row = [a - b for a, b in zip(cg[h_row[x]], ch)]
-                row[(h - 1) * ngen + i] += 1
-                if gh:
-                    row[(gh - 1) * ngen + i] -= 1
-                key = tuple(row)
-                if key not in seen and any(row):
-                    seen.add(key)
-                    image.add(row)
-    divisors = elementary_divisors(image.basis)
-    free_rank = ncols - len(divisors)
-    return free_rank, tuple(d for d in divisors if d > 1)
-
-
-def _bar_gab(tbl: FiniteGroupTable, gens: list[int]) -> AbelianInvariants:
-    """C1 / im d2 = H1(G) = G_ab, from the generator-block rows
-    d2[g|x] = [x] - [gx] + [g]."""
-    n = tbl.order
-    d2 = Lattice(n - 1)
-    for g in range(1, n):
-        for x in gens:
-            vec = [0] * (n - 1)
-            vec[g - 1] += 1
-            vec[x - 1] += 1
-            gx = tbl.mult[g][x]
-            if gx:
-                vec[gx - 1] -= 1
-            d2.add(vec)
-    return lattice_quotient(n - 1, d2.basis)
+                v = lay.sub(lay.add(cg[h_row[x]], col[h][i]), lay.add(cg[h], col[g_row[h]][i]))
+                if v and v not in seen:
+                    seen.add(v)
+                    yield v
 
 
 def bar_h2(tbl: FiniteGroupTable, bound: int = DEFAULT_BAR_BOUND) -> AbelianInvariants:
-    """H2(G,Z) = ker d2 / im d3 of the normalized integral bar complex.
+    """H2(G,Z) = ker d2 / im d3 of the normalized integral bar complex, read
+    one prime at a time with no integer Smith form.
 
     Independent of the presentation and of everything Fox-derivative
     shaped.  [g|h] with g or h = 1 is zero, d2[g|h] = [h] - [gh] + [g] and
@@ -524,7 +485,7 @@ def bar_h2(tbl: FiniteGroupTable, bound: int = DEFAULT_BAR_BOUND) -> AbelianInva
     when g, h or k is 1.  X is the distinct non-identity generator images;
     in the BFS tree of right multiplication by X from 1 every q != 1 is
     px for its parent p and some x in X.  If the tree misses an element,
-    AssertionError: the argument below needs X to generate G.
+    PropertyViolation: the argument below needs X to generate G.
 
     1. Rows: im d3 is spanned by the T(g,h,x), x in X.  d3 d4 [g|h|k|x] = 0
        gives T(g,h,kx) = T(h,k,x) - T(gh,k,x) + T(g,hk,x) + T(g,h,k), so
@@ -537,27 +498,58 @@ def bar_h2(tbl: FiniteGroupTable, bound: int = DEFAULT_BAR_BOUND) -> AbelianInva
        these rows are unit-triangular, so substituting
        [g|q] = [g|p] + [gp|x] - [p|x] removes them with their pivot
        columns and leaves coker d3 unchanged, with no fill-in outside the
-       (n-1)*|X| generator-block columns.  The other rows, written there,
-       go through Lattice and smith_normal_form.
-    3. Rank identity: d1 = 0 with trivial coefficients, so C1 / im d2 =
-       H1(G) = G_ab.  Modulo im d3, which lies in ker d2, every [g|h] is a
-       combination of generator-block columns, so the rows d2[g|x], x in
-       X, span im d2, and their cokernel (_bar_gab) is asserted finite.
-       So im d2 is free of rank n - 1, coker d3 = H2 + Z^(n-1), and H2 is
-       the torsion of coker d3 exactly when free_rank(coker d3) == n - 1,
-       which is asserted.
+       (n-1)*|X| generator-block columns, n = |G|.  The other rows,
+       written there, are _bar_rows.
+    3. Rank: d1 = 0 with trivial coefficients, so C1 / im d2 = H1(G) =
+       G_ab, of order dividing n.  Modulo im d3 (in ker d2) every [g|h] is
+       a combination of generator-block columns, so the rows d2[g|x] span
+       im d2; for ell, the least prime not dividing n, their F_ell rank
+       must be n - 1.  Then im d2 = Z^(n-1), and on the generator-block
+       columns K = ker d2 is saturated of rank m = (n-1)(|X|-1).  The
+       substitution keeps d2, so the rows lie in K, H2 = K / span(rows)
+       and coker d3 = H2 + Z^(n-1).
+    4. Primes: over every F_q the rows' rank is at most dim K/qK = m, and
+       H2's q-part has m - rank cyclic factors.  |G| kills H2 (Brown,
+       Cohomology of Groups, 1982, III.10), so the F_ell rank must reach m
+       (the rank identity: H2 is finite), and for each p dividing n the
+       rows mod p are read only until their rank reaches m.  Short of it
+       by t_p, the local Smith form over Z/p^N, p^N > n, must leave n - 1
+       free summands and t_p cyclic ones, H2's p-part.  Each failed check
+       is a PropertyViolation, never an assert.
     """
     n = tbl.order
     if n > bound:
         raise BudgetExceeded(f"bar resolution bound {bound} exceeded (order {n})")
     if n == 1:
         return AbelianInvariants(0, ())
-    gens = sorted({x for x in tbl.gen_images if x})
-    free_rank, torsion = _bar_d3_cokernel(tbl, gens)
-    if _bar_gab(tbl, gens).free_rank != 0:
-        raise AssertionError("bar route gives an infinite G_ab")
-    if free_rank != n - 1:
-        raise AssertionError(
-            "bar complex rank identity fails; H2 would not be finite"
-        )
-    return AbelianInvariants(0, torsion)
+    mult, gens = tbl.mult, sorted({x for x in tbl.gen_images if x})
+    tree: dict[int, tuple[int, int]] = {0: (0, -1)}  # q -> (parent, generator slot)
+    frontier = [0]
+    for p in frontier:
+        for i, x in enumerate(gens):
+            if (q := mult[p][x]) not in tree:
+                tree[q] = (p, i)
+                frontier.append(q)
+    if len(tree) != n:
+        raise PropertyViolation(f"generator images reach {len(tree)} of {n} elements; "
+                                "the bar rows would not span im d3")
+    ell = next(q for q in itertools.count(2) if is_prime(q) and n % q)
+    d2 = ([(j == g) + (j == x) - (j == mult[g][x]) for j in range(1, n)]
+          for g in range(1, n) for x in gens)
+    if _fp_rank(d2, n - 1, ell, n - 1) != n - 1:
+        raise PropertyViolation("bar route gives an infinite G_ab")
+    width, m = (n - 1) * len(gens), (n - 1) * (len(gens) - 1)
+    if _fp_rank(_bar_rows(tbl, gens, tree, ell), width, ell, m) != m:
+        raise PropertyViolation("bar complex rank identity fails; H2 would not be finite")
+    parts = []
+    for p in _primes_dividing(n):
+        t = m - _fp_rank(_bar_rows(tbl, gens, tree, p), width, p, m)
+        if t:
+            N = next(e for e in itertools.count(1) if p ** e > n)
+            z, exps = local_smith_exponents(_bar_rows(tbl, gens, tree, p ** N), width, p, N)
+            if (z, len(exps)) != (n - 1, t):
+                raise PropertyViolation(
+                    f"the local Smith form over Z/{p}^{N} of the bar complex leaves {z} free "
+                    f"and {len(exps)} cyclic summands, not {n - 1} and {t}")
+            parts.append([p ** e for e in exps])
+    return combine_primary(0, parts)

@@ -8,9 +8,10 @@ full_depth_dimension_chain, which reads qrlab's delta_filtration (itself
 checked against dense_rref in tests/test_groupring.py); and the integer
 tower walk (integer_walk), which takes qrlab's certified Smith form
 (itself checked against smallest_entry_snf in tests/test_intlinalg.py);
-and eager_marks, which runs qrlab's subgroup classes and Brauer quotients
+eager_marks, which runs qrlab's subgroup classes and Brauer quotients
 (checked against direct counts in tests/test_permrec.py) on every class
-before its own back-substitution.
+before its own back-substitution; and bar_d2_gab, which takes qrlab's
+lattice_quotient (its Smith form checked as integer_walk's is).
 """
 
 import functools
@@ -18,7 +19,8 @@ import itertools
 
 from qrlab.enumeration import all_subgroups, subgroup_conjugacy_classes
 from qrlab.groupring import delta_filtration
-from qrlab.intlinalg import AbelianInvariants, Lattice, mat_mul, smith_normal_form
+from qrlab.intlinalg import (AbelianInvariants, Lattice, lattice_quotient, mat_mul,
+                             smith_normal_form)
 from qrlab.permrec import _brauer_dim
 
 
@@ -546,3 +548,20 @@ def integer_g_coin(rlat, full):
     """Reference R/[R,F]: one integer Smith step from the lattice to the
     subgroup full, all of G."""
     return _integer_step(rlat.tbl, ([0] * rlat.rank, lattice_letter_matrices(rlat)), full)[0]
+
+
+def bar_d2_gab(tbl):
+    """Reference G_ab from the normalized bar complex's d2 alone: C1 / im d2
+    = H1(G), im d2 spanned by the generator-block rows d2[g|x] = [x] - [gx]
+    + [g], x a non-identity generator image, in the basis [g], g != 1."""
+    n = tbl.order
+    rows = []
+    for g in range(1, n):
+        for x in {x for x in tbl.gen_images if x}:
+            vec = [0] * (n - 1)
+            vec[g - 1] += 1
+            vec[x - 1] += 1
+            if tbl.mult[g][x]:
+                vec[tbl.mult[g][x] - 1] -= 1
+            rows.append(vec)
+    return lattice_quotient(n - 1, rows)

@@ -101,8 +101,9 @@ def test_check_budget_exits_3(capsys, q8_file):
 
 
 def test_check_internal_certificate_failure_exits_1(capsys, monkeypatch, q8_file):
-    """An internal certificate that raises AssertionError (here the Smith
-    divisibility check inside the bar route) is a violation, not bad input."""
+    """An internal certificate that raises AssertionError (here a Smith
+    divisibility check, raised in the bar route's place) is a violation,
+    not bad input."""
     def broken(tbl):
         raise AssertionError("Smith divisibility chain broken")
 

@@ -2,10 +2,11 @@
 
 Multiplier torsion is computed twice on every group here: once from the
 relation lattice and once from the normalized bar resolution.  The two
-implementations share no linear algebra path beyond Smith reduction.
+implementations share nothing above the packed-row kernels of intlinalg.
 """
 
 import dataclasses
+import itertools
 import sys
 
 import pytest
@@ -25,8 +26,6 @@ from qrlab.intlinalg import (
 from qrlab.presentation import Presentation, parse_presentation
 from qrlab.relmod import (
     RelationLattice,
-    _bar_d3_cokernel,
-    _bar_gab,
     bar_h2,
     coinvariants,
     gab_invariants,
@@ -38,6 +37,7 @@ from qrlab.relmod import (
 
 from conftest import C9XC9, CORPUS_DIR, NQR32, ORDER32, ORDER32_DIR, ladder_inputs, walk_inputs
 from reference import (
+    bar_d2_gab,
     cycle_basis,
     integer_g_coin,
     integer_walk,
@@ -172,10 +172,10 @@ def test_bar_route_matches_all_triples_elimination(group, text):
     assert tbl.order <= 16
     if tbl.order == 1:
         return
-    gens = sorted({x for x in tbl.gen_images if x})
-    assert _bar_d3_cokernel(tbl, gens) == _all_triples_cokernel(tbl)
+    # coker d3 = H2 + Z^(n-1): the torsion, and the free rank of im d2
+    assert _all_triples_cokernel(tbl) == (tbl.order - 1, bar_h2(tbl).torsion)
     # a third route to G_ab, from the bar complex's d2 alone
-    assert _bar_gab(tbl, gens) == gab_invariants(pres)
+    assert bar_d2_gab(tbl) == gab_invariants(pres)
 
 
 def test_bar_route_refuses_non_generating_images(group):
@@ -183,8 +183,74 @@ def test_bar_route_refuses_non_generating_images(group):
     # rows T(g,h,x) would no longer span im d3
     _, tbl = group("gens: a, b; relators: a^2, b^2, a*b*a^-1*b^-1; prime: 2")
     partial = dataclasses.replace(tbl, gen_images=tbl.gen_images[:1])
-    with pytest.raises(AssertionError, match="reach 2 of 4 elements"):
+    with pytest.raises(PropertyViolation, match="reach 2 of 4 elements"):
         bar_h2(partial)
+
+
+def test_bar_route_refuses_an_f_ell_rank_below_m(group, monkeypatch):
+    """Rows mod ell cut to m - 1 cannot reach the rank m of ker d2: the
+    rank identity refuses them (raised, not asserted)."""
+    _, tbl = group("gens: a, b; relators: a^4*b^-2, a*b*a*b^-1; prime: 2")  # q16
+    m = tbl.order - 1  # (n - 1)(|X| - 1), |X| = 2
+    orig = relmod._bar_rows
+
+    def cut(tbl, gens, tree, modulus):
+        rows = orig(tbl, gens, tree, modulus)
+        return itertools.islice(rows, m - 1) if modulus == 3 else rows
+
+    monkeypatch.setattr(relmod, "_bar_rows", cut)
+    with pytest.raises(PropertyViolation, match="rank identity fails"):
+        bar_h2(tbl)
+
+
+def test_bar_route_refuses_d2_rows_of_f_ell_rank_below_n_minus_1(group, monkeypatch):
+    """The rows d2[g|x] cut to n - 2 cannot span im d2 = Z^(n-1): the
+    G_ab check refuses them before any row of d3 is read."""
+    _, tbl = group("gens: a, b; relators: a^4*b^-2, a*b*a*b^-1; prime: 2")  # q16
+    orig = relmod._fp_rank
+
+    def cut(rows, width, q, stop):  # the d2 call alone stops at its width
+        return orig(itertools.islice(rows, width - 1) if stop == width else rows, width, q, stop)
+
+    monkeypatch.setattr(relmod, "_fp_rank", cut)
+    with pytest.raises(PropertyViolation, match="infinite G_ab"):
+        bar_h2(tbl)
+
+
+def test_bar_route_refuses_a_local_free_count_off_n_minus_1(group, monkeypatch):
+    """C4 x C4 has H2 = Z/4: a local Smith form leaving one summand Z/2^N
+    too many disagrees with im d2's rank n - 1 and with the F_2 rank."""
+    _, tbl = group("gens: a, b; relators: a^4, b^4, a*b*a^-1*b^-1; prime: 2")
+    assert bar_h2(tbl).torsion == (4,)
+    orig = relmod.local_smith_exponents
+    monkeypatch.setattr(relmod, "local_smith_exponents",
+                        lambda *args: (lambda z, exps: (z + 1, exps[1:]))(*orig(*args)))
+    with pytest.raises(PropertyViolation, match="local Smith form"):
+        bar_h2(tbl)
+
+
+def test_bar_route_stops_each_rank_at_m_on_q64(group, monkeypatch):
+    """With H2(q64) = 0 the F_3 and F_2 ranks reach m early: each reads
+    under a tenth of the distinct rows at its modulus."""
+    _, tbl = group(Q64)
+    orig, calls, read = relmod._bar_rows, {}, {}
+
+    def counted(*args):
+        calls[args[-1]] = args
+        for v in orig(*args):
+            read[args[-1]] = read.get(args[-1], 0) + 1
+            yield v
+
+    monkeypatch.setattr(relmod, "_bar_rows", counted)
+    assert bar_h2(tbl, bound=81) == AbelianInvariants(0, ())
+    assert set(read) == {2, 3}
+    for modulus, args in calls.items():
+        assert 10 * read[modulus] < sum(1 for _ in orig(*args)), modulus
+
+
+Q64 = "gens: a, b; relators: a^16*b^-2, a*b*a*b^-1; prime: 2"
+NQR64 = ("gens: a, b; relators: a^-1*b^-1*a^-1*a^-1*a^-1*b, "
+         "b*a*b*b*a*b*a^-1*a^-1*a^-1*a^-1*a^-1*a^-1; prime: 2")
 
 
 @pytest.mark.parametrize("text,h2", [
@@ -193,6 +259,8 @@ def test_bar_route_refuses_non_generating_images(group):
     ("gens: a, b; relators: a^16, b^2, b*a*b^-1*a^-9; prime: 2", ()),  # m32
     ("gens: a; relators: a^64; prime: 2", ()),
     ("gens: a; relators: a^81; prime: 3", ()),
+    (Q64, ()),
+    (NQR64, ()),
 ])
 def test_bar_route_past_order_27_agrees_with_hopf(group, lattice, text, h2):
     _, tbl = group(text)
