@@ -6,7 +6,8 @@ One lattice serves Hopf's formula and every prime, and so do its
 G-coinvariants R/[R,F] (RelationLattice.g_coin), which are level 1 of
 every prime's tower.  Each prime reads one p-local level off the lattice
 per other distinct dimension subgroup, and the harness reads its chain
-and levels from the QR report.
+and levels from the QR report and lifts over Z/p^k with k = 1 + v_p(|G|),
+where its verdicts hold over Z_p.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass, field
 from .enumeration import DEFAULT_MAX_COSETS, FiniteGroupTable, todd_coxeter
 from .errors import PropertyViolation
 from .intlinalg import AbelianInvariants
-from .permrec import DEFAULT_PRECISION, HarnessReport, tower_harness
+from .permrec import HarnessReport, tower_harness
 from .presentation import Presentation
 from .relmod import (
     QRReport,
@@ -54,7 +55,7 @@ class Analysis:
 
 
 def analyze(pres: Presentation, primes, *, max_cosets: int = DEFAULT_MAX_COSETS,
-            precision: int = DEFAULT_PRECISION, max_level: int | None = None) -> Analysis:
+            max_level: int | None = None) -> Analysis:
     """Run the pipeline at each distinct prime; never raises for a failing stage."""
     rep = Analysis(pres, tuple(dict.fromkeys(primes)))
 
@@ -83,7 +84,7 @@ def analyze(pres: Presentation, primes, *, max_cosets: int = DEFAULT_MAX_COSETS,
             if qr.quasirational:
                 stage = f"harness[{p}]"
                 rep.harness[p] = clock(f"harness_{p}", lambda: tower_harness(
-                    qr, precision=precision, max_level=max_level))
+                    qr, max_level=max_level))
     except Exception as exc:  # noqa: BLE001 - every failure becomes a report
         rep.failed_stage, rep.error = stage, exc
     return rep

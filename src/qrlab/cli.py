@@ -23,7 +23,7 @@ from .analysis import Analysis, analyze
 from .enumeration import DEFAULT_MAX_COSETS, all_subgroups, todd_coxeter
 from .errors import BudgetExceeded, InputError, PropertyViolation
 from .groupring import delta_dimension_sequence
-from .permrec import DEFAULT_PRECISION, HarnessReport
+from .permrec import HarnessReport
 from .presentation import Presentation, is_prime, parse_presentation
 from .relmod import bar_h2
 
@@ -101,7 +101,6 @@ def _harness_dict(rep: HarnessReport) -> dict:
                 ),
                 "integral": lv.integral_status,
                 "characters_plain": lv.characters_plain,
-                "trials": lv.trials,
             }
             for lv in rep.levels
         ],
@@ -159,8 +158,7 @@ def _analysis_dict(rep: Analysis) -> dict:
 
 
 def _options(args) -> dict:
-    return {"max_cosets": args.max_cosets, "precision": args.precision,
-            "max_level": args.max_level}
+    return {"max_cosets": args.max_cosets, "max_level": args.max_level}
 
 
 def cmd_check(args) -> int:
@@ -352,8 +350,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def pipeline(sp):
         common(sp)
-        sp.add_argument("--precision", type=_positive, default=DEFAULT_PRECISION,
-                        help="p-adic precision k for integral certificates")
         sp.add_argument("--max-level", type=_positive, default=None,
                         help="stop the harness's level tower early")
         sp.add_argument("--timing", action="store_true",

@@ -465,6 +465,8 @@ class FpRows:
         raw = x.to_bytes(self.width * self.nbytes, "little")
         if self.nbytes == 1:
             return list(raw)
+        if self.nbytes == 2:  # low and high bytes are the even and odd ones
+            return [lo | hi << 8 for lo, hi in zip(raw[::2], raw[1::2])]
         k = self.nbytes
         return [int.from_bytes(raw[i:i + k], "little") for i in range(0, len(raw), k)]
 

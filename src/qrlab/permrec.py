@@ -30,7 +30,9 @@ picking them greedily class by class, in increasing order, succeeds
 exactly when the module is the candidate.  Over Z/p^k the same kernels
 are taken with sign-twisted blocks (p = 2; twists are invisible mod 2),
 lifted one p-adic digit at a time, and the same greedy pass picks the
-characters, trivial first.  Every module is decided, with no search and
+characters, trivial first.  The harness takes k = 1 + v_p(|G|), where the
+mod-p reductions of those kernels are exactly those of the Z_p hom
+spaces, so its verdicts hold over Z_p (tower_harness).  Every module is decided, with no search and
 no budget: certified by an independently verified matrix, or refuted by
 a marks step or by a class whose traces fall short.
 
@@ -56,6 +58,7 @@ from .enumeration import (
     all_subgroups,
     greedy_generators,
     left_cosets,
+    prime_power,
     quotient_table,
     subgroup_conjugacy_classes,
 )
@@ -77,8 +80,6 @@ from .relmod import (
     RelationLattice,
     qr_check_full,
 )
-
-DEFAULT_PRECISION = 20
 
 
 def _identity(lay: FpRows) -> Packed:
@@ -743,7 +744,6 @@ class LevelOutcome:
     multiplicities: tuple[tuple[int, int], ...] | None  # (|H|, m) per class
     integral_status: str
     characters_plain: bool | None
-    trials: int
 
 
 @dataclass(frozen=True)
@@ -792,12 +792,11 @@ def _level_outcome(rlat: RelationLattice, lv: LevelResult, p: int,
         multiplicities=mults,
         integral_status=integral,
         characters_plain=characters_plain,
-        trials=rec.trials,
     )
     return outcome, mod1
 
 
-def tower_harness(qr: QRReport, precision: int = DEFAULT_PRECISION,
+def tower_harness(qr: QRReport, precision: int | None = None,
                   max_level: int | None = None, require_qr: bool = True) -> HarnessReport:
     """Per level: recognize the mod-p module, then certify integrally.
 
@@ -814,9 +813,29 @@ def tower_harness(qr: QRReport, precision: int = DEFAULT_PRECISION,
 
     The chain, lattice and level coinvariants come from the QR report;
     max_level, when given, keeps its first levels and must be >= 1.
-    The mod-p module is the reduction of the Z/p^precision one, so both
-    are built on one quotient table, the latter only where the former was
-    certified a permutation module.
+    The mod-p module is the reduction of the Z/p^k one, so both are built
+    on one quotient table, the latter only where the former was certified
+    a permutation module.
+
+    The ring.  precision=None takes k = 1 + v_p(|G|) for the whole
+    harness (k = 1 for trivial G); an explicit k is used as given.  At
+    that k the lift is a statement over Z_p.  Let M be a torsion-free
+    level over Z_p, H <= Q and xi a sign character of H, so a hom from
+    Ind_H^Q xi is a fixed point of N = M (x) xi.  The sequence
+    0 -> N -> N -> N/p^k -> 0, the first map p^k, gives a connecting map
+    delta_k from (N/p^k)^H into H^1(H, N), and the Z_p fixed points
+    map onto exactly its kernel.  The reduction rho: N/p^k -> N/p
+    maps that sequence to the one for k = 1, with p^(k-1) on the left, so
+    delta_1(rho y) = p^(k-1) * delta_k(y).  |H| kills H^1(H, N), so
+    p^(v_p|H|) does.  Hence for k >= 1 + v_p(|H|), every y in (N/p^k)^H
+    reduces into ker delta_1, the reductions of the Z_p fixed points:
+    the mod-p reductions that _liftable_kernel returns are exactly those
+    of the Z_p hom spaces.  Q and every H divide |G|, so one k serves
+    every level.  The socle criterion reads only those reductions.  So a
+    verified certificate has Z_p homs with the same reductions, whose sum
+    is invertible mod p and hence over Z_p (Nakayama); and a class whose
+    traces fall short falls short over Z_p.  "certified" and "refuted"
+    are statements about the Z_p-lattice.
 
     Everything a level builds (quotient, mod-p module, recognition, lift)
     depends on D_n alone, and qr_check hands a level whose D_n repeats the
@@ -829,6 +848,9 @@ def tower_harness(qr: QRReport, precision: int = DEFAULT_PRECISION,
     if max_level is not None and max_level < 1:
         raise InputError(f"max_level must be >= 1, got {max_level}")
     p, rlat = qr.prime, qr.rlat
+    if precision is None:  # 1 + v_p(|G|); G is a p-group (qr_check)
+        pp = prime_power(rlat.tbl.order)
+        precision = 1 + (pp[1] if pp else 0)
     levels = qr.levels[:max_level]
     w = qr.witness_level
     if require_qr and w is not None and w <= len(levels):
@@ -864,7 +886,7 @@ def tower_harness(qr: QRReport, precision: int = DEFAULT_PRECISION,
 
 
 def equivalence_harness(pres: Presentation, tbl: FiniteGroupTable, p: int,
-                        precision: int = DEFAULT_PRECISION, max_level: int | None = None,
+                        precision: int | None = None, max_level: int | None = None,
                         require_qr: bool = True) -> HarnessReport:
     """tower_harness on the QR report of a freshly built relation lattice."""
     return tower_harness(qr_check_full(pres, tbl, p), precision, max_level, require_qr)

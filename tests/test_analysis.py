@@ -2,7 +2,7 @@
 
 The golden files in tests/data/check/ are `qrlab check FILE` output (no
 --timing) for the bundled presentations, with the "file" value replaced by
-the file name; every level table, multiplicity and trial count is pinned.
+the file name; every level table, multiplicity and harness ring is pinned.
 tests/data/check32/ holds the same for the two order-32 benchmark inputs,
 which the bundled corpus never reaches, and for tests/data/nqr32.pres, an
 order-32 group with H2(G) = 0 that is not quasirational at 2.

@@ -142,8 +142,6 @@ def test_prime_option_must_be_prime(capsys, q8_file, command, value):
 
 @pytest.mark.parametrize("text", [KLEIN, Q8], ids=["klein", "q8"])
 @pytest.mark.parametrize("command,option,value", [
-    ("check", "--precision", "0"),
-    ("check", "--precision", "-3"),
     ("check", "--max-level", "0"),
     ("check", "--max-cosets", "0"),
     ("corpus", "--jobs", "0"),
@@ -247,6 +245,8 @@ def test_options_a_subcommand_ignores_are_rejected(capsys, q8_file):
     for argv in (["check", q8_file, "--format", "csv"],
                  ["oracle", "bar-h2", q8_file, "--timing"],
                  ["oracle", "bar-h2", q8_file, "--precision", "3"],
+                 ["check", q8_file, "--precision", "3"],
+                 ["corpus", "corpus.json", "--precision", "3"],
                  ["corpus", "corpus.json", "--prime", "3"]):
         with pytest.raises(SystemExit) as exc:
             main(argv)

@@ -347,9 +347,11 @@ def test_modp_span_matches_the_dense_reference_at_every_width_and_prime(p, n, m,
 
 
 # Packed rows over Z/m for any m: level modules keep every matrix as packed
-# rows over Z/p^k, up to the harness's precision 20, so the slotwise
-# arithmetic and the product kernel run at prime powers too.
-COMPOSITE_MODULI = [4, 9, 2**20, 3**20]
+# rows over Z/p^k, at the harness's ring k = 1 + v_p(|G|) and at any ring
+# a caller fixes (the benchmark's is Z/p^20), so the slotwise arithmetic
+# and the product kernel run at prime powers too.  2^7 and 3^5, the rings
+# of C64 and C81, are the first with 2-byte slots; 2^20 has 3, 3^20 has 5.
+COMPOSITE_MODULI = [4, 9, 2**7, 3**5, 2**20, 3**20]
 PRODUCT_MODULI = [2, 3, *COMPOSITE_MODULI]
 
 

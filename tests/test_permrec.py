@@ -6,6 +6,7 @@ Refutations are pinned down to the precise marks argument that produced them.
 """
 
 import itertools
+import math
 import random
 from dataclasses import replace
 
@@ -35,7 +36,6 @@ from qrlab.groupring import dimension_subgroup_chain
 from qrlab.relmod import Coinvariants, coinvariants, qr_check, relation_lattice
 from qrlab import permrec
 from qrlab.permrec import (
-    DEFAULT_PRECISION,
     Block,
     LevelModule,
     _certify_letters,
@@ -793,6 +793,45 @@ def test_hom_basis_against_brute_force(text, p, k):
                 assert dense_rref(reduced, p) == dense_rref(every, p)
 
 
+@pytest.mark.parametrize("k,fixed", [(1, [[1]]), (2, []), (5, [])])
+def test_the_sign_module_of_c2_needs_the_ring_of_the_harness(k, fixed):
+    """Over Z_2 the sign module of C2 has no fixed vector, but 2^(k-1) is
+    fixed mod 2^k.  Its reduction is the fixed vector of the trivial
+    module mod 2 at k = 1 and vanishes from k = 1 + v_2(|C2|) = 2 on:
+    the harness's ring is the least at which the reductions are those of
+    the Z_2 hom spaces."""
+    tbl = table_of("gens: a; relators: a^2; prime: 2")
+    coin = Coinvariants(AbelianInvariants(1, ()), Subgroup((0,), ()))
+    sign = LevelModule(1, 2, k, tbl, (0,), {1: (2 ** k - 1,)}, coin)
+    whole = all_subgroups(tbl)[-1]
+    assert whole.order == 2
+    assert sign.hom_basis(whole, (1, 1)) == fixed
+
+
+@pytest.mark.parametrize("name,text", LADDER, ids=[n for n, _ in LADDER])
+def test_hom_spaces_reduce_alike_at_the_harness_ring_and_above(lattice, name, text):
+    """On every distinct level of every quasirational ladder input, for
+    every marks class H and sign character xi: the F_p span of the
+    reductions of hom_basis(H, xi) is the same at k = 1 + v_p(|G|), the
+    harness's ring, and at k + 3 (tower_harness's docstring)."""
+    pres = parse_presentation(text)
+    for p in pres.primes:
+        qr = qr_check(lattice(text), p)
+        if not qr.quasirational:
+            continue
+        k = 1 + round(math.log(qr.rlat.tbl.order, p))
+        assert p ** (k - 1) == qr.rlat.tbl.order
+        for lv in {id(lv.coin): lv for lv in qr.levels}.values():
+            low, high = (module_from_coinvariants(qr.rlat, lv.coin, lv.subgroup, p, j, lv.level)
+                         for j in (k, k + 3))
+            subs = all_subgroups(low.qtbl)
+            for cls in subgroup_conjugacy_classes(low.qtbl, subs):
+                for xi in sign_characters(cls[0], subs):
+                    spans = [dense_rref([[x % p for x in w] for w in mod.hom_basis(cls[0], xi)], p)
+                             for mod in (low, high)]
+                    assert spans[0] == spans[1], (lv.level, cls[0].members, xi)
+
+
 # --- end-to-end harness ----------------------------------------------------
 
 def test_harness_on_quaternion(group):
@@ -846,12 +885,12 @@ def test_harness_reuse_matches_a_rebuild_of_every_level(lattice, name, p):
     rep = tower_harness(qr)
     rebuilt = [
         _level_outcome(qr.rlat, replace(lv, coin=coinvariants(qr.rlat, lv.subgroup)),
-                       p, DEFAULT_PRECISION)[0]
+                       p, rep.precision)[0]
         for lv in qr.levels
     ]
     assert list(rep.levels) == rebuilt
     statuses = [{o.modp_status, o.integral_status} for o in rebuilt]
-    assert rep.unknown_levels == sum("unknown" in s for s in statuses)
+    assert rep.unknown_levels == 0
     assert rep.violations == statuses.count({"refuted", "certified"})
     assert rep.transitions_checked == len(rebuilt) - 1
     by_subgroup: dict = {}
