@@ -32,9 +32,10 @@ are taken with sign-twisted blocks (p = 2; twists are invisible mod 2),
 lifted one p-adic digit at a time, and the same greedy pass picks the
 characters, trivial first.  The harness takes k = 1 + v_p(|G|), where the
 mod-p reductions of those kernels are exactly those of the Z_p hom
-spaces, so its verdicts hold over Z_p (tower_harness).  Every module is decided, with no search and
-no budget: certified by an independently verified matrix, or refuted by
-a marks step or by a class whose traces fall short.
+spaces, so its verdicts hold over Z_p (tower_harness).  Every module is
+decided, with no search and no budget: certified by an independently
+verified matrix, or refuted by a marks step or by a class whose traces
+fall short.
 
 Conventions.  Module elements are row vectors; q acts by y -> y * A[q];
 matrices compose antihomomorphically, A[q1 q2] = A[q2] * A[q1] (q1 q2
