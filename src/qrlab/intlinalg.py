@@ -5,8 +5,9 @@ rounds.  Matrices are lists of row lists internally; the Smith form returns
 its transforms as tuples of row tuples.  Row-vector convention throughout:
 vectors multiply matrices from the left, lattices are spanned by rows.
 Mod-p work has one elimination routine, ModpSpan, which keeps each row
-packed into a single int (FpRows); rank and invertibility feed it their
-rows, and the left kernel is one span of the packed rows [A | I].
+packed into a single int (FpRows); modp_rank feeds it rows until their
+rank reaches a given stop, and the left kernel is one span of the packed
+rows [A | I].
 Packed rows work over any Z/m, and FpRows.mul multiplies matrices kept
 as packed rows; the level modules use it over every ring Z/p^k.  Over
 Z/p^k, unit_pivot_rows eliminates with unit pivots only, and
@@ -571,9 +572,9 @@ class ModpSpan:
     combination of basis rows leads at a pivot.  add() and contains() take
     a sequence of ints or a row already packed in this span's layout.
 
-    Readers of the reduced echelon form are few (the tower reads `packed`),
-    so `rows` clears above the pivots and unpacks only when read, once per
-    insert; `pivots` is the same for both forms.
+    The reduced echelon form has one reader, modp_left_kernel, so `rows`
+    clears above the pivots and unpacks only when read; `pivots` is the
+    same for both forms.
     """
 
     def __init__(self, width: int, p: int):
@@ -582,7 +583,6 @@ class ModpSpan:
         self.layout = fp_rows(width, p)
         self.pivots: list[int] = []
         self._by_pivot: dict[int, int] = {}
-        self._rows: Rows | None = []
 
     @property
     def dim(self) -> int:
@@ -596,21 +596,19 @@ class ModpSpan:
     @property
     def rows(self) -> Rows:
         """Reduced echelon basis, ordered by pivot."""
-        if self._rows is None:
-            lay, pivots = self.layout, self.pivots
-            done: dict[int, int] = {}
-            # bottom row first, so every row used to clear is already reduced:
-            # zero at every pivot but its own, so clearing at c leaves the
-            # other pivot slots alone, and one unpack reads them all
-            for k in range(len(pivots) - 1, -1, -1):
-                row = self._by_pivot[pivots[k]]
-                vals = lay.unpack(row)
-                for c in pivots[k + 1:]:
-                    if vals[c]:
-                        row = lay.cancel(row, done[c], c)
-                done[pivots[k]] = row
-            self._rows = [lay.unpack(done[c]) for c in pivots]
-        return self._rows
+        lay, pivots = self.layout, self.pivots
+        done: dict[int, int] = {}
+        # bottom row first, so every row used to clear is already reduced:
+        # zero at every pivot but its own, so clearing at c leaves the
+        # other pivot slots alone, and one unpack reads them all
+        for k in range(len(pivots) - 1, -1, -1):
+            row = self._by_pivot[pivots[k]]
+            vals = lay.unpack(row)
+            for c in pivots[k + 1:]:
+                if vals[c]:
+                    row = lay.cancel(row, done[c], c)
+            done[pivots[k]] = row
+        return [lay.unpack(done[c]) for c in pivots]
 
     def _reduce(self, v: int, coeffs: dict[int, int] | None = None) -> tuple[int, int]:
         """(residue, its leading slot), or (0, -1) when v lies in the span.
@@ -654,14 +652,17 @@ class ModpSpan:
             v = lay.scale(v, pow(lead, -1, self.p))
         self._by_pivot[c] = v
         bisect.insort(self.pivots, c)
-        self._rows = None
         return True
 
 
-def modp_rank(rows: Rows, p: int) -> int:
-    span = ModpSpan(len(rows[0]) if rows else 0, p)
-    for r in rows:
-        span.add(r)
+def modp_rank(rows: Iterable[Sequence[int] | int], width: int, p: int,
+              stop: int | None = None) -> int:
+    """The F_p rank of rows of length width, each a sequence of ints or a
+    row packed in fp_rows(width, p), as ModpSpan.add takes; with stop
+    given, no row is read once the rank reaches it."""
+    span, rows = ModpSpan(width, p), iter(rows)
+    while span.dim != stop and (v := next(rows, None)) is not None:
+        span.add(v)
     return span.dim
 
 
@@ -692,19 +693,15 @@ def modp_left_kernel(rows: Sequence[Sequence[int] | int], p: int,
     for v in span.packed:
         if not v & ((1 << shift) - 1):
             kernel.add(v >> shift)
-    for x in kernel.rows:
+    basis = kernel.rows
+    for x in basis:
         acc = 0
         for c, a in zip(x, packed):
             if c:
                 acc = lay.add(acc, lay.scale(a, c))
         if acc:
             raise AssertionError("kernel row does not annihilate A")
-    return kernel.rows
-
-
-def is_invertible_modp(rows: Rows, p: int) -> bool:
-    n = len(rows)
-    return n == 0 or (len(rows[0]) == n and modp_rank(rows, p) == n)
+    return basis
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,16 @@
 """Permutation-module recognition mod p and generalized-permutation lifts.
 
-Level modules.  Each level of the tower (relmod.Coinvariants) is tensored
-with Z/p^k and carried as a module for the quotient group Q = G/D_level.
-The module is its letter matrices, from one unit-pivot elimination of the
+Level modules.  Each level of the tower (relmod.Coinvariants) is
+tensored with Z/p^k and carried as a module for the quotient group
+Q = G/D_level by one builder at every k, module_from_coinvariants.  The
+module is its letter matrices, from one unit-pivot elimination of the
 level's relation rows over Z/p^k (Coinvariants.over): the F_p pivot
-columns of the lattice are eliminated and the others are its coordinates.
-The matrix of any other element of Q is built on demand along a word
-for it.  A certificate of three checks (_certify_letters) proves that the
-letters define an action of Q; it agrees with the G-action on the lattice
-because the letters are that action on the generators.
+columns of the lattice are eliminated and the others are its
+coordinates.  The matrix of any other element of Q is built on demand
+along a word for it.  A certificate of three checks (_certify_letters)
+proves that the letters define an action of Q; it agrees with the
+G-action on the lattice because the letters are that action on the
+generators.
 
 Recognition over F_p starts from the Brauer quotients: for a p-group Q the
 Brauer quotient of a permutation module F_p[X] at K has dimension |X^K|,
@@ -60,7 +62,6 @@ from .enumeration import (
     greedy_generators,
     left_cosets,
     prime_power,
-    quotient_table,
     subgroup_conjugacy_classes,
 )
 from .groupring import require_p_group
@@ -68,7 +69,6 @@ from .intlinalg import (
     FpRows,
     ModpSpan,
     fp_rows,
-    is_invertible_modp,
     modp_left_kernel,
     modp_rank,
 )
@@ -78,7 +78,6 @@ from .relmod import (
     LevelResult,
     Packed,
     QRReport,
-    RelationLattice,
     qr_check_full,
 )
 
@@ -108,18 +107,19 @@ def _word_matrix(qtbl: FiniteGroupTable, powers, word: Word, lay: FpRows) -> Pac
 class LevelModule:
     """The level `coin` of the tower as a Z/p^k module for Q = G/D_level.
 
-    `surviving` lists the lattice columns that are its coordinates, those
-    off the F_p pivots of the level's relation rows, and `down` is the
-    quotient map from the lattice, one row per lattice column
+    module_from_coinvariants is its one builder, at every k: `qtbl` is
+    coin.quotient, `surviving` lists the lattice columns that are its
+    coordinates, those off the F_p pivots of the level's relation rows, and
+    `down` is the quotient map from the lattice, one row per lattice column
     (Coinvariants.over).  Every matrix of the module is its rows packed in
-    `layout`, fp_rows(dim, p^k), at every k.  `letters[x]` is the matrix of
-    x, for every generator image x of Q and its inverse; they carry the
-    whole module.  act(q) builds A[q] for any q
-    along the canonical word qtbl.element_words[q], one packed product per
-    letter, and keeps every element it passes in `built`, so each element
-    of Q costs at most one product.  hom_basis keeps its kernels in
-    `homs`.  module_from_coinvariants certifies that the letters define an
-    action of Q (_certify_letters); a module made by hand is taken as given.
+    `layout`, fp_rows(dim, p^k).  `letters[x]` is the matrix of x, for
+    every generator image x of Q and its inverse; they carry the whole
+    module, and the builder certifies that they define an action of Q
+    (_certify_letters); a module made by hand is taken as given.  act(q)
+    builds A[q] for any q along the canonical word qtbl.element_words[q],
+    one packed product per letter, and keeps every element it passes in
+    `built`, so each element of Q costs at most one product.  hom_basis
+    keeps its kernels in `homs`.
     """
 
     level: int
@@ -244,29 +244,9 @@ def _certify_letters(qtbl: FiniteGroupTable, gen_mats, relators, kernel_words,
     return letters
 
 
-def _level_module(rlat: RelationLattice, coin: Coinvariants, sub: Subgroup,
-                  qtbl: FiniteGroupTable, p: int, k: int, level: int) -> LevelModule:
-    if k < 1:
-        raise InputError(f"precision must be >= 1, got {k}")
-    coords, down, level_letters = coin.over(p, k)
-    in_q = dict(zip(rlat.tbl.gen_images, qtbl.gen_images))
-    gen_mats: dict[int, Packed] = {}
-    for x in sorted(in_q):
-        a = level_letters[x]
-        if gen_mats.setdefault(in_q[x], a) != a:
-            raise PropertyViolation(
-                f"action not constant on the coset of q={in_q[x]}: the kernel acts"
-            )
-    kernel_words = [rlat.tbl.element_words[d] for d in sub.generators]
-    letters = _certify_letters(qtbl, gen_mats, rlat.pres.relators, kernel_words,
-                               len(coords), p ** k)
-    return LevelModule(level=level, p=p, k=k, qtbl=qtbl, surviving=coords,
-                       letters=letters, coin=coin, down=down)
-
-
-def module_from_coinvariants(rlat: RelationLattice, coin: Coinvariants, sub: Subgroup,
-                             p: int, k: int, level: int = 0) -> LevelModule:
-    """Tensor the level `coin` of the subgroup sub with Z/p^k.
+def module_from_coinvariants(coin: Coinvariants, p: int, k: int, level: int = 0) -> LevelModule:
+    """Tensor the level `coin` with Z/p^k, as a module for its quotient
+    Q = G/D (Coinvariants.quotient).
 
     Over Z/p^k with k > 1 a p-torsion summand stays nonfree, which no
     generalized permutation module has; that is reported as
@@ -278,7 +258,24 @@ def module_from_coinvariants(rlat: RelationLattice, coin: Coinvariants, sub: Sub
     Q must act alike.  _certify_letters proves that they define an action
     of Q, which is the G-action on the generators, hence on all of G.
     """
-    return _level_module(rlat, coin, sub, quotient_table(rlat.tbl, sub)[0], p, k, level)
+    if k < 1:
+        raise InputError(f"precision must be >= 1, got {k}")
+    rlat = coin.rlat
+    coords, down, level_letters = coin.over(p, k)
+    qtbl = coin.quotient
+    in_q = dict(zip(rlat.tbl.gen_images, qtbl.gen_images))
+    gen_mats: dict[int, Packed] = {}
+    for x in sorted(in_q):
+        a = level_letters[x]
+        if gen_mats.setdefault(in_q[x], a) != a:
+            raise PropertyViolation(
+                f"action not constant on the coset of q={in_q[x]}: the kernel acts"
+            )
+    kernel_words = [rlat.tbl.element_words[d] for d in coin.sub.generators]
+    letters = _certify_letters(qtbl, gen_mats, rlat.pres.relators, kernel_words,
+                               len(coords), p ** k)
+    return LevelModule(level=level, p=p, k=k, qtbl=qtbl, surviving=coords,
+                       letters=letters, coin=coin, down=down)
 
 
 def transition_map(hi: LevelModule, lo: LevelModule) -> Packed:
@@ -307,7 +304,7 @@ def transition_map(hi: LevelModule, lo: LevelModule) -> Packed:
     for x_hi, x_lo in sorted(set(zip(hi.qtbl.gen_images, lo.qtbl.gen_images))):
         if lay.mul(hi.letters[x_hi], T) != lay.mul(T, lo.letters[x_lo]):
             raise PropertyViolation("transition between chain levels is not equivariant")
-    if modp_rank(list(map(lay.unpack, T)), hi.p) != lo.dim:
+    if modp_rank(map(lay.unpack, T), lo.dim, hi.p) != lo.dim:
         raise PropertyViolation("transition between chain levels is not surjective")
     return T
 
@@ -558,7 +555,7 @@ class Certificate:
 def _verify_certificate(mod: LevelModule, blocks, phi) -> bool:
     """phi is invertible mod p and intertwines the blocks with the module,
     A'[q] * phi = phi * A[q] on every generator image q, on packed rows."""
-    if len(phi) != mod.dim or not is_invertible_modp(phi, mod.p):
+    if len(phi) != mod.dim or modp_rank(phi, mod.dim, mod.p) != mod.dim:
         return False
     lay = mod.layout
     packed = list(map(lay.pack, phi))
@@ -760,12 +757,10 @@ class HarnessReport:
     transitions_checked: int
 
 
-def _level_outcome(rlat: RelationLattice, lv: LevelResult, p: int,
-                   precision: int) -> tuple[LevelOutcome, LevelModule]:
+def _level_outcome(lv: LevelResult, p: int, precision: int) -> tuple[LevelOutcome, LevelModule]:
     """Recognize one level's mod-p module and, if certified, lift it."""
-    n, tors, sub = lv.level, lv.p_torsion, lv.subgroup
-    qtbl = quotient_table(rlat.tbl, sub)[0]
-    mod1 = _level_module(rlat, lv.coin, sub, qtbl, p, 1, n)
+    n, tors = lv.level, lv.p_torsion
+    mod1 = module_from_coinvariants(lv.coin, p, 1, n)
     rec = perm_recognize_modp(mod1)
     mults = None
     if rec.multiplicities is not None:
@@ -779,7 +774,7 @@ def _level_outcome(rlat: RelationLattice, lv: LevelResult, p: int,
     elif rec.status == "refuted":
         integral = "not_attempted"
     else:
-        modk = _level_module(rlat, lv.coin, sub, qtbl, p, precision, n)
+        modk = module_from_coinvariants(lv.coin, p, precision, n)
         lift = gen_perm_lift(modk, rec)
         integral = lift.status
         if lift.certificate is not None:
@@ -815,8 +810,8 @@ def tower_harness(qr: QRReport, precision: int | None = None,
     The chain, lattice and level coinvariants come from the QR report;
     max_level, when given, keeps its first levels and must be >= 1.
     The mod-p module is the reduction of the Z/p^k one, so both are built
-    on one quotient table, the latter only where the former was certified
-    a permutation module.
+    on the level's one quotient table (Coinvariants.quotient), the latter
+    only where the former was certified a permutation module.
 
     The ring.  precision=None takes k = 1 + v_p(|G|) for the whole
     harness (k = 1 for trivial G); an explicit k is used as given.  At
@@ -866,7 +861,7 @@ def tower_harness(qr: QRReport, precision: int | None = None,
         if i and lv.coin is levels[i - 1].coin:
             outcome, mod1 = replace(outcomes[-1], level=lv.level), mods[-1]
         else:
-            outcome, mod1 = _level_outcome(rlat, lv, p, precision)
+            outcome, mod1 = _level_outcome(lv, p, precision)
         statuses = {outcome.modp_status, outcome.integral_status}
         if statuses == {"refuted", "certified"}:
             violations += 1

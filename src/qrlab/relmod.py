@@ -18,10 +18,11 @@ local Smith form over Z/p^N gives their orders where there are any, and
 an F_ell rank for a prime ell not dividing |G| checks f.  qr_check()
 decides quasirationality at p from one such level per distinct D_n; its
 report keeps the lattice and each level's subgroup and coinvariants for
-the harness, which takes each level over Z/p^k from one unit-pivot
-elimination (Coinvariants.over).  hopf_h2() and bar_h2() compute the
-Schur multiplier by two routes that share no code above the integer
-kernels and must agree.
+the harness.  It takes each level over Z/p^k, F_p included, from one
+unit-pivot elimination stopped at the F_p rank certified here
+(Coinvariants.over), and its quotient G/D_n once (Coinvariants.quotient).
+hopf_h2() and bar_h2() compute the Schur multiplier by two routes that
+share no code above the integer kernels and must agree.
 
 bar_h2() needs no row beyond T(g,h,x) = d3[g|h|x] for x a generator
 image, and no column beyond the generator block [g|x]: the rest is
@@ -38,20 +39,20 @@ from __future__ import annotations
 
 import functools
 import itertools
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from .errors import BudgetExceeded, PropertyViolation, TorsionObstruction
-from .enumeration import FiniteGroupTable, Subgroup, subgroup_closure
+from .enumeration import FiniteGroupTable, Subgroup, quotient_table, subgroup_closure
 from .groupring import dimension_subgroup_chain, fox_rows
 from .intlinalg import (
     AbelianInvariants,
     Lattice,
-    ModpSpan,
     combine_primary,
     fp_rows,
     lattice_quotient,
     local_smith_exponents,
+    modp_rank,
     p_torsion,
     unit_pivot_rows,
 )
@@ -200,57 +201,54 @@ class Coinvariants:
     It is Z^f + H2(D, Z) with f = (|X|-1)|G:D| + 1 (Gaschutz; the torsion
     by Shapiro's lemma, see qr_check), so `invariants` is read one prime at
     a time (coinvariants()), with no integer Smith form and no integer
-    letters.  spans keeps the F_q span of the relation rows per prime q
-    (span(q)); coinvariants() fills the q dividing |D|.  over(p, k) is the
-    level over Z/p^k as the harness reads it: coordinates, quotient map
-    from the lattice and letters.  rlat is None only on a level made by
-    hand.
+    letters.  over(p, k) is the level over Z/p^k as the harness reads it,
+    at every k by one elimination: coordinates, quotient map from the
+    lattice and letters.  quotient is Q = G/D, the group the level is a
+    module for, built once per level.  rlat is None only on a level made
+    by hand.
     """
 
     invariants: AbelianInvariants
     sub: Subgroup
     rlat: RelationLattice | None = field(default=None, repr=False, compare=False)
-    spans: dict[int, ModpSpan] = field(default_factory=dict, repr=False, compare=False)
 
-    def span(self, q: int) -> ModpSpan:
-        """The F_q span of the level's relation rows, built once per q."""
-        if q not in self.spans:
-            self.spans[q] = _span(self.rlat, self.sub, q)
-        return self.spans[q]
+    @functools.cached_property
+    def quotient(self) -> FiniteGroupTable:
+        return quotient_table(self.rlat.tbl, self.sub)[0]
 
     def over(self, p: int, k: int) -> tuple[tuple[int, ...], Packed, dict[int, Packed]]:
-        """(coords, down, letters): the level tensored with Z/p^k.
+        """(coords, down, letters): the level tensored with Z/p^k, from one
+        unit-pivot elimination of the relation rows mod p^k
+        (unit_pivot_rows), stopped at rank = r - f - t_p pivots, t_p the
+        number of cyclic factors of the level's p-torsion.
 
-        Over F_p it is read off the reduced echelon rows of the F_p span.
-        Over Z/p^k, k > 1, a level with p-torsion has no free form
-        (TorsionObstruction); one without is a free summand of rank
-        r - f, and one unit-pivot elimination of the relation rows mod p^k
-        (unit_pivot_rows), stopped at that many pivots, has the F_p pivot
-        columns and reduces mod p to those rows.  Pivot row c is e_c + b_c,
-        so e_c = -b_c on the level: the F_p pivot columns are eliminated,
-        and the other lattice columns, coords, are the coordinates.  down
-        is the quotient map from the lattice, one row per lattice column
-        packed in fp_rows(len(coords), p^k): e_j at coords[j], -b_c at a
-        pivot c.  letters[x], for x a generator image, is A[x] on coords,
-        then down.
+        That rank is the F_p rank of the rows, which coinvariants() read in
+        full and certified: the level over F_p is F_p^r modulo them, and it
+        is (Z/p)^(f + t_p).  The pivot columns are the F_p ones at every k,
+        so at k = 1 the elimination ends on the whole F_p span, in reduced
+        echelon form.  Over Z/p^k, k > 1, a level with p-torsion has no free
+        form (TorsionObstruction); one without is a free summand of rank
+        r - f, which the rows so far span.  Fewer pivots is a
+        PropertyViolation.  Pivot row c is e_c + b_c, so e_c = -b_c on the
+        level: the pivot columns are eliminated, and the other lattice
+        columns, coords, are the coordinates.  down is the quotient map
+        from the lattice, one row per lattice column packed in
+        fp_rows(len(coords), p^k): e_j at coords[j], -b_c at a pivot c.
+        letters[x], for x a generator image, is A[x] on coords, then down.
         """
         rlat, ring, r = self.rlat, p ** k, self.rlat.rank
-        if k == 1:
-            span = self.span(p)
-            reduced = dict(zip(span.pivots, span.rows))
-        else:
-            torsion = p_torsion(self.invariants, p)
-            if torsion:
-                raise TorsionObstruction(
-                    f"coinvariants have p-torsion Z/{torsion[0]}; no free Z/{p}^{k} form"
-                )
-            lay, rank = fp_rows(r, ring), r - self.invariants.free_rank
-            pivots, _ = unit_pivot_rows(rlat.relation_rows(self.sub, ring), lay, p, rank)
-            if len(pivots) != rank:
-                raise PropertyViolation(
-                    f"the relation rows over Z/{p}^{k} reach {len(pivots)} unit pivots, "
-                    f"not the {rank} of a free level")
-            reduced = {c: lay.unpack(row) for c, row in pivots.items()}
+        torsion = p_torsion(self.invariants, p)
+        if torsion and k > 1:
+            raise TorsionObstruction(
+                f"coinvariants have p-torsion Z/{torsion[0]}; no free Z/{p}^{k} form"
+            )
+        lay, rank = fp_rows(r, ring), r - self.invariants.free_rank - len(torsion)
+        pivots, _ = unit_pivot_rows(rlat.relation_rows(self.sub, ring), lay, p, rank)
+        if len(pivots) != rank:
+            raise PropertyViolation(
+                f"the relation rows over Z/{p}^{k} reach {len(pivots)} unit pivots, "
+                f"not the level's {rank} = r - f - t_p")
+        reduced = {c: lay.unpack(row) for c, row in pivots.items()}
         coords = tuple(j for j in range(r) if j not in reduced)
         out = fp_rows(len(coords), ring)
         down = [0] * r
@@ -268,13 +266,6 @@ class Coinvariants:
                 rows.append(acc)
             letters[x] = tuple(rows)
         return coords, tuple(down), letters
-
-
-def _span(rlat: RelationLattice, sub: Subgroup, q: int) -> ModpSpan:
-    span = ModpSpan(rlat.rank, q)
-    for v in rlat.relation_rows(sub, q):
-        span.add(v)
-    return span
 
 
 def _primes_dividing(n: int) -> list[int]:
@@ -302,18 +293,17 @@ def coinvariants(rlat: RelationLattice, sub: Subgroup) -> Coinvariants:
     tbl, r = rlat.tbl, rlat.rank
     free = (rlat.pres.ngens - 1) * (tbl.order // sub.order) + 1
     ell = next(q for q in itertools.count(2) if is_prime(q) and tbl.order % q)
-    if (dim := r - _span(rlat, sub, ell).dim) != free:
+    if (dim := r - modp_rank(rlat.relation_rows(sub, ell), r, ell)) != free:
         raise PropertyViolation(
             f"the level of a subgroup of order {sub.order} has F_{ell} dimension "
             f"{dim}, not Gaschutz's free rank {free}")
-    spans, parts = {}, []
+    parts = []
     for q in _primes_dividing(sub.order):
-        span = spans[q] = _span(rlat, sub, q)
-        t = r - span.dim - free
+        t = (dim := r - modp_rank(rlat.relation_rows(sub, q), r, q)) - free
         if t < 0:
             raise PropertyViolation(
                 f"the level of a subgroup of order {sub.order} has F_{q} dimension "
-                f"{r - span.dim}, below Gaschutz's free rank {free}")
+                f"{dim}, below Gaschutz's free rank {free}")
         if t:
             n = 1
             while q ** n <= sub.order:
@@ -324,7 +314,7 @@ def coinvariants(rlat: RelationLattice, sub: Subgroup) -> Coinvariants:
                     f"the local Smith form over Z/{q}^{n} of a level leaves {z} free and "
                     f"{len(exps)} cyclic summands, not {free} and {t}")
             parts.append([q ** e for e in exps])
-    return Coinvariants(combine_primary(free, parts), sub, rlat, spans)
+    return Coinvariants(combine_primary(free, parts), sub, rlat)
 
 
 # ---------------------------------------------------------------------------
@@ -442,14 +432,6 @@ def hopf_h2(rlat: RelationLattice) -> AbelianInvariants:
     return AbelianInvariants(0, rlat.g_coin.invariants.torsion)
 
 
-def _fp_rank(rows: Iterable[Sequence[int] | int], width: int, q: int, stop: int) -> int:
-    """The F_q rank of rows, read only until it reaches stop."""
-    span, rows = ModpSpan(width, q), iter(rows)
-    while span.dim < stop and (v := next(rows, None)) is not None:
-        span.add(v)
-    return span.dim
-
-
 def _bar_rows(tbl: FiniteGroupTable, gens: list[int], tree: dict[int, tuple[int, int]],
               modulus: int) -> Iterator[int]:
     """The distinct nonzero rows T(g,h,x) of bar_h2 facts 1-2 on the
@@ -536,14 +518,14 @@ def bar_h2(tbl: FiniteGroupTable, bound: int = DEFAULT_BAR_BOUND) -> AbelianInva
     ell = next(q for q in itertools.count(2) if is_prime(q) and n % q)
     d2 = ([(j == g) + (j == x) - (j == mult[g][x]) for j in range(1, n)]
           for g in range(1, n) for x in gens)
-    if _fp_rank(d2, n - 1, ell, n - 1) != n - 1:
+    if modp_rank(d2, n - 1, ell, n - 1) != n - 1:
         raise PropertyViolation("bar route gives an infinite G_ab")
     width, m = (n - 1) * len(gens), (n - 1) * (len(gens) - 1)
-    if _fp_rank(_bar_rows(tbl, gens, tree, ell), width, ell, m) != m:
+    if modp_rank(_bar_rows(tbl, gens, tree, ell), width, ell, m) != m:
         raise PropertyViolation("bar complex rank identity fails; H2 would not be finite")
     parts = []
     for p in _primes_dividing(n):
-        t = m - _fp_rank(_bar_rows(tbl, gens, tree, p), width, p, m)
+        t = m - modp_rank(_bar_rows(tbl, gens, tree, p), width, p, m)
         if t:
             N = next(e for e in itertools.count(1) if p ** e > n)
             z, exps = local_smith_exponents(_bar_rows(tbl, gens, tree, p ** N), width, p, N)

@@ -14,7 +14,7 @@ import pytest
 from qrlab.intlinalg import (
     AbelianInvariants,
     fp_rows,
-    is_invertible_modp,
+    modp_rank,
     p_torsion,
 )
 from qrlab.presentation import parse_presentation
@@ -274,7 +274,7 @@ def test_10_randomized_recognizer_battery():
         mod = _synthetic(tbl, tuple(blocks), p)
         while True:
             mat = [[rng.randrange(p) for _ in range(mod.dim)] for _ in range(mod.dim)]
-            if is_invertible_modp(mat, p):
+            if modp_rank(mat, mod.dim, p) == mod.dim:
                 break
         rec = perm_recognize_modp(_conjugate(mod, mat))
         assert rec.status == "certified", (trial, rec.refutation)

@@ -78,6 +78,7 @@ COUNTED = (
     (qrlab.groupring, "dimension_subgroup_chain"),
     (qrlab.groupring, "jennings_series"),
     (qrlab.enumeration, "quotient_table"),
+    (qrlab.permrec, "module_from_coinvariants"),
 )
 
 
@@ -114,15 +115,20 @@ def test_check_builds_each_invariant_once(capsys, monkeypatch, corpus):
         subgroups = sum(len({lv["subgroup_order"] for lv in doc["qr"][str(p)]["levels"]})
                         for p in primes)
         repeated += sum(len(doc["qr"][str(p)]["levels"]) for p in primes) - subgroups
-        harness_subgroups = sum(
-            len({lv["quotient_order"] for lv in doc["harness"][str(p)]["levels"]})
-            for p in primes)
+        harness = [doc["harness"][str(p)]["levels"] for p in primes]
+        harness_subgroups = sum(len({lv["quotient_order"] for lv in levels})
+                                for levels in harness)
+        # the one module builder: over F_p per level, and over Z/p^k where the lift ran
+        lifted = sum(len({lv["quotient_order"] for lv in levels
+                          if lv["integral"] not in ("not_attempted", "torsion")})
+                     for levels in harness)
         assert counts == {
             "relation_lattice": 1,
             "dimension_subgroup_chain": len(primes),
             "jennings_series": len(primes),
             "coinvariants": subgroups - (len(primes) - 1),  # D_1 = G built once
             "quotient_table": harness_subgroups,
+            "module_from_coinvariants": harness_subgroups + lifted,
         }, entry["id"]
         checked += 1
     assert checked == 10 and repeated > 0

@@ -28,7 +28,6 @@ from qrlab.intlinalg import (
     fp_rows,
     identity_rows,
     integer_inverse,
-    is_invertible_modp,
     lattice_quotient,
     left_kernel,
     local_smith_exponents,
@@ -240,7 +239,7 @@ def dense_rank(rows, p):
 @settings(deadline=None, max_examples=80)
 def test_modp_rank_kernel_dimension(a, p):
     n = len(a[0])
-    r = modp_rank(a, p)
+    r = modp_rank(a, n, p)
     assert r == dense_rank(a, p)
     ker = modp_left_kernel(a, p)
     assert ker == dense_left_kernel(a, p)
@@ -340,7 +339,7 @@ def test_modp_span_matches_the_dense_reference_at_every_width_and_prime(p, n, m,
     span = ModpSpan(n, p)
     assert sum(1 for r in rows if span.add(r)) == len(pivots)
     assert span.pivots == pivots and span.rows == rref
-    assert modp_rank(rows, p) == len(pivots)
+    assert modp_rank(rows, n, p) == len(pivots)
     assert modp_left_kernel(rows, p) == dense_left_kernel(rows, p)
     assert span.contains(rows[-1]) and not span.add(rows[-1])
     assert span.contains(probe) == (dense_rank(rows + [probe], p) == len(pivots))
@@ -404,17 +403,39 @@ def test_packed_product_sums_the_largest_entries_without_carry(m, inner):
     assert [lay.unpack(x) for x in got] == dense_product_mod(a, b, m, 3) == [[inner % m] * 3] * 2
 
 
-def test_is_invertible_modp():
-    assert is_invertible_modp([[1, 1], [0, 1]], 2)
-    assert not is_invertible_modp([[1, 1], [1, 1]], 2)
-    assert is_invertible_modp([[2, 0], [0, 1]], 3)
+@given(matrices(entries=st.integers(0, 6)), primes)
+@settings(deadline=None, max_examples=80)
+def test_modp_rank_reads_no_row_past_the_one_that_reaches_its_stop(a, p):
+    """With no stop, the dense rank, on list rows and packed ones alike.
+    With a stop, the row that reaches it is the last one read: the rows
+    come from an iterator that raises past it."""
+    n, r = len(a[0]), dense_rank(a, p)
+    lay = fp_rows(n, p)
+    assert modp_rank(a, n, p) == modp_rank(map(lay.pack, a), n, p) == r
+    assert modp_rank(a, n, p, stop=r + 1) == r
+
+    def rows_through(last):
+        yield from a[:last + 1]
+        raise AssertionError(f"read a row past row {last}")
+
+    assert modp_rank(rows_through(-1), n, p, stop=0) == 0
+    for stop in range(1, r + 1):
+        last = next(i for i in range(len(a)) if dense_rank(a[:i + 1], p) == stop)
+        assert modp_rank(rows_through(last), n, p, stop=stop) == stop
+
+
+def test_full_modp_rank_reads_invertibility():
+    assert modp_rank([[1, 1], [0, 1]], 2, 2) == 2
+    assert modp_rank([[1, 1], [1, 1]], 2, 2) != 2
+    assert modp_rank([[2, 0], [0, 1]], 2, 3) == 2
 
 
 def test_modp_rank_frozen_cases():
     for n in range(1, 5):
-        assert modp_rank(identity_rows(n), 2) == n
-    assert modp_rank([[2]], 2) == 0
-    assert modp_rank([[1, 1], [1, 1]], 3) == 1
+        assert modp_rank(identity_rows(n), n, 2) == n
+    assert modp_rank([[2]], 1, 2) == 0
+    assert modp_rank([[1, 1], [1, 1]], 2, 3) == 1
+    assert modp_rank([], 3, 5) == 0
 
 
 # --- abelian invariants ---------------------------------------------------

@@ -20,7 +20,6 @@ from qrlab.intlinalg import (
     fp_rows,
     identity_rows,
     integer_inverse,
-    is_invertible_modp,
     mat_mul,
     modp_rank,
 )
@@ -101,7 +100,7 @@ def synthetic_module(qtbl, blocks, p, k):
 def random_invertible(dim, p, rng):
     while True:
         mat = [[rng.randrange(p) for _ in range(dim)] for _ in range(dim)]
-        if is_invertible_modp(mat, p):
+        if modp_rank(mat, dim, p) == dim:
             return mat
 
 
@@ -124,9 +123,8 @@ def level_module(text, level, k=1):
     p = pres.primes[0]
     chain = dimension_subgroup_chain(tbl, p)
     sub = chain[level - 1]
-    rlat = relation_lattice(pres, tbl)
-    coin = coinvariants(rlat, sub)
-    return module_from_coinvariants(rlat, coin, sub, p, k, level=level)
+    coin = coinvariants(relation_lattice(pres, tbl), sub)
+    return module_from_coinvariants(coin, p, k, level=level)
 
 
 Q8 = "gens: a, b; relators: a*b*a*b^-1, b*a*b*a^-1; prime: 2"
@@ -290,7 +288,7 @@ def test_norm_rank_counts_free_blocks():
             for i in range(mod.dim):
                 for j in range(mod.dim):
                     norm[i][j] = (norm[i][j] + a[i][j]) % 2
-        assert modp_rank(norm, 2) == free_count
+        assert modp_rank(norm, mod.dim, 2) == free_count
 
 
 def test_marks_dimensions_from_subgroup_generators():
@@ -311,7 +309,7 @@ def test_marks_dimensions_from_subgroup_generators():
             rows = differences(mod, K)
             side_by_side = [[x for b in range(0, len(rows), mod.dim) for x in rows[b + i]]
                             for i in range(mod.dim)]
-            assert len(permrec._fixed(mod, K)) == mod.dim - modp_rank(side_by_side, mod.p)
+            assert len(permrec._fixed(mod, K)) == mod.dim - modp_rank(side_by_side, len(rows), mod.p)
 
 
 # --- refutations ----------------------------------------------------------
@@ -385,7 +383,7 @@ def test_lazy_marks_match_the_eager_reference(lattice, name, text):
     for p in pres.primes:
         qr = qr_check(lattice(text), p)
         for lv in {id(lv.coin): lv for lv in qr.levels}.values():
-            mod = module_from_coinvariants(qr.rlat, lv.coin, lv.subgroup, p, 1, lv.level)
+            mod = module_from_coinvariants(lv.coin, p, 1, lv.level)
             mk = marks_multiplicities(mod)
             dims, candidates, witness = eager_marks(mod)
             assert (mk.candidates, mk.witness) == (candidates, witness)
@@ -598,7 +596,7 @@ def test_certified_multiplicities_satisfy_the_orbit_counts(corpus, lattice):
     for text, p in inputs:
         qr = qr_check(lattice(text), p)
         for lv in {id(lv.coin): lv for lv in qr.levels}.values():
-            mod = module_from_coinvariants(qr.rlat, lv.coin, lv.subgroup, p, 1, lv.level)
+            mod = module_from_coinvariants(lv.coin, p, 1, lv.level)
             rec = perm_recognize_modp(mod)
             if rec.status != "certified":
                 continue
@@ -720,7 +718,7 @@ def scramble(mod, rng):
     is invertible mod p."""
     while True:
         u = [[rng.randrange(mod.ring) for _ in range(mod.dim)] for _ in range(mod.dim)]
-        if is_invertible_modp(u, mod.p):
+        if modp_rank(u, mod.dim, mod.p) == mod.dim:
             return change_basis(mod, u, inverse_mod(u, mod.p, mod.k), mod.ring)
 
 
@@ -822,7 +820,7 @@ def test_hom_spaces_reduce_alike_at_the_harness_ring_and_above(lattice, name, te
         k = 1 + round(math.log(qr.rlat.tbl.order, p))
         assert p ** (k - 1) == qr.rlat.tbl.order
         for lv in {id(lv.coin): lv for lv in qr.levels}.values():
-            low, high = (module_from_coinvariants(qr.rlat, lv.coin, lv.subgroup, p, j, lv.level)
+            low, high = (module_from_coinvariants(lv.coin, p, j, lv.level)
                          for j in (k, k + 3))
             subs = all_subgroups(low.qtbl)
             for cls in subgroup_conjugacy_classes(low.qtbl, subs):
@@ -884,8 +882,7 @@ def test_harness_reuse_matches_a_rebuild_of_every_level(lattice, name, p):
     qr = qr_check(lattice((CORPUS_DIR / f"{name}.pres").read_text()), p)
     rep = tower_harness(qr)
     rebuilt = [
-        _level_outcome(qr.rlat, replace(lv, coin=coinvariants(qr.rlat, lv.subgroup)),
-                       p, rep.precision)[0]
+        _level_outcome(replace(lv, coin=coinvariants(qr.rlat, lv.subgroup)), p, rep.precision)[0]
         for lv in qr.levels
     ]
     assert list(rep.levels) == rebuilt
@@ -958,7 +955,7 @@ def test_every_level_down_map_is_the_quotient_and_every_level_module_acts_by_its
                 continue
             qtbl, cmap = quotient_table(tbl, lv.subgroup)
             for k in (1, 3):
-                mod = module_from_coinvariants(rlat, lv.coin, lv.subgroup, p, k, lv.level)
+                mod = module_from_coinvariants(lv.coin, p, k, lv.level)
                 assert mod.qtbl == qtbl
                 for g, word in enumerate(tbl.element_words):
                     a = identity_rows(mod.dim)
@@ -1027,14 +1024,14 @@ def test_q32_top_module_builds_fewer_elements_than_its_quotient(lattice, monkeyp
     """Level modules build A[q] only for the elements their readers ask for:
     q32's level-9 module over F_2 (Q = G, order 32) is refuted by its
     Brauer quotients, which read a few subgroup generators and powers."""
-    build = permrec._level_module
+    build = permrec.module_from_coinvariants
     modules = []
 
     def recording(*args):
         modules.append(build(*args))
         return modules[-1]
 
-    monkeypatch.setattr(permrec, "_level_module", recording)
+    monkeypatch.setattr(permrec, "module_from_coinvariants", recording)
     rep = tower_harness(qr_check(lattice(Q32), 2))
     assert rep.levels[-1].level == 9 and rep.levels[-1].modp_status == "refuted"
     (top,) = [m for m in modules if m.level == 9 and m.k == 1]

@@ -207,12 +207,12 @@ def test_bar_route_refuses_d2_rows_of_f_ell_rank_below_n_minus_1(group, monkeypa
     """The rows d2[g|x] cut to n - 2 cannot span im d2 = Z^(n-1): the
     G_ab check refuses them before any row of d3 is read."""
     _, tbl = group("gens: a, b; relators: a^4*b^-2, a*b*a*b^-1; prime: 2")  # q16
-    orig = relmod._fp_rank
+    orig = relmod.modp_rank
 
-    def cut(rows, width, q, stop):  # the d2 call alone stops at its width
+    def cut(rows, width, q, stop=None):  # the d2 call alone stops at its width
         return orig(itertools.islice(rows, width - 1) if stop == width else rows, width, q, stop)
 
-    monkeypatch.setattr(relmod, "_fp_rank", cut)
+    monkeypatch.setattr(relmod, "modp_rank", cut)
     with pytest.raises(PropertyViolation, match="infinite G_ab"):
         bar_h2(tbl)
 
@@ -544,6 +544,31 @@ def test_gaschutz_certificate_refuses_a_local_free_count_off_f(monkeypatch):
                         lambda *args: (lambda z, exps: (z + 1, exps[1:]))(*orig(*args)))
     with pytest.raises(PropertyViolation, match="local Smith form"):
         coinvariants(rlat, d2)
+
+
+@pytest.mark.parametrize("path", [ORDER32_DIR / "q32.pres", NQR32], ids=lambda p: p.stem)
+def test_level_over_f_p_refuses_an_elimination_short_of_r_minus_f_minus_t(monkeypatch, path):
+    """over(p, 1) stops at the F_p rank r - f - t_p that coinvariants()
+    certified (nqr32's D_2 has t_2 = 1, q32's none).  The relation rows mod
+    p cut just before the row that reaches it leave one pivot short:
+    raised, not asserted (this also runs under python -O)."""
+    rlat, d2 = _d2(path.read_text(), 2)
+    coin = coinvariants(rlat, d2)
+    free, t = coin.invariants.free_rank, len(p_torsion(coin.invariants, 2))
+    assert t == (path == NQR32)
+    assert len(coin.over(2, 1)[0]) == free + t
+    rank, orig = rlat.rank - free - t, RelationLattice.relation_rows
+
+    def cut(self, sub, modulus):
+        rows = orig(self, sub, modulus)
+        if modulus == 2:
+            span = ModpSpan(self.rank, 2)
+            rows = rows[:next(i for i, v in enumerate(rows) if span.add(v) and span.dim == rank)]
+        return rows
+
+    monkeypatch.setattr(RelationLattice, "relation_rows", cut)
+    with pytest.raises(PropertyViolation, match=f"reach {rank - 1} unit pivots, not the level's"):
+        coin.over(2, 1)
 
 
 # --- torsion criterion ----------------------------------------------------

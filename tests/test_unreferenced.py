@@ -4,7 +4,7 @@ and so is every method or property of its classes, dunders aside.
 A name counts as used when code in src/qrlab (outside __init__, whose
 exports alone keep nothing alive) or a file under bench/ refers to it: as
 a name, an attribute, or a whole string (bench/ traces functions by name).
-Three names are kept for the tests alone, as oracles, and three more by
+Three names are kept for the tests alone, as oracles, and two more by
 bench/ alone (BENCH_ONLY): the pipeline no longer calls them, and nothing
 else may join them.
 """
@@ -23,7 +23,6 @@ ORACLES = {
 BENCH_ONLY = {
     "intlinalg.integer_inverse",  # traced by bench/run.py
     "permrec.equivalence_harness",  # bench/run.py's and bench/freeze.py's harness
-    "permrec.module_from_coinvariants",  # traced by bench/run.py
 }
 
 
