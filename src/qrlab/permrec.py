@@ -10,7 +10,8 @@ coordinates.  The matrix of any other element of Q is built on demand
 along a word for it.  A certificate of three checks (_certify_letters)
 proves that the letters define an action of Q; it agrees with the
 G-action on the lattice because the letters are that action on the
-generators.
+generators.  Its powers of a letter are read off repeated squares, so a
+generator of order |x| costs O(log |x|) products.
 
 Recognition over F_p starts from the Brauer quotients: for a p-group Q the
 Brauer quotient of a permutation module F_p[X] at K has dimension |X^K|,
@@ -31,13 +32,14 @@ images w * Tr_H of the blocks' orbit sums are independent mod p, and
 picking them greedily class by class, in increasing order, succeeds
 exactly when the module is the candidate.  Over Z/p^k the same kernels
 are taken with sign-twisted blocks (p = 2; twists are invisible mod 2),
-lifted one p-adic digit at a time, and the same greedy pass picks the
-characters, trivial first.  The harness takes k = 1 + v_p(|G|), where the
-mod-p reductions of those kernels are exactly those of the Z_p hom
-spaces, so its verdicts hold over Z_p (tower_harness).  Every module is
-decided, with no search and no budget: certified by an independently
-verified matrix, or refuted by a marks step or by a class whose traces
-fall short.
+lifted one p-adic digit at a time until the lifts solve over Z, after
+which every digit would return them unchanged (_liftable_kernel), and the
+same greedy pass picks the characters, trivial first.  The harness takes
+k = 1 + v_p(|G|), where the mod-p reductions of those kernels are exactly
+those of the Z_p hom spaces, so its verdicts hold over Z_p
+(tower_harness).  Every module is decided, with no search and no budget:
+certified by an independently verified matrix, or refuted by a marks step
+or by a class whose traces fall short.
 
 Conventions.  Module elements are row vectors; q acts by y -> y * A[q];
 matrices compose antihomomorphically, A[q1 q2] = A[q2] * A[q1] (q1 q2
@@ -89,18 +91,31 @@ def _identity(lay: FpRows) -> Packed:
 # ---------------------------------------------------------------------------
 # level modules
 
-def _word_matrix(qtbl: FiniteGroupTable, powers, word: Word, lay: FpRows) -> Packed:
-    """Matrix of a word, A[w l] = A[l] * A[w], one product per run x^e.
-
-    powers[x][i] = A[x]^i for i < |x|, x a generator image.  A run of one
-    generator, image x, with exponent sum e acts as A[x]^(e mod |x|), so a
-    run of x^-1 letters reads a power |x| - e as well.
-    """
-    out = _identity(lay)
-    for g, run in groupby(word, key=lambda letter: letter[0]):
-        power = powers[qtbl.gen_images[g]]
-        out = lay.mul(power[sum(s for _, s in run) % len(power)], out)
+def _times_power(lay: FpRows, squares, e: int, out: Packed | None = None) -> Packed | None:
+    """A^e * out, where squares[i] = A^(2^i) for every 2^i <= e: one
+    product per binary digit 1 of e, powers of A commuting.  out=None
+    stands for I and spares the first product; then e = 0 gives None."""
+    for i in range(e.bit_length()):
+        if e >> i & 1:
+            out = squares[i] if out is None else lay.mul(squares[i], out)
     return out
+
+
+def _word_matrix(qtbl: FiniteGroupTable, squares, word: Word, lay: FpRows) -> Packed:
+    """Matrix of a word, A[w l] = A[l] * A[w], read off the squares.
+
+    squares[x] = (|x|, [A[x]^(2^i) for 2^i < |x|]), x a generator image,
+    as _certify_letters keeps them.  A run of one generator, image x, with
+    exponent sum e acts as A[x]^(e mod |x|) (a run of x^-1 letters reads
+    |x| - e as well), so it takes one product per binary digit 1 of
+    e mod |x| (_times_power) and none when |x| divides e; the word's
+    first factor is taken without a product.
+    """
+    out = None
+    for g, run in groupby(word, key=lambda letter: letter[0]):
+        order, sq = squares[qtbl.gen_images[g]]
+        out = _times_power(lay, sq, sum(s for _, s in run) % order, out)
+    return _identity(lay) if out is None else out
 
 
 @dataclass(frozen=True)
@@ -212,31 +227,38 @@ def _certify_letters(qtbl: FiniteGroupTable, gen_mats, relators, kernel_words,
     Together they make q -> A[q] a well-defined action of Q, computed by
     any word for q; nothing else is needed, because D_level is generated
     by its generators as a subgroup and the homomorphism is one of groups.
-    (a) walks the powers A[x]^i, i < |x|, and (b) and (c) reuse them: each
-    run x^e of a word costs one product (_word_matrix).
+    Each A[x] is squared to A[x]^(2^i) for every 2^i < |x|, and those
+    squares give A[x]^(|x|-1) and, one product on, A[x]^|x| for (a): at
+    most 2 * bit_length(|x|) products per generator.  (b) and (c) read
+    every run x^e of a word off the same squares, one product per binary
+    digit 1 of e mod |x| (_word_matrix).
     """
     lay = fp_rows(dim, ring)
     ident = _identity(lay)
     letters = dict(gen_mats)
-    powers = {}
+    squares = {}
     for x, a in sorted(gen_mats.items()):
-        walk, y = [ident], x
-        while y:  # y = x^(i+1) while walk[-1] = A[x]^i
-            walk.append(lay.mul(a, walk[-1]))
+        order, y = 1, x
+        while y:
             y = qtbl.mult[y][x]
-        if lay.mul(a, walk[-1]) != ident:
+            order += 1
+        sq = [a]
+        while 1 << len(sq) < order:
+            sq.append(lay.mul(sq[-1], sq[-1]))
+        inverse = _times_power(lay, sq, order - 1) or ident
+        if lay.mul(a, inverse) != ident:
             raise PropertyViolation(
                 f"generator image q={x}: its matrix to the power of its order "
                 f"in the quotient is not the identity"
             )
-        if letters.setdefault(qtbl.inv[x], walk[-1]) != walk[-1]:
+        if letters.setdefault(qtbl.inv[x], inverse) != inverse:
             raise PropertyViolation(f"the matrices of q={x} and of its inverse are not inverse")
-        powers[x] = walk
+        squares[x] = (order, sq)
     for rel in relators:
-        if _word_matrix(qtbl, powers, rel, lay) != ident:
+        if _word_matrix(qtbl, squares, rel, lay) != ident:
             raise PropertyViolation("a relator acts nontrivially on the coinvariants")
     for w in kernel_words:
-        if _word_matrix(qtbl, powers, w, lay) != ident:
+        if _word_matrix(qtbl, squares, w, lay) != ident:
             raise PropertyViolation(
                 "a generator of the dimension subgroup acts nontrivially: "
                 "the letter matrices do not factor through the quotient"
@@ -494,16 +516,23 @@ def _liftable_kernel(a: list[list[int]], p: int, k: int) -> list[list[int]]:
     independent and span the reductions of every solution, all that the
     socle criterion reads of a hom space.
 
-    One kernel per p-adic digit.  The lifts w_i solve w_i * a = 0 mod q,
-    with defects e_i = (w_i * a) / q.  Every solution mod q is
-    sum c_i w_i + p t with t a solution mod q/p, and the defects of those
-    t span M: the rows of abar and the defects of every earlier digit's
-    lifts.  A basis of M is kept with a realizer t_m for each row m (e_j
-    for row j of abar), times p per digit.  So sum c_i w_i + p sum b_m t_m
-    solves mod q*p exactly when c * E + b * M = 0 mod p: the left kernel
-    of E stacked on M, c coordinates first.  In its reduced echelon form
-    the rows with c != 0 come first, with independent c-parts, and give
-    the next lifts.
+    One kernel per p-adic digit, until the lifts are exact.  The lifts
+    w_i solve w_i * a = 0 mod q, with defects e_i = (w_i * a) / q.  Every
+    solution mod q is sum c_i w_i + p t with t a solution mod q/p, and the
+    defects of those t span M: the rows of abar and the defects of every
+    earlier digit's lifts.  A basis of M is kept with a realizer t_m for
+    each row m (e_j for row j of abar), times p per digit.  So
+    sum c_i w_i + p sum b_m t_m solves mod q*p exactly when
+    c * E + b * M = 0 mod p: the left kernel of E stacked on M, c
+    coordinates first.  In its reduced echelon form the rows with c != 0
+    come first, with independent c-parts, and give the next lifts.
+
+    The fixed point.  Once every defect is 0 (no lift at all included),
+    the lifts solve w * a = 0 over Z and the loop returns them: every
+    later digit would give the same integers.  E is 0 and the rows of M
+    are independent, so the kernel is c free and b = 0, in reduced
+    echelon form the identity on c; each next lift is the lift it
+    continues, and a zero defect enters no basis of M.
     """
     d = len(a)
     if d == 0:
@@ -514,14 +543,14 @@ def _liftable_kernel(a: list[list[int]], p: int, k: int) -> list[list[int]]:
     fixes = [(row, [int(i == j) for i in range(d)]) for j, row in enumerate(a) if m_span.add(row)]
     q = p
     for _ in range(1, k):
-        if not lifts:
-            break
         defects = []
         for w in lifts:
             wa = [sum(w[i] * a[i][j] for i in range(d)) for j in range(n)]
             if any(x % q for x in wa):
                 raise AssertionError("lift invariant broke")
             defects.append([x // q for x in wa])
+        if not any(map(any, defects)):
+            break
         r = len(lifts)
         new_lifts = []
         for row in modp_left_kernel(defects + [m for m, _ in fixes], p, width=n):
@@ -715,9 +744,10 @@ def gen_perm_lift(mod: LevelModule, modp: RecognitionResult) -> LiftResult:
     p-group permutation modules are unique), so only the sign characters
     vary: all of them for p = 2, the trivial one otherwise.  The hom space
     of each block Ind_H^Q xi is solved directly over Z/p^k by Frobenius
-    reciprocity, one kernel lifted digit by digit (LevelModule.hom_basis),
-    and the socle criterion picks the characters and the rows class by
-    class, trivial character first (_socle_certificate).  A class that
+    reciprocity, one kernel lifted digit by digit until it is exact
+    (LevelModule.hom_basis), and the socle criterion picks the characters
+    and the rows class by class, trivial character first
+    (_socle_certificate).  A class that
     falls short proves that the module has no generalized permutation form
     and the result is refuted.  Not attempted unless modp is certified.
     """

@@ -70,6 +70,52 @@ def dense_inverse(rows, p):
     return [row[n:] for row in red]
 
 
+def digit_by_digit_lifts(a, p, k):
+    """Reference for permrec._liftable_kernel without its stop at exact
+    lifts: the same digit-by-digit algorithm, run for all k - 1 digits
+    (stopping early only when no lift is left), on dense lists.  Each
+    digit's kernel is dense_left_kernel of the defects stacked on the basis
+    of M, and a row joins that basis when it raises the dense_rref rank."""
+    d = len(a)
+    if d == 0:
+        return []
+    n = len(a[0])
+
+    def grows(fixes, row):
+        return len(dense_rref([m for m, _ in fixes] + [row], p)[0]) > len(fixes)
+
+    lifts = dense_left_kernel(a, p)
+    fixes = []
+    for j, row in enumerate(a):
+        if grows(fixes, row):
+            fixes.append((row, [int(i == j) for i in range(d)]))
+    q = p
+    for _ in range(1, k):
+        if not lifts:
+            break
+        defects = []
+        for w in lifts:
+            wa = [sum(w[i] * a[i][j] for i in range(d)) for j in range(n)]
+            if any(x % q for x in wa):
+                raise AssertionError("a lift does not solve w * a = 0 mod q")
+            defects.append([x // q for x in wa])
+        r = len(lifts)
+        new_lifts = []
+        for row in dense_left_kernel(defects + [m for m, _ in fixes], p):
+            if not any(row[:r]):
+                break
+            new_lifts.append([sum(row[i] * lifts[i][t] for i in range(r))
+                              + p * sum(b * f[t] for b, (_, f) in zip(row[r:], fixes))
+                              for t in range(d)])
+        fixes = [(m, [p * x for x in f]) for m, f in fixes]
+        for e, w in zip(defects, lifts):
+            if grows(fixes, e):
+                fixes.append((e, w))
+        lifts = new_lifts
+        q *= p
+    return lifts
+
+
 def left_translate(tbl, g, vec):
     """g * v in ZG: the coefficient of h moves to g*h."""
     out = [0] * tbl.order

@@ -57,6 +57,7 @@ from reference import (
     coset_marks,
     dense_inverse,
     dense_rref,
+    digit_by_digit_lifts,
     eager_marks,
     orbits_on_cosets,
     searched_sign_characters,
@@ -137,6 +138,7 @@ Q32 = "gens: a, b; relators: a^8*b^-2, a*b*a*b^-1; prime: 2"
 C3XC3 = "gens: a, b; relators: a^3, b^3, a*b*a^-1*b^-1; prime: 3"
 C9 = "gens: a; relators: a^9; prime: 3"
 Q64 = "gens: a, b; relators: a^16*b^-2, a*b*a*b^-1; prime: 2"
+C64 = "gens: a; relators: a^64; prime: 2"
 S3 = "gens: a, b; relators: a^3, b^2, a*b*a*b; prime: 2"
 A4 = "gens: a, b; relators: a^2, b^3, a*b*a*b*a*b; prime: 2"
 
@@ -700,6 +702,76 @@ def test_liftable_kernel_against_brute_force(p, k, data):
     assert dense_rref(reduced, p) == dense_rref(sorted(every), p)
 
 
+@pytest.mark.parametrize("p", [2, 3])
+@given(st.data())
+@settings(deadline=None, max_examples=60,
+          phases=[phase for phase in Phase if phase is not Phase.shrink])
+def test_liftable_kernel_stops_with_the_lifts_every_later_digit_gives(p, data):
+    """_liftable_kernel returns the very lists the digit-by-digit reference,
+    which never stops at exact lifts, returns: the stop changes no integer.
+    Zero columns and zero rows make lifts that are exact early, beside
+    lifts that are not."""
+    k = data.draw(st.integers(1, 20))
+    q = p ** k
+    entry = st.builds(lambda e, u: p ** e * u % q, st.integers(0, k), st.integers(1, q - 1))
+    d, n = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 5))
+    zero_cols = data.draw(st.sets(st.integers(0, n - 1)))
+    zero_rows = data.draw(st.sets(st.integers(0, d - 1), max_size=d - 1))
+    a = [[0 if i in zero_rows or j in zero_cols else data.draw(entry) for j in range(n)]
+         for i in range(d)]
+    assert permrec._liftable_kernel(a, p, k) == digit_by_digit_lifts(a, p, k)
+
+
+def count_kernels(monkeypatch):
+    """A list that gets one entry per permrec.modp_left_kernel call from now on."""
+    calls = []
+    kernel = permrec.modp_left_kernel
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(permrec, "modp_left_kernel", counting)
+    return calls
+
+
+@pytest.mark.parametrize("a,kernels", [
+    ([[0, 0], [0, 0]], 1),  # a = 0: the first kernel's lifts are exact
+    ([[0], [2]], 2),  # e_1 is exact at once, beside e_2, which is not
+    ([[1], [2 ** 20 - 1]], 20),  # (1, 1) solves mod 2^20 and never over Z
+])
+def test_liftable_kernel_at_2_to_the_20(a, kernels, monkeypatch):
+    """Over Z/2^20 lifts that all solve w * a = 0 exactly stop the digits:
+    for a = 0 after one kernel, where the digit-by-digit lift took 20.  A
+    lift that is exact beside one that is not does not stop them, and
+    lifts that are never exact take every digit."""
+    calls = count_kernels(monkeypatch)
+    assert permrec._liftable_kernel(a, 2, 20) == digit_by_digit_lifts(a, 2, 20)
+    assert len(calls) == kernels
+
+
+def test_liftable_kernel_raises_on_a_lift_that_does_not_solve(monkeypatch):
+    """The lift invariant is an explicit raise, so it holds under python -O."""
+    monkeypatch.setattr(permrec, "modp_left_kernel", lambda rows, p, width=None: [[1]])
+    with pytest.raises(AssertionError, match="lift invariant broke"):
+        permrec._liftable_kernel([[1]], 2, 2)
+
+
+def test_liftable_kernel_of_the_c64_top_level_hom_space_is_one_kernel(lattice, monkeypatch):
+    """c64's top level over Z/2^20 is Z with Q = C64 acting trivially, so
+    the stack of A[h] - I is 0 and the first kernel's lifts are exact: the
+    hom space from the plain block on Q takes one modp_left_kernel call,
+    where one per digit took 20."""
+    qr = qr_check(lattice(C64), 2)
+    top = qr.levels[-1]
+    mod = module_from_coinvariants(top.coin, 2, 20, top.level)
+    whole = all_subgroups(mod.qtbl)[-1]
+    assert (mod.qtbl.order, whole.order, mod.dim) == (64, 64, 1)
+    calls = count_kernels(monkeypatch)
+    assert mod.hom_basis(whole, (1,) * 64) == [[1]]
+    assert len(calls) == 1
+
+
 def inverse_mod(mat, p, k):
     """The inverse over Z/p^k of a matrix invertible mod p, by Newton steps
     X -> X (2I - A X), each doubling the p-adic precision."""
@@ -978,6 +1050,21 @@ def test_certificate_accepts_the_regular_action_of_c4():
     assert letters[tbl.inv[x]] == packed(list(zip(*cycle4)), 2)
 
 
+@pytest.mark.parametrize("n,p", [(2, 2), (3, 3), (8, 2), (9, 3), (64, 2), (81, 3)])
+def test_certificate_check_a_squares_the_regular_action_of_a_cyclic_group(n, p, monkeypatch):
+    """On the regular module of C_n, check (a) passes in at most
+    2 * bit_length(n) products, and the inverse letter read off the
+    squares is the inverse permutation."""
+    pres = parse_presentation(f"gens: a; relators: a^{n}; prime: {p}")
+    tbl = todd_coxeter(pres)
+    x = tbl.gen_images[0]
+    cycle = [[int(j == tbl.mult[i][x]) for j in range(n)] for i in range(n)]
+    products = count_products(monkeypatch)
+    letters = _certify_letters(tbl, {x: packed(cycle, p)}, (), (), n, p)
+    assert len(products) <= 2 * n.bit_length()
+    assert letters[tbl.inv[x]] == packed(list(zip(*cycle)), p)
+
+
 def test_certificate_check_a_rejects_a_letter_of_the_wrong_order():
     # a 3-cycle has order 3, so it cannot be the image of an element of order 4
     pres = parse_presentation(C4)
@@ -1052,47 +1139,65 @@ def count_products(monkeypatch):
     return products
 
 
-# relator costs in the presentation's order: a^8*b^-2, a*b*a*b^-1; a^64;
-# a^16*b^-2, a*b*a*b^-1
+def element_order(qtbl, x):
+    n, y = 1, x
+    while y:
+        n, y = n + 1, qtbl.mult[y][x]
+    return n
+
+
+def squaring_cost(qtbl, word):
+    """Products _word_matrix takes for a word: one per binary digit 1 of
+    e mod |x| over its runs x^e, less the first factor, taken as it is."""
+    ones = sum(bin(sum(s for _, s in run) % element_order(qtbl, qtbl.gen_images[g])).count("1")
+               for g, run in itertools.groupby(word, key=lambda letter: letter[0]))
+    return max(ones - 1, 0)
+
+
 @pytest.mark.parametrize("text,relator_costs,total", [
-    (Q32, (2, 4), 191),
-    ("gens: a; relators: a^64; prime: 2", (1,), 438),
-    (Q64, (2, 4), 288),
+    (Q32, ({0, 1}, {0, 3, 4}), 143),
+    (C64, ({0},), 232),
+    (Q64, ({0, 1}, {0, 3, 4}), 211),
 ])
-def test_words_cost_one_product_per_run(lattice, monkeypatch, text, relator_costs, total):
-    """_certify_letters keeps the powers A[x]^i, i < |x|, that check (a)
-    walks, so each run x^e of a relator or kernel word is one product:
-    A[x]^(e mod |x|).  Letter by letter, q32's a^8*b^-2 cost 10 products
-    and c64's a^64 cost 64, on every level.  The total pins every product
-    of the harness: letters, words, act, Brauer traces, hom bases,
-    certificates and transitions.  A transition between a level and
-    itself takes none: 16 of q32's products, 52 of c64's, 44 of q64's.
-    The Brauer traces and hom bases below a refuted level's witness step
-    are not built (marks_multiplicities): 20 of q32's products and 41 of
-    q64's; every level of c64 is certified and reads every class.  The
-    socle criterion takes one batched product per hom space it reads, the
-    hom basis times Tr_H (_socle_certificate), on each certified level
-    over F_p and again over Z/2^20: q32's one certified level adds 2,
-    c64's seven 14, q64's one 2."""
+def test_words_cost_one_product_per_binary_digit(lattice, monkeypatch, text, relator_costs,
+                                                 total):
+    """_certify_letters keeps the squares A[x]^(2^i), 2^i < |x|, that check
+    (a) takes, at most 2 * bit_length(|x|) products per generator and
+    level.  Every run x^e of a relator or kernel word reuses them: one
+    product per binary digit 1 of e mod |x| (squaring_cost), none when |x|
+    divides e.  So c64's a^64 costs nothing on every level, and
+    a*b*a*b^-1 costs four, three or no products as |b| is 4, 2 or 1.  The
+    total pins every product of the harness: letters (q32 24, c64 74, q64
+    34), words (14, 0 and 17), and act, Brauer traces, hom bases,
+    certificates and transitions (105, 158 and 160)."""
     pres = parse_presentation(text)
     qr = qr_check(lattice(text), 2)
     products = count_products(monkeypatch)
-    costs = []
+    costs, letters = [], []
     word_matrix = permrec._word_matrix
+    certify = permrec._certify_letters
 
-    def recording(qtbl, powers, word, lay):
+    def recording(qtbl, squares, word, lay):
         before = len(products)
-        out = word_matrix(qtbl, powers, word, lay)
+        out = word_matrix(qtbl, squares, word, lay)
         costs.append((word, len(products) - before))
+        assert costs[-1][1] == squaring_cost(qtbl, word)
+        return out
+
+    def certifying(qtbl, gen_mats, relators, kernel_words, dim, ring):
+        before, in_words = len(products), sum(c for _, c in costs)
+        out = certify(qtbl, gen_mats, relators, kernel_words, dim, ring)
+        taken = len(products) - before - (sum(c for _, c in costs) - in_words)
+        assert taken <= sum(2 * element_order(qtbl, x).bit_length() for x in gen_mats)
+        letters.append(taken)
         return out
 
     monkeypatch.setattr(permrec, "_word_matrix", recording)
+    monkeypatch.setattr(permrec, "_certify_letters", certifying)
     tower_harness(qr)
-    assert costs
-    for word, cost in costs:
-        assert cost == len([g for g, _ in itertools.groupby(word, key=lambda x: x[0])])
-    relator_cost = dict(zip(pres.relators, relator_costs))
-    assert {(w, c) for w, c in costs if w in relator_cost} == set(relator_cost.items())
+    assert costs and letters
+    for rel, expected in zip(pres.relators, relator_costs):
+        assert {c for w, c in costs if w == rel} == expected
     assert len(products) == total
 
 
