@@ -475,8 +475,12 @@ def quotient_table(tbl: FiniteGroupTable, normal: Subgroup) -> tuple[FiniteGroup
     """(table of G/N, coset map x -> index in the quotient table).
 
     Built from the letters' action on the cosets, rN -> r*letter*N.
-    Raises InputError if the subgroup is not normal.
+    Raises InputError if the subgroup is not normal.  G/1 is tbl itself,
+    already verified: a table from todd_coxeter or from here is canonical,
+    so a rebuild would give it back.
     """
+    if normal.order == 1:
+        return tbl, list(range(tbl.order))
     if not is_normal(tbl, normal):
         raise InputError("quotient by a non-normal subgroup")
     coset_of, reps = left_cosets(tbl, normal)

@@ -7,7 +7,9 @@ depends only on the table and the generator images.  The basis and the
 matrices of the elements are read off the BFS spanning tree from 1: one
 fundamental cycle per chord (non-tree edge), and a cycle's coordinates are
 its chord entries.  The relators' Fox rows only certify that the table is
-the group they present.
+the group they present: their translates, read as sparse chord maps, are
+peeled at +-1 entries until every chord is resolved, and only chords left
+unresolved when the translates run out go into an integer echelon form.
 
 Level n of the tower is the lattice modulo the (d-1)-action of D_n.  By
 Gaschutz it is Z^f + H2(D_n, Z), f = (|X|-1)|G:D_n| + 1, and |D_n|
@@ -141,9 +143,17 @@ def relation_lattice(pres: Presentation, tbl: FiniteGroupTable) -> RelationLatti
     (a) the generator images reach all of G, so the tree spans the graph;
     (b) every Fox row has zero boundary (fox_rows raises otherwise), and so
         has each translate: the span lies in the cycle lattice;
-    (c) the chord entries of the translates span Z^r, i.e. their echelon
-        form reaches r rows with every pivot 1.  Chord entries are
+    (c) the chord entries of the translates span Z^r.  Chord entries are
         coordinates on the cycle lattice, so the span is all of it.
+        Proof by peeling (_peel): the translates are read one at a time as
+        sparse chord maps, and one whose only unresolved chord has entry
+        +-1 resolves that chord.  In peel order the peeling rows are
+        triangular with +-1 on the diagonal, so they span Z^resolved, and
+        the translates span Z^r exactly when their projections onto the
+        unresolved chords span Z^unresolved.  Reading stops once every
+        chord is resolved.  If the translates run out first, the
+        projections go into an echelon form of width len(unresolved),
+        which must reach full rank with every pivot 1.
     """
     n, mult, images = tbl.order, tbl.mult, tbl.gen_images
     width = len(images) * n
@@ -174,24 +184,69 @@ def relation_lattice(pres: Presentation, tbl: FiniteGroupTable) -> RelationLatti
         raise PropertyViolation(f"generator images reach {len(up)} of {n} elements")
     rank = len(cycles)
 
-    def chord_entries(nonzeros, g) -> list[int]:
-        """The chord entries of g * z, for z given by its nonzeros."""
-        out, row = [0] * rank, mult[g]
-        for start, h, c in nonzeros:
-            k = chord_at[start + row[h]]
-            if k >= 0:
-                out[k] = c
-        return out
-
     fox = [[(j - j % n, j % n, c) for j, c in enumerate(row) if c] for row in fox_rows(pres, tbl)]
-    translates = (chord_entries(nonzeros, g) for nonzeros in fox for g in range(n))
-    span = Lattice(rank)
-    while span.rank < rank or any(span.basis[k][k] != 1 for k in range(rank)):
-        vec = next(translates, None)
-        if vec is None:
-            raise PropertyViolation("relation lattice != kernel of the Crowell-Lyndon map")
-        span.add(vec)
+    translates = ({k: c for start, h, c in nonzeros if (k := chord_at[start + mult[g][h]]) >= 0}
+                  for nonzeros in fox for g in range(n))
+    read, residual = _peel(translates, rank)
+    if residual:
+        at, size = {k: i for i, k in enumerate(residual)}, len(residual)
+        span = Lattice(size)
+        rows = iter(read)
+        while span.rank < size or any(span.basis[i][i] != 1 for i in range(size)):
+            vec = next(rows, None)
+            if vec is None:
+                raise PropertyViolation("relation lattice != kernel of the Crowell-Lyndon map")
+            proj = [0] * size
+            for k, c in vec.items():
+                if k in at:
+                    proj[at[k]] = c
+            span.add(proj)
     return RelationLattice(pres, tbl, tuple(map(tuple, cycles)), tuple(chord_at))
+
+
+def _peel(rows: Iterator[dict[int, int]], width: int) -> tuple[list[dict[int, int]], list[int]]:
+    """(read, unresolved): unit peeling of sparse integer rows over Z^width.
+
+    A row resolves a column when every other column it holds is resolved
+    and its entry there is +-1; no other entry is ever a pivot.  Each
+    resolution lowers the count of unresolved columns of the rows that hold
+    that column, and a row whose count drops to one is tried in turn.  Rows
+    are read one at a time, only until every column is resolved; read is
+    the rows read, and unresolved the columns left, in increasing order.
+    relation_lattice's certificate (c) has the proof that the rows read
+    span Z^width exactly when their projections onto unresolved do.
+    """
+    resolved = [False] * width
+    left = width
+    holders: list[list[int]] = [[] for _ in range(width)]  # column -> rows holding it unresolved
+    count: list[int] = []  # row -> its unresolved columns
+    read: list[dict[int, int]] = []
+    while left:
+        row = next(rows, None)
+        if row is None:
+            break
+        i = len(read)
+        read.append(row)
+        open_cols = [k for k in row if not resolved[k]]
+        count.append(len(open_cols))
+        for k in open_cols:
+            holders[k].append(i)
+        ready = [i] if len(open_cols) == 1 else []
+        while ready:
+            j = ready.pop()
+            if count[j] != 1:
+                continue
+            k = next(k for k in read[j] if not resolved[k])
+            if abs(read[j][k]) != 1:
+                continue
+            resolved[k] = True
+            left -= 1
+            for t in holders[k]:
+                count[t] -= 1
+                if count[t] == 1:
+                    ready.append(t)
+            holders[k] = []
+    return read, [k for k in range(width) if not resolved[k]]
 
 
 @dataclass(frozen=True)

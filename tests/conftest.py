@@ -12,6 +12,7 @@ import pytest
 
 from qrlab.presentation import parse_presentation
 from qrlab.enumeration import todd_coxeter
+from qrlab import relmod
 from qrlab.relmod import relation_lattice
 
 CORPUS_DIR = pathlib.Path(__file__).resolve().parent.parent / "src" / "qrlab" / "corpus"
@@ -19,6 +20,8 @@ CORPUS_DIR = pathlib.Path(__file__).resolve().parent.parent / "src" / "qrlab" / 
 ORDER32_DIR = pathlib.Path(__file__).resolve().parent.parent / "bench" / "inputs"
 ORDER32 = ("q32.pres", "m32.pres")
 NQR32 = pathlib.Path(__file__).resolve().parent / "data" / "nqr32.pres"
+# order 64, H2 = 0, not QR at 2: the relation lattice peels 9 of its 65 chords
+NQR64 = NQR32.parent / "nqr64.pres"
 C9XC9 = "gens: a, b; relators: a^9, b^9, a*b*a^-1*b^-1; prime: 3"
 
 P_GROUPS = [
@@ -77,6 +80,19 @@ def ladder_inputs():
     out += [(e["id"], e["text"]) for e in _corpus()]
     paths = sorted(ORDER32_DIR.glob("*.pres")) + [NQR32, NQR32.parent / "nqr243.pres"]
     return out + [(path.stem, path.read_text()) for path in paths]
+
+
+def spy_peel(monkeypatch):
+    """Record (rows read, unresolved columns) of each relmod._peel call."""
+    calls, orig = [], relmod._peel
+
+    def peel(rows, width):
+        read, residual = orig(rows, width)
+        calls.append((len(read), residual))
+        return read, residual
+
+    monkeypatch.setattr(relmod, "_peel", peel)
+    return calls
 
 
 @pytest.fixture(scope="session")

@@ -26,7 +26,7 @@ from qrlab.intlinalg import Lattice
 from qrlab.presentation import parse_presentation
 from qrlab.relmod import relation_lattice
 
-from conftest import CORPUS_DIR, ORDER32, ORDER32_DIR
+from conftest import CORPUS_DIR, ORDER32, ORDER32_DIR, spy_peel
 
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parent / "data" / "check"
 GOLDEN32_DIR = GOLDEN_DIR.parent / "check32"
@@ -152,8 +152,9 @@ def count_coordinates(monkeypatch) -> Counter:
 
 def test_relation_lattice_solves_nothing(monkeypatch, corpus):
     """Coordinates on the cycle lattice are chord entries, read off: no
-    solve, and the one Lattice built (the certificate's) has the lattice's
-    rank as its width, not |X|*|G|."""
+    solve.  The certificate's Lattice runs only on the chords that peeling
+    leaves, with their number as its width, and on these inputs peeling
+    leaves none, so no Lattice is built."""
     widths = []
 
     class Recorded(Lattice):
@@ -168,10 +169,11 @@ def test_relation_lattice_solves_nothing(monkeypatch, corpus):
         tbl = todd_coxeter(pres)
         counts = count_coordinates(monkeypatch)
         monkeypatch.setattr(qrlab.relmod, "Lattice", Recorded)
+        calls = spy_peel(monkeypatch)
         widths.clear()
-        rlat = relation_lattice(pres, tbl)
+        relation_lattice(pres, tbl)
         monkeypatch.undo()
-        assert counts == {} and widths == [rlat.rank], text
+        assert counts == {} and [residual for _, residual in calls] == [[]] and widths == [], text
 
 
 def test_analyze_solves_nothing(monkeypatch):

@@ -339,6 +339,7 @@ def test_jennings_quotient_tables_match_the_word_replay_reference(group, name, t
             ref = word_replay_table([[coset[tbl.mult[r][y]] for y in letters] for r in reps])
             assert _fields(qt) == ref[:4]
             assert coset_map == [ref[4][c] for c in coset]
+            assert (qt is tbl) == (sub.order == 1)  # G/1 is the canonical table itself
 
 
 def test_zero_generators_give_the_trivial_table():

@@ -35,7 +35,8 @@ from qrlab.relmod import (
     relation_lattice,
 )
 
-from conftest import C9XC9, CORPUS_DIR, NQR32, ORDER32, ORDER32_DIR, ladder_inputs, walk_inputs
+from conftest import (C9XC9, CORPUS_DIR, NQR32, NQR64, ORDER32, ORDER32_DIR, ladder_inputs,
+                      spy_peel, walk_inputs)
 from reference import (
     bar_d2_gab,
     cycle_basis,
@@ -249,8 +250,7 @@ def test_bar_route_stops_each_rank_at_m_on_q64(group, monkeypatch):
 
 
 Q64 = "gens: a, b; relators: a^16*b^-2, a*b*a*b^-1; prime: 2"
-NQR64 = ("gens: a, b; relators: a^-1*b^-1*a^-1*a^-1*a^-1*b, "
-         "b*a*b*b*a*b*a^-1*a^-1*a^-1*a^-1*a^-1*a^-1; prime: 2")
+NQR64_TEXT = NQR64.read_text().strip()
 
 
 @pytest.mark.parametrize("text,h2", [
@@ -260,7 +260,7 @@ NQR64 = ("gens: a, b; relators: a^-1*b^-1*a^-1*a^-1*a^-1*b, "
     ("gens: a; relators: a^64; prime: 2", ()),
     ("gens: a; relators: a^81; prime: 3", ()),
     (Q64, ()),
-    (NQR64, ()),
+    (NQR64_TEXT, ()),
 ])
 def test_bar_route_past_order_27_agrees_with_hopf(group, lattice, text, h2):
     _, tbl = group(text)
@@ -341,12 +341,52 @@ def translate(tbl, g, vec):
     return [c for i in range(0, len(vec), n) for c in left_translate(tbl, g, vec[i:i + n])]
 
 
+def test_peel_takes_only_unit_pivots_and_cascades():
+    peel = relmod._peel
+    # a +-2 is never a pivot, even on a row with one column
+    assert peel(iter([{0: 2}, {1: -1}]), 2) == ([{0: 2}, {1: -1}], [0])
+    # resolving column 1 leaves the first row one unresolved column, at -1
+    assert peel(iter([{0: -1, 1: 3}, {1: 1}]), 2) == ([{0: -1, 1: 3}, {1: 1}], [])
+    # a row whose last unresolved column holds 2 waits; another row resolves it
+    assert peel(iter([{0: 2, 1: 1}, {1: 1}]), 2)[1] == [0]
+    assert peel(iter([{0: 2, 1: 1}, {1: 1}, {0: 1}]), 2)[1] == []
+    # reading stops at the last column: the third row is never read
+    rows = iter([{1: 1}, {0: 1, 1: 1}, {0: 1}])
+    assert peel(rows, 2) == ([{1: 1}, {0: 1, 1: 1}], []) and next(rows) == {0: 1}
+
+
+@pytest.mark.parametrize("name", ["c64", "c81"])
+def test_peel_reads_one_translate_on_the_cyclic_top_rung(monkeypatch, group, name):
+    # the one chord of a cyclic group is resolved by the first translate,
+    # 1 + a + ... + a^(n-1) at g = 1, whose chord entry is 1
+    pres, tbl = group((ORDER32_DIR / f"{name}.pres").read_text())
+    calls = spy_peel(monkeypatch)
+    assert relation_lattice(pres, tbl).rank == 1
+    assert calls == [(1, [])]
+
+
+def test_residual_lattice_has_the_unpeeled_chords_as_its_width(monkeypatch, group):
+    # nqr64 peels 9 of its 65 chords; the other 56 go through one Lattice
+    pres, tbl = group(NQR64.read_text())
+    calls, widths = spy_peel(monkeypatch), []
+
+    class Recorded(intlinalg.Lattice):
+        def __init__(self, ambient):
+            widths.append(ambient)
+            super().__init__(ambient)
+
+    monkeypatch.setattr(relmod, "Lattice", Recorded)
+    rlat = relation_lattice(pres, tbl)
+    assert rlat.rank == 65 and [len(residual) for _, residual in calls] == [56]
+    assert calls[0][0] == 2 * tbl.order and widths == [56]
+
+
 def hermite(rlat):
     return lattice_from_rows(rlat.pres.ngens * rlat.tbl.order, cycle_basis(rlat))
 
 
 ORACLE_INPUTS = ([CORPUS_DIR / n for n in sorted(p.name for p in CORPUS_DIR.glob("*.pres"))]
-                 + [ORDER32_DIR / n for n in ORDER32] + [NQR32])
+                 + [ORDER32_DIR / n for n in ORDER32] + [NQR32, NQR64])
 
 
 @pytest.mark.parametrize("path", ORACLE_INPUTS, ids=lambda p: p.stem)
