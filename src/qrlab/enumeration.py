@@ -6,15 +6,17 @@ x0^-1, x1, x1^-1, ... on the elements: the regular action for todd_coxeter()
 cosets of a normal subgroup for quotient_table().  A BFS from the identity,
 letters in that order, numbers the elements (element words shortest, ties
 lexicographic) and makes each its tree parent times one letter, so each
-product is one lookup along the tree.  Every table is verified against the
-group axioms before it is returned; associativity by Light's test, (ab)c =
-a(bc) for all a, c and b running over the generator images, n^2 products
-per image, complete at every order because the element words make every
-element a product of letters, and so of generator images.
+column of the table is one gather of its parent's column.  Every table is
+verified against the group axioms before it is returned; associativity by
+Light's test, (ab)c = a(bc) for all a, c and b running over the generator
+images, n^2 products per image read as one gathered row per (a, b),
+complete at every order because the element words make every element a
+product of letters, and so of generator images.
 """
 
 from __future__ import annotations
 
+import operator
 from collections import deque
 from dataclasses import dataclass
 
@@ -70,6 +72,12 @@ def word_image(tbl: FiniteGroupTable, w: Word) -> int:
     return x
 
 
+def _gather(idx):
+    """seq -> (seq[i] for i in idx) as a tuple, by one itemgetter."""
+    get = operator.itemgetter(*idx)
+    return get if len(idx) > 1 else lambda seq: (get(seq),)
+
+
 def _verify_table(mult, inv, gen_images, element_words, relators):
     n = len(mult)
     for x in range(n):
@@ -86,10 +94,11 @@ def _verify_table(mult, inv, gen_images, element_words, relators):
     # left-bracketed product is a run of letters x.  The element words
     # checked below write every element as a left-bracketed product of
     # letters, hence of generator images, so every b passes.
+    # a(bc) over all c is row a gathered at row b, one gather per (a, b).
     for b in sorted(set(gen_images)):
-        for a in range(n):
-            row_a, row_ab = mult[a], mult[mult[a][b]]
-            if any(row_ab[c] != row_a[bc] for c, bc in enumerate(mult[b])):
+        times_b = _gather(mult[b])
+        for a, row_a in enumerate(mult):
+            if times_b(row_a) != mult[row_a[b]]:
                 raise AssertionError("associativity fails")
     tbl = FiniteGroupTable(n, mult, inv, gen_images, element_words)
     for r in relators:
@@ -107,8 +116,10 @@ def _canonical_table(action, ngens, relators):
     action[x][c] is x times letter c (column 2g for x_g, 2g + 1 for its
     inverse) and element 0 is the identity.  One BFS from 0, columns in
     order, numbers the elements canonically and records each one's tree
-    edge (parent, column); then a * b = (a * parent(b)) * letter, one lookup
-    per entry.  Returns (table, order_of) with order_of[old] = new index.
+    edge (parent, column); then a * b = (a * parent(b)) * letter, so the
+    table is built column by column, column b being column parent(b)
+    gathered from the letter's column of the action: one gather per tree
+    edge.  Returns (table, order_of) with order_of[old] = new index.
     """
     n = len(action)
     order_of = [0] + [-1] * (n - 1)
@@ -123,19 +134,19 @@ def _canonical_table(action, ngens, relators):
                 words.append(words[i] + ((c >> 1, -1 if c & 1 else 1),))
     if len(seq) != n:
         raise AssertionError("generators do not generate the whole table")
-    act = [[order_of[y] for y in action[x]] for x in seq]
-    mult, inv = [], []
-    for a in range(n):
-        row = [a]
-        for i, c in tree:
-            row.append(act[row[i]][c])
+    act_cols = [tuple(order_of[action[x][c]] for x in seq) for c in range(len(action[0]))]
+    cols = [tuple(range(n))]  # cols[b][a] = a * b
+    for i, c in tree:
+        cols.append(_gather(cols[i])(act_cols[c]))
+    mult = tuple(zip(*cols))
+    inv = []
+    for row in mult:
         try:
             inv.append(row.index(0))
         except ValueError:
             raise AssertionError("row without inverse") from None
-        mult.append(tuple(row))
-    gen_images = tuple(act[0][2 * g] for g in range(ngens))
-    return _verify_table(tuple(mult), tuple(inv), gen_images, tuple(words), relators), order_of
+    gen_images = tuple(act_cols[2 * g][0] for g in range(ngens))
+    return _verify_table(mult, tuple(inv), gen_images, tuple(words), relators), order_of
 
 
 def todd_coxeter(pres: Presentation, max_cosets: int = DEFAULT_MAX_COSETS) -> FiniteGroupTable:

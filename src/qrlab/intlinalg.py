@@ -492,6 +492,21 @@ class FpRows:
             return a ^ b
         return self._fold(a + (self._ms - b))  # m - b leaves every slot in [1, m]
 
+    def difference(self, plus: int, minus: int) -> int:
+        """plus - minus, for rows packed one byte per slot, plus's slots in
+        [0, m) and minus's in [0, m]: spread into this layout's slots when
+        those are wider, then one subtraction.  No slot of plus + (m - minus)
+        leaves [0, 2m), so one fold reduces it, over F_2 as well."""
+        if self.nbytes > 1:
+            plus, minus = self._spread(plus), self._spread(minus)
+        return self._fold(plus + (self._ms - minus))
+
+    def _spread(self, x: int) -> int:
+        """A row packed one byte per slot, in this layout."""
+        out = bytearray(self.width * self.nbytes)
+        out[::self.nbytes] = x.to_bytes(self.width, "little")
+        return int.from_bytes(out, "little")
+
     def scale(self, x: int, c: int) -> int:
         """c * x, by doubling and adding; c in [1, m)."""
         out = 0
@@ -572,9 +587,9 @@ class ModpSpan:
     combination of basis rows leads at a pivot.  add() and contains() take
     a sequence of ints or a row already packed in this span's layout.
 
-    The reduced echelon form has one reader, modp_left_kernel, so `rows`
-    clears above the pivots and unpacks only when read; `pivots` is the
-    same for both forms.
+    The reduced echelon form is read only by modp_left_kernel and by
+    relmod's Coinvariants.over, so `rows` clears above the pivots and
+    unpacks only when read; `pivots` is the same for both forms.
     """
 
     def __init__(self, width: int, p: int):

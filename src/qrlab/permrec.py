@@ -3,11 +3,12 @@
 Level modules.  Each level of the tower (relmod.Coinvariants) is
 tensored with Z/p^k and carried as a module for the quotient group
 Q = G/D_level by one builder at every k, module_from_coinvariants.  The
-module is its letter matrices, from one unit-pivot elimination of the
-level's relation rows over Z/p^k (Coinvariants.over): the F_p pivot
-columns of the lattice are eliminated and the others are its
-coordinates.  The matrix of any other element of Q is built on demand
-along a word for it.  A certificate of three checks (_certify_letters)
+module is its letter matrices, read off the pivot rows of the level's
+relation rows over Z/p^k (Coinvariants.over: the F_p span the level
+kept, and over Z/p^k, k > 1, one unit-pivot elimination of the rows that
+entered it): the F_p pivot columns of the lattice are eliminated and
+the others are its coordinates.  The matrix of any other element of Q
+is built on demand along a word for it.  A certificate of three checks (_certify_letters)
 proves that the letters define an action of Q; it agrees with the
 G-action on the lattice because the letters are that action on the
 generators.  Its powers of a letter are read off repeated squares, so a
@@ -194,14 +195,19 @@ class LevelModule:
             lay, dim = self.layout, self.dim
             sign = dict(zip(sub.members, xi))
             gens = greedy_generators(self.qtbl.mult, sub.members, {0})
-            stacked = [sum(lay.sub(self.act(h)[i], lay.unit(i) * (sign[h] % self.ring))
-                           << (b * dim * lay.bits) for b, h in enumerate(gens))
+            wide = fp_rows(len(gens) * dim, self.ring)
+            size = dim * lay.nbytes
+            # row i of the stack: row i of every A[h] side by side, joined as
+            # bytes, less xi(h) at slot i of each block
+            diag = sum((sign[h] % self.ring) << (b * dim * lay.bits) for b, h in enumerate(gens))
+            mats = [self.act(h) for h in gens]
+            stacked = [wide.sub(int.from_bytes(b"".join(a[i].to_bytes(size, "little")
+                                                        for a in mats), "little"),
+                                diag << (i * lay.bits))
                        for i in range(dim)]
-            width = len(gens) * dim
             if self.k == 1:
-                self.homs[key] = modp_left_kernel(stacked, self.p, width=width)
+                self.homs[key] = modp_left_kernel(stacked, self.p, width=wide.width)
             else:
-                wide = fp_rows(width, self.ring)
                 self.homs[key] = _liftable_kernel(list(map(wide.unpack, stacked)),
                                                   self.p, self.k)
         return self.homs[key]
@@ -275,10 +281,10 @@ def module_from_coinvariants(coin: Coinvariants, p: int, k: int, level: int = 0)
     TorsionObstruction.  Over F_p (k = 1) the p-torsion survives alongside
     the free part, one coordinate per cyclic factor.
 
-    The level's letters of the generator images of G come from one
-    unit-pivot elimination over Z/p^k (Coinvariants.over); images alike in
-    Q must act alike.  _certify_letters proves that they define an action
-    of Q, which is the G-action on the generators, hence on all of G.
+    The level's letters of the generator images of G are read off its
+    pivot rows over Z/p^k (Coinvariants.over); images alike in Q must act
+    alike.  _certify_letters proves that they define an action of Q,
+    which is the G-action on the generators, hence on all of G.
     """
     if k < 1:
         raise InputError(f"precision must be >= 1, got {k}")

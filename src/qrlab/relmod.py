@@ -20,9 +20,13 @@ local Smith form over Z/p^N gives their orders where there are any, and
 an F_ell rank for a prime ell not dividing |G| checks f.  qr_check()
 decides quasirationality at p from one such level per distinct D_n; its
 report keeps the lattice and each level's subgroup and coinvariants for
-the harness.  It takes each level over Z/p^k, F_p included, from one
-unit-pivot elimination stopped at the F_p rank certified here
-(Coinvariants.over), and its quotient G/D_n once (Coinvariants.quotient).
+the harness.  A level keeps the F_p span its rank pass built, so one F_p
+elimination serves every ring (Coinvariants.over): over F_p the harness
+reads the span's reduced echelon rows, and over Z/p^k, k > 1, it
+eliminates only the rows that entered the span.  The quotient G/D_n is
+built once per level (Coinvariants.quotient).  The +1 and -1 entries of
+each A[d] are packed once per lattice, so a level's rows at any ring are
+one subtraction each (RelationLattice.relation_rows).
 hopf_h2() and bar_h2() compute the Schur multiplier by two routes that
 share no code above the integer kernels and must agree.
 
@@ -44,12 +48,13 @@ import itertools
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
-from .errors import BudgetExceeded, PropertyViolation, TorsionObstruction
+from .errors import BudgetExceeded, InputError, PropertyViolation, TorsionObstruction
 from .enumeration import FiniteGroupTable, Subgroup, quotient_table, subgroup_closure
 from .groupring import dimension_subgroup_chain, fox_rows
 from .intlinalg import (
     AbelianInvariants,
     Lattice,
+    ModpSpan,
     combine_primary,
     fp_rows,
     lattice_quotient,
@@ -87,6 +92,8 @@ class RelationLattice:
     chord_at: tuple[int, ...] = field(repr=False, compare=False)
     _acts: dict[int, Sparse] = field(default_factory=dict, init=False, repr=False,
                                      compare=False)
+    _signed: dict[int, tuple[tuple[int, int], ...]] = field(default_factory=dict, init=False,
+                                                           repr=False, compare=False)
 
     @property
     def rank(self) -> int:
@@ -106,19 +113,33 @@ class RelationLattice:
                 for cycle in self.cycles)
         return self._acts[g]
 
-    def relation_rows(self, sub: Subgroup, modulus: int) -> list[int]:
-        """The nonzero rows of A[d] - I, d over sub's generators, packed in
-        fp_rows(rank, modulus).  They span the (d - 1)-action of sub:
-        (de - 1)v = (d - 1)(ev) + (e - 1)v."""
-        lay = fp_rows(self.rank, modulus)
+    def _level_rows(self, sub: Subgroup) -> list[tuple[int, int]]:
+        """The rows of A[d] - I that are nonzero over Z, d over sub's
+        generators, each as (plus, minus), packed one byte per slot: plus
+        holds the +1 entries of A[d], minus its -1 entries and the 1 of I,
+        so every slot of plus is 0 or 1 and every slot of minus 0, 1 or 2.
+        Memoized per d beside act's memo."""
         rows = []
-        for d in sub.generators:
-            if d:
+        for d in filter(None, sub.generators):
+            if d not in self._signed:
+                signed = []
                 for c, nonzeros in enumerate(self.act(d)):
-                    a = sum((e % modulus) << (k * lay.bits) for k, e in nonzeros)
-                    if (v := lay.sub(a, lay.unit(c))):
-                        rows.append(v)
+                    plus = sum(1 << 8 * k for k, e in nonzeros if e > 0)
+                    minus = sum(1 << 8 * k for k, e in nonzeros if e < 0) + (1 << 8 * c)
+                    if plus != minus:
+                        signed.append((plus, minus))
+                self._signed[d] = tuple(signed)
+            rows += self._signed[d]
         return rows
+
+    def relation_rows(self, sub: Subgroup, modulus: int) -> list[int]:
+        """The rows of A[d] - I nonzero over Z, d over sub's generators,
+        packed in fp_rows(rank, modulus), each by one subtraction
+        (FpRows.difference).  A row may be 0 mod modulus, so the list is
+        aligned across moduli: one index names the same row at every ring.
+        They span the (d - 1)-action of sub: (de - 1)v = (d - 1)(ev) + (e - 1)v."""
+        lay = fp_rows(self.rank, modulus)
+        return [lay.difference(plus, minus) for plus, minus in self._level_rows(sub)]
 
     @functools.cached_property
     def g_coin(self) -> Coinvariants:
@@ -256,40 +277,56 @@ class Coinvariants:
     It is Z^f + H2(D, Z) with f = (|X|-1)|G:D| + 1 (Gaschutz; the torsion
     by Shapiro's lemma, see qr_check), so `invariants` is read one prime at
     a time (coinvariants()), with no integer Smith form and no integer
-    letters.  over(p, k) is the level over Z/p^k as the harness reads it,
-    at every k by one elimination: coordinates, quotient map from the
-    lattice and letters.  quotient is Q = G/D, the group the level is a
-    module for, built once per level.  rlat is None only on a level made
-    by hand.
+    letters.  When |D| is a power of one prime p, coinvariants() keeps the
+    F_p span of the relation rows that its rank pass builds, and `entered`,
+    the indices of the rows (RelationLattice.relation_rows) that raised its
+    dimension; D = 1 needs none.  over(p, k) is the level over Z/p^k as
+    the harness reads it, from that one F_p elimination at every k:
+    coordinates, quotient map from the lattice and letters.  quotient is
+    Q = G/D, the group the level is a module for, built once per level.
+    rlat is None only on a level made by hand.
     """
 
     invariants: AbelianInvariants
     sub: Subgroup
     rlat: RelationLattice | None = field(default=None, repr=False, compare=False)
+    span: ModpSpan | None = field(default=None, repr=False, compare=False)
+    entered: tuple[int, ...] = field(default=(), repr=False, compare=False)
 
     @functools.cached_property
     def quotient(self) -> FiniteGroupTable:
         return quotient_table(self.rlat.tbl, self.sub)[0]
 
     def over(self, p: int, k: int) -> tuple[tuple[int, ...], Packed, dict[int, Packed]]:
-        """(coords, down, letters): the level tensored with Z/p^k, from one
-        unit-pivot elimination of the relation rows mod p^k
-        (unit_pivot_rows), stopped at rank = r - f - t_p pivots, t_p the
-        number of cyclic factors of the level's p-torsion.
+        """(coords, down, letters): the level tensored with Z/p^k, read off
+        rank = r - f - t_p unit pivots, t_p the number of cyclic factors of
+        the level's p-torsion.
 
-        That rank is the F_p rank of the rows, which coinvariants() read in
-        full and certified: the level over F_p is F_p^r modulo them, and it
-        is (Z/p)^(f + t_p).  The pivot columns are the F_p ones at every k,
-        so at k = 1 the elimination ends on the whole F_p span, in reduced
-        echelon form.  Over Z/p^k, k > 1, a level with p-torsion has no free
-        form (TorsionObstruction); one without is a free summand of rank
-        r - f, which the rows so far span.  Fewer pivots is a
-        PropertyViolation.  Pivot row c is e_c + b_c, so e_c = -b_c on the
-        level: the pivot columns are eliminated, and the other lattice
-        columns, coords, are the coordinates.  down is the quotient map
-        from the lattice, one row per lattice column packed in
-        fp_rows(len(coords), p^k): e_j at coords[j], -b_c at a pivot c.
-        letters[x], for x a generator image, is A[x] on coords, then down.
+        That rank is the dimension of the kept F_p span: the level over F_p
+        is F_p^r modulo the relation rows, and it is (Z/p)^(f + t_p).  At
+        k = 1 the pivots are that span's reduced echelon rows
+        (ModpSpan.rows), with no row built.  Over Z/p^k, k > 1, a level
+        with p-torsion has no free form (TorsionObstruction); one without
+        is a free summand of rank r - f.  There unit_pivot_rows eliminates
+        only the rows that entered the span, packed mod p^k, in their
+        order, and stops at rank; its pivots are those of all the rows.
+        Proof: in unit_pivot_rows the pivot rows so far reduce mod p to a
+        reduced echelon basis of the span of the rows read so far, mod p
+        (a row that adds no pivot has no unit left, so it is 0 mod p once
+        reduced).  A row whose reduction mod p lies in the span of the rows
+        before it is, once reduced at every pivot, in that span and 0 at
+        every pivot slot mod p, so 0 mod p: it has no unit entry, adds no
+        pivot and changes no pivot row.  The others are exactly the rows
+        the F_p span took in, and each adds a pivot.  So dropping the rows
+        that did not enter leaves every pivot row, and every output, as it
+        was.  Fewer pivots than rank is a PropertyViolation.
+
+        Pivot row c is e_c + b_c, so e_c = -b_c on the level: the pivot
+        columns are eliminated, and the other lattice columns, coords, are
+        the coordinates.  down is the quotient map from the lattice, one
+        row per lattice column packed in fp_rows(len(coords), p^k): e_j at
+        coords[j], -b_c at a pivot c.  letters[x], for x a generator image,
+        is A[x] on coords, then down.
         """
         rlat, ring, r = self.rlat, p ** k, self.rlat.rank
         torsion = p_torsion(self.invariants, p)
@@ -297,13 +334,24 @@ class Coinvariants:
             raise TorsionObstruction(
                 f"coinvariants have p-torsion Z/{torsion[0]}; no free Z/{p}^{k} form"
             )
+        span = self.span
+        if self.sub.order > 1 and (span is None or span.p != p):
+            raise InputError(
+                f"the level of a subgroup of order {self.sub.order} keeps no F_{p} span")
         lay, rank = fp_rows(r, ring), r - self.invariants.free_rank - len(torsion)
-        pivots, _ = unit_pivot_rows(rlat.relation_rows(self.sub, ring), lay, p, rank)
-        if len(pivots) != rank:
+        if span is None:
+            reduced = {}
+        elif k == 1:
+            reduced = dict(zip(span.pivots, span.rows))
+        else:
+            level_rows = rlat._level_rows(self.sub)
+            rows = (lay.difference(*level_rows[i]) for i in self.entered)
+            pivots, _ = unit_pivot_rows(rows, lay, p, rank)
+            reduced = {c: lay.unpack(row) for c, row in pivots.items()}
+        if len(reduced) != rank:
             raise PropertyViolation(
-                f"the relation rows over Z/{p}^{k} reach {len(pivots)} unit pivots, "
+                f"the relation rows over Z/{p}^{k} reach {len(reduced)} unit pivots, "
                 f"not the level's {rank} = r - f - t_p")
-        reduced = {c: lay.unpack(row) for c, row in pivots.items()}
         coords = tuple(j for j in range(r) if j not in reduced)
         out = fp_rows(len(coords), ring)
         down = [0] * r
@@ -344,6 +392,9 @@ def coinvariants(rlat: RelationLattice, sub: Subgroup) -> Coinvariants:
     (b) no F_q rank leaves fewer than f;
     (c) the local Smith form leaves exactly f summands Z/q^N and t_q
         cyclic ones.
+    Each F_q rank is one ModpSpan of the rows mod q.  When q is the one
+    prime dividing |D|, the level keeps that span and the indices of the
+    rows that raised its dimension, for Coinvariants.over.
     """
     tbl, r = rlat.tbl, rlat.rank
     free = (rlat.pres.ngens - 1) * (tbl.order // sub.order) + 1
@@ -352,9 +403,14 @@ def coinvariants(rlat: RelationLattice, sub: Subgroup) -> Coinvariants:
         raise PropertyViolation(
             f"the level of a subgroup of order {sub.order} has F_{ell} dimension "
             f"{dim}, not Gaschutz's free rank {free}")
-    parts = []
-    for q in _primes_dividing(sub.order):
-        t = (dim := r - modp_rank(rlat.relation_rows(sub, q), r, q)) - free
+    parts, primes = [], _primes_dividing(sub.order)
+    span, entered = None, ()
+    for q in primes:
+        q_span, picks = ModpSpan(r, q), []
+        for i, v in enumerate(rlat.relation_rows(sub, q)):
+            if v and q_span.add(v):
+                picks.append(i)
+        t = (dim := r - q_span.dim) - free
         if t < 0:
             raise PropertyViolation(
                 f"the level of a subgroup of order {sub.order} has F_{q} dimension "
@@ -369,7 +425,9 @@ def coinvariants(rlat: RelationLattice, sub: Subgroup) -> Coinvariants:
                     f"the local Smith form over Z/{q}^{n} of a level leaves {z} free and "
                     f"{len(exps)} cyclic summands, not {free} and {t}")
             parts.append([q ** e for e in exps])
-    return Coinvariants(combine_primary(free, parts), sub, rlat)
+        if len(primes) == 1:
+            span, entered = q_span, tuple(picks)
+    return Coinvariants(combine_primary(free, parts), sub, rlat, span, entered)
 
 
 # ---------------------------------------------------------------------------

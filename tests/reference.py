@@ -11,7 +11,10 @@ tower walk (integer_walk), which takes qrlab's certified Smith form
 eager_marks, which runs qrlab's subgroup classes and Brauer quotients
 (checked against direct counts in tests/test_permrec.py) on every class
 before its own back-substitution; and bar_d2_gab, which takes qrlab's
-lattice_quotient (its Smith form checked as integer_walk's is).
+lattice_quotient (its Smith form checked as integer_walk's is); and
+full_elimination_over, which runs qrlab's unit_pivot_rows (checked
+against dense elimination in tests/test_intlinalg.py) on every relation
+row.
 """
 
 import functools
@@ -19,8 +22,8 @@ import itertools
 
 from qrlab.enumeration import all_subgroups, subgroup_conjugacy_classes
 from qrlab.groupring import delta_filtration
-from qrlab.intlinalg import (AbelianInvariants, Lattice, lattice_quotient, mat_mul,
-                             smith_normal_form)
+from qrlab.intlinalg import (AbelianInvariants, Lattice, fp_rows, lattice_quotient, mat_mul,
+                             p_torsion, smith_normal_form, unit_pivot_rows)
 from qrlab.permrec import _brauer_dim
 
 
@@ -611,3 +614,43 @@ def bar_d2_gab(tbl):
                 vec[tbl.mult[g][x] - 1] -= 1
             rows.append(vec)
     return lattice_quotient(n - 1, rows)
+
+
+def full_elimination_over(coin, p, k):
+    """Reference Coinvariants.over: (coords, down, letters) of the level
+    over Z/p^k from one unit_pivot_rows elimination of every nonzero row
+    of A[d] - I mod p^k, d over the level's generators, each packed entry
+    by entry from the lattice's act, stopped at r - f - t_p pivots.  The
+    quotient map and the letters are read off the pivot rows as over reads
+    them."""
+    rlat, ring, r = coin.rlat, p ** k, coin.rlat.rank
+    lay = fp_rows(r, ring)
+    rows = []
+    for d in coin.sub.generators:
+        if d:
+            for c, nonzeros in enumerate(rlat.act(d)):
+                a = sum((e % ring) << (j * lay.bits) for j, e in nonzeros)
+                if (v := lay.sub(a, lay.unit(c))):
+                    rows.append(v)
+    rank = r - coin.invariants.free_rank - len(p_torsion(coin.invariants, p))
+    pivots, _ = unit_pivot_rows(rows, lay, p, rank)
+    if len(pivots) != rank:
+        raise AssertionError(f"{len(pivots)} unit pivots, not {rank}")
+    reduced = {c: lay.unpack(row) for c, row in pivots.items()}
+    coords = tuple(j for j in range(r) if j not in reduced)
+    out = fp_rows(len(coords), ring)
+    down = [0] * r
+    for i, j in enumerate(coords):
+        down[j] = out.unit(i)
+    for c, vals in reduced.items():
+        down[c] = out.pack([-vals[j] for j in coords])
+    letters = {}
+    for x in sorted(set(rlat.tbl.gen_images)):
+        rows = []
+        for nonzeros in map(rlat.act(x).__getitem__, coords):
+            acc = 0
+            for col, e in nonzeros:
+                acc = out.add(acc, down[col]) if e > 0 else out.sub(acc, down[col])
+            rows.append(acc)
+        letters[x] = tuple(rows)
+    return coords, tuple(down), letters

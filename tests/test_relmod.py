@@ -12,8 +12,9 @@ import sys
 import pytest
 
 from qrlab import intlinalg, relmod
-from qrlab.enumeration import all_subgroups, subgroup_conjugacy_classes, todd_coxeter
-from qrlab.errors import PropertyViolation
+from qrlab.enumeration import (all_subgroups, prime_power, subgroup_conjugacy_classes,
+                               todd_coxeter)
+from qrlab.errors import InputError, PropertyViolation
 from qrlab.groupring import dimension_subgroup_chain, fox_rows, right_translate
 from qrlab.intlinalg import (
     AbelianInvariants,
@@ -40,6 +41,7 @@ from conftest import (C9XC9, CORPUS_DIR, NQR32, NQR64, ORDER32, ORDER32_DIR, lad
 from reference import (
     bar_d2_gab,
     cycle_basis,
+    full_elimination_over,
     integer_g_coin,
     integer_walk,
     lattice_from_rows,
@@ -587,28 +589,62 @@ def test_gaschutz_certificate_refuses_a_local_free_count_off_f(monkeypatch):
 
 
 @pytest.mark.parametrize("path", [ORDER32_DIR / "q32.pres", NQR32], ids=lambda p: p.stem)
-def test_level_over_f_p_refuses_an_elimination_short_of_r_minus_f_minus_t(monkeypatch, path):
-    """over(p, 1) stops at the F_p rank r - f - t_p that coinvariants()
-    certified (nqr32's D_2 has t_2 = 1, q32's none).  The relation rows mod
-    p cut just before the row that reaches it leave one pivot short:
-    raised, not asserted (this also runs under python -O)."""
+def test_level_over_f_p_refuses_an_elimination_short_of_r_minus_f_minus_t(path):
+    """over(p, k) reads the F_p span that coinvariants() kept, whose
+    dimension is r - f - t_p (nqr32's D_2 has t_2 = 1, q32's none).  The
+    same level with a kept span one entered row short leaves one pivot
+    short at k = 1 and, where the level is free, at k = 2: raised, not
+    asserted (this also runs under python -O)."""
     rlat, d2 = _d2(path.read_text(), 2)
     coin = coinvariants(rlat, d2)
     free, t = coin.invariants.free_rank, len(p_torsion(coin.invariants, 2))
     assert t == (path == NQR32)
     assert len(coin.over(2, 1)[0]) == free + t
-    rank, orig = rlat.rank - free - t, RelationLattice.relation_rows
+    rank = rlat.rank - free - t
+    assert coin.span.dim == len(coin.entered) == rank
+    rows = rlat.relation_rows(d2, 2)
+    short = ModpSpan(rlat.rank, 2)
+    for i in coin.entered[:-1]:
+        assert short.add(rows[i])
+    cut = dataclasses.replace(coin, span=short, entered=coin.entered[:-1])
+    for k in (1, 2)[:1 if t else 2]:
+        with pytest.raises(PropertyViolation,
+                           match=f"reach {rank - 1} unit pivots, not the level's"):
+            cut.over(2, k)
 
-    def cut(self, sub, modulus):
-        rows = orig(self, sub, modulus)
-        if modulus == 2:
-            span = ModpSpan(self.rank, 2)
-            rows = rows[:next(i for i, v in enumerate(rows) if span.add(v) and span.dim == rank)]
-        return rows
 
-    monkeypatch.setattr(RelationLattice, "relation_rows", cut)
-    with pytest.raises(PropertyViolation, match=f"reach {rank - 1} unit pivots, not the level's"):
-        coin.over(2, 1)
+def test_level_over_refuses_a_prime_whose_span_the_level_did_not_keep(lattice):
+    """A level of a p-group keeps its F_p span only: over(q, k) at another
+    prime q has no span to read and is an InputError, while the trivial
+    level needs none at any prime."""
+    rlat = lattice(C9XC9)
+    levels = qr_check(rlat, 3).levels
+    assert levels[0].coin.span.p == 3
+    with pytest.raises(InputError, match="keeps no F_2 span"):
+        levels[0].coin.over(2, 1)
+    trivial = levels[-1].coin
+    assert trivial.sub.order == 1 and trivial.span is None
+    assert len(trivial.over(2, 1)[0]) == len(trivial.over(3, 4)[0]) == rlat.rank
+
+
+OVER_INPUTS = walk_inputs() + [(NQR64.stem, NQR64.read_text(), 2)] + [
+    (name, (ORDER32_DIR / f"{name}.pres").read_text(), p) for name, p in (("c64", 2), ("c81", 3))]
+
+
+@pytest.mark.parametrize("text,p", [(text, p) for _, text, p in OVER_INPUTS],
+                         ids=[ident for ident, _, _ in OVER_INPUTS])
+def test_level_over_matches_the_full_elimination_at_every_ring(lattice, text, p):
+    """Oracle for over(p, k), which reads the F_p span coinvariants() kept
+    and, at k > 1, eliminates only the rows that entered it: on every
+    distinct level of the corpus, q32, m32, nqr32, nqr64, C9 x C9, c64 and
+    c81 it returns the very (coords, down, letters) of one unit-pivot
+    elimination of every relation row mod p^k (reference.full_elimination_over),
+    at k = 1, 2, 1 + v_p(|G|) and 20; k = 1 only on a level with p-torsion."""
+    rlat = lattice(text)
+    top = 1 + (prime_power(rlat.tbl.order) or (p, 0))[1]
+    for lv in {id(lv.coin): lv for lv in qr_check(rlat, p).levels}.values():
+        for k in sorted({1, 2, top, 20}) if not lv.p_torsion else [1]:
+            assert lv.coin.over(p, k) == full_elimination_over(lv.coin, p, k), (lv.level, k)
 
 
 # --- torsion criterion ----------------------------------------------------
