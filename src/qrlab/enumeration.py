@@ -374,15 +374,17 @@ def prime_power(n: int) -> tuple[int, int] | None:
     return (n, 1)
 
 
-def all_subgroups(tbl: FiniteGroupTable, bound: int = DEFAULT_SUBGROUP_BOUND) -> list[Subgroup]:
+def all_subgroups(tbl: FiniteGroupTable) -> list[Subgroup]:
     """Every subgroup exactly once, sorted by (order, member tuple).
 
     p-groups go through cyclic extension layer by layer (every subgroup of
     order p^(k+1) is <H, g> for a normal index-p subgroup H and g in its
     normalizer with g^p in H); other orders fall back to join closure.
+    Past DEFAULT_SUBGROUP_BOUND elements it refuses (BudgetExceeded).
     """
-    if tbl.order > bound:
-        raise BudgetExceeded(f"subgroup enumeration bound {bound} exceeded (order {tbl.order})")
+    if tbl.order > DEFAULT_SUBGROUP_BOUND:
+        raise BudgetExceeded(f"subgroup enumeration bound {DEFAULT_SUBGROUP_BOUND} exceeded "
+                             f"(order {tbl.order})")
     trivial = subgroup_closure(tbl, ())
     if tbl.order == 1:
         return [trivial]

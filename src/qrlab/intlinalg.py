@@ -7,7 +7,8 @@ vectors multiply matrices from the left, lattices are spanned by rows.
 Mod-p work has one elimination routine, ModpSpan, which keeps each row
 packed into a single int (FpRows); modp_rank feeds it rows until their
 rank reaches a given stop, and the left kernel is one span of the packed
-rows [A | I].
+rows [A | I].  A sparse row, given as (slot, value) pairs, is packed
+where it is read (FpRows.pack_sparse), with no dense list in between.
 Packed rows work over any Z/m, and FpRows.mul multiplies matrices kept
 as packed rows; the level modules use it over every ring Z/p^k.  Over
 Z/p^k, unit_pivot_rows eliminates with unit pivots only, and
@@ -462,6 +463,20 @@ class FpRows:
         return int.from_bytes(b"".join((x % m).to_bytes(self.nbytes, "little") for x in vec),
                               "little")
 
+    def pack_sparse(self, entries: Iterable[tuple[int, int]]) -> int:
+        """The slotwise sum mod m of (slot, value) pairs, packed: a slot named
+        more than once holds the sum of its values, one named never holds 0."""
+        m, k = self.modulus, self.nbytes
+        raw = bytearray(self.width * k)
+        if k == 1:
+            for j, x in entries:
+                raw[j] = (raw[j] + x) % m
+        else:
+            for j, x in entries:
+                at = slice(j * k, j * k + k)
+                raw[at] = ((int.from_bytes(raw[at], "little") + x) % m).to_bytes(k, "little")
+        return int.from_bytes(raw, "little")
+
     def unpack(self, x: int) -> list[int]:
         raw = x.to_bytes(self.width * self.nbytes, "little")
         if self.nbytes == 1:
@@ -491,21 +506,6 @@ class FpRows:
         if self.modulus == 2:
             return a ^ b
         return self._fold(a + (self._ms - b))  # m - b leaves every slot in [1, m]
-
-    def difference(self, plus: int, minus: int) -> int:
-        """plus - minus, for rows packed one byte per slot, plus's slots in
-        [0, m) and minus's in [0, m]: spread into this layout's slots when
-        those are wider, then one subtraction.  No slot of plus + (m - minus)
-        leaves [0, 2m), so one fold reduces it, over F_2 as well."""
-        if self.nbytes > 1:
-            plus, minus = self._spread(plus), self._spread(minus)
-        return self._fold(plus + (self._ms - minus))
-
-    def _spread(self, x: int) -> int:
-        """A row packed one byte per slot, in this layout."""
-        out = bytearray(self.width * self.nbytes)
-        out[::self.nbytes] = x.to_bytes(self.width, "little")
-        return int.from_bytes(out, "little")
 
     def scale(self, x: int, c: int) -> int:
         """c * x, by doubling and adding; c in [1, m)."""

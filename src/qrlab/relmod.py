@@ -24,9 +24,9 @@ the harness.  A level keeps the F_p span its rank pass built, so one F_p
 elimination serves every ring (Coinvariants.over): over F_p the harness
 reads the span's reduced echelon rows, and over Z/p^k, k > 1, it
 eliminates only the rows that entered the span.  The quotient G/D_n is
-built once per level (Coinvariants.quotient).  The +1 and -1 entries of
-each A[d] are packed once per lattice, so a level's rows at any ring are
-one subtraction each (RelationLattice.relation_rows).
+built once per level (Coinvariants.quotient).  The lattice keeps one form
+of its action, act's sparse rows, and a level's rows are packed from them
+at the ring they are read at (RelationLattice.relation_rows).
 hopf_h2() and bar_h2() compute the Schur multiplier by two routes that
 share no code above the integer kernels and must agree.
 
@@ -82,8 +82,10 @@ class RelationLattice:
     (block start i*|G|, h, +-1), one per edge, and chord_at[column] is the
     chord on that edge, -1 on a tree edge.  act(g) is the matrix of g on the
     lattice: its row c is the chord entries of g * cycles[c], which are the
-    coordinates of that cycle.  Every level of the tower is read off them.
-    All of it is shared by every reader, so it is read-only.
+    coordinates of that cycle.  act is the lattice's one form of its
+    action: every level of the tower is read off it, its relation rows
+    packed at the ring they are read at (relation_rows).  All of it is
+    shared by every reader, so it is read-only.
     """
 
     pres: Presentation
@@ -92,8 +94,6 @@ class RelationLattice:
     chord_at: tuple[int, ...] = field(repr=False, compare=False)
     _acts: dict[int, Sparse] = field(default_factory=dict, init=False, repr=False,
                                      compare=False)
-    _signed: dict[int, tuple[tuple[int, int], ...]] = field(default_factory=dict, init=False,
-                                                           repr=False, compare=False)
 
     @property
     def rank(self) -> int:
@@ -113,33 +113,20 @@ class RelationLattice:
                 for cycle in self.cycles)
         return self._acts[g]
 
-    def _level_rows(self, sub: Subgroup) -> list[tuple[int, int]]:
-        """The rows of A[d] - I that are nonzero over Z, d over sub's
-        generators, each as (plus, minus), packed one byte per slot: plus
-        holds the +1 entries of A[d], minus its -1 entries and the 1 of I,
-        so every slot of plus is 0 or 1 and every slot of minus 0, 1 or 2.
-        Memoized per d beside act's memo."""
-        rows = []
-        for d in filter(None, sub.generators):
-            if d not in self._signed:
-                signed = []
-                for c, nonzeros in enumerate(self.act(d)):
-                    plus = sum(1 << 8 * k for k, e in nonzeros if e > 0)
-                    minus = sum(1 << 8 * k for k, e in nonzeros if e < 0) + (1 << 8 * c)
-                    if plus != minus:
-                        signed.append((plus, minus))
-                self._signed[d] = tuple(signed)
-            rows += self._signed[d]
-        return rows
+    def _level_rows(self, sub: Subgroup) -> list[tuple[tuple[int, int], ...]]:
+        """The rows of A[d] - I nonzero over Z, d over sub's generators, as
+        (column, entry) pairs: row c of A[d], when it is not e_c, and (c, -1)."""
+        return [nonzeros + ((c, -1),) for d in filter(None, sub.generators)
+                for c, nonzeros in enumerate(self.act(d)) if nonzeros != ((c, 1),)]
 
     def relation_rows(self, sub: Subgroup, modulus: int) -> list[int]:
         """The rows of A[d] - I nonzero over Z, d over sub's generators,
-        packed in fp_rows(rank, modulus), each by one subtraction
-        (FpRows.difference).  A row may be 0 mod modulus, so the list is
-        aligned across moduli: one index names the same row at every ring.
-        They span the (d - 1)-action of sub: (de - 1)v = (d - 1)(ev) + (e - 1)v."""
-        lay = fp_rows(self.rank, modulus)
-        return [lay.difference(plus, minus) for plus, minus in self._level_rows(sub)]
+        each packed in fp_rows(rank, modulus) from act's sparse row
+        (_level_rows, FpRows.pack_sparse).  A row may be 0 mod modulus, so
+        the list is aligned across moduli: one index names the same row at
+        every ring.  They span the (d - 1)-action of sub:
+        (de - 1)v = (d - 1)(ev) + (e - 1)v."""
+        return list(map(fp_rows(self.rank, modulus).pack_sparse, self._level_rows(sub)))
 
     @functools.cached_property
     def g_coin(self) -> Coinvariants:
@@ -308,8 +295,9 @@ class Coinvariants:
         (ModpSpan.rows), with no row built.  Over Z/p^k, k > 1, a level
         with p-torsion has no free form (TorsionObstruction); one without
         is a free summand of rank r - f.  There unit_pivot_rows eliminates
-        only the rows that entered the span, packed mod p^k, in their
-        order, and stops at rank; its pivots are those of all the rows.
+        only the rows that entered the span, each packed mod p^k from act's
+        sparse row as relation_rows packs it, in their order, and stops at
+        rank; its pivots are those of all the rows.
         Proof: in unit_pivot_rows the pivot rows so far reduce mod p to a
         reduced echelon basis of the span of the rows read so far, mod p
         (a row that adds no pivot has no unit left, so it is 0 mod p once
@@ -345,7 +333,7 @@ class Coinvariants:
             reduced = dict(zip(span.pivots, span.rows))
         else:
             level_rows = rlat._level_rows(self.sub)
-            rows = (lay.difference(*level_rows[i]) for i in self.entered)
+            rows = (lay.pack_sparse(level_rows[i]) for i in self.entered)
             pivots, _ = unit_pivot_rows(rows, lay, p, rank)
             reduced = {c: lay.unpack(row) for c, row in pivots.items()}
         if len(reduced) != rank:
@@ -629,7 +617,8 @@ def bar_h2(tbl: FiniteGroupTable, bound: int = DEFAULT_BAR_BOUND) -> AbelianInva
         raise PropertyViolation(f"generator images reach {len(tree)} of {n} elements; "
                                 "the bar rows would not span im d3")
     ell = next(q for q in itertools.count(2) if is_prime(q) and n % q)
-    d2 = ([(j == g) + (j == x) - (j == mult[g][x]) for j in range(1, n)]
+    lay = fp_rows(n - 1, ell)  # [h] at slot h - 1; [1] is not a column
+    d2 = (lay.pack_sparse([(h - 1, e) for h, e in ((g, 1), (x, 1), (mult[g][x], -1)) if h])
           for g in range(1, n) for x in gens)
     if modp_rank(d2, n - 1, ell, n - 1) != n - 1:
         raise PropertyViolation("bar route gives an infinite G_ab")

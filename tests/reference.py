@@ -14,7 +14,8 @@ before its own back-substitution; and bar_d2_gab, which takes qrlab's
 lattice_quotient (its Smith form checked as integer_walk's is); and
 full_elimination_over, which runs qrlab's unit_pivot_rows (checked
 against dense elimination in tests/test_intlinalg.py) on every relation
-row.
+row; and packed_level_rows, which packs those rows with qrlab's FpRows.sub
+(checked slot by slot in tests/test_intlinalg.py).
 """
 
 import functools
@@ -616,22 +617,34 @@ def bar_d2_gab(tbl):
     return lattice_quotient(n - 1, rows)
 
 
+def packed_level_rows(rlat, sub, ring):
+    """(row, packed) for each row of A[d] - I nonzero over Z, d over sub's
+    generators, in relation_rows' order: the row as a dense integer list,
+    and packed mod ring entry by entry from the lattice's act, less e_c."""
+    lay, r = fp_rows(rlat.rank, ring), rlat.rank
+    out = []
+    for d in sub.generators:
+        if d:
+            for c, nonzeros in enumerate(rlat.act(d)):
+                row = [0] * r
+                for j, e in nonzeros:
+                    row[j] += e
+                row[c] -= 1
+                if any(row):
+                    a = sum((e % ring) << (j * lay.bits) for j, e in nonzeros)
+                    out.append((row, lay.sub(a, lay.unit(c))))
+    return out
+
+
 def full_elimination_over(coin, p, k):
     """Reference Coinvariants.over: (coords, down, letters) of the level
     over Z/p^k from one unit_pivot_rows elimination of every nonzero row
-    of A[d] - I mod p^k, d over the level's generators, each packed entry
-    by entry from the lattice's act, stopped at r - f - t_p pivots.  The
-    quotient map and the letters are read off the pivot rows as over reads
-    them."""
+    of A[d] - I mod p^k, d over the level's generators (packed_level_rows),
+    stopped at r - f - t_p pivots.  The quotient map and the letters are
+    read off the pivot rows as over reads them."""
     rlat, ring, r = coin.rlat, p ** k, coin.rlat.rank
     lay = fp_rows(r, ring)
-    rows = []
-    for d in coin.sub.generators:
-        if d:
-            for c, nonzeros in enumerate(rlat.act(d)):
-                a = sum((e % ring) << (j * lay.bits) for j, e in nonzeros)
-                if (v := lay.sub(a, lay.unit(c))):
-                    rows.append(v)
+    rows = [v for _, v in packed_level_rows(rlat, coin.sub, ring) if v]
     rank = r - coin.invariants.free_rank - len(p_torsion(coin.invariants, p))
     pivots, _ = unit_pivot_rows(rows, lay, p, rank)
     if len(pivots) != rank:

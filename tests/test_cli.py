@@ -100,6 +100,14 @@ def test_check_budget_exits_3(capsys, q8_file):
     assert json.loads(out)["failed_stage"] == "enumerate"
 
 
+def test_oracle_subgroups_past_the_bound_exits_3(capsys, tmp_path):
+    f = tmp_path / "c729.pres"
+    f.write_text("gens: a; relators: a^729; prime: 3\n")
+    code, out, err = run(capsys, "oracle", "subgroups", str(f))
+    assert (code, out) == (3, "")
+    assert "subgroup enumeration bound 512 exceeded (order 729)" in err
+
+
 def test_check_internal_certificate_failure_exits_1(capsys, monkeypatch, q8_file):
     """An internal certificate that raises AssertionError (here a Smith
     divisibility check, raised in the bar route's place) is a violation,

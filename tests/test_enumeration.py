@@ -255,6 +255,15 @@ def test_enumeration_budget():
         todd_coxeter(pres, max_cosets=3)
 
 
+def test_all_subgroups_refuses_an_order_past_its_bound():
+    """c729 = <a | a^729> is past DEFAULT_SUBGROUP_BOUND = 512: refused
+    before any subgroup is listed."""
+    tbl = todd_coxeter(parse_presentation("gens: a; relators: a^729; prime: 3"))
+    with pytest.raises(BudgetExceeded,
+                       match=r"^subgroup enumeration bound 512 exceeded \(order 729\)$"):
+        all_subgroups(tbl)
+
+
 # An order-5 loop with every element self-inverse: identity and inverse laws
 # hold, but it is not associative.  1 and 2 generate it (3 = 1*2, 4 = 2*1).
 LOOP5 = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1],

@@ -370,6 +370,22 @@ def test_packed_rows_are_slotwise_arithmetic_at_a_composite_modulus(m, n, seed):
     assert lay.unpack(lay.scale(pa, c)) == [c * x % m for x in a]
 
 
+@pytest.mark.parametrize("m", [2, 3, 128, 2**20, 3**20])
+@given(st.integers(1, 60), st.integers(0, 2**32))
+@settings(deadline=None, max_examples=60)
+def test_pack_sparse_packs_the_summed_dense_vector(m, n, seed):
+    """(slot, value) pairs, slots repeated and values at the residue edges,
+    pack as the dense vector of their slotwise sums; 128 is the first
+    modulus with 2-byte slots."""
+    rnd = random.Random(seed)
+    entries = [(rnd.randrange(n), x) for x in kernel_vector(rnd, m, rnd.randint(0, 3 * n))]
+    dense = [0] * n
+    for j, x in entries:
+        dense[j] += x
+    lay = fp_rows(n, m)
+    assert lay.pack_sparse(entries) == lay.pack(dense)
+
+
 def dense_product_mod(a, b, m, cols):
     """A*B mod m by mat_mul; with no rows in b mat_mul cannot see the width."""
     return [[x % m for x in row] for row in mat_mul(a, b)] if b else [[0] * cols for _ in a]

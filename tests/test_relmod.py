@@ -19,12 +19,13 @@ from qrlab.groupring import dimension_subgroup_chain, fox_rows, right_translate
 from qrlab.intlinalg import (
     AbelianInvariants,
     ModpSpan,
+    fp_rows,
     left_kernel,
     mat_mul,
     p_torsion,
     smith_normal_form,
 )
-from qrlab.presentation import Presentation, parse_presentation
+from qrlab.presentation import Presentation, is_prime, parse_presentation
 from qrlab.relmod import (
     RelationLattice,
     bar_h2,
@@ -46,6 +47,7 @@ from reference import (
     integer_walk,
     lattice_from_rows,
     left_translate,
+    packed_level_rows,
 )
 
 # (text, prime, G_ab torsion, multiplier torsion)
@@ -645,6 +647,25 @@ def test_level_over_matches_the_full_elimination_at_every_ring(lattice, text, p)
     for lv in {id(lv.coin): lv for lv in qr_check(rlat, p).levels}.values():
         for k in sorted({1, 2, top, 20}) if not lv.p_torsion else [1]:
             assert lv.coin.over(p, k) == full_elimination_over(lv.coin, p, k), (lv.level, k)
+
+
+@pytest.mark.parametrize("text,p", [(text, p) for _, text, p in OVER_INPUTS],
+                         ids=[ident for ident, _, _ in OVER_INPUTS])
+def test_level_relation_rows_match_act_at_every_ring(lattice, text, p):
+    """relation_rows(sub, m), packed from act's sparse rows, is the rows of
+    A[d] - I nonzero over Z packed entry by entry (reference.packed_level_rows)
+    on every distinct level of the corpus, q32, m32, nqr32, nqr64, C9 x C9,
+    c64 and c81, at m = ell, p, 2^7 (2-byte slots), 3^5 and p^20, and
+    index i names the same integer row at every m."""
+    rlat = lattice(text)
+    ell = next(q for q in itertools.count(2) if is_prime(q) and rlat.tbl.order % q)
+    for lv in {id(lv.coin): lv for lv in qr_check(rlat, p).levels}.values():
+        ints = [row for row, _ in packed_level_rows(rlat, lv.subgroup, ell)]
+        for m in sorted({ell, p, 2**7, 3**5, p**20}):
+            got = rlat.relation_rows(lv.subgroup, m)
+            assert got == [v for _, v in packed_level_rows(rlat, lv.subgroup, m)], (lv.level, m)
+            lay = fp_rows(rlat.rank, m)
+            assert [lay.unpack(v) for v in got] == [[x % m for x in row] for row in ints]
 
 
 # --- torsion criterion ----------------------------------------------------
