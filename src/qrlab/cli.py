@@ -93,7 +93,6 @@ def _harness_dict(rep: HarnessReport) -> dict:
                 "level": lv.level,
                 "quotient_order": lv.quotient_order,
                 "dim": lv.dim,
-                "p_torsion": list(lv.p_torsion),
                 "modp": lv.modp_status,
                 "multiplicities": (
                     None if lv.multiplicities is None

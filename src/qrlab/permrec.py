@@ -773,7 +773,6 @@ class LevelOutcome:
     level: int
     quotient_order: int
     dim: int
-    p_torsion: tuple[int, ...]
     modp_status: str
     multiplicities: tuple[tuple[int, int], ...] | None  # (|H|, m) per class
     integral_status: str
@@ -795,7 +794,7 @@ class HarnessReport:
 
 def _level_outcome(lv: LevelResult, p: int, precision: int) -> tuple[LevelOutcome, LevelModule]:
     """Recognize one level's mod-p module and, if certified, lift it."""
-    n, tors = lv.level, lv.p_torsion
+    n = lv.level
     mod1 = module_from_coinvariants(lv.coin, p, 1, n)
     rec = perm_recognize_modp(mod1)
     mults = None
@@ -805,9 +804,7 @@ def _level_outcome(lv: LevelResult, p: int, precision: int) -> tuple[LevelOutcom
             for j, m in enumerate(rec.multiplicities) if m
         )
     characters_plain = None
-    if tors:
-        integral = "torsion"
-    elif rec.status == "refuted":
+    if rec.status == "refuted":
         integral = "not_attempted"
     else:
         modk = module_from_coinvariants(lv.coin, p, precision, n)
@@ -819,7 +816,6 @@ def _level_outcome(lv: LevelResult, p: int, precision: int) -> tuple[LevelOutcom
         level=n,
         quotient_order=mod1.qtbl.order,
         dim=mod1.dim,
-        p_torsion=tors,
         modp_status=rec.status,
         multiplicities=mults,
         integral_status=integral,
@@ -829,19 +825,18 @@ def _level_outcome(lv: LevelResult, p: int, precision: int) -> tuple[LevelOutcom
 
 
 def tower_harness(qr: QRReport, precision: int | None = None,
-                  max_level: int | None = None, require_qr: bool = True) -> HarnessReport:
+                  max_level: int | None = None) -> HarnessReport:
     """Per level: recognize the mod-p module, then certify integrally.
 
     The two sides must agree wherever both reach a verdict: integral
     generalized-permutation structure exists iff the mod-p module is a
     permutation module.  A certified side against a refuted side is a
     violation.  The equivalence is a theorem about quasirational input,
-    so p-torsion in a level is a hypothesis failure: with require_qr the
-    harness refuses to start (InputError naming the witness level),
-    otherwise the level is recorded as a torsion obstruction and the
-    comparison is vacuous there.  Transition maps between consecutive
-    levels are built and verified as equivariant surjections, tying the
-    tower together.
+    so the harness refuses a report with a witness level, a level with
+    p-torsion (InputError naming it); the per-level torsion map is the
+    report's own (QRReport.levels[i].p_torsion).  Transition maps between
+    consecutive levels are built and verified as equivariant surjections,
+    tying the tower together.
 
     The chain, lattice and level coinvariants come from the QR report;
     max_level, when given, keeps its first levels and must be >= 1.
@@ -883,13 +878,12 @@ def tower_harness(qr: QRReport, precision: int | None = None,
     if precision is None:  # 1 + v_p(|G|); G is a p-group (qr_check)
         pp = prime_power(rlat.tbl.order)
         precision = 1 + (pp[1] if pp else 0)
-    levels = qr.levels[:max_level]
-    w = qr.witness_level
-    if require_qr and w is not None and w <= len(levels):
+    if (w := qr.witness_level) is not None:
         raise InputError(
             f"not quasirational at p={p}: level {w} coinvariants have "
             f"{p}-torsion {qr.levels[w - 1].p_torsion}, the equivalence hypothesis fails"
         )
+    levels = qr.levels[:max_level]
     outcomes = []
     mods = []
     violations = 0
@@ -918,7 +912,6 @@ def tower_harness(qr: QRReport, precision: int | None = None,
 
 
 def equivalence_harness(pres: Presentation, tbl: FiniteGroupTable, p: int,
-                        precision: int | None = None, max_level: int | None = None,
-                        require_qr: bool = True) -> HarnessReport:
+                        precision: int | None = None) -> HarnessReport:
     """tower_harness on the QR report of a freshly built relation lattice."""
-    return tower_harness(qr_check_full(pres, tbl, p), precision, max_level, require_qr)
+    return tower_harness(qr_check_full(pres, tbl, p), precision)

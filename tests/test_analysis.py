@@ -26,7 +26,7 @@ from qrlab.intlinalg import Lattice
 from qrlab.presentation import parse_presentation
 from qrlab.relmod import relation_lattice
 
-from conftest import CORPUS_DIR, ORDER32, ORDER32_DIR, spy_peel
+from conftest import CORPUS_DIR, NQR64, ORDER32, ORDER32_DIR, spy_peel
 
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parent / "data" / "check"
 GOLDEN32_DIR = GOLDEN_DIR.parent / "check32"
@@ -120,7 +120,7 @@ def test_check_builds_each_invariant_once(capsys, monkeypatch, corpus):
                                 for levels in harness)
         # the one module builder: over F_p per level, and over Z/p^k where the lift ran
         lifted = sum(len({lv["quotient_order"] for lv in levels
-                          if lv["integral"] not in ("not_attempted", "torsion")})
+                          if lv["integral"] != "not_attempted"})
                      for levels in harness)
         assert counts == {
             "relation_lattice": 1,
@@ -192,6 +192,20 @@ def test_analyze_reports_a_failed_stage_instead_of_raising():
     assert rep.failed_stage == "enumerate"
     assert isinstance(rep.error, BudgetExceeded)
     assert rep.tbl is None and rep.qr == {} and "enumerate" in rep.timing_ms
+
+
+@pytest.mark.parametrize("path", [ORDER32_DIR / "c64.pres", NQR64], ids=["c64", "nqr64"])
+def test_analyze_stops_at_the_bar_gate_above_order_32(capsys, path):
+    """The pipeline runs the bar route only up to order 32: above it the
+    h2 stage fails after Hopf's formula, before any QR verdict, and check
+    exits 3."""
+    rep = analyze(parse_presentation(path.read_text()), (2,))
+    assert rep.failed_stage == "h2"
+    assert isinstance(rep.error, BudgetExceeded)
+    assert str(rep.error) == "bar resolution bound 32 exceeded (order 64)"
+    assert rep.h2_hopf is None and rep.qr == {}
+    assert main(["check", str(path)]) == 3
+    assert json.loads(capsys.readouterr().out)["failed_stage"] == "h2"
 
 
 def test_analyze_keeps_what_the_harness_reads():

@@ -13,7 +13,11 @@ import pytest
 import qrlab.analysis
 from qrlab.analysis import analyze
 from qrlab.cli import main
+from qrlab.enumeration import todd_coxeter
 from qrlab.presentation import parse_presentation
+from qrlab.relmod import hopf_h2, relation_lattice
+
+from conftest import NQR64, ORDER32_DIR
 
 Q8 = "gens: a, b; relators: a*b*a*b^-1, b*a*b*a^-1; prime: 2\n"
 KLEIN = "gens: a, b; relators: a^2, b^2, a*b*a^-1*b^-1; prime: 2\n"
@@ -345,3 +349,15 @@ def test_oracle_outputs(capsys, corpus_dir):
     assert code == 0
     doc = json.loads(out)
     assert doc["count"] == 1 and doc["orders"] == [1]
+
+
+@pytest.mark.parametrize("path", [ORDER32_DIR / "c64.pres", ORDER32_DIR / "c81.pres", NQR64],
+                         ids=["c64", "c81", "nqr64"])
+def test_oracle_bar_h2_has_no_order_gate(capsys, path):
+    """The order gate is check's policy (analysis.BAR_BOUND), not the
+    oracle's: bar-h2 answers past order 32 and agrees with Hopf's formula."""
+    code, out, err = run(capsys, "oracle", "bar-h2", str(path))
+    assert code == 0, err
+    pres = parse_presentation(path.read_text())
+    hopf = hopf_h2(relation_lattice(pres, todd_coxeter(pres)))
+    assert json.loads(out)["bar_h2"] == list(hopf.torsion) == []

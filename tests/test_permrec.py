@@ -926,25 +926,17 @@ def test_harness_rejects_non_qr_input(group):
         equivalence_harness(pres, tbl, 2, precision=6)
 
 
-def test_harness_on_d16_lifts_every_level_when_unguarded(group):
+def test_level_outcome_lifts_the_torsion_free_levels_of_d16(lattice):
     # D16 is not QR (level 1 has 2-torsion), but levels 2-4 are torsion-free
     # permutation modules mod 2.  Their hom spaces over Z/8 contain
     # solutions whose lift needs a correction from an earlier digit's lifts;
     # a lift that lost them refuted all three levels integrally.
-    pres, tbl = group("gens: a, b; relators: a^8, b^2, b*a*b*a; prime: 2")
-    rep = equivalence_harness(pres, tbl, 2, precision=3, require_qr=False)
-    assert rep.violations == 0
-    assert [lv.integral_status for lv in rep.levels] == [
-        "torsion", "certified", "certified", "certified", "not_attempted"]
-
-
-def test_harness_on_klein_reports_torsion_when_unguarded(group):
-    pres, tbl = group(KLEIN)
-    rep = equivalence_harness(pres, tbl, 2, precision=6, require_qr=False)
-    assert rep.violations == 0
-    torsion_levels = [lv for lv in rep.levels if lv.p_torsion]
-    assert torsion_levels
-    assert all(lv.integral_status == "torsion" for lv in torsion_levels)
+    qr = qr_check(lattice("gens: a, b; relators: a^8, b^2, b*a*b*a; prime: 2"), 2)
+    assert qr.witness_level == 1 and len(qr.levels) == 5
+    assert all(lv.p_torsion == () for lv in qr.levels[1:])
+    outcomes = [_level_outcome(lv, 2, 3)[0] for lv in qr.levels[1:]]
+    assert [(o.modp_status, o.integral_status) for o in outcomes] == \
+        [("certified", "certified")] * 3 + [("refuted", "not_attempted")]
 
 
 @pytest.mark.parametrize("name,p", [("c27", 3), ("q16", 2)])

@@ -14,7 +14,7 @@ import pytest
 from qrlab import intlinalg, relmod
 from qrlab.enumeration import (all_subgroups, prime_power, subgroup_conjugacy_classes,
                                todd_coxeter)
-from qrlab.errors import InputError, PropertyViolation
+from qrlab.errors import InputError, PropertyViolation, TorsionObstruction
 from qrlab.groupring import dimension_subgroup_chain, fox_rows, right_translate
 from qrlab.intlinalg import (
     AbelianInvariants,
@@ -247,7 +247,7 @@ def test_bar_route_stops_each_rank_at_m_on_q64(group, monkeypatch):
             yield v
 
     monkeypatch.setattr(relmod, "_bar_rows", counted)
-    assert bar_h2(tbl, bound=81) == AbelianInvariants(0, ())
+    assert bar_h2(tbl) == AbelianInvariants(0, ())
     assert set(read) == {2, 3}
     for modulus, args in calls.items():
         assert 10 * read[modulus] < sum(1 for _ in orig(*args)), modulus
@@ -269,7 +269,7 @@ NQR64_TEXT = NQR64.read_text().strip()
 def test_bar_route_past_order_27_agrees_with_hopf(group, lattice, text, h2):
     _, tbl = group(text)
     assert tbl.order > 27
-    bar = bar_h2(tbl, bound=81)
+    bar = bar_h2(tbl)
     assert bar == hopf_h2(lattice(text))
     assert bar.torsion == h2
 
@@ -627,6 +627,17 @@ def test_level_over_refuses_a_prime_whose_span_the_level_did_not_keep(lattice):
     trivial = levels[-1].coin
     assert trivial.sub.order == 1 and trivial.span is None
     assert len(trivial.over(2, 1)[0]) == len(trivial.over(3, 4)[0]) == rlat.rank
+
+
+def test_level_over_refuses_a_ring_above_f_p_on_a_torsion_level(lattice):
+    """Klein's level 1, R/[R,F] = Z^2 + Z/2, has no free form over Z/4: over(2, 2)
+    raises TorsionObstruction, while over F_2 the torsion is one more coordinate."""
+    level = qr_check(lattice("gens: a, b; relators: a^2, b^2, a*b*a^-1*b^-1; prime: 2"),
+                     2).levels[0]
+    assert level.p_torsion == (2,)
+    assert len(level.coin.over(2, 1)[0]) == level.invariants.free_rank + 1
+    with pytest.raises(TorsionObstruction, match="p-torsion Z/2; no free Z/2"):
+        level.coin.over(2, 2)
 
 
 OVER_INPUTS = walk_inputs() + [(NQR64.stem, NQR64.read_text(), 2)] + [
