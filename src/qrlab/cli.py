@@ -16,7 +16,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 from . import __version__
 from .analysis import Analysis, analyze
@@ -263,6 +262,8 @@ def cmd_corpus(args) -> int:
             jobs.append((entry, prime))
     row_of = functools.partial(_corpus_row, corpus_dir, _options(args))
     if args.jobs > 1 and len(jobs) > 1:
+        from concurrent.futures import ProcessPoolExecutor  # pulls in multiprocessing
+
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             rows = list(pool.map(row_of, *zip(*jobs)))
     else:

@@ -18,10 +18,14 @@ from __future__ import annotations
 
 import operator
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from .errors import BudgetExceeded, InputError
 from .presentation import Presentation, Word
+
+if TYPE_CHECKING:
+    from .relmod import RelationLattice
 
 DEFAULT_MAX_COSETS = 10**6
 DEFAULT_SUBGROUP_BOUND = 512
@@ -38,6 +42,8 @@ class FiniteGroupTable:
 
     gen_images[i] is the element the i-th presentation generator maps to;
     element_words[x] is one shortest witness word with image x.
+    _lattices holds the certified relation lattice of each presentation
+    it was built for (relmod.relation_lattice), for the table's lifetime.
     """
 
     order: int
@@ -45,6 +51,8 @@ class FiniteGroupTable:
     inv: tuple[int, ...]
     gen_images: tuple[int, ...]
     element_words: tuple[Word, ...]
+    _lattices: dict[Presentation, RelationLattice] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def conj(self, g: int, x: int) -> int:
         """g * x * g^-1."""

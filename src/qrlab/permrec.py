@@ -913,5 +913,6 @@ def tower_harness(qr: QRReport, precision: int | None = None,
 
 def equivalence_harness(pres: Presentation, tbl: FiniteGroupTable, p: int,
                         precision: int | None = None) -> HarnessReport:
-    """tower_harness on the QR report of a freshly built relation lattice."""
+    """tower_harness on qr_check_full(pres, tbl, p): the table's relation
+    lattice and its report at p, shared with every other stage that asks."""
     return tower_harness(qr_check_full(pres, tbl, p), precision)

@@ -26,7 +26,10 @@ reads the span's reduced echelon rows, and over Z/p^k, k > 1, it
 eliminates only the rows that entered the span.  The quotient G/D_n is
 built once per level (Coinvariants.quotient).  The lattice keeps one form
 of its action, act's sparse rows, and a level's rows are packed from them
-at the ring they are read at (RelationLattice.relation_rows).
+at the ring they are read at (RelationLattice.relation_rows).  Each stage
+that asks for them reads the same objects: relation_lattice() builds once
+per table and presentation, which the table keeps, and qr_check() once
+per prime, which the lattice keeps.
 hopf_h2() and bar_h2() compute the Schur multiplier by two routes that
 share no code above the integer kernels and must agree.
 
@@ -82,8 +85,9 @@ class RelationLattice:
     lattice: its row c is the chord entries of g * cycles[c], which are the
     coordinates of that cycle.  act is the lattice's one form of its
     action: every level of the tower is read off it, its relation rows
-    packed at the ring they are read at (relation_rows).  All of it is
-    shared by every reader, so it is read-only.
+    packed at the ring they are read at (relation_rows).  _reports holds
+    qr_check's report per prime once it is built.  All of it is shared by
+    every reader, so it is read-only.
     """
 
     pres: Presentation
@@ -92,6 +96,8 @@ class RelationLattice:
     chord_at: tuple[int, ...] = field(repr=False, compare=False)
     _acts: dict[int, Sparse] = field(default_factory=dict, init=False, repr=False,
                                      compare=False)
+    _reports: dict[int, QRReport] = field(default_factory=dict, init=False, repr=False,
+                                          compare=False)
 
     @property
     def rank(self) -> int:
@@ -136,6 +142,11 @@ class RelationLattice:
 def relation_lattice(pres: Presentation, tbl: FiniteGroupTable) -> RelationLattice:
     """The cycle lattice of the right Cayley graph, certified to be R/[R,R].
 
+    Built and certified on the first call for (pres, tbl) only: the table
+    keeps the lattice per presentation (FiniteGroupTable._lattices), and
+    every later call with an equal presentation returns that object.  A
+    build that raises keeps nothing.
+
     The BFS tree from 1 along the edges h -> h x_i has |G| - 1 edges, so
     r = |X||G| - |G| + 1 edges are chords: the rank law.  Chord (i, h)
     with h x_i = q gives the cycle e_(i,h) + path(h) - path(q).  A cycle
@@ -161,6 +172,8 @@ def relation_lattice(pres: Presentation, tbl: FiniteGroupTable) -> RelationLatti
         projections go into an echelon form of width len(unresolved),
         which must reach full rank with every pivot 1.
     """
+    if (rlat := tbl._lattices.get(pres)) is not None:
+        return rlat
     n, mult, images = tbl.order, tbl.mult, tbl.gen_images
     width = len(images) * n
     up = {0: None}  # q -> (block start, source) of the tree edge into q
@@ -207,7 +220,9 @@ def relation_lattice(pres: Presentation, tbl: FiniteGroupTable) -> RelationLatti
                 if k in at:
                     proj[at[k]] = c
             span.add(proj)
-    return RelationLattice(pres, tbl, tuple(map(tuple, cycles)), tuple(chord_at))
+    rlat = tbl._lattices[pres] = RelationLattice(pres, tbl, tuple(map(tuple, cycles)),
+                                                 tuple(chord_at))
+    return rlat
 
 
 def _peel(rows: Iterator[dict[int, int]], width: int) -> tuple[list[dict[int, int]], list[int]]:
@@ -458,8 +473,12 @@ def qr_check(rlat: RelationLattice, p: int) -> QRReport:
 
     Each distinct D_n is one coinvariants() call on the lattice, and a
     level whose D_n repeats the one before shares its object.  Level 1 is
-    rlat.g_coin, the R/[R,F] that hopf_h2 reads.
+    rlat.g_coin, the R/[R,F] that hopf_h2 reads.  The report is built, and
+    the chain certified, on the first call at p only: the lattice keeps it
+    (RelationLattice._reports) and every later call returns that object.
     """
+    if (report := rlat._reports.get(p)) is not None:
+        return report
     tbl = rlat.tbl
     chain = dimension_subgroup_chain(tbl, p)
     coins = [rlat.g_coin]
@@ -474,7 +493,7 @@ def qr_check(rlat: RelationLattice, p: int) -> QRReport:
         f"D_{cutoff} is trivial, so for n >= {cutoff} the level-n module is the "
         f"full relation lattice, a free Z-module; no further level can carry torsion"
     )
-    return QRReport(
+    report = rlat._reports[p] = QRReport(
         prime=p,
         quasirational=witness is None,
         witness_level=witness,
@@ -484,10 +503,12 @@ def qr_check(rlat: RelationLattice, p: int) -> QRReport:
         g_coinvariants=levels[0].invariants,
         rlat=rlat,
     )
+    return report
 
 
 def qr_check_full(pres: Presentation, tbl: FiniteGroupTable, p: int) -> QRReport:
-    """qr_check on a freshly built relation lattice."""
+    """qr_check on the relation lattice of (pres, tbl): the table's lattice
+    and the lattice's report at p, each built on first use only."""
     return qr_check(relation_lattice(pres, tbl), p)
 
 

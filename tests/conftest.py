@@ -1,7 +1,9 @@
 """Shared fixtures.
 
-Coset tables and relation lattices are memoized per presentation text so the
-pile of tests hitting the same handful of groups pays enumeration once.
+Coset tables are memoized per presentation text so the pile of tests
+hitting the same handful of groups pays enumeration once; each table keeps
+its relation lattice (relmod.relation_lattice), so that is built once too.
+A test that spies on a build enumerates a fresh table.
 """
 
 import functools
@@ -45,7 +47,6 @@ def _group(text):
     return pres, todd_coxeter(pres)
 
 
-@functools.lru_cache(maxsize=None)
 def _lattice(text):
     pres, tbl = _group(text)
     return relation_lattice(pres, tbl)

@@ -20,11 +20,12 @@ import qrlab.groupring
 import qrlab.relmod
 from qrlab.analysis import analyze
 from qrlab.cli import main
-from qrlab.enumeration import todd_coxeter
-from qrlab.errors import BudgetExceeded
+from qrlab.enumeration import FiniteGroupTable, todd_coxeter
+from qrlab.errors import BudgetExceeded, PropertyViolation
 from qrlab.intlinalg import Lattice
+from qrlab.permrec import equivalence_harness, tower_harness
 from qrlab.presentation import parse_presentation
-from qrlab.relmod import relation_lattice
+from qrlab.relmod import hopf_h2, qr_check, qr_check_full, relation_lattice
 
 from conftest import CORPUS_DIR, NQR64, ORDER32, ORDER32_DIR, spy_peel
 
@@ -132,6 +133,50 @@ def test_check_builds_each_invariant_once(capsys, monkeypatch, corpus):
         }, entry["id"]
         checked += 1
     assert checked == 10 and repeated > 0
+
+
+STAGE_COUNTED = (
+    (qrlab.relmod, "_peel"),
+    (qrlab.relmod, "coinvariants"),
+    (qrlab.groupring, "dimension_subgroup_chain"),
+)
+
+
+@pytest.mark.parametrize("name, p", [("q32", 2), ("c81", 3)])
+def test_stage_functions_share_one_lattice_and_one_report(monkeypatch, name, p):
+    """The verdict pipeline's stages, each called on (pres, tbl) or on the
+    lattice, build one lattice per (table, presentation) and one report
+    per prime: one peel, one chain, and one level per distinct D_n, R/[R,F]
+    included."""
+    text = (ORDER32_DIR / f"{name}.pres").read_text()
+    pres = parse_presentation(text)
+    tbl = todd_coxeter(pres)
+    counts = count_calls(monkeypatch, STAGE_COUNTED)
+    rlat = relation_lattice(pres, tbl)
+    hopf_h2(rlat)
+    rep = qr_check_full(pres, tbl, p)
+    har = equivalence_harness(pres, tbl, p, precision=20)
+    monkeypatch.undo()
+    assert rep.quasirational
+    assert counts == {"_peel": 1, "dimension_subgroup_chain": 1,
+                      "coinvariants": len({lv.subgroup_order for lv in rep.levels})}
+    assert rep.rlat is rlat and qr_check(rlat, p) is rep
+    assert relation_lattice(parse_presentation(text), tbl) is rlat
+    fresh = relation_lattice(pres, todd_coxeter(pres))
+    assert fresh is not rlat
+    assert har == tower_harness(qr_check(fresh, p), 20)
+
+
+def test_a_failed_lattice_build_is_not_kept():
+    """Z/4 with its generator sent to 2: the images reach 2 of the 4
+    elements, certificate (a) fails, and it fails again on a second call."""
+    pres = parse_presentation("gens: a; relators: a^4; prime: 2")
+    tbl = FiniteGroupTable(4, tuple(tuple((i + j) % 4 for j in range(4)) for i in range(4)),
+                           (0, 3, 2, 1), (2,), ((), ((0, 1),), ((0, 1),) * 2, ((0, -1),)))
+    for _ in range(2):
+        with pytest.raises(PropertyViolation, match="reach 2 of 4 elements"):
+            relation_lattice(pres, tbl)
+    assert tbl._lattices == {}
 
 
 def count_coordinates(monkeypatch) -> Counter:

@@ -1,15 +1,19 @@
 """Command-line surface: exit codes, report shape, determinism.
 
-Everything runs in-process through main(argv); worker pools are exercised
-once on the bundled corpus.
+Everything runs in-process through main(argv), but for one import check in
+a fresh interpreter; worker pools are exercised once on the bundled corpus.
 """
 
 import csv
 import io
 import json
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import qrlab
 import qrlab.analysis
 from qrlab.analysis import analyze
 from qrlab.cli import main
@@ -361,3 +365,15 @@ def test_oracle_bar_h2_has_no_order_gate(capsys, path):
     pres = parse_presentation(path.read_text())
     hopf = hopf_h2(relation_lattice(pres, todd_coxeter(pres)))
     assert json.loads(out)["bar_h2"] == list(hopf.torsion) == []
+
+
+def test_cli_import_leaves_the_process_pool_out():
+    """Only corpus --jobs N, N > 1, starts a process pool, so a fresh
+    interpreter's import of the CLI loads no multiprocessing;
+    test_bundled_corpus_matches_expected_blocks runs the pool."""
+    src = str(pathlib.Path(qrlab.__file__).resolve().parent.parent)
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import qrlab.cli; "
+            "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True,
+                         check=True).stdout
+    assert out == "[]\n"

@@ -360,18 +360,21 @@ def test_peel_takes_only_unit_pivots_and_cascades():
 
 
 @pytest.mark.parametrize("name", ["c64", "c81"])
-def test_peel_reads_one_translate_on_the_cyclic_top_rung(monkeypatch, group, name):
+def test_peel_reads_one_translate_on_the_cyclic_top_rung(monkeypatch, name):
     # the one chord of a cyclic group is resolved by the first translate,
-    # 1 + a + ... + a^(n-1) at g = 1, whose chord entry is 1
-    pres, tbl = group((ORDER32_DIR / f"{name}.pres").read_text())
+    # 1 + a + ... + a^(n-1) at g = 1, whose chord entry is 1; on a fresh
+    # table, since a table builds its lattice once
+    pres = parse_presentation((ORDER32_DIR / f"{name}.pres").read_text())
+    tbl = todd_coxeter(pres)
     calls = spy_peel(monkeypatch)
     assert relation_lattice(pres, tbl).rank == 1
     assert calls == [(1, [])]
 
 
-def test_residual_lattice_has_the_unpeeled_chords_as_its_width(monkeypatch, group):
+def test_residual_lattice_has_the_unpeeled_chords_as_its_width(monkeypatch):
     # nqr64 peels 9 of its 65 chords; the other 56 go through one Lattice
-    pres, tbl = group(NQR64.read_text())
+    pres = parse_presentation(NQR64.read_text())
+    tbl = todd_coxeter(pres)
     calls, widths = spy_peel(monkeypatch), []
 
     class Recorded(intlinalg.Lattice):
