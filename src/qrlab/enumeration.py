@@ -354,16 +354,15 @@ def is_normal(tbl: FiniteGroupTable, sub: Subgroup) -> bool:
     return all(tbl.conj(g, x) in mem for g in tbl.gen_images for x in sub.members)
 
 
-def _normalizer_members(tbl: FiniteGroupTable, sub: Subgroup, members: frozenset[int]) -> list[int]:
-    """The g with g*sub*g^-1 = sub, members being sub's member set.
+def _normalizes(tbl: FiniteGroupTable, g: int, sub: Subgroup, members: frozenset[int]) -> bool:
+    """g*sub*g^-1 = sub, members being sub's member set.
 
     Tested on sub's generators: conjugation by g is an automorphism, so it
     maps sub = <generators> onto a subgroup of the same order, which lies in
     sub iff each conjugated generator does.  The trivial subgroup has no
     generators, and every g normalizes it.
     """
-    return [g for g in range(tbl.order)
-            if all(tbl.conj(g, x) in members for x in sub.generators)]
+    return all(tbl.conj(g, x) in members for x in sub.generators)
 
 
 def prime_power(n: int) -> tuple[int, int] | None:
@@ -387,7 +386,10 @@ def all_subgroups(tbl: FiniteGroupTable) -> list[Subgroup]:
 
     p-groups go through cyclic extension layer by layer (every subgroup of
     order p^(k+1) is <H, g> for a normal index-p subgroup H and g in its
-    normalizer with g^p in H); other orders fall back to join closure.
+    normalizer with g^p in H; g is tested in that order, skipped when an
+    extension of H already holds it, and conjugates H's generators only
+    when it passes the cheaper tests); other orders fall back to join
+    closure.
     Past DEFAULT_SUBGROUP_BOUND elements it refuses (BudgetExceeded).
     """
     if tbl.order > DEFAULT_SUBGROUP_BOUND:
@@ -407,8 +409,9 @@ def all_subgroups(tbl: FiniteGroupTable) -> list[Subgroup]:
                 hset = frozenset(h.members)
                 # <h, g'> = <h, g> for every g' in <h, g> - h: skip those
                 covered = set(hset)
-                for g in _normalizer_members(tbl, h, hset):
-                    if g in covered or tbl.power(g, p) not in hset:
+                for g in range(tbl.order):
+                    if (g in covered or tbl.power(g, p) not in hset
+                            or not _normalizes(tbl, g, h, hset)):
                         continue
                     members = set()
                     coset = list(h.members)

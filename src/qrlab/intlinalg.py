@@ -536,27 +536,49 @@ class FpRows:
         column count; a's rows are packed at the same modulus with width
         len(b).  Over F_2 a row is the XOR of the rows of B its ones pick.
         Otherwise the rows of B are spread once into slots wide enough for
-        len(b) * (m - 1)^2, each row of A*B is one multiply-add over them
-        with no carry between slots, and is reduced mod m as it is packed.
+        top = len(b) * (m - 1)^2, each row of A*B is one multiply-add over
+        them with no carry between slots, and every slot is reduced mod m
+        at once: by a mask when m is a power of 2, else by Barrett's
+        quotient q = (v * c) >> s, c = ceil(2^s / m), which is v // m for
+        every v <= top once 2^s >= 2^bits(top) * 2^bits(m) > top * m (the
+        error v * (c - 2^s/m) / 2^s stays below 1/m).  The slots are wide
+        enough for v * c, so v - q * m is slotwise, and the low bytes of
+        each slot are the packed row.
         """
-        inner = len(b)
-        if self.modulus == 2:
+        inner, m = len(b), self.modulus
+        if m == 2:
             return tuple([functools.reduce(operator.xor,
                                            itertools.compress(b, x.to_bytes(inner, "little")), 0)
                           for x in a])
-        nb, wide = self.nbytes, (inner * (self.modulus - 1) ** 2).bit_length() // 8 + 1
+        nb, top, barrett = self.nbytes, inner * (m - 1) ** 2, m & (m - 1)
+        if barrett:
+            s = top.bit_length() + m.bit_length()
+            c = -(-(1 << s) // m)
+            wide = max((top * c).bit_length(), s + 1) // 8 + 1
+            keep = (1 << (8 * wide - s)) - 1
+        else:
+            wide, keep = max(top.bit_length() // 8 + 1, nb), m - 1
+        size = self.width * wide
+        low = int.from_bytes(keep.to_bytes(wide, "little") * self.width, "little")
         spread = []
         for row in b:
-            raw, out = row.to_bytes(self.width * nb, "little"), bytearray(self.width * wide)
+            raw, out = row.to_bytes(self.width * nb, "little"), bytearray(size)
             for t in range(nb):
                 out[t::wide] = raw[t::nb]
             spread.append(int.from_bytes(out, "little"))
-        src = fp_rows(inner, self.modulus)
+        src = fp_rows(inner, m)
         rows = []
         for x in a:
-            raw = sum(map(operator.mul, src.unpack(x), spread)).to_bytes(self.width * wide, "little")
-            rows.append(self.pack([int.from_bytes(raw[i:i + wide], "little")
-                                   for i in range(0, len(raw), wide)]))
+            v = sum(map(operator.mul, src.unpack(x), spread))
+            v = v - ((v * c) >> s & low) * m if barrett else v & low
+            raw = v.to_bytes(size, "little")
+            if nb == 1:
+                rows.append(int.from_bytes(raw[::wide], "little"))
+                continue
+            out = bytearray(self.width * nb)
+            for t in range(nb):
+                out[t::nb] = raw[t::wide]
+            rows.append(int.from_bytes(out, "little"))
         return tuple(rows)
 
     def permutation(self, src: Sequence[int]):
@@ -688,26 +710,28 @@ def modp_left_kernel(rows: Sequence[Sequence[int] | int], p: int,
     layout fp_rows(n, p) (then width must be given), as ModpSpan.add takes.
 
     One elimination on [A | I]: row i is packed as A_i with e_i OR-ed in
-    at slot n + i.  A basis row leading at a slot >= n has zero A-part, so
-    its identity part (v >> n*bits) is a kernel vector.  Certified: every
-    row entered (dim == m) and x * A = 0 for every returned x, one packed
-    accumulation per row; the rows leading in the A-part number rank(A), so
-    by rank-nullity the rest are a whole kernel basis.
+    at slot n + i, and reduced by the rows that lead in the A-part, the
+    only ones the span keeps.  A row whose A-part reduces to zero leads at
+    a slot >= n, and its identity part (v >> n*bits) is a kernel vector,
+    entered straight into the kernel's span.  Certified: every row entered
+    one span or the other (their dims sum to m) and x * A = 0 for every
+    returned x, one packed accumulation per row; the span's rows number
+    rank(A), so by rank-nullity the kernel's are a whole kernel basis.
     """
     m = len(rows)
     n = width if width is not None else (len(rows[0]) if rows else 0)
     lay = fp_rows(n, p)
     packed = [r if isinstance(r, int) else lay.pack(r) for r in rows]
     shift = n * lay.bits
-    span = ModpSpan(n + m, p)
+    span, kernel = ModpSpan(n + m, p), ModpSpan(m, p)
     for i, a in enumerate(packed):
-        span.add(a | 1 << (shift + i * lay.bits))
-    if span.dim != m:
-        raise AssertionError("a row of [A | I] did not enter the span")
-    kernel = ModpSpan(m, p)
-    for v in span.packed:
-        if not v & ((1 << shift) - 1):
+        v, c = span._reduce(a | 1 << (shift + i * lay.bits))
+        if c < n:
+            span.add(v)
+        else:
             kernel.add(v >> shift)
+    if span.dim + kernel.dim != m:
+        raise AssertionError("a row of [A | I] did not enter the span")
     basis = kernel.rows
     for x in basis:
         acc = 0

@@ -22,8 +22,15 @@ multiplicity vector a permutation module could have.  A step of that
 back-substitution that is not integral or not nonnegative refutes the
 module outright, and no class below that step is read: the
 back-substitution runs from the top class down and builds each Brauer
-quotient only when it reaches its class.  Otherwise the one candidate is
-decided constructively through Frobenius reciprocity: a hom from the
+quotient only when it reaches its class.  The subgroup classes, their
+maximal subgroups and the table of marks come from one SubgroupLattice
+per harness run, enumerated on the quotient of the last level read and
+read at every level through its quotient map (correspondence theorem).
+The fixed spaces a Brauer quotient at K needs are read bottom up, each
+inside a known one (_brauer_dim, LevelModule.hom_basis): M^Phi(K) for
+Phi(K) the Frattini subgroup, each M^L, L maximal in K, inside it, and
+M^K inside the last M^L.  Otherwise the one candidate is decided
+constructively through Frobenius reciprocity: a hom from the
 induced block Ind_H^Q xi is fixed by the image w of the coset H, any w
 with w * A[h] = xi(h) * w on H, and sends the coset rH to w * A[r].  So
 the hom space per block is one left kernel (LevelModule.hom_basis; with
@@ -54,6 +61,7 @@ sign characters twist block entries by xi(rep(c')^-1 g rep(c)).
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from itertools import groupby
 
@@ -148,7 +156,7 @@ class LevelModule:
     down: Packed = field(default=(), repr=False, compare=False)
     built: dict[int, Packed] = field(default_factory=dict, init=False, repr=False,
                                      compare=False)
-    homs: dict[tuple, list[list[int]]] = field(default_factory=dict, init=False,
+    homs: dict[tuple, list[int]] = field(default_factory=dict, init=False,
                                                repr=False, compare=False)
 
     @property
@@ -178,38 +186,57 @@ class LevelModule:
                 a = built[x]
         return built[q]
 
-    def hom_basis(self, sub: Subgroup, xi: tuple[int, ...]) -> list[list[int]]:
-        """Hom(Ind_H^Q xi, M) by Frobenius reciprocity, memoized per (H, xi).
+    def hom_basis(self, sub: Subgroup, xi: tuple[int, ...],
+                  inside: Subgroup | None = None) -> list[int]:
+        """Hom(Ind_H^Q xi, M) by Frobenius reciprocity, as packed rows in
+        `layout`, memoized per (H, xi).
 
         A hom is fixed by the image w of the coset H, any w with
-        w * A[h] = xi(h) * w for h in H, and sends rH to w * A[r].  On H's
-        greedy generators in member order (enumeration.greedy_generators),
-        that is one system: w times the side-by-side stack of the
-        A[h] - xi(h) I, packed, is 0.
-        Its solutions come as _liftable_kernel gives them (at k = 1, as
-        modp_left_kernel's reduced echelon basis of the packed stack).  xi
-        is aligned with sub.members; all 1 gives M^H.
+        w * A[h] = xi(h) * w for h in H, and sends rH to w * A[r].  xi is
+        aligned with sub.members; all 1 gives M^H.  Over Z/p^k, k > 1, that
+        is one system on H's greedy generators in member order
+        (enumeration.greedy_generators): w times the side-by-side stack of
+        the A[h] - xi(h) I is 0, solved as _liftable_kernel gives it, and
+        `inside` is not read.
+
+        At k = 1 the space is read inside that of T = inside, a proper
+        subgroup of H (the trivial one by default, whose space is all of
+        M), and comes as the reduced echelon basis that the whole stack
+        gives.  With B the reduced echelon basis of the homs of (T, xi on
+        T), memoized or read first, and g over the generators H needs
+        beyond T (greedy from T), the homs of H are the y * B with
+        y * B * (A[g] - xi(g) I) = 0 for each g: y over the left kernel of
+        the side-by-side stack of the B * (A[g] - xi(g) I), dim M^T rows.
+        That y is in reduced echelon form, and so is y * B, its pivots
+        being y's at B's pivot columns: the one reduced echelon basis of
+        the space, whatever T.
         """
         key = (sub.members, xi)
         if key not in self.homs:
-            lay, dim = self.layout, self.dim
+            lay, ring, dim = self.layout, self.ring, self.dim
             sign = dict(zip(sub.members, xi))
-            gens = greedy_generators(self.qtbl.mult, sub.members, {0})
-            wide = fp_rows(len(gens) * dim, self.ring)
-            size = dim * lay.nbytes
-            # row i of the stack: row i of every A[h] side by side, joined as
-            # bytes, less xi(h) at slot i of each block
-            diag = sum((sign[h] % self.ring) << (b * dim * lay.bits) for b, h in enumerate(gens))
-            mats = [self.act(h) for h in gens]
-            stacked = [wide.sub(int.from_bytes(b"".join(a[i].to_bytes(size, "little")
-                                                        for a in mats), "little"),
-                                diag << (i * lay.bits))
-                       for i in range(dim)]
-            if self.k == 1:
-                self.homs[key] = modp_left_kernel(stacked, self.p, width=wide.width)
+            if self.k > 1:
+                gens = greedy_generators(self.qtbl.mult, sub.members, {0})
+                mats = [list(map(lay.unpack, self.act(h))) for h in gens]
+                stack = [[(x - sign[h] * (i == j)) % ring for h, a in zip(gens, mats)
+                          for j, x in enumerate(a[i])] for i in range(dim)]
+                self.homs[key] = [lay.pack(w) for w in _liftable_kernel(stack, self.p, self.k)]
+                return self.homs[key]
+            T = inside if inside is not None and inside.order < sub.order else Subgroup((0,), ())
+            base = (self.hom_basis(T, tuple(sign[t] for t in T.members)) if T.order > 1
+                    else _identity(lay))
+            gens = greedy_generators(self.qtbl.mult, sub.members, set(T.members))
+            shift = dim * lay.bits
+            stack = [0] * len(base)
+            for b, g in enumerate(gens):
+                image = self.act(g) if T.order == 1 else lay.mul(base, self.act(g))
+                for i, (a, w) in enumerate(zip(image, base)):
+                    stack[i] |= lay.sub(a, lay.scale(w, sign[g] % ring)) << (b * shift)
+            ys = modp_left_kernel(stack, self.p, width=len(gens) * dim)
+            if T.order == 1:
+                self.homs[key] = list(map(lay.pack, ys))
             else:
-                self.homs[key] = _liftable_kernel(list(map(wide.unpack, stacked)),
-                                                  self.p, self.k)
+                self.homs[key] = list(lay.mul(map(fp_rows(len(base), ring).pack, ys), base))
         return self.homs[key]
 
 
@@ -345,7 +372,10 @@ class MarksReport:
     """The Brauer-quotient test and the one multiplicity vector it allows.
 
     classes[i] is the representative K_i of subgroup class i, classes sorted
-    by order, and maximal[i] lists its subgroups of index p.  For the module M:
+    by order, and maximal[i] lists its subgroups of index p; both, and the
+    table of marks, are read off a SubgroupLattice (see level).  A class's
+    generators are the images of those of a subgroup of the lattice's
+    group, some generating set of it.  For the module M:
 
       brauer_dims[i] = dim M(K_i) = dim M^K_i - dim sum_{L < K_i} Tr_L^K_i(M^L)
 
@@ -373,9 +403,10 @@ class MarksReport:
     witness: str | None
 
 
-def _fixed(mod: LevelModule, sub: Subgroup) -> list[list[int]]:
-    """A basis of M^H, the hom space from the plain block Ind_H^Q 1."""
-    return mod.hom_basis(sub, (1,) * sub.order)
+def _fixed(mod: LevelModule, sub: Subgroup, inside: Subgroup | None = None) -> list[int]:
+    """A basis of M^H, the hom space from the plain block Ind_H^Q 1, read
+    inside M^inside (LevelModule.hom_basis)."""
+    return mod.hom_basis(sub, (1,) * sub.order, inside)
 
 
 def _brauer_dim(mod: LevelModule, K: Subgroup, maximal) -> int:
@@ -383,9 +414,18 @@ def _brauer_dim(mod: LevelModule, K: Subgroup, maximal) -> int:
     subgroups of K.  Every proper subgroup lies in a maximal one and the
     transfers compose, so the maximal ones give the whole sum.  Each L is
     normal of index p, so Tr_L^K = sum_{i<p} A[g^i] for any g in K - L.
+
+    The fixed spaces are read from the bottom up: M^Phi(K) first, Phi(K)
+    the intersection of the maximal subgroups, then each M^L inside it, and
+    M^K inside M^L for the last L, with the g in K - L that its transfer
+    takes (LevelModule.hom_basis).
     """
     lay = mod.layout
     span = ModpSpan(mod.dim, mod.p)
+    frattini = None
+    if maximal:
+        members = sorted(set(K.members).intersection(*(L.members for L in maximal)))
+        frattini = Subgroup(tuple(members), greedy_generators(mod.qtbl.mult, members, {0}))
     for L in maximal:
         in_l = set(L.members)
         g = next(x for x in K.members if x not in in_l)
@@ -395,9 +435,9 @@ def _brauer_dim(mod: LevelModule, K: Subgroup, maximal) -> int:
         tr = mod.act(powers[0])
         for t in powers[1:]:
             tr = [lay.add(a, b) for a, b in zip(tr, mod.act(t))]
-        for img in lay.mul([lay.pack(v) for v in _fixed(mod, L)], tr):
+        for img in lay.mul(_fixed(mod, L, frattini), tr):
             span.add(img)
-    return len(_fixed(mod, K)) - span.dim
+    return len(_fixed(mod, K, maximal[-1] if maximal else None)) - span.dim
 
 
 def _solve_marks(marks, brauer, classes) -> tuple[tuple[int, ...] | None, str | None]:
@@ -427,7 +467,73 @@ def _solve_marks(marks, brauer, classes) -> tuple[tuple[int, ...] | None, str | 
     return tuple(m), None
 
 
-def marks_multiplicities(mod: LevelModule) -> MarksReport:
+@dataclass(frozen=True)
+class SubgroupLattice:
+    """Every subgroup of a finite p-group P by conjugacy class, and P's
+    table of marks, enumerated once and read for every quotient of P.
+
+    classes are subgroup_conjugacy_classes(P, all_subgroups(P)), and
+    marks[i][j] = |(P/H_j)^K_i| for K_i, H_j in classes i and j (MarksReport).
+    level(f) reads them for a quotient Q of P, f the quotient map on
+    element indices, by the correspondence theorem: the subgroups of Q are
+    the images f(H) of the H >= N = ker f, once each; they are conjugate in
+    Q exactly when the H are in P, and P/H is Q/f(H) as a P-set, so
+    marks_Q(f(K), f(H)) = marks_P(K, H).
+    """
+
+    p: int
+    cover: Sequence[int]
+    classes: tuple[tuple[Subgroup, ...], ...]
+    marks: tuple[tuple[int, ...], ...]
+
+    @classmethod
+    def of(cls, tbl: FiniteGroupTable, p: int,
+           cover: Sequence[int] | None = None) -> SubgroupLattice:
+        """The lattice of P = tbl; cover maps G onto P on element indices
+        (the identity on P by default)."""
+        conj = subgroup_conjugacy_classes(tbl, all_subgroups(tbl))
+        sets = [[set(H.members) for H in c] for c in conj]
+        marks = tuple(tuple(tbl.order // (c[0].order * len(c))
+                            * sum(h.issuperset(K[0].generators) for h in hs)
+                            for c, hs in zip(conj, sets)) for K in conj)
+        return cls(p, range(tbl.order) if cover is None else cover, tuple(map(tuple, conj)), marks)
+
+    def level(self, quotient_map: Sequence[int]) -> tuple[
+            tuple[Subgroup, ...], tuple[tuple[Subgroup, ...], ...], list[tuple[int, ...]]]:
+        """(classes, maximal, marks) of the quotient Q that quotient_map
+        maps G onto, as MarksReport orders them.
+
+        f = quotient_map after cover^-1 maps P onto Q.  A class of P maps
+        to one of Q iff its first member holds ker f.  f(H) has the members
+        f maps H's onto and the images of H's generators as generators;
+        Q's classes are re-sorted by their least member tuple in Q, and
+        maximal[i] lists the subgroups of index p in classes[i], read off
+        the images.
+        """
+        def key(H: Subgroup):
+            return H.order, H.members
+
+        f = dict(zip(self.cover, quotient_map))
+        kernel = [x for x, y in f.items() if not y]
+        images = []
+        for i, cls in enumerate(self.classes):
+            if set(cls[0].members).issuperset(kernel):
+                images.append((sorted((Subgroup(tuple(sorted({f[x] for x in H.members})),
+                                                tuple(f[g] for g in H.generators))
+                                       for H in cls), key=key), i))
+        images.sort(key=lambda c: key(c[0][0]))
+        by_order: dict[int, list[Subgroup]] = {}
+        for H in sorted((H for c, _ in images for H in c), key=key):
+            by_order.setdefault(H.order, []).append(H)
+        classes = tuple(c[0] for c, _ in images)
+        maximal = tuple(tuple(L for L in by_order.get(K.order // self.p, ())
+                              if set(K.members).issuperset(L.generators))
+                        for K in classes)
+        marks = [tuple(self.marks[i][j] for _, j in images) for _, i in images]
+        return classes, maximal, marks
+
+
+def marks_multiplicities(mod: LevelModule, lattice: SubgroupLattice | None = None) -> MarksReport:
     """The only multiplicity vector a permutation module could have.
 
     The triangular marks system is solved exactly from the top class down
@@ -441,21 +547,21 @@ def marks_multiplicities(mod: LevelModule) -> MarksReport:
     only, so another |Q| raises InputError, as does a module over Z/p^k
     with k > 1: the quotients are read over F_p, on the module's packed
     rows.
+
+    The classes, their maximal subgroups and the table of marks are read
+    off `lattice` through the level's quotient map from G
+    (SubgroupLattice.level); tower_harness passes one lattice for all its
+    levels.  By default it is Q's own, read through the identity.
     """
     if mod.k != 1:
         raise InputError("the Brauer quotient test runs on the mod-p module (k = 1)")
     require_p_group(mod.qtbl.order, mod.p,
                     f"the Brauer quotient test needs a {mod.p}-group, |Q| = {mod.qtbl.order}")
-    subs = all_subgroups(mod.qtbl)
-    conj = subgroup_conjugacy_classes(mod.qtbl, subs)
-    classes = [cls[0] for cls in conj]
-    conj_sets = [[set(H.members) for H in cls] for cls in conj]
-    maximal = [tuple(L for L in subs if L.order * mod.p == K.order
-                     and sets[0].issuperset(L.generators))
-               for K, sets in zip(classes, conj_sets)]
-    marks = [tuple(mod.qtbl.order // (cls[0].order * len(cls))
-                   * sum(h.issuperset(K.generators) for h in sets)
-                   for cls, sets in zip(conj, conj_sets)) for K in classes]
+    if lattice is None:
+        lattice, quotient_map = SubgroupLattice.of(mod.qtbl, mod.p), range(mod.qtbl.order)
+    else:
+        quotient_map = mod.coin.quotient_map
+    classes, maximal, marks = lattice.level(quotient_map)
     brauer: list[int | None] = [None] * len(classes)
 
     def brauer_dim(i: int) -> int:
@@ -464,8 +570,8 @@ def marks_multiplicities(mod: LevelModule) -> MarksReport:
 
     m, witness = _solve_marks(marks, brauer_dim, classes)
     return MarksReport(
-        classes=tuple(classes),
-        maximal=tuple(maximal),
+        classes=classes,
+        maximal=maximal,
         brauer_dims=tuple(brauer),
         candidates=() if m is None else (m,),
         witness=witness,
@@ -658,7 +764,7 @@ def _socle_certificate(mod: LevelModule, marks: MarksReport, mults: tuple[int, .
             chars.setdefault(tuple(v % ring for v in xi), xi)
         got = 0
         for xi in chars.values():
-            basis = [lay.pack(w) for w in mod.hom_basis(sub, xi)]
+            basis = mod.hom_basis(sub, xi)
             for w, image in zip(basis, lay.mul(basis, trace)):
                 if got < m and span.add(image if mod.k == 1 else lay.unpack(image)):
                     blocks.append(Block(j, sub, xi))
@@ -692,18 +798,20 @@ class RecognitionResult:
     refutation: str | None = None
 
 
-def perm_recognize_modp(mod: LevelModule) -> RecognitionResult:
+def perm_recognize_modp(mod: LevelModule,
+                        lattice: SubgroupLattice | None = None) -> RecognitionResult:
     """Decide whether the mod-p module is a permutation module for Q.
 
     The Brauer quotients either refute outright or leave one multiplicity
     vector (marks_multiplicities).  The socle criterion then either
     assembles a verified isomorphism from its blocks or names the class
     whose traces fall short, which refutes too (_socle_certificate).  No
-    search and no budget: every module is decided.
+    search and no budget: every module is decided.  lattice is
+    marks_multiplicities'.
     """
     if mod.k != 1:
         raise InputError("recognition runs on the mod-p module (k = 1)")
-    marks = marks_multiplicities(mod)
+    marks = marks_multiplicities(mod, lattice)
     if not marks.candidates:
         return RecognitionResult("refuted", marks, None, None, 0, marks.witness)
     (cand,) = marks.candidates
@@ -792,11 +900,13 @@ class HarnessReport:
     transitions_checked: int
 
 
-def _level_outcome(lv: LevelResult, p: int, precision: int) -> tuple[LevelOutcome, LevelModule]:
-    """Recognize one level's mod-p module and, if certified, lift it."""
+def _level_outcome(lv: LevelResult, p: int, precision: int,
+                   lattice: SubgroupLattice | None = None) -> tuple[LevelOutcome, LevelModule]:
+    """Recognize one level's mod-p module and, if certified, lift it;
+    lattice is marks_multiplicities'."""
     n = lv.level
     mod1 = module_from_coinvariants(lv.coin, p, 1, n)
-    rec = perm_recognize_modp(mod1)
+    rec = perm_recognize_modp(mod1, lattice)
     mults = None
     if rec.multiplicities is not None:
         mults = tuple(
@@ -884,6 +994,8 @@ def tower_harness(qr: QRReport, precision: int | None = None,
             f"{p}-torsion {qr.levels[w - 1].p_torsion}, the equivalence hypothesis fails"
         )
     levels = qr.levels[:max_level]
+    top = levels[-1].coin
+    lattice = SubgroupLattice.of(top.quotient, p, top.quotient_map)
     outcomes = []
     mods = []
     violations = 0
@@ -891,7 +1003,7 @@ def tower_harness(qr: QRReport, precision: int | None = None,
         if i and lv.coin is levels[i - 1].coin:
             outcome, mod1 = replace(outcomes[-1], level=lv.level), mods[-1]
         else:
-            outcome, mod1 = _level_outcome(lv, p, precision)
+            outcome, mod1 = _level_outcome(lv, p, precision, lattice)
         statuses = {outcome.modp_status, outcome.integral_status}
         if statuses == {"refuted", "certified"}:
             violations += 1

@@ -23,8 +23,9 @@ report keeps the lattice and each level's subgroup and coinvariants for
 the harness.  A level keeps the F_p span its rank pass built, so one F_p
 elimination serves every ring (Coinvariants.over): over F_p the harness
 reads the span's reduced echelon rows, and over Z/p^k, k > 1, it
-eliminates only the rows that entered the span.  The quotient G/D_n is
-built once per level (Coinvariants.quotient).  The lattice keeps one form
+eliminates only the rows that entered the span.  The quotient G/D_n and
+its map from G are built once per level (Coinvariants.quotient and
+quotient_map).  The lattice keeps one form
 of its action, act's sparse rows, and a level's rows are packed from them
 at the ring they are read at (RelationLattice.relation_rows).  Each stage
 that asks for them reads the same objects: relation_lattice() builds once
@@ -283,8 +284,9 @@ class Coinvariants:
     dimension; D = 1 needs none.  over(p, k) is the level over Z/p^k as
     the harness reads it, from that one F_p elimination at every k:
     coordinates, quotient map from the lattice and letters.  quotient is
-    Q = G/D, the group the level is a module for, built once per level.
-    rlat is None only on a level made by hand.
+    Q = G/D, the group the level is a module for, and quotient_map the map
+    G -> Q on element indices, both built once per level.  rlat is None
+    only on a level made by hand.
     """
 
     invariants: AbelianInvariants
@@ -294,8 +296,16 @@ class Coinvariants:
     entered: tuple[int, ...] = field(default=(), repr=False, compare=False)
 
     @functools.cached_property
+    def _quotient(self) -> tuple[FiniteGroupTable, list[int]]:
+        return quotient_table(self.rlat.tbl, self.sub)
+
+    @property
     def quotient(self) -> FiniteGroupTable:
-        return quotient_table(self.rlat.tbl, self.sub)[0]
+        return self._quotient[0]
+
+    @property
+    def quotient_map(self) -> list[int]:
+        return self._quotient[1]
 
     def over(self, p: int, k: int) -> tuple[tuple[int, ...], Packed, dict[int, Packed]]:
         """(coords, down, letters): the level tensored with Z/p^k, read off

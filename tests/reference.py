@@ -15,16 +15,21 @@ lattice_quotient (its Smith form checked as integer_walk's is); and
 full_elimination_over, which runs qrlab's unit_pivot_rows (checked
 against dense elimination in tests/test_intlinalg.py) on every relation
 row; and packed_level_rows, which packs those rows with qrlab's FpRows.sub
-(checked slot by slot in tests/test_intlinalg.py).
+(checked slot by slot in tests/test_intlinalg.py); per_level_lattice,
+which enumerates one quotient's subgroups and classes with qrlab's
+all_subgroups and subgroup_conjugacy_classes (checked against
+all-elements walks in tests/test_enumeration.py); and stacked_hom_basis,
+which solves the whole stack with qrlab's modp_left_kernel (checked
+against dense_left_kernel in tests/test_intlinalg.py).
 """
 
 import functools
 import itertools
 
-from qrlab.enumeration import all_subgroups, subgroup_conjugacy_classes
+from qrlab.enumeration import all_subgroups, greedy_generators, subgroup_conjugacy_classes
 from qrlab.groupring import delta_filtration
 from qrlab.intlinalg import (AbelianInvariants, Lattice, fp_rows, lattice_quotient, mat_mul,
-                             p_torsion, smith_normal_form, unit_pivot_rows)
+                             modp_left_kernel, p_torsion, smith_normal_form, unit_pivot_rows)
 from qrlab.permrec import _brauer_dim
 
 
@@ -311,6 +316,46 @@ def eager_marks(mod):
     return dims, (tuple(m),), None
 
 
+def per_level_lattice(qtbl, p):
+    """Reference subgroup classes of one quotient Q from its own build:
+    all_subgroups and subgroup_conjugacy_classes on Q itself, the index-p
+    subgroups of each class representative by member containment, in
+    (order, members) order, and the table of marks counted over the
+    classes, |Q| / (|H_j| |C_j|) * #{H in C_j : K_i <= H}.  Returns
+    (class representatives, maximal lists, marks rows)."""
+    subs = all_subgroups(qtbl)
+    conj = subgroup_conjugacy_classes(qtbl, subs)
+    classes = [cls[0] for cls in conj]
+    sets = [[set(H.members) for H in cls] for cls in conj]
+    maximal = [tuple(L for L in subs if L.order * p == K.order and hs[0].issuperset(L.members))
+               for K, hs in zip(classes, sets)]
+    marks = [tuple(qtbl.order // (cls[0].order * len(cls))
+                   * sum(h.issuperset(K.members) for h in hs)
+                   for cls, hs in zip(conj, sets))
+             for K in classes]
+    return classes, maximal, marks
+
+
+def stacked_hom_basis(mod, sub, xi):
+    """Reference Hom(Ind_H^Q xi, M) of a mod-p level module as one
+    full-width kernel: w times the side-by-side stack of the A[h] - xi(h) I,
+    h over H's greedy generators in member order, is 0.  Row i of the stack
+    is row i of every A[h] joined as bytes, less xi(h) at slot i of each
+    block; returns modp_left_kernel's reduced echelon basis of it."""
+    lay, dim = mod.layout, mod.dim
+    sign = dict(zip(sub.members, xi))
+    gens = greedy_generators(mod.qtbl.mult, sub.members, {0})
+    wide = fp_rows(len(gens) * dim, mod.ring)
+    size = dim * lay.nbytes
+    diag = sum((sign[h] % mod.ring) << (b * dim * lay.bits) for b, h in enumerate(gens))
+    mats = [mod.act(h) for h in gens]
+    stacked = [wide.sub(int.from_bytes(b"".join(a[i].to_bytes(size, "little") for a in mats),
+                                       "little"),
+                        diag << (i * lay.bits))
+               for i in range(dim)]
+    return modp_left_kernel(stacked, mod.p, width=wide.width)
+
+
 def searched_sign_characters(tbl, sub):
     """Reference homomorphisms sub -> {1,-1} by search: a greedy generating
     set of d members, each of the 2^d sign assignments on it propagated
@@ -386,7 +431,7 @@ def word_replay_table(action):
     return mult, inv, gen_images, tuple(words[x] for x in seq), order_of
 
 
-def _closure(tbl, gens):
+def closure(tbl, gens):
     """Members of <gens>, by BFS under right multiplication from 1."""
     members, frontier = {0}, [0]
     for x in frontier:
@@ -407,7 +452,7 @@ def generators_for(tbl, members):
     for x in members:
         if x not in have:
             gens.append(x)
-            have = _closure(tbl, gens + [tbl.inv[g] for g in gens])
+            have = closure(tbl, gens + [tbl.inv[g] for g in gens])
     return tuple(gens)
 
 
@@ -421,7 +466,7 @@ def full_depth_dimension_chain(tbl, p):
     spans = delta_filtration(tbl, p)
     if spans[-1].dim != 0:
         raise ValueError("augmentation filtration of a p-group did not reach 0")
-    chain = [(tuple(sorted(_closure(tbl, set(tbl.gen_images)))),
+    chain = [(tuple(sorted(closure(tbl, set(tbl.gen_images)))),
               tuple(sorted(set(tbl.gen_images))))]
     n = 2
     while len(chain[-1][0]) > 1:
@@ -521,13 +566,13 @@ def conjugation_jennings_series(tbl, p):
     the commutator term from every [d, g] = d g d^-1 g^-1 with d in
     D_(n-1) and g in G, the powers from every member of D_ceil(n/p).
     Member tuples, D_1 = G first, down to the trivial term."""
-    chain = [tuple(sorted(_closure(tbl, set(tbl.gen_images))))]
+    chain = [tuple(sorted(closure(tbl, set(tbl.gen_images))))]
     while len(chain[-1]) > 1:
         n = len(chain) + 1
         gens = {tbl.mult[tbl.mult[tbl.mult[d][g]][tbl.inv[d]]][tbl.inv[g]]
                 for d in chain[-1] for g in range(tbl.order)}
         gens.update(tbl.power(d, p) for d in chain[(n + p - 1) // p - 1])
-        chain.append(tuple(sorted(_closure(tbl, gens))))
+        chain.append(tuple(sorted(closure(tbl, gens))))
     return chain
 
 

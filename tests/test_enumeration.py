@@ -18,7 +18,7 @@ from qrlab.presentation import Presentation, free_reduce, parse_presentation
 from qrlab.enumeration import (
     FiniteGroupTable,
     _canonical_table,
-    _normalizer_members,
+    _normalizes,
     _verify_table,
     all_subgroups,
     conjugate_subgroup_members,
@@ -173,7 +173,7 @@ def test_orbit_classes_and_generator_normalizers_match_all_elements(group, name,
     classes = subgroup_conjugacy_classes(tbl, subs)
     assert [[s.members for s in c] for c in classes] == all_elements_conjugacy_classes(tbl, subs)
     for sub in subs:
-        assert (_normalizer_members(tbl, sub, frozenset(sub.members))
+        assert ([g for g in range(tbl.order) if _normalizes(tbl, g, sub, frozenset(sub.members))]
                 == all_elements_normalizer(tbl, sub.members))
 
 

@@ -252,11 +252,12 @@ def test_modp_rank_kernel_dimension(a, p):
 @given(matrices(entries=st.integers(0, 6)), primes)
 @settings(deadline=None, max_examples=40)
 def test_modp_left_kernel_is_one_elimination(a, p):
-    """Each row of [A | I] enters the one span once, and each kernel row
-    the width-m span that puts the kernel in echelon form once."""
+    """Each row of [A | I] enters one span once: the span of the rows
+    leading in the A-part, or, its A-part reduced to zero, the width-m span
+    that puts the kernel in echelon form."""
     with mock.patch.object(ModpSpan, "add", autospec=True, side_effect=ModpSpan.add) as add:
-        ker = modp_left_kernel(a, p)
-    assert add.call_count == len(a) + len(ker)
+        modp_left_kernel(a, p)
+    assert add.call_count == len(a)
 
 
 @given(matrices(entries=st.integers(0, 4)), primes)

@@ -37,6 +37,7 @@ from qrlab import permrec
 from qrlab.permrec import (
     Block,
     LevelModule,
+    SubgroupLattice,
     _certify_letters,
     _identity,
     _level_outcome,
@@ -52,15 +53,18 @@ from qrlab.permrec import (
     transition_map,
 )
 
-from conftest import CORPUS_DIR, ORDER32, ORDER32_DIR, ladder_inputs, walk_inputs
+from conftest import CORPUS_DIR, NQR64, ORDER32, ORDER32_DIR, ladder_inputs, walk_inputs
 from reference import (
+    closure,
     coset_marks,
     dense_inverse,
     dense_rref,
     digit_by_digit_lifts,
     eager_marks,
     orbits_on_cosets,
+    per_level_lattice,
     searched_sign_characters,
+    stacked_hom_basis,
 )
 
 
@@ -391,6 +395,76 @@ def test_lazy_marks_match_the_eager_reference(lattice, name, text):
             assert (mk.candidates, mk.witness) == (candidates, witness)
             assert len(mk.brauer_dims) == len(dims)
             assert all(got in (None, want) for got, want in zip(mk.brauer_dims, dims))
+
+
+# the corpus at each of its primes, q32, m32, c64, c81, nqr32 and nqr64
+LATTICE_INPUTS = [(n, text, p) for n, text, p in walk_inputs() if n != "c9xc9"]
+LATTICE_INPUTS += [(n, (ORDER32_DIR / f"{n}.pres").read_text(), p)
+                   for n, p in (("c64", 2), ("c81", 3))]
+LATTICE_INPUTS += [("nqr64", NQR64.read_text(), 2)]
+
+
+def distinct_levels(qr):
+    return list({id(lv.coin): lv for lv in qr.levels}.values())
+
+
+@pytest.mark.parametrize("name,text,p", LATTICE_INPUTS, ids=[n for n, _, _ in LATTICE_INPUTS])
+def test_every_level_reads_its_subgroups_off_one_lattice(lattice, name, text, p):
+    """The classes, maximal lists and table of marks of every distinct
+    level's quotient, read off one lattice through the quotient map, are
+    those of a build on the quotient itself: from G's lattice, and from
+    the lattice of a middle level's quotient for every level up to it."""
+    qr = qr_check(lattice(text), p)
+    levels = distinct_levels(qr)
+    middle = levels[len(levels) // 2].coin
+    tops = [(SubgroupLattice.of(qr.rlat.tbl, p), levels),
+            (SubgroupLattice.of(middle.quotient, p, middle.quotient_map),
+             levels[:len(levels) // 2 + 1])]
+    for top, below in tops:
+        for lv in below:
+            classes, maximal, marks = top.level(lv.coin.quotient_map)
+            want_classes, want_maximal, want_marks = per_level_lattice(lv.coin.quotient, p)
+            assert [K.members for K in classes] == [K.members for K in want_classes]
+            assert ([[L.members for L in ls] for ls in maximal]
+                    == [[L.members for L in ls] for ls in want_maximal])
+            assert marks == want_marks, (name, lv.level)
+            for K in classes:
+                assert tuple(sorted(closure(lv.coin.quotient, K.generators))) == K.members
+
+
+def test_one_subgroup_enumeration_per_harness_run(lattice, monkeypatch):
+    """tower_harness enumerates subgroups once, on the quotient of the last
+    level it reads: G, or G/D_n under max_level = n."""
+    calls = []
+    enumerate_subgroups = permrec.all_subgroups
+    monkeypatch.setattr(permrec, "all_subgroups",
+                        lambda tbl: calls.append(tbl.order) or enumerate_subgroups(tbl))
+    for text, p, max_level in ((Q32, 2, None), (Q32, 2, 3), (C64, 2, None), (C9, 3, 2)):
+        qr = qr_check(lattice(text), p)
+        calls.clear()
+        rep = tower_harness(qr, max_level=max_level)
+        assert calls == [rep.levels[-1].quotient_order]
+        assert len({o.quotient_order for o in rep.levels}) > 1
+
+
+@pytest.mark.parametrize("name,text,p", LATTICE_INPUTS, ids=[n for n, _, _ in LATTICE_INPUTS])
+def test_fixed_spaces_read_inside_known_ones_are_the_stacked_kernels(lattice, name, text, p):
+    """On every distinct level, with the Brauer quotient of every class
+    read: every fixed space the marks read, each class and each of its
+    maximal subgroups among them, is the reduced echelon basis of the one
+    full-width kernel (stacked_hom_basis)."""
+    qr = qr_check(lattice(text), p)
+    top = SubgroupLattice.of(qr.rlat.tbl, p)
+    for lv in distinct_levels(qr):
+        mod = module_from_coinvariants(lv.coin, p, 1, lv.level)
+        classes, maximal, _ = top.level(lv.coin.quotient_map)
+        for K, ms in zip(classes, maximal):
+            permrec._brauer_dim(mod, K, ms)
+        assert {H.members for K, ms in zip(classes, maximal) for H in (K, *ms)} <= \
+            {members for members, _ in mod.homs}
+        for (members, xi), rows in mod.homs.items():
+            want = stacked_hom_basis(mod, Subgroup(members, ()), xi)
+            assert dense(mod, rows) == frozen(want), (name, lv.level, members)
 
 
 def test_d4_level2_unique_candidate_certifies():
@@ -768,7 +842,7 @@ def test_liftable_kernel_of_the_c64_top_level_hom_space_is_one_kernel(lattice, m
     whole = all_subgroups(mod.qtbl)[-1]
     assert (mod.qtbl.order, whole.order, mod.dim) == (64, 64, 1)
     calls = count_kernels(monkeypatch)
-    assert mod.hom_basis(whole, (1,) * 64) == [[1]]
+    assert dense(mod, mod.hom_basis(whole, (1,) * 64)) == ((1,),)
     assert len(calls) == 1
 
 
@@ -855,7 +929,7 @@ def test_hom_basis_against_brute_force(text, p, k):
 
         for sub in subs:
             for xi in sign_characters(sub, subs) if p == 2 else [(1,) * sub.order]:
-                rows = mod.hom_basis(sub, xi)
+                rows = dense(mod, mod.hom_basis(sub, xi))
                 assert all(solves(w, sub, xi) for w in rows)
                 reduced = [[x % p for x in w] for w in rows]
                 assert len(dense_rref(reduced, p)[0]) == len(rows)
@@ -875,7 +949,7 @@ def test_the_sign_module_of_c2_needs_the_ring_of_the_harness(k, fixed):
     sign = LevelModule(1, 2, k, tbl, (0,), {1: (2 ** k - 1,)}, coin)
     whole = all_subgroups(tbl)[-1]
     assert whole.order == 2
-    assert sign.hom_basis(whole, (1, 1)) == fixed
+    assert dense(sign, sign.hom_basis(whole, (1, 1))) == frozen(fixed)
 
 
 @pytest.mark.parametrize("name,text", LADDER, ids=[n for n, _ in LADDER])
@@ -897,7 +971,8 @@ def test_hom_spaces_reduce_alike_at_the_harness_ring_and_above(lattice, name, te
             subs = all_subgroups(low.qtbl)
             for cls in subgroup_conjugacy_classes(low.qtbl, subs):
                 for xi in sign_characters(cls[0], subs):
-                    spans = [dense_rref([[x % p for x in w] for w in mod.hom_basis(cls[0], xi)], p)
+                    spans = [dense_rref([[x % p for x in w]
+                                         for w in dense(mod, mod.hom_basis(cls[0], xi))], p)
                              for mod in (low, high)]
                     assert spans[0] == spans[1], (lv.level, cls[0].members, xi)
 
@@ -1147,9 +1222,9 @@ def squaring_cost(qtbl, word):
 
 
 @pytest.mark.parametrize("text,relator_costs,total", [
-    (Q32, ({0, 1}, {0, 3, 4}), 143),
-    (C64, ({0},), 232),
-    (Q64, ({0, 1}, {0, 3, 4}), 211),
+    (Q32, ({0, 1}, {0, 3, 4}), 182),
+    (C64, ({0},), 242),
+    (Q64, ({0, 1}, {0, 3, 4}), 271),
 ])
 def test_words_cost_one_product_per_binary_digit(lattice, monkeypatch, text, relator_costs,
                                                  total):
@@ -1161,7 +1236,9 @@ def test_words_cost_one_product_per_binary_digit(lattice, monkeypatch, text, rel
     a*b*a*b^-1 costs four, three or no products as |b| is 4, 2 or 1.  The
     total pins every product of the harness: letters (q32 24, c64 74, q64
     34), words (14, 0 and 17), and act, Brauer traces, hom bases,
-    certificates and transitions (105, 158 and 160)."""
+    certificates and transitions (144, 168 and 220).  Of those, a fixed
+    space read inside a nontrivial one takes B * A[g] per generator g
+    beyond it and y * B (42, 10 and 66), and act builds 33, 69 and 56."""
     pres = parse_presentation(text)
     qr = qr_check(lattice(text), 2)
     products = count_products(monkeypatch)
