@@ -13,8 +13,8 @@ Packed rows work over any Z/m, and FpRows.mul multiplies matrices kept
 as packed rows; the level modules use it over every ring Z/p^k.  Over
 Z/p^k, unit_pivot_rows eliminates with unit pivots only, and
 local_smith_exponents iterates it into the Smith form over the local ring.
-Dense mat_mul is for the integer work (the Smith certificate, integer
-inverses).
+Dense mat_mul is for the integer work (the Smith certificate), and
+scaled_inverse inverts over Q by integer row combinations, no Fraction.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from __future__ import annotations
 import bisect
 import functools
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -51,21 +52,39 @@ def mat_mul(a: Rows, b: Rows) -> Rows:
     return out
 
 
-def integer_inverse(rows: Rows) -> Rows:
-    """Exact inverse of a unimodular integer matrix, read off its Smith form.
-
-    U*A*V = I gives A^-1 = V*U.  Raises ValueError when A is not square or
-    its Smith form is not the identity (A is singular or not unimodular).
-    """
+def scaled_inverse(rows: Sequence[Sequence[int]]) -> tuple[Rows, int]:
+    """(N, d), N integral and d > 0, with N / d the inverse over Q of a
+    square integer matrix A, with no Fraction: Gauss-Jordan on [A | I] by
+    integer row combinations, each row divided by the gcd of its entries
+    so that they stay small, leaves row i as a_i e_i | a_i * (A^-1)_i, and
+    d is the lcm of the a_i.  Raises ValueError when A is not square or
+    is singular."""
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("inverse of a non-square matrix")
-    if n == 0:
-        return []
-    diag, U, V, _ = smith_normal_form(rows)
-    if diag != (1,) * n:
+    a = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(rows)]
+    for c in range(n):
+        t = next((i for i in range(c, n) if a[i][c]), None)
+        if t is None:
+            raise ValueError("singular matrix")
+        a[c], a[t] = a[t], a[c]
+        for i in range(n):
+            if i != c and a[i][c]:
+                row = [a[c][c] * x - a[i][c] * y for x, y in zip(a[i], a[c])]
+                e = math.gcd(*row)
+                a[i] = [x // e for x in row]
+    d = math.lcm(*(a[i][i] for i in range(n)))
+    return [[x * (d // a[i][i]) for x in a[i][n:]] for i in range(n)], d
+
+
+def integer_inverse(rows: Rows) -> Rows:
+    """Exact inverse of a unimodular integer matrix: scaled_inverse's N / d,
+    which is integral exactly when det A = +-1.  Raises ValueError when A
+    is not square, is singular or is not unimodular over Z."""
+    inverse, d = scaled_inverse(rows)
+    if any(x % d for row in inverse for x in row):
         raise ValueError("matrix is not unimodular over Z")
-    return mat_mul(V, U)
+    return [[x // d for x in row] for row in inverse]
 
 
 # ---------------------------------------------------------------------------
@@ -610,8 +629,9 @@ class ModpSpan:
     a sequence of ints or a row already packed in this span's layout.
 
     The reduced echelon form is read only by modp_left_kernel and by
-    relmod's Coinvariants.over, so `rows` clears above the pivots and
-    unpacks only when read; `pivots` is the same for both forms.
+    relmod's Coinvariants.over, so `reduced` clears above the pivots only
+    when read, and gives its rows packed; `rows` unpacks them, and
+    `pivots` is the same for both forms.
     """
 
     def __init__(self, width: int, p: int):
@@ -633,6 +653,11 @@ class ModpSpan:
     @property
     def rows(self) -> Rows:
         """Reduced echelon basis, ordered by pivot."""
+        return list(map(self.layout.unpack, self.reduced))
+
+    @property
+    def reduced(self) -> list[int]:
+        """Reduced echelon basis as packed rows, ordered by pivot."""
         lay, pivots = self.layout, self.pivots
         done: dict[int, int] = {}
         # bottom row first, so every row used to clear is already reduced:
@@ -645,16 +670,18 @@ class ModpSpan:
                 if vals[c]:
                     row = lay.cancel(row, done[c], c)
             done[pivots[k]] = row
-        return [lay.unpack(done[c]) for c in pivots]
+        return [done[c] for c in pivots]
 
     def _reduce(self, v: int, coeffs: dict[int, int] | None = None) -> tuple[int, int]:
         """(residue, its leading slot), or (0, -1) when v lies in the span.
 
         Each step clears the leading slot, so the leading slot strictly
         advances and uses each pivot at most once.  coeffs, when given,
-        collects the multiple of each basis row taken off, by pivot.
+        collects the multiple of each basis row taken off, by pivot.  Over
+        F_2 a step is an XOR in place, with no FpRows.cancel call.
         """
         lay, by_pivot, bits = self.layout, self._by_pivot, self.layout.bits
+        xor = self.p == 2
         for _ in range(len(by_pivot) + 1):
             if not v:
                 return 0, -1
@@ -664,7 +691,7 @@ class ModpSpan:
                 return v, c
             if coeffs is not None:
                 coeffs[c] = lay.entry(v, c)
-            v = lay.cancel(v, row, c)
+            v = v ^ row if xor else lay.cancel(v, row, c)
         raise AssertionError("F_p reduction failed to clear a leading slot")
 
     def contains(self, vec: Sequence[int] | int) -> bool:
@@ -704,10 +731,11 @@ def modp_rank(rows: Iterable[Sequence[int] | int], width: int, p: int,
 
 
 def modp_left_kernel(rows: Sequence[Sequence[int] | int], p: int,
-                     width: int | None = None) -> Rows:
-    """Reduced echelon basis of {x : x * A = 0 mod p}, A given as m rows
-    of length n, each a sequence of ints or a row already packed in the
-    layout fp_rows(n, p) (then width must be given), as ModpSpan.add takes.
+                     width: int | None = None) -> list[int]:
+    """Reduced echelon basis of {x : x * A = 0 mod p}, packed in
+    fp_rows(m, p), A given as m rows of length n, each a sequence of ints
+    or a row already packed in the layout fp_rows(n, p) (then width must
+    be given), as ModpSpan.add takes.
 
     One elimination on [A | I]: row i is packed as A_i with e_i OR-ed in
     at slot n + i, and reduced by the rows that lead in the A-part, the
@@ -715,8 +743,9 @@ def modp_left_kernel(rows: Sequence[Sequence[int] | int], p: int,
     a slot >= n, and its identity part (v >> n*bits) is a kernel vector,
     entered straight into the kernel's span.  Certified: every row entered
     one span or the other (their dims sum to m) and x * A = 0 for every
-    returned x, one packed accumulation per row; the span's rows number
-    rank(A), so by rank-nullity the kernel's are a whole kernel basis.
+    returned x, by one FpRows.mul, a product kernel the elimination does
+    not share; the span's rows number rank(A), so by rank-nullity the
+    kernel's are a whole kernel basis.
     """
     m = len(rows)
     n = width if width is not None else (len(rows[0]) if rows else 0)
@@ -732,14 +761,9 @@ def modp_left_kernel(rows: Sequence[Sequence[int] | int], p: int,
             kernel.add(v >> shift)
     if span.dim + kernel.dim != m:
         raise AssertionError("a row of [A | I] did not enter the span")
-    basis = kernel.rows
-    for x in basis:
-        acc = 0
-        for c, a in zip(x, packed):
-            if c:
-                acc = lay.add(acc, lay.scale(a, c))
-        if acc:
-            raise AssertionError("kernel row does not annihilate A")
+    basis = kernel.reduced
+    if any(lay.mul(basis, packed)):
+        raise AssertionError("kernel row does not annihilate A")
     return basis
 
 

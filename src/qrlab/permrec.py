@@ -28,11 +28,12 @@ per harness run, enumerated on the quotient of the last level read and
 read at every level through its quotient map (correspondence theorem).
 The fixed spaces a Brauer quotient at K needs are read bottom up, each
 inside a known one (_brauer_dim, LevelModule.hom_basis): M^Phi(K) for
-Phi(K) the Frattini subgroup, each M^L, L maximal in K, inside it, and
-M^K inside the last M^L.  Otherwise the one candidate is decided
-constructively through Frobenius reciprocity: a hom from the
-induced block Ind_H^Q xi is fixed by the image w of the coset H, any w
-with w * A[h] = xi(h) * w on H, and sends the coset rH to w * A[r].  So
+Phi(K) the Frattini subgroup, and each M^L, L maximal in K, inside it;
+dim M^K is a rank read off the last M^L, with no basis built.  Otherwise
+the one candidate is decided constructively through Frobenius
+reciprocity: a hom from the induced block Ind_H^Q xi is fixed by the
+image w of the coset H, any w with w * A[h] = xi(h) * w on H, and sends
+the coset rH to w * A[r].  So
 the hom space per block is one left kernel (LevelModule.hom_basis; with
 xi = 1 it is M^H, which the marks test reads too).  The socle criterion
 (_socle_certificate) picks the w: such a hom is an isomorphism iff the
@@ -209,7 +210,9 @@ class LevelModule:
         the side-by-side stack of the B * (A[g] - xi(g) I), dim M^T rows.
         That y is in reduced echelon form, and so is y * B, its pivots
         being y's at B's pivot columns: the one reduced echelon basis of
-        the space, whatever T.
+        the space, whatever T.  The kernel's rows come packed
+        (modp_left_kernel): with T = 1 they are the basis, else y * B is
+        one product.
         """
         key = (sub.members, xi)
         if key not in self.homs:
@@ -233,10 +236,7 @@ class LevelModule:
                 for i, (a, w) in enumerate(zip(image, base)):
                     stack[i] |= lay.sub(a, lay.scale(w, sign[g] % ring)) << (b * shift)
             ys = modp_left_kernel(stack, self.p, width=len(gens) * dim)
-            if T.order == 1:
-                self.homs[key] = list(map(lay.pack, ys))
-            else:
-                self.homs[key] = list(lay.mul(map(fp_rows(len(base), ring).pack, ys), base))
+            self.homs[key] = ys if T.order == 1 else list(lay.mul(ys, base))
         return self.homs[key]
 
 
@@ -359,7 +359,7 @@ def transition_map(hi: LevelModule, lo: LevelModule) -> Packed:
     for x_hi, x_lo in sorted(set(zip(hi.qtbl.gen_images, lo.qtbl.gen_images))):
         if lay.mul(hi.letters[x_hi], T) != lay.mul(T, lo.letters[x_lo]):
             raise PropertyViolation("transition between chain levels is not equivariant")
-    if modp_rank(map(lay.unpack, T), lo.dim, hi.p) != lo.dim:
+    if modp_rank(T if lo.k == 1 else map(lay.unpack, T), lo.dim, hi.p) != lo.dim:
         raise PropertyViolation("transition between chain levels is not surjective")
     return T
 
@@ -394,6 +394,9 @@ class MarksReport:
     back-substitution runs from the top class down and reads brauer_dims[i]
     only when it reaches class i: a refuted M has brauer_dims[i] = None for
     every class i below the witness step, a certified one has them all.
+    dim M^K is counted, not built: the fixed spaces the test leaves in
+    LevelModule.homs are those of the maximal subgroups of the classes
+    read and of their Frattini subgroups (_brauer_dim).
     """
 
     classes: tuple[Subgroup, ...]
@@ -416,16 +419,20 @@ def _brauer_dim(mod: LevelModule, K: Subgroup, maximal) -> int:
     normal of index p, so Tr_L^K = sum_{i<p} A[g^i] for any g in K - L.
 
     The fixed spaces are read from the bottom up: M^Phi(K) first, Phi(K)
-    the intersection of the maximal subgroups, then each M^L inside it, and
-    M^K inside M^L for the last L, with the g in K - L that its transfer
-    takes (LevelModule.hom_basis).
+    the intersection of the maximal subgroups, then each M^L inside it
+    (LevelModule.hom_basis).  M^K is only counted, and no space is built
+    when K = 1.  Otherwise K = <L, g> for the last L and the g in K - L
+    its transfer takes, so M^K is the y * B with y * B * (A[g] - I) = 0, B
+    the basis of M^L, and dim M^K = dim M^L - rank(B * (A[g] - I)): the
+    count a kernel of that stack gives, by rank-nullity.  At p = 2,
+    A[g] - I is Tr_L^K, whose images are already in hand.
     """
+    if not maximal:
+        return mod.dim
     lay = mod.layout
     span = ModpSpan(mod.dim, mod.p)
-    frattini = None
-    if maximal:
-        members = sorted(set(K.members).intersection(*(L.members for L in maximal)))
-        frattini = Subgroup(tuple(members), greedy_generators(mod.qtbl.mult, members, {0}))
+    members = sorted(set(K.members).intersection(*(L.members for L in maximal)))
+    frattini = Subgroup(tuple(members), greedy_generators(mod.qtbl.mult, members, {0}))
     for L in maximal:
         in_l = set(L.members)
         g = next(x for x in K.members if x not in in_l)
@@ -435,9 +442,11 @@ def _brauer_dim(mod: LevelModule, K: Subgroup, maximal) -> int:
         tr = mod.act(powers[0])
         for t in powers[1:]:
             tr = [lay.add(a, b) for a, b in zip(tr, mod.act(t))]
-        for img in lay.mul(_fixed(mod, L, frattini), tr):
+        images = lay.mul(base := _fixed(mod, L, frattini), tr)
+        for img in images:
             span.add(img)
-    return len(_fixed(mod, K, maximal[-1] if maximal else None)) - span.dim
+    moved = images if mod.p == 2 else map(lay.sub, lay.mul(base, mod.act(g)), base)
+    return len(base) - modp_rank(moved, mod.dim, mod.p) - span.dim
 
 
 def _solve_marks(marks, brauer, classes) -> tuple[tuple[int, ...] | None, str | None]:
@@ -650,7 +659,11 @@ def _liftable_kernel(a: list[list[int]], p: int, k: int) -> list[list[int]]:
     if d == 0:
         return []
     n = len(a[0])
-    lifts = modp_left_kernel(a, p, width=n)
+
+    def kernel(rows):  # modp_left_kernel's packed rows, unpacked
+        return list(map(fp_rows(len(rows), p).unpack, modp_left_kernel(rows, p, width=n)))
+
+    lifts = kernel(a)
     m_span = ModpSpan(n, p)
     fixes = [(row, [int(i == j) for i in range(d)]) for j, row in enumerate(a) if m_span.add(row)]
     q = p
@@ -665,7 +678,7 @@ def _liftable_kernel(a: list[list[int]], p: int, k: int) -> list[list[int]]:
             break
         r = len(lifts)
         new_lifts = []
-        for row in modp_left_kernel(defects + [m for m, _ in fixes], p, width=n):
+        for row in kernel(defects + [m for m, _ in fixes]):
             if not any(row[:r]):
                 break
             new_lifts.append([sum(row[i] * lifts[i][t] for i in range(r))
@@ -714,8 +727,9 @@ def _socle_certificate(mod: LevelModule, marks: MarksReport, mults: tuple[int, .
     Class j gets mults[j] blocks Ind_H^Q xi, H = marks.classes[j], xi from
     sign_characters(H), trivial first, one per value mod p^k (the trivial
     one alone at k = 1 and at odd p).  Block b's hom is a row w_b of
-    mod.hom_basis(H, xi) and sends the coset rH to w_b * A[r]; those rows
-    are phi, verified independently.  The w_b are picked by the socle
+    mod.hom_basis(H, xi), read inside the space of H's last maximal
+    subgroup, which the marks built, and sends the coset rH to w_b * A[r];
+    those rows are phi, verified independently.  The w_b are picked by the socle
     criterion, which decides the candidate exactly:
 
     (1) Injectivity is decided on the socle.  Q is a p-group, so over F_p
@@ -764,7 +778,7 @@ def _socle_certificate(mod: LevelModule, marks: MarksReport, mults: tuple[int, .
             chars.setdefault(tuple(v % ring for v in xi), xi)
         got = 0
         for xi in chars.values():
-            basis = mod.hom_basis(sub, xi)
+            basis = mod.hom_basis(sub, xi, marks.maximal[j][-1] if marks.maximal[j] else None)
             for w, image in zip(basis, lay.mul(basis, trace)):
                 if got < m and span.add(image if mod.k == 1 else lay.unpack(image)):
                     blocks.append(Block(j, sub, xi))

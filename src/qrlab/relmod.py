@@ -23,14 +23,15 @@ report keeps the lattice and each level's subgroup and coinvariants for
 the harness.  A level keeps the F_p span its rank pass built, so one F_p
 elimination serves every ring (Coinvariants.over): over F_p the harness
 reads the span's reduced echelon rows, and over Z/p^k, k > 1, it
-eliminates only the rows that entered the span.  The quotient G/D_n and
-its map from G are built once per level (Coinvariants.quotient and
-quotient_map).  The lattice keeps one form
-of its action, act's sparse rows, and a level's rows are packed from them
-at the ring they are read at (RelationLattice.relation_rows).  Each stage
-that asks for them reads the same objects: relation_lattice() builds once
-per table and presentation, which the table keeps, and qr_check() once
-per prime, which the lattice keeps.
+eliminates only the rows that entered the span; level 1 takes none,
+its quotient map read off the cycles' exponent sums and checked on
+those rows.  The quotient G/D_n and its map from G are built once per
+level (Coinvariants.quotient and quotient_map).  The lattice keeps one
+form of its action, act's sparse rows, and a level's rows are packed
+from them at the ring they are read at (RelationLattice.relation_rows).
+Each stage that asks for them reads the same objects: relation_lattice()
+builds once per table and presentation, which the table keeps, and
+qr_check() once per prime, which the lattice keeps.
 hopf_h2() and bar_h2() compute the Schur multiplier by two routes that
 share no code above the integer kernels and must agree.
 
@@ -64,7 +65,9 @@ from .intlinalg import (
     lattice_quotient,
     local_smith_exponents,
     modp_rank,
+    p_part,
     p_torsion,
+    scaled_inverse,
     unit_pivot_rows,
 )
 from .presentation import Presentation, is_prime
@@ -132,6 +135,16 @@ class RelationLattice:
         every ring.  They span the (d - 1)-action of sub:
         (de - 1)v = (d - 1)(ev) + (e - 1)v."""
         return list(map(fp_rows(self.rank, modulus).pack_sparse, self._level_rows(sub)))
+
+    @functools.cached_property
+    def exponent_sums(self) -> list[list[int]]:
+        """epsilon(cycle_c) in Z^|X| per cycle c, read-only: its block
+        augmentations, the exponent sum of the Schreier generator it is."""
+        out = [[0] * self.pres.ngens for _ in self.cycles]
+        for row, cycle in zip(out, self.cycles):
+            for start, _, c in cycle:
+                row[start // self.tbl.order] += c
+        return out
 
     @functools.cached_property
     def g_coin(self) -> Coinvariants:
@@ -317,10 +330,10 @@ class Coinvariants:
         k = 1 the pivots are that span's reduced echelon rows
         (ModpSpan.rows), with no row built.  Over Z/p^k, k > 1, a level
         with p-torsion has no free form (TorsionObstruction); one without
-        is a free summand of rank r - f.  There unit_pivot_rows eliminates
-        only the rows that entered the span, each packed mod p^k from act's
-        sparse row as relation_rows packs it, in their order, and stops at
-        rank; its pivots are those of all the rows.
+        is a free summand of rank r - f.  Below level 1, unit_pivot_rows
+        eliminates only the rows that entered the span, each packed mod p^k
+        from act's sparse row as relation_rows packs it, in their order, and
+        stops at rank; its pivots are those of all the rows.
         Proof: in unit_pivot_rows the pivot rows so far reduce mod p to a
         reduced echelon basis of the span of the rows read so far, mod p
         (a row that adds no pivot has no unit left, so it is 0 mod p once
@@ -338,6 +351,17 @@ class Coinvariants:
         row per lattice column packed in fp_rows(len(coords), p^k): e_j at
         coords[j], -b_c at a pivot c.  letters[x], for x a generator image,
         is A[x] on coords, then down.
+
+        Level 1, D = G, takes no elimination at k > 1: coords are the
+        span's non-pivot columns, which unit_pivot_rows keeps at every k,
+        and down is read off the exponent sums (_exponent_sum_map), the
+        level being epsilon(R) (x) Z_p by Crowell-Lyndon.  Certified: down
+        is e_j at coords[j] and kills every entered row mod p^k, and rank
+        rows entered.  Each raised the span's dimension, so they reduce to
+        independent rows mod p and span a free summand of rank `rank`; the
+        quotient by them is free of rank f, as the level is, so it is the
+        level, and down maps it onto (Z/p^k)^f: a bijection, so down is the
+        quotient map, as above.
         """
         rlat, ring, r = self.rlat, p ** k, self.rlat.rank
         torsion = p_torsion(self.invariants, p)
@@ -350,8 +374,11 @@ class Coinvariants:
             raise InputError(
                 f"the level of a subgroup of order {self.sub.order} keeps no F_{p} span")
         lay, rank = fp_rows(r, ring), r - self.invariants.free_rank - len(torsion)
+        level_one = k > 1 and self.sub.order == rlat.tbl.order > 1
         if span is None:
             reduced = {}
+        elif level_one:
+            reduced = dict.fromkeys(span.pivots)
         elif k == 1:
             reduced = dict(zip(span.pivots, span.rows))
         else:
@@ -365,21 +392,46 @@ class Coinvariants:
                 f"not the level's {rank} = r - f - t_p")
         coords = tuple(j for j in range(r) if j not in reduced)
         out = fp_rows(len(coords), ring)
-        down = [0] * r
-        for i, j in enumerate(coords):
-            down[j] = out.unit(i)
-        for c, vals in reduced.items():
-            down[c] = out.pack([-vals[j] for j in coords])
-        letters = {}
-        for x in sorted(set(rlat.tbl.gen_images)):
-            rows = []
-            for nonzeros in map(rlat.act(x).__getitem__, coords):
-                acc = 0
-                for col, e in nonzeros:
-                    acc = out.add(acc, down[col]) if e > 0 else out.sub(acc, down[col])
-                rows.append(acc)
-            letters[x] = tuple(rows)
+
+        def image(nonzeros):  # a sparse lattice row with entries +-1, mapped down
+            acc = 0
+            for col, e in nonzeros:
+                acc = out.add(acc, down[col]) if e > 0 else out.sub(acc, down[col])
+            return acc
+
+        if level_one:
+            down = self._exponent_sum_map(coords, p, ring)
+            level_rows = rlat._level_rows(self.sub)
+            if (len(self.entered) != rank
+                    or any(down[j] != out.unit(i) for i, j in enumerate(coords))
+                    or any(image(level_rows[i]) for i in self.entered)):
+                raise PropertyViolation(
+                    f"the exponent sums over Z/{p}^{k} are not the quotient map of level 1")
+        else:
+            down = [0] * r
+            for i, j in enumerate(coords):
+                down[j] = out.unit(i)
+            for c, vals in reduced.items():
+                down[c] = out.pack([-vals[j] for j in coords])
+        letters = {x: tuple(map(image, map(rlat.act(x).__getitem__, coords)))
+                   for x in sorted(set(rlat.tbl.gen_images))}
         return coords, tuple(down), letters
+
+    def _exponent_sum_map(self, coords: tuple[int, ...], p: int, ring: int) -> list[int]:
+        """down[c] = epsilon(e_c) * W^-1 mod ring, packed in
+        fp_rows(len(coords), ring), for W the rows epsilon(e_j), j in coords
+        (RelationLattice.exponent_sums), inverted once over Q as N / d; a
+        singular W, or a denominator that p divides, is a PropertyViolation."""
+        eps, out = self.rlat.exponent_sums, fp_rows(len(coords), ring)
+        try:
+            inverse, d = scaled_inverse([eps[j] for j in coords])
+        except ValueError:
+            raise PropertyViolation("level 1's coordinates have singular exponent sums") from None
+        cols, q, unit = list(zip(*inverse)), p_part(d, p), pow(d // p_part(d, p), -1, ring)
+        z = [[sum(x * y for x, y in zip(e, col)) for col in cols] for e in eps]
+        if any(x % q for row in z for x in row):
+            raise PropertyViolation("an exponent sum leaves Z_p under W^-1")
+        return [out.pack([x // q * unit for x in row]) for row in z]
 
 
 def _primes_dividing(n: int) -> list[int]:
@@ -540,12 +592,8 @@ def hopf_h2(rlat: RelationLattice) -> AbelianInvariants:
     Hermite normal forms, unique per lattice, must be equal: no Smith form
     and no solve.
     """
-    n = rlat.tbl.order
     aug = Lattice(rlat.pres.ngens)
-    for cycle in rlat.cycles:
-        row = [0] * rlat.pres.ngens
-        for start, _, c in cycle:
-            row[start // n] += c
+    for row in rlat.exponent_sums:
         aug.add(row)
     rel = Lattice(rlat.pres.ngens)
     for row in rlat.pres.relator_exponent_matrix():

@@ -73,6 +73,16 @@ def walk_inputs():
     return out + [("c9xc9", C9XC9, 3)]
 
 
+def level_one_inputs():
+    """(id, text, p) for the level-1 oracles: every corpus entry of order
+    > 1 at each prime where it is quasirational, whose level 1 has no
+    p-torsion, and q32, m32, c64 and c81 (the benchmark's inputs)."""
+    out = [(f"{e['id']}[{p}]", e["text"], p) for e in _corpus() for p in e["primes"]
+           if e["expected"]["qr"][str(p)] and e["expected"]["order"] > 1]
+    return out + [(name, (ORDER32_DIR / f"{name}.pres").read_text(), p)
+                  for name, p in (("q32", 2), ("m32", 2), ("c64", 2), ("c81", 3))]
+
+
 def ladder_inputs():
     """(id, text) for the dimension-subgroup and subgroup-lattice oracles:
     P_GROUPS, every corpus entry, the benchmark's inputs (read, never

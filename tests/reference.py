@@ -12,15 +12,19 @@ eager_marks, which runs qrlab's subgroup classes and Brauer quotients
 (checked against direct counts in tests/test_permrec.py) on every class
 before its own back-substitution; and bar_d2_gab, which takes qrlab's
 lattice_quotient (its Smith form checked as integer_walk's is); and
-full_elimination_over, which runs qrlab's unit_pivot_rows (checked
-against dense elimination in tests/test_intlinalg.py) on every relation
-row; and packed_level_rows, which packs those rows with qrlab's FpRows.sub
-(checked slot by slot in tests/test_intlinalg.py); per_level_lattice,
+full_elimination_over and entered_elimination_over, which run qrlab's
+unit_pivot_rows (checked against dense elimination in
+tests/test_intlinalg.py) on every relation row and on the rows that
+entered a level's F_p span; and packed_level_rows, which packs those
+rows with qrlab's FpRows.sub (checked slot by slot in
+tests/test_intlinalg.py); per_level_lattice,
 which enumerates one quotient's subgroups and classes with qrlab's
 all_subgroups and subgroup_conjugacy_classes (checked against
 all-elements walks in tests/test_enumeration.py); and stacked_hom_basis,
 which solves the whole stack with qrlab's modp_left_kernel (checked
-against dense_left_kernel in tests/test_intlinalg.py).
+against dense_left_kernel in tests/test_intlinalg.py), and
+stacked_brauer_dim, which traces those kernels with qrlab's FpRows.mul
+(checked against dense products in tests/test_intlinalg.py).
 """
 
 import functools
@@ -341,7 +345,8 @@ def stacked_hom_basis(mod, sub, xi):
     full-width kernel: w times the side-by-side stack of the A[h] - xi(h) I,
     h over H's greedy generators in member order, is 0.  Row i of the stack
     is row i of every A[h] joined as bytes, less xi(h) at slot i of each
-    block; returns modp_left_kernel's reduced echelon basis of it."""
+    block; returns modp_left_kernel's reduced echelon basis of it, rows
+    packed in mod.layout."""
     lay, dim = mod.layout, mod.dim
     sign = dict(zip(sub.members, xi))
     gens = greedy_generators(mod.qtbl.mult, sub.members, {0})
@@ -354,6 +359,24 @@ def stacked_hom_basis(mod, sub, xi):
                         diag << (i * lay.bits))
                for i in range(dim)]
     return modp_left_kernel(stacked, mod.p, width=wide.width)
+
+
+def stacked_brauer_dim(mod, K, maximal):
+    """Reference dim M(K) of a mod-p level module from full-width kernels:
+    dim M^K, the length of stacked_hom_basis at K, less the dense_rref rank
+    of the images w * Tr_L^K of the rows w of stacked_hom_basis at every L
+    in maximal, Tr_L^K the sum of the A[g^i], i < p, for the first member
+    g of K outside L."""
+    lay, p = mod.layout, mod.p
+    images = []
+    for L in maximal:
+        g = next(x for x in K.members if x not in L.members)
+        trace, x = [0] * mod.dim, 0
+        for _ in range(p):
+            trace = [lay.add(a, b) for a, b in zip(trace, mod.act(x))]
+            x = mod.qtbl.mult[x][g]
+        images += map(lay.unpack, lay.mul(stacked_hom_basis(mod, L, (1,) * L.order), trace))
+    return len(stacked_hom_basis(mod, K, (1,) * K.order)) - len(dense_rref(images, p)[0])
 
 
 def searched_sign_characters(tbl, sub):
@@ -687,9 +710,22 @@ def full_elimination_over(coin, p, k):
     of A[d] - I mod p^k, d over the level's generators (packed_level_rows),
     stopped at r - f - t_p pivots.  The quotient map and the letters are
     read off the pivot rows as over reads them."""
+    rows = packed_level_rows(coin.rlat, coin.sub, p ** k)
+    return _eliminated_over(coin, p, k, [v for _, v in rows if v])
+
+
+def entered_elimination_over(coin, p, k):
+    """Reference level 1 of Coinvariants.over at k > 1, the elimination it
+    replaced: unit_pivot_rows on only the rows that entered the kept F_p
+    span (Coinvariants.entered), packed mod p^k as relation_rows packs
+    them, in their order; then as full_elimination_over."""
+    rows = coin.rlat.relation_rows(coin.sub, p ** k)
+    return _eliminated_over(coin, p, k, [rows[i] for i in coin.entered])
+
+
+def _eliminated_over(coin, p, k, rows):
     rlat, ring, r = coin.rlat, p ** k, coin.rlat.rank
     lay = fp_rows(r, ring)
-    rows = [v for _, v in packed_level_rows(rlat, coin.sub, ring) if v]
     rank = r - coin.invariants.free_rank - len(p_torsion(coin.invariants, p))
     pivots, _ = unit_pivot_rows(rows, lay, p, rank)
     if len(pivots) != rank:

@@ -35,6 +35,7 @@ from qrlab.intlinalg import (
     modp_left_kernel,
     modp_rank,
     p_torsion,
+    scaled_inverse,
     smith_normal_form,
 )
 
@@ -226,6 +227,24 @@ def test_integer_inverse():
         integer_inverse([[2, 0], [0, 1]])
 
 
+@given(st.integers(1, 4).flatmap(
+    lambda n: st.lists(st.lists(st.integers(-9, 9), min_size=n, max_size=n),
+                       min_size=n, max_size=n)))
+@settings(deadline=None, max_examples=80)
+def test_scaled_inverse_is_the_inverse_over_q_or_raises_on_a_singular_matrix(a):
+    """N * A = d * I with d > 0 when A is nonsingular (by the reference
+    Bareiss determinant det_int), and ValueError otherwise."""
+    n = len(a)
+    if det_int(a) == 0:
+        with pytest.raises(ValueError, match="singular"):
+            scaled_inverse(a)
+        return
+    inverse, d = scaled_inverse(a)
+    assert d > 0 and mat_mul(inverse, a) == [[d * (i == j) for j in range(n)] for i in range(n)]
+    with pytest.raises(ValueError, match="non-square"):
+        scaled_inverse([row + [0] for row in a])
+
+
 # --- mod p ---------------------------------------------------------------
 
 primes = st.sampled_from([2, 3, 5])
@@ -241,7 +260,7 @@ def test_modp_rank_kernel_dimension(a, p):
     n = len(a[0])
     r = modp_rank(a, n, p)
     assert r == dense_rank(a, p)
-    ker = modp_left_kernel(a, p)
+    ker = list(map(fp_rows(len(a), p).unpack, modp_left_kernel(a, p)))
     assert ker == dense_left_kernel(a, p)
     assert len(ker) == len(a) - r
     for row in ker:
@@ -341,7 +360,8 @@ def test_modp_span_matches_the_dense_reference_at_every_width_and_prime(p, n, m,
     assert sum(1 for r in rows if span.add(r)) == len(pivots)
     assert span.pivots == pivots and span.rows == rref
     assert modp_rank(rows, n, p) == len(pivots)
-    assert modp_left_kernel(rows, p) == dense_left_kernel(rows, p)
+    kernel = modp_left_kernel(rows, p)
+    assert list(map(fp_rows(len(rows), p).unpack, kernel)) == dense_left_kernel(rows, p)
     assert span.contains(rows[-1]) and not span.add(rows[-1])
     assert span.contains(probe) == (dense_rank(rows + [probe], p) == len(pivots))
 

@@ -38,10 +38,11 @@ from qrlab.relmod import (
 )
 
 from conftest import (C9XC9, CORPUS_DIR, NQR32, NQR64, ORDER32, ORDER32_DIR, ladder_inputs,
-                      spy_peel, walk_inputs)
+                      level_one_inputs, spy_peel, walk_inputs)
 from reference import (
     bar_d2_gab,
     cycle_basis,
+    entered_elimination_over,
     full_elimination_over,
     integer_g_coin,
     integer_walk,
@@ -661,6 +662,57 @@ def test_level_over_matches_the_full_elimination_at_every_ring(lattice, text, p)
     for lv in {id(lv.coin): lv for lv in qr_check(rlat, p).levels}.values():
         for k in sorted({1, 2, top, 20}) if not lv.p_torsion else [1]:
             assert lv.coin.over(p, k) == full_elimination_over(lv.coin, p, k), (lv.level, k)
+
+
+LEVEL_ONE_INPUTS = level_one_inputs()
+
+
+@pytest.mark.parametrize("text,p", [(text, p) for _, text, p in LEVEL_ONE_INPUTS],
+                         ids=[ident for ident, _, _ in LEVEL_ONE_INPUTS])
+def test_level_one_over_is_the_entered_row_elimination_byte_for_byte(lattice, text, p):
+    """Level 1 over Z/p^k, k > 1, reads its quotient map off the exponent
+    sums with no elimination; on every quasirational corpus entry, q32,
+    m32, c64 and c81 its (coords, down, letters) are those of the
+    unit-pivot elimination of the rows that entered the F_p span
+    (reference.entered_elimination_over), at k = 2, 1 + v_p(|G|) and 20."""
+    rlat = lattice(text)
+    top = 1 + prime_power(rlat.tbl.order)[1]
+    level = qr_check(rlat, p).levels[0]
+    assert level.coin.sub.order == rlat.tbl.order and not level.p_torsion
+    for k in sorted({2, top, 20}):
+        assert level.coin.over(p, k) == entered_elimination_over(level.coin, p, k), k
+
+
+@pytest.mark.parametrize("column", ["pivot", "coordinate"])
+def test_level_one_refuses_exponent_sums_that_are_not_its_quotient_map(lattice, monkeypatch,
+                                                                       column):
+    """The exponent-sum map of level 1 is certified, not trusted: with one
+    row of it moved by a unit vector, at a pivot column (then it no longer
+    kills an entered relation row) or at a coordinate (then it is not e_j
+    there), over(2, 6) on q32 raises, also under python -O."""
+    coin = qr_check(lattice((ORDER32_DIR / "q32.pres").read_text()), 2).levels[0].coin
+    exact = relmod.Coinvariants._exponent_sum_map
+
+    def moved(self, coords, p, ring):
+        down = exact(self, coords, p, ring)
+        c = self.span.pivots[0] if column == "pivot" else coords[-1]
+        down[c] = fp_rows(len(coords), ring).add(down[c], 1)
+        return down
+
+    coin.over(2, 6)
+    monkeypatch.setattr(relmod.Coinvariants, "_exponent_sum_map", moved)
+    with pytest.raises(PropertyViolation, match="not the quotient map of level 1"):
+        coin.over(2, 6)
+
+
+def test_level_one_refuses_a_span_kept_with_fewer_entered_rows(lattice):
+    """The level-1 certificate reads the rows that built the kept span,
+    rank of them; q32's level 1 with its last entered row dropped, the
+    span kept whole, raises at over(2, 6), as the elimination did."""
+    coin = qr_check(lattice((ORDER32_DIR / "q32.pres").read_text()), 2).levels[0].coin
+    cut = dataclasses.replace(coin, entered=coin.entered[:-1])
+    with pytest.raises(PropertyViolation, match="not the quotient map of level 1"):
+        cut.over(2, 6)
 
 
 @pytest.mark.parametrize("text,p", [(text, p) for _, text, p in OVER_INPUTS],
