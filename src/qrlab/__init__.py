@@ -28,7 +28,6 @@ from .enumeration import (
 )
 from .groupring import (
     delta_dimension_sequence,
-    dimension_subgroup,
     dimension_subgroup_chain,
     jennings_series,
 )
@@ -92,7 +91,6 @@ __all__ = [
     "bar_h2",
     "coinvariants",
     "delta_dimension_sequence",
-    "dimension_subgroup",
     "dimension_subgroup_chain",
     "equivalence_harness",
     "gab_invariants",

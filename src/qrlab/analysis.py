@@ -8,8 +8,8 @@ every prime's tower.  Each prime reads one p-local level off the lattice
 per other distinct dimension subgroup, and the harness reads its chain
 and levels from the QR report and lifts over Z/p^k with k = 1 + v_p(|G|),
 where its verdicts hold over Z_p.  The bar route runs only up to order
-BAR_BOUND; above it the h2 stage fails with BudgetExceeded, after Hopf's
-formula and before any verdict.
+relmod.DEFAULT_BAR_BOUND; above it the h2 stage fails with BudgetExceeded,
+after Hopf's formula and before any verdict.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from .intlinalg import AbelianInvariants
 from .permrec import HarnessReport, tower_harness
 from .presentation import Presentation
 from .relmod import (
+    DEFAULT_BAR_BOUND,
     QRReport,
     RelationLattice,
     bar_h2,
@@ -31,8 +32,6 @@ from .relmod import (
     qr_check,
     relation_lattice,
 )
-
-BAR_BOUND = 32
 
 
 @dataclass
@@ -78,9 +77,9 @@ def analyze(pres: Presentation, primes, *, max_cosets: int = DEFAULT_MAX_COSETS,
         rep.gab = gab_invariants(pres)
         stage = "h2"
         hop = clock("h2_hopf", lambda: hopf_h2(rlat))
-        if tbl.order > BAR_BOUND:
+        if tbl.order > DEFAULT_BAR_BOUND:
             raise BudgetExceeded(
-                f"bar resolution bound {BAR_BOUND} exceeded (order {tbl.order})")
+                f"bar resolution bound {DEFAULT_BAR_BOUND} exceeded (order {tbl.order})")
         bar = clock("h2_bar", lambda: bar_h2(tbl))
         if (hop.free_rank, hop.torsion) != (bar.free_rank, bar.torsion):
             raise PropertyViolation(f"H2 routes disagree: {hop} vs {bar}")

@@ -15,7 +15,7 @@ subgroup_closure(tbl, tbl.gen_images), and every other term carries its
 greedy generators in member order (enumeration.greedy_generators).
 
 The powers of Delta themselves stay as the oracle (delta_filtration,
-dimension_subgroup, `oracle delta-dims`).  Since gh - 1 = (g - 1)h + (h - 1),
+`oracle delta-dims`).  Since gh - 1 = (g - 1)h + (h - 1),
 Delta is generated as a right ideal by the x - 1 with x a generator
 image, so
 Delta^(n+1) = Delta*Delta^n = sum_x (x - 1)*F_pG*Delta^n = sum_x (x - 1)*Delta^n.
@@ -110,26 +110,6 @@ def require_p_group(order: int, p: int, message: str) -> None:
     pp = prime_power(order)
     if order > 1 and (pp is None or pp[0] != p):
         raise InputError(message)
-
-
-def _dimension_members(tbl: FiniteGroupTable, span: ModpSpan, candidates) -> list[int]:
-    """The g among the candidates with g - 1 in the span."""
-    lay = span.layout
-    return [g for g in candidates if span.contains(lay.sub(lay.unit(g), lay.unit(0)))]
-
-
-def dimension_subgroup(tbl: FiniteGroupTable, p: int, n: int) -> Subgroup:
-    """D_n = {g : g - 1 in Delta^n(F_p G)}.  Requires |G| = p^a."""
-    require_p_group(tbl.order, p,
-                    f"dimension subgroups over F_{p} need a {p}-group; order is {tbl.order}")
-    if n < 1:
-        raise InputError("Delta power index must be >= 1")
-    if n == 1:
-        return subgroup_closure(tbl, tbl.gen_images)
-    spans = delta_filtration(tbl, p, max_n=n)
-    # a shorter list means the chain went constant (or hit 0) before n
-    members = _dimension_members(tbl, spans[-1], range(tbl.order))
-    return Subgroup(tuple(members), greedy_generators(tbl.mult, members, {0}))
 
 
 def _generator_images(tbl: FiniteGroupTable) -> list[int]:

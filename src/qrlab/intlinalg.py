@@ -419,30 +419,6 @@ class Lattice:
     def __contains__(self, vec) -> bool:
         return self.coordinates(vec) is not None
 
-    def equals(self, other: "Lattice") -> bool:
-        if self.ambient != other.ambient or self.rank != other.rank:
-            return False
-        return all(r in other for r in self.basis) and all(r in self for r in other.basis)
-
-
-def left_kernel(rows: Rows, width: int | None = None) -> Rows:
-    """Basis of {x in Z^m : x * A = 0} for A given as m rows.
-
-    Echelonize (A | I); rows whose A-part vanished carry kernel vectors in
-    the identity part.  The result is a full basis of the kernel lattice.
-    """
-    m = len(rows)
-    n = width if width is not None else (len(rows[0]) if rows else 0)
-    lat = Lattice(n + m)
-    for i, r in enumerate(rows):
-        if len(r) != n:
-            raise ValueError("ragged input")
-        aug = list(r) + [0] * m
-        aug[n + i] = 1
-        lat.add(aug)
-    lat.canonicalize()
-    return [row[n:] for row in lat.basis if not any(row[:n])]
-
 
 # ---------------------------------------------------------------------------
 # mod-p routines: one packed-row elimination kernel
@@ -472,6 +448,7 @@ class FpRows:
         self._ms = modulus * ones
         self._bias = ((1 << (self.bits - 1)) - modulus) * ones
         self._high = (1 << (self.bits - 1)) * ones
+        self._wide: dict[int, tuple] = {}  # mul's slot layout, per len(b)
 
     def pack(self, vec: Sequence[int]) -> int:
         if len(vec) != self.width:
@@ -562,30 +539,33 @@ class FpRows:
         every v <= top once 2^s >= 2^bits(top) * 2^bits(m) > top * m (the
         error v * (c - 2^s/m) / 2^s stays below 1/m).  The slots are wide
         enough for v * c, so v - q * m is slotwise, and the low bytes of
-        each slot are the packed row.
+        each slot are the packed row.  That slot layout depends on len(b)
+        alone, and each layout works it out once per len(b).
         """
         inner, m = len(b), self.modulus
         if m == 2:
             return tuple([functools.reduce(operator.xor,
                                            itertools.compress(b, x.to_bytes(inner, "little")), 0)
                           for x in a])
-        nb, top, barrett = self.nbytes, inner * (m - 1) ** 2, m & (m - 1)
-        if barrett:
-            s = top.bit_length() + m.bit_length()
-            c = -(-(1 << s) // m)
-            wide = max((top * c).bit_length(), s + 1) // 8 + 1
-            keep = (1 << (8 * wide - s)) - 1
-        else:
-            wide, keep = max(top.bit_length() // 8 + 1, nb), m - 1
-        size = self.width * wide
-        low = int.from_bytes(keep.to_bytes(wide, "little") * self.width, "little")
+        nb, barrett = self.nbytes, m & (m - 1)
+        if inner not in self._wide:
+            top, s, c = inner * (m - 1) ** 2, 0, 0
+            if barrett:
+                s = top.bit_length() + m.bit_length()
+                c = -(-(1 << s) // m)
+                wide = max((top * c).bit_length(), s + 1) // 8 + 1
+                keep = (1 << (8 * wide - s)) - 1
+            else:
+                wide, keep = max(top.bit_length() // 8 + 1, nb), m - 1
+            low = int.from_bytes(keep.to_bytes(wide, "little") * self.width, "little")
+            self._wide[inner] = s, c, wide, self.width * wide, low, fp_rows(inner, m)
+        s, c, wide, size, low, src = self._wide[inner]
         spread = []
         for row in b:
             raw, out = row.to_bytes(self.width * nb, "little"), bytearray(size)
             for t in range(nb):
                 out[t::wide] = raw[t::nb]
             spread.append(int.from_bytes(out, "little"))
-        src = fp_rows(inner, m)
         rows = []
         for x in a:
             v = sum(map(operator.mul, src.unpack(x), spread))
@@ -625,7 +605,7 @@ class ModpSpan:
     cleared above its pivot.  A vector is reduced on its leading slot only,
     found as the lowest set bit, by the row at that pivot; when the leading
     slot is not a pivot the vector is outside the span, since every nonzero
-    combination of basis rows leads at a pivot.  add() and contains() take
+    combination of basis rows leads at a pivot.  add() and coordinates() take
     a sequence of ints or a row already packed in this span's layout.
 
     The reduced echelon form is read only by modp_left_kernel and by
@@ -693,10 +673,6 @@ class ModpSpan:
                 coeffs[c] = lay.entry(v, c)
             v = v ^ row if xor else lay.cancel(v, row, c)
         raise AssertionError("F_p reduction failed to clear a leading slot")
-
-    def contains(self, vec: Sequence[int] | int) -> bool:
-        v = vec if isinstance(vec, int) else self.layout.pack(vec)
-        return self._reduce(v)[1] < 0
 
     def coordinates(self, vec: Sequence[int] | int) -> dict[int, int] | None:
         """vec as a combination of the semi-echelon rows, {pivot: coefficient},

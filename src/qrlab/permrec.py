@@ -41,7 +41,7 @@ images w * Tr_H of the blocks' orbit sums are independent mod p, and
 picking them greedily class by class, in increasing order, succeeds
 exactly when the module is the candidate.  Over Z/p^k the same kernels
 are taken with sign-twisted blocks (p = 2; twists are invisible mod 2),
-lifted one p-adic digit at a time until the lifts solve over Z, after
+lifted one p-adic digit at a time until the lifts solve mod p^k, after
 which every digit would return them unchanged (_liftable_kernel), and the
 same greedy pass picks the characters, trivial first.  The harness takes
 k = 1 + v_p(|G|), where the mod-p reductions of those kernels are exactly
@@ -52,10 +52,12 @@ or by a class whose traces fall short.
 
 Conventions.  Module elements are row vectors; q acts by y -> y * A[q];
 matrices compose antihomomorphically, A[q1 q2] = A[q2] * A[q1] (q1 q2
-meaning qtbl.mult[q1][q2]).  Every matrix of a level module is kept as
-its rows, each packed into one int over Z/p^k in the layout
-LevelModule.layout (intlinalg.FpRows, the same code at every k), and
-multiplied with FpRows.mul; no integer product is taken here.
+meaning qtbl.mult[q1][q2]).  Every matrix here is kept as its rows, each
+packed into one int over Z/p^k (intlinalg.FpRows, the same code at every
+k), and multiplied with FpRows.mul; no integer product is taken here.
+That holds for a level module's matrices (LevelModule.layout), for the
+hom-space stacks and their digit-by-digit lifts (_liftable_kernel), and
+for a certificate's blocks and phi (monomial_rows, _verify_certificate).
 Permutation blocks are left cosets of H in Q with g * (cH) = (gc)H, and
 sign characters twist block entries by xi(rep(c')^-1 g rep(c)).
 """
@@ -64,7 +66,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
-from itertools import groupby
+from itertools import groupby, takewhile
 
 from .errors import InputError, PropertyViolation
 from .enumeration import (
@@ -194,38 +196,31 @@ class LevelModule:
 
         A hom is fixed by the image w of the coset H, any w with
         w * A[h] = xi(h) * w for h in H, and sends rH to w * A[r].  xi is
-        aligned with sub.members; all 1 gives M^H.  Over Z/p^k, k > 1, that
-        is one system on H's greedy generators in member order
-        (enumeration.greedy_generators): w times the side-by-side stack of
-        the A[h] - xi(h) I is 0, solved as _liftable_kernel gives it, and
-        `inside` is not read.
-
-        At k = 1 the space is read inside that of T = inside, a proper
-        subgroup of H (the trivial one by default, whose space is all of
-        M), and comes as the reduced echelon basis that the whole stack
-        gives.  With B the reduced echelon basis of the homs of (T, xi on
-        T), memoized or read first, and g over the generators H needs
-        beyond T (greedy from T), the homs of H are the y * B with
+        aligned with sub.members; all 1 gives M^H.  The space is read
+        inside that of T = inside, a proper subgroup of H (the trivial one
+        by default, whose space is all of M).  That is at k = 1 only: over
+        Z/p^k, k > 1, T is the trivial one, since a lifted space's rows
+        span only its reductions mod p (_liftable_kernel).  With B the
+        basis of the homs of (T, xi on T), memoized or read first, and g
+        over the generators H needs beyond T (enumeration.greedy_generators
+        from T, in member order), the homs of H are the y * B with
         y * B * (A[g] - xi(g) I) = 0 for each g: y over the left kernel of
-        the side-by-side stack of the B * (A[g] - xi(g) I), dim M^T rows.
+        the side-by-side stack of the B * (A[g] - xi(g) I), dim M^T rows
+        packed in fp_rows(#g * dim, p^k).  With T = 1, B = I, the stack is
+        the A[g] - xi(g) I and y is the basis.  One builder, at every k.
+
+        At k = 1 the kernel is modp_left_kernel's reduced echelon basis.
         That y is in reduced echelon form, and so is y * B, its pivots
         being y's at B's pivot columns: the one reduced echelon basis of
-        the space, whatever T.  The kernel's rows come packed
-        (modp_left_kernel): with T = 1 they are the basis, else y * B is
-        one product.
+        the space, whatever T; y * B is one product.  Over Z/p^k, k > 1,
+        the kernel is _liftable_kernel's, its rows already in `layout`.
         """
         key = (sub.members, xi)
         if key not in self.homs:
             lay, ring, dim = self.layout, self.ring, self.dim
             sign = dict(zip(sub.members, xi))
-            if self.k > 1:
-                gens = greedy_generators(self.qtbl.mult, sub.members, {0})
-                mats = [list(map(lay.unpack, self.act(h))) for h in gens]
-                stack = [[(x - sign[h] * (i == j)) % ring for h, a in zip(gens, mats)
-                          for j, x in enumerate(a[i])] for i in range(dim)]
-                self.homs[key] = [lay.pack(w) for w in _liftable_kernel(stack, self.p, self.k)]
-                return self.homs[key]
-            T = inside if inside is not None and inside.order < sub.order else Subgroup((0,), ())
+            T = (inside if self.k == 1 and inside is not None and inside.order < sub.order
+                 else Subgroup((0,), ()))
             base = (self.hom_basis(T, tuple(sign[t] for t in T.members)) if T.order > 1
                     else _identity(lay))
             gens = greedy_generators(self.qtbl.mult, sub.members, set(T.members))
@@ -235,7 +230,9 @@ class LevelModule:
                 image = self.act(g) if T.order == 1 else lay.mul(base, self.act(g))
                 for i, (a, w) in enumerate(zip(image, base)):
                     stack[i] |= lay.sub(a, lay.scale(w, sign[g] % ring)) << (b * shift)
-            ys = modp_left_kernel(stack, self.p, width=len(gens) * dim)
+            width = len(gens) * dim
+            ys = (modp_left_kernel(stack, self.p, width=width) if self.k == 1
+                  else _liftable_kernel(stack, self.p, self.k, width))
             self.homs[key] = ys if T.order == 1 else list(lay.mul(ys, base))
         return self.homs[key]
 
@@ -406,12 +403,6 @@ class MarksReport:
     witness: str | None
 
 
-def _fixed(mod: LevelModule, sub: Subgroup, inside: Subgroup | None = None) -> list[int]:
-    """A basis of M^H, the hom space from the plain block Ind_H^Q 1, read
-    inside M^inside (LevelModule.hom_basis)."""
-    return mod.hom_basis(sub, (1,) * sub.order, inside)
-
-
 def _brauer_dim(mod: LevelModule, K: Subgroup, maximal) -> int:
     """dim M(K) = dim M^K - dim sum_L Tr_L^K(M^L), L over the maximal
     subgroups of K.  Every proper subgroup lies in a maximal one and the
@@ -442,7 +433,7 @@ def _brauer_dim(mod: LevelModule, K: Subgroup, maximal) -> int:
         tr = mod.act(powers[0])
         for t in powers[1:]:
             tr = [lay.add(a, b) for a, b in zip(tr, mod.act(t))]
-        images = lay.mul(base := _fixed(mod, L, frattini), tr)
+        images = lay.mul(base := mod.hom_basis(L, (1,) * L.order, frattini), tr)
         for img in images:
             span.add(img)
     moved = images if mod.p == 2 else map(lay.sub, lay.mul(base, mod.act(g)), base)
@@ -603,91 +594,90 @@ class Block:
         return all(v == 1 for v in self.xi)
 
 
-def block_matrix(qtbl: FiniteGroupTable, block: Block, q: int, ring: int):
-    """Matrix of q on the block over Z/ring (signed permutation matrix):
+def monomial_rows(qtbl: FiniteGroupTable, blocks, q: int, lay: FpRows) -> Packed:
+    """The block-diagonal action of q on a sum of induced blocks, a signed
+    permutation matrix as rows packed in lay: in each block,
     q * rep(c) = rep(c') * h with h in H puts xi(h) at (c, c')."""
-    coset_of, reps = left_cosets(qtbl, block.sub)
-    sign = dict(zip(block.sub.members, block.xi))
-    out = [[0] * len(reps) for _ in reps]
-    for c, r in enumerate(reps):
-        img = qtbl.mult[q][r]
-        c2 = coset_of[img]
-        h = qtbl.mult[qtbl.inv[reps[c2]]][img]
-        if h not in sign:
-            raise AssertionError("coset factorization left the subgroup")
-        out[c][c2] = sign[h] % ring
-    return out
+    rows, offset = [], 0
+    for block in blocks:
+        coset_of, reps = left_cosets(qtbl, block.sub)
+        sign = dict(zip(block.sub.members, block.xi))
+        for r in reps:
+            img = qtbl.mult[q][r]
+            c2 = coset_of[img]
+            h = qtbl.mult[qtbl.inv[reps[c2]]][img]
+            if h not in sign:
+                raise AssertionError("coset factorization left the subgroup")
+            rows.append(lay.pack_sparse([(offset + c2, sign[h])]))
+        offset += len(reps)
+    return tuple(rows)
 
 
-def monomial_matrix(qtbl, blocks, q, ring):
-    """Block-diagonal action of q on a sum of induced blocks."""
-    mats = [block_matrix(qtbl, b, q, ring) for b in blocks]
-    d = sum(len(m) for m in mats)
-    out = [[0] * d for _ in range(d)]
-    off = 0
-    for m in mats:
-        for i, row in enumerate(m):
-            out[off + i][off:off + len(m)] = row
-        off += len(m)
-    return out
-
-
-def _liftable_kernel(a: list[list[int]], p: int, k: int) -> list[list[int]]:
+def _liftable_kernel(a: Sequence[int], p: int, k: int, width: int) -> list[int]:
     """Rows w with w * a = 0 over Z/p^k whose mod-p reductions are
     independent and span the reductions of every solution, all that the
-    socle criterion reads of a hom space.
+    socle criterion reads of a hom space.  a is len(a) rows packed in
+    fp_rows(width, p^k); the w come packed in fp_rows(len(a), p^k).
 
-    One kernel per p-adic digit, until the lifts are exact.  The lifts
-    w_i solve w_i * a = 0 mod q, with defects e_i = (w_i * a) / q.  Every
-    solution mod q is sum c_i w_i + p t with t a solution mod q/p, and the
-    defects of those t span M: the rows of abar and the defects of every
-    earlier digit's lifts.  A basis of M is kept with a realizer t_m for
-    each row m (e_j for row j of abar), times p per digit.  So
-    sum c_i w_i + p sum b_m t_m solves mod q*p exactly when
-    c * E + b * M = 0 mod p: the left kernel of E stacked on M, c
-    coordinates first.  In its reduced echelon form the rows with c != 0
-    come first, with independent c-parts, and give the next lifts.
+    One kernel per p-adic digit.  The lifts w_i solve w_i * a = 0 mod q,
+    with defects e_i = (w_i * a) / q mod p.  Every solution mod q is
+    sum c_i w_i + p t with t a solution mod q/p, and the defects of those
+    t span M: the rows of abar and the defects of every earlier digit's
+    lifts.  A basis of M is kept with a realizer t_m for each row m (e_j
+    for row j of abar), times p per digit.  So sum c_i w_i + p sum b_m t_m
+    solves mod q*p exactly when c * E + b * M = 0 mod p: the left kernel
+    of E stacked on M, c coordinates first.  In its reduced echelon form
+    the rows with c != 0 come first, with independent c-parts, and give
+    the next lifts, one product of their (c | b) against the lifts and
+    the p * t_m.  Every product is FpRows.mul over Z/p^k, and a defect is
+    each slot of w * a mod p^k divided by q.
 
-    The fixed point.  Once every defect is 0 (no lift at all included),
-    the lifts solve w * a = 0 over Z and the loop returns them: every
-    later digit would give the same integers.  E is 0 and the rows of M
-    are independent, so the kernel is c free and b = 0, in reduced
-    echelon form the identity on c; each next lift is the lift it
-    continues, and a zero defect enters no basis of M.
+    The stop.  Once every lift solves w * a = 0 mod p^k (no lift at all
+    included), the loop returns them.  These are the rows the same
+    digits would give on integer rows, with no stop and no reduction,
+    brought mod p^k:
+      - By induction the lifts and realizers agree with those integer
+        ones mod p^k: each new lift is the same combination of them.
+      - q * p <= p^k, so (w * a mod p^k) / q = (w * a) / q mod p, and
+        every kernel sees the same rows mod p.
+      - Once w * a = 0 mod p^k, every defect is 0 mod p at every later
+        digit.  E is 0 and the rows of M are independent, so the kernel
+        is c free and b = 0, in reduced echelon form the identity on c;
+        each next lift is the lift it continues, and a zero defect enters
+        no basis of M.  So the lifts do not change mod p^k.
     """
-    d = len(a)
-    if d == 0:
-        return []
-    n = len(a[0])
+    ring = p ** k
+    lay, tall, modp = fp_rows(width, ring), fp_rows(len(a), ring), fp_rows(width, p)
 
-    def kernel(rows):  # modp_left_kernel's packed rows, unpacked
-        return list(map(fp_rows(len(rows), p).unpack, modp_left_kernel(rows, p, width=n)))
+    def residues(rows, q):  # each slot over q, mod p; q divides every slot
+        out = []
+        for v in rows:
+            xs = lay.unpack(v)
+            if any(x % q for x in xs):
+                raise AssertionError("lift invariant broke")
+            out.append(modp.pack([x // q for x in xs]))
+        return out
 
-    lifts = kernel(a)
-    m_span = ModpSpan(n, p)
-    fixes = [(row, [int(i == j) for i in range(d)]) for j, row in enumerate(a) if m_span.add(row)]
+    def kernel(rows):  # modp_left_kernel's rows, packed in fp_rows(len(rows), p^k)
+        small, big = fp_rows(len(rows), p), fp_rows(len(rows), ring)
+        return [big.pack(small.unpack(y)) for y in modp_left_kernel(rows, p, width=width)]
+
+    abar = residues(a, 1)
+    lifts = kernel(abar)
+    m_span = ModpSpan(width, p)
+    fixes = [(row, tall.unit(j)) for j, row in enumerate(abar) if m_span.add(row)]
     q = p
     for _ in range(1, k):
-        defects = []
-        for w in lifts:
-            wa = [sum(w[i] * a[i][j] for i in range(d)) for j in range(n)]
-            if any(x % q for x in wa):
-                raise AssertionError("lift invariant broke")
-            defects.append([x // q for x in wa])
-        if not any(map(any, defects)):
+        wa = lay.mul(lifts, a)
+        if not any(wa):
             break
-        r = len(lifts)
-        new_lifts = []
-        for row in kernel(defects + [m for m, _ in fixes]):
-            if not any(row[:r]):
-                break
-            new_lifts.append([sum(row[i] * lifts[i][t] for i in range(r))
-                              + p * sum(b * f[t] for b, (_, f) in zip(row[r:], fixes))
-                              for t in range(d)])
-        fixes = [(m, [p * x for x in f]) for m, f in fixes]
+        defects = residues(wa, q)
+        c_part = (1 << (len(lifts) * tall.bits)) - 1
+        steps = takewhile(lambda y: y & c_part, kernel(defects + [m for m, _ in fixes]))
+        fixes = [(m, tall.scale(t, p)) for m, t in fixes]
+        new_lifts = list(tall.mul(steps, lifts + [t for _, t in fixes]))
         fixes += [(e, w) for e, w in zip(defects, lifts) if m_span.add(e)]
-        lifts = new_lifts
-        q *= p
+        lifts, q = new_lifts, q * p
     return lifts
 
 
@@ -706,16 +696,17 @@ class Certificate:
     phi: tuple[tuple[int, ...], ...]
 
 
-def _verify_certificate(mod: LevelModule, blocks, phi) -> bool:
-    """phi is invertible mod p and intertwines the blocks with the module,
-    A'[q] * phi = phi * A[q] on every generator image q, on packed rows."""
-    if len(phi) != mod.dim or modp_rank(phi, mod.dim, mod.p) != mod.dim:
-        return False
+def _verify_certificate(mod: LevelModule, blocks, phi: Packed) -> bool:
+    """phi, rows packed in mod.layout, is invertible mod p and intertwines
+    the blocks with the module, A'[q] * phi = phi * A[q] on every
+    generator image q, A'[q] the blocks' monomial_rows: two packed
+    products per q, and the rank read as transition_map reads it."""
     lay = mod.layout
-    packed = list(map(lay.pack, phi))
+    if len(phi) != mod.dim or modp_rank(phi if mod.k == 1 else map(lay.unpack, phi),
+                                        mod.dim, mod.p) != mod.dim:
+        return False
     for q in set(mod.qtbl.gen_images):
-        ap = map(lay.pack, monomial_matrix(mod.qtbl, blocks, q, mod.ring))
-        if lay.mul(ap, packed) != lay.mul(packed, mod.letters[q]):
+        if lay.mul(monomial_rows(mod.qtbl, blocks, q, lay), phi) != lay.mul(phi, mod.letters[q]):
             return False
     return True
 
@@ -727,10 +718,11 @@ def _socle_certificate(mod: LevelModule, marks: MarksReport, mults: tuple[int, .
     Class j gets mults[j] blocks Ind_H^Q xi, H = marks.classes[j], xi from
     sign_characters(H), trivial first, one per value mod p^k (the trivial
     one alone at k = 1 and at odd p).  Block b's hom is a row w_b of
-    mod.hom_basis(H, xi), read inside the space of H's last maximal
-    subgroup, which the marks built, and sends the coset rH to w_b * A[r];
-    those rows are phi, verified independently.  The w_b are picked by the socle
-    criterion, which decides the candidate exactly:
+    mod.hom_basis(H, xi), read at k = 1 inside the space of H's last
+    maximal subgroup, which the marks built, and sends the coset rH to
+    w_b * A[r]; those rows, packed, are phi, verified independently.  The
+    w_b are picked by the socle criterion, which decides the candidate
+    exactly:
 
     (1) Injectivity is decided on the socle.  Q is a p-group, so over F_p
         every nonzero submodule of P = sum_b Ind_{H_b}^Q, ker phi among
@@ -791,10 +783,10 @@ def _socle_certificate(mod: LevelModule, marks: MarksReport, mults: tuple[int, .
                 f"the traces of the hom spaces of subgroup class {j} (order {sub.order}) "
                 f"add rank {got} to the classes before it, short of its multiplicity {m}"
             )
-    phi = [lay.unpack(lay.mul([w], mod.act(r))[0]) for w, reps in picks for r in reps]
+    phi = tuple(lay.mul([w], mod.act(r))[0] for w, reps in picks for r in reps)
     if not _verify_certificate(mod, blocks, phi):
         raise PropertyViolation("assembled certificate failed independent verification")
-    return Certificate(mod.p, mod.k, tuple(blocks), tuple(map(tuple, phi))), None
+    return Certificate(mod.p, mod.k, tuple(blocks), tuple(tuple(lay.unpack(x)) for x in phi)), None
 
 
 # ---------------------------------------------------------------------------
@@ -872,7 +864,7 @@ def gen_perm_lift(mod: LevelModule, modp: RecognitionResult) -> LiftResult:
     p-group permutation modules are unique), so only the sign characters
     vary: all of them for p = 2, the trivial one otherwise.  The hom space
     of each block Ind_H^Q xi is solved directly over Z/p^k by Frobenius
-    reciprocity, one kernel lifted digit by digit until it is exact
+    reciprocity, one kernel lifted digit by digit until it solves mod p^k
     (LevelModule.hom_basis), and the socle criterion picks the characters
     and the rows class by class, trivial character first
     (_socle_certificate).  A class that

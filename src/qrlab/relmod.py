@@ -577,6 +577,10 @@ def qr_check_full(pres: Presentation, tbl: FiniteGroupTable, p: int) -> QRReport
 # ---------------------------------------------------------------------------
 # Schur multiplier, two routes
 
+# The largest order on which analysis.analyze runs the bar route.
+DEFAULT_BAR_BOUND = 32
+
+
 def gab_invariants(pres: Presentation) -> AbelianInvariants:
     """G_ab from the Smith form of the relator exponent matrix."""
     return lattice_quotient(pres.ngens, pres.relator_exponent_matrix())
@@ -710,8 +714,3 @@ def bar_h2(tbl: FiniteGroupTable) -> AbelianInvariants:
                     f"and {len(exps)} cyclic summands, not {n - 1} and {t}")
             parts.append([p ** e for e in exps])
     return combine_primary(0, parts)
-
-
-# The pipeline's bar gate is analysis.BAR_BOUND; bench/freeze.py still reads
-# it under this name.  Imported last, because analysis imports this module.
-from .analysis import BAR_BOUND as DEFAULT_BAR_BOUND  # noqa: E402,F401

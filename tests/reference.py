@@ -3,9 +3,11 @@
 They use the standard library only and share no code with qrlab, so a
 test that compares qrlab against them is not checking a kernel against
 itself.  The exceptions are lattice_from_rows, which wraps qrlab's
-Lattice as the Hermite form that the tests solve in;
-full_depth_dimension_chain, which reads qrlab's delta_filtration (itself
-checked against dense_rref in tests/test_groupring.py); and the integer
+Lattice as the Hermite form that the tests solve in, and lattice_equals
+and the integer left_kernel, which work in that Lattice;
+dimension_subgroup and full_depth_dimension_chain, which read qrlab's
+delta_filtration (itself checked against dense_rref in
+tests/test_groupring.py); and the integer
 tower walk (integer_walk), which takes qrlab's certified Smith form
 (itself checked against smallest_entry_snf in tests/test_intlinalg.py);
 eager_marks, which runs qrlab's subgroup classes and Brauer quotients
@@ -30,8 +32,10 @@ stacked_brauer_dim, which traces those kernels with qrlab's FpRows.mul
 import functools
 import itertools
 
-from qrlab.enumeration import all_subgroups, greedy_generators, subgroup_conjugacy_classes
-from qrlab.groupring import delta_filtration
+from qrlab.enumeration import (Subgroup, all_subgroups, greedy_generators, subgroup_closure,
+                               subgroup_conjugacy_classes)
+from qrlab.errors import InputError
+from qrlab.groupring import delta_filtration, require_p_group
 from qrlab.intlinalg import (AbelianInvariants, Lattice, fp_rows, lattice_quotient, mat_mul,
                              modp_left_kernel, p_torsion, smith_normal_form, unit_pivot_rows)
 from qrlab.permrec import _brauer_dim
@@ -146,6 +150,50 @@ def lattice_from_rows(ambient, rows):
         lat.add(r)
     lat.canonicalize()
     return lat
+
+
+def lattice_equals(a, b):
+    """Whether two qrlab Lattices span the same lattice: the same ambient
+    and rank, and each basis inside the other."""
+    if a.ambient != b.ambient or a.rank != b.rank:
+        return False
+    return all(r in b for r in a.basis) and all(r in a for r in b.basis)
+
+
+def left_kernel(rows, width=None):
+    """Basis of {x in Z^m : x * A = 0} for A given as m rows.
+
+    The Hermite form of (A | I): the rows whose A-part vanished carry
+    kernel vectors in the identity part, a full basis of the kernel
+    lattice."""
+    m = len(rows)
+    n = width if width is not None else (len(rows[0]) if rows else 0)
+    lat = Lattice(n + m)
+    for i, r in enumerate(rows):
+        if len(r) != n:
+            raise ValueError("ragged input")
+        aug = list(r) + [0] * m
+        aug[n + i] = 1
+        lat.add(aug)
+    lat.canonicalize()
+    return [row[n:] for row in lat.basis if not any(row[:n])]
+
+
+def dimension_subgroup(tbl, p, n):
+    """D_n = {g : g - 1 in Delta^n(F_p G)}, one level at a time, read off
+    the powers of Delta.  Requires |G| = p^a."""
+    require_p_group(tbl.order, p,
+                    f"dimension subgroups over F_{p} need a {p}-group; order is {tbl.order}")
+    if n < 1:
+        raise InputError("Delta power index must be >= 1")
+    if n == 1:
+        return subgroup_closure(tbl, tbl.gen_images)
+    # a shorter list means the chain went constant (or hit 0) before n
+    span = delta_filtration(tbl, p, max_n=n)[-1]
+    lay = span.layout
+    members = [g for g in range(tbl.order)
+               if span.coordinates(lay.sub(lay.unit(g), lay.unit(0))) is not None]
+    return Subgroup(tuple(members), greedy_generators(tbl.mult, members, {0}))
 
 
 def cycle_basis(rlat):
@@ -499,7 +547,7 @@ def full_depth_dimension_chain(tbl, p):
             vec = [0] * tbl.order
             vec[g] += 1
             vec[0] += p - 1
-            if span.contains(vec):
+            if span.coordinates(vec) is not None:
                 members.append(g)
         chain.append((tuple(members), generators_for(tbl, members)))
         n += 1

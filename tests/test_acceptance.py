@@ -19,7 +19,7 @@ from qrlab.intlinalg import (
 )
 from qrlab.presentation import parse_presentation
 from qrlab.enumeration import Subgroup, all_subgroups, subgroup_conjugacy_classes, todd_coxeter
-from qrlab.groupring import delta_dimension_sequence, dimension_subgroup, jennings_series
+from qrlab.groupring import delta_dimension_sequence, jennings_series
 from qrlab.relmod import (
     Coinvariants,
     bar_h2,
@@ -34,11 +34,11 @@ from qrlab.permrec import (
     LevelModule,
     equivalence_harness,
     gen_perm_lift,
-    monomial_matrix,
+    monomial_rows,
     perm_recognize_modp,
 )
 
-from reference import cycle_basis, dense_inverse
+from reference import cycle_basis, dense_inverse, dimension_subgroup
 
 QUATERNION = "gens: a, b; relators: a*b*a*b^-1, b*a*b*a^-1; prime: 2"
 TWO_RELATOR_16 = "gens: a, b; relators: a^4*b^-2, a*b*a*b^-1; prime: 2"
@@ -211,20 +211,19 @@ def test_09_rank_and_cokernel_laws_exact(corpus):
         assert list(entry["expected"]["gab"]) == list(gab.torsion), entry["id"]
 
 
-def _module(qtbl, p, dim, matrix_of):
+def _module(qtbl, p, dim, rows_of):
     """A module over a free level of the trivial subgroup, given by
-    matrix_of(x) on every generator image x of Q and its inverse, packed
-    over F_p."""
+    rows_of(x, lay), the matrix of x as rows packed in lay = fp_rows(dim, p),
+    on every generator image x of Q and its inverse."""
     coin = Coinvariants(AbelianInvariants(dim, ()), Subgroup((0,), ()))
     lay = fp_rows(dim, p)
-    letters = {x: tuple(map(lay.pack, matrix_of(x)))
-               for g in qtbl.gen_images for x in (g, qtbl.inv[g])}
+    letters = {x: rows_of(x, lay) for g in qtbl.gen_images for x in (g, qtbl.inv[g])}
     return LevelModule(1, p, 1, qtbl, tuple(range(dim)), letters, coin)
 
 
 def _synthetic(qtbl, blocks, p):
     dim = sum(qtbl.order // b.sub.order for b in blocks)
-    return _module(qtbl, p, dim, lambda x: monomial_matrix(qtbl, blocks, x, p))
+    return _module(qtbl, p, dim, lambda x, lay: monomial_rows(qtbl, blocks, x, lay))
 
 
 def _conjugate(mod, mat):
@@ -233,8 +232,8 @@ def _conjugate(mod, mat):
 
     dim, p = mod.dim, mod.p
     inv = dense_inverse(mat, p)
-    return _module(mod.qtbl, p, dim, lambda x: mat_mul(
-        mat_mul(inv, list(map(mod.layout.unpack, mod.letters[x]))), mat))
+    return _module(mod.qtbl, p, dim, lambda x, lay: tuple(map(lay.pack, mat_mul(
+        mat_mul(inv, list(map(mod.layout.unpack, mod.letters[x]))), mat))))
 
 
 def test_10_randomized_recognizer_battery():
@@ -288,7 +287,7 @@ def test_10_randomized_recognizer_battery():
     j3 = ((1, 1, 0), (0, 1, 1), (0, 0, 1))
     cube = ((1, 1, 1), (0, 1, 1), (0, 0, 1))
     gen = tbl.gen_images[0]
-    jordan = _module(tbl, 2, 3, lambda x: j3 if x == gen else cube)
+    jordan = _module(tbl, 2, 3, lambda x, lay: tuple(map(lay.pack, j3 if x == gen else cube)))
     rec = perm_recognize_modp(jordan)
     assert rec.status == "refuted"
     assert rec.marks.candidates == ()

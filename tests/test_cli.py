@@ -358,8 +358,9 @@ def test_oracle_outputs(capsys, corpus_dir):
 @pytest.mark.parametrize("path", [ORDER32_DIR / "c64.pres", ORDER32_DIR / "c81.pres", NQR64],
                          ids=["c64", "c81", "nqr64"])
 def test_oracle_bar_h2_has_no_order_gate(capsys, path):
-    """The order gate is check's policy (analysis.BAR_BOUND), not the
-    oracle's: bar-h2 answers past order 32 and agrees with Hopf's formula."""
+    """The order gate is check's policy (relmod.DEFAULT_BAR_BOUND, read by
+    analysis.analyze), not the oracle's: bar-h2 answers past order 32 and
+    agrees with Hopf's formula."""
     code, out, err = run(capsys, "oracle", "bar-h2", str(path))
     assert code == 0, err
     pres = parse_presentation(path.read_text())

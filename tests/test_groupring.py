@@ -18,7 +18,6 @@ from qrlab.enumeration import is_normal, prime_power, todd_coxeter, word_image
 from qrlab.groupring import (
     delta_dimension_sequence,
     delta_filtration,
-    dimension_subgroup,
     dimension_subgroup_chain,
     fox_rows,
     jennings_series,
@@ -30,6 +29,7 @@ from conftest import ORDER32_DIR, P_GROUPS, ladder_inputs
 from reference import (
     conjugation_jennings_series,
     dense_rref,
+    dimension_subgroup,
     full_depth_dimension_chain,
     gr_multiply,
     jennings_delta_dims as _jennings_delta_dims,

@@ -29,7 +29,6 @@ from qrlab.intlinalg import (
     identity_rows,
     integer_inverse,
     lattice_quotient,
-    left_kernel,
     local_smith_exponents,
     mat_mul,
     modp_left_kernel,
@@ -44,6 +43,7 @@ from reference import (
     dense_rref,
     det_int,
     lattice_from_rows,
+    left_kernel,
     smallest_entry_snf,
 )
 
@@ -294,7 +294,7 @@ def test_modp_span_counts_rank(a, p):
 @settings(deadline=None, max_examples=120)
 def test_modp_span_matches_rref_with_interleaved_reads(steps_probe, p):
     """Reads of `rows` at arbitrary points between inserts; `pivots` and
-    `contains` are checked after every insert, `rows` where read."""
+    `coordinates` are checked after every insert, `rows` where read."""
     steps, probe = steps_probe
     span = ModpSpan(len(probe), p)
     inserted = []
@@ -305,7 +305,8 @@ def test_modp_span_matches_rref_with_interleaved_reads(steps_probe, p):
             inserted.append(vec)
         rref, pivots = dense_rref(inserted, p)
         assert span.pivots == pivots and span.dim == len(pivots)
-        assert span.contains(probe) == (dense_rank(inserted + [probe], p) == len(pivots))
+        assert (span.coordinates(probe) is not None) == (
+            dense_rank(inserted + [probe], p) == len(pivots))
         if read:
             assert span.rows == rref
 
@@ -362,8 +363,9 @@ def test_modp_span_matches_the_dense_reference_at_every_width_and_prime(p, n, m,
     assert modp_rank(rows, n, p) == len(pivots)
     kernel = modp_left_kernel(rows, p)
     assert list(map(fp_rows(len(rows), p).unpack, kernel)) == dense_left_kernel(rows, p)
-    assert span.contains(rows[-1]) and not span.add(rows[-1])
-    assert span.contains(probe) == (dense_rank(rows + [probe], p) == len(pivots))
+    assert span.coordinates(rows[-1]) is not None and not span.add(rows[-1])
+    assert (span.coordinates(probe) is not None) == (
+        dense_rank(rows + [probe], p) == len(pivots))
 
 
 # Packed rows over Z/m for any m: level modules keep every matrix as packed

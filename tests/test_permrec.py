@@ -27,6 +27,8 @@ from qrlab.presentation import parse_presentation
 from qrlab.enumeration import (
     Subgroup,
     all_subgroups,
+    greedy_generators,
+    prime_power,
     quotient_table,
     subgroup_conjugacy_classes,
     todd_coxeter,
@@ -41,12 +43,11 @@ from qrlab.permrec import (
     _certify_letters,
     _identity,
     _level_outcome,
-    block_matrix,
     equivalence_harness,
     gen_perm_lift,
     marks_multiplicities,
     module_from_coinvariants,
-    monomial_matrix,
+    monomial_rows,
     perm_recognize_modp,
     sign_characters,
     tower_harness,
@@ -99,7 +100,9 @@ def hand_module(qtbl, p, k, dim, letters):
 def synthetic_module(qtbl, blocks, p, k):
     """The monomial module itself, in its defining coordinates."""
     dim = sum(qtbl.order // b.sub.order for b in blocks)
-    letters = letter_matrices(qtbl, lambda x: monomial_matrix(qtbl, blocks, x, p ** k), p ** k)
+    lay = fp_rows(dim, p ** k)
+    letters = {x: monomial_rows(qtbl, blocks, x, lay)
+               for g in qtbl.gen_images for x in (g, qtbl.inv[g])}
     return hand_module(qtbl, p, k, dim, letters)
 
 
@@ -158,12 +161,13 @@ def class_reps(tbl):
 
 # --- matrix conventions ---------------------------------------------------
 
-def test_block_matrix_anticomposition():
+def test_monomial_rows_anticomposition():
     tbl = table_of(Q8)
     reps = class_reps(tbl)
     block = Block(1, reps[1], (1,) * len(reps[1].members))
-    mats = [block_matrix(tbl, block, q, 2) for q in range(tbl.order)]
-    assert mats[0] == identity_rows(len(mats[0]))
+    lay = fp_rows(tbl.order // reps[1].order, 2)
+    mats = [frozen(map(lay.unpack, monomial_rows(tbl, [block], q, lay))) for q in range(tbl.order)]
+    assert mats[0] == frozen(identity_rows(len(mats[0])))
     for q1 in range(tbl.order):
         for q2 in range(tbl.order):
             q12 = tbl.mult[q1][q2]
@@ -173,14 +177,15 @@ def test_block_matrix_anticomposition():
             assert prod == [list(r) for r in mats[q12]]
 
 
-def test_monomial_matrix_signs_square_away():
+def test_monomial_rows_signs_square_away():
     tbl = table_of(C4)
     full = Subgroup(tuple(range(4)), (tbl.gen_images[0],))
     chars = sign_characters(full, all_subgroups(tbl))
     twisted = next(x for x in chars if any(v != 1 for v in x))
     ring = 8
     block = Block(0, full, twisted)
-    mats = [monomial_matrix(tbl, [block], q, ring) for q in range(4)]
+    lay = fp_rows(1, ring)
+    mats = [frozen(map(lay.unpack, monomial_rows(tbl, [block], q, lay))) for q in range(4)]
     gen = tbl.gen_images[0]
     cur = mats[0]
     for _ in range(4):
@@ -316,7 +321,8 @@ def test_marks_dimensions_from_subgroup_generators():
             rows = differences(mod, K)
             side_by_side = [[x for b in range(0, len(rows), mod.dim) for x in rows[b + i]]
                             for i in range(mod.dim)]
-            assert len(permrec._fixed(mod, K)) == mod.dim - modp_rank(side_by_side, len(rows), mod.p)
+            assert len(mod.hom_basis(K, (1,) * K.order)) == mod.dim - modp_rank(
+                side_by_side, len(rows), mod.p)
 
 
 # --- refutations ----------------------------------------------------------
@@ -361,7 +367,8 @@ def test_q16_level5_marks_detail():
     assert mk.brauer_dims == (None,) * 5 + (1, 0, 0, 0)
     assert mk.candidates == ()
     assert eager_marks(mod) == ((17, 1, 1, 1, 1, 1, 0, 0, 0), (), mk.witness)
-    assert tuple(len(permrec._fixed(mod, K)) for K in mk.classes) == (17, 9, 5, 5, 5, 3, 3, 3, 2)
+    assert tuple(len(mod.hom_basis(K, (1,) * K.order))
+                 for K in mk.classes) == (17, 9, 5, 5, 5, 3, 3, 3, 2)
 
 
 def test_refuted_marks_read_the_brauer_quotients_down_to_the_witness_only(monkeypatch):
@@ -684,7 +691,7 @@ def test_certified_multiplicities_satisfy_the_orbit_counts(corpus, lattice):
                 continue
             classes = rec.marks.classes
             for K in classes:
-                assert len(permrec._fixed(mod, K)) == sum(
+                assert len(mod.hom_basis(K, (1,) * K.order)) == sum(
                     m * orbits_on_cosets(mod.qtbl, H, K)
                     for H, m in zip(classes, rec.multiplicities))
             checked += 1
@@ -756,6 +763,19 @@ def test_recognizer_rejects_higher_precision_input():
         perm_recognize_modp(mod)
 
 
+def packed_lift(a, p, k):
+    """_liftable_kernel on the integer rows a, packed over Z/p^k, its lifts
+    unpacked."""
+    ring, width = p ** k, len(a[0])
+    rows = [fp_rows(width, ring).pack(r) for r in a]
+    return list(map(fp_rows(len(a), ring).unpack, permrec._liftable_kernel(rows, p, k, width)))
+
+
+def reduced_lifts(a, p, k):
+    """digit_by_digit_lifts(a, p, k), every entry brought into [0, p^k)."""
+    return [[x % p ** k for x in w] for w in digit_by_digit_lifts(a, p, k)]
+
+
 # A failure is reported unshrunk: shrinking a failed kernel lift here took
 # over a minute per parametrization.
 @pytest.mark.parametrize("p,k", [(2, 2), (2, 3), (3, 2), (3, 3)])
@@ -774,7 +794,7 @@ def test_liftable_kernel_against_brute_force(p, k, data):
     def solves(w):
         return all(sum(x * row[j] for x, row in zip(w, a)) % q == 0 for j in range(n))
 
-    lifts = permrec._liftable_kernel(a, p, k)
+    lifts = packed_lift(a, p, k)
     assert all(solves(w) for w in lifts)
     reduced = [[x % p for x in w] for w in lifts]
     assert len(dense_rref(reduced, p)[0]) == len(lifts)
@@ -787,10 +807,10 @@ def test_liftable_kernel_against_brute_force(p, k, data):
 @settings(deadline=None, max_examples=60,
           phases=[phase for phase in Phase if phase is not Phase.shrink])
 def test_liftable_kernel_stops_with_the_lifts_every_later_digit_gives(p, data):
-    """_liftable_kernel returns the very lists the digit-by-digit reference,
-    which never stops at exact lifts, returns: the stop changes no integer.
-    Zero columns and zero rows make lifts that are exact early, beside
-    lifts that are not."""
+    """_liftable_kernel returns the lifts that the digit-by-digit reference,
+    which never stops and computes over Z, returns, reduced mod p^k: the
+    stop at lifts that solve mod p^k changes no residue.  Zero columns and
+    zero rows make lifts that are exact early, beside lifts that are not."""
     k = data.draw(st.integers(1, 20))
     q = p ** k
     entry = st.builds(lambda e, u: p ** e * u % q, st.integers(0, k), st.integers(1, q - 1))
@@ -799,7 +819,7 @@ def test_liftable_kernel_stops_with_the_lifts_every_later_digit_gives(p, data):
     zero_rows = data.draw(st.sets(st.integers(0, d - 1), max_size=d - 1))
     a = [[0 if i in zero_rows or j in zero_cols else data.draw(entry) for j in range(n)]
          for i in range(d)]
-    assert permrec._liftable_kernel(a, p, k) == digit_by_digit_lifts(a, p, k)
+    assert packed_lift(a, p, k) == reduced_lifts(a, p, k)
 
 
 def count_kernels(monkeypatch):
@@ -818,24 +838,26 @@ def count_kernels(monkeypatch):
 @pytest.mark.parametrize("a,kernels", [
     ([[0, 0], [0, 0]], 1),  # a = 0: the first kernel's lifts are exact
     ([[0], [2]], 2),  # e_1 is exact at once, beside e_2, which is not
-    ([[1], [2 ** 20 - 1]], 20),  # (1, 1) solves mod 2^20 and never over Z
+    # (1, 1) solves mod 2^20, though never over Z: the stop reads residues,
+    # so one kernel, where the stop at exact integer lifts took all 20
+    ([[1], [2 ** 20 - 1]], 1),
 ])
 def test_liftable_kernel_at_2_to_the_20(a, kernels, monkeypatch):
-    """Over Z/2^20 lifts that all solve w * a = 0 exactly stop the digits:
-    for a = 0 after one kernel, where the digit-by-digit lift took 20.  A
-    lift that is exact beside one that is not does not stop them, and
-    lifts that are never exact take every digit."""
+    """Over Z/2^20 lifts that all solve w * a = 0 mod 2^20 stop the
+    digits: for a = 0 after one kernel, where the digit-by-digit lift took
+    20.  A lift that solves beside one that does not does not stop them."""
     calls = count_kernels(monkeypatch)
-    assert permrec._liftable_kernel(a, 2, 20) == digit_by_digit_lifts(a, 2, 20)
+    assert packed_lift(a, 2, 20) == reduced_lifts(a, 2, 20)
     assert len(calls) == kernels
 
 
 def test_liftable_kernel_raises_on_a_lift_that_does_not_solve(monkeypatch):
     """The lift invariant is an explicit raise, so it holds under python -O.
-    The stub kernel is the packed row e_0, which _liftable_kernel unpacks."""
+    The stub kernel is the packed row e_0, which does not solve
+    w * (1) = 0 mod 2."""
     monkeypatch.setattr(permrec, "modp_left_kernel", lambda rows, p, width=None: [1])
     with pytest.raises(AssertionError, match="lift invariant broke"):
-        permrec._liftable_kernel([[1]], 2, 2)
+        permrec._liftable_kernel([fp_rows(1, 4).pack([1])], 2, 2, 1)
 
 
 def test_liftable_kernel_of_the_c64_top_level_hom_space_is_one_kernel(lattice, monkeypatch):
@@ -851,6 +873,44 @@ def test_liftable_kernel_of_the_c64_top_level_hom_space_is_one_kernel(lattice, m
     calls = count_kernels(monkeypatch)
     assert dense(mod, mod.hom_basis(whole, (1,) * 64)) == ((1,),)
     assert len(calls) == 1
+
+
+def dense_hom_stack(mod, sub, xi):
+    """The side-by-side A[g] - xi(g) I over the greedy generators of H, dense
+    over Z/p^k: the one system LevelModule.hom_basis solves at k > 1."""
+    sign = dict(zip(sub.members, xi))
+    mats = [(g, dense(mod, mod.act(g))) for g in greedy_generators(mod.qtbl.mult, sub.members, {0})]
+    return [[(x - sign[g] * (i == j)) % mod.ring for g, a in mats for j, x in enumerate(a[i])]
+            for i in range(mod.dim)]
+
+
+def test_hom_basis_over_z_mod_p_to_the_k_is_the_dense_digit_by_digit_lift(lattice, corpus):
+    """On every distinct certified level of the quasirational corpus
+    entries, q32, m32, c64 and c81, the packed hom space of every class and
+    sign character, at the harness's k = 1 + v_p(|G|) and at k = 20, is
+    the dense digit-by-digit reference lift of the same stack reduced mod
+    p^k: the packed lift that stops at lifts solving mod p^k loses no
+    residue."""
+    inputs = [(e["text"], p) for e in corpus for p in e["primes"] if e["expected"]["qr"][str(p)]]
+    inputs += [((ORDER32_DIR / f"{n}.pres").read_text(), p)
+               for n, p in (("q32", 2), ("m32", 2), ("c64", 2), ("c81", 3))]
+    checked = 0
+    for text, p in inputs:
+        qr = qr_check(lattice(text), p)
+        pp = prime_power(qr.rlat.tbl.order)
+        top = 1 + (pp[1] if pp else 0)
+        for lv in {id(lv.coin): lv for lv in qr.levels}.values():
+            rec = perm_recognize_modp(module_from_coinvariants(lv.coin, p, 1, lv.level))
+            if rec.status != "certified":
+                continue
+            for k in sorted({top, 20}):
+                mod = module_from_coinvariants(lv.coin, p, k, lv.level)
+                for K, maximal in zip(rec.marks.classes, rec.marks.maximal):
+                    for xi in sign_characters(K, maximal):
+                        assert dense(mod, mod.hom_basis(K, xi)) == frozen(
+                            reduced_lifts(dense_hom_stack(mod, K, xi), p, k))
+                        checked += 1
+    assert checked >= 200
 
 
 def inverse_mod(mat, p, k):
@@ -1229,9 +1289,9 @@ def squaring_cost(qtbl, word):
 
 
 @pytest.mark.parametrize("text,relator_costs,total", [
-    (Q32, ({0, 1}, {0, 3, 4}), 212),
-    (C64, ({0},), 277),
-    (Q64, ({0, 1}, {0, 3, 4}), 318),
+    (Q32, ({0, 1}, {0, 3, 4}), 213),
+    (C64, ({0},), 284),
+    (Q64, ({0, 1}, {0, 3, 4}), 319),
 ])
 def test_words_cost_one_product_per_binary_digit(lattice, monkeypatch, text, relator_costs,
                                                  total):
@@ -1243,11 +1303,14 @@ def test_words_cost_one_product_per_binary_digit(lattice, monkeypatch, text, rel
     a*b*a*b^-1 costs four, three or no products as |b| is 4, 2 or 1.  The
     total pins every product of the harness: letters (q32 24, c64 74, q64
     34), words (14, 0 and 17), and act, Brauer traces, hom bases, kernel
-    checks, certificates and transitions (174, 203 and 267).  Of those, a
-    fixed space read inside a nontrivial one takes B * A[g] per generator g
-    beyond it and y * B (34, 10 and 56; M^K is only counted, off B_L * Tr
-    at p = 2), each modp_left_kernel checks its kernel by one product (38,
-    35 and 57), and act builds 33, 69 and 56."""
+    checks, lifts, certificates and transitions (175, 210 and 268).  Of
+    those, a fixed space read inside a nontrivial one takes B * A[g] per
+    generator g beyond it and y * B (34, 10 and 56; M^K is only counted,
+    off B_L * Tr at p = 2), each modp_left_kernel checks its kernel by one
+    product (38, 35 and 57), act builds 33, 69 and 56, and each
+    _liftable_kernel takes w * a once per digit it reads (1, 7 and 1): at
+    the default ring every lift here solves at its first digit, so none
+    forms a new lift."""
     pres = parse_presentation(text)
     qr = qr_check(lattice(text), 2)
     products = count_products(monkeypatch)

@@ -4,9 +4,10 @@ and so is every method or property of its classes, dunders aside.
 A name counts as used when code in src/qrlab (outside __init__, whose
 exports alone keep nothing alive) or a file under bench/ refers to it: as
 a name, an attribute, or a whole string (bench/ traces functions by name).
-Three names are kept for the tests alone, as oracles, and two more by
-bench/ alone (BENCH_ONLY): the pipeline no longer calls them, and nothing
-else may join them.
+The oracles the tests compare against live in tests/reference.py, so
+ORACLES, the names src/qrlab keeps for the tests alone, is empty.  Two
+names are kept by bench/ alone (BENCH_ONLY): the pipeline no longer calls
+them, and nothing else may join them.
 """
 
 import ast
@@ -14,11 +15,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-ORACLES = {
-    "intlinalg.left_kernel",  # integer left kernel, checks the relation lattice
-    "groupring.dimension_subgroup",  # D_n one level at a time, against the chain
-    "intlinalg.Lattice.equals",  # span equality, checks the relation lattice
-}
+ORACLES: set[str] = set()
 
 BENCH_ONLY = {
     "intlinalg.integer_inverse",  # traced by bench/run.py
