@@ -7,9 +7,8 @@ G-coinvariants R/[R,F] (RelationLattice.g_coin), which are level 1 of
 every prime's tower.  Each prime reads one p-local level off the lattice
 per other distinct dimension subgroup, and the harness reads its chain
 and levels from the QR report and lifts over Z/p^k with k = 1 + v_p(|G|),
-where its verdicts hold over Z_p.  The bar route runs only up to order
-relmod.DEFAULT_BAR_BOUND; above it the h2 stage fails with BudgetExceeded,
-after Hopf's formula and before any verdict.
+where its verdicts hold over Z_p.  Every stage runs at every order: the
+bar route, too, cross-checks Hopf's formula on every input.
 """
 
 from __future__ import annotations
@@ -18,12 +17,11 @@ import time
 from dataclasses import dataclass, field
 
 from .enumeration import DEFAULT_MAX_COSETS, FiniteGroupTable, todd_coxeter
-from .errors import BudgetExceeded, PropertyViolation
+from .errors import PropertyViolation
 from .intlinalg import AbelianInvariants
 from .permrec import HarnessReport, tower_harness
 from .presentation import Presentation
 from .relmod import (
-    DEFAULT_BAR_BOUND,
     QRReport,
     RelationLattice,
     bar_h2,
@@ -57,8 +55,7 @@ class Analysis:
     error: Exception | None = None
 
 
-def analyze(pres: Presentation, primes, *, max_cosets: int = DEFAULT_MAX_COSETS,
-            max_level: int | None = None) -> Analysis:
+def analyze(pres: Presentation, primes, *, max_cosets: int = DEFAULT_MAX_COSETS) -> Analysis:
     """Run the pipeline at each distinct prime; never raises for a failing stage."""
     rep = Analysis(pres, tuple(dict.fromkeys(primes)))
 
@@ -77,9 +74,6 @@ def analyze(pres: Presentation, primes, *, max_cosets: int = DEFAULT_MAX_COSETS,
         rep.gab = gab_invariants(pres)
         stage = "h2"
         hop = clock("h2_hopf", lambda: hopf_h2(rlat))
-        if tbl.order > DEFAULT_BAR_BOUND:
-            raise BudgetExceeded(
-                f"bar resolution bound {DEFAULT_BAR_BOUND} exceeded (order {tbl.order})")
         bar = clock("h2_bar", lambda: bar_h2(tbl))
         if (hop.free_rank, hop.torsion) != (bar.free_rank, bar.torsion):
             raise PropertyViolation(f"H2 routes disagree: {hop} vs {bar}")
@@ -89,8 +83,7 @@ def analyze(pres: Presentation, primes, *, max_cosets: int = DEFAULT_MAX_COSETS,
             qr = rep.qr[p] = clock(f"qr_{p}", lambda: qr_check(rlat, p))
             if qr.quasirational:
                 stage = f"harness[{p}]"
-                rep.harness[p] = clock(f"harness_{p}", lambda: tower_harness(
-                    qr, max_level=max_level))
+                rep.harness[p] = clock(f"harness_{p}", lambda: tower_harness(qr))
     except Exception as exc:  # noqa: BLE001 - every failure becomes a report
         rep.failed_stage, rep.error = stage, exc
     return rep

@@ -155,10 +155,6 @@ def _analysis_dict(rep: Analysis) -> dict:
     return doc
 
 
-def _options(args) -> dict:
-    return {"max_cosets": args.max_cosets, "max_level": args.max_level}
-
-
 def cmd_check(args) -> int:
     doc: dict = {"schema": 1, "version": __version__, "file": args.path}
     t0 = time.monotonic()
@@ -169,7 +165,7 @@ def cmd_check(args) -> int:
         doc.update(failed_stage="parse", error=str(exc))
     timing = {"parse": int((time.monotonic() - t0) * 1000)}
     if pres is not None:
-        rep = analyze(pres, args.prime or pres.primes, **_options(args))
+        rep = analyze(pres, args.prime or pres.primes, max_cosets=args.max_cosets)
         timing.update(rep.timing_ms)
         doc.update(_analysis_dict(rep))
         error = rep.error
@@ -179,14 +175,14 @@ def cmd_check(args) -> int:
     return _exit_code_for(error)
 
 
-def _corpus_row(corpus_dir: str, options: dict, entry: dict, prime: int) -> dict:
+def _corpus_row(corpus_dir: str, max_cosets: int, entry: dict, prime: int) -> dict:
     t0 = time.monotonic()
     row = {"id": entry["id"], "prime": prime}
     try:
         path = entry["file"]
         if not os.path.isabs(path):
             path = os.path.join(corpus_dir, path)
-        rep = analyze(_read_presentation(path), (prime,), **options)
+        rep = analyze(_read_presentation(path), (prime,), max_cosets=max_cosets)
         if prime in rep.qr:
             row.update(order=rep.tbl.order, gab=list(rep.gab.torsion),
                        h2=list(rep.h2_hopf.torsion), qr=rep.qr[prime].quasirational)
@@ -260,7 +256,7 @@ def cmd_corpus(args) -> int:
     for entry in entries:
         for prime in entry.get("primes", [2]):
             jobs.append((entry, prime))
-    row_of = functools.partial(_corpus_row, corpus_dir, _options(args))
+    row_of = functools.partial(_corpus_row, corpus_dir, args.max_cosets)
     if args.jobs > 1 and len(jobs) > 1:
         from concurrent.futures import ProcessPoolExecutor  # pulls in multiprocessing
 
@@ -350,8 +346,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def pipeline(sp):
         common(sp)
-        sp.add_argument("--max-level", type=_positive, default=None,
-                        help="stop the harness's level tower early")
         sp.add_argument("--timing", action="store_true",
                         help="include wall-clock timings in the JSON report")
 

@@ -401,24 +401,6 @@ class Lattice:
                 if q:
                     row[j:] = [x - q * y for x, y in zip(row[j:], b[j:])]
 
-    def coordinates(self, vec: Sequence[int]) -> list[int] | None:
-        """c with sum c_k basis_k == vec, or None if vec is not in the lattice."""
-        v = [int(x) for x in vec]
-        if len(v) != self.ambient:
-            raise ValueError("vector length != ambient dimension")
-        coeffs = [0] * len(self.basis)
-        for k, (b, j) in enumerate(zip(self.basis, self._pivots)):
-            if v[j]:  # b is zero left of j: columns before j are left alone
-                if v[j] % b[j]:
-                    return None
-                q = v[j] // b[j]
-                coeffs[k] = q
-                v[j:] = [x - q * y for x, y in zip(v[j:], b[j:])]
-        return coeffs if not any(v) else None
-
-    def __contains__(self, vec) -> bool:
-        return self.coordinates(vec) is not None
-
 
 # ---------------------------------------------------------------------------
 # mod-p routines: one packed-row elimination kernel

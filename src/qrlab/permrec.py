@@ -24,8 +24,8 @@ module outright, and no class below that step is read: the
 back-substitution runs from the top class down and builds each Brauer
 quotient only when it reaches its class.  The subgroup classes, their
 maximal subgroups and the table of marks come from one SubgroupLattice
-per harness run, enumerated on the quotient of the last level read and
-read at every level through its quotient map (correspondence theorem).
+per harness run, enumerated on G and read at every level through its
+quotient map (correspondence theorem).
 The fixed spaces a Brauer quotient at K needs are read bottom up, each
 inside a known one (_brauer_dim, LevelModule.hom_basis): M^Phi(K) for
 Phi(K) the Frattini subgroup, and each M^L, L maximal in K, inside it;
@@ -478,43 +478,39 @@ class SubgroupLattice:
     element indices, by the correspondence theorem: the subgroups of Q are
     the images f(H) of the H >= N = ker f, once each; they are conjugate in
     Q exactly when the H are in P, and P/H is Q/f(H) as a P-set, so
-    marks_Q(f(K), f(H)) = marks_P(K, H).
+    marks_Q(f(K), f(H)) = marks_P(K, H).  The harness builds it on G, whose
+    quotient every level is.
     """
 
     p: int
-    cover: Sequence[int]
     classes: tuple[tuple[Subgroup, ...], ...]
     marks: tuple[tuple[int, ...], ...]
 
     @classmethod
-    def of(cls, tbl: FiniteGroupTable, p: int,
-           cover: Sequence[int] | None = None) -> SubgroupLattice:
-        """The lattice of P = tbl; cover maps G onto P on element indices
-        (the identity on P by default)."""
+    def of(cls, tbl: FiniteGroupTable, p: int) -> SubgroupLattice:
+        """The lattice of P = tbl."""
         conj = subgroup_conjugacy_classes(tbl, all_subgroups(tbl))
         sets = [[set(H.members) for H in c] for c in conj]
         marks = tuple(tuple(tbl.order // (c[0].order * len(c))
                             * sum(h.issuperset(K[0].generators) for h in hs)
                             for c, hs in zip(conj, sets)) for K in conj)
-        return cls(p, range(tbl.order) if cover is None else cover, tuple(map(tuple, conj)), marks)
+        return cls(p, tuple(map(tuple, conj)), marks)
 
-    def level(self, quotient_map: Sequence[int]) -> tuple[
+    def level(self, f: Sequence[int]) -> tuple[
             tuple[Subgroup, ...], tuple[tuple[Subgroup, ...], ...], list[tuple[int, ...]]]:
-        """(classes, maximal, marks) of the quotient Q that quotient_map
-        maps G onto, as MarksReport orders them.
+        """(classes, maximal, marks) of the quotient Q that the quotient
+        map f maps P onto, as MarksReport orders them.
 
-        f = quotient_map after cover^-1 maps P onto Q.  A class of P maps
-        to one of Q iff its first member holds ker f.  f(H) has the members
-        f maps H's onto and the images of H's generators as generators;
-        Q's classes are re-sorted by their least member tuple in Q, and
-        maximal[i] lists the subgroups of index p in classes[i], read off
-        the images.
+        A class of P maps to one of Q iff its first member holds ker f.
+        f(H) has the members f maps H's onto and the images of H's
+        generators as generators; Q's classes are re-sorted by their least
+        member tuple in Q, and maximal[i] lists the subgroups of index p in
+        classes[i], read off the images.
         """
         def key(H: Subgroup):
             return H.order, H.members
 
-        f = dict(zip(self.cover, quotient_map))
-        kernel = [x for x, y in f.items() if not y]
+        kernel = [x for x, y in enumerate(f) if not y]
         images = []
         for i, cls in enumerate(self.classes):
             if set(cls[0].members).issuperset(kernel):
@@ -550,8 +546,8 @@ def marks_multiplicities(mod: LevelModule, lattice: SubgroupLattice | None = Non
 
     The classes, their maximal subgroups and the table of marks are read
     off `lattice` through the level's quotient map from G
-    (SubgroupLattice.level); tower_harness passes one lattice for all its
-    levels.  By default it is Q's own, read through the identity.
+    (SubgroupLattice.level); tower_harness passes G's one lattice for all
+    its levels.  By default it is Q's own, read through the identity.
     """
     if mod.k != 1:
         raise InputError("the Brauer quotient test runs on the mod-p module (k = 1)")
@@ -907,9 +903,9 @@ class HarnessReport:
 
 
 def _level_outcome(lv: LevelResult, p: int, precision: int,
-                   lattice: SubgroupLattice | None = None) -> tuple[LevelOutcome, LevelModule]:
+                   lattice: SubgroupLattice) -> tuple[LevelOutcome, LevelModule]:
     """Recognize one level's mod-p module and, if certified, lift it;
-    lattice is marks_multiplicities'."""
+    lattice is G's (marks_multiplicities)."""
     n = lv.level
     mod1 = module_from_coinvariants(lv.coin, p, 1, n)
     rec = perm_recognize_modp(mod1, lattice)
@@ -940,8 +936,7 @@ def _level_outcome(lv: LevelResult, p: int, precision: int,
     return outcome, mod1
 
 
-def tower_harness(qr: QRReport, precision: int | None = None,
-                  max_level: int | None = None) -> HarnessReport:
+def tower_harness(qr: QRReport, precision: int | None = None) -> HarnessReport:
     """Per level: recognize the mod-p module, then certify integrally.
 
     The two sides must agree wherever both reach a verdict: integral
@@ -954,11 +949,12 @@ def tower_harness(qr: QRReport, precision: int | None = None,
     consecutive levels are built and verified as equivariant surjections,
     tying the tower together.
 
-    The chain, lattice and level coinvariants come from the QR report;
-    max_level, when given, keeps its first levels and must be >= 1.
-    The mod-p module is the reduction of the Z/p^k one, so both are built
-    on the level's one quotient table (Coinvariants.quotient), the latter
-    only where the former was certified a permutation module.
+    The chain, lattice and level coinvariants come from the QR report,
+    every level of it, down to D = 1; the subgroups of every level's
+    quotient are read off one SubgroupLattice of G.  The mod-p module is
+    the reduction of the Z/p^k one, so both are built on the level's one
+    quotient table (Coinvariants.quotient), the latter only where the
+    former was certified a permutation module.
 
     The ring.  precision=None takes k = 1 + v_p(|G|) for the whole
     harness (k = 1 for trivial G); an explicit k is used as given.  At
@@ -988,8 +984,6 @@ def tower_harness(qr: QRReport, precision: int | None = None,
     its transition is the identity with no product (transition_map);
     every pair of consecutive levels still counts in transitions_checked.
     """
-    if max_level is not None and max_level < 1:
-        raise InputError(f"max_level must be >= 1, got {max_level}")
     p, rlat = qr.prime, qr.rlat
     if precision is None:  # 1 + v_p(|G|); G is a p-group (qr_check)
         pp = prime_power(rlat.tbl.order)
@@ -999,14 +993,12 @@ def tower_harness(qr: QRReport, precision: int | None = None,
             f"not quasirational at p={p}: level {w} coinvariants have "
             f"{p}-torsion {qr.levels[w - 1].p_torsion}, the equivalence hypothesis fails"
         )
-    levels = qr.levels[:max_level]
-    top = levels[-1].coin
-    lattice = SubgroupLattice.of(top.quotient, p, top.quotient_map)
+    lattice = SubgroupLattice.of(rlat.tbl, p)
     outcomes = []
     mods = []
     violations = 0
-    for i, lv in enumerate(levels):
-        if i and lv.coin is levels[i - 1].coin:
+    for i, lv in enumerate(qr.levels):
+        if i and lv.coin is qr.levels[i - 1].coin:
             outcome, mod1 = replace(outcomes[-1], level=lv.level), mods[-1]
         else:
             outcome, mod1 = _level_outcome(lv, p, precision, lattice)

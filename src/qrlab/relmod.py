@@ -577,7 +577,8 @@ def qr_check_full(pres: Presentation, tbl: FiniteGroupTable, p: int) -> QRReport
 # ---------------------------------------------------------------------------
 # Schur multiplier, two routes
 
-# The largest order on which analysis.analyze runs the bar route.
+# Only bench/freeze.py reads this; the pipeline has no order bound.  It
+# goes with the next change to bench/.
 DEFAULT_BAR_BOUND = 32
 
 

@@ -3,8 +3,8 @@
 They use the standard library only and share no code with qrlab, so a
 test that compares qrlab against them is not checking a kernel against
 itself.  The exceptions are lattice_from_rows, which wraps qrlab's
-Lattice as the Hermite form that the tests solve in, and lattice_equals
-and the integer left_kernel, which work in that Lattice;
+Lattice as the Hermite form that the tests solve in (lattice_coordinates),
+and lattice_equals and the integer left_kernel, which work in that Lattice;
 dimension_subgroup and full_depth_dimension_chain, which read qrlab's
 delta_filtration (itself checked against dense_rref in
 tests/test_groupring.py); and the integer
@@ -152,12 +152,31 @@ def lattice_from_rows(ambient, rows):
     return lat
 
 
+def lattice_coordinates(lat, vec):
+    """c with sum c_k lat.basis[k] == vec, or None if vec is not in the
+    qrlab Lattice lat: back-substitution down its echelon basis, each row
+    zero left of its pivot, its first nonzero column."""
+    v = [int(x) for x in vec]
+    if len(v) != lat.ambient:
+        raise ValueError("vector length != ambient dimension")
+    coeffs = [0] * lat.rank
+    for k, b in enumerate(lat.basis):
+        j = next(c for c, x in enumerate(b) if x)
+        if v[j]:
+            if v[j] % b[j]:
+                return None
+            q = coeffs[k] = v[j] // b[j]
+            v[j:] = [x - q * y for x, y in zip(v[j:], b[j:])]
+    return coeffs if not any(v) else None
+
+
 def lattice_equals(a, b):
     """Whether two qrlab Lattices span the same lattice: the same ambient
-    and rank, and each basis inside the other."""
+    and rank, and each basis inside the other (lattice_coordinates)."""
     if a.ambient != b.ambient or a.rank != b.rank:
         return False
-    return all(r in b for r in a.basis) and all(r in a for r in b.basis)
+    return all(lattice_coordinates(y, r) is not None
+               for x, y in ((a, b), (b, a)) for r in x.basis)
 
 
 def left_kernel(rows, width=None):

@@ -15,19 +15,20 @@ from collections import Counter
 
 import pytest
 
+import qrlab.analysis
 import qrlab.enumeration
 import qrlab.groupring
 import qrlab.relmod
 from qrlab.analysis import analyze
 from qrlab.cli import main
-from qrlab.enumeration import FiniteGroupTable, todd_coxeter
+from qrlab.enumeration import FiniteGroupTable, prime_power, todd_coxeter
 from qrlab.errors import BudgetExceeded, PropertyViolation
-from qrlab.intlinalg import Lattice
+from qrlab.intlinalg import AbelianInvariants, Lattice
 from qrlab.permrec import equivalence_harness, tower_harness
 from qrlab.presentation import parse_presentation
 from qrlab.relmod import hopf_h2, qr_check, qr_check_full, relation_lattice
 
-from conftest import CORPUS_DIR, NQR64, ORDER32, ORDER32_DIR, spy_peel
+from conftest import C9XC9, CORPUS_DIR, NQR64, ORDER32, ORDER32_DIR, spy_peel
 
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parent / "data" / "check"
 GOLDEN32_DIR = GOLDEN_DIR.parent / "check32"
@@ -179,22 +180,6 @@ def test_a_failed_lattice_build_is_not_kept():
     assert tbl._lattices == {}
 
 
-def count_coordinates(monkeypatch) -> Counter:
-    """Count Lattice.coordinates calls by the qrlab function that asked."""
-    counts: Counter = Counter()
-    orig = Lattice.coordinates
-
-    def wrapper(self, vec):
-        frame = sys._getframe(1)
-        while frame.f_code.co_name in ("__contains__", "<genexpr>", "<listcomp>"):
-            frame = frame.f_back
-        counts[frame.f_code.co_name] += 1
-        return orig(self, vec)
-
-    monkeypatch.setattr(Lattice, "coordinates", wrapper)
-    return counts
-
-
 def test_relation_lattice_solves_nothing(monkeypatch, corpus):
     """Coordinates on the cycle lattice are chord entries, read off: no
     solve.  The certificate's Lattice runs only on the chords that peeling
@@ -212,23 +197,23 @@ def test_relation_lattice_solves_nothing(monkeypatch, corpus):
     for text in texts:
         pres = parse_presentation(text)
         tbl = todd_coxeter(pres)
-        counts = count_coordinates(monkeypatch)
         monkeypatch.setattr(qrlab.relmod, "Lattice", Recorded)
         calls = spy_peel(monkeypatch)
         widths.clear()
         relation_lattice(pres, tbl)
         monkeypatch.undo()
-        assert counts == {} and [residual for _, residual in calls] == [[]] and widths == [], text
+        assert [residual for _, residual in calls] == [[]] and widths == [], text
 
 
-def test_analyze_solves_nothing(monkeypatch):
+def test_analyze_solves_nothing():
+    """The pipeline's Lattice only inserts rows and reads its basis: it has
+    no solver (the tests' one is reference.lattice_coordinates), so no
+    stage can solve in it."""
+    assert not {"coordinates", "__contains__"} & set(vars(Lattice))
     pres = parse_presentation((ORDER32_DIR / "q32.pres").read_text())
-    counts = count_coordinates(monkeypatch)
     rep = analyze(pres, (2,))
-    monkeypatch.undo()
     assert rep.error is None
     assert len({lv.quotient_order for lv in rep.harness[2].levels}) > 1
-    assert counts == {}
 
 
 def test_analyze_reports_a_failed_stage_instead_of_raising():
@@ -239,28 +224,70 @@ def test_analyze_reports_a_failed_stage_instead_of_raising():
     assert rep.tbl is None and rep.qr == {} and "enumerate" in rep.timing_ms
 
 
-@pytest.mark.parametrize("path", [ORDER32_DIR / "c64.pres", NQR64], ids=["c64", "nqr64"])
-def test_analyze_stops_at_the_bar_gate_above_order_32(capsys, path):
-    """The pipeline runs the bar route only up to order 32: above it the
-    h2 stage fails after Hopf's formula, before any QR verdict, and check
-    exits 3."""
+ABOVE_32 = [  # (id, path or inline text, H2 torsion, witness level at the file's prime)
+    ("c64", ORDER32_DIR / "c64.pres", (), None),
+    ("c81", ORDER32_DIR / "c81.pres", (), None),
+    ("nqr64", NQR64, (), 2),
+    ("nqr243", NQR64.parent / "nqr243.pres", (), 2),
+    ("q64", "gens: a, b; relators: a^16*b^-2, a*b*a*b^-1; prime: 2", (), None),
+    ("m64", "gens: a, b; relators: a^32, b^2, b*a*b^-1*a^-17; prime: 2", (), None),
+    ("q128", "gens: a, b; relators: a^32*b^-2, a*b*a*b^-1; prime: 2", (), None),
+    ("c243", "gens: a; relators: a^243; prime: 3", (), None),
+    ("c9xc9", C9XC9, (9,), 1),
+]
+
+
+@pytest.mark.parametrize("name,source,h2,witness", ABOVE_32, ids=[c[0] for c in ABOVE_32])
+def test_check_answers_above_order_32(capsys, tmp_path, name, source, h2, witness):
+    """No stage stops at an order: above 32 both H2 routes run and agree,
+    every prime gets its QR verdict, a QR input its harness over
+    Z/p^(1 + v_p|G|) with no violation, and check exits 0."""
+    path = source
+    if isinstance(source, str):
+        path = tmp_path / f"{name}.pres"
+        path.write_text(source)
+    pres = parse_presentation(path.read_text())
+    (p,) = pres.primes
+    rep = analyze(pres, (p,))
+    assert rep.failed_stage is None and rep.error is None
+    assert rep.tbl.order > 32
+    hop, bar = rep.h2_hopf, rep.h2_bar
+    assert (hop.free_rank, hop.torsion) == (bar.free_rank, bar.torsion) == (0, h2)
+    assert rep.qr[p].witness_level == witness
+    assert rep.qr[p].quasirational == (witness is None)
+    if witness is None:
+        harness = rep.harness[p]
+        assert harness.violations == 0
+        assert harness.precision == 1 + prime_power(rep.tbl.order)[1]
+    else:
+        assert p not in rep.harness
+    assert main(["check", str(path)]) == 0
+    assert "failed_stage" not in json.loads(capsys.readouterr().out)
+
+
+def test_check_fails_when_the_h2_routes_disagree(capsys, monkeypatch):
+    """A bar route that disagrees with Hopf's formula fails the h2 stage
+    with a PropertyViolation, before any verdict, and check exits 1."""
+    path = CORPUS_DIR / "q8.pres"
+    monkeypatch.setattr(qrlab.analysis, "bar_h2", lambda tbl: AbelianInvariants(0, (2,)))
     rep = analyze(parse_presentation(path.read_text()), (2,))
     assert rep.failed_stage == "h2"
-    assert isinstance(rep.error, BudgetExceeded)
-    assert str(rep.error) == "bar resolution bound 32 exceeded (order 64)"
+    assert isinstance(rep.error, PropertyViolation)
+    assert str(rep.error).startswith("H2 routes disagree")
     assert rep.h2_hopf is None and rep.qr == {}
-    assert main(["check", str(path)]) == 3
-    assert json.loads(capsys.readouterr().out)["failed_stage"] == "h2"
+    assert main(["check", str(path)]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["failed_stage"] == "h2" and "qr" not in doc
 
 
 def test_analyze_keeps_what_the_harness_reads():
     pres = parse_presentation("gens: a; relators: a^4; prime: 2")
-    rep = analyze(pres, (2,), max_level=2)
+    rep = analyze(pres, (2,))
     assert rep.error is None and rep.failed_stage is None
     qr = rep.qr[2]
     assert qr.rlat is rep.rlat
     assert [lv.subgroup.order for lv in qr.levels] == [4, 2, 1]
     assert [lv.coin.invariants for lv in qr.levels] == [lv.invariants for lv in qr.levels]
-    assert [lv.level for lv in rep.harness[2].levels] == [1, 2]
+    assert [lv.level for lv in rep.harness[2].levels] == [1, 2, 3]
     assert set(rep.timing_ms) == {"enumerate", "lattice", "h2_hopf", "h2_bar",
                                   "qr_2", "harness_2"}

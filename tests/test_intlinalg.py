@@ -42,6 +42,7 @@ from reference import (
     dense_left_kernel,
     dense_rref,
     det_int,
+    lattice_coordinates,
     lattice_from_rows,
     left_kernel,
     smallest_entry_snf,
@@ -208,14 +209,14 @@ def test_lattice_is_the_hermite_form_of_the_row_span(a, comb, probe):
         assert all(0 <= b[j] < r[j] for b in lat.basis[:pivots.index(j)])
     # span(a) <= span(basis) with equal minor gcds, so the spans are equal
     for row in a:
-        c = lat.coordinates(row)
+        c = lattice_coordinates(lat, row)
         assert [sum(ci * b[j] for ci, b in zip(c, lat.basis)) for j in range(n)] == row
     rank = len(minor_gcd_divisors(a))
     assert lat.rank == rank
     assert math.prod(minor_gcd_divisors(a)) == math.prod(minor_gcd_divisors(lat.basis))
     v = [sum(ci * row[j] for ci, row in zip(comb, a)) for j in range(n)]
-    assert v in lat
-    c = lat.coordinates(probe[:n])
+    assert lattice_coordinates(lat, v) is not None
+    c = lattice_coordinates(lat, probe[:n])
     if c is not None:
         assert [sum(ci * b[j] for ci, b in zip(c, lat.basis)) for j in range(n)] == probe[:n]
 
@@ -489,8 +490,8 @@ def test_lattice_quotient_invariants():
     inv = lattice_quotient(1, [[0]])
     assert (inv.free_rank, inv.torsion) == (1, ())
     lat = lattice_from_rows(2, [[2, 0], [0, 3]])
-    assert lat.coordinates([2, 3]) is not None
-    assert lat.coordinates([1, 0]) is None
+    assert lattice_coordinates(lat, [2, 3]) is not None
+    assert lattice_coordinates(lat, [1, 0]) is None
 
 
 def test_p_torsion_extracts_p_parts():

@@ -419,39 +419,32 @@ def distinct_levels(qr):
 @pytest.mark.parametrize("name,text,p", LATTICE_INPUTS, ids=[n for n, _, _ in LATTICE_INPUTS])
 def test_every_level_reads_its_subgroups_off_one_lattice(lattice, name, text, p):
     """The classes, maximal lists and table of marks of every distinct
-    level's quotient, read off one lattice through the quotient map, are
-    those of a build on the quotient itself: from G's lattice, and from
-    the lattice of a middle level's quotient for every level up to it."""
+    level's quotient, read off G's lattice through the quotient map, are
+    those of a build on the quotient itself."""
     qr = qr_check(lattice(text), p)
-    levels = distinct_levels(qr)
-    middle = levels[len(levels) // 2].coin
-    tops = [(SubgroupLattice.of(qr.rlat.tbl, p), levels),
-            (SubgroupLattice.of(middle.quotient, p, middle.quotient_map),
-             levels[:len(levels) // 2 + 1])]
-    for top, below in tops:
-        for lv in below:
-            classes, maximal, marks = top.level(lv.coin.quotient_map)
-            want_classes, want_maximal, want_marks = per_level_lattice(lv.coin.quotient, p)
-            assert [K.members for K in classes] == [K.members for K in want_classes]
-            assert ([[L.members for L in ls] for ls in maximal]
-                    == [[L.members for L in ls] for ls in want_maximal])
-            assert marks == want_marks, (name, lv.level)
-            for K in classes:
-                assert tuple(sorted(closure(lv.coin.quotient, K.generators))) == K.members
+    top = SubgroupLattice.of(qr.rlat.tbl, p)
+    for lv in distinct_levels(qr):
+        classes, maximal, marks = top.level(lv.coin.quotient_map)
+        want_classes, want_maximal, want_marks = per_level_lattice(lv.coin.quotient, p)
+        assert [K.members for K in classes] == [K.members for K in want_classes]
+        assert ([[L.members for L in ls] for ls in maximal]
+                == [[L.members for L in ls] for ls in want_maximal])
+        assert marks == want_marks, (name, lv.level)
+        for K in classes:
+            assert tuple(sorted(closure(lv.coin.quotient, K.generators))) == K.members
 
 
 def test_one_subgroup_enumeration_per_harness_run(lattice, monkeypatch):
-    """tower_harness enumerates subgroups once, on the quotient of the last
-    level it reads: G, or G/D_n under max_level = n."""
+    """tower_harness enumerates subgroups once, on G."""
     calls = []
     enumerate_subgroups = permrec.all_subgroups
     monkeypatch.setattr(permrec, "all_subgroups",
                         lambda tbl: calls.append(tbl.order) or enumerate_subgroups(tbl))
-    for text, p, max_level in ((Q32, 2, None), (Q32, 2, 3), (C64, 2, None), (C9, 3, 2)):
-        qr = qr_check(lattice(text), p)
+    for text in (Q32, C64):
+        qr = qr_check(lattice(text), 2)
         calls.clear()
-        rep = tower_harness(qr, max_level=max_level)
-        assert calls == [rep.levels[-1].quotient_order]
+        rep = tower_harness(qr)
+        assert calls == [qr.rlat.tbl.order] == [rep.levels[-1].quotient_order]
         assert len({o.quotient_order for o in rep.levels}) > 1
 
 
@@ -1076,7 +1069,8 @@ def test_level_outcome_lifts_the_torsion_free_levels_of_d16(lattice):
     qr = qr_check(lattice("gens: a, b; relators: a^8, b^2, b*a*b*a; prime: 2"), 2)
     assert qr.witness_level == 1 and len(qr.levels) == 5
     assert all(lv.p_torsion == () for lv in qr.levels[1:])
-    outcomes = [_level_outcome(lv, 2, 3)[0] for lv in qr.levels[1:]]
+    top = SubgroupLattice.of(qr.rlat.tbl, 2)
+    outcomes = [_level_outcome(lv, 2, 3, top)[0] for lv in qr.levels[1:]]
     assert [(o.modp_status, o.integral_status) for o in outcomes] == \
         [("certified", "certified")] * 3 + [("refuted", "not_attempted")]
 
@@ -1087,8 +1081,10 @@ def test_harness_reuse_matches_a_rebuild_of_every_level(lattice, name, p):
     from fresh coinvariants must give the same outcomes and counts."""
     qr = qr_check(lattice((CORPUS_DIR / f"{name}.pres").read_text()), p)
     rep = tower_harness(qr)
+    top = SubgroupLattice.of(qr.rlat.tbl, p)
     rebuilt = [
-        _level_outcome(replace(lv, coin=coinvariants(qr.rlat, lv.subgroup)), p, rep.precision)[0]
+        _level_outcome(replace(lv, coin=coinvariants(qr.rlat, lv.subgroup)), p, rep.precision,
+                       top)[0]
         for lv in qr.levels
     ]
     assert list(rep.levels) == rebuilt

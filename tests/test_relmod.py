@@ -45,6 +45,7 @@ from reference import (
     full_elimination_over,
     integer_g_coin,
     integer_walk,
+    lattice_coordinates,
     lattice_equals,
     lattice_from_rows,
     left_kernel,
@@ -336,7 +337,8 @@ def test_lattice_rejects_a_stable_span_of_the_right_rank_that_is_not_saturated(
                                        for g in range(tbl.order)))
     assert lattice_equals(span, lattice_from_rows(ambient, ([m * x for x in r]
                                                            for r in cycle_basis(true))))
-    assert all(translate(tbl, g, r) in span for g in range(tbl.order) for r in span.basis)
+    assert all(lattice_coordinates(span, translate(tbl, g, r)) is not None
+               for g in range(tbl.order) for r in span.basis)
     with pytest.raises(PropertyViolation, match="kernel of the Crowell-Lyndon map"):
         relation_lattice(pres, tbl)
 
@@ -416,7 +418,7 @@ def test_certified_lattice_matches_the_kernel_and_the_all_elements_sweep(lattice
     assert lattice_equals(kern, lat)
     for g in range(n):
         for row in cycle_basis(rlat):
-            assert lat.coordinates(translate(tbl, g, row)) is not None
+            assert lattice_coordinates(lat, translate(tbl, g, row)) is not None
 
 
 @pytest.mark.parametrize("path", ORACLE_INPUTS, ids=lambda p: p.stem)
@@ -427,13 +429,13 @@ def test_element_matrices_are_the_coordinates_solved_in_the_hermite_lattice(latt
     rlat = lattice(path.read_text())
     tbl = rlat.tbl
     lat = hermite(rlat)
-    frame = [lat.coordinates(row) for row in cycle_basis(rlat)]
+    frame = [lattice_coordinates(lat, row) for row in cycle_basis(rlat)]
     for g in range(tbl.order):
         dense = [[0] * rlat.rank for _ in range(rlat.rank)]
         for row, nonzeros in zip(dense, rlat.act(g)):
             for k, c in nonzeros:
                 row[k] = c
-        solved = [lat.coordinates(translate(tbl, g, row)) for row in cycle_basis(rlat)]
+        solved = [lattice_coordinates(lat, translate(tbl, g, row)) for row in cycle_basis(rlat)]
         assert solved == mat_mul(dense, frame), g
         assert rlat.act(g) is rlat.act(g)
 
@@ -482,7 +484,7 @@ def lattice_route(rlat, sub):
     generator d of sub, minus itself, in lattice coordinates, then the
     Smith form of those rows."""
     lat = hermite(rlat)
-    rows = [lat.coordinates([a - b for a, b in zip(translate(rlat.tbl, d, row), row)])
+    rows = [lattice_coordinates(lat, [a - b for a, b in zip(translate(rlat.tbl, d, row), row)])
             for d in sub.generators if d for row in cycle_basis(rlat)]
     diag = [d for d in smith_normal_form(rows)[0] if d] if rows else []
     return AbelianInvariants(rlat.rank - len(diag), tuple(d for d in diag if d > 1))
